@@ -298,21 +298,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, argv):
-    args.config_data = {}
+def _apply_config(parser, args, argv):
+    """Parse again with the config file's values appended as flags.
+
+    Config values thereby get the same argparse types, choices and errors as
+    the flags they stand in for.  Keys given as flags on the command line are
+    left out, so those flags win; keys the subcommand does not know are
+    ignored, and ``false`` or ``null`` leave the flag unset.
+    """
     if not args.config:
+        args.config_data = {}
         return args
     data = json.loads(Path(args.config).read_text())
-    args.config_data = data
-    given = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            given.add(tok.lstrip("-").split("=")[0].replace("-", "_"))
+    given = {tok.lstrip("-").split("=")[0].replace("-", "_")
+             for tok in argv if tok.startswith("--")}
+    tokens: list[str] = []
     for key, value in data.items():
-        if key in ("fixtures", "command"):
+        if (key in ("fixtures", "command") or key in given or not hasattr(args, key)
+                or value is None or value is False):
             continue
-        if hasattr(args, key) and key not in given and getattr(args, key) in (None, False):
-            setattr(args, key, value)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens += [flag, str(value)]
+    args = parser.parse_args(argv + tokens)
+    args.config_data = data
     return args
 
 
@@ -321,11 +334,10 @@ def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(raw_argv)
-        args = _apply_config(args, raw_argv)
-        if args.workers is not None and args.workers < 1:
-            raise UsageError("--workers must be at least 1")
-        if getattr(args, "n", None) is not None and args.n < 1:
-            raise UsageError("--n must be at least 1")
+        args = _apply_config(parser, args, raw_argv)
+        for key in ("workers", "n", "trials"):
+            if getattr(args, key, None) is not None and getattr(args, key) < 1:
+                raise UsageError(f"--{key} must be at least 1")
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,10 +8,17 @@ Conventions used across the package:
 - ``tensor(A, B)`` puts A's indices major, so the left factor belongs to the
   lower party index.
 - The default algebraic tolerance is 1e-10.
+- Local operators act on a state vector through :func:`apply_operator`, a
+  reshape plus ``tensordot`` over the target axes; :func:`embed_operator`
+  builds the full-space matrix and is kept for small spaces and as the dense
+  reference.  For a bipartite amplitude matrix Psi of shape (d_A, d_B), that
+  is dims ``(d_A, d_B)``, an operator A on subsystem 0 acts as ``A Psi`` and
+  an operator B on subsystem 1 acts as ``Psi B^T``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -111,25 +118,50 @@ def permute_subsystems_matrix(mat: np.ndarray, dims: Sequence[int],
     return t.reshape(mat.shape)
 
 
+def _target_dims(op: np.ndarray, dims: tuple[int, ...], targets: list[int]) -> list[int]:
+    """Dimensions of the ``targets`` subsystems, checked against the square ``op``."""
+    n = len(dims)
+    if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"invalid target subsystems {targets} for {n} subsystems")
+    t_dims = [dims[t] for t in targets]
+    d_t = math.prod(t_dims)
+    if op.shape != (d_t, d_t):
+        raise ValueError(f"operator shape {op.shape} does not match target dims")
+    return t_dims
+
+
 def embed_operator(op: np.ndarray, dims: Sequence[int],
                    targets: Sequence[int]) -> np.ndarray:
     """Embed ``op`` acting on the ``targets`` subsystems (in that order), identity elsewhere."""
     op = as_matrix(op)
     dims = tuple(int(d) for d in dims)
     targets = list(targets)
-    n = len(dims)
-    if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"invalid target subsystems {targets} for {n} subsystems")
-    d_t = int(np.prod([dims[t] for t in targets])) if targets else 1
-    if op.shape != (d_t, d_t):
-        raise ValueError(f"operator shape {op.shape} does not match target dims")
-    rest = [i for i in range(n) if i not in targets]
-    d_r = int(np.prod([dims[i] for i in rest])) if rest else 1
+    _target_dims(op, dims, targets)
+    rest = [i for i in range(len(dims)) if i not in targets]
+    d_r = math.prod(dims[i] for i in rest)
     big = np.kron(op, np.eye(d_r, dtype=complex))
     order = targets + rest          # subsystem order of `big`
     inverse = np.argsort(order)     # send it back to the natural order
     dims_big = [dims[i] for i in order]
     return permute_subsystems_matrix(big, dims_big, list(inverse))
+
+
+def apply_operator(op: np.ndarray, vec: np.ndarray, dims: Sequence[int],
+                   targets: Sequence[int]) -> np.ndarray:
+    """``embed_operator(op, dims, targets) @ vec`` without forming the full-space matrix.
+
+    ``vec`` is reshaped to one axis per subsystem and contracted with ``op``
+    over the target axes only; the result is flat, in the natural order.
+    """
+    op = as_matrix(op)
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    dims = _check_dims(dims, vec.size, "apply_operator")
+    targets = [int(t) for t in targets]
+    t_dims = _target_dims(op, dims, targets)
+    k = len(targets)
+    out = np.tensordot(op.reshape(t_dims + t_dims), vec.reshape(dims),
+                       axes=(list(range(k, 2 * k)), targets))
+    return np.moveaxis(out, list(range(k)), targets).reshape(-1)
 
 
 def controlled_gate(op: np.ndarray, dims: Sequence[int], control: int,

@@ -11,6 +11,14 @@ H(anc), controlled-Z_party, H(anc), controlled-X_party with the ancilla as
 control and the party's physical observables as the controlled blocks.  All
 support-restricted quantities follow the convention that claims hold only on
 the support of the state on the acting party's registers.
+
+Every full-space quantity is computed on the pure state's amplitude matrix
+Psi, of shape (d_A, d_B) with d_p the product of party p's register dims: an
+operator A of party A acts as ``A Psi`` and an operator B of party B as
+``Psi B^T``, through :func:`conjsim.linalg.apply_operator`.  So a joint
+correlation is ``vdot(Psi, A Psi B^T)``, and extraction pads Psi with the two
+ancillas to Psi_0 of shape (2 d_A, 2 d_B) and returns ``U_A Psi_0 U_B^T``.
+No operator on the full space is ever built.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ import numpy as np
 
 from .family import SimParams, c_of, multiparty_sim_state
 from .linalg import (
+    ATOL,
     HADAMARD,
     PAULIS,
+    apply_operator,
     as_matrix,
     controlled_gate,
     embed_operator,
@@ -35,7 +45,6 @@ from .states import (
     DensityMatrix,
     StateVector,
     epr_pair,
-    expectation,
     partial_trace,
     purify,
     support_projector,
@@ -51,10 +60,7 @@ SUBTESTS = {
 # labels whose extracted action is compared against a fixed reference matrix;
 # Y and the Y-mixing settings are certified through the normal-form check
 # instead, because their extracted sign depends on the family member.
-ACTION_LABELS = {
-    "mayersyao": ("X", "Z", "D"),
-    "extended": ("X", "Z", "D"),
-}
+ACTION_LABELS = ("X", "Z", "D")
 
 
 class SelfTestPreconditionError(RuntimeError):
@@ -149,8 +155,14 @@ class Experiment:
             return list(range(n_a))
         return list(range(n_a, n_a + len(self.party_dims["B"])))
 
-    def embed(self, party: str, m: np.ndarray) -> np.ndarray:
-        return embed_operator(m, self.state.dims, self.party_indices(party))
+    def act(self, party: str, m: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """``m`` on the party's registers applied to ``vec``, a vector over the state's dims.
+
+        On the amplitude matrix Psi of shape (d_A, d_B) this is ``M Psi`` for
+        party A and ``Psi M^T`` for party B.
+        """
+        split = [int(np.prod(self.party_dims[p])) for p in PARTIES]
+        return apply_operator(m, vec, split, [PARTIES.index(party)])
 
     def observable(self, party: str, label: str) -> np.ndarray:
         return self.observables[party][label]
@@ -197,17 +209,12 @@ def rotate_experiment(exp: Experiment, unitaries: dict[str, np.ndarray]) -> Expe
     The rotation scrambles any designated flag registers, so that metadata is
     dropped.
     """
-    full = np.eye(exp.state.dim, dtype=complex)
+    units = {p: as_matrix(unitaries[p]) for p in PARTIES}
+    new_state = exp.state
     for p in PARTIES:
-        full = exp.embed(p, as_matrix(unitaries[p])) @ full
-    if isinstance(exp.state, StateVector):
-        new_state: StateVector | DensityMatrix = StateVector(
-            exp.state.dims, full @ exp.state.amplitudes)
-    else:
-        new_state = DensityMatrix(exp.state.dims, full @ exp.state.matrix @ full.conj().T)
+        new_state = new_state.apply(units[p], exp.party_indices(p))
     obs = {
-        p: {l: as_matrix(unitaries[p]) @ m @ as_matrix(unitaries[p]).conj().T
-            for l, m in exp.observables[p].items()}
+        p: {l: units[p] @ m @ units[p].conj().T for l, m in exp.observables[p].items()}
         for p in PARTIES
     }
     return replace(exp, state=new_state, observables=obs, flag_registers=None)
@@ -292,31 +299,42 @@ class CorrelationTable:
         return self.joint_stderr is not None
 
 
+def _expectation(exp: Experiment, ops: dict[str, np.ndarray]) -> float:
+    """<psi| (x)_p ops[p] |psi> for Hermitian local factors, identity on absent parties.
+
+    On the amplitude matrix this is ``vdot(Psi, A Psi B^T)``; the imaginary
+    residue is checked as in :func:`conjsim.states.expectation`.
+    """
+    psi = exp.state.amplitudes
+    phi = psi
+    for party, m in ops.items():
+        phi = exp.act(party, m, phi)
+    val = np.vdot(psi, phi)
+    if abs(val.imag) > ATOL:
+        raise ValueError(f"expectation has imaginary residue {val.imag}; operator not Hermitian?")
+    return float(val.real)
+
+
 def correlations(exp: Experiment, include_cross_pairs: bool = False) -> CorrelationTable:
     """Exact correlation table of the experiment over its kind's schedule."""
+    exp = purify_experiment(exp)
     joints = {}
     for la, lb in pair_schedule(exp.kind, include_cross_pairs):
-        op = exp.embed("A", exp.observable("A", la)) @ exp.embed("B", exp.observable("B", lb))
-        joints[(la, lb)] = expectation(exp.state, op)
+        joints[(la, lb)] = _expectation(
+            exp, {"A": exp.observable("A", la), "B": exp.observable("B", lb)})
     marginals = {}
     for party in PARTIES:
         for lab in setting_labels(exp.kind):
-            marginals[(party, lab)] = expectation(
-                exp.state, exp.embed(party, exp.observable(party, lab)))
+            marginals[(party, lab)] = _expectation(exp, {party: exp.observable(party, lab)})
     return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
 
 
 def _joint_outcome_probs(exp: Experiment, la: str, lb: str) -> np.ndarray:
     """Probabilities of the four (+/-, +/-) outcomes for one setting pair."""
-    rho = exp.state.density()
-    eye = np.eye(exp.state.dim)
-    pa = exp.embed("A", exp.observable("A", la))
-    pb = exp.embed("B", exp.observable("B", lb))
-    probs = []
-    for sa in (1, -1):
-        for sb in (1, -1):
-            proj = ((eye + sa * pa) / 2) @ ((eye + sb * pb) / 2)
-            probs.append(float(np.trace(rho.matrix @ proj).real))
+    ma, mb = exp.observable("A", la), exp.observable("B", lb)
+    eye_a, eye_b = np.eye(ma.shape[0]), np.eye(mb.shape[0])
+    probs = [_expectation(exp, {"A": (eye_a + sa * ma) / 2, "B": (eye_b + sb * mb) / 2})
+             for sa in (1, -1) for sb in (1, -1)]
     probs = np.clip(np.array(probs), 0.0, None)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {probs.sum()}")
@@ -333,6 +351,7 @@ def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
     """
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
+    exp = purify_experiment(exp)
     joints, j_err = {}, {}
     stream = 0
     for la, lb in pair_schedule(exp.kind, include_cross_pairs):
@@ -347,8 +366,7 @@ def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
     marginals, m_err = {}, {}
     for party in PARTIES:
         for lab in setting_labels(exp.kind):
-            op = exp.embed(party, exp.observable(party, lab))
-            p_plus = (1.0 + expectation(exp.state, op)) / 2.0
+            p_plus = (1.0 + _expectation(exp, {party: exp.observable(party, lab)})) / 2.0
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
             outcomes = np.where(rng.random(n_per_pair) < p_plus, 1.0, -1.0)
             marginals[(party, lab)] = float(outcomes.mean())
@@ -425,29 +443,28 @@ def check_state_equalities(exp: Experiment, tol: float = 1e-10) -> dict[str, flo
     for sub in SUBTESTS[exp.kind]:
         m1, m2, dl = sub
         tag = "".join(sub)
-        ops = {p: {l: exp.embed(p, exp.observable(p, l)) for l in sub} for p in PARTIES}
+        # M_p|psi> and (M N)_p|psi> for every setting M and ordered pair (M, N)
+        ops = {p: {l: exp.act(p, exp.observable(p, l), psi) for l in sub} for p in PARTIES}
         prod = {
-            p: {
-                (m1, m2): exp.embed(p, exp.observable(p, m1) @ exp.observable(p, m2)),
-                (m2, m1): exp.embed(p, exp.observable(p, m2) @ exp.observable(p, m1)),
-            }
+            p: {(l1, l2): exp.act(p, exp.observable(p, l1) @ exp.observable(p, l2), psi)
+                for l1, l2 in ((m1, m2), (m2, m1))}
             for p in PARTIES
         }
         for lab in sub:
-            out[f"{tag}:state={lab}{lab}"] = float(
-                np.linalg.norm(psi - ops["A"][lab] @ ops["B"][lab] @ psi))
+            out[f"{tag}:state={lab}{lab}"] = float(np.linalg.norm(
+                psi - exp.act("A", exp.observable("A", lab), ops["B"][lab])))
         for lab in sub:
             out[f"{tag}:transfer={lab}"] = float(
-                np.linalg.norm(ops["A"][lab] @ psi - ops["B"][lab] @ psi))
+                np.linalg.norm(ops["A"][lab] - ops["B"][lab]))
         out[f"{tag}:transfer={m1}{m2}"] = float(
-            np.linalg.norm(prod["A"][(m1, m2)] @ psi - prod["B"][(m2, m1)] @ psi))
+            np.linalg.norm(prod["A"][(m1, m2)] - prod["B"][(m2, m1)]))
         out[f"{tag}:transfer={m2}{m1}"] = float(
-            np.linalg.norm(prod["A"][(m2, m1)] @ psi - prod["B"][(m1, m2)] @ psi))
-        out[f"{tag}:split={m1}{m2}"] = float(
-            np.linalg.norm(prod["A"][(m1, m2)] @ psi - ops["A"][m1] @ ops["B"][m2] @ psi))
-        out[f"{tag}:split={m2}{m1}"] = float(
-            np.linalg.norm(prod["A"][(m2, m1)] @ psi - ops["A"][m2] @ ops["B"][m1] @ psi))
-        vecs = [psi, ops["A"][m1] @ psi, ops["A"][m2] @ psi, prod["A"][(m1, m2)] @ psi]
+            np.linalg.norm(prod["A"][(m2, m1)] - prod["B"][(m1, m2)]))
+        out[f"{tag}:split={m1}{m2}"] = float(np.linalg.norm(
+            prod["A"][(m1, m2)] - exp.act("A", exp.observable("A", m1), ops["B"][m2])))
+        out[f"{tag}:split={m2}{m1}"] = float(np.linalg.norm(
+            prod["A"][(m2, m1)] - exp.act("A", exp.observable("A", m2), ops["B"][m1])))
+        vecs = [psi, ops["A"][m1], ops["A"][m2], prod["A"][(m1, m2)]]
         gram = 0.0
         for i in range(4):
             for j in range(i + 1, 4):
@@ -469,7 +486,7 @@ def check_d_collapse(exp: Experiment) -> dict[str, float]:
         for p in PARTIES:
             diff = exp.observable(p, dl) - (exp.observable(p, m1)
                                             + exp.observable(p, m2)) / np.sqrt(2)
-            out[f"{p}:{dl}"] = float(np.linalg.norm(exp.embed(p, diff) @ psi))
+            out[f"{p}:{dl}"] = float(np.linalg.norm(exp.act(p, diff, psi)))
     return out
 
 
@@ -489,7 +506,7 @@ def anticommutator_residual(exp: Experiment, party: str,
     n = exp.observable(party, l2)
     anti = m @ n + n @ m
     psi = exp.state
-    raw = float(np.linalg.norm(exp.embed(party, anti) @ psi.amplitudes))
+    raw = float(np.linalg.norm(exp.act(party, anti, psi.amplitudes)))
     proj = support_projector(psi, exp.party_indices(party))
     support = float(np.linalg.norm(proj @ anti @ proj, ord=2))
     return raw, support
@@ -584,25 +601,25 @@ def extraction_isometry(exp: Experiment, tol: float = 1e-9,
     b_block = tuple(range(n_a + 1, n_a + 1 + n_b))
     anc_b = n_a + 1 + n_b
 
-    # |psi'> (x) |0>_ancA (x) |0>_ancB, laid out party-major
+    # Psi_0 = |psi'> (x) |0>_ancA (x) |0>_ancB, laid out party-major as (d_A, 2, d_B, 2)
     assert isinstance(exp.state, StateVector)
-    vec = np.kron(exp.state.amplitudes, np.array([1, 0, 0, 0], dtype=complex))
-    order = list(range(n_a)) + [n_a + n_b] + list(range(n_a, n_a + n_b)) + [n_a + n_b + 1]
-    vec = permute_subsystems_vector(vec, list(exp.state.dims) + [2, 2], order)
+    d_a, d_b = (int(np.prod(exp.party_dims[p])) for p in PARTIES)
+    psi0 = np.zeros((d_a, 2, d_b, 2), dtype=complex)
+    psi0[:, 0, :, 0] = exp.state.amplitudes.reshape(d_a, d_b)
+    local_units = {p: _party_circuit(exp, p) for p in PARTIES}
 
-    u = np.eye(int(np.prod(dims)), dtype=complex)
-    local_units: dict[str, np.ndarray] = {}
-    for party, block, anc in (("A", a_block, anc_a), ("B", b_block, anc_b)):
-        u_local = _party_circuit(exp, party)
-        local_units[party] = u_local
-        u = embed_operator(u_local, dims, list(block) + [anc]) @ u
+    def circuit(vec: np.ndarray) -> np.ndarray:
+        """U_A vec U_B^T, with vec read as a (2 d_A, 2 d_B) matrix."""
+        for i, party in enumerate(PARTIES):
+            vec = apply_operator(local_units[party], vec, (2 * d_a, 2 * d_b), [i])
+        return vec
 
-    out = StateVector(dims, u @ vec)
+    out = StateVector(dims, circuit(psi0))
     actions: dict[tuple[str, str], StateVector] = {}
-    for party, block in (("A", a_block), ("B", b_block)):
+    for i, party in enumerate(PARTIES):
         for lab in setting_labels(exp.kind):
-            m_emb = embed_operator(exp.observable(party, lab), dims, list(block))
-            actions[(party, lab)] = StateVector(dims, u @ m_emb @ vec)
+            m_psi0 = apply_operator(exp.observable(party, lab), psi0, psi0.shape, [2 * i])
+            actions[(party, lab)] = StateVector(dims, circuit(m_psi0))
     return Extraction(exp=exp, dims=dims, a_block=a_block, anc_a=anc_a,
                       b_block=b_block, anc_b=anc_b, state=out,
                       actions=actions, local_units=local_units)
@@ -621,10 +638,9 @@ def extraction_action_fidelities(ext: Extraction) -> dict[tuple[str, str], float
     out: dict[tuple[str, str], float] = {}
     for party in PARTIES:
         anc = ext.ancilla(party)
-        for lab in ACTION_LABELS[ext.exp.kind]:
-            m_ref = embed_operator(ref[party][lab], ext.dims, [anc])
-            val = np.vdot(ext.actions[(party, lab)].amplitudes,
-                          m_ref @ ext.state.amplitudes)
+        for lab in ACTION_LABELS:
+            m_ref_state = apply_operator(ref[party][lab], ext.state.amplitudes, ext.dims, [anc])
+            val = np.vdot(ext.actions[(party, lab)].amplitudes, m_ref_state)
             out[(party, lab)] = float(abs(val))
     return out
 
@@ -678,8 +694,9 @@ def _party_y_blocks(ext: Extraction, party: str):
         float(np.linalg.norm(sign @ sign - q)) / scale,
     )
     norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
-    plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), ext.dims, side)
-    pop0 = float(np.real(np.vdot(ext.state.amplitudes, plus @ ext.state.amplitudes)))
+    plus = np.kron((q + sign) / 2.0, np.eye(2))
+    amps = ext.state.amplitudes
+    pop0 = float(np.real(np.vdot(amps, apply_operator(plus, amps, ext.dims, side))))
     sign_exp = float(np.clip(2 * pop0 - 1, -1, 1))
     return norms, deviation, factorization, sign_exp, pop0
 

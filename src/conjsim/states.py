@@ -12,8 +12,8 @@ import numpy as np
 
 from .linalg import (
     ATOL,
+    apply_operator,
     as_matrix,
-    embed_operator,
     is_binary_observable,
     op_partial_trace,
     permute_subsystems_vector,
@@ -57,9 +57,13 @@ class StateVector:
                            permute_subsystems_vector(self.amplitudes, self.dims, order))
 
     def apply(self, op: np.ndarray, targets=None) -> "StateVector":
-        """Apply an operator that preserves this state's norm (e.g. a unitary)."""
-        full = as_matrix(op) if targets is None else embed_operator(op, self.dims, targets)
-        return StateVector(self.dims, full @ self.amplitudes)
+        """Apply an operator that preserves this state's norm (e.g. a unitary).
+
+        ``op`` acts on the ``targets`` subsystems (all of them by default).
+        """
+        if targets is None:
+            targets = range(len(self.dims))
+        return StateVector(self.dims, apply_operator(op, self.amplitudes, self.dims, targets))
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,18 @@ class DensityMatrix:
 
     def density(self) -> "DensityMatrix":
         return self
+
+    def apply(self, op: np.ndarray, targets=None) -> "DensityMatrix":
+        """U rho U^dagger for an operator U that preserves the trace (e.g. a unitary).
+
+        ``op`` acts on the ``targets`` subsystems (all of them by default).
+        """
+        n = len(self.dims)
+        targets = list(range(n) if targets is None else targets)
+        both = self.dims + self.dims        # row indices, then column indices
+        rows = apply_operator(op, self.matrix, both, targets)
+        out = apply_operator(as_matrix(op).conj(), rows, both, [n + t for t in targets])
+        return DensityMatrix(self.dims, out.reshape(self.matrix.shape))
 
 
 def basis_state(dims, index) -> StateVector:
@@ -140,11 +156,20 @@ def expectation(state: StateVector | DensityMatrix, m: np.ndarray,
 
 
 def partial_trace(state: DensityMatrix | StateVector, keep) -> DensityMatrix:
-    """Reduced state on the kept subsystems (order preserved)."""
-    dm = state.density()
+    """Reduced state on the kept subsystems (order preserved).
+
+    A pure state is reduced from its amplitudes: with M the amplitude tensor
+    reshaped to (kept, traced out), the result is M M^dagger.
+    """
     keep = sorted(set(int(k) for k in keep))
-    reduced = op_partial_trace(dm.matrix, dm.dims, keep)
-    return DensityMatrix([dm.dims[k] for k in keep], reduced)
+    if isinstance(state, DensityMatrix):
+        reduced = op_partial_trace(state.matrix, state.dims, keep)
+    else:
+        rest = [i for i in range(len(state.dims)) if i not in keep]
+        m = permute_subsystems_vector(state.amplitudes, state.dims, keep + rest)
+        m = m.reshape(int(np.prod([state.dims[k] for k in keep])), -1)
+        reduced = m @ m.conj().T
+    return DensityMatrix([state.dims[k] for k in keep], reduced)
 
 
 @dataclass(frozen=True)

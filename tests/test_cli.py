@@ -212,3 +212,38 @@ def test_flags_win_over_config(tmp_path):
     data = read_json(out)
     assert data["seed"] == 6
     assert data["results"]["total_rounds"] == 500
+
+
+def write_config(tmp_path, data):
+    config = tmp_path / "config.json"
+    config.write_text(dumps(data))
+    return str(config)
+
+
+def test_config_value_goes_through_flag_type(tmp_path, capsys):
+    config = write_config(tmp_path, {"tol": "abc"})
+    with pytest.raises(SystemExit) as stop:
+        run(["--config", config, "selftest", "--kind", "mayersyao"])
+    assert stop.value.code == 2
+    assert "error: argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    config = write_config(tmp_path, {"tol": "1e-8", "kind": "mayersyao", "seed": "4"})
+    out = tmp_path / "report.json"
+    assert run(["--config", config, "selftest", "--out", str(out)]) == 0
+    data = read_json(out)
+    assert data["seed"] == 4
+    assert data["results"]["kind"] == "mayersyao"
+    assert data["results"]["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["props", "--trials", "0"], None),
+    (["props"], {"trials": -5}),
+])
+def test_nonpositive_trials_is_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = ["--config", write_config(tmp_path, config)] + argv
+    assert run(argv) == 2
+    assert "error: --trials must be at least 1" in capsys.readouterr().err

@@ -1,13 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjsim import linalg, selftest, states
 from conjsim.family import SimParams
-from conjsim.linalg import X, Y, Z, is_binary_observable, random_unitary, tensor
+from conjsim.linalg import (
+    X,
+    Y,
+    Z,
+    embed_operator,
+    is_binary_observable,
+    op_partial_trace,
+    pauli_decompose,
+    permute_subsystems_vector,
+    random_unitary,
+    tensor,
+)
 from conjsim.selftest import (
+    ACTION_LABELS,
+    PARTIES,
     SUBTESTS,
+    CorrelationTable,
     Experiment,
+    Extraction,
     SelfTestPreconditionError,
     anticommutator_residual,
     attach_junk,
@@ -23,15 +41,25 @@ from conjsim.selftest import (
     pair_schedule,
     purify_experiment,
     reference_experiment,
+    reference_observables,
     rotate_experiment,
     run_selftest,
     sampled_correlations,
+    setting_labels,
     verify_equivalence,
     with_observable,
     with_state,
     y_coefficient_check,
 )
-from conjsim.states import StateVector, basis_state, epr_pair, product_state
+from conjsim.states import (
+    DensityMatrix,
+    StateVector,
+    basis_state,
+    epr_pair,
+    expectation,
+    product_state,
+    support_projector,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -482,3 +510,244 @@ def test_run_selftest_sampled_mode():
 def test_run_selftest_sampled_requires_seed():
     with pytest.raises(ValueError):
         run_selftest(reference_experiment("mayersyao"), sampled_n=100)
+
+
+# --------------------------------------------------------------------------
+# dense reference pipeline: every full-space operator built explicitly
+
+
+def _embed(exp, party, m):
+    return embed_operator(m, exp.state.dims, exp.party_indices(party))
+
+
+def dense_correlations(exp, include_cross_pairs=False):
+    joints = {}
+    for la, lb in pair_schedule(exp.kind, include_cross_pairs):
+        op = _embed(exp, "A", exp.observable("A", la)) @ _embed(exp, "B", exp.observable("B", lb))
+        joints[(la, lb)] = expectation(exp.state, op)
+    marginals = {(p, lab): expectation(exp.state, _embed(exp, p, exp.observable(p, lab)))
+                 for p in PARTIES for lab in setting_labels(exp.kind)}
+    return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
+
+
+def dense_joint_outcome_probs(exp, la, lb):
+    rho = exp.state.density().matrix
+    eye = np.eye(exp.state.dim)
+    pa = _embed(exp, "A", exp.observable("A", la))
+    pb = _embed(exp, "B", exp.observable("B", lb))
+    return np.array([np.trace(rho @ (eye + sa * pa) @ (eye + sb * pb)).real / 4
+                     for sa in (1, -1) for sb in (1, -1)])
+
+
+def dense_state_equalities(exp, tol=1e-10):
+    exp = purify_experiment(exp)
+    psi = exp.state.amplitudes
+    out = {}
+    for m1, m2, dl in SUBTESTS[exp.kind]:
+        tag = m1 + m2 + dl
+        ops = {p: {l: _embed(exp, p, exp.observable(p, l)) for l in (m1, m2, dl)}
+               for p in PARTIES}
+        prod = {p: {(a, b): _embed(exp, p, exp.observable(p, a) @ exp.observable(p, b))
+                    for a, b in ((m1, m2), (m2, m1))} for p in PARTIES}
+        for lab in (m1, m2, dl):
+            out[f"{tag}:state={lab}{lab}"] = np.linalg.norm(
+                psi - ops["A"][lab] @ ops["B"][lab] @ psi)
+            out[f"{tag}:transfer={lab}"] = np.linalg.norm(
+                ops["A"][lab] @ psi - ops["B"][lab] @ psi)
+        for a, b in ((m1, m2), (m2, m1)):
+            out[f"{tag}:transfer={a}{b}"] = np.linalg.norm(
+                prod["A"][(a, b)] @ psi - prod["B"][(b, a)] @ psi)
+            out[f"{tag}:split={a}{b}"] = np.linalg.norm(
+                prod["A"][(a, b)] @ psi - ops["A"][a] @ ops["B"][b] @ psi)
+        vecs = [psi, ops["A"][m1] @ psi, ops["A"][m2] @ psi, prod["A"][(m1, m2)] @ psi]
+        out[f"{tag}:orthogonality"] = max(abs(np.vdot(vecs[i], vecs[j]))
+                                          for i in range(4) for j in range(i + 1, 4))
+    return {k: float(v) for k, v in out.items()}
+
+
+def dense_d_collapse(exp):
+    exp = purify_experiment(exp)
+    psi = exp.state.amplitudes
+    return {f"{p}:{dl}": float(np.linalg.norm(_embed(
+                exp, p, exp.observable(p, dl)
+                - (exp.observable(p, m1) + exp.observable(p, m2)) / np.sqrt(2)) @ psi))
+            for m1, m2, dl in SUBTESTS[exp.kind] for p in PARTIES}
+
+
+def dense_anticommutator_residual(exp, party, pair):
+    exp = purify_experiment(exp)
+    m, n = exp.observable(party, pair[0]), exp.observable(party, pair[1])
+    anti = m @ n + n @ m
+    raw = float(np.linalg.norm(_embed(exp, party, anti) @ exp.state.amplitudes))
+    proj = support_projector(exp.state, exp.party_indices(party))
+    return raw, float(np.linalg.norm(proj @ anti @ proj, ord=2))
+
+
+def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10):
+    exp = purify_experiment(exp)
+    ok, detail = selftest._first_subtest_gates_pass(exp, tol, stats_tol)
+    if not ok:
+        raise SelfTestPreconditionError("extraction", detail)
+    n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
+    dims = exp.party_dims["A"] + (2,) + exp.party_dims["B"] + (2,)
+    a_block, b_block = tuple(range(n_a)), tuple(range(n_a + 1, n_a + 1 + n_b))
+    anc_a, anc_b = n_a, n_a + 1 + n_b
+    vec = np.kron(exp.state.amplitudes, [1, 0, 0, 0])
+    order = list(range(n_a)) + [n_a + n_b] + list(range(n_a, n_a + n_b)) + [n_a + n_b + 1]
+    vec = permute_subsystems_vector(vec, list(exp.state.dims) + [2, 2], order)
+    local_units = {p: selftest._party_circuit(exp, p) for p in PARTIES}
+    u = (embed_operator(local_units["B"], dims, list(b_block) + [anc_b])
+         @ embed_operator(local_units["A"], dims, list(a_block) + [anc_a]))
+    actions = {}
+    for party, block in (("A", a_block), ("B", b_block)):
+        for lab in setting_labels(exp.kind):
+            m_emb = embed_operator(exp.observable(party, lab), dims, list(block))
+            actions[(party, lab)] = StateVector(dims, u @ m_emb @ vec)
+    return Extraction(exp=exp, dims=dims, a_block=a_block, anc_a=anc_a, b_block=b_block,
+                      anc_b=anc_b, state=StateVector(dims, u @ vec), actions=actions,
+                      local_units=local_units)
+
+
+def dense_partial_trace(state, keep):
+    dm = state.density()
+    keep = sorted(keep)
+    return DensityMatrix([dm.dims[k] for k in keep], op_partial_trace(dm.matrix, dm.dims, keep))
+
+
+def dense_action_fidelities(ext):
+    ref = reference_observables(ext.exp.kind)
+    return {(p, lab): float(abs(np.vdot(
+                ext.actions[(p, lab)].amplitudes,
+                embed_operator(ref[p][lab], ext.dims, [ext.ancilla(p)]) @ ext.state.amplitudes)))
+            for p in PARTIES for lab in ACTION_LABELS}
+
+
+def dense_party_y_blocks(ext, party):
+    exp = ext.exp
+    dims_local = list(exp.party_dims[party]) + [2]
+    anc_local = len(dims_local) - 1
+    u_local = ext.local_units[party]
+    pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
+                                      list(range(anc_local))) @ u_local.conj().T
+    side = ext.block(party) + [ext.ancilla(party)]
+    proj = support_projector(ext.state, side)
+    blocks = pauli_decompose(proj @ pushed @ proj, anc_local, dims_local)
+    scale = np.sqrt(round(np.trace(proj).real) / 2.0)
+    q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
+    factorization = float(np.abs(proj - np.kron(q, np.eye(2))).max())
+    sign = blocks["Y"] if party == "A" else -blocks["Y"]
+    deviation = max(float(np.linalg.norm(sign - sign.conj().T)) / scale,
+                    float(np.linalg.norm(sign @ sign - q)) / scale)
+    norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
+    plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), ext.dims, side)
+    pop0 = float(np.real(np.vdot(ext.state.amplitudes, plus @ ext.state.amplitudes)))
+    return norms, deviation, factorization, float(np.clip(2 * pop0 - 1, -1, 1)), pop0
+
+
+DENSE_STAGES = {
+    "correlations": dense_correlations,
+    "_joint_outcome_probs": dense_joint_outcome_probs,
+    "check_state_equalities": dense_state_equalities,
+    "check_d_collapse": dense_d_collapse,
+    "anticommutator_residual": dense_anticommutator_residual,
+    "extraction_isometry": dense_extraction_isometry,
+    "partial_trace": dense_partial_trace,
+    "extraction_action_fidelities": dense_action_fidelities,
+    "_party_y_blocks": dense_party_y_blocks,
+}
+
+
+def dense_selftest(exp, monkeypatch, **kwargs):
+    """run_selftest with every stage that touches the full space in its dense form."""
+    with monkeypatch.context() as patch:
+        for name, fn in DENSE_STAGES.items():
+            patch.setattr(selftest, name, fn)
+        return run_selftest(exp, **kwargs)
+
+
+def report_numbers(value, path="report"):
+    """Every float in a report, keyed by its path."""
+    if isinstance(value, float):
+        return {path: value}
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (tuple, list)):
+        items = enumerate(value)
+    elif dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    else:
+        return {}
+    out = {}
+    for key, item in items:
+        out.update(report_numbers(item, f"{path}.{key}"))
+    return out
+
+
+def assert_same_report(fast, dense, atol=1e-12):
+    assert (fast.passed, fast.failures, fast.refused_stage) == \
+        (dense.passed, dense.failures, dense.refused_stage)
+    got, want = report_numbers(fast), report_numbers(dense)
+    assert got.keys() == want.keys()
+    worst = max((abs(got[k] - want[k]), k) for k in got)
+    assert worst[0] <= atol, worst
+
+
+def swapped(exp, party, la, lb):
+    """Negative control: two of one party's settings exchanged."""
+    out = with_observable(exp, party, la, exp.observable(party, lb))
+    return with_observable(out, party, lb, exp.observable(party, la))
+
+
+def junk_ladder_experiment(dim, seed):
+    """A passing family member padded with random junk on both sides to dimension ``dim``."""
+    rng = np.random.default_rng(seed)
+    exp = purify_experiment(family_experiment(SimParams(0.3, 0.25 * np.exp(0.7j)), "extended"))
+    junk = dim // exp.state.dim
+    for party, jdim in (("A", 2), ("B", junk // 2)):
+        v = rng.standard_normal(jdim) + 1j * rng.standard_normal(jdim)
+        exp = attach_junk(exp, party, StateVector([jdim], v / np.linalg.norm(v)))
+    assert exp.state.dim == dim
+    return exp
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    exp = junk_ladder_experiment(dim, seed=dim)
+    rotated = rotate_experiment(exp, {
+        p: random_unitary(int(np.prod(exp.party_dims[p])), rng) for p in PARTIES})
+    cases = {"passing": exp, "rotated": rotated,
+             "swapped_A": swapped(exp, "A", "X", "Z"), "swapped_B": swapped(exp, "B", "Z", "D")}
+    for name, case in cases.items():
+        fast = run_selftest(case)
+        assert fast.passed == (name in ("passing", "rotated")), name
+        assert_same_report(fast, dense_selftest(case, monkeypatch))
+    for la, lb in pair_schedule("extended"):
+        np.testing.assert_allclose(selftest._joint_outcome_probs(exp, la, lb),
+                                   dense_joint_outcome_probs(exp, la, lb), atol=1e-12)
+
+
+def test_local_kernel_matches_dense_pipeline_mixed_and_sampled(monkeypatch):
+    exp = family_experiment(SimParams(0.4, 0.2), "extended")     # a density matrix
+    assert_same_report(run_selftest(exp), dense_selftest(exp, monkeypatch))
+    junked = junk_ladder_experiment(64, seed=3)
+    assert_same_report(run_selftest(junked, sampled_n=2000, seed=8),
+                       dense_selftest(junked, monkeypatch, sampled_n=2000, seed=8))
+
+
+def test_selftest_builds_no_full_space_operator(monkeypatch):
+    exp = junk_ladder_experiment(256, seed=5)
+
+    def guarded(original):
+        def wrapper(op, dims, *args):
+            if int(np.prod(dims)) >= exp.state.dim:
+                raise AssertionError(f"{original.__name__} on the full space {tuple(dims)}")
+            return original(op, dims, *args)
+        return wrapper
+
+    for original in (linalg.embed_operator, linalg.op_partial_trace):
+        for module in (linalg, selftest, states):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, guarded(original))
+    assert run_selftest(exp).passed
+    assert run_selftest(swapped(exp, "A", "X", "D")).refused_stage == "extraction"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim.family import SimParams, sim_state
-from conjsim.linalg import X, Y, Z, tensor
+from conjsim.linalg import X, Y, Z, embed_operator, random_unitary, tensor
 from conjsim.states import (
     DensityMatrix,
     StateVector,
@@ -93,6 +93,36 @@ def test_partial_trace_flag_of_epr_sim_state():
     reduced = partial_trace(rho, [1, 2])
     np.testing.assert_allclose(reduced.matrix,
                                np.outer(phi.amplitudes, phi.amplitudes.conj()), atol=1e-12)
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_partial_trace_of_pure_state_matches_density_route(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    dims = [int(d) for d in rng.integers(1, 4, size=n)]
+    keep = [int(k) for k in rng.permutation(n)[:int(rng.integers(0, n + 1))]]
+    psi = random_pure(dims, rng)
+    fast = partial_trace(psi, keep)
+    dense = partial_trace(psi.density(), keep)
+    assert fast.dims == dense.dims
+    np.testing.assert_allclose(fast.matrix, dense.matrix, atol=1e-12)
+
+
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_apply_local_unitary_matches_dense_conjugation(seed):
+    rng = np.random.default_rng(seed)
+    dims, targets = [2, 3, 2], [2, 0]
+    u = random_unitary(4, rng)
+    full = embed_operator(u, dims, targets)
+    psi = random_pure(dims, rng)
+    np.testing.assert_allclose(psi.apply(u, targets).amplitudes, full @ psi.amplitudes,
+                               atol=1e-12)
+    rho = DensityMatrix(dims, 0.5 * psi.density().matrix
+                        + 0.5 * random_pure(dims, rng).density().matrix)
+    np.testing.assert_allclose(rho.apply(u, targets).matrix,
+                               full @ rho.matrix @ full.conj().T, atol=1e-12)
 
 
 def test_partial_trace_invalid_index():
