@@ -8,12 +8,10 @@ from .family import (
     SimParams,
     c_of,
     c_property_suite,
-    multiparty_sim_observable,
     multiparty_sim_state,
     sim_hamiltonian,
     sim_kraus,
     sim_povm,
-    sim_state,
     sim_unitary_evolve,
     to_real_simulation,
 )
@@ -43,7 +41,6 @@ from .sixstate import (
     QberReport,
     Transcript,
     ZPremeasure,
-    analyze,
     eve_flip_correction,
     run_rounds,
     sift,

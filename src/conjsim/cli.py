@@ -1,7 +1,8 @@
 """Command-line front-end: props, selftest, simulate, and qkd subcommands.
 
 Exit codes: 0 = checks passed (or an adversarial strategy behaved as
-documented), 1 = check failure, 2 = usage or configuration error.  Every
+documented), 1 = check failure or internal numerical failure, 2 = usage or
+configuration error.  Every
 report embeds the effective config, the seed, and the toolkit version.  A
 JSON config file can stand in for flags; explicitly given flags win.
 """
@@ -9,6 +10,7 @@ JSON config file can stand in for flags; explicitly given flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -21,8 +23,8 @@ from .family import (
     c_of,
     c_property_suite,
     hamiltonian_identity_residual,
+    multiparty_sim_state,
     sim_povm,
-    sim_state,
 )
 from .linalg import PAULIS, is_hermitian, is_psd, is_unitary, random_hermitian
 from .selftest import (
@@ -49,9 +51,9 @@ from .sixstate import (
     Honest,
     MismatchedFlags,
     ZPremeasure,
-    analyze,
     expected_consistent,
     run_rounds,
+    sift,
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -59,6 +61,16 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _user_input(what: str):
+    """Turn what decoding a malformed flag value or JSON document raises into a UsageError."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        detail = str(err) if isinstance(err, ValueError) else f"{type(err).__name__}: {err}"
+        raise UsageError(f"{what}: {detail}") from None
 
 
 def _parse_kv(tokens, allowed, what):
@@ -77,8 +89,9 @@ def _family_params(tokens) -> SimParams:
     kv = _parse_kv(tokens, {"a", "c", "c_abs", "c_phase"}, "--family")
     if "a" not in kv:
         raise UsageError("--family requires a=<float>")
-    c_abs = float(kv.get("c_abs", kv.get("c", 0.0)))
-    return SimParams.from_polar(float(kv["a"]), c_abs, float(kv.get("c_phase", 0.0)))
+    with _user_input("--family"):
+        c_abs = float(kv.get("c_abs", kv.get("c", 0.0)))
+        return SimParams.from_polar(float(kv["a"]), c_abs, float(kv.get("c_phase", 0.0)))
 
 
 def _strategy(tokens):
@@ -94,14 +107,16 @@ def _strategy(tokens):
     if name == "mismatched":
         if len(rest) != 2:
             raise UsageError("--strategy mismatched needs two flag bits")
-        return MismatchedFlags(int(rest[0]), int(rest[1]))
+        with _user_input("--strategy mismatched"):
+            return MismatchedFlags(int(rest[0]), int(rest[1]))
     if name == "custom":
         if len(rest) != 1:
             raise UsageError("--strategy custom needs a JSON state/strategy path")
         data = json.loads(Path(rest[0]).read_text())
-        if "strategy" not in data:
-            data = {"strategy": "custom_state", "state": data}
-        return strategy_from_json(data)
+        with _user_input(rest[0]):
+            if "strategy" not in data:
+                data = {"strategy": "custom_state", "state": data}
+            return strategy_from_json(data)
     raise UsageError(f"unknown strategy {name!r}")
 
 
@@ -141,19 +156,29 @@ def cmd_props(args) -> int:
     items.append({"name": "statistics_preservation", "max_residual": stats_worst,
                   "passed": stats_worst <= tol})
 
-    for fixture in args.config_data.get("fixtures", []):
-        m = matrix_from_json(fixture["matrix"])
-        for claim in fixture.get("claims", []):
+    for label, m, lifted, claims in _fixtures(args.config_data):
+        for claim in claims:
             check = {"hermitian": is_hermitian, "unitary": is_unitary, "psd": is_psd}.get(claim)
             if check is None:
                 raise UsageError(f"fixture claim {claim!r} not recognized")
-            ok = bool(check(c_of(m)) and check(m))
-            items.append({"name": f"fixture[{fixture.get('label', '?')}:{claim}]",
+            ok = bool(check(lifted) and check(m))
+            items.append({"name": f"fixture[{label}:{claim}]",
                           "max_residual": 0.0 if ok else 1.0, "passed": ok})
 
     passed = all(i["passed"] for i in items)
     _emit(_wrap({"items": items, "passed": passed}, vars_config(args), seed), args.out)
     return EXIT_PASS if passed else EXIT_FAIL
+
+
+def _fixtures(config: dict) -> list[tuple[str, np.ndarray, np.ndarray, list[str]]]:
+    """(label, matrix, lifted matrix, claims) of each fixture in the config file."""
+    out = []
+    with _user_input("config fixtures"):
+        for fixture in config.get("fixtures", []):
+            m = matrix_from_json(fixture["matrix"])
+            out.append((str(fixture.get("label", "?")), m, c_of(m),
+                        [str(claim) for claim in fixture.get("claims", [])]))
+    return out
 
 
 def _statistics_preservation_residual() -> float:
@@ -178,7 +203,7 @@ def _statistics_preservation_residual() -> float:
             for psi, elements in corpus:
                 povm = Povm(elements)
                 ref = povm.probabilities(psi)
-                sim = sim_povm(povm).probabilities(sim_state(psi, p))
+                sim = sim_povm(povm).probabilities(multiparty_sim_state(psi, 1, p))
                 worst = max(worst, float(np.abs(ref - sim).max()))
     return worst
 
@@ -187,7 +212,9 @@ def _build_experiment(args):
     if args.experiment and args.family:
         raise UsageError("give either --experiment or --family, not both")
     if args.experiment:
-        return experiment_from_json(json.loads(Path(args.experiment).read_text()))
+        data = json.loads(Path(args.experiment).read_text())
+        with _user_input(args.experiment):
+            return experiment_from_json(data)
     if args.family:
         return family_experiment(_family_params(args.family), args.kind)
     return reference_experiment(args.kind)
@@ -202,11 +229,16 @@ def cmd_selftest(args) -> int:
         kv = _parse_kv(args.sampled, {"n", "seed"}, "--sampled")
         if "n" not in kv:
             raise UsageError("--sampled requires n=<count>")
-        sampled_n = int(kv["n"])
-        if "seed" in kv:
-            seed = int(kv["seed"])
+        with _user_input("--sampled"):
+            sampled_n = int(kv["n"])
+            if "seed" in kv:
+                seed = int(kv["seed"])
+        if sampled_n < 1:
+            raise UsageError("--sampled n must be at least 1")
         if seed is None:
             raise UsageError("sampled mode requires a seed (no wall-clock seeding)")
+        if seed < 0:
+            raise UsageError("--sampled seed must be non-negative")
     report = run_selftest(exp, tol=tol, stats_tol=stats_tol,
                           sampled_n=sampled_n, seed=seed)
     _emit(_wrap(equivalence_report_to_dict(report), vars_config(args), seed), args.out)
@@ -230,7 +262,7 @@ def cmd_qkd(args) -> int:
     threshold = args.threshold if args.threshold is not None else 0.0
     n = args.n if args.n is not None else 30000
     transcript = run_rounds(strategy, n, args.seed)
-    report = analyze(transcript, abort_threshold=threshold)
+    report = sift(transcript, abort_threshold=threshold)
     if args.transcript_out:
         if args.transcript_out.endswith(".json"):
             Path(args.transcript_out).write_text(dumps(transcript_to_dict(transcript)))
@@ -310,6 +342,8 @@ def _apply_config(parser, args, argv):
         args.config_data = {}
         return args
     data = json.loads(Path(args.config).read_text())
+    if not isinstance(data, dict):
+        raise UsageError(f"--config {args.config}: expected a JSON object")
     given = {tok.lstrip("-").split("=")[0].replace("-", "_")
              for tok in argv if tok.startswith("--")}
     tokens: list[str] = []
@@ -335,18 +369,20 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(raw_argv)
         args = _apply_config(parser, args, raw_argv)
-        for key in ("workers", "n", "trials"):
+        for key in ("workers", "n", "trials", "dim"):
             if getattr(args, key, None) is not None and getattr(args, key) < 1:
                 raise UsageError(f"--{key} must be at least 1")
+        if args.seed is not None and args.seed < 0:
+            raise UsageError("--seed must be non-negative")
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as err:
+    except (UsageError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except SelfTestPreconditionError as err:
         print(f"refused: stage {err.stage}", file=sys.stderr)
+        return EXIT_FAIL
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -44,7 +44,7 @@ class SimParams:
         if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"a must lie in [0, 1], got {self.a}")
         bound = np.sqrt(self.a * (1.0 - self.a))
-        if abs(self.c) > bound + FEAS_TOL:
+        if not abs(self.c) <= bound + FEAS_TOL:        # also refuses a NaN coherence
             raise ValueError(f"|c| = {abs(self.c)} exceeds sqrt(a(1-a)) = {bound}")
 
     @classmethod
@@ -107,21 +107,6 @@ class KrausMap:
         return DensityMatrix(rho.dims, out)
 
 
-def sim_state(psi: StateVector, p: SimParams) -> DensityMatrix:
-    """Family member for reference state ``psi``; flag qubit prepended.
-
-    Projecting the flag onto |0>/|1> leaves the reference/conjugate state.
-    """
-    v = psi.amplitudes
-    ref = np.outer(v, v.conj())
-    conj = ref.conj()
-    cross = np.outer(v, v)           # |psi><psi*|
-    a, c = p.a, p.c
-    top = np.hstack([a * ref, c * cross])
-    bottom = np.hstack([np.conj(c) * cross.conj(), (1 - a) * conj])
-    return DensityMatrix((2,) + psi.dims, np.vstack([top, bottom]))
-
-
 def c_of(m: np.ndarray) -> np.ndarray:
     """Lift |0><0| (x) M + |1><1| (x) M*; equals I (x) Re(M) + iZ (x) Im(M)."""
     m = as_matrix(m)
@@ -132,7 +117,7 @@ def c_of(m: np.ndarray) -> np.ndarray:
 
 
 def sim_povm(povm: Povm) -> Povm:
-    """Lift every element; statistics on sim_state equal the reference statistics."""
+    """Lift every element; statistics on family members equal the reference statistics."""
     return Povm([c_of(e) for e in povm.elements])
 
 
@@ -185,6 +170,8 @@ def multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> Dens
 
     The flag registers only populate the logical states |0...0> and |1...1>;
     all cross-flag populations vanish, so locally premeasured flags always agree.
+    With one party this is the single-flag member: projecting the flag onto
+    |0>/|1> leaves the reference/conjugate state.
     """
     if len(psi.dims) != n_parties:
         raise ValueError(f"state has {len(psi.dims)} subsystems, expected one per party")
@@ -201,18 +188,6 @@ def multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> Dens
     for d in psi.dims:
         out_dims.extend([2, d])
     return DensityMatrix(out_dims, _interleave_flags(mat, n_parties, psi.dims))
-
-
-def multiparty_sim_observable(m: np.ndarray, tol: float = ATOL) -> np.ndarray:
-    """Condition a party's binary observable on its local flag qubit.
-
-    Returns |0><0|_flag (x) M + |1><1|_flag (x) M* on that party's flag+data
-    registers; the result is again a binary observable.
-    """
-    m = as_matrix(m)
-    if not (is_hermitian(m, tol) and is_unitary(m, tol)):
-        raise ValueError("multiparty_sim_observable requires a binary observable")
-    return c_of(m)
 
 
 # App-B basis change on the flag qubit: Hadamard then diag(1, -i), normalized.

@@ -78,10 +78,6 @@ def kron_all(*factors) -> np.ndarray:
     return out
 
 
-def dagger(m) -> np.ndarray:
-    return as_matrix(m).conj().T
-
-
 def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):

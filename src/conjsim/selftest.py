@@ -298,6 +298,21 @@ class CorrelationTable:
     def sampled(self) -> bool:
         return self.joint_stderr is not None
 
+    def outcome_probs(self, la: str, lb: str) -> np.ndarray:
+        """Joint outcome distribution of the pair (la, lb).
+
+        For binary observables p(sa, sb) = (1 + sa<A> + sb<B> + sa sb<AB>)/4,
+        returned in the order (+,+), (+,-), (-,+), (-,-).
+        """
+        ma, mb = self.marginals[("A", la)], self.marginals[("B", lb)]
+        joint = self.joints[(la, lb)]
+        probs = np.array([(1.0 + sa * ma + sb * mb + sa * sb * joint) / 4.0
+                          for sa in (1, -1) for sb in (1, -1)])
+        probs = np.clip(probs, 0.0, None)
+        if abs(probs.sum() - 1.0) > 1e-9:
+            raise ValueError(f"outcome probabilities sum to {probs.sum()}")
+        return probs / probs.sum()
+
 
 def _expectation(exp: Experiment, ops: dict[str, np.ndarray]) -> float:
     """<psi| (x)_p ops[p] |psi> for Hermitian local factors, identity on absent parties.
@@ -329,18 +344,6 @@ def correlations(exp: Experiment, include_cross_pairs: bool = False) -> Correlat
     return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
 
 
-def _joint_outcome_probs(exp: Experiment, la: str, lb: str) -> np.ndarray:
-    """Probabilities of the four (+/-, +/-) outcomes for one setting pair."""
-    ma, mb = exp.observable("A", la), exp.observable("B", lb)
-    eye_a, eye_b = np.eye(ma.shape[0]), np.eye(mb.shape[0])
-    probs = [_expectation(exp, {"A": (eye_a + sa * ma) / 2, "B": (eye_b + sb * mb) / 2})
-             for sa in (1, -1) for sb in (1, -1)]
-    probs = np.clip(np.array(probs), 0.0, None)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {probs.sum()}")
-    return probs / probs.sum()
-
-
 def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
                          include_cross_pairs: bool = False) -> CorrelationTable:
     """Monte-Carlo table: each entry averages n_per_pair rounds of +/-1 products.
@@ -351,11 +354,11 @@ def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
     """
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
-    exp = purify_experiment(exp)
+    exact = correlations(exp, include_cross_pairs)
     joints, j_err = {}, {}
     stream = 0
-    for la, lb in pair_schedule(exp.kind, include_cross_pairs):
-        probs = _joint_outcome_probs(exp, la, lb)
+    for la, lb in exact.joints:
+        probs = exact.outcome_probs(la, lb)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
         idx = np.searchsorted(np.cumsum(probs), rng.random(n_per_pair), side="right")
         products = np.where((idx == 0) | (idx == 3), 1.0, -1.0)
@@ -364,15 +367,14 @@ def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
         j_err[(la, lb)] = float(spread / np.sqrt(n_per_pair))
         stream += 1
     marginals, m_err = {}, {}
-    for party in PARTIES:
-        for lab in setting_labels(exp.kind):
-            p_plus = (1.0 + _expectation(exp, {party: exp.observable(party, lab)})) / 2.0
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
-            outcomes = np.where(rng.random(n_per_pair) < p_plus, 1.0, -1.0)
-            marginals[(party, lab)] = float(outcomes.mean())
-            spread = outcomes.std(ddof=1) if n_per_pair > 1 else 0.0
-            m_err[(party, lab)] = float(spread / np.sqrt(n_per_pair))
-            stream += 1
+    for key, marginal in exact.marginals.items():
+        p_plus = (1.0 + marginal) / 2.0
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
+        outcomes = np.where(rng.random(n_per_pair) < p_plus, 1.0, -1.0)
+        marginals[key] = float(outcomes.mean())
+        spread = outcomes.std(ddof=1) if n_per_pair > 1 else 0.0
+        m_err[key] = float(spread / np.sqrt(n_per_pair))
+        stream += 1
     return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals,
                             joint_stderr=j_err, marginal_stderr=m_err,
                             n_per_pair=n_per_pair, seed=int(seed))
@@ -420,12 +422,6 @@ def check_against_reference(table: CorrelationTable, kind: str,
 
 # ---------------------------------------------------------------------------
 # state equalities, collapse, anti-commutation
-
-
-def _pure_state(exp: Experiment) -> StateVector:
-    exp = purify_experiment(exp)
-    assert isinstance(exp.state, StateVector)
-    return exp.state
 
 
 def check_state_equalities(exp: Experiment, tol: float = 1e-10) -> dict[str, float]:

@@ -2,9 +2,12 @@
 
 Both parties hold one data qubit of an EPR pair plus their local simulation
 flag qubit.  Each round they pick a uniformly random basis among X, Y, Z and
-measure the flag-conditioned observable; Bob's honest Y observable is -Y (the
-extended-test convention), which makes every same-basis pair perfectly
-correlated for every feasible family member, so the honest QBER is exactly 0.
+measure the flag-conditioned observable.  These are the X, Y and Z devices of
+the extended self-test (:func:`conjsim.selftest.family_experiment`), Bob's Y
+included as -Y, which makes every same-basis pair perfectly correlated for
+every feasible family member, so the honest QBER is exactly 0.  Each basis
+pair's joint-outcome table is read off that experiment's correlation table
+with the source state put in (:meth:`CorrelationTable.outcome_probs`).
 
 Round draws follow a fixed, documented order per round: basis_a, basis_b,
 then (only when the flag outcome is not deterministic) the flag collapse, then
@@ -18,8 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .family import SimParams, c_of, multiparty_sim_state
-from .linalg import PAULIS, embed_operator, permute_subsystems_vector
+from .family import SimParams, multiparty_sim_state
+from .linalg import embed_operator, permute_subsystems_vector
+from .selftest import correlations, family_experiment, with_state
 from .states import DensityMatrix, StateVector, epr_pair
 
 BASES = ("X", "Y", "Z")
@@ -114,44 +118,17 @@ def expected_consistent(strategy: EveStrategy) -> bool | None:
     return True
 
 
-def lifted_observable(party: str, basis: str) -> np.ndarray:
-    """Flag-conditioned Pauli on (flag, data); Bob's Y carries the -1 phase."""
-    m = PAULIS[basis]
-    if party == "B" and basis == "Y":
-        m = -m
-    return c_of(m)
-
-
-def _measurement_ops():
-    ops = {}
-    for party, block in (("A", [FLAG_A, DATA_A]), ("B", [FLAG_B, DATA_B])):
-        for basis in BASES:
-            ops[(party, basis)] = embed_operator(lifted_observable(party, basis),
-                                                 SOURCE_DIMS, block)
-    return ops
-
-
-def _outcome_cumulants(rho: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
+def _outcome_cumulants(rho: DensityMatrix) -> dict[tuple[str, str], np.ndarray]:
     """Cumulative joint-outcome distributions for all nine basis pairs.
 
     Outcome index k encodes (bit_a, bit_b) = (k >> 1, k & 1) with the
     +1 -> 0, -1 -> 1 convention.
     """
-    ops = _measurement_ops()
-    eye = np.eye(rho.shape[0])
+    table = correlations(with_state(family_experiment(SimParams(1.0), "extended"), rho))
     out = {}
     for ba in BASES:
         for bb in BASES:
-            ma, mb = ops[("A", ba)], ops[("B", bb)]
-            probs = []
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    proj = ((eye + sa * ma) / 2) @ ((eye + sb * mb) / 2)
-                    probs.append(float(np.trace(rho @ proj).real))
-            probs = np.clip(np.array(probs), 0.0, None)
-            if abs(probs.sum() - 1.0) > 1e-9:
-                raise ValueError("joint outcome probabilities do not normalize")
-            cum = np.cumsum(probs / probs.sum())
+            cum = np.cumsum(table.outcome_probs(ba, bb))
             cum[-1] = 1.0
             out[(ba, bb)] = cum
     return out
@@ -211,11 +188,11 @@ def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
     rho = source_state(strategy)
     if isinstance(strategy, ZPremeasure):
         branches = _flag_branches(rho)
-        tables = [(_outcome_cumulants(b.matrix), flags) for _, flags, b in branches]
+        tables = [(_outcome_cumulants(b), flags) for _, flags, b in branches]
         probs = np.array([p for p, _, _ in branches])
         deterministic = len(branches) == 1
     else:
-        tables = [(_outcome_cumulants(rho.matrix), None)]
+        tables = [(_outcome_cumulants(rho), None)]
         probs = np.array([1.0])
         deterministic = True
 
@@ -264,6 +241,19 @@ class QberReport:
         return self.total_rounds - self.flag_mismatches
 
 
+def _rates_and_verdict(sifted: dict[str, int], errors: dict[str, int], total_rounds: int,
+                       abort_threshold: float) -> tuple[dict[str, float], str]:
+    """Per-basis error rates and the abort verdict on them."""
+    rates = {b: (errors[b] / sifted[b]) if sifted[b] else 0.0 for b in BASES}
+    if total_rounds == 0:
+        verdict = "insufficient data"
+    elif all(rates[b] <= abort_threshold for b in BASES):
+        verdict = "protocol-consistent"
+    else:
+        verdict = "not-protocol-consistent"
+    return rates, verdict
+
+
 def sift(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
     """Keep same-basis rounds and compute per-basis error rates."""
     sifted = {b: 0 for b in BASES}
@@ -280,24 +270,13 @@ def sift(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
         sifted[rec.basis_a] += 1
         if rec.outcome_a != rec.outcome_b:
             errors[rec.basis_a] += 1
-    rates = {b: (errors[b] / sifted[b]) if sifted[b] else 0.0 for b in BASES}
     total = len(t.rounds)
     kept = sum(sifted.values())
-    if total == 0:
-        verdict = "insufficient data"
-    elif all(rates[b] <= abort_threshold for b in BASES):
-        verdict = "protocol-consistent"
-    else:
-        verdict = "not-protocol-consistent"
+    rates, verdict = _rates_and_verdict(sifted, errors, total, abort_threshold)
     return QberReport(sifted=sifted, errors=errors, rates=rates,
                       total_rounds=total, sift_fraction=kept / total if total else 0.0,
                       abort_threshold=abort_threshold, verdict=verdict,
                       flag_mismatches=mismatches if saw_flags else None)
-
-
-def analyze(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
-    """Sift plus the protocol-consistency verdict (alias kept for the CLI surface)."""
-    return sift(t, abort_threshold=abort_threshold)
 
 
 def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> QberReport:
@@ -312,13 +291,8 @@ def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> Qbe
         return report
     errors = dict(report.errors)
     errors["Y"] = report.sifted["Y"] - report.errors["Y"]
-    rates = {b: (errors[b] / report.sifted[b]) if report.sifted[b] else 0.0 for b in BASES}
-    if report.total_rounds == 0:
-        verdict = "insufficient data"
-    elif all(rates[b] <= report.abort_threshold for b in BASES):
-        verdict = "protocol-consistent"
-    else:
-        verdict = "not-protocol-consistent"
+    rates, verdict = _rates_and_verdict(report.sifted, errors, report.total_rounds,
+                                        report.abort_threshold)
     return replace(report, errors=errors, rates=rates, verdict=verdict)
 
 

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conjsim import cli
 from conjsim.cli import main
+from conjsim.family import SimParams
 from conjsim.linalg import X
-from conjsim.selftest import reference_experiment, with_observable
-from conjsim.serialize import dumps, experiment_to_json, matrix_to_json
+from conjsim.selftest import family_experiment, reference_experiment, with_observable
+from conjsim.serialize import dumps, experiment_to_json, matrix_to_json, state_to_json
+from conjsim.sixstate import MismatchedFlags, source_state
 
 
 def run(args):
@@ -247,3 +254,125 @@ def test_nonpositive_trials_is_usage_error(tmp_path, capsys, argv, config):
         argv = ["--config", write_config(tmp_path, config)] + argv
     assert run(argv) == 2
     assert "error: --trials must be at least 1" in capsys.readouterr().err
+
+
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["simulate", "--experiment", "{path}"], '{"state": {}}'),
+    (["qkd", "--strategy", "custom", "{path}", "--seed", "1"], '{"strategy": "honest"}'),
+    (["--config", "{path}", "props"], "[1,2]"),
+    (["--config", "{path}", "props", "--trials", "2"], '{"fixtures": [{"matrix": 1}]}'),
+], ids=["experiment_without_kind", "custom_strategy_without_a", "config_not_an_object",
+        "config_fixture_without_matrix"])
+def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run([a.format(path=path) for a in argv]) == 2
+    assert one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["props", "--dim", "0"], "--dim must be at least 1"),
+    (["selftest", "--sampled", "n=0", "seed=1"], "--sampled n must be at least 1"),
+    (["selftest", "--sampled", "n=ten", "seed=1"], "--sampled: invalid literal"),
+    (["qkd", "--strategy", "honest", "a=0.5", "c=0.9", "--seed", "1"], "exceeds sqrt(a(1-a))"),
+    (["qkd", "--strategy", "mismatched", "2", "0", "--seed", "1"], "flags must be bits"),
+    (["qkd", "--strategy", "conjugate", "--seed", "-1"], "--seed must be non-negative"),
+])
+def test_invalid_values_are_usage_errors(capsys, argv, message):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and message in err
+
+
+def test_internal_value_error_exits_one(monkeypatch, capsys):
+    def failing(*args):
+        raise ValueError("outcome probabilities sum to nan")
+
+    monkeypatch.setattr(cli, "run_rounds", failing)
+    assert run(["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: outcome probabilities sum to nan\n"
+
+
+# --------------------------------------------------------------------------
+# fuzzed flag and config-file combinations
+
+FAMILIES = [["a=0.5", "c=0.5"], ["a=1"], ["a=0.5", "c=0.9"], ["a=x"], ["c=0.1"],
+            ["a=0.5", "c_phase=inf"], ["b=1"], ["a"]]
+EXPERIMENTS = ["@good", "@no_kind", "@list", "@not_json", "@missing"]
+FUZZ_FLAGS = {
+    "common": {"seed": ["-1", "0", "7", "x"], "tol": ["1e-9", "0", "nan", "abc"],
+               "workers": ["0", "1", "2"], "format": ["json", "csv", "xml"]},
+    "props": {"trials": ["-5", "0", "1", "3", "x"], "dim": ["-1", "0", "1", "4", "9"]},
+    "selftest": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
+                 "experiment": EXPERIMENTS, "stats_tol": ["1e-10", "-1", "x"],
+                 "sampled": [["n=50", "seed=3"], ["n=0", "seed=3"], ["n=x"], ["n=20"],
+                             ["seed=1"], ["n=20", "seed=-4"], ["m=1"]]},
+    "simulate": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
+                 "experiment": EXPERIMENTS, "cross_pairs": [True]},
+    "qkd": {"strategy": [["honest", "a=0.5", "c=0.5"], ["conjugate"], ["zpremeasure", "a=0.5"],
+                         ["mismatched", "0", "1"], ["mismatched", "2", "0"], ["mismatched", "0"],
+                         ["teleport"], ["custom", "@custom"], ["custom", "@no_kind"],
+                         ["custom", "@list"], ["custom", "@missing"]],
+            "n": ["-1", "0", "1", "200", "x"], "threshold": ["0", "0.5", "nan", "x"]},
+}
+BAD_CONFIGS = ["[1, 2]", '"text"', "{", '{"fixtures": 5}', '{"fixtures": [{"matrix": 1}]}',
+               '{"fixtures": [{"matrix": [[[1, 0]]], "claims": [["unitary"]]}]}']
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "good": dumps(experiment_to_json(family_experiment(SimParams(0.5, 0.5)))),   # D = 16
+        "custom": dumps(state_to_json(source_state(MismatchedFlags(0, 1)))),
+        "no_kind": '{"state": {}}',
+        "list": "[1, 2]",
+        "not_json": "{",
+    }
+    for name, text in files.items():
+        (root / f"{name}.json").write_text(text)
+    return root
+
+
+def fuzz_value(value, root):
+    if isinstance(value, list):
+        return [fuzz_value(v, root) for v in value]
+    if isinstance(value, str) and value.startswith("@"):
+        return str(root / f"{value[1:]}.json")
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
+    command = data.draw(st.sampled_from(["props", "selftest", "simulate", "qkd"]))
+    argv, config = [command, "--out", str(fuzz_dir / "report.out")], {}
+    for key, values in {**FUZZ_FLAGS["common"], **FUZZ_FLAGS[command]}.items():
+        value = data.draw(st.sampled_from([None, *values]), label=key)
+        if value is None:
+            continue
+        value = fuzz_value(value, fuzz_dir)
+        if data.draw(st.booleans(), label=f"{key} from config"):
+            config[key] = value
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv += value if isinstance(value, list) else [value]
+    config_text = data.draw(st.sampled_from([None, dumps(config), *BAD_CONFIGS]),
+                            label="config")
+    if config_text is not None:
+        (fuzz_dir / "config.json").write_text(config_text)
+        argv = ["--config", str(fuzz_dir / "config.json")] + argv
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as stop:          # argparse refusing a flag
+            code = stop.code
+    assert code in (0, 1, 2), (argv, config_text)
+    assert "Traceback" not in err.getvalue()

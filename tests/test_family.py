@@ -10,16 +10,15 @@ from conjsim.family import (
     c_of,
     c_property_suite,
     hamiltonian_identity_residual,
-    multiparty_sim_observable,
     multiparty_sim_state,
     sim_hamiltonian,
     sim_kraus,
     sim_povm,
-    sim_state,
     sim_unitary_evolve,
     to_real_simulation,
 )
 from conjsim.linalg import HADAMARD, X, Y, Z, embed_operator, herm_expm, is_hermitian, tensor
+from conjsim.selftest import family_experiment, with_observable
 from conjsim.states import (
     StateVector,
     basis_state,
@@ -63,14 +62,14 @@ def test_sim_params_from_polar():
 
 def test_sim_state_reference_branch():
     psi = IMAG
-    rho = sim_state(psi, SimParams(1.0, 0.0))
+    rho = multiparty_sim_state(psi, 1, SimParams(1.0, 0.0))
     expected = np.kron(np.diag([1.0, 0.0]), np.outer(psi.amplitudes, psi.amplitudes.conj()))
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
 
 
 def test_sim_state_conjugate_branch():
     psi = IMAG
-    rho = sim_state(psi, SimParams(0.0, 0.0))
+    rho = multiparty_sim_state(psi, 1, SimParams(0.0, 0.0))
     conj = np.outer(psi.amplitudes.conj(), psi.amplitudes)
     expected = np.kron(np.diag([0.0, 1.0]), conj)
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
@@ -78,14 +77,14 @@ def test_sim_state_conjugate_branch():
 
 def test_sim_state_pure_superposition():
     psi = IMAG
-    rho = sim_state(psi, SimParams(0.5, 0.5))
+    rho = multiparty_sim_state(psi, 1, SimParams(0.5, 0.5))
     vec = np.concatenate([psi.amplitudes, psi.amplitudes.conj()]) / np.sqrt(2)
     np.testing.assert_allclose(rho.matrix, np.outer(vec, vec.conj()), atol=1e-14)
 
 
 def test_sim_state_flag_projections():
     psi = IMAG
-    rho = sim_state(psi, SimParams(0.3, 0.2j)).matrix
+    rho = multiparty_sim_state(psi, 1, SimParams(0.3, 0.2j)).matrix
     np.testing.assert_allclose(rho[:2, :2] / 0.3,
                                np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-12)
     np.testing.assert_allclose(rho[2:, 2:] / 0.7,
@@ -94,7 +93,7 @@ def test_sim_state_flag_projections():
 
 def test_sim_state_rejects_infeasible():
     with pytest.raises(ValueError):
-        sim_state(PLUS, SimParams(0.5, 0.6))
+        multiparty_sim_state(PLUS, 1, SimParams(0.5, 0.6))
 
 
 def test_sim_povm_identity():
@@ -105,13 +104,13 @@ def test_sim_povm_identity():
 def test_sim_povm_x_basis_on_plus():
     povm = Povm([(np.eye(2) + X) / 2, (np.eye(2) - X) / 2])
     for p in feasible_grid():
-        probs = sim_povm(povm).probabilities(sim_state(PLUS, p))
+        probs = sim_povm(povm).probabilities(multiparty_sim_state(PLUS, 1, p))
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
 
 def test_sim_povm_y_basis_on_conjugate_branch():
     povm = Povm([(np.eye(2) + Y) / 2, (np.eye(2) - Y) / 2])
-    probs = sim_povm(povm).probabilities(sim_state(IMAG, SimParams(0.0, 0.0)))
+    probs = sim_povm(povm).probabilities(multiparty_sim_state(IMAG, 1, SimParams(0.0, 0.0)))
     np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
 
@@ -125,7 +124,7 @@ def test_statistics_preservation_random_states(seed):
     povm = Povm([np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
     a = float(rng.uniform(0, 1))
     c = rng.uniform(0, np.sqrt(a * (1 - a))) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    probs = sim_povm(povm).probabilities(sim_state(psi, SimParams(a, c)))
+    probs = sim_povm(povm).probabilities(multiparty_sim_state(psi, 1, SimParams(a, c)))
     np.testing.assert_allclose(probs, povm.probabilities(psi), atol=1e-10)
 
 
@@ -174,7 +173,7 @@ def test_c_property_suite_rejects_large_dim():
 
 
 def test_sim_unitary_evolve_identity():
-    rho = sim_state(PLUS, SimParams(0.5, 0.25))
+    rho = multiparty_sim_state(PLUS, 1, SimParams(0.5, 0.25))
     out = sim_unitary_evolve(rho, np.eye(2))
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
@@ -182,9 +181,9 @@ def test_sim_unitary_evolve_identity():
 def test_sim_unitary_evolve_hadamard_matches_sim_of_evolved():
     zero = basis_state([2], [0])
     for p in (SimParams(1.0, 0.0), SimParams(0.5, 0.5), SimParams(0.25, 0.1j)):
-        evolved = sim_unitary_evolve(sim_state(zero, p), HADAMARD)
+        evolved = sim_unitary_evolve(multiparty_sim_state(zero, 1, p), HADAMARD)
         np.testing.assert_allclose(evolved.matrix,
-                                   sim_state(zero.apply(HADAMARD), p).matrix, atol=1e-10)
+                                   multiparty_sim_state(zero.apply(HADAMARD), 1, p).matrix, atol=1e-10)
 
 
 @given(seeds)
@@ -199,14 +198,14 @@ def test_sim_unitary_evolution_commutes_with_family(seed):
     a = float(rng.uniform(0, 1))
     c = rng.uniform(0, np.sqrt(a * (1 - a))) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     p = SimParams(a, c)
-    np.testing.assert_allclose(sim_unitary_evolve(sim_state(psi, p), u).matrix,
-                               sim_state(psi.apply(u), p).matrix, atol=1e-10)
+    np.testing.assert_allclose(sim_unitary_evolve(multiparty_sim_state(psi, 1, p), u).matrix,
+                               multiparty_sim_state(psi.apply(u), 1, p).matrix, atol=1e-10)
 
 
 def test_sim_unitary_evolve_phase_gate_conjugate_branch():
     s_gate = np.diag([1.0, 1.0j])
     zero = basis_state([2], [0])
-    out = sim_unitary_evolve(sim_state(zero, SimParams(0.0, 0.0)), s_gate)
+    out = sim_unitary_evolve(multiparty_sim_state(zero, 1, SimParams(0.0, 0.0)), s_gate)
     # flag-1 branch carries S*|0>* = |0>
     branch = out.matrix[2:, 2:]
     np.testing.assert_allclose(branch, np.diag([1.0, 0.0]), atol=1e-12)
@@ -214,7 +213,7 @@ def test_sim_unitary_evolve_phase_gate_conjugate_branch():
 
 def test_sim_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
-        sim_unitary_evolve(sim_state(PLUS, SimParams(1.0, 0.0)), np.diag([1.0, 2.0]))
+        sim_unitary_evolve(multiparty_sim_state(PLUS, 1, SimParams(1.0, 0.0)), np.diag([1.0, 2.0]))
 
 
 def test_sim_kraus_identity_channel():
@@ -226,7 +225,7 @@ def test_sim_kraus_dephasing_branches():
     dephase = KrausMap([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * Z])
     psi = IMAG
     for p in (SimParams(1.0, 0.0), SimParams(0.0, 0.0), SimParams(0.5, 0.5)):
-        out = sim_kraus(dephase).apply(sim_state(psi, p)).matrix
+        out = sim_kraus(dephase).apply(multiparty_sim_state(psi, 1, p)).matrix
         ref_out = dephase.apply(psi).matrix
         a = p.a
         if a > 0:
@@ -309,18 +308,20 @@ def test_multiparty_flags_agree_under_z():
 
 
 def test_multiparty_observable_examples():
-    np.testing.assert_allclose(multiparty_sim_observable(Z), np.kron(np.eye(2), Z), atol=1e-14)
-    lifted_y = multiparty_sim_observable(Y)
+    np.testing.assert_allclose(c_of(Z), np.kron(np.eye(2), Z), atol=1e-14)
+    lifted_y = c_of(Y)
     np.testing.assert_allclose(lifted_y[:2, :2], Y, atol=1e-14)
     np.testing.assert_allclose(lifted_y[2:, 2:], -Y, atol=1e-14)
-    with pytest.raises(ValueError):
-        multiparty_sim_observable(np.diag([1.0, 2.0]))
+    # a lifted non-binary observable is refused where experiments are built
+    with pytest.raises(ValueError, match="not a binary observable"):
+        with_observable(family_experiment(SimParams(0.5, 0.5)), "A", "X",
+                        c_of(np.diag([1.0, 2.0])))
 
 
 def test_multiparty_lifted_y_correlation():
     dims = [2, 2, 2, 2]
-    ya = embed_operator(multiparty_sim_observable(Y), dims, [0, 1])
-    yb = embed_operator(multiparty_sim_observable(-Y), dims, [2, 3])
+    ya = embed_operator(c_of(Y), dims, [0, 1])
+    yb = embed_operator(c_of(-Y), dims, [2, 3])
     for p in feasible_grid():
         rho = multiparty_sim_state(epr_pair(), 2, p)
         assert expectation(rho, ya @ yb) == pytest.approx(1.0, abs=1e-10)
@@ -331,8 +332,8 @@ def test_multiparty_statistics_preservation():
     ref = epr_pair()
     for ma, mb in [(X, X), (Z, Z), (Y, -Y), (X, Z)]:
         ref_val = expectation(ref, tensor(ma, mb))
-        op = (embed_operator(multiparty_sim_observable(ma), dims, [0, 1])
-              @ embed_operator(multiparty_sim_observable(mb), dims, [2, 3]))
+        op = (embed_operator(c_of(ma), dims, [0, 1])
+              @ embed_operator(c_of(mb), dims, [2, 3]))
         for p in feasible_grid():
             rho = multiparty_sim_state(epr_pair(), 2, p)
             assert expectation(rho, op) == pytest.approx(ref_val, abs=1e-10)
@@ -340,12 +341,12 @@ def test_multiparty_statistics_preservation():
 
 def test_to_real_simulation_real_state():
     zero = basis_state([2], [0])
-    out = to_real_simulation(sim_state(zero, SimParams(0.5, 0.5)), "state")
+    out = to_real_simulation(multiparty_sim_state(zero, 1, SimParams(0.5, 0.5)), "state")
     np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_to_real_simulation_imag_state_components():
-    out = to_real_simulation(sim_state(IMAG, SimParams(0.5, 0.5)), "state")
+    out = to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(0.5, 0.5)), "state")
     expected = np.array([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
     np.testing.assert_allclose(np.abs(out.amplitudes), expected, atol=1e-12)
     assert np.abs(out.amplitudes.imag).max() <= 1e-12
@@ -360,7 +361,7 @@ def test_to_real_simulation_operator_y():
 
 def test_to_real_simulation_rejects_wrong_forms():
     with pytest.raises(ValueError):
-        to_real_simulation(sim_state(IMAG, SimParams(1.0, 0.0)), "state")
+        to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(1.0, 0.0)), "state")
     with pytest.raises(ValueError):
         to_real_simulation(np.kron(X, np.eye(2)), "operator")
     with pytest.raises(ValueError):
@@ -390,7 +391,7 @@ def test_to_real_simulation_realness_random(seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     psi = StateVector([3], v / np.linalg.norm(v))
-    out = to_real_simulation(sim_state(psi, SimParams(0.5, 0.5)), "state")
+    out = to_real_simulation(multiparty_sim_state(psi, 1, SimParams(0.5, 0.5)), "state")
     assert np.abs(out.amplitudes.imag).max() <= 1e-12
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     out_op = np.asarray(to_real_simulation(c_of(m), "operator"), dtype=complex)

@@ -646,7 +646,6 @@ def dense_party_y_blocks(ext, party):
 
 DENSE_STAGES = {
     "correlations": dense_correlations,
-    "_joint_outcome_probs": dense_joint_outcome_probs,
     "check_state_equalities": dense_state_equalities,
     "check_d_collapse": dense_d_collapse,
     "anticommutator_residual": dense_anticommutator_residual,
@@ -722,8 +721,9 @@ def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
         fast = run_selftest(case)
         assert fast.passed == (name in ("passing", "rotated")), name
         assert_same_report(fast, dense_selftest(case, monkeypatch))
+    table = correlations(exp)
     for la, lb in pair_schedule("extended"):
-        np.testing.assert_allclose(selftest._joint_outcome_probs(exp, la, lb),
+        np.testing.assert_allclose(table.outcome_probs(la, lb),
                                    dense_joint_outcome_probs(exp, la, lb), atol=1e-12)
 
 

@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
+from conjsim import sixstate
 from conjsim.family import SimParams, c_of
-from conjsim.linalg import Y
+from conjsim.linalg import PAULIS, Y, embed_operator, random_psd
+from conjsim.selftest import family_experiment
 from conjsim.sixstate import (
     BASES,
+    SOURCE_DIMS,
     Conjugate,
     CustomState,
     Honest,
     MismatchedFlags,
     Transcript,
     ZPremeasure,
-    analyze,
     eve_flip_correction,
     expected_consistent,
-    lifted_observable,
     run_rounds,
     sift,
     source_state,
@@ -32,9 +33,95 @@ def family_grid():
     return grid
 
 
+# --------------------------------------------------------------------------
+# dense reference: joint-outcome tables from full-space 16x16 projectors
+
+PARTY_BLOCKS = {"A": [0, 1], "B": [2, 3]}          # (flag, data) of each party
+
+
+def dense_measurement_ops():
+    """Flag-conditioned Pauli of each party and basis on the whole source; Bob's Y is -Y."""
+    ops = {}
+    for party, block in PARTY_BLOCKS.items():
+        for basis in BASES:
+            m = -PAULIS[basis] if (party, basis) == ("B", "Y") else PAULIS[basis]
+            ops[(party, basis)] = embed_operator(c_of(m), SOURCE_DIMS, block)
+    return ops
+
+
+def dense_outcome_cumulants(rho):
+    ops = dense_measurement_ops()
+    eye = np.eye(rho.dim)
+    out = {}
+    for ba in BASES:
+        for bb in BASES:
+            ma, mb = ops[("A", ba)], ops[("B", bb)]
+            probs = []
+            for sa in (1, -1):
+                for sb in (1, -1):
+                    proj = ((eye + sa * ma) / 2) @ ((eye + sb * mb) / 2)
+                    probs.append(float(np.trace(rho.matrix @ proj).real))
+            probs = np.clip(np.array(probs), 0.0, None)
+            assert abs(probs.sum() - 1.0) <= 1e-9
+            cum = np.cumsum(probs / probs.sum())
+            cum[-1] = 1.0
+            out[(ba, bb)] = cum
+    return out
+
+
+def random_custom_state(seed, rank):
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        mat = random_psd(16, rng)
+    else:
+        g = rng.standard_normal((16, rank)) + 1j * rng.standard_normal((16, rank))
+        mat = g @ g.conj().T
+    return CustomState(DensityMatrix(SOURCE_DIMS, mat / np.trace(mat).real))
+
+
+STRATEGIES = [
+    *(Honest(p) for p in (SimParams(1.0, 0.0), SimParams(0.5, 0.5), SimParams(0.25, 0.2j),
+                          SimParams(0.3, 0.25 * np.exp(0.7j)))),
+    Conjugate(),
+    ZPremeasure(SimParams(0.5, 0.5)),
+    ZPremeasure(SimParams(0.0, 0.0)),
+    *(MismatchedFlags(fa, fb) for fa in (0, 1) for fb in (0, 1)),
+    *(random_custom_state(seed, rank) for seed, rank in ((1, None), (2, 1), (3, 3))),
+]
+
+
+def source_branches(strategy):
+    rho = source_state(strategy)
+    if isinstance(strategy, ZPremeasure):
+        return [branch for _, _, branch in sixstate._flag_branches(rho)]
+    return [rho]
+
+
 def test_lifted_observables():
-    np.testing.assert_allclose(lifted_observable("A", "Y"), c_of(Y), atol=1e-14)
-    np.testing.assert_allclose(lifted_observable("B", "Y"), c_of(-Y), atol=1e-14)
+    exp = family_experiment(SimParams(1.0), "extended")
+    np.testing.assert_allclose(exp.observable("A", "Y"), c_of(Y), atol=1e-14)
+    np.testing.assert_allclose(exp.observable("B", "Y"), c_of(-Y), atol=1e-14)
+    for (party, basis), op in dense_measurement_ops().items():
+        np.testing.assert_allclose(
+            embed_operator(exp.observable(party, basis), SOURCE_DIMS, PARTY_BLOCKS[party]),
+            op, atol=1e-14)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
+def test_outcome_tables_match_dense_reference(strategy):
+    for rho in source_branches(strategy):
+        got, want = sixstate._outcome_cumulants(rho), dense_outcome_cumulants(rho)
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_run_rounds_identical_with_dense_tables(seed, monkeypatch):
+    fast = [run_rounds(s, 2000, seed) for s in STRATEGIES]
+    monkeypatch.setattr(sixstate, "_outcome_cumulants", dense_outcome_cumulants)
+    dense = [run_rounds(s, 2000, seed) for s in STRATEGIES]
+    assert fast == dense
 
 
 def test_source_state_mismatched_flags():
@@ -84,12 +171,10 @@ def test_honest_grid_all_bases_error_free():
 
 def test_honest_exact_distributions_match_reference():
     # analytic check, no sampling: every basis pair's joint outcome
-    # distribution equals the (a=1, c=0) reference distribution
-    from conjsim.sixstate import _outcome_cumulants
-
-    ref = _outcome_cumulants(source_state(Honest(SimParams(1.0, 0.0))).matrix)
+    # distribution equals the dense (a=1, c=0) reference distribution
+    ref = dense_outcome_cumulants(source_state(Honest(SimParams(1.0, 0.0))))
     for p in family_grid():
-        got = _outcome_cumulants(source_state(Honest(p)).matrix)
+        got = sixstate._outcome_cumulants(source_state(Honest(p)))
         for key in ref:
             np.testing.assert_allclose(got[key], ref[key], atol=1e-10)
 
@@ -165,15 +250,15 @@ def test_zpremeasure_analysis_matches_honest():
 
 def test_analyze_empty_transcript():
     t = Transcript(rounds=(), seed=0, strategy={"strategy": "honest"})
-    report = analyze(t)
+    report = sift(t)
     assert report.verdict == "insufficient data"
     assert report.total_rounds == 0
 
 
 def test_analyze_threshold():
     t = run_rounds(MismatchedFlags(0, 1), 1000, seed=15)
-    assert not analyze(t).consistent
-    assert analyze(t, abort_threshold=1.0).consistent
+    assert not sift(t).consistent
+    assert sift(t, abort_threshold=1.0).consistent
 
 
 def test_custom_state_strategy():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjsim.family import SimParams, sim_state
+from conjsim.family import SimParams, multiparty_sim_state
 from conjsim.linalg import X, Y, Z, embed_operator, random_unitary, tensor
 from conjsim.states import (
     DensityMatrix,
@@ -81,16 +81,16 @@ def test_partial_trace_of_product_factors():
 
 def test_partial_trace_of_reference_branch_sim_state():
     psi = random_pure([2], np.random.default_rng(11))
-    rho = sim_state(psi, SimParams(1.0, 0.0))
+    rho = multiparty_sim_state(psi, 1, SimParams(1.0, 0.0))
     reduced = partial_trace(rho, [1])
     np.testing.assert_allclose(reduced.matrix,
                                np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-12)
 
 
 def test_partial_trace_flag_of_epr_sim_state():
-    phi = epr_pair()
-    rho = sim_state(phi, SimParams(1.0, 0.0))     # dims (flag, 2, 2)
-    reduced = partial_trace(rho, [1, 2])
+    phi = StateVector([4], epr_pair().amplitudes)          # the pair as one register
+    rho = multiparty_sim_state(phi, 1, SimParams(1.0, 0.0))     # dims (flag, 4)
+    reduced = partial_trace(rho, [1])
     np.testing.assert_allclose(reduced.matrix,
                                np.outer(phi.amplitudes, phi.amplitudes.conj()), atol=1e-12)
 
@@ -178,7 +178,6 @@ def test_support_projector_full_rank_and_product():
 def test_support_projector_excludes_empty_flag_branch():
     # reference-branch family member: the flag-1 sector never appears, so the
     # Schmidt rank oracle on (flag+data | rest) sees only flag-0 vectors
-    from conjsim.family import multiparty_sim_state
     from conjsim.states import purify
 
     rho = multiparty_sim_state(epr_pair(), 2, SimParams(1.0, 0.0))
