@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .serialize import (
     qber_report_to_dict,
     strategy_from_json,
     transcript_to_csv,
-    transcript_to_dict,
+    transcript_to_json,
 )
 from .sixstate import (
     Conjugate,
@@ -85,11 +86,12 @@ def _parse_kv(tokens, allowed, what):
     return out
 
 
-def _family_params(tokens) -> SimParams:
-    kv = _parse_kv(tokens, {"a", "c", "c_abs", "c_phase"}, "--family")
+def _family_params(tokens, flag: str) -> SimParams:
+    """The family member named by key=value tokens; ``flag`` names their source in errors."""
+    kv = _parse_kv(tokens, {"a", "c", "c_abs", "c_phase"}, flag)
     if "a" not in kv:
-        raise UsageError("--family requires a=<float>")
-    with _user_input("--family"):
+        raise UsageError(f"{flag} requires a=<float>")
+    with _user_input(flag):
         c_abs = float(kv.get("c_abs", kv.get("c", 0.0)))
         return SimParams.from_polar(float(kv["a"]), c_abs, float(kv.get("c_phase", 0.0)))
 
@@ -99,11 +101,11 @@ def _strategy(tokens):
         raise UsageError("--strategy requires a strategy name")
     name, rest = tokens[0], tokens[1:]
     if name == "honest":
-        return Honest(_family_params(rest))
+        return Honest(_family_params(rest, "--strategy honest"))
     if name == "conjugate":
         return Conjugate()
     if name == "zpremeasure":
-        return ZPremeasure(_family_params(rest))
+        return ZPremeasure(_family_params(rest, "--strategy zpremeasure"))
     if name == "mismatched":
         if len(rest) != 2:
             raise UsageError("--strategy mismatched needs two flag bits")
@@ -216,7 +218,7 @@ def _build_experiment(args):
         with _user_input(args.experiment):
             return experiment_from_json(data)
     if args.family:
-        return family_experiment(_family_params(args.family), args.kind)
+        return family_experiment(_family_params(args.family, "--family"), args.kind)
     return reference_experiment(args.kind)
 
 
@@ -265,7 +267,7 @@ def cmd_qkd(args) -> int:
     report = sift(transcript, abort_threshold=threshold)
     if args.transcript_out:
         if args.transcript_out.endswith(".json"):
-            Path(args.transcript_out).write_text(dumps(transcript_to_dict(transcript)))
+            Path(args.transcript_out).write_text(transcript_to_json(transcript))
         else:
             Path(args.transcript_out).write_text(transcript_to_csv(transcript))
     _emit(_wrap(qber_report_to_dict(report), vars_config(args), args.seed), args.out)
@@ -357,7 +359,7 @@ def _apply_config(parser, args, argv):
         elif isinstance(value, list):
             tokens += [flag, *map(str, value)]
         else:
-            tokens += [flag, str(value)]
+            tokens.append(f"{flag}={value}")      # "=" keeps a value like -inf a value
     args = parser.parse_args(argv + tokens)
     args.config_data = data
     return args
@@ -374,6 +376,10 @@ def main(argv=None) -> int:
                 raise UsageError(f"--{key} must be at least 1")
         if args.seed is not None and args.seed < 0:
             raise UsageError("--seed must be non-negative")
+        for key in ("tol", "stats_tol", "threshold"):
+            value = getattr(args, key, None)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise UsageError(f"--{key.replace('_', '-')} must be finite and non-negative")
         return args.func(args)
     except (UsageError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

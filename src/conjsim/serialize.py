@@ -9,6 +9,7 @@ with identical inputs.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from .selftest import (
     YCoefficientReport,
 )
 from .sixstate import (
+    BASES,
     Conjugate,
     CustomState,
     EveStrategy,
@@ -163,25 +165,53 @@ def correlation_table_to_csv(table: CorrelationTable) -> str:
     return buf.getvalue()
 
 
+def _round_table(columns: list[tuple[str, tuple, np.ndarray]], render):
+    """Rendered text for every value combination, plus each round's index into it.
+
+    ``columns`` holds (key, alphabet, column) with column entries indexing the
+    alphabet; ``render`` maps [(key, value), ...] to text.  A transcript has at
+    most 144 combinations, so each round costs one lookup instead of a format.
+    """
+    table = [render(list(zip([key for key, _, _ in columns], values)))
+             for values in itertools.product(*(alphabet for _, alphabet, _ in columns))]
+    code = np.zeros(len(columns[0][2]), dtype=np.intp)
+    for _, alphabet, column in columns:
+        code = code * len(alphabet) + column
+    return table, code.tolist()
+
+
+def _transcript_columns(t: Transcript, flags: bool) -> list[tuple[str, tuple, np.ndarray]]:
+    columns = [("basis_a", BASES, t.basis_a), ("basis_b", BASES, t.basis_b)]
+    if flags and t.flag_a is not None:
+        columns += [("flag_a", (0, 1), t.flag_a), ("flag_b", (0, 1), t.flag_b)]
+    return columns + [("outcome_a", (0, 1), t.outcome_a), ("outcome_b", (0, 1), t.outcome_b)]
+
+
 def transcript_to_csv(t: Transcript) -> str:
-    buf = io.StringIO()
-    buf.write("round,basis_a,basis_b,outcome_a,outcome_b\n")
-    for rec in t.rounds:
-        buf.write(f"{rec.index},{rec.basis_a},{rec.basis_b},{rec.outcome_a},{rec.outcome_b}\n")
-    return buf.getvalue()
+    """Columns: round, basis_a, basis_b, outcome_a, outcome_b (flags are not written)."""
+    table, codes = _round_table(_transcript_columns(t, flags=False),
+                                lambda items: ",".join(str(v) for _, v in items))
+    return ("round,basis_a,basis_b,outcome_a,outcome_b\n"
+            + "".join([f"{i},{table[c]}\n" for i, c in enumerate(codes)]))
 
 
-def transcript_to_dict(t: Transcript) -> dict:
-    return {
-        "seed": t.seed,
-        "strategy": t.strategy,
-        "rounds": [
-            {"round": r.index, "basis_a": r.basis_a, "basis_b": r.basis_b,
-             "outcome_a": r.outcome_a, "outcome_b": r.outcome_b,
-             **({"flag_a": r.flag_a, "flag_b": r.flag_b} if r.flag_a is not None else {})}
-            for r in t.rounds
-        ],
-    }
+def transcript_to_json(t: Transcript) -> str:
+    """``dumps`` of {"rounds": [...], "seed": ..., "strategy": ...}, rounds spliced in.
+
+    Each round is an object with the keys basis_a, basis_b, (flag_a, flag_b,)
+    outcome_a, outcome_b and round.  The rounds are written from templates in
+    the layout ``dumps`` gives them (sorted keys, indent 2), so the bytes are
+    those of ``dumps`` on the whole document.
+    """
+    head = dumps({"seed": t.seed, "strategy": t.strategy})   # "rounds" sorts first
+    if not t.n:
+        return '{\n  "rounds": [],\n' + head[2:]
+    table, codes = _round_table(
+        _transcript_columns(t, flags=True),
+        lambda items: "".join(f'      "{k}": {json.dumps(v)},\n' for k, v in items))
+    rounds = ",\n".join([f'    {{\n{table[c]}      "round": {i}\n    }}'
+                         for i, c in enumerate(codes)])
+    return '{\n  "rounds": [\n' + rounds + "\n  ],\n" + head[2:]
 
 
 def qber_report_to_dict(report: QberReport) -> dict:

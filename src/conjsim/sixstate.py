@@ -9,10 +9,19 @@ every feasible family member, so the honest QBER is exactly 0.  Each basis
 pair's joint-outcome table is read off that experiment's correlation table
 with the source state put in (:meth:`CorrelationTable.outcome_probs`).
 
-Round draws follow a fixed, documented order per round: basis_a, basis_b,
-then (only when the flag outcome is not deterministic) the flag collapse, then
-one uniform for the joint outcome.  Transcripts are therefore a pure function
-of (strategy, n, seed).
+A transcript is a set of columns, not a list of round objects: ``basis_a``,
+``basis_b``, ``outcome_a`` and ``outcome_b`` are ``int8`` arrays of length n
+(bases coded 0/1/2 as indices into :data:`BASES`, outcomes as bits with
++1 -> 0, -1 -> 1), plus ``flag_a``/``flag_b`` when Eve premeasures the flags.
+
+All draws come from one ``default_rng(seed)`` stream, in whole blocks of n and
+in this order: the ``basis_a`` column (``integers(3, size=n, dtype=int8)``),
+the ``basis_b`` column (the same call), then, only when the flag collapse is
+not deterministic, one uniform per round choosing the flag branch, then one
+uniform per round choosing the joint outcome.  Each outcome is the number of
+the first three cumulants of its basis pair's table that are <= the uniform,
+which is ``searchsorted(cumulants, u, side="right")``.  Transcripts are
+therefore a pure function of (strategy, n, seed).
 """
 
 from __future__ import annotations
@@ -159,26 +168,34 @@ def _flag_branches(rho: DensityMatrix, tol: float = 1e-9):
     return branches
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    index: int
-    basis_a: str
-    basis_b: str
-    outcome_a: int
-    outcome_b: int
-    flag_a: int | None = None      # diagnostic only; set when Eve premeasures
-    flag_b: int | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    rounds: tuple[RoundRecord, ...] = field(repr=False)
+    """Per-round columns: ``int8`` arrays of length n, round i at index i.
+
+    Bases are coded 0/1/2 as indices into :data:`BASES`; outcomes are bits
+    (+1 -> 0, -1 -> 1).  ``flag_a``/``flag_b`` hold the premeasured flags when
+    Eve premeasures and are None otherwise.
+    """
+
+    basis_a: np.ndarray = field(repr=False)
+    basis_b: np.ndarray = field(repr=False)
+    outcome_a: np.ndarray = field(repr=False)
+    outcome_b: np.ndarray = field(repr=False)
     seed: int
     strategy: dict
+    flag_a: np.ndarray | None = field(default=None, repr=False)
+    flag_b: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.rounds)
+        return len(self.basis_a)
+
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        columns = ("basis_a", "basis_b", "outcome_a", "outcome_b", "flag_a", "flag_b")
+        return (self.seed == other.seed and self.strategy == other.strategy
+                and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns))
 
 
 def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
@@ -188,33 +205,35 @@ def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
     rho = source_state(strategy)
     if isinstance(strategy, ZPremeasure):
         branches = _flag_branches(rho)
-        tables = [(_outcome_cumulants(b), flags) for _, flags, b in branches]
+        sources = [b for _, _, b in branches]
         probs = np.array([p for p, _, _ in branches])
-        deterministic = len(branches) == 1
+        flags = np.array([f for _, f, _ in branches], dtype=np.int8)
     else:
-        tables = [(_outcome_cumulants(rho), None)]
-        probs = np.array([1.0])
-        deterministic = True
+        sources, probs, flags = [rho], np.array([1.0]), None
+    tables = [_outcome_cumulants(s) for s in sources]
+    cum = np.array([[t[(ba, bb)] for ba in BASES for bb in BASES] for t in tables])
 
     rng = np.random.default_rng(int(seed))
-    cum_branch = np.cumsum(probs / probs.sum())
-    cum_branch[-1] = 1.0
-    rounds = []
-    for i in range(n):
-        ba = BASES[rng.integers(3)]
-        bb = BASES[rng.integers(3)]
-        if deterministic:
-            branch = 0
-        else:
-            branch = int(np.searchsorted(cum_branch, rng.random(), side="right"))
-        table, flags = tables[branch]
-        k = int(np.searchsorted(table[(ba, bb)], rng.random(), side="right"))
-        rec = RoundRecord(index=i, basis_a=ba, basis_b=bb,
-                          outcome_a=k >> 1, outcome_b=k & 1,
-                          flag_a=None if flags is None else flags[0],
-                          flag_b=None if flags is None else flags[1])
-        rounds.append(rec)
-    return Transcript(rounds=tuple(rounds), seed=int(seed), strategy=strategy.describe())
+    basis_a = rng.integers(3, size=n, dtype=np.int8)
+    basis_b = rng.integers(3, size=n, dtype=np.int8)
+    # Each draw counts the cumulants, all but the last, that are <= its uniform:
+    # that is searchsorted(cumulants, u, side="right"), done as one comparison per
+    # cumulant over the whole block.
+    branch = np.zeros(n, dtype=np.intp)
+    if len(tables) > 1:
+        cum_branch = np.cumsum(probs / probs.sum())
+        u_branch = rng.random(n)
+        for edge in cum_branch[:-1]:
+            branch += edge <= u_branch
+    u = rng.random(n)
+    rows = 9 * branch + 3 * basis_a + basis_b
+    k = np.zeros(n, dtype=np.int8)
+    for column in cum.reshape(-1, 4)[:, :3].T:
+        k += column.take(rows) <= u
+    return Transcript(basis_a=basis_a, basis_b=basis_b, outcome_a=k >> 1, outcome_b=k & 1,
+                      seed=int(seed), strategy=strategy.describe(),
+                      flag_a=None if flags is None else flags[:, 0].take(branch),
+                      flag_b=None if flags is None else flags[:, 1].take(branch))
 
 
 @dataclass(frozen=True)
@@ -256,27 +275,19 @@ def _rates_and_verdict(sifted: dict[str, int], errors: dict[str, int], total_rou
 
 def sift(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
     """Keep same-basis rounds and compute per-basis error rates."""
-    sifted = {b: 0 for b in BASES}
-    errors = {b: 0 for b in BASES}
-    mismatches = 0
-    saw_flags = False
-    for rec in t.rounds:
-        if rec.flag_a is not None:
-            saw_flags = True
-            if rec.flag_a != rec.flag_b:
-                mismatches += 1
-        if rec.basis_a != rec.basis_b:
-            continue
-        sifted[rec.basis_a] += 1
-        if rec.outcome_a != rec.outcome_b:
-            errors[rec.basis_a] += 1
-    total = len(t.rounds)
+    same = t.basis_a == t.basis_b
+    sifted_counts = np.bincount(t.basis_a[same], minlength=3)
+    error_counts = np.bincount(t.basis_a[same & (t.outcome_a != t.outcome_b)], minlength=3)
+    sifted = {b: int(c) for b, c in zip(BASES, sifted_counts)}
+    errors = {b: int(c) for b, c in zip(BASES, error_counts)}
+    total = t.n
     kept = sum(sifted.values())
     rates, verdict = _rates_and_verdict(sifted, errors, total, abort_threshold)
+    mismatches = None if t.flag_a is None else int(np.count_nonzero(t.flag_a != t.flag_b))
     return QberReport(sifted=sifted, errors=errors, rates=rates,
                       total_rounds=total, sift_fraction=kept / total if total else 0.0,
                       abort_threshold=abort_threshold, verdict=verdict,
-                      flag_mismatches=mismatches if saw_flags else None)
+                      flag_mismatches=mismatches)
 
 
 def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> QberReport:

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conjsim
 from conjsim import cli
 from conjsim.cli import main
 from conjsim.family import SimParams
@@ -289,6 +294,65 @@ def test_invalid_values_are_usage_errors(capsys, argv, message):
     assert one_error_line(err) and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["qkd", "--strategy", "honest", "c=0.3", "--seed", "1"],
+     "error: --strategy honest requires a=<float>"),
+    (["qkd", "--strategy", "zpremeasure", "c=0.3", "--seed", "1"],
+     "error: --strategy zpremeasure requires a=<float>"),
+    (["qkd", "--strategy", "honest", "a=x", "--seed", "1"],
+     "error: --strategy honest: could not convert"),
+    (["qkd", "--strategy", "zpremeasure", "a=0.5", "b=1", "--seed", "1"],
+     "error: --strategy zpremeasure: unknown key 'b'"),
+    (["selftest", "--family", "c=0.3"], "error: --family requires a=<float>"),
+])
+def test_family_errors_name_their_flag(capsys, argv, message):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and err.startswith(message)
+    assert ("--family" in err) == ("--family" in argv)
+
+
+TOLERANCE_FLAGS = [
+    (["props", "--trials", "2"], "tol"),
+    (["selftest", "--kind", "mayersyao"], "tol"),
+    (["selftest", "--kind", "mayersyao"], "stats_tol"),
+    (["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"], "threshold"),
+]
+
+
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+@pytest.mark.parametrize("argv, key", TOLERANCE_FLAGS, ids=lambda v: v if isinstance(v, str) else v[0])
+def test_nonfinite_or_negative_tolerance_is_usage_error(tmp_path, capsys, argv, key, value,
+                                                        from_config):
+    flag = "--" + key.replace("_", "-")
+    if from_config:
+        argv = ["--config", write_config(tmp_path, {key: value})] + argv
+    else:
+        argv = argv + [f"{flag}={value!r}"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and f"{flag} must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize("argv, key", TOLERANCE_FLAGS, ids=lambda v: v if isinstance(v, str) else v[0])
+def test_zero_tolerance_stays_valid(tmp_path, capsys, argv, key):
+    code = run(argv + ["--" + key.replace("_", "-"), "0", "--out", str(tmp_path / "r.json")])
+    assert code in (0, 1)
+    assert "must be finite" not in capsys.readouterr().err
+    assert read_json(tmp_path / "r.json")["config"][key] == 0.0
+
+
+def test_cli_import_loads_no_pool_modules():
+    # --workers is a no-op: importing a process or thread pool would only add start-up time
+    probe = ("import sys, conjsim.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(conjsim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_internal_value_error_exits_one(monkeypatch, capsys):
     def failing(*args):
         raise ValueError("outcome probabilities sum to nan")
@@ -305,11 +369,12 @@ FAMILIES = [["a=0.5", "c=0.5"], ["a=1"], ["a=0.5", "c=0.9"], ["a=x"], ["c=0.1"],
             ["a=0.5", "c_phase=inf"], ["b=1"], ["a"]]
 EXPERIMENTS = ["@good", "@no_kind", "@list", "@not_json", "@missing"]
 FUZZ_FLAGS = {
-    "common": {"seed": ["-1", "0", "7", "x"], "tol": ["1e-9", "0", "nan", "abc"],
+    "common": {"seed": ["-1", "0", "7", "x"],
+               "tol": ["1e-9", "0", "nan", "inf", "-1", "abc"],
                "workers": ["0", "1", "2"], "format": ["json", "csv", "xml"]},
     "props": {"trials": ["-5", "0", "1", "3", "x"], "dim": ["-1", "0", "1", "4", "9"]},
     "selftest": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
-                 "experiment": EXPERIMENTS, "stats_tol": ["1e-10", "-1", "x"],
+                 "experiment": EXPERIMENTS, "stats_tol": ["1e-10", "-1", "-inf", "x"],
                  "sampled": [["n=50", "seed=3"], ["n=0", "seed=3"], ["n=x"], ["n=20"],
                              ["seed=1"], ["n=20", "seed=-4"], ["m=1"]]},
     "simulate": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
@@ -318,8 +383,9 @@ FUZZ_FLAGS = {
                          ["mismatched", "0", "1"], ["mismatched", "2", "0"], ["mismatched", "0"],
                          ["teleport"], ["custom", "@custom"], ["custom", "@no_kind"],
                          ["custom", "@list"], ["custom", "@missing"]],
-            "n": ["-1", "0", "1", "200", "x"], "threshold": ["0", "0.5", "nan", "x"]},
+            "n": ["-1", "0", "1", "200", "x"], "threshold": ["0", "0.5", "nan", "-1", "inf", "x"]},
 }
+BAD_TOLERANCES = {"nan", "inf", "-inf", "-1"}      # refused for tol, stats_tol, threshold
 BAD_CONFIGS = ["[1, 2]", '"text"', "{", '{"fixtures": 5}', '{"fixtures": [{"matrix": 1}]}',
                '{"fixtures": [{"matrix": [[[1, 0]]], "claims": [["unitary"]]}]}']
 
@@ -352,14 +418,18 @@ def fuzz_value(value, root):
 def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
     command = data.draw(st.sampled_from(["props", "selftest", "simulate", "qkd"]))
     argv, config = [command, "--out", str(fuzz_dir / "report.out")], {}
+    bad_flag, bad_config = False, False
     for key, values in {**FUZZ_FLAGS["common"], **FUZZ_FLAGS[command]}.items():
         value = data.draw(st.sampled_from([None, *values]), label=key)
         if value is None:
             continue
         value = fuzz_value(value, fuzz_dir)
+        bad = key in ("tol", "stats_tol", "threshold") and value in BAD_TOLERANCES
         if data.draw(st.booleans(), label=f"{key} from config"):
             config[key] = value
+            bad_config |= bad
             continue
+        bad_flag |= bad
         argv.append("--" + key.replace("_", "-"))
         if value is not True:
             argv += value if isinstance(value, list) else [value]
@@ -375,4 +445,6 @@ def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
         except SystemExit as stop:          # argparse refusing a flag
             code = stop.code
     assert code in (0, 1, 2), (argv, config_text)
+    if bad_flag or (bad_config and config_text == dumps(config)):
+        assert code == 2, (argv, config_text)
     assert "Traceback" not in err.getvalue()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -28,9 +29,9 @@ from conjsim.serialize import (
     strategy_from_json,
     strategy_to_json,
     transcript_to_csv,
-    transcript_to_dict,
+    transcript_to_json,
 )
-from conjsim.sixstate import Honest, MismatchedFlags, ZPremeasure, run_rounds, sift
+from conjsim.sixstate import BASES, Honest, MismatchedFlags, ZPremeasure, run_rounds, sift
 from conjsim.states import DensityMatrix, StateVector, epr_pair
 
 
@@ -103,13 +104,49 @@ def test_correlation_table_dict_sampled_fields():
     assert set(data["joint_stderr"]) == set(data["joints"])
 
 
+# --------------------------------------------------------------------------
+# reference encoders: one record per round, a CSV f-string loop and dumps(dict)
+
+def reference_records(t):
+    flags = t.flag_a is not None
+    return [{"round": i, "basis_a": BASES[t.basis_a[i]], "basis_b": BASES[t.basis_b[i]],
+             "outcome_a": int(t.outcome_a[i]), "outcome_b": int(t.outcome_b[i]),
+             **({"flag_a": int(t.flag_a[i]), "flag_b": int(t.flag_b[i])} if flags else {})}
+            for i in range(t.n)]
+
+
+def reference_csv(t):
+    buf = io.StringIO()
+    buf.write("round,basis_a,basis_b,outcome_a,outcome_b\n")
+    for rec in reference_records(t):
+        buf.write(f"{rec['round']},{rec['basis_a']},{rec['basis_b']},"
+                  f"{rec['outcome_a']},{rec['outcome_b']}\n")
+    return buf.getvalue()
+
+
+def transcript_to_dict(t):
+    return {"seed": t.seed, "strategy": t.strategy, "rounds": reference_records(t)}
+
+
+@pytest.mark.parametrize("strategy, n", [
+    (Honest(SimParams(0.3, 0.25 * np.exp(0.7j))), 3000),
+    (ZPremeasure(SimParams(0.5, 0.5)), 3000),        # flags present
+    (ZPremeasure(SimParams(1.0, 0.0)), 1),
+    (Honest(SimParams(1.0, 0.0)), 1),
+])
+def test_transcript_encoders_match_reference_bytes(strategy, n):
+    t = run_rounds(strategy, n, seed=4)
+    assert transcript_to_csv(t) == reference_csv(t)
+    assert transcript_to_json(t) == dumps(transcript_to_dict(t))
+
+
 def test_transcript_csv_and_dict():
     t = run_rounds(Honest(SimParams(1.0, 0.0)), 5, seed=2)
     csv = transcript_to_csv(t)
     lines = csv.strip().split("\n")
     assert lines[0] == "round,basis_a,basis_b,outcome_a,outcome_b"
     assert len(lines) == 6
-    data = transcript_to_dict(t)
+    data = json.loads(transcript_to_json(t))
     assert len(data["rounds"]) == 5
     assert data["seed"] == 2
 

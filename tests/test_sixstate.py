@@ -124,6 +124,102 @@ def test_run_rounds_identical_with_dense_tables(seed, monkeypatch):
     assert fast == dense
 
 
+# --------------------------------------------------------------------------
+# per-round reference: the same documented block draws, one searchsorted per
+# round on the dense tables
+
+COLUMNS = ("basis_a", "basis_b", "outcome_a", "outcome_b", "flag_a", "flag_b")
+
+
+def same_rounds(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in COLUMNS)
+
+
+def reference_rounds(strategy, n, seed):
+    rho = source_state(strategy)
+    if isinstance(strategy, ZPremeasure):
+        branches = sixstate._flag_branches(rho)
+    else:
+        branches = [(1.0, None, rho)]
+    tables = [dense_outcome_cumulants(b) for _, _, b in branches]
+    rng = np.random.default_rng(seed)
+    basis_a = rng.integers(3, size=n, dtype=np.int8)
+    basis_b = rng.integers(3, size=n, dtype=np.int8)
+    if len(branches) > 1:
+        probs = np.array([p for p, _, _ in branches])
+        cum_branch = np.cumsum(probs / probs.sum())
+        cum_branch[-1] = 1.0
+        u_branch = rng.random(n)
+    u = rng.random(n)
+    outcome_a, outcome_b, flag_a, flag_b = [], [], [], []
+    for i in range(n):
+        branch = 0
+        if len(branches) > 1:
+            branch = int(np.searchsorted(cum_branch, u_branch[i], side="right"))
+        pair = (BASES[basis_a[i]], BASES[basis_b[i]])
+        k = int(np.searchsorted(tables[branch][pair], u[i], side="right"))
+        outcome_a.append(k >> 1)
+        outcome_b.append(k & 1)
+        flags = branches[branch][1]
+        if flags is not None:
+            flag_a.append(flags[0])
+            flag_b.append(flags[1])
+    flag_a, flag_b = (np.array(f, dtype=np.int8) if isinstance(strategy, ZPremeasure) else None
+                      for f in (flag_a, flag_b))
+    return Transcript(basis_a=basis_a, basis_b=basis_b,
+                      outcome_a=np.array(outcome_a, dtype=np.int8),
+                      outcome_b=np.array(outcome_b, dtype=np.int8),
+                      seed=seed, strategy=strategy.describe(), flag_a=flag_a, flag_b=flag_b)
+
+
+@pytest.mark.parametrize("n", [1, 2000])
+@pytest.mark.parametrize("seed", [0, 5, 9])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
+def test_run_rounds_matches_per_round_reference(strategy, seed, n):
+    fast, slow = run_rounds(strategy, n, seed), reference_rounds(strategy, n, seed)
+    assert same_rounds(fast, slow)
+    assert fast == slow
+
+
+def reference_sift(t, abort_threshold=0.0):
+    sifted = {b: 0 for b in BASES}
+    errors = {b: 0 for b in BASES}
+    mismatches = None if t.flag_a is None else 0
+    for i in range(t.n):
+        if t.flag_a is not None and t.flag_a[i] != t.flag_b[i]:
+            mismatches += 1
+        if t.basis_a[i] != t.basis_b[i]:
+            continue
+        sifted[BASES[t.basis_a[i]]] += 1
+        if t.outcome_a[i] != t.outcome_b[i]:
+            errors[BASES[t.basis_a[i]]] += 1
+    rates, verdict = sixstate._rates_and_verdict(sifted, errors, t.n, abort_threshold)
+    kept = sum(sifted.values())
+    return sixstate.QberReport(sifted=sifted, errors=errors, rates=rates, total_rounds=t.n,
+                               sift_fraction=kept / t.n if t.n else 0.0,
+                               abort_threshold=abort_threshold, verdict=verdict,
+                               flag_mismatches=mismatches)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
+def test_sift_matches_per_round_reference(strategy):
+    t = run_rounds(strategy, 2000, seed=5)
+    for threshold in (0.0, 0.5):
+        assert sift(t, threshold) == reference_sift(t, threshold)
+
+
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if isinstance(s, CustomState)])
+def test_custom_state_qber_matches_exact_error_probabilities(strategy):
+    n = 100_000
+    report = sift(run_rounds(strategy, n, seed=21))
+    tables = dense_outcome_cumulants(source_state(strategy))
+    for b in BASES:
+        probs = np.diff(tables[(b, b)], prepend=0.0)
+        p_err = probs[1] + probs[2]            # outcomes (0, 1) and (1, 0)
+        sigma = np.sqrt(p_err * (1 - p_err) / report.sifted[b])
+        assert abs(report.rates[b] - p_err) <= 5 * sigma, (b, report.rates[b], p_err)
+
+
 def test_source_state_mismatched_flags():
     rho = source_state(MismatchedFlags(0, 1))
     # flags (0,1): population sits in the fA=0, fB=1 sector
@@ -150,9 +246,26 @@ def test_run_rounds_mismatched_flags_y_flips():
 def test_run_rounds_deterministic():
     a = run_rounds(Honest(SimParams(0.5, 0.5)), 300, seed=9)
     b = run_rounds(Honest(SimParams(0.5, 0.5)), 300, seed=9)
-    assert a.rounds == b.rounds
+    assert same_rounds(a, b)
     c = run_rounds(Honest(SimParams(0.5, 0.5)), 300, seed=10)
-    assert a.rounds != c.rounds
+    assert not same_rounds(a, c)
+
+
+@pytest.mark.parametrize("strategy", [Honest(SimParams(0.5, 0.5)), ZPremeasure(SimParams(0.5, 0.5))],
+                         ids=lambda s: s.describe()["strategy"])
+@pytest.mark.parametrize("n", [1, 777])
+def test_transcript_columns_are_int8_of_length_n(strategy, n):
+    t = run_rounds(strategy, n, seed=3)
+    assert t.n == n
+    premeasured = isinstance(strategy, ZPremeasure)
+    for name in COLUMNS:
+        col = getattr(t, name)
+        if name.startswith("flag") and not premeasured:
+            assert col is None
+            continue
+        assert isinstance(col, np.ndarray) and col.dtype == np.int8 and col.shape == (n,)
+    assert set(np.unique(np.concatenate([t.basis_a, t.basis_b]))) <= {0, 1, 2}
+    assert set(np.unique(np.concatenate([t.outcome_a, t.outcome_b]))) <= {0, 1}
 
 
 def test_run_rounds_rejects_bad_args():
@@ -218,9 +331,9 @@ def test_eve_flip_correction_double_flag_unchanged():
 
 def test_zpremeasure_flags_always_agree():
     t = run_rounds(ZPremeasure(SimParams(0.5, 0.5)), 5000, seed=11)
-    mismatches = sum(1 for r in t.rounds if r.flag_a != r.flag_b)
+    mismatches = np.count_nonzero(t.flag_a != t.flag_b)
     assert mismatches == 0
-    flags0 = sum(1 for r in t.rounds if r.flag_a == 0)
+    flags0 = np.count_nonzero(t.flag_a == 0)
     sigma = np.sqrt(0.25 / 5000)
     assert abs(flags0 / 5000 - 0.5) <= 5 * sigma
 
@@ -228,15 +341,14 @@ def test_zpremeasure_flags_always_agree():
 def test_zpremeasure_deterministic_flag_degenerates_to_honest():
     tz = run_rounds(ZPremeasure(SimParams(1.0, 0.0)), 500, seed=12)
     th = run_rounds(Honest(SimParams(1.0, 0.0)), 500, seed=12)
-    stripped = [(r.basis_a, r.basis_b, r.outcome_a, r.outcome_b) for r in tz.rounds]
-    honest = [(r.basis_a, r.basis_b, r.outcome_a, r.outcome_b) for r in th.rounds]
-    assert stripped == honest
-    assert all(r.flag_a == 0 and r.flag_b == 0 for r in tz.rounds)
+    for name in ("basis_a", "basis_b", "outcome_a", "outcome_b"):
+        np.testing.assert_array_equal(getattr(tz, name), getattr(th, name))
+    assert np.all((tz.flag_a == 0) & (tz.flag_b == 0))
 
 
 def test_zpremeasure_conjugate_branch_error_free():
     t = run_rounds(ZPremeasure(SimParams(0.0, 0.0)), 2000, seed=13)
-    assert all(r.flag_a == 1 and r.flag_b == 1 for r in t.rounds)
+    assert np.all((t.flag_a == 1) & (t.flag_b == 1))
     assert sum(sift(t).errors.values()) == 0
 
 
@@ -249,7 +361,9 @@ def test_zpremeasure_analysis_matches_honest():
 
 
 def test_analyze_empty_transcript():
-    t = Transcript(rounds=(), seed=0, strategy={"strategy": "honest"})
+    empty = np.zeros(0, dtype=np.int8)
+    t = Transcript(basis_a=empty, basis_b=empty, outcome_a=empty, outcome_b=empty,
+                   seed=0, strategy={"strategy": "honest"})
     report = sift(t)
     assert report.verdict == "insufficient data"
     assert report.total_rounds == 0
