@@ -5,6 +5,10 @@ documented), 1 = check failure or internal numerical failure, 2 = usage or
 configuration error.  Every
 report embeds the effective config, the seed, and the toolkit version.  A
 JSON config file can stand in for flags; explicitly given flags win.
+
+Each subcommand imports the numeric modules it runs only when it runs, after
+the checks that need nothing but its flags, so parsing and usage errors never
+load numpy.
 """
 
 from __future__ import annotations
@@ -15,47 +19,14 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .family import (
-    SimParams,
-    c_of,
-    c_property_suite,
-    hamiltonian_identity_residual,
-    multiparty_sim_state,
-    sim_povm,
-)
-from .linalg import PAULIS, is_hermitian, is_psd, is_unitary, random_hermitian
-from .selftest import (
-    SelfTestPreconditionError,
-    correlations,
-    family_experiment,
-    reference_experiment,
-    run_selftest,
-)
-from .serialize import (
-    correlation_table_to_csv,
-    correlation_table_to_dict,
-    dumps,
-    equivalence_report_to_dict,
-    experiment_from_json,
-    matrix_from_json,
-    qber_report_to_dict,
-    strategy_from_json,
-    transcript_to_csv,
-    transcript_to_json,
-)
-from .sixstate import (
-    Conjugate,
-    Honest,
-    MismatchedFlags,
-    ZPremeasure,
-    expected_consistent,
-    run_rounds,
-    sift,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .family import SimParams
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -91,6 +62,8 @@ def _family_params(tokens, flag: str) -> SimParams:
     kv = _parse_kv(tokens, {"a", "c", "c_abs", "c_phase"}, flag)
     if "a" not in kv:
         raise UsageError(f"{flag} requires a=<float>")
+    from .family import SimParams
+
     with _user_input(flag):
         c_abs = float(kv.get("c_abs", kv.get("c", 0.0)))
         return SimParams.from_polar(float(kv["a"]), c_abs, float(kv.get("c_phase", 0.0)))
@@ -100,6 +73,8 @@ def _strategy(tokens):
     if not tokens:
         raise UsageError("--strategy requires a strategy name")
     name, rest = tokens[0], tokens[1:]
+    from .sixstate import Conjugate, Honest, MismatchedFlags, ZPremeasure
+
     if name == "honest":
         return Honest(_family_params(rest, "--strategy honest"))
     if name == "conjugate":
@@ -115,6 +90,8 @@ def _strategy(tokens):
         if len(rest) != 1:
             raise UsageError("--strategy custom needs a JSON state/strategy path")
         data = json.loads(Path(rest[0]).read_text())
+        from .serialize import strategy_from_json
+
         with _user_input(rest[0]):
             if "strategy" not in data:
                 data = {"strategy": "custom_state", "state": data}
@@ -123,6 +100,8 @@ def _strategy(tokens):
 
 
 def _wrap(results: dict, config: dict, seed) -> str:
+    from .serialize import dumps
+
     return dumps({"version": __version__, "seed": seed, "config": config,
                   "results": results})
 
@@ -139,6 +118,11 @@ def cmd_props(args) -> int:
     dim = args.dim if args.dim is not None else 4
     if dim > 8:
         raise UsageError(f"--dim {dim} exceeds the supported bound 8")
+    import numpy as np
+
+    from .family import c_property_suite, hamiltonian_identity_residual
+    from .linalg import is_hermitian, is_psd, is_unitary, random_hermitian
+
     seed = 0 if args.seed is None else args.seed
     tol = args.tol if args.tol is not None else 1e-10
     report = c_property_suite(trials, dim, seed, tol=tol)
@@ -174,6 +158,9 @@ def cmd_props(args) -> int:
 
 def _fixtures(config: dict) -> list[tuple[str, np.ndarray, np.ndarray, list[str]]]:
     """(label, matrix, lifted matrix, claims) of each fixture in the config file."""
+    from .family import c_of
+    from .serialize import matrix_from_json
+
     out = []
     with _user_input("config fixtures"):
         for fixture in config.get("fixtures", []):
@@ -185,6 +172,10 @@ def _fixtures(config: dict) -> list[tuple[str, np.ndarray, np.ndarray, list[str]
 
 def _statistics_preservation_residual() -> float:
     """Outcome probabilities of lifted POVMs on family members vs the reference."""
+    import numpy as np
+
+    from .family import Povm, SimParams, multiparty_sim_state, sim_povm
+    from .linalg import PAULIS
     from .states import StateVector
 
     plus = StateVector([2], np.array([1, 1]) / np.sqrt(2))
@@ -195,8 +186,6 @@ def _statistics_preservation_residual() -> float:
         (imag, [(eye + PAULIS["Y"]) / 2, (eye - PAULIS["Y"]) / 2]),
         (imag, [(eye + PAULIS["Z"]) / 2, (eye - PAULIS["Z"]) / 2]),
     ]
-    from .family import Povm
-
     worst = 0.0
     for a in (0.0, 0.25, 0.5, 1.0):
         cmax = np.sqrt(a * (1 - a))
@@ -210,37 +199,54 @@ def _statistics_preservation_residual() -> float:
     return worst
 
 
-def _build_experiment(args):
+def _experiment_document(args):
+    """The parsed --experiment file, or None; refuses --experiment together with --family."""
     if args.experiment and args.family:
         raise UsageError("give either --experiment or --family, not both")
+    return json.loads(Path(args.experiment).read_text()) if args.experiment else None
+
+
+def _build_experiment(args, document):
     if args.experiment:
-        data = json.loads(Path(args.experiment).read_text())
+        from .serialize import experiment_from_json
+
         with _user_input(args.experiment):
-            return experiment_from_json(data)
+            return experiment_from_json(document)
+    from .selftest import family_experiment, reference_experiment
+
     if args.family:
         return family_experiment(_family_params(args.family, "--family"), args.kind)
     return reference_experiment(args.kind)
 
 
+def _sampled(args) -> tuple[int | None, int | None]:
+    """(n, seed) of the --sampled statistics, or (None, --seed) for exact statistics."""
+    if not args.sampled:
+        return None, args.seed
+    kv = _parse_kv(args.sampled, {"n", "seed"}, "--sampled")
+    if "n" not in kv:
+        raise UsageError("--sampled requires n=<count>")
+    with _user_input("--sampled"):
+        n = int(kv["n"])
+        seed = int(kv["seed"]) if "seed" in kv else args.seed
+    if n < 1:
+        raise UsageError("--sampled n must be at least 1")
+    if seed is None:
+        raise UsageError("sampled mode requires a seed (no wall-clock seeding)")
+    if seed < 0:
+        raise UsageError("--sampled seed must be non-negative")
+    return n, seed
+
+
 def cmd_selftest(args) -> int:
-    exp = _build_experiment(args)
+    document = _experiment_document(args)
+    sampled_n, seed = _sampled(args)
+    exp = _build_experiment(args, document)
+    from .selftest import run_selftest
+    from .serialize import equivalence_report_to_dict
+
     tol = args.tol if args.tol is not None else 1e-9
     stats_tol = args.stats_tol if args.stats_tol is not None else 1e-10
-    sampled_n, seed = None, args.seed
-    if args.sampled:
-        kv = _parse_kv(args.sampled, {"n", "seed"}, "--sampled")
-        if "n" not in kv:
-            raise UsageError("--sampled requires n=<count>")
-        with _user_input("--sampled"):
-            sampled_n = int(kv["n"])
-            if "seed" in kv:
-                seed = int(kv["seed"])
-        if sampled_n < 1:
-            raise UsageError("--sampled n must be at least 1")
-        if seed is None:
-            raise UsageError("sampled mode requires a seed (no wall-clock seeding)")
-        if seed < 0:
-            raise UsageError("--sampled seed must be non-negative")
     report = run_selftest(exp, tol=tol, stats_tol=stats_tol,
                           sampled_n=sampled_n, seed=seed)
     _emit(_wrap(equivalence_report_to_dict(report), vars_config(args), seed), args.out)
@@ -248,7 +254,10 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    exp = _build_experiment(args)
+    exp = _build_experiment(args, _experiment_document(args))
+    from .selftest import correlations
+    from .serialize import correlation_table_to_csv, correlation_table_to_dict
+
     table = correlations(exp, include_cross_pairs=args.cross_pairs)
     if args.format == "csv":
         _emit(correlation_table_to_csv(table), args.out)
@@ -258,18 +267,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    strategy = _strategy(args.strategy)
     if args.seed is None:
         raise UsageError("qkd requires a seed (no wall-clock seeding)")
+    strategy = _strategy(args.strategy)
+    from .serialize import qber_report_to_dict, transcript_to_csv, transcript_to_json
+    from .sixstate import expected_consistent, run_rounds, sift
+
     threshold = args.threshold if args.threshold is not None else 0.0
     n = args.n if args.n is not None else 30000
     transcript = run_rounds(strategy, n, args.seed)
     report = sift(transcript, abort_threshold=threshold)
     if args.transcript_out:
-        if args.transcript_out.endswith(".json"):
-            Path(args.transcript_out).write_text(transcript_to_json(transcript))
-        else:
-            Path(args.transcript_out).write_text(transcript_to_csv(transcript))
+        encode = transcript_to_json if args.transcript_out.endswith(".json") else transcript_to_csv
+        with open(args.transcript_out, "w") as out:
+            encode(transcript, out)
     _emit(_wrap(qber_report_to_dict(report), vars_config(args), args.seed), args.out)
     expected = expected_consistent(strategy)
     if expected is None:
@@ -384,11 +395,19 @@ def main(argv=None) -> int:
     except (UsageError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except SelfTestPreconditionError as err:
+    except RuntimeError as err:
+        # A refused self-test stage; selftest is loaded whenever one was raised.
+        selftest = sys.modules.get(f"{__package__}.selftest")
+        if selftest is None or not isinstance(err, selftest.SelfTestPreconditionError):
+            raise
         print(f"refused: stage {err.stage}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as err:
+        detail = f" ({err})" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_FAIL
 
 

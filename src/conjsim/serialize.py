@@ -3,7 +3,10 @@
 All complex numbers serialize as [re, im] pairs of decimal doubles; matrices
 are row-major nested lists of pairs.  ``dumps`` output is deterministic
 (sorted keys, fixed indentation) so reports are byte-identical across runs
-with identical inputs.
+with identical inputs.  Transcripts are written to an open text file a chunk
+of rounds at a time.  ``selftest`` and ``sixstate`` are imported only by the
+functions that build or inspect their objects, so encoding a ``props`` report
+loads neither.
 """
 
 from __future__ import annotations
@@ -11,29 +14,24 @@ from __future__ import annotations
 import io
 import itertools
 import json
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from .family import SimParams
-from .selftest import (
-    CorrelationTable,
-    EquivalenceReport,
-    Experiment,
-    FamilyParams,
-    YCoefficientReport,
-)
-from .sixstate import (
-    BASES,
-    Conjugate,
-    CustomState,
-    EveStrategy,
-    Honest,
-    MismatchedFlags,
-    QberReport,
-    Transcript,
-    ZPremeasure,
-)
 from .states import DensityMatrix, StateVector
+
+if TYPE_CHECKING:
+    from .selftest import (
+        CorrelationTable,
+        EquivalenceReport,
+        Experiment,
+        FamilyParams,
+        YCoefficientReport,
+    )
+    from .sixstate import EveStrategy, QberReport, Transcript
+
+CHUNK_ROUNDS = 4096     # rounds rendered per write, so a transcript's text is never whole in memory
 
 
 def dumps(obj) -> str:
@@ -101,6 +99,8 @@ def experiment_to_json(exp: Experiment) -> dict:
 
 
 def experiment_from_json(data) -> Experiment:
+    from .selftest import Experiment
+
     flags = data.get("flag_registers")
     return Experiment(
         kind=data["kind"],
@@ -114,6 +114,8 @@ def experiment_from_json(data) -> Experiment:
 
 
 def strategy_to_json(strategy: EveStrategy) -> dict:
+    from .sixstate import CustomState
+
     data = strategy.describe()
     if isinstance(strategy, CustomState):
         data["state"] = state_to_json(strategy.state)
@@ -121,6 +123,8 @@ def strategy_to_json(strategy: EveStrategy) -> dict:
 
 
 def strategy_from_json(data) -> EveStrategy:
+    from .sixstate import Conjugate, CustomState, Honest, MismatchedFlags, ZPremeasure
+
     name = data["strategy"]
     if name == "honest":
         return Honest(sim_params_from_json(data))
@@ -166,37 +170,44 @@ def correlation_table_to_csv(table: CorrelationTable) -> str:
 
 
 def _round_table(columns: list[tuple[str, tuple, np.ndarray]], render):
-    """Rendered text for every value combination, plus each round's index into it.
+    """Rendered text for every value combination, plus the rounds in chunks.
 
     ``columns`` holds (key, alphabet, column) with column entries indexing the
     alphabet; ``render`` maps [(key, value), ...] to text.  A transcript has at
     most 144 combinations, so each round costs one lookup instead of a format.
+    The chunks enumerate (round, index into the table) for CHUNK_ROUNDS
+    consecutive rounds each.
     """
     table = [render(list(zip([key for key, _, _ in columns], values)))
              for values in itertools.product(*(alphabet for _, alphabet, _ in columns))]
     code = np.zeros(len(columns[0][2]), dtype=np.intp)
     for _, alphabet, column in columns:
         code = code * len(alphabet) + column
-    return table, code.tolist()
+    chunks = (enumerate(code[start:start + CHUNK_ROUNDS].tolist(), start)
+              for start in range(0, len(code), CHUNK_ROUNDS))
+    return table, chunks
 
 
 def _transcript_columns(t: Transcript, flags: bool) -> list[tuple[str, tuple, np.ndarray]]:
+    from .sixstate import BASES
+
     columns = [("basis_a", BASES, t.basis_a), ("basis_b", BASES, t.basis_b)]
     if flags and t.flag_a is not None:
         columns += [("flag_a", (0, 1), t.flag_a), ("flag_b", (0, 1), t.flag_b)]
     return columns + [("outcome_a", (0, 1), t.outcome_a), ("outcome_b", (0, 1), t.outcome_b)]
 
 
-def transcript_to_csv(t: Transcript) -> str:
-    """Columns: round, basis_a, basis_b, outcome_a, outcome_b (flags are not written)."""
-    table, codes = _round_table(_transcript_columns(t, flags=False),
-                                lambda items: ",".join(str(v) for _, v in items))
-    return ("round,basis_a,basis_b,outcome_a,outcome_b\n"
-            + "".join([f"{i},{table[c]}\n" for i, c in enumerate(codes)]))
+def transcript_to_csv(t: Transcript, out: TextIO) -> None:
+    """Write columns round, basis_a, basis_b, outcome_a, outcome_b (flags are not written)."""
+    table, chunks = _round_table(_transcript_columns(t, flags=False),
+                                 lambda items: ",".join(str(v) for _, v in items))
+    out.write("round,basis_a,basis_b,outcome_a,outcome_b\n")
+    for rounds in chunks:
+        out.write("".join([f"{i},{table[c]}\n" for i, c in rounds]))
 
 
-def transcript_to_json(t: Transcript) -> str:
-    """``dumps`` of {"rounds": [...], "seed": ..., "strategy": ...}, rounds spliced in.
+def transcript_to_json(t: Transcript, out: TextIO) -> None:
+    """Write ``dumps`` of {"rounds": [...], "seed": ..., "strategy": ...}, rounds spliced in.
 
     Each round is an object with the keys basis_a, basis_b, (flag_a, flag_b,)
     outcome_a, outcome_b and round.  The rounds are written from templates in
@@ -205,13 +216,18 @@ def transcript_to_json(t: Transcript) -> str:
     """
     head = dumps({"seed": t.seed, "strategy": t.strategy})   # "rounds" sorts first
     if not t.n:
-        return '{\n  "rounds": [],\n' + head[2:]
-    table, codes = _round_table(
+        out.write('{\n  "rounds": [],\n' + head[2:])
+        return
+    table, chunks = _round_table(
         _transcript_columns(t, flags=True),
         lambda items: "".join(f'      "{k}": {json.dumps(v)},\n' for k, v in items))
-    rounds = ",\n".join([f'    {{\n{table[c]}      "round": {i}\n    }}'
-                         for i, c in enumerate(codes)])
-    return '{\n  "rounds": [\n' + rounds + "\n  ],\n" + head[2:]
+    out.write('{\n  "rounds": [\n')
+    separator = ""
+    for rounds in chunks:
+        out.write(separator + ",\n".join([f'    {{\n{table[c]}      "round": {i}\n    }}'
+                                          for i, c in rounds]))
+        separator = ",\n"
+    out.write("\n  ],\n" + head[2:])
 
 
 def qber_report_to_dict(report: QberReport) -> dict:

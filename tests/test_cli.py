@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conjsim
-from conjsim import cli
+from conjsim import cli, sixstate
 from conjsim.cli import main
 from conjsim.family import SimParams
 from conjsim.linalg import X
@@ -343,23 +343,109 @@ def test_zero_tolerance_stays_valid(tmp_path, capsys, argv, key):
     assert read_json(tmp_path / "r.json")["config"][key] == 0.0
 
 
-def test_cli_import_loads_no_pool_modules():
-    # --workers is a no-op: importing a process or thread pool would only add start-up time
-    probe = ("import sys, conjsim.cli; "
-             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+# Runs main on each argv in turn in one fresh interpreter and prints, per argv,
+# [exit code, stdout, stderr, the numpy and conjsim.* modules loaded so far].
+FRESH_MAIN = """
+import contextlib, io, json, sys
+import conjsim.cli as cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    results.append([code, out.getvalue(), err.getvalue(),
+                    sorted(m for m in sys.modules if m == "numpy" or m.startswith("conjsim."))])
+print(json.dumps(results))
+"""
+
+
+def fresh_interpreter(code, *args, cwd=None):
     env = {**os.environ, "PYTHONPATH": str(Path(conjsim.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=env, check=True, timeout=120, cwd=cwd)
+    return json.loads(out.stdout)
+
+
+def fresh_main(tmp_path, *argvs):
+    return fresh_interpreter(FRESH_MAIN, json.dumps(argvs), cwd=tmp_path)
+
+
+def test_cli_import_loads_no_pool_modules():
+    # --workers is a no-op: importing a process or thread pool would only add start-up time.
+    # Parsing loads no numeric module either: each subcommand imports what it runs.
+    probe = ("import json, sys, conjsim.cli as cli; cli.build_parser(); "
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('numpy', 'conjsim', 'multiprocessing', 'concurrent'))))")
+    assert fresh_interpreter(probe) == ["conjsim", "conjsim.cli"]
+
+
+USAGE_WITHOUT_NUMPY = [
+    (["--help"], 0, ""),
+    (["props", "--trials", "x"], 2, "argument --trials: invalid int value: 'x'\n"),
+    (["props", "--dim", "9"], 2, "error: --dim 9 exceeds the supported bound 8\n"),
+    (["qkd", "--strategy", "conjugate", "--n", "0", "--seed", "1"], 2,
+     "error: --n must be at least 1\n"),
+    (["qkd", "--strategy", "conjugate", "--n", "10"], 2,
+     "error: qkd requires a seed (no wall-clock seeding)\n"),
+    (["selftest", "--family", "a=0.5", "--experiment", "exp.json"], 2,
+     "error: give either --experiment or --family, not both\n"),
+    (["selftest", "--kind", "mayersyao", "--sampled", "n=100"], 2,
+     "error: sampled mode requires a seed (no wall-clock seeding)\n"),
+    (["selftest", "--sampled", "n=0", "seed=1"], 2, "error: --sampled n must be at least 1\n"),
+    (["simulate", "--experiment", "missing.json"], 2,
+     "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    (["simulate", "--experiment", "not_json.json"], 2,
+     "error: Expecting value: line 1 column 1 (char 0)\n"),
+]
+
+
+def test_usage_errors_are_answered_without_numpy(tmp_path):
+    (tmp_path / "not_json.json").write_text("")
+    results = fresh_main(tmp_path, *[argv for argv, _, _ in USAGE_WITHOUT_NUMPY])
+    for (argv, code, message), (got, stdout, err, modules) in zip(USAGE_WITHOUT_NUMPY, results):
+        assert got == code and err.endswith(message), argv
+        assert modules == ["conjsim.cli"], argv
+    assert results[0][1].startswith("usage: conjsim")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["props", "--trials", "3", "--dim", "2"], {"conjsim.selftest", "conjsim.sixstate"}),
+    (["selftest", "--kind", "mayersyao"], {"conjsim.sixstate"}),
+    (["selftest", "--sampled", "n=50", "seed=1"], {"conjsim.sixstate"}),
+    (["simulate", "--family", "a=0.5", "c=0.5", "--format", "csv"], {"conjsim.sixstate"}),
+])
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    [(code, _, err, modules)] = fresh_main(tmp_path, argv + ["--out", "report.out"])
+    assert (code, err) == (0, "")
+    assert "numpy" in modules and absent.isdisjoint(modules)
 
 
 def test_internal_value_error_exits_one(monkeypatch, capsys):
     def failing(*args):
         raise ValueError("outcome probabilities sum to nan")
 
-    monkeypatch.setattr(cli, "run_rounds", failing)
+    monkeypatch.setattr(sixstate, "run_rounds", failing)
     assert run(["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]) == 1
     assert capsys.readouterr().err == "error: outcome probabilities sum to nan\n"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 7.45 GiB for an array with shape (8000000000,) and "
+                 "data type int8"),
+     "error: out of memory (Unable to allocate 7.45 GiB for an array with shape "
+     "(8000000000,) and data type int8)\n"),
+])
+def test_memory_error_exits_one_without_traceback(monkeypatch, capsys, error, line):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(sixstate, "run_rounds", exhausted)
+    assert run(["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == line
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conjsim.selftest import (
     sampled_correlations,
 )
 from conjsim.serialize import (
+    CHUNK_ROUNDS,
     correlation_table_to_csv,
     correlation_table_to_dict,
     dumps,
@@ -128,25 +129,52 @@ def transcript_to_dict(t):
     return {"seed": t.seed, "strategy": t.strategy, "rounds": reference_records(t)}
 
 
+def encoded(encode, t):
+    buf = io.StringIO()
+    encode(t, buf)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("strategy, n", [
     (Honest(SimParams(0.3, 0.25 * np.exp(0.7j))), 3000),
     (ZPremeasure(SimParams(0.5, 0.5)), 3000),        # flags present
     (ZPremeasure(SimParams(1.0, 0.0)), 1),
     (Honest(SimParams(1.0, 0.0)), 1),
+    (ZPremeasure(SimParams(0.5, 0.5)), 2 * CHUNK_ROUNDS + 1),     # three chunks
+    (Honest(SimParams(1.0, 0.0)), CHUNK_ROUNDS),                  # exactly one
 ])
 def test_transcript_encoders_match_reference_bytes(strategy, n):
     t = run_rounds(strategy, n, seed=4)
-    assert transcript_to_csv(t) == reference_csv(t)
-    assert transcript_to_json(t) == dumps(transcript_to_dict(t))
+    assert encoded(transcript_to_csv, t) == reference_csv(t)
+    assert encoded(transcript_to_json, t) == dumps(transcript_to_dict(t))
+
+
+class WriteLog(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("encode", [transcript_to_csv, transcript_to_json])
+def test_transcript_encoders_write_bounded_chunks(encode):
+    # five chunks of rounds: no single write holds more than a chunk's text
+    t = run_rounds(ZPremeasure(SimParams(0.5, 0.5)), 5 * CHUNK_ROUNDS, seed=1)
+    out = WriteLog()
+    encode(t, out)
+    assert max(out.sizes) < len(out.getvalue()) / 4
 
 
 def test_transcript_csv_and_dict():
     t = run_rounds(Honest(SimParams(1.0, 0.0)), 5, seed=2)
-    csv = transcript_to_csv(t)
+    csv = encoded(transcript_to_csv, t)
     lines = csv.strip().split("\n")
     assert lines[0] == "round,basis_a,basis_b,outcome_a,outcome_b"
     assert len(lines) == 6
-    data = json.loads(transcript_to_json(t))
+    data = json.loads(encoded(transcript_to_json, t))
     assert len(data["rounds"]) == 5
     assert data["seed"] == 2
 
