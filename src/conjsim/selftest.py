@@ -15,8 +15,9 @@ the support of the state on the acting party's registers.
 Every full-space quantity is computed on the pure state's amplitude matrix
 Psi, of shape (d_A, d_B) with d_p the product of party p's register dims: an
 operator A of party A acts as ``A Psi`` and an operator B of party B as
-``Psi B^T``, through :func:`conjsim.linalg.apply_operator`.  So a joint
-correlation is ``vdot(Psi, A Psi B^T)``, and extraction pads Psi with the two
+``Psi B^T``, through :func:`conjsim.linalg.apply_operator`.  Each setting is
+applied to Psi once per party; as the observables are Hermitian, a joint
+correlation is ``vdot(A Psi, Psi B^T)``.  Extraction pads Psi with the two
 ancillas to Psi_0 of shape (2 d_A, 2 d_B) and returns ``U_A Psi_0 U_B^T``.
 No operator on the full space is ever built.
 """
@@ -314,34 +315,70 @@ class CorrelationTable:
         return probs / probs.sum()
 
 
-def _expectation(exp: Experiment, ops: dict[str, np.ndarray]) -> float:
-    """<psi| (x)_p ops[p] |psi> for Hermitian local factors, identity on absent parties.
-
-    On the amplitude matrix this is ``vdot(Psi, A Psi B^T)``; the imaginary
-    residue is checked as in :func:`conjsim.states.expectation`.
-    """
+def _setting_vectors(exp: Experiment) -> dict[str, dict[str, np.ndarray]]:
+    """``M_p Psi`` for every setting M of each pure-state party p, one application each."""
     psi = exp.state.amplitudes
-    phi = psi
-    for party, m in ops.items():
-        phi = exp.act(party, m, phi)
-    val = np.vdot(psi, phi)
-    if abs(val.imag) > ATOL:
-        raise ValueError(f"expectation has imaginary residue {val.imag}; operator not Hermitian?")
-    return float(val.real)
+    return {p: {lab: exp.act(p, m, psi) for lab, m in exp.observables[p].items()}
+            for p in PARTIES}
 
 
 def correlations(exp: Experiment, include_cross_pairs: bool = False) -> CorrelationTable:
-    """Exact correlation table of the experiment over its kind's schedule."""
+    """Exact correlation table of the experiment over its kind's schedule.
+
+    Observables are Hermitian, so a joint is ``vdot(A Psi, Psi B^T)`` and a
+    marginal ``vdot(Psi, M_p Psi)``; imaginary residues are refused.
+    """
     exp = purify_experiment(exp)
-    joints = {}
-    for la, lb in pair_schedule(exp.kind, include_cross_pairs):
-        joints[(la, lb)] = _expectation(
-            exp, {"A": exp.observable("A", la), "B": exp.observable("B", lb)})
-    marginals = {}
-    for party in PARTIES:
-        for lab in setting_labels(exp.kind):
-            marginals[(party, lab)] = _expectation(exp, {party: exp.observable(party, lab)})
+    vecs = _setting_vectors(exp)
+
+    def value(bra: np.ndarray, ket: np.ndarray) -> float:
+        val = np.vdot(bra, ket)
+        if abs(val.imag) > ATOL:
+            raise ValueError(
+                f"expectation has imaginary residue {val.imag}; operator not Hermitian?")
+        return float(val.real)
+
+    joints = {(la, lb): value(vecs["A"][la], vecs["B"][lb])
+              for la, lb in pair_schedule(exp.kind, include_cross_pairs)}
+    marginals = {(p, lab): value(exp.state.amplitudes, vecs[p][lab])
+                 for p in PARTIES for lab in setting_labels(exp.kind)}
     return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
+
+
+def _draw_outcomes(cumulants: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
+    """Outcome index per uniform in ``u``: how many cumulants, all but the last, are <= it.
+
+    ``cumulants`` holds one cumulative distribution per row; ``rows`` picks each
+    uniform's row.  Never reading the last cumulant pins it to 1, so no uniform
+    in [0, 1) picks an outcome past the end when rounding leaves the sum below 1.
+    """
+    cum = np.atleast_2d(cumulants)
+    k = np.zeros(len(u), dtype=np.int8)
+    for column in cum[:, :-1].T:
+        k += column.take(rows) <= u
+    return k
+
+
+def _sample_table(exact: CorrelationTable, n_per_pair: int, seed: int) -> CorrelationTable:
+    """Monte-Carlo table drawn from an exact table's outcome distributions.
+
+    Entry i (joints, then marginals, in table order) draws from ``SeedSequence([seed, i])``.
+    """
+    if n_per_pair < 1:
+        raise ValueError("n_per_pair must be at least 1")
+    joints, marginals, j_err, m_err = {}, {}, {}, {}
+    entries = ([(joints, j_err, key, exact.outcome_probs(*key)) for key in exact.joints]
+               + [(marginals, m_err, key, np.array([1.0 + m, 1.0 - m]) / 2.0)
+                  for key, m in exact.marginals.items()])
+    for stream, (means, errs, key, probs) in enumerate(entries):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
+        k = _draw_outcomes(np.cumsum(probs), rng.random(n_per_pair))
+        signs = np.where((k == 0) | (k == 3), 1.0, -1.0)
+        spread = signs.std(ddof=1) if n_per_pair > 1 else 0.0
+        means[key], errs[key] = float(signs.mean()), float(spread / np.sqrt(n_per_pair))
+    return CorrelationTable(kind=exact.kind, joints=joints, marginals=marginals,
+                            joint_stderr=j_err, marginal_stderr=m_err,
+                            n_per_pair=n_per_pair, seed=int(seed))
 
 
 def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
@@ -349,35 +386,10 @@ def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
     """Monte-Carlo table: each entry averages n_per_pair rounds of +/-1 products.
 
     Each schedule entry has its own substream derived as
-    ``SeedSequence([seed, entry_index])``, so tables are reproducible and
-    independent of how entries are sharded across workers.
+    ``SeedSequence([seed, entry_index])``, so tables are reproducible and each
+    entry's draws do not depend on the other entries.
     """
-    if n_per_pair < 1:
-        raise ValueError("n_per_pair must be at least 1")
-    exact = correlations(exp, include_cross_pairs)
-    joints, j_err = {}, {}
-    stream = 0
-    for la, lb in exact.joints:
-        probs = exact.outcome_probs(la, lb)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
-        idx = np.searchsorted(np.cumsum(probs), rng.random(n_per_pair), side="right")
-        products = np.where((idx == 0) | (idx == 3), 1.0, -1.0)
-        joints[(la, lb)] = float(products.mean())
-        spread = products.std(ddof=1) if n_per_pair > 1 else 0.0
-        j_err[(la, lb)] = float(spread / np.sqrt(n_per_pair))
-        stream += 1
-    marginals, m_err = {}, {}
-    for key, marginal in exact.marginals.items():
-        p_plus = (1.0 + marginal) / 2.0
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
-        outcomes = np.where(rng.random(n_per_pair) < p_plus, 1.0, -1.0)
-        marginals[key] = float(outcomes.mean())
-        spread = outcomes.std(ddof=1) if n_per_pair > 1 else 0.0
-        m_err[key] = float(spread / np.sqrt(n_per_pair))
-        stream += 1
-    return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals,
-                            joint_stderr=j_err, marginal_stderr=m_err,
-                            n_per_pair=n_per_pair, seed=int(seed))
+    return _sample_table(correlations(exp, include_cross_pairs), n_per_pair, seed)
 
 
 @dataclass(frozen=True)
@@ -398,6 +410,12 @@ def check_against_reference(table: CorrelationTable, kind: str,
     """
     ref = correlations(reference_experiment(kind),
                        include_cross_pairs=include_cross_pairs)
+    return _compare_tables(table, ref, tol, nsigma)
+
+
+def _compare_tables(table: CorrelationTable, ref: CorrelationTable,
+                    tol: float, nsigma: float) -> CheckResult:
+    """:func:`check_against_reference` against an already computed reference table."""
     deviations: dict[str, float] = {}
     worst_key, worst_dev, passed = "", -1.0, True
     for key, ref_val in list(ref.joints.items()) + list(ref.marginals.items()):
@@ -424,48 +442,40 @@ def check_against_reference(table: CorrelationTable, kind: str,
 # state equalities, collapse, anti-commutation
 
 
-def check_state_equalities(exp: Experiment, tol: float = 1e-10) -> dict[str, float]:
+def check_state_equalities(exp: Experiment) -> dict[str, float]:
     """Residual norms of the state identities implied by perfect statistics.
 
     For every sub-test (M, N, D): the three stabilizer identities
     |psi> = M_A M_B |psi| etc., the six operator-transfer identities between
     the sides, and the pairwise-orthogonality Gram residual of
-    {|psi>, M_A|psi>, N_A|psi>, M_A N_A|psi>}.  The tolerance is only recorded
-    for the caller; all residuals are returned.
+    {|psi>, M_A|psi>, N_A|psi>, M_A N_A|psi>}.  All residuals are returned;
+    the caller applies its tolerance.
     """
     exp = purify_experiment(exp)
     psi = exp.state.amplitudes
+    ops = _setting_vectors(exp)
     out: dict[str, float] = {}
     for sub in SUBTESTS[exp.kind]:
         m1, m2, dl = sub
         tag = "".join(sub)
-        # M_p|psi> and (M N)_p|psi> for every setting M and ordered pair (M, N)
-        ops = {p: {l: exp.act(p, exp.observable(p, l), psi) for l in sub} for p in PARTIES}
-        prod = {
-            p: {(l1, l2): exp.act(p, exp.observable(p, l1) @ exp.observable(p, l2), psi)
-                for l1, l2 in ((m1, m2), (m2, m1))}
-            for p in PARTIES
-        }
+        orders = ((m1, m2), (m2, m1))
+        # (M N)_p|psi> for both orders of the sub-test's pair (M, N)
+        prod = {p: {(a, b): exp.act(p, exp.observable(p, a), ops[p][b]) for a, b in orders}
+                for p in PARTIES}
         for lab in sub:
             out[f"{tag}:state={lab}{lab}"] = float(np.linalg.norm(
                 psi - exp.act("A", exp.observable("A", lab), ops["B"][lab])))
         for lab in sub:
-            out[f"{tag}:transfer={lab}"] = float(
-                np.linalg.norm(ops["A"][lab] - ops["B"][lab]))
-        out[f"{tag}:transfer={m1}{m2}"] = float(
-            np.linalg.norm(prod["A"][(m1, m2)] - prod["B"][(m2, m1)]))
-        out[f"{tag}:transfer={m2}{m1}"] = float(
-            np.linalg.norm(prod["A"][(m2, m1)] - prod["B"][(m1, m2)]))
-        out[f"{tag}:split={m1}{m2}"] = float(np.linalg.norm(
-            prod["A"][(m1, m2)] - exp.act("A", exp.observable("A", m1), ops["B"][m2])))
-        out[f"{tag}:split={m2}{m1}"] = float(np.linalg.norm(
-            prod["A"][(m2, m1)] - exp.act("A", exp.observable("A", m2), ops["B"][m1])))
+            out[f"{tag}:transfer={lab}"] = float(np.linalg.norm(ops["A"][lab] - ops["B"][lab]))
+        for a, b in orders:
+            out[f"{tag}:transfer={a}{b}"] = float(
+                np.linalg.norm(prod["A"][(a, b)] - prod["B"][(b, a)]))
+        for a, b in orders:
+            out[f"{tag}:split={a}{b}"] = float(np.linalg.norm(
+                prod["A"][(a, b)] - exp.act("A", exp.observable("A", a), ops["B"][b])))
         vecs = [psi, ops["A"][m1], ops["A"][m2], prod["A"][(m1, m2)]]
-        gram = 0.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                gram = max(gram, abs(np.vdot(vecs[i], vecs[j])))
-        out[f"{tag}:orthogonality"] = float(gram)
+        out[f"{tag}:orthogonality"] = float(max(
+            abs(np.vdot(vecs[i], vecs[j])) for i in range(4) for j in range(i + 1, 4)))
     return out
 
 
@@ -560,34 +570,41 @@ def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
     return u
 
 
-def _first_subtest_gates_pass(exp: Experiment, tol: float, stats_tol: float):
-    """Statistics (sub-test 1 entries) and X/Z anti-commutation gate for extraction."""
-    table = correlations(exp)
-    ref = correlations(reference_experiment(exp.kind))
-    sub1 = SUBTESTS[exp.kind][0]
-    for la in sub1:
-        for lb in sub1:
-            if abs(table.joints[(la, lb)] - ref.joints[(la, lb)]) > stats_tol:
-                return False, f"joint({la},{lb})"
+def _extraction_refusal(kind: str, deviations: dict[str, float],
+                        anticomms: dict[str, tuple[float, float]],
+                        tol: float, stats_tol: float) -> str:
+    """The extraction gate: the first failing check, or "" when extraction may run.
+
+    It reads what earlier stages record: an exact table's reference deviations
+    on the sub-test-1 entries and each party's X/Z support residual.
+    """
+    sub1 = SUBTESTS[kind][0]
+    entries = ([f"joint({la},{lb})" for la in sub1 for lb in sub1]
+               + [f"marginal({p},{lab})" for p in PARTIES for lab in sub1])
+    for name in entries:
+        if deviations[name] > stats_tol:
+            return name
     for p in PARTIES:
-        for lab in sub1:
-            if abs(table.marginals[(p, lab)] - ref.marginals[(p, lab)]) > stats_tol:
-                return False, f"marginal({p},{lab})"
-    for p in PARTIES:
-        _, support = anticommutator_residual(exp, p, (sub1[0], sub1[1]))
-        if support > tol:
-            return False, f"anticommutator({p},{sub1[0]},{sub1[1]})"
-    return True, ""
+        if anticomms[f"{p}:{sub1[0]}{sub1[1]}"][1] > tol:
+            return f"anticommutator({p},{sub1[0]},{sub1[1]})"
+    return ""
 
 
 def extraction_isometry(exp: Experiment, tol: float = 1e-9,
                         stats_tol: float = 1e-10,
                         _skip_gate: bool = False) -> Extraction:
-    """Build and apply the extraction circuit; refuses when the gates fail."""
+    """Build and apply the extraction circuit; refuses when the gates fail.
+
+    ``_skip_gate`` is for callers that applied the gate already (:func:`run_selftest`).
+    """
     exp = purify_experiment(exp)
     if not _skip_gate:
-        ok, detail = _first_subtest_gates_pass(exp, tol, stats_tol)
-        if not ok:
+        pair = anticommuting_pairs(exp.kind)[0]
+        stats = check_against_reference(correlations(exp), exp.kind, tol=stats_tol)
+        anticomms = {f"{p}:{pair[0]}{pair[1]}": anticommutator_residual(exp, p, pair)
+                     for p in PARTIES}
+        detail = _extraction_refusal(exp.kind, stats.deviations, anticomms, tol, stats_tol)
+        if detail:
             raise SelfTestPreconditionError("extraction", detail)
     n_a = len(exp.party_dims["A"])
     n_b = len(exp.party_dims["B"])
@@ -803,14 +820,16 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     """
     failures: list[str] = []
     exp_pure = purify_experiment(exp)
+    if sampled_n is not None and seed is None:
+        raise ValueError("sampled mode requires an explicit seed")
 
+    exact = correlations(exp_pure)
+    ref = correlations(reference_experiment(exp.kind))
+    # the extraction gate reads the exact table's deviations also in sampled mode
+    exact_stats = _compare_tables(exact, ref, stats_tol, nsigma)
+    stats = exact_stats
     if sampled_n is not None:
-        if seed is None:
-            raise ValueError("sampled mode requires an explicit seed")
-        table = sampled_correlations(exp_pure, sampled_n, seed)
-    else:
-        table = correlations(exp_pure)
-    stats = check_against_reference(table, exp.kind, tol=stats_tol, nsigma=nsigma)
+        stats = _compare_tables(_sample_table(exact, sampled_n, seed), ref, stats_tol, nsigma)
     if not stats.passed:
         failures.append(f"statistics[{stats.worst_entry}]")
 
@@ -832,40 +851,33 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
             if support > tol:
                 failures.append(f"anticommutator[{party}:{pair[0]}{pair[1]}]")
 
-    try:
-        ext = extraction_isometry(exp_pure, tol=tol, stats_tol=stats_tol)
-    except SelfTestPreconditionError as err:
-        failures.append(f"extraction_refused[{err.stage}]")
-        return EquivalenceReport(
-            kind=exp.kind, tol=tol, stats_tol=stats_tol, passed=False,
-            failures=tuple(failures), refused_stage="extraction",
-            statistics=stats, state_equalities=equalities,
-            collapse_residuals=collapse, anticommutators=anticomms,
-            state_fidelity=None, action_fidelities=None,
-            y_check=None, family_params=None)
-
-    state_fid = extraction_state_fidelity(ext)
-    if state_fid < 1 - tol:
-        failures.append("state_fidelity")
-    action_fids = extraction_action_fidelities(ext)
-    for key, fid in action_fids.items():
-        if fid < 1 - tol:
-            failures.append(f"action_fidelity[{key[1]}_{key[0]}]")
-
-    y_check = None
-    params = None
-    if exp.kind == "extended":
-        y_check = y_coefficient_check(ext, tol)
-        if not y_check.passed(tol):
-            failures.append("y_coefficients")
-        try:
-            params = estimate_family_params(exp_pure, ext=ext, y_check=y_check, tol=tol)
-        except ValueError as err:
-            failures.append(f"family_params[{err}]")
+    state_fid = action_fids = y_check = params = None
+    refused = bool(_extraction_refusal(exp.kind, exact_stats.deviations, anticomms,
+                                       tol, stats_tol))
+    if refused:
+        failures.append("extraction_refused[extraction]")
+    else:
+        ext = extraction_isometry(exp_pure, tol=tol, stats_tol=stats_tol, _skip_gate=True)
+        state_fid = extraction_state_fidelity(ext)
+        if state_fid < 1 - tol:
+            failures.append("state_fidelity")
+        action_fids = extraction_action_fidelities(ext)
+        for key, fid in action_fids.items():
+            if fid < 1 - tol:
+                failures.append(f"action_fidelity[{key[1]}_{key[0]}]")
+        if exp.kind == "extended":
+            y_check = y_coefficient_check(ext, tol)
+            if not y_check.passed(tol):
+                failures.append("y_coefficients")
+            try:
+                params = estimate_family_params(exp_pure, ext=ext, y_check=y_check, tol=tol)
+            except ValueError as err:
+                failures.append(f"family_params[{err}]")
 
     return EquivalenceReport(
         kind=exp.kind, tol=tol, stats_tol=stats_tol,
-        passed=not failures, failures=tuple(failures), refused_stage=None,
+        passed=not failures, failures=tuple(failures),
+        refused_stage="extraction" if refused else None,
         statistics=stats, state_equalities=equalities,
         collapse_residuals=collapse, anticommutators=anticomms,
         state_fidelity=state_fid, action_fidelities=action_fids,

@@ -18,10 +18,11 @@ All draws come from one ``default_rng(seed)`` stream, in whole blocks of n and
 in this order: the ``basis_a`` column (``integers(3, size=n, dtype=int8)``),
 the ``basis_b`` column (the same call), then, only when the flag collapse is
 not deterministic, one uniform per round choosing the flag branch, then one
-uniform per round choosing the joint outcome.  Each outcome is the number of
-the first three cumulants of its basis pair's table that are <= the uniform,
-which is ``searchsorted(cumulants, u, side="right")``.  Transcripts are
-therefore a pure function of (strategy, n, seed).
+uniform per round choosing the joint outcome.  Each branch and each outcome is
+the number of cumulants of its table, all but the last, that are <= its
+uniform (:func:`conjsim.selftest._draw_outcomes`, which the sampled self-test
+draws with too).  Transcripts are therefore a pure function of
+(strategy, n, seed).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .family import SimParams, multiparty_sim_state
 from .linalg import embed_operator, permute_subsystems_vector
-from .selftest import correlations, family_experiment, with_state
+from .selftest import _draw_outcomes, correlations, family_experiment, with_state
 from .states import DensityMatrix, StateVector, epr_pair
 
 BASES = ("X", "Y", "Z")
@@ -216,20 +217,10 @@ def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
     rng = np.random.default_rng(int(seed))
     basis_a = rng.integers(3, size=n, dtype=np.int8)
     basis_b = rng.integers(3, size=n, dtype=np.int8)
-    # Each draw counts the cumulants, all but the last, that are <= its uniform:
-    # that is searchsorted(cumulants, u, side="right"), done as one comparison per
-    # cumulant over the whole block.
-    branch = np.zeros(n, dtype=np.intp)
+    branch = np.zeros(n, dtype=np.int8)
     if len(tables) > 1:
-        cum_branch = np.cumsum(probs / probs.sum())
-        u_branch = rng.random(n)
-        for edge in cum_branch[:-1]:
-            branch += edge <= u_branch
-    u = rng.random(n)
-    rows = 9 * branch + 3 * basis_a + basis_b
-    k = np.zeros(n, dtype=np.int8)
-    for column in cum.reshape(-1, 4)[:, :3].T:
-        k += column.take(rows) <= u
+        branch = _draw_outcomes(np.cumsum(probs / probs.sum()), rng.random(n))
+    k = _draw_outcomes(cum.reshape(-1, 4), rng.random(n), 9 * branch + 3 * basis_a + basis_b)
     return Transcript(basis_a=basis_a, basis_b=basis_b, outcome_a=k >> 1, outcome_b=k & 1,
                       seed=int(seed), strategy=strategy.describe(),
                       flag_a=None if flags is None else flags[:, 0].take(branch),

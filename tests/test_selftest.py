@@ -28,6 +28,7 @@ from conjsim.selftest import (
     Extraction,
     SelfTestPreconditionError,
     anticommutator_residual,
+    anticommuting_pairs,
     attach_junk,
     check_against_reference,
     check_d_collapse,
@@ -539,7 +540,7 @@ def dense_joint_outcome_probs(exp, la, lb):
                      for sa in (1, -1) for sb in (1, -1)])
 
 
-def dense_state_equalities(exp, tol=1e-10):
+def dense_state_equalities(exp):
     exp = purify_experiment(exp)
     psi = exp.state.amplitudes
     out = {}
@@ -583,11 +584,12 @@ def dense_anticommutator_residual(exp, party, pair):
     return raw, float(np.linalg.norm(proj @ anti @ proj, ord=2))
 
 
-def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10):
+def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10, _skip_gate=False):
     exp = purify_experiment(exp)
-    ok, detail = selftest._first_subtest_gates_pass(exp, tol, stats_tol)
-    if not ok:
-        raise SelfTestPreconditionError("extraction", detail)
+    if not _skip_gate:
+        ok, detail = recomputing_extraction_gate(exp, tol, stats_tol)
+        if not ok:
+            raise SelfTestPreconditionError("extraction", detail)
     n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
     dims = exp.party_dims["A"] + (2,) + exp.party_dims["B"] + (2,)
     a_block, b_block = tuple(range(n_a)), tuple(range(n_a + 1, n_a + 1 + n_b))
@@ -751,3 +753,195 @@ def test_selftest_builds_no_full_space_operator(monkeypatch):
                 monkeypatch.setattr(module, original.__name__, guarded(original))
     assert run_selftest(exp).passed
     assert run_selftest(swapped(exp, "A", "X", "D")).refused_stage == "extraction"
+
+
+# --------------------------------------------------------------------------
+# slow references: a per-entry expectation loop and a self-contained
+# extraction gate that recomputes every value it reads
+
+
+def expectation_loop_correlations(exp, include_cross_pairs=False):
+    """Correlation table with two local applications per entry, each checked on its own."""
+    exp = purify_experiment(exp)
+    psi = exp.state.amplitudes
+
+    def expect(ops):
+        phi = psi
+        for party, m in ops.items():
+            phi = exp.act(party, m, phi)
+        val = np.vdot(psi, phi)
+        assert abs(val.imag) <= 1e-10
+        return float(val.real)
+
+    joints = {(la, lb): expect({"A": exp.observable("A", la), "B": exp.observable("B", lb)})
+              for la, lb in pair_schedule(exp.kind, include_cross_pairs)}
+    marginals = {(p, lab): expect({p: exp.observable(p, lab)})
+                 for p in PARTIES for lab in setting_labels(exp.kind)}
+    return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
+
+
+def recomputing_extraction_gate(exp, tol, stats_tol):
+    """Statistics (sub-test 1 entries) and X/Z anti-commutation gate, each recomputed."""
+    exp = purify_experiment(exp)
+    table = expectation_loop_correlations(exp)
+    ref = expectation_loop_correlations(reference_experiment(exp.kind))
+    sub1 = SUBTESTS[exp.kind][0]
+    for la in sub1:
+        for lb in sub1:
+            if abs(table.joints[(la, lb)] - ref.joints[(la, lb)]) > stats_tol:
+                return False, f"joint({la},{lb})"
+    for p in PARTIES:
+        for lab in sub1:
+            if abs(table.marginals[(p, lab)] - ref.marginals[(p, lab)]) > stats_tol:
+                return False, f"marginal({p},{lab})"
+    for p in PARTIES:
+        _, support = dense_anticommutator_residual(exp, p, (sub1[0], sub1[1]))
+        if support > tol:
+            return False, f"anticommutator({p},{sub1[0]},{sub1[1]})"
+    return True, ""
+
+
+def mixed_with_product(exp, weight):
+    """Negative control: the experiment's state mixed with |00...0> by ``weight``."""
+    rho = exp.state.density().matrix
+    zero = basis_state(list(exp.state.dims), [0] * len(exp.state.dims)).density().matrix
+    return with_state(exp, DensityMatrix(exp.state.dims, (1 - weight) * rho + weight * zero))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_correlations_match_expectation_loop(seed):
+    rng = np.random.default_rng(seed)
+    member = family_experiment(SimParams(0.3, 0.2 * np.exp(0.4j)), "extended")
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    junked = attach_junk(purify_experiment(member), "B", StateVector([3], v / np.linalg.norm(v)))
+    cases = [
+        rotate_experiment(junked, {p: random_unitary(int(np.prod(junked.party_dims[p])), rng)
+                                   for p in PARTIES}),
+        junked,
+        member,                                              # mixed: purified first
+        mixed_with_product(reference_experiment("extended"), 0.2),
+        rotate_experiment(reference_experiment("mayersyao"),
+                          {p: random_unitary(2, rng) for p in PARTIES}),
+    ]
+    for exp in cases:
+        for cross in (False, True):
+            got, want = correlations(exp, cross), expectation_loop_correlations(exp, cross)
+            assert got.joints.keys() == want.joints.keys()
+            assert list(got.marginals) == list(want.marginals)
+            for key in want.joints:
+                assert abs(got.joints[key] - want.joints[key]) <= 1e-12, key
+            for key in want.marginals:
+                assert abs(got.marginals[key] - want.marginals[key]) <= 1e-12, key
+
+
+def test_correlations_reject_imaginary_residue():
+    exp = reference_experiment("mayersyao")
+    # construction refuses a non-Hermitian observable, so slip one in afterwards
+    object.__setattr__(exp, "observables", {"A": dict(exp.observables["A"], X=1j * X),
+                                            "B": exp.observables["B"]})
+    with pytest.raises(ValueError, match="imaginary residue"):
+        correlations(exp)
+
+
+def gate_cases():
+    ladder = junk_ladder_experiment(64, seed=11)
+    rng = np.random.default_rng(11)
+    rotated = rotate_experiment(ladder, {
+        p: random_unitary(int(np.prod(ladder.party_dims[p])), rng) for p in PARTIES})
+    commuting = with_observable(reference_experiment("extended"), "A", "Z", X)
+    theta = np.pi / 4 - 1e-3                  # joints off by ~1e-6, Z marginals by ~2e-3
+    tilted = with_state(reference_experiment("mayersyao"),
+                        StateVector([2, 2], [np.cos(theta), 0, 0, np.sin(theta)]))
+    return [
+        ("ladder", ladder, {}),
+        ("rotated", rotated, {}),
+        ("swapped_A", swapped(ladder, "A", "X", "Z"), {}),
+        ("swapped_B", swapped(rotated, "B", "Z", "D"), {}),
+        ("mixed_member", family_experiment(SimParams(0.4, 0.2), "extended"), {}),
+        ("mixed_noisy", mixed_with_product(reference_experiment("mayersyao"), 0.1), {}),
+        ("commuting_loose_stats", commuting, {"stats_tol": 2.0}),
+        ("tilted_loose_stats", tilted, {"stats_tol": 1e-4}),
+        ("sampled_ladder", ladder, {"sampled_n": 500, "seed": 4}),
+        ("sampled_swapped", swapped(ladder, "A", "X", "D"), {"sampled_n": 500, "seed": 4}),
+    ]
+
+
+def test_extraction_gate_matches_recomputing_gate():
+    branches = set()
+    for name, exp, kwargs in gate_cases():
+        tol, stats_tol = 1e-9, kwargs.get("stats_tol", 1e-10)
+        ok, detail = recomputing_extraction_gate(exp, tol, stats_tol)
+        branches.add(detail.split("(")[0])
+        report = run_selftest(exp, **kwargs)
+        assert report.refused_stage == (None if ok else "extraction"), name
+        assert (report.state_fidelity is None) == (not ok), name
+        if ok:
+            extraction_isometry(exp, tol=tol, stats_tol=stats_tol)
+            continue
+        for extract in (extraction_isometry, dense_extraction_isometry):
+            with pytest.raises(SelfTestPreconditionError) as err:
+                extract(exp, tol=tol, stats_tol=stats_tol)
+            assert str(err.value) == f"self-test stage refused: extraction ({detail})", name
+        assert isinstance(dense_extraction_isometry(exp, _skip_gate=True), Extraction)
+    assert branches == {"", "joint", "marginal", "anticommutator"}
+
+
+def test_sampled_statistics_failure_does_not_refuse_extraction():
+    exp = junk_ladder_experiment(64, seed=2)
+    assert recomputing_extraction_gate(exp, 1e-9, 1e-10)[0]
+    report = run_selftest(exp, sampled_n=400, seed=9, nsigma=0.01)
+    assert not report.statistics.passed
+    assert report.failures[0].startswith("statistics[")
+    assert report.refused_stage is None
+    assert report.state_fidelity == pytest.approx(1.0, abs=1e-9)
+    assert report.y_check is not None and report.family_params is not None
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("kind", ["mayersyao", "extended"])
+def test_run_selftest_computes_each_stage_once(kind, sampled, monkeypatch):
+    exp = junk_ladder_experiment(64, seed=1) if kind == "extended" else \
+        reference_experiment(kind)
+    calls = {"correlations": [], "anticommutator_residual": []}
+    for name in calls:
+        original = getattr(selftest, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name].append(args[0])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(selftest, name, counted)
+    kwargs = {"sampled_n": 300, "seed": 3} if sampled else {}
+    assert run_selftest(exp, **kwargs).refused_stage is None
+    assert len(calls["correlations"]) == 2
+    assert calls["correlations"][0] is exp
+    assert calls["correlations"][1].state.dims == (2, 2)
+    assert len(calls["anticommutator_residual"]) == 2 * len(anticommuting_pairs(kind))
+
+
+def test_draw_outcomes_never_picks_a_missing_outcome():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        probs = rng.random(4)
+        cum = np.cumsum(probs / probs.sum())
+        if cum[-1] < 1.0:
+            break
+    else:
+        pytest.fail("no 4-outcome table whose cumulants end below 1")
+    u = np.array([np.nextafter(1.0, 0.0)])
+    assert np.searchsorted(cum, u, side="right")[0] == 4      # the outcome that does not exist
+    assert selftest._draw_outcomes(cum, u)[0] == 3
+
+
+def test_draw_outcomes_match_searchsorted():
+    rng = np.random.default_rng(1)
+    tables = np.cumsum(rng.dirichlet(np.ones(4), size=5), axis=1)
+    u = rng.random(2000)
+    rows = rng.integers(5, size=2000)
+    keep = u < tables[rows, -1]
+    want = [np.searchsorted(tables[r], x, side="right") for r, x in zip(rows, u)]
+    got = selftest._draw_outcomes(tables, u, rows)
+    np.testing.assert_array_equal(got[keep], np.array(want)[keep])
+    for row in range(5):
+        np.testing.assert_array_equal(selftest._draw_outcomes(tables[row], u),
+                                      np.minimum(np.searchsorted(tables[row], u, "right"), 3))
