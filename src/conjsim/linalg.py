@@ -9,11 +9,10 @@ Conventions used across the package:
   lower party index.
 - The default algebraic tolerance is 1e-10.
 - Local operators act on a state vector through :func:`apply_operator`, a
-  reshape plus ``tensordot`` over the target axes; :func:`embed_operator`
-  builds the full-space matrix and is kept for small spaces and as the dense
-  reference.  For a bipartite amplitude matrix Psi of shape (d_A, d_B), that
-  is dims ``(d_A, d_B)``, an operator A on subsystem 0 acts as ``A Psi`` and
-  an operator B on subsystem 1 acts as ``Psi B^T``.
+  reshape plus ``tensordot`` over the target axes; no full-space embedding of
+  an operator is ever built.  For a bipartite amplitude matrix Psi of shape
+  (d_A, d_B), that is dims ``(d_A, d_B)``, an operator A on subsystem 0 acts
+  as ``A Psi`` and an operator B on subsystem 1 acts as ``Psi B^T``.
 """
 
 from __future__ import annotations
@@ -71,13 +70,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(*factors) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for f in factors:
-        out = np.kron(out, as_matrix(f))
-    return out
-
-
 def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
@@ -114,37 +106,9 @@ def permute_subsystems_matrix(mat: np.ndarray, dims: Sequence[int],
     return t.reshape(mat.shape)
 
 
-def _target_dims(op: np.ndarray, dims: tuple[int, ...], targets: list[int]) -> list[int]:
-    """Dimensions of the ``targets`` subsystems, checked against the square ``op``."""
-    n = len(dims)
-    if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"invalid target subsystems {targets} for {n} subsystems")
-    t_dims = [dims[t] for t in targets]
-    d_t = math.prod(t_dims)
-    if op.shape != (d_t, d_t):
-        raise ValueError(f"operator shape {op.shape} does not match target dims")
-    return t_dims
-
-
-def embed_operator(op: np.ndarray, dims: Sequence[int],
-                   targets: Sequence[int]) -> np.ndarray:
-    """Embed ``op`` acting on the ``targets`` subsystems (in that order), identity elsewhere."""
-    op = as_matrix(op)
-    dims = tuple(int(d) for d in dims)
-    targets = list(targets)
-    _target_dims(op, dims, targets)
-    rest = [i for i in range(len(dims)) if i not in targets]
-    d_r = math.prod(dims[i] for i in rest)
-    big = np.kron(op, np.eye(d_r, dtype=complex))
-    order = targets + rest          # subsystem order of `big`
-    inverse = np.argsort(order)     # send it back to the natural order
-    dims_big = [dims[i] for i in order]
-    return permute_subsystems_matrix(big, dims_big, list(inverse))
-
-
 def apply_operator(op: np.ndarray, vec: np.ndarray, dims: Sequence[int],
                    targets: Sequence[int]) -> np.ndarray:
-    """``embed_operator(op, dims, targets) @ vec`` without forming the full-space matrix.
+    """Apply ``op`` on the ``targets`` subsystems (in that order), identity elsewhere, to ``vec``.
 
     ``vec`` is reshaped to one axis per subsystem and contracted with ``op``
     over the target axes only; the result is flat, in the natural order.
@@ -153,22 +117,17 @@ def apply_operator(op: np.ndarray, vec: np.ndarray, dims: Sequence[int],
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     dims = _check_dims(dims, vec.size, "apply_operator")
     targets = [int(t) for t in targets]
-    t_dims = _target_dims(op, dims, targets)
+    n = len(dims)
+    if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"invalid target subsystems {targets} for {n} subsystems")
+    t_dims = [dims[t] for t in targets]
+    d_t = math.prod(t_dims)
+    if op.shape != (d_t, d_t):
+        raise ValueError(f"operator shape {op.shape} does not match target dims")
     k = len(targets)
     out = np.tensordot(op.reshape(t_dims + t_dims), vec.reshape(dims),
                        axes=(list(range(k, 2 * k)), targets))
     return np.moveaxis(out, list(range(k)), targets).reshape(-1)
-
-
-def controlled_gate(op: np.ndarray, dims: Sequence[int], control: int,
-                    targets: Sequence[int]) -> np.ndarray:
-    """|0><0|_c (x) I + |1><1|_c (x) op, for a qubit control subsystem."""
-    if dims[control] != 2:
-        raise ValueError("control subsystem must be a qubit")
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return (embed_operator(p0, dims, [control])
-            + embed_operator(np.kron(p1, as_matrix(op)), dims, [control] + list(targets)))
 
 
 def op_partial_trace(mat: np.ndarray, dims: Sequence[int],
@@ -216,19 +175,6 @@ def pauli_decompose(mat: np.ndarray, qubit: int,
     d_r = int(np.prod([dims[i] for i in rest])) if rest else 1
     t = t.reshape(2, d_r, 2, d_r)
     return {name: 0.5 * np.einsum("ac,cras->rs", p, t) for name, p in PAULIS.items()}
-
-
-def pauli_recompose(blocks: dict[str, np.ndarray], qubit: int,
-                    dims: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`pauli_decompose`."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    rest = [i for i in range(n) if i != qubit]
-    out = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    for name, p in PAULIS.items():
-        block = as_matrix(blocks[name])
-        out += embed_operator(np.kron(p, block), dims, [qubit] + rest)
-    return out
 
 
 def random_complex_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

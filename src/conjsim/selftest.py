@@ -35,8 +35,6 @@ from .linalg import (
     PAULIS,
     apply_operator,
     as_matrix,
-    controlled_gate,
-    embed_operator,
     is_binary_observable,
     op_partial_trace,
     pauli_decompose,
@@ -394,6 +392,13 @@ def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Entrywise comparison with a reference table.
+
+    ``worst_entry`` names the failing entry with the largest deviation, or is ""
+    when every entry is within its tolerance; ``worst_deviation`` is the largest
+    deviation over all entries.
+    """
+
     passed: bool
     worst_entry: str
     worst_deviation: float
@@ -417,7 +422,7 @@ def _compare_tables(table: CorrelationTable, ref: CorrelationTable,
                     tol: float, nsigma: float) -> CheckResult:
     """:func:`check_against_reference` against an already computed reference table."""
     deviations: dict[str, float] = {}
-    worst_key, worst_dev, passed = "", -1.0, True
+    worst_key, worst_dev, worst_failing = "", -1.0, -1.0
     for key, ref_val in list(ref.joints.items()) + list(ref.marginals.items()):
         is_joint = key in ref.joints
         source = table.joints if is_joint else table.marginals
@@ -430,11 +435,10 @@ def _compare_tables(table: CorrelationTable, ref: CorrelationTable,
         if table.sampled:
             err = (table.joint_stderr if is_joint else table.marginal_stderr)[key]
             entry_tol = max(nsigma * err, tol)
-        if dev > entry_tol:
-            passed = False
-        if dev > worst_dev:
-            worst_key, worst_dev = name, dev
-    return CheckResult(passed=passed, worst_entry=worst_key,
+        if dev > entry_tol and dev > worst_failing:
+            worst_key, worst_failing = name, dev
+        worst_dev = max(worst_dev, dev)
+    return CheckResult(passed=not worst_key, worst_entry=worst_key,
                        worst_deviation=worst_dev, deviations=deviations)
 
 
@@ -535,39 +539,42 @@ class Extraction:
     """The applied extraction circuit and the states it produces.
 
     ``dims`` covers the purified experiment with one ancilla qubit appended to
-    each party's block; ``state`` is Phi(|psi'>) and ``actions[(party, label)]``
-    is Phi(M'|psi'>).
+    each party's registers, party-major: A's registers, A's ancilla, B's
+    registers, B's ancilla (:meth:`block` and :meth:`ancilla` give the indices,
+    from ``exp.party_dims``).  ``state`` is Phi(|psi'>),
+    ``actions[(party, label)]`` is Phi(M'|psi'>) and ``local_units[party]`` is
+    the party's circuit on its registers plus its ancilla.
     """
 
     exp: Experiment                      # purified input experiment
     dims: tuple[int, ...]
-    a_block: tuple[int, ...]
-    anc_a: int
-    b_block: tuple[int, ...]
-    anc_b: int
     state: StateVector
     actions: dict[tuple[str, str], StateVector] = field(repr=False)
     local_units: dict[str, np.ndarray] = field(repr=False)
 
-    def block(self, party: str) -> list[int]:
-        return list(self.a_block) if party == "A" else list(self.b_block)
-
     def ancilla(self, party: str) -> int:
-        return self.anc_a if party == "A" else self.anc_b
+        n_a = len(self.exp.party_dims["A"])
+        return n_a if party == "A" else n_a + 1 + len(self.exp.party_dims["B"])
+
+    def block(self, party: str) -> list[int]:
+        anc = self.ancilla(party)
+        return list(range(anc - len(self.exp.party_dims[party]), anc))
 
 
 def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
-    """Swap-style circuit on (party registers + trailing ancilla qubit)."""
-    dims = list(exp.party_dims[party]) + [2]
-    anc = len(dims) - 1
-    targets = list(range(anc))
-    u = np.eye(int(np.prod(dims)), dtype=complex)
-    had = embed_operator(HADAMARD, dims, [anc])
-    u = had @ u
-    u = controlled_gate(exp.observable(party, "Z"), dims, anc, targets) @ u
-    u = had @ u
-    u = controlled_gate(exp.observable(party, "X"), dims, anc, targets) @ u
-    return u
+    """Swap-style circuit on (party registers + trailing ancilla qubit).
+
+    In this party-major (d_p, 2) layout ``kron(I, H)`` is H on the ancilla and
+    ``kron(I, |0><0|) + kron(M, |1><1|)`` is M controlled by the ancilla.
+    """
+    eye = np.eye(int(np.prod(exp.party_dims[party])), dtype=complex)
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+
+    def ctl(label: str) -> np.ndarray:
+        return np.kron(eye, p0) + np.kron(exp.observable(party, label), p1)
+
+    had = np.kron(eye, HADAMARD)
+    return ctl("X") @ (had @ (ctl("Z") @ had))      # H, then C-Z, H, C-X
 
 
 def _extraction_refusal(kind: str, deviations: dict[str, float],
@@ -606,14 +613,7 @@ def extraction_isometry(exp: Experiment, tol: float = 1e-9,
         detail = _extraction_refusal(exp.kind, stats.deviations, anticomms, tol, stats_tol)
         if detail:
             raise SelfTestPreconditionError("extraction", detail)
-    n_a = len(exp.party_dims["A"])
-    n_b = len(exp.party_dims["B"])
     dims = exp.party_dims["A"] + (2,) + exp.party_dims["B"] + (2,)
-    a_block = tuple(range(n_a))
-    anc_a = n_a
-    b_block = tuple(range(n_a + 1, n_a + 1 + n_b))
-    anc_b = n_a + 1 + n_b
-
     # Psi_0 = |psi'> (x) |0>_ancA (x) |0>_ancB, laid out party-major as (d_A, 2, d_B, 2)
     assert isinstance(exp.state, StateVector)
     d_a, d_b = (int(np.prod(exp.party_dims[p])) for p in PARTIES)
@@ -633,14 +633,13 @@ def extraction_isometry(exp: Experiment, tol: float = 1e-9,
         for lab in setting_labels(exp.kind):
             m_psi0 = apply_operator(exp.observable(party, lab), psi0, psi0.shape, [2 * i])
             actions[(party, lab)] = StateVector(dims, circuit(m_psi0))
-    return Extraction(exp=exp, dims=dims, a_block=a_block, anc_a=anc_a,
-                      b_block=b_block, anc_b=anc_b, state=out,
-                      actions=actions, local_units=local_units)
+    return Extraction(exp=exp, dims=dims, state=out, actions=actions,
+                      local_units=local_units)
 
 
 def extraction_state_fidelity(ext: Extraction) -> float:
     """Fidelity of the reduced state on the two ancillas with the EPR pair."""
-    rho = partial_trace(ext.state, [ext.anc_a, ext.anc_b])
+    rho = partial_trace(ext.state, [ext.ancilla(p) for p in PARTIES])
     phi = epr_pair().amplitudes
     return float(np.real(phi.conj() @ rho.matrix @ phi))
 
@@ -691,8 +690,7 @@ def _party_y_blocks(ext: Extraction, party: str):
     dims_local = list(exp.party_dims[party]) + [2]
     anc_local = len(dims_local) - 1
     u_local = ext.local_units[party]
-    pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
-                                      list(range(anc_local))) @ u_local.conj().T
+    pushed = u_local @ np.kron(exp.observable(party, "Y"), np.eye(2)) @ u_local.conj().T
     side = ext.block(party) + [ext.ancilla(party)]
     proj = support_projector(ext.state, side)
     restricted = proj @ pushed @ proj
@@ -744,9 +742,6 @@ class FamilyParams:
     population_1: float
     coherence: float | None
     source: str
-
-    def as_tuple(self):
-        return (self.population_0, self.population_1, self.coherence)
 
 
 def estimate_family_params(exp: Experiment, ext: Extraction | None = None,
@@ -801,13 +796,6 @@ class EquivalenceReport:
     action_fidelities: dict[tuple[str, str], float] | None
     y_check: YCoefficientReport | None
     family_params: FamilyParams | None
-
-    def fidelities_ok(self, tol: float) -> bool:
-        if self.state_fidelity is None or self.action_fidelities is None:
-            return False
-        if self.state_fidelity < 1 - tol or self.state_fidelity > 1 + 1e-9:
-            return False
-        return all(1 - tol <= f <= 1 + 1e-9 for f in self.action_fidelities.values())
 
 
 def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .family import SimParams, multiparty_sim_state
-from .linalg import embed_operator, permute_subsystems_vector
+from .linalg import permute_subsystems_vector
 from .selftest import _draw_outcomes, correlations, family_experiment, with_state
 from .states import DensityMatrix, StateVector, epr_pair
 
@@ -149,22 +149,23 @@ def _flag_branches(rho: DensityMatrix, tol: float = 1e-9):
 
     Family states only populate the logical flag states, so only the (0, 0)
     and (1, 1) branches can appear; a cross branch beyond tolerance is an error.
+    The flag projector P is diagonal, so P rho P is rho with the rows and
+    columns of the other flag values zeroed.
     """
+    digits = np.indices(SOURCE_DIMS).reshape(len(SOURCE_DIMS), -1)   # [subsystem, index]
     branches = []
     for za in (0, 1):
         for zb in (0, 1):
-            pa = np.diag([1.0 - za, float(za)]).astype(complex)
-            pb = np.diag([1.0 - zb, float(zb)]).astype(complex)
-            proj = (embed_operator(pa, SOURCE_DIMS, [FLAG_A])
-                    @ embed_operator(pb, SOURCE_DIMS, [FLAG_B]))
-            p = float(np.trace(rho.matrix @ proj).real)
+            on = (digits[FLAG_A] == za) & (digits[FLAG_B] == zb)
+            kept = np.where(np.outer(on, on), rho.matrix, 0)
+            p = float(np.trace(kept).real)
             if za != zb:
                 if p > tol:
                     raise ValueError(f"family source has cross-flag population {p}")
                 continue
             if p <= tol:
                 continue
-            post = proj @ rho.matrix @ proj / p
+            post = kept / p
             branches.append((p, (za, zb), DensityMatrix(SOURCE_DIMS, post)))
     return branches
 

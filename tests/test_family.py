@@ -17,7 +17,7 @@ from conjsim.family import (
     sim_unitary_evolve,
     to_real_simulation,
 )
-from conjsim.linalg import HADAMARD, X, Y, Z, embed_operator, herm_expm, is_hermitian, tensor
+from conjsim.linalg import HADAMARD, X, Y, Z, herm_expm, is_hermitian, tensor
 from conjsim.selftest import family_experiment, with_observable
 from conjsim.states import (
     StateVector,
@@ -26,6 +26,8 @@ from conjsim.states import (
     expectation,
     partial_trace,
 )
+
+from dense_reference import embed_operator
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

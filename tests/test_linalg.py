@@ -9,17 +9,13 @@ from conjsim.linalg import (
     Y,
     Z,
     apply_operator,
-    controlled_gate,
-    embed_operator,
     herm_expm,
     is_binary_observable,
     is_hermitian,
     is_psd,
     is_unitary,
-    kron_all,
     op_partial_trace,
     pauli_decompose,
-    pauli_recompose,
     permute_subsystems_matrix,
     permute_subsystems_vector,
     random_complex_matrix,
@@ -27,6 +23,8 @@ from conjsim.linalg import (
     random_unitary,
     tensor,
 )
+
+from dense_reference import controlled_gate, embed_operator, kron_all, pauli_recompose
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

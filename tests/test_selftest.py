@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from conjsim.linalg import (
     X,
     Y,
     Z,
-    embed_operator,
     is_binary_observable,
     op_partial_trace,
     pauli_decompose,
@@ -52,6 +52,7 @@ from conjsim.selftest import (
     with_state,
     y_coefficient_check,
 )
+from conjsim.serialize import equivalence_report_to_dict
 from conjsim.states import (
     DensityMatrix,
     StateVector,
@@ -61,6 +62,8 @@ from conjsim.states import (
     product_state,
     support_projector,
 )
+
+from dense_reference import embed_operator, party_circuit
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -197,6 +200,37 @@ def test_check_against_reference_family_grid():
         table = correlations(family_experiment(p, "extended"))
         result = check_against_reference(table, "extended", tol=1e-10)
         assert result.passed, (p, result.worst_entry, result.worst_deviation)
+
+
+def test_passing_report_names_no_worst_entry():
+    exp = junk_ladder_experiment(64, seed=64)
+    report = run_selftest(exp)
+    assert report.passed and report.statistics.worst_entry == ""
+    assert equivalence_report_to_dict(report)["statistics"]["worst_entry"] == ""
+    table = correlations(exp)
+    for entries in ("joints", "marginals"):
+        values = getattr(table, entries)
+        for key, value in values.items():
+            perturbed = dataclasses.replace(table, **{entries: {**values, key: value + 1e-16}})
+            result = check_against_reference(perturbed, "extended")
+            assert result.passed and result.worst_entry == "", key
+
+
+def test_worst_entry_is_the_largest_failing_deviation():
+    ref = correlations(reference_experiment("mayersyao"))
+    joints = dict(ref.joints)
+    joints[("X", "X")] -= 0.5           # large, but inside its wide error bar
+    joints[("Z", "Z")] -= 0.1           # smaller, and failing
+    joints[("D", "D")] -= 0.05          # failing, but not the worst failure
+    stderr = {key: 0.001 for key in joints}
+    stderr[("X", "X")] = 0.2
+    table = CorrelationTable(kind="mayersyao", joints=joints, marginals=ref.marginals,
+                             joint_stderr=stderr,
+                             marginal_stderr={key: 0.001 for key in ref.marginals})
+    result = check_against_reference(table, "mayersyao")
+    assert not result.passed
+    assert result.worst_entry == "joint(Z,Z)"
+    assert result.worst_deviation == pytest.approx(0.5)
 
 
 def test_check_against_reference_missing_entry():
@@ -597,7 +631,7 @@ def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10, _skip_gate=False):
     vec = np.kron(exp.state.amplitudes, [1, 0, 0, 0])
     order = list(range(n_a)) + [n_a + n_b] + list(range(n_a, n_a + n_b)) + [n_a + n_b + 1]
     vec = permute_subsystems_vector(vec, list(exp.state.dims) + [2, 2], order)
-    local_units = {p: selftest._party_circuit(exp, p) for p in PARTIES}
+    local_units = {p: party_circuit(exp, p) for p in PARTIES}
     u = (embed_operator(local_units["B"], dims, list(b_block) + [anc_b])
          @ embed_operator(local_units["A"], dims, list(a_block) + [anc_a]))
     actions = {}
@@ -605,9 +639,11 @@ def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10, _skip_gate=False):
         for lab in setting_labels(exp.kind):
             m_emb = embed_operator(exp.observable(party, lab), dims, list(block))
             actions[(party, lab)] = StateVector(dims, u @ m_emb @ vec)
-    return Extraction(exp=exp, dims=dims, a_block=a_block, anc_a=anc_a, b_block=b_block,
-                      anc_b=anc_b, state=StateVector(dims, u @ vec), actions=actions,
-                      local_units=local_units)
+    ext = Extraction(exp=exp, dims=dims, state=StateVector(dims, u @ vec), actions=actions,
+                     local_units=local_units)
+    assert (ext.block("A"), ext.ancilla("A")) == (list(a_block), anc_a)
+    assert (ext.block("B"), ext.ancilla("B")) == (list(b_block), anc_b)
+    return ext
 
 
 def dense_partial_trace(state, keep):
@@ -739,20 +775,49 @@ def test_local_kernel_matches_dense_pipeline_mixed_and_sampled(monkeypatch):
 
 def test_selftest_builds_no_full_space_operator(monkeypatch):
     exp = junk_ladder_experiment(256, seed=5)
+    calls = []
 
     def guarded(original):
-        def wrapper(op, dims, *args):
+        signature = inspect.signature(original)
+
+        def wrapper(*args, **kwargs):
+            dims = signature.bind(*args, **kwargs).arguments["dims"]
             if int(np.prod(dims)) >= exp.state.dim:
                 raise AssertionError(f"{original.__name__} on the full space {tuple(dims)}")
-            return original(op, dims, *args)
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
         return wrapper
 
-    for original in (linalg.embed_operator, linalg.op_partial_trace):
+    # every linalg routine that takes an operator together with its dims
+    operator_routines = (linalg.op_partial_trace, linalg.pauli_decompose,
+                         linalg.permute_subsystems_matrix)
+    for original in operator_routines:
         for module in (linalg, selftest, states):
             if getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, guarded(original))
     assert run_selftest(exp).passed
+    assert {"op_partial_trace", "pauli_decompose"} <= set(calls)
     assert run_selftest(swapped(exp, "A", "X", "D")).refused_stage == "extraction"
+
+
+def circuit_cases():
+    """Ladder members at D = 16, 64 and 576, a rotated and two swapped experiments."""
+    rng = np.random.default_rng(11)
+    pure = purify_experiment(family_experiment(SimParams.from_polar(0.3, np.sqrt(0.21), 0.7)))
+    assert pure.state.dim == 16
+    ladder = {dim: junk_ladder_experiment(dim, seed=dim) for dim in (64, 576)}
+    rotated = rotate_experiment(ladder[64], {
+        p: random_unitary(int(np.prod(ladder[64].party_dims[p])), rng) for p in PARTIES})
+    return {"D16": pure, "D64": ladder[64], "D576": ladder[576], "rotated": rotated,
+            "swapped_A": swapped(ladder[64], "A", "X", "Z"),
+            "swapped_B": swapped(pure, "B", "Z", "D")}
+
+
+def test_party_circuit_equals_dense_circuit():
+    for name, exp in circuit_cases().items():
+        for party in PARTIES:
+            assert np.array_equal(selftest._party_circuit(exp, party),
+                                  party_circuit(exp, party)), (name, party)
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from conjsim import sixstate
 from conjsim.family import SimParams, c_of
-from conjsim.linalg import PAULIS, Y, embed_operator, random_psd
+from conjsim.linalg import PAULIS, Y, random_psd
 from conjsim.selftest import family_experiment
 from conjsim.sixstate import (
     BASES,
@@ -22,6 +22,8 @@ from conjsim.sixstate import (
     zpremeasure_analysis,
 )
 from conjsim.states import DensityMatrix
+
+from dense_reference import embed_operator, flag_branches
 
 
 def family_grid():
@@ -93,8 +95,26 @@ STRATEGIES = [
 def source_branches(strategy):
     rho = source_state(strategy)
     if isinstance(strategy, ZPremeasure):
-        return [branch for _, _, branch in sixstate._flag_branches(rho)]
+        return [branch for _, _, branch in flag_branches(rho)]
     return [rho]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 1.0])
+def test_flag_branches_equal_dense_projectors(a):
+    c_max = np.sqrt(a * (1 - a))
+    for c in (0.0, c_max, c_max * np.exp(0.7j)):
+        rho = source_state(ZPremeasure(SimParams(a, c)))
+        got, want = sixstate._flag_branches(rho), flag_branches(rho)
+        assert [(p, f) for p, f, _ in got] == [(p, f) for p, f, _ in want]
+        for (_, _, g), (_, _, w) in zip(got, want):
+            assert np.array_equal(g.matrix, w.matrix), (a, c)
+
+
+def test_flag_branches_refuse_cross_flag_population():
+    for rho in (source_state(MismatchedFlags(0, 1)), random_custom_state(1, None).state):
+        for branches in (sixstate._flag_branches, flag_branches):
+            with pytest.raises(ValueError, match="cross-flag population"):
+                branches(rho)
 
 
 def test_lifted_observables():
@@ -138,7 +158,7 @@ def same_rounds(a, b):
 def reference_rounds(strategy, n, seed):
     rho = source_state(strategy)
     if isinstance(strategy, ZPremeasure):
-        branches = sixstate._flag_branches(rho)
+        branches = flag_branches(rho)
     else:
         branches = [(1.0, None, rho)]
     tables = [dense_outcome_cumulants(b) for _, _, b in branches]

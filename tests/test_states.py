@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim.family import SimParams, multiparty_sim_state
-from conjsim.linalg import X, Y, Z, embed_operator, random_unitary, tensor
+from conjsim.linalg import X, Y, Z, random_unitary, tensor
 from conjsim.states import (
     DensityMatrix,
     StateVector,
@@ -18,6 +18,8 @@ from conjsim.states import (
     schmidt,
     support_projector,
 )
+
+from dense_reference import embed_operator
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
