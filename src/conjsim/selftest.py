@@ -12,14 +12,13 @@ control and the party's physical observables as the controlled blocks.  All
 support-restricted quantities follow the convention that claims hold only on
 the support of the state on the acting party's registers.
 
-Every full-space quantity is computed on the pure state's amplitude matrix
-Psi, of shape (d_A, d_B) with d_p the product of party p's register dims: an
-operator A of party A acts as ``A Psi`` and an operator B of party B as
-``Psi B^T``, through :func:`conjsim.linalg.apply_operator`.  Each setting is
-applied to Psi once per party; as the observables are Hermitian, a joint
-correlation is ``vdot(A Psi, Psi B^T)``.  Extraction pads Psi with the two
-ancillas to Psi_0 of shape (2 d_A, 2 d_B) and returns ``U_A Psi_0 U_B^T``.
-No operator on the full space is ever built.
+The self-test addresses parties, not registers.  A pure state is its
+amplitude matrix Psi, of shape (d_A, d_B) with d_p the product of party p's
+register dims, and an operator M acts as ``M Psi`` for party A and as
+``Psi M^T`` for party B (:meth:`Experiment.act`).  A joint correlation is
+``vdot(A Psi, Psi B^T)``.  Extraction pads Psi with the two ancillas to Psi_0
+of shape (2 d_A, 2 d_B), each party laid out as (d_p, 2), and returns
+``U_A Psi_0 U_B^T``.  No operator on the full space is ever built.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .linalg import (
     ATOL,
     HADAMARD,
     PAULIS,
-    apply_operator,
     as_matrix,
     is_binary_observable,
     op_partial_trace,
@@ -154,14 +152,15 @@ class Experiment:
             return list(range(n_a))
         return list(range(n_a, n_a + len(self.party_dims["B"])))
 
-    def act(self, party: str, m: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """``m`` on the party's registers applied to ``vec``, a vector over the state's dims.
+    def act(self, party: str, m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """``M Psi`` for party A, ``Psi M^T`` (as ``(M Psi^T)^T``) for party B, C-ordered.
 
-        On the amplitude matrix Psi of shape (d_A, d_B) this is ``M Psi`` for
-        party A and ``Psi M^T`` for party B.
+        ``psi`` is an amplitude matrix with A's index as rows and B's as
+        columns: Psi (d_A, d_B) or the extracted Psi' (2 d_A, 2 d_B).
         """
-        split = [int(np.prod(self.party_dims[p])) for p in PARTIES]
-        return apply_operator(m, vec, split, [PARTIES.index(party)])
+        if party == "A":
+            return m @ psi
+        return np.ascontiguousarray((m @ psi.T).T)
 
     def observable(self, party: str, label: str) -> np.ndarray:
         return self.observables[party][label]
@@ -290,7 +289,7 @@ class CorrelationTable:
 
     def __post_init__(self):
         for v in list(self.joints.values()) + list(self.marginals.values()):
-            if abs(v) > 1 + 1e-9:
+            if not abs(v) <= 1 + 1e-9:             # NaN is outside too
                 raise ValueError(f"correlation value {v} outside [-1, 1]")
 
     @property
@@ -313,9 +312,19 @@ class CorrelationTable:
         return probs / probs.sum()
 
 
+def _psi(exp: Experiment) -> np.ndarray:
+    """The pure experiment's amplitude matrix Psi, of shape (d_A, d_B)."""
+    return exp.state.amplitudes.reshape(int(np.prod(exp.party_dims["A"])), -1)
+
+
+def _support(psi: np.ndarray, party: str) -> np.ndarray:
+    """Projector onto the support on ``party`` of an amplitude matrix (rows A, columns B)."""
+    return support_projector(StateVector(psi.shape, psi), [PARTIES.index(party)])
+
+
 def _setting_vectors(exp: Experiment) -> dict[str, dict[str, np.ndarray]]:
     """``M_p Psi`` for every setting M of each pure-state party p, one application each."""
-    psi = exp.state.amplitudes
+    psi = _psi(exp)
     return {p: {lab: exp.act(p, m, psi) for lab, m in exp.observables[p].items()}
             for p in PARTIES}
 
@@ -338,7 +347,7 @@ def correlations(exp: Experiment, include_cross_pairs: bool = False) -> Correlat
 
     joints = {(la, lb): value(vecs["A"][la], vecs["B"][lb])
               for la, lb in pair_schedule(exp.kind, include_cross_pairs)}
-    marginals = {(p, lab): value(exp.state.amplitudes, vecs[p][lab])
+    marginals = {(p, lab): value(_psi(exp), vecs[p][lab])
                  for p in PARTIES for lab in setting_labels(exp.kind)}
     return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
 
@@ -422,7 +431,7 @@ def _compare_tables(table: CorrelationTable, ref: CorrelationTable,
                     tol: float, nsigma: float) -> CheckResult:
     """:func:`check_against_reference` against an already computed reference table."""
     deviations: dict[str, float] = {}
-    worst_key, worst_dev, worst_failing = "", -1.0, -1.0
+    failing: dict[str, float] = {}
     for key, ref_val in list(ref.joints.items()) + list(ref.marginals.items()):
         is_joint = key in ref.joints
         source = table.joints if is_joint else table.marginals
@@ -435,11 +444,11 @@ def _compare_tables(table: CorrelationTable, ref: CorrelationTable,
         if table.sampled:
             err = (table.joint_stderr if is_joint else table.marginal_stderr)[key]
             entry_tol = max(nsigma * err, tol)
-        if dev > entry_tol and dev > worst_failing:
-            worst_key, worst_failing = name, dev
-        worst_dev = max(worst_dev, dev)
-    return CheckResult(passed=not worst_key, worst_entry=worst_key,
-                       worst_deviation=worst_dev, deviations=deviations)
+        if not dev <= entry_tol:                    # a NaN deviation or tolerance fails
+            failing[name] = dev
+    worst = max(failing, key=lambda n: (np.isnan(failing[n]), failing[n]), default="")  # NaN first
+    return CheckResult(passed=not failing, worst_entry=worst, deviations=deviations,
+                       worst_deviation=float(np.max(list(deviations.values()))))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +465,7 @@ def check_state_equalities(exp: Experiment) -> dict[str, float]:
     the caller applies its tolerance.
     """
     exp = purify_experiment(exp)
-    psi = exp.state.amplitudes
+    psi = _psi(exp)
     ops = _setting_vectors(exp)
     out: dict[str, float] = {}
     for sub in SUBTESTS[exp.kind]:
@@ -490,7 +499,7 @@ def check_d_collapse(exp: Experiment) -> dict[str, float]:
     observables doctored outside the support still pass.
     """
     exp = purify_experiment(exp)
-    psi = exp.state.amplitudes
+    psi = _psi(exp)
     out: dict[str, float] = {}
     for m1, m2, dl in SUBTESTS[exp.kind]:
         for p in PARTIES:
@@ -512,12 +521,16 @@ def anticommutator_residual(exp: Experiment, party: str,
     if l1 not in exp.observables[party] or l2 not in exp.observables[party]:
         raise ValueError(f"pair {pair} is not a valid setting pair for party {party}")
     exp = purify_experiment(exp)
-    m = exp.observable(party, l1)
-    n = exp.observable(party, l2)
+    return _anticommutator_residual(exp, party, pair, _support(_psi(exp), party))
+
+
+def _anticommutator_residual(exp: Experiment, party: str, pair: tuple[str, str],
+                             proj: np.ndarray) -> tuple[float, float]:
+    """:func:`anticommutator_residual` of a pure experiment, given the party's support projector."""
+    m = exp.observable(party, pair[0])
+    n = exp.observable(party, pair[1])
     anti = m @ n + n @ m
-    psi = exp.state
-    raw = float(np.linalg.norm(exp.act(party, anti, psi.amplitudes)))
-    proj = support_projector(psi, exp.party_indices(party))
+    raw = float(np.linalg.norm(exp.act(party, anti, _psi(exp))))
     support = float(np.linalg.norm(proj @ anti @ proj, ord=2))
     return raw, support
 
@@ -538,27 +551,17 @@ def anticommuting_pairs(kind: str) -> tuple[tuple[str, str], ...]:
 class Extraction:
     """The applied extraction circuit and the states it produces.
 
-    ``dims`` covers the purified experiment with one ancilla qubit appended to
-    each party's registers, party-major: A's registers, A's ancilla, B's
-    registers, B's ancilla (:meth:`block` and :meth:`ancilla` give the indices,
-    from ``exp.party_dims``).  ``state`` is Phi(|psi'>),
-    ``actions[(party, label)]`` is Phi(M'|psi'>) and ``local_units[party]`` is
-    the party's circuit on its registers plus its ancilla.
+    ``state`` is Phi(|psi'>) over the party layout (d_A, 2, d_B, 2): each
+    party's registers as one index followed by its ancilla qubit, so its
+    amplitude matrix Psi' has shape (2 d_A, 2 d_B).  ``actions[(party, label)]``
+    is Phi(M'|psi'>) over the same layout and ``local_units[party]`` is the
+    party's circuit on its (d_p, 2) layout.
     """
 
     exp: Experiment                      # purified input experiment
-    dims: tuple[int, ...]
     state: StateVector
     actions: dict[tuple[str, str], StateVector] = field(repr=False)
     local_units: dict[str, np.ndarray] = field(repr=False)
-
-    def ancilla(self, party: str) -> int:
-        n_a = len(self.exp.party_dims["A"])
-        return n_a if party == "A" else n_a + 1 + len(self.exp.party_dims["B"])
-
-    def block(self, party: str) -> list[int]:
-        anc = self.ancilla(party)
-        return list(range(anc - len(self.exp.party_dims[party]), anc))
 
 
 def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
@@ -598,48 +601,40 @@ def _extraction_refusal(kind: str, deviations: dict[str, float],
 
 
 def extraction_isometry(exp: Experiment, tol: float = 1e-9,
-                        stats_tol: float = 1e-10,
-                        _skip_gate: bool = False) -> Extraction:
-    """Build and apply the extraction circuit; refuses when the gates fail.
-
-    ``_skip_gate`` is for callers that applied the gate already (:func:`run_selftest`).
-    """
+                        stats_tol: float = 1e-10) -> Extraction:
+    """Build and apply the extraction circuit; refuses when the gates fail."""
     exp = purify_experiment(exp)
-    if not _skip_gate:
-        pair = anticommuting_pairs(exp.kind)[0]
-        stats = check_against_reference(correlations(exp), exp.kind, tol=stats_tol)
-        anticomms = {f"{p}:{pair[0]}{pair[1]}": anticommutator_residual(exp, p, pair)
-                     for p in PARTIES}
-        detail = _extraction_refusal(exp.kind, stats.deviations, anticomms, tol, stats_tol)
-        if detail:
-            raise SelfTestPreconditionError("extraction", detail)
-    dims = exp.party_dims["A"] + (2,) + exp.party_dims["B"] + (2,)
-    # Psi_0 = |psi'> (x) |0>_ancA (x) |0>_ancB, laid out party-major as (d_A, 2, d_B, 2)
-    assert isinstance(exp.state, StateVector)
-    d_a, d_b = (int(np.prod(exp.party_dims[p])) for p in PARTIES)
-    psi0 = np.zeros((d_a, 2, d_b, 2), dtype=complex)
-    psi0[:, 0, :, 0] = exp.state.amplitudes.reshape(d_a, d_b)
+    pair = anticommuting_pairs(exp.kind)[0]
+    stats = check_against_reference(correlations(exp), exp.kind, tol=stats_tol)
+    anticomms = {f"{p}:{pair[0]}{pair[1]}": anticommutator_residual(exp, p, pair)
+                 for p in PARTIES}
+    detail = _extraction_refusal(exp.kind, stats.deviations, anticomms, tol, stats_tol)
+    if detail:
+        raise SelfTestPreconditionError("extraction", detail)
+    return _extract(exp)
+
+
+def _extract(exp: Experiment) -> Extraction:
+    """Ungated extraction of a pure experiment: ``U_A Phi U_B^T`` for Psi_0 and each M Psi_0."""
+    psi = _psi(exp)
+    d_a, d_b = psi.shape
+    # Psi_0 = |psi'> (x) |0>_ancA (x) |0>_ancB on the party layout (d_A, 2, d_B, 2)
+    psi0 = np.zeros((2 * d_a, 2 * d_b), dtype=complex)
+    psi0[::2, ::2] = psi
     local_units = {p: _party_circuit(exp, p) for p in PARTIES}
 
-    def circuit(vec: np.ndarray) -> np.ndarray:
-        """U_A vec U_B^T, with vec read as a (2 d_A, 2 d_B) matrix."""
-        for i, party in enumerate(PARTIES):
-            vec = apply_operator(local_units[party], vec, (2 * d_a, 2 * d_b), [i])
-        return vec
+    def circuit(phi: np.ndarray) -> StateVector:
+        out = exp.act("B", local_units["B"], exp.act("A", local_units["A"], phi))
+        return StateVector((d_a, 2, d_b, 2), out)
 
-    out = StateVector(dims, circuit(psi0))
-    actions: dict[tuple[str, str], StateVector] = {}
-    for i, party in enumerate(PARTIES):
-        for lab in setting_labels(exp.kind):
-            m_psi0 = apply_operator(exp.observable(party, lab), psi0, psi0.shape, [2 * i])
-            actions[(party, lab)] = StateVector(dims, circuit(m_psi0))
-    return Extraction(exp=exp, dims=dims, state=out, actions=actions,
-                      local_units=local_units)
+    actions = {(p, lab): circuit(exp.act(p, np.kron(exp.observable(p, lab), np.eye(2)), psi0))
+               for p in PARTIES for lab in setting_labels(exp.kind)}
+    return Extraction(exp=exp, state=circuit(psi0), actions=actions, local_units=local_units)
 
 
 def extraction_state_fidelity(ext: Extraction) -> float:
     """Fidelity of the reduced state on the two ancillas with the EPR pair."""
-    rho = partial_trace(ext.state, [ext.ancilla(p) for p in PARTIES])
+    rho = partial_trace(ext.state, [1, 3])         # the ancillas of the layout (d_A, 2, d_B, 2)
     phi = epr_pair().amplitudes
     return float(np.real(phi.conj() @ rho.matrix @ phi))
 
@@ -647,11 +642,12 @@ def extraction_state_fidelity(ext: Extraction) -> float:
 def extraction_action_fidelities(ext: Extraction) -> dict[tuple[str, str], float]:
     """|<Phi(M'psi')| I (x) M_ref |Phi(psi')>| for the sign-free settings."""
     ref = reference_observables(ext.exp.kind)
+    psi = ext.state.amplitudes.reshape(2 * ext.state.dims[0], -1)
     out: dict[tuple[str, str], float] = {}
     for party in PARTIES:
-        anc = ext.ancilla(party)
+        eye = np.eye(ext.local_units[party].shape[0] // 2)
         for lab in ACTION_LABELS:
-            m_ref_state = apply_operator(ref[party][lab], ext.state.amplitudes, ext.dims, [anc])
+            m_ref_state = ext.exp.act(party, np.kron(eye, ref[party][lab]), psi)
             val = np.vdot(ext.actions[(party, lab)].amplitudes, m_ref_state)
             out[(party, lab)] = float(abs(val))
     return out
@@ -687,17 +683,16 @@ class YCoefficientReport:
 
 def _party_y_blocks(ext: Extraction, party: str):
     exp = ext.exp
-    dims_local = list(exp.party_dims[party]) + [2]
-    anc_local = len(dims_local) - 1
     u_local = ext.local_units[party]
+    layout = (u_local.shape[0] // 2, 2)            # the party's registers, then its ancilla
     pushed = u_local @ np.kron(exp.observable(party, "Y"), np.eye(2)) @ u_local.conj().T
-    side = ext.block(party) + [ext.ancilla(party)]
-    proj = support_projector(ext.state, side)
+    psi = ext.state.amplitudes.reshape(2 * ext.state.dims[0], -1)
+    proj = _support(psi, party)
     restricted = proj @ pushed @ proj
-    blocks = pauli_decompose(restricted, anc_local, dims_local)
+    blocks = pauli_decompose(restricted, 1, layout)
     rank = int(round(np.trace(proj).real))
     scale = np.sqrt(rank / 2.0)
-    q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
+    q = op_partial_trace(proj, layout, [0]) / 2.0
     factorization = float(np.abs(proj - np.kron(q, np.eye(2))).max())
     sign = blocks["Y"] if party == "A" else -blocks["Y"]
     deviation = max(
@@ -706,8 +701,7 @@ def _party_y_blocks(ext: Extraction, party: str):
     )
     norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
     plus = np.kron((q + sign) / 2.0, np.eye(2))
-    amps = ext.state.amplitudes
-    pop0 = float(np.real(np.vdot(amps, apply_operator(plus, amps, ext.dims, side))))
+    pop0 = float(np.real(np.vdot(psi, exp.act(party, plus, psi))))
     sign_exp = float(np.clip(2 * pop0 - 1, -1, 1))
     return norms, deviation, factorization, sign_exp, pop0
 
@@ -833,8 +827,9 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
 
     anticomms: dict[str, tuple[float, float]] = {}
     for party in PARTIES:
+        proj = _support(_psi(exp_pure), party)         # one Schmidt decomposition per party
         for pair in anticommuting_pairs(exp.kind):
-            raw, support = anticommutator_residual(exp_pure, party, pair)
+            raw, support = _anticommutator_residual(exp_pure, party, pair, proj)
             anticomms[f"{party}:{pair[0]}{pair[1]}"] = (raw, support)
             if support > tol:
                 failures.append(f"anticommutator[{party}:{pair[0]}{pair[1]}]")
@@ -845,7 +840,7 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     if refused:
         failures.append("extraction_refused[extraction]")
     else:
-        ext = extraction_isometry(exp_pure, tol=tol, stats_tol=stats_tol, _skip_gate=True)
+        ext = _extract(exp_pure)
         state_fid = extraction_state_fidelity(ext)
         if state_fid < 1 - tol:
             failures.append("state_fidelity")

@@ -35,7 +35,7 @@ class StateVector:
         if int(np.prod(dims)) != amp.size:
             raise ValueError(f"dims {dims} do not match amplitude length {amp.size}")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:         # a NaN norm fails too
             raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
         amp = amp.copy()
         amp.setflags(write=False)
@@ -79,6 +79,8 @@ class DensityMatrix:
         d = int(np.prod(dims))
         if mat.shape != (d, d):
             raise ValueError(f"dims {dims} do not match matrix shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.abs(mat - mat.conj().T).max() > tol:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(mat).real

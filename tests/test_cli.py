@@ -280,6 +280,28 @@ def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, text):
     assert one_error_line(capsys.readouterr().err)
 
 
+def nan_inputs():
+    """An experiment with one NaN amplitude, and a custom QKD source state with one."""
+    experiment = experiment_to_json(reference_experiment("extended"))
+    experiment["state"]["amplitudes"][0][0] = float("nan")
+    source = state_to_json(source_state(MismatchedFlags(0, 0)))
+    source["matrix"][0][0][0] = float("nan")
+    return experiment, source
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["simulate", "--experiment", "{path}"], 0),
+    (["selftest", "--experiment", "{path}"], 0),
+    (["qkd", "--strategy", "custom", "{path}", "--seed", "1", "--n", "100"], 1),
+], ids=["simulate", "selftest", "qkd_custom"])
+def test_nan_in_input_state_is_usage_error(tmp_path, capsys, argv, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(nan_inputs()[document]))
+    assert run([a.format(path=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and str(path) in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["props", "--dim", "0"], "--dim must be at least 1"),
     (["selftest", "--sampled", "n=0", "seed=1"], "--sampled n must be at least 1"),

@@ -233,6 +233,27 @@ def test_worst_entry_is_the_largest_failing_deviation():
     assert result.worst_deviation == pytest.approx(0.5)
 
 
+def test_nan_entries_fail_and_are_named():
+    ref = correlations(reference_experiment("mayersyao"))
+    with pytest.raises(ValueError, match="outside"):
+        CorrelationTable(kind="mayersyao", joints={**ref.joints, ("X", "X"): np.nan},
+                         marginals=ref.marginals)
+    # a NaN value slipped past construction, and a NaN error bar next to a larger failure
+    table = correlations(reference_experiment("mayersyao"))
+    object.__setattr__(table, "joints", {**table.joints, ("D", "D"): np.nan})
+    result = check_against_reference(table, "mayersyao")
+    assert (result.passed, result.worst_entry) == (False, "joint(D,D)")
+    joints = {**ref.joints, ("Z", "Z"): ref.joints[("Z", "Z")] - 0.5}
+    stderr = {key: 0.001 for key in joints}
+    stderr[("X", "X")] = np.nan
+    table = CorrelationTable(kind="mayersyao", joints=joints, marginals=ref.marginals,
+                             joint_stderr=stderr,
+                             marginal_stderr={key: 0.001 for key in ref.marginals})
+    result = check_against_reference(table, "mayersyao")
+    assert (result.passed, result.worst_entry) == (False, "joint(Z,Z)")
+    assert result.worst_deviation == pytest.approx(0.5)
+
+
 def test_check_against_reference_missing_entry():
     table = correlations(reference_experiment("mayersyao"))
     broken = dict(table.joints)
@@ -618,32 +639,54 @@ def dense_anticommutator_residual(exp, party, pair):
     return raw, float(np.linalg.norm(proj @ anti @ proj, ord=2))
 
 
-def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10, _skip_gate=False):
-    exp = purify_experiment(exp)
-    if not _skip_gate:
-        ok, detail = recomputing_extraction_gate(exp, tol, stats_tol)
-        if not ok:
-            raise SelfTestPreconditionError("extraction", detail)
+def register_layout(exp):
+    """The extracted register-level layout: dims, each party's register block and ancilla.
+
+    Party-major: A's registers, A's ancilla, B's registers, B's ancilla.
+    """
     n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
     dims = exp.party_dims["A"] + (2,) + exp.party_dims["B"] + (2,)
-    a_block, b_block = tuple(range(n_a)), tuple(range(n_a + 1, n_a + 1 + n_b))
-    anc_a, anc_b = n_a, n_a + 1 + n_b
+    blocks = {"A": list(range(n_a)), "B": list(range(n_a + 1, n_a + 1 + n_b))}
+    return dims, blocks, {"A": n_a, "B": n_a + 1 + n_b}
+
+
+def party_layout(exp, vec):
+    """A register-level extracted vector on the party layout (d_A, 2, d_B, 2): a reshape."""
+    d_a, d_b = (int(np.prod(exp.party_dims[p])) for p in PARTIES)
+    return StateVector((d_a, 2, d_b, 2), vec.reshape(d_a, 2, d_b, 2))
+
+
+def register_vector(ext):
+    """The extracted state on the register-level layout, by an explicit reshape."""
+    dims = register_layout(ext.exp)[0]
+    return StateVector(dims, ext.state.amplitudes.reshape(dims))
+
+
+def dense_extract(exp):
+    """The ungated extraction with both circuits embedded on the register-level layout."""
+    exp = purify_experiment(exp)
+    n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
+    dims, blocks, ancillas = register_layout(exp)
     vec = np.kron(exp.state.amplitudes, [1, 0, 0, 0])
     order = list(range(n_a)) + [n_a + n_b] + list(range(n_a, n_a + n_b)) + [n_a + n_b + 1]
     vec = permute_subsystems_vector(vec, list(exp.state.dims) + [2, 2], order)
     local_units = {p: party_circuit(exp, p) for p in PARTIES}
-    u = (embed_operator(local_units["B"], dims, list(b_block) + [anc_b])
-         @ embed_operator(local_units["A"], dims, list(a_block) + [anc_a]))
+    u = (embed_operator(local_units["B"], dims, blocks["B"] + [ancillas["B"]])
+         @ embed_operator(local_units["A"], dims, blocks["A"] + [ancillas["A"]]))
     actions = {}
-    for party, block in (("A", a_block), ("B", b_block)):
+    for party in PARTIES:
         for lab in setting_labels(exp.kind):
-            m_emb = embed_operator(exp.observable(party, lab), dims, list(block))
-            actions[(party, lab)] = StateVector(dims, u @ m_emb @ vec)
-    ext = Extraction(exp=exp, dims=dims, state=StateVector(dims, u @ vec), actions=actions,
-                     local_units=local_units)
-    assert (ext.block("A"), ext.ancilla("A")) == (list(a_block), anc_a)
-    assert (ext.block("B"), ext.ancilla("B")) == (list(b_block), anc_b)
-    return ext
+            m_emb = embed_operator(exp.observable(party, lab), dims, blocks[party])
+            actions[(party, lab)] = party_layout(exp, u @ m_emb @ vec)
+    return Extraction(exp=exp, state=party_layout(exp, u @ vec), actions=actions,
+                      local_units=local_units)
+
+
+def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10):
+    ok, detail = recomputing_extraction_gate(exp, tol, stats_tol)
+    if not ok:
+        raise SelfTestPreconditionError("extraction", detail)
+    return dense_extract(exp)
 
 
 def dense_partial_trace(state, keep):
@@ -654,21 +697,24 @@ def dense_partial_trace(state, keep):
 
 def dense_action_fidelities(ext):
     ref = reference_observables(ext.exp.kind)
-    return {(p, lab): float(abs(np.vdot(
-                ext.actions[(p, lab)].amplitudes,
-                embed_operator(ref[p][lab], ext.dims, [ext.ancilla(p)]) @ ext.state.amplitudes)))
+    dims, _, ancillas = register_layout(ext.exp)
+    state = register_vector(ext).amplitudes
+    return {(p, lab): float(abs(np.vdot(ext.actions[(p, lab)].amplitudes,
+                                        embed_operator(ref[p][lab], dims, [ancillas[p]]) @ state)))
             for p in PARTIES for lab in ACTION_LABELS}
 
 
 def dense_party_y_blocks(ext, party):
     exp = ext.exp
+    dims, registers, ancillas = register_layout(exp)
     dims_local = list(exp.party_dims[party]) + [2]
     anc_local = len(dims_local) - 1
     u_local = ext.local_units[party]
     pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
                                       list(range(anc_local))) @ u_local.conj().T
-    side = ext.block(party) + [ext.ancilla(party)]
-    proj = support_projector(ext.state, side)
+    side = registers[party] + [ancillas[party]]
+    state = register_vector(ext)
+    proj = support_projector(state, side)
     blocks = pauli_decompose(proj @ pushed @ proj, anc_local, dims_local)
     scale = np.sqrt(round(np.trace(proj).real) / 2.0)
     q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
@@ -677,17 +723,22 @@ def dense_party_y_blocks(ext, party):
     deviation = max(float(np.linalg.norm(sign - sign.conj().T)) / scale,
                     float(np.linalg.norm(sign @ sign - q)) / scale)
     norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
-    plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), ext.dims, side)
-    pop0 = float(np.real(np.vdot(ext.state.amplitudes, plus @ ext.state.amplitudes)))
+    plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), dims, side)
+    pop0 = float(np.real(np.vdot(state.amplitudes, plus @ state.amplitudes)))
     return norms, deviation, factorization, float(np.clip(2 * pop0 - 1, -1, 1)), pop0
+
+
+def dense_anticommutator(exp, party, pair, proj):
+    """The private anti-commutator kernel's dense form: it recomputes the projector it is given."""
+    return dense_anticommutator_residual(exp, party, pair)
 
 
 DENSE_STAGES = {
     "correlations": dense_correlations,
     "check_state_equalities": dense_state_equalities,
     "check_d_collapse": dense_d_collapse,
-    "anticommutator_residual": dense_anticommutator_residual,
-    "extraction_isometry": dense_extraction_isometry,
+    "_anticommutator_residual": dense_anticommutator,
+    "_extract": dense_extract,
     "partial_trace": dense_partial_trace,
     "extraction_action_fidelities": dense_action_fidelities,
     "_party_y_blocks": dense_party_y_blocks,
@@ -773,6 +824,50 @@ def test_local_kernel_matches_dense_pipeline_mixed_and_sampled(monkeypatch):
                        dense_selftest(junked, monkeypatch, sampled_n=2000, seed=8))
 
 
+@st.composite
+def rotated_junked_members(draw):
+    """A family member under random local unitaries, junk split by ``attach_junk``, D <= 64.
+
+    Members stay well conditioned: each flag branch and each purification
+    weight is either empty or at least about 1e-3.
+    """
+    a = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
+    c_abs = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.9))) * np.sqrt(a * (1 - a))
+    exp = purify_experiment(family_experiment(
+        SimParams.from_polar(a, c_abs, draw(st.floats(-np.pi, np.pi))), "extended"))
+    rng = np.random.default_rng(draw(seeds))
+    room = 64 // exp.state.dim
+    junk_a = draw(st.integers(1, room))
+    for party, jdim in (("A", junk_a), ("B", draw(st.integers(1, room // junk_a)))):
+        if jdim > 1:
+            v = rng.standard_normal(jdim) + 1j * rng.standard_normal(jdim)
+            exp = attach_junk(exp, party, StateVector([jdim], v / np.linalg.norm(v)))
+    exp = rotate_experiment(exp, {
+        p: random_unitary(int(np.prod(exp.party_dims[p])), rng) for p in PARTIES})
+    return exp, a
+
+
+@given(rotated_junked_members())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_party_layout_matches_register_layout_oracles(case):
+    exp, a = case
+    assert exp.state.dim <= 64
+    ext, oracle = extraction_isometry(exp), dense_extract(exp)
+    assert ext.state.dims == oracle.state.dims
+    for got, want in [(ext.state, oracle.state)] + [
+            (ext.actions[key], action) for key, action in oracle.actions.items()]:
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
+    fast = run_selftest(exp)
+    dense = dense_selftest(exp, pytest.MonkeyPatch())
+    assert_same_report(fast, dense)
+    assert fast.passed and fast.refused_stage is None
+    # the populations are report floats, so they already agree within 1e-12
+    flags = [equivalence_report_to_dict(r)["flag_populations"] for r in (fast, dense)]
+    assert [(f["source"], f["coherence"] is None) for f in flags] == \
+        [(flags[0]["source"], flags[0]["coherence"] is None)] * 2
+    assert flags[0]["population_0"] == pytest.approx(a, abs=1e-9)
+
+
 def test_selftest_builds_no_full_space_operator(monkeypatch):
     exp = junk_ladder_experiment(256, seed=5)
     calls = []
@@ -828,7 +923,7 @@ def test_party_circuit_equals_dense_circuit():
 def expectation_loop_correlations(exp, include_cross_pairs=False):
     """Correlation table with two local applications per entry, each checked on its own."""
     exp = purify_experiment(exp)
-    psi = exp.state.amplitudes
+    psi = exp.state.amplitudes.reshape(int(np.prod(exp.party_dims["A"])), -1)
 
     def expect(ops):
         phi = psi
@@ -947,7 +1042,7 @@ def test_extraction_gate_matches_recomputing_gate():
             with pytest.raises(SelfTestPreconditionError) as err:
                 extract(exp, tol=tol, stats_tol=stats_tol)
             assert str(err.value) == f"self-test stage refused: extraction ({detail})", name
-        assert isinstance(dense_extraction_isometry(exp, _skip_gate=True), Extraction)
+        assert isinstance(dense_extract(exp), Extraction)
     assert branches == {"", "joint", "marginal", "anticommutator"}
 
 
@@ -967,21 +1062,24 @@ def test_sampled_statistics_failure_does_not_refuse_extraction():
 def test_run_selftest_computes_each_stage_once(kind, sampled, monkeypatch):
     exp = junk_ladder_experiment(64, seed=1) if kind == "extended" else \
         reference_experiment(kind)
-    calls = {"correlations": [], "anticommutator_residual": []}
-    for name in calls:
-        original = getattr(selftest, name)
+    calls = {"correlations": [], "_anticommutator_residual": [], "schmidt": []}
+    for module, name in ((selftest, "correlations"), (selftest, "_anticommutator_residual"),
+                         (states, "schmidt")):
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name].append(args[0])
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(selftest, name, counted)
+        monkeypatch.setattr(module, name, counted)
     kwargs = {"sampled_n": 300, "seed": 3} if sampled else {}
     assert run_selftest(exp, **kwargs).refused_stage is None
     assert len(calls["correlations"]) == 2
     assert calls["correlations"][0] is exp
     assert calls["correlations"][1].state.dims == (2, 2)
-    assert len(calls["anticommutator_residual"]) == 2 * len(anticommuting_pairs(kind))
+    assert len(calls["_anticommutator_residual"]) == 2 * len(anticommuting_pairs(kind))
+    # one support projector per party of Psi, and for the Y check one per party of Psi'
+    assert len(calls["schmidt"]) <= (4 if kind == "extended" else 2)
 
 
 def test_draw_outcomes_never_picks_a_missing_outcome():

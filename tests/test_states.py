@@ -35,6 +35,8 @@ def test_state_vector_validation():
         StateVector([2], [1.0, 1.0])        # not normalized
     with pytest.raises(ValueError):
         StateVector([2, 2], [1.0, 0.0])     # wrong length
+    with pytest.raises(ValueError, match="norm nan"):
+        StateVector([2], [np.nan, 0.0])
 
 
 def test_density_matrix_validation():
@@ -44,6 +46,9 @@ def test_density_matrix_validation():
         DensityMatrix([2], np.diag([0.9, 0.9]))                  # trace != 1
     with pytest.raises(ValueError):
         DensityMatrix([2], np.diag([1.5, -0.5]))                 # negative eigenvalue
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix([2], np.array([[1.0, bad], [bad, 0.0]]))
 
 
 def test_expectation_epr_values():
