@@ -8,16 +8,17 @@ Conventions used across the package:
 - ``tensor(A, B)`` puts A's indices major, so the left factor belongs to the
   lower party index.
 - The default algebraic tolerance is 1e-10.
-- Local operators act on a state vector through :func:`apply_operator`, a
-  reshape plus ``tensordot`` over the target axes; no full-space embedding of
-  an operator is ever built.  For a bipartite amplitude matrix Psi of shape
-  (d_A, d_B), that is dims ``(d_A, d_B)``, an operator A on subsystem 0 acts
-  as ``A Psi`` and an operator B on subsystem 1 acts as ``Psi B^T``.
+- A bipartite pure state is handled as its amplitude matrix Psi of shape
+  (d_A, d_B), with d_p the product of party p's register dims.  A local
+  operator acts as a party product: A's operator M as ``M Psi`` and B's as
+  ``Psi M^T`` (``conjsim.selftest.Experiment.act``), and a product state of
+  the parties' registers is built with ``np.kron`` on Psi.  No operator on
+  the full space is ever built: the routines here that take ``dims`` only
+  reorder, trace out or Pauli-split the subsystems of the array they get.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -104,30 +105,6 @@ def permute_subsystems_matrix(mat: np.ndarray, dims: Sequence[int],
     t = mat.reshape(dims + dims)
     t = t.transpose(order + [n + o for o in order])
     return t.reshape(mat.shape)
-
-
-def apply_operator(op: np.ndarray, vec: np.ndarray, dims: Sequence[int],
-                   targets: Sequence[int]) -> np.ndarray:
-    """Apply ``op`` on the ``targets`` subsystems (in that order), identity elsewhere, to ``vec``.
-
-    ``vec`` is reshaped to one axis per subsystem and contracted with ``op``
-    over the target axes only; the result is flat, in the natural order.
-    """
-    op = as_matrix(op)
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    dims = _check_dims(dims, vec.size, "apply_operator")
-    targets = [int(t) for t in targets]
-    n = len(dims)
-    if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"invalid target subsystems {targets} for {n} subsystems")
-    t_dims = [dims[t] for t in targets]
-    d_t = math.prod(t_dims)
-    if op.shape != (d_t, d_t):
-        raise ValueError(f"operator shape {op.shape} does not match target dims")
-    k = len(targets)
-    out = np.tensordot(op.reshape(t_dims + t_dims), vec.reshape(dims),
-                       axes=(list(range(k, 2 * k)), targets))
-    return np.moveaxis(out, list(range(k)), targets).reshape(-1)
 
 
 def op_partial_trace(mat: np.ndarray, dims: Sequence[int],

@@ -36,7 +36,6 @@ from .linalg import (
     is_binary_observable,
     op_partial_trace,
     pauli_decompose,
-    permute_subsystems_vector,
 )
 from .states import (
     DensityMatrix,
@@ -146,12 +145,6 @@ class Experiment:
                 if not is_binary_observable(m):
                     raise ValueError(f"observable {lab}_{p} is not a binary observable")
 
-    def party_indices(self, party: str) -> list[int]:
-        n_a = len(self.party_dims["A"])
-        if party == "A":
-            return list(range(n_a))
-        return list(range(n_a, n_a + len(self.party_dims["B"])))
-
     def act(self, party: str, m: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """``M Psi`` for party A, ``Psi M^T`` (as ``(M Psi^T)^T``) for party B, C-ordered.
 
@@ -202,36 +195,30 @@ def with_state(exp: Experiment, state: StateVector | DensityMatrix) -> Experimen
 
 
 def rotate_experiment(exp: Experiment, unitaries: dict[str, np.ndarray]) -> Experiment:
-    """Conjugate state and observables by local unitaries (one per party).
+    """Conjugate a pure experiment's state and observables by local unitaries (one per party).
 
     The rotation scrambles any designated flag registers, so that metadata is
     dropped.
     """
+    if not isinstance(exp.state, StateVector):
+        raise ValueError("rotate_experiment expects a pure experiment")
     units = {p: as_matrix(unitaries[p]) for p in PARTIES}
-    new_state = exp.state
-    for p in PARTIES:
-        new_state = new_state.apply(units[p], exp.party_indices(p))
+    psi = exp.act("B", units["B"], exp.act("A", units["A"], _psi(exp)))
     obs = {
         p: {l: units[p] @ m @ units[p].conj().T for l, m in exp.observables[p].items()}
         for p in PARTIES
     }
-    return replace(exp, state=new_state, observables=obs, flag_registers=None)
+    return replace(exp, state=StateVector(exp.state.dims, psi), observables=obs,
+                   flag_registers=None)
 
 
 def attach_junk(exp: Experiment, party: str, junk: StateVector) -> Experiment:
     """Append ancilla registers in a fixed state to one party; observables ignore them."""
     if not isinstance(exp.state, StateVector):
         raise ValueError("attach_junk expects a pure experiment")
-    dims = list(exp.state.dims)
-    n_a = len(exp.party_dims["A"])
-    insert_at = n_a if party == "A" else len(dims)
-    new_dims = dims[:insert_at] + list(junk.dims) + dims[insert_at:]
-    vec = np.kron(exp.state.amplitudes, junk.amplitudes)
-    # built on [original..., junk]; move the junk block to insert_at
-    order = (list(range(insert_at))
-             + list(range(len(dims), len(dims) + len(junk.dims)))
-             + list(range(insert_at, len(dims))))
-    vec = permute_subsystems_vector(vec, dims + list(junk.dims), order)
+    # the junk vector is a column for A (new trailing row index), a row for B
+    j = junk.amplitudes[:, None] if party == "A" else junk.amplitudes[None, :]
+    psi = np.kron(_psi(exp), j)
     eye_j = np.eye(junk.dim, dtype=complex)
     obs = {p: dict(exp.observables[p]) for p in PARTIES}
     for lab, m in obs[party].items():
@@ -243,7 +230,7 @@ def attach_junk(exp: Experiment, party: str, junk: StateVector) -> Experiment:
         flags = dict(exp.flag_registers)
         if party == "A":
             flags["B"] += len(junk.dims)
-    return Experiment(kind=exp.kind, state=StateVector(new_dims, vec),
+    return Experiment(kind=exp.kind, state=StateVector(pd["A"] + pd["B"], psi),
                       observables=obs, party_dims=pd, flag_registers=flags)
 
 
@@ -254,12 +241,10 @@ def purify_experiment(exp: Experiment, tol: float = 1e-12) -> Experiment:
     pure = purify(exp.state, tol=tol)
     if pure.dims == exp.state.dims:
         return replace(exp, state=pure)
-    n = len(exp.state.dims)
-    n_a = len(exp.party_dims["A"])
+    d_a = int(np.prod(exp.party_dims["A"]))
     r = pure.dims[-1]
-    order = list(range(n_a)) + [n] + list(range(n_a, n))
-    vec = permute_subsystems_vector(pure.amplitudes, pure.dims, order)
-    new_dims = exp.state.dims[:n_a] + (r,) + exp.state.dims[n_a:]
+    # (d_A, d_B, r) -> (d_A, r, d_B): the auxiliary register becomes A's last
+    psi = pure.amplitudes.reshape(d_a, -1, r).swapaxes(1, 2).reshape(d_a * r, -1)
     obs = {p: dict(exp.observables[p]) for p in PARTIES}
     for lab, m in obs["A"].items():
         obs["A"][lab] = np.kron(m, np.eye(r, dtype=complex))
@@ -267,7 +252,7 @@ def purify_experiment(exp: Experiment, tol: float = 1e-12) -> Experiment:
     flags = None
     if exp.flag_registers is not None:
         flags = {"A": exp.flag_registers["A"], "B": exp.flag_registers["B"] + 1}
-    return Experiment(kind=exp.kind, state=StateVector(new_dims, vec),
+    return Experiment(kind=exp.kind, state=StateVector(pd["A"] + pd["B"], psi),
                       observables=obs, party_dims=pd, flag_registers=flags)
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .family import SimParams, multiparty_sim_state
-from .linalg import permute_subsystems_vector
 from .selftest import _draw_outcomes, correlations, family_experiment, with_state
 from .states import DensityMatrix, StateVector, epr_pair
 
@@ -109,11 +108,10 @@ def source_state(strategy: EveStrategy) -> DensityMatrix:
     if isinstance(strategy, Conjugate):
         return multiparty_sim_state(epr_pair(), 2, SimParams(0.0, 0.0))
     if isinstance(strategy, MismatchedFlags):
-        flags = np.zeros(4, dtype=complex)
-        flags[2 * strategy.flag_a + strategy.flag_b] = 1.0
-        vec = np.kron(flags, epr_pair().amplitudes)      # [fA, fB, dA, dB]
-        vec = permute_subsystems_vector(vec, [2, 2, 2, 2], [0, 2, 1, 3])
-        return StateVector(SOURCE_DIMS, vec).density()
+        e_fa, e_fb = np.eye(2, dtype=complex)[[strategy.flag_a, strategy.flag_b]]
+        # rows (flag_A, data_A), columns (flag_B, data_B)
+        psi = np.kron(np.outer(e_fa, e_fb), epr_pair().amplitudes.reshape(2, 2))
+        return StateVector(SOURCE_DIMS, psi).density()
     if isinstance(strategy, CustomState):
         return strategy.state
     raise TypeError(f"unknown strategy {strategy!r}")

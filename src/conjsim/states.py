@@ -12,7 +12,6 @@ import numpy as np
 
 from .linalg import (
     ATOL,
-    apply_operator,
     as_matrix,
     is_binary_observable,
     op_partial_trace,
@@ -56,15 +55,6 @@ class StateVector:
         return StateVector([self.dims[o] for o in order],
                            permute_subsystems_vector(self.amplitudes, self.dims, order))
 
-    def apply(self, op: np.ndarray, targets=None) -> "StateVector":
-        """Apply an operator that preserves this state's norm (e.g. a unitary).
-
-        ``op`` acts on the ``targets`` subsystems (all of them by default).
-        """
-        if targets is None:
-            targets = range(len(self.dims))
-        return StateVector(self.dims, apply_operator(op, self.amplitudes, self.dims, targets))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -99,18 +89,6 @@ class DensityMatrix:
 
     def density(self) -> "DensityMatrix":
         return self
-
-    def apply(self, op: np.ndarray, targets=None) -> "DensityMatrix":
-        """U rho U^dagger for an operator U that preserves the trace (e.g. a unitary).
-
-        ``op`` acts on the ``targets`` subsystems (all of them by default).
-        """
-        n = len(self.dims)
-        targets = list(range(n) if targets is None else targets)
-        both = self.dims + self.dims        # row indices, then column indices
-        rows = apply_operator(op, self.matrix, both, targets)
-        out = apply_operator(as_matrix(op).conj(), rows, both, [n + t for t in targets])
-        return DensityMatrix(self.dims, out.reshape(self.matrix.shape))
 
 
 def basis_state(dims, index) -> StateVector:

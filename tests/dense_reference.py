@@ -1,11 +1,13 @@
 """Dense reference routines for the tests: every local operator as an explicit matrix.
 
-The package applies local operators through ``linalg.apply_operator`` and
-builds its few party-local matrices with ``np.kron``.  These routines build
-the same objects independently: ``embed_operator`` and ``controlled_gate``
-embed a matrix by permuting subsystems, ``party_circuit`` is the extraction
-circuit made from them, and ``flag_branches`` collapses the source's flags
-with two 16x16 projectors.
+The package addresses parties, not registers: a local operator acts on the
+amplitude matrix Psi (d_A, d_B) as the party product ``M Psi`` or
+``Psi M^T``, and its few party-local matrices and product states are built
+with ``np.kron``.  These routines build the same objects independently, on
+register index lists: ``party_registers`` lists a party's registers,
+``embed_operator`` and ``controlled_gate`` embed a matrix by permuting
+subsystems, ``party_circuit`` is the extraction circuit made from them, and
+``flag_branches`` collapses the source's flags with two 16x16 projectors.
 """
 
 import math
@@ -22,6 +24,14 @@ def kron_all(*factors):
     for f in factors:
         out = np.kron(out, as_matrix(f))
     return out
+
+
+def party_registers(exp, party):
+    """Global register indices of one party of an experiment: A's lead, B's follow."""
+    n_a = len(exp.party_dims["A"])
+    if party == "A":
+        return list(range(n_a))
+    return list(range(n_a, n_a + len(exp.party_dims["B"])))
 
 
 def embed_operator(op, dims, targets):

@@ -8,7 +8,6 @@ from conjsim.linalg import (
     X,
     Y,
     Z,
-    apply_operator,
     herm_expm,
     is_binary_observable,
     is_hermitian,
@@ -110,44 +109,6 @@ def test_embed_and_permute_consistency():
     w = permute_subsystems_vector(v, dims, [2, 0, 1])
     back = permute_subsystems_vector(w, [2, 2, 3], [1, 2, 0])
     np.testing.assert_allclose(back, v)
-
-
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_apply_operator_matches_embed_operator(seed):
-    # targets are a random subset of the subsystems in random order, so they
-    # are often non-contiguous and reordered
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
-    dims = [int(d) for d in rng.integers(1, 4, size=n)]
-    targets = [int(t) for t in rng.permutation(n)[:int(rng.integers(0, n + 1))]]
-    op = random_complex_matrix(int(np.prod([dims[t] for t in targets])), rng)
-    d = int(np.prod(dims))
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    np.testing.assert_allclose(apply_operator(op, vec, dims, targets),
-                               embed_operator(op, dims, targets) @ vec, atol=1e-12)
-
-
-@pytest.mark.parametrize("targets", [[3, 0], [2, 0, 1], [1, 3], [3, 2, 1, 0]])
-def test_apply_operator_non_contiguous_and_reordered_targets(targets):
-    rng = np.random.default_rng(4)
-    dims = [2, 3, 2, 3]
-    op = random_complex_matrix(int(np.prod([dims[t] for t in targets])), rng)
-    vec = rng.standard_normal(36) + 1j * rng.standard_normal(36)
-    np.testing.assert_allclose(apply_operator(op, vec, dims, targets),
-                               embed_operator(op, dims, targets) @ vec, atol=1e-12)
-
-
-def test_apply_operator_rejects_bad_input():
-    vec = np.ones(6, dtype=complex)
-    with pytest.raises(ValueError):
-        apply_operator(np.eye(2), vec, [2, 3], [1])       # operator does not fit the target
-    with pytest.raises(ValueError):
-        apply_operator(np.eye(4), vec, [2, 3], [0, 0])    # repeated target
-    with pytest.raises(ValueError):
-        apply_operator(np.eye(2), vec, [2, 3], [2])       # no such subsystem
-    with pytest.raises(ValueError):
-        apply_operator(np.eye(2), vec, [2, 2], [0])       # dims do not match the vector
 
 
 def test_embed_operator_order_matters():

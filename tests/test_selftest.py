@@ -63,7 +63,7 @@ from conjsim.states import (
     support_projector,
 )
 
-from dense_reference import embed_operator, party_circuit
+from dense_reference import embed_operator, party_circuit, party_registers
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -573,7 +573,7 @@ def test_run_selftest_sampled_requires_seed():
 
 
 def _embed(exp, party, m):
-    return embed_operator(m, exp.state.dims, exp.party_indices(party))
+    return embed_operator(m, exp.state.dims, party_registers(exp, party))
 
 
 def dense_correlations(exp, include_cross_pairs=False):
@@ -635,7 +635,7 @@ def dense_anticommutator_residual(exp, party, pair):
     m, n = exp.observable(party, pair[0]), exp.observable(party, pair[1])
     anti = m @ n + n @ m
     raw = float(np.linalg.norm(_embed(exp, party, anti) @ exp.state.amplitudes))
-    proj = support_projector(exp.state, exp.party_indices(party))
+    proj = support_projector(exp.state, party_registers(exp, party))
     return raw, float(np.linalg.norm(proj @ anti @ proj, ord=2))
 
 

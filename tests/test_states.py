@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim.family import SimParams, multiparty_sim_state
-from conjsim.linalg import X, Y, Z, random_unitary, tensor
+from conjsim.linalg import X, Y, Z, tensor
 from conjsim.states import (
     DensityMatrix,
     StateVector,
@@ -19,7 +19,6 @@ from conjsim.states import (
     support_projector,
 )
 
-from dense_reference import embed_operator
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -114,22 +113,6 @@ def test_partial_trace_of_pure_state_matches_density_route(seed):
     dense = partial_trace(psi.density(), keep)
     assert fast.dims == dense.dims
     np.testing.assert_allclose(fast.matrix, dense.matrix, atol=1e-12)
-
-
-@given(seeds)
-@settings(max_examples=20, deadline=None)
-def test_apply_local_unitary_matches_dense_conjugation(seed):
-    rng = np.random.default_rng(seed)
-    dims, targets = [2, 3, 2], [2, 0]
-    u = random_unitary(4, rng)
-    full = embed_operator(u, dims, targets)
-    psi = random_pure(dims, rng)
-    np.testing.assert_allclose(psi.apply(u, targets).amplitudes, full @ psi.amplitudes,
-                               atol=1e-12)
-    rho = DensityMatrix(dims, 0.5 * psi.density().matrix
-                        + 0.5 * random_pure(dims, rng).density().matrix)
-    np.testing.assert_allclose(rho.apply(u, targets).matrix,
-                               full @ rho.matrix @ full.conj().T, atol=1e-12)
 
 
 def test_partial_trace_invalid_index():
