@@ -215,14 +215,18 @@ def support_projector(state: StateVector, side, tol: float = 1e-12) -> np.ndarra
 def purify(dm: DensityMatrix, tol: float = 1e-12) -> StateVector:
     """Purification with the auxiliary register appended as the last subsystem.
 
-    Rank-1 inputs come back as a plain state vector (no auxiliary subsystem).
+    Eigenvalues at or below ``tol`` are dropped and the kept ones rescaled to
+    sum to 1, so the result is a unit vector even when the dropped weight is
+    as large as the trace tolerance.  Rank-1 inputs come back as a plain
+    state vector (no auxiliary subsystem).
     """
     w, v = np.linalg.eigh(dm.matrix)
     keep = w > tol
     rank = int(keep.sum())
     if rank == 0:
         raise ValueError("cannot purify a zero matrix")
-    cols = v[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None))
+    weights = np.clip(w[keep], 0.0, None)
+    cols = v[:, keep] * np.sqrt(weights / weights.sum())
     if rank == 1:
         return StateVector(dm.dims, cols[:, 0])
     return StateVector(dm.dims + (rank,), cols.reshape(dm.dim * rank))

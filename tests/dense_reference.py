@@ -8,15 +8,24 @@ register index lists: ``party_registers`` lists a party's registers,
 ``embed_operator`` and ``controlled_gate`` embed a matrix by permuting
 subsystems, ``party_circuit`` is the extraction circuit made from them, and
 ``flag_branches`` collapses the source's flags with two 16x16 projectors.
+``dense_rotate``, ``dense_attach_junk`` and ``dense_purify`` build the
+experiment builders' state vectors with a full-space product or a subsystem
+permutation.
 """
 
 import math
 
 import numpy as np
 
-from conjsim.linalg import HADAMARD, PAULIS, as_matrix, permute_subsystems_matrix
+from conjsim.linalg import (
+    HADAMARD,
+    PAULIS,
+    as_matrix,
+    permute_subsystems_matrix,
+    permute_subsystems_vector,
+)
 from conjsim.sixstate import FLAG_A, FLAG_B, SOURCE_DIMS
-from conjsim.states import DensityMatrix
+from conjsim.states import DensityMatrix, purify
 
 
 def kron_all(*factors):
@@ -107,3 +116,33 @@ def flag_branches(rho, tol=1e-9):
             post = proj @ rho.matrix @ proj / p
             branches.append((p, (za, zb), DensityMatrix(SOURCE_DIMS, post)))
     return branches
+
+
+def dense_rotate(exp, unitaries):
+    """State vector of ``rotate_experiment``: U_A (x) U_B on the full space."""
+    return np.kron(unitaries["A"], unitaries["B"]) @ exp.state.amplitudes
+
+
+def _moved(dims, vec, order, flags):
+    """Permute subsystems of ``vec``; flag registers follow their subsystem."""
+    new_flags = None if flags is None else {p: order.index(f) for p, f in flags.items()}
+    return (tuple(dims[o] for o in order), permute_subsystems_vector(vec, dims, order),
+            new_flags)
+
+
+def dense_attach_junk(exp, party, junk):
+    """(dims, vector, flags) of ``attach_junk``: the junk appended last, then moved into place."""
+    dims = list(exp.state.dims) + list(junk.dims)
+    n, k = len(exp.state.dims), len(junk.dims)
+    at = len(exp.party_dims["A"]) if party == "A" else n
+    order = list(range(at)) + list(range(n, n + k)) + list(range(at, n))
+    return _moved(dims, np.kron(exp.state.amplitudes, junk.amplitudes), order,
+                  exp.flag_registers)
+
+
+def dense_purify(exp):
+    """(dims, vector, flags) of ``purify_experiment``: the auxiliary register moved to A's end."""
+    pure = purify(exp.state)
+    n, n_a = len(exp.state.dims), len(exp.party_dims["A"])
+    order = list(range(n_a)) + [n] + list(range(n_a, n)) if len(pure.dims) > n else list(range(n))
+    return _moved(list(pure.dims), pure.amplitudes, order, exp.flag_registers)

@@ -302,6 +302,27 @@ def test_nan_in_input_state_is_usage_error(tmp_path, capsys, argv, document):
     assert one_error_line(err) and str(path) in err
 
 
+EDGE_A = (0.0, 1e-15, 1e-13, 1e-12, 2e-12, 1e-9, 1 - 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("at_bound", [False, True], ids=["c0", "cmax"])
+@pytest.mark.parametrize("a", EDGE_A)
+def test_selftest_at_the_family_edge_passes_or_is_infeasible(tmp_path, capsys, a, at_bound):
+    # eigenvalues of order tol used to be dropped without renormalising, and a
+    # later trace check failed with exit 1
+    c = float(np.sqrt(a * (1 - a))) if at_bound else 0.0
+    out = tmp_path / "report.json"
+    code = run(["selftest", "--family", f"a={a!r}", f"c={c!r}", "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert one_error_line(err) and "exceeds sqrt(a(1-a))" in err
+        return
+    assert code == 0, err
+    results = read_json(out)["results"]
+    assert results["verdict"] == "pass"
+    assert results["flag_populations"]["population_0"] == pytest.approx(a, abs=1e-9)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["props", "--dim", "0"], "--dim must be at least 1"),
     (["selftest", "--sampled", "n=0", "seed=1"], "--sampled n must be at least 1"),

@@ -63,7 +63,14 @@ from conjsim.states import (
     support_projector,
 )
 
-from dense_reference import embed_operator, party_circuit, party_registers
+from dense_reference import (
+    dense_attach_junk,
+    dense_purify,
+    dense_rotate,
+    embed_operator,
+    party_circuit,
+    party_registers,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -866,6 +873,93 @@ def test_party_layout_matches_register_layout_oracles(case):
     assert [(f["source"], f["coherence"] is None) for f in flags] == \
         [(flags[0]["source"], flags[0]["coherence"] is None)] * 2
     assert flags[0]["population_0"] == pytest.approx(a, abs=1e-9)
+
+
+def nudged(value):
+    """``value`` moved by one and two ulps each way (at most 4.5e-16 relative)."""
+    out = []
+    for direction in (-np.inf, np.inf):
+        step = value
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            out.append(float(step))
+    return out
+
+
+def tied_failures():
+    """Failing members whose worst entries tie in exact arithmetic.
+
+    Swapping X and Z makes joint(X,X) and joint(Z,Z) fail equally, and with
+    unitary observables state=LL and transfer=L are the same norm.
+    """
+    member = family_experiment(SimParams(0.3, 0.25 * np.exp(0.7j)), "extended")
+    junked = junk_ladder_experiment(64, seed=2)
+    return [swapped(member, "A", "X", "Z"), swapped(junked, "B", "X", "Z"),
+            swapped(junked, "A", "Z", "D"), swapped(reference_experiment("mayersyao"), "A", "X", "Z")]
+
+
+def test_failure_names_do_not_hang_on_rounding(monkeypatch):
+    for exp in tied_failures():
+        report = run_selftest(exp)
+        assert not report.passed
+        table = correlations(exp)
+        for entries in ("joints", "marginals"):
+            values = getattr(table, entries)
+            for key, value in values.items():
+                for moved in nudged(value):
+                    perturbed = dataclasses.replace(table, **{entries: {**values, key: moved}})
+                    result = check_against_reference(perturbed, exp.kind)
+                    assert result.worst_entry == report.statistics.worst_entry, key
+        for stage, field in (("check_state_equalities", "state_equalities"),
+                             ("check_d_collapse", "collapse_residuals")):
+            residuals = getattr(report, field)
+            for key, value in residuals.items():
+                for moved in nudged(value):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(selftest, stage,
+                                      lambda _exp, r={**residuals, key: moved}: dict(r))
+                        assert run_selftest(exp).failures == report.failures, (stage, key)
+
+
+@given(rotated_junked_members())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_failure_names_match_dense_oracle(case):
+    exp, _ = case
+    for party, la, lb in (("A", "X", "Z"), ("B", "X", "Z"), ("A", "Z", "D")):
+        bad = swapped(exp, party, la, lb)
+        fast, dense = run_selftest(bad), dense_selftest(bad, pytest.MonkeyPatch())
+        assert not fast.passed
+        assert fast.statistics.worst_entry == dense.statistics.worst_entry
+        assert_same_report(fast, dense)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_builders_match_dense_oracles(seed):
+    rng = np.random.default_rng(seed)
+    a = float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
+    c_abs = float(rng.choice([0.0, 1.0, rng.uniform(0, 1)])) * np.sqrt(a * (1 - a))
+    mixed = family_experiment(SimParams.from_polar(a, c_abs, rng.uniform(-np.pi, np.pi)))
+    exp = purify_experiment(mixed)
+    dims, vec, flags = dense_purify(mixed)
+    assert (exp.state.dims, exp.flag_registers) == (dims, flags)
+    assert np.array_equal(exp.state.amplitudes, vec)
+    room = 64 // exp.state.dim
+    for party in rng.permutation(PARTIES):
+        jdim = int(rng.integers(1, room + 1))
+        room //= jdim
+        v = rng.standard_normal(jdim) + 1j * rng.standard_normal(jdim)
+        junk = StateVector([jdim], v / np.linalg.norm(v))
+        dims, vec, flags = dense_attach_junk(exp, party, junk)
+        exp = attach_junk(exp, party, junk)
+        assert (exp.state.dims, exp.flag_registers) == (dims, flags)
+        assert np.array_equal(exp.state.amplitudes, vec)
+    assert exp.state.dim <= 64
+    units = {p: random_unitary(int(np.prod(exp.party_dims[p])), rng) for p in PARTIES}
+    np.testing.assert_allclose(rotate_experiment(exp, units).state.amplitudes,
+                               dense_rotate(exp, units), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="pure experiment"):
+        rotate_experiment(mixed, {p: np.eye(4) for p in PARTIES})
 
 
 def test_selftest_builds_no_full_space_operator(monkeypatch):

@@ -209,6 +209,19 @@ def test_purify_rank_one_returns_vector_without_aux():
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("small", [1e-12, 5e-13])
+def test_purify_renormalises_the_kept_weight(small):
+    # the dropped eigenvalue is as large as the trace tolerance, so without
+    # renormalising the reduced state of the purification fails its trace check
+    dm = DensityMatrix([2, 2], np.diag([0.5, 0.5 - small, small, 0.0]))
+    pure = purify(dm)
+    assert pure.dims == (2, 2, 2)
+    assert np.linalg.norm(pure.amplitudes) == pytest.approx(1.0, abs=1e-15)
+    reduced = partial_trace(pure, [0, 1])
+    assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(reduced.matrix, dm.matrix, atol=2 * small)
+
+
 def test_measure_eigenstate_is_deterministic():
     rng = np.random.default_rng(0)
     outcome, post = measure(basis_state([2], [0]), Z, rng)
