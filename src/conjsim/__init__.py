@@ -26,8 +26,7 @@ _EXPORTS = {
         "ZPremeasure", "eve_flip_correction", "run_rounds", "sift", "zpremeasure_analysis",
     ),
     "states": (
-        "DensityMatrix", "SchmidtDecomposition", "StateVector", "epr_pair", "expectation",
-        "measure", "partial_trace", "schmidt", "support_projector",
+        "DensityMatrix", "StateVector", "epr_pair", "expectation", "measure", "partial_trace",
     ),
 }
 _SUBMODULES = ("family", "linalg", "selftest", "sixstate", "states")

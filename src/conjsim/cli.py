@@ -45,6 +45,19 @@ def _user_input(what: str):
         raise UsageError(f"{what}: {detail}") from None
 
 
+def _read_document(flag: str, path: str):
+    """The JSON document at ``path``; an unreadable, non-UTF-8 or non-JSON file is a UsageError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        detail = err.strerror or str(err)
+    except UnicodeDecodeError as err:
+        detail = f"not UTF-8 text ({err.reason} at byte {err.start})"
+    except json.JSONDecodeError as err:
+        detail = f"not JSON ({err})"
+    raise UsageError(f"{flag} {path}: {detail}")
+
+
 def _parse_kv(tokens, allowed, what):
     out = {}
     for tok in tokens:
@@ -89,7 +102,7 @@ def _strategy(tokens):
     if name == "custom":
         if len(rest) != 1:
             raise UsageError("--strategy custom needs a JSON state/strategy path")
-        data = json.loads(Path(rest[0]).read_text())
+        data = _read_document("--strategy custom", rest[0])
         from .serialize import strategy_from_json
 
         with _user_input(rest[0]):
@@ -203,7 +216,7 @@ def _experiment_document(args):
     """The parsed --experiment file, or None; refuses --experiment together with --family."""
     if args.experiment and args.family:
         raise UsageError("give either --experiment or --family, not both")
-    return json.loads(Path(args.experiment).read_text()) if args.experiment else None
+    return _read_document("--experiment", args.experiment) if args.experiment else None
 
 
 def _build_experiment(args, document):
@@ -354,7 +367,7 @@ def _apply_config(parser, args, argv):
     if not args.config:
         args.config_data = {}
         return args
-    data = json.loads(Path(args.config).read_text())
+    data = _read_document("--config", args.config)
     if not isinstance(data, dict):
         raise UsageError(f"--config {args.config}: expected a JSON object")
     given = {tok.lstrip("-").split("=")[0].replace("-", "_")
@@ -392,7 +405,7 @@ def main(argv=None) -> int:
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise UsageError(f"--{key.replace('_', '-')} must be finite and non-negative")
         return args.func(args)
-    except (UsageError, OSError, json.JSONDecodeError) as err:
+    except (UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as err:

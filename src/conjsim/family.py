@@ -22,7 +22,6 @@ from .linalg import (
     is_hermitian,
     is_psd,
     is_unitary,
-    permute_subsystems_matrix,
     random_complex_matrix,
     random_hermitian,
     random_psd,
@@ -112,8 +111,16 @@ def c_of(m: np.ndarray) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("c_of requires a square matrix")
-    zero = np.zeros_like(m)
-    return np.block([[m, zero], [zero, m.conj()]])
+    return _flag_diag(m, m.conj())
+
+
+def _flag_diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """|0><0| (x) upper + |1><1| (x) lower for square blocks of one shape."""
+    d = upper.shape[0]
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, :d] = upper
+    out[d:, d:] = lower
+    return out
 
 
 def sim_povm(povm: Povm) -> Povm:
@@ -141,28 +148,7 @@ def sim_hamiltonian(h: np.ndarray, tol: float = ATOL) -> np.ndarray:
     h = as_matrix(h)
     if not is_hermitian(h, tol):
         raise ValueError("sim_hamiltonian requires a Hermitian matrix")
-    zero = np.zeros_like(h)
-    return np.block([[h, zero], [zero, -h.conj()]])
-
-
-def _logical_flag_projectors(n_parties: int):
-    d = 2 ** n_parties
-    zero = np.zeros((d, d), dtype=complex)
-    zero[0, 0] = 1.0
-    one = np.zeros((d, d), dtype=complex)
-    one[-1, -1] = 1.0
-    cross = np.zeros((d, d), dtype=complex)
-    cross[0, -1] = 1.0                       # |0...0><1...1|
-    return zero, one, cross
-
-
-def _interleave_flags(mat: np.ndarray, n_parties: int, data_dims) -> np.ndarray:
-    # built on [flags..., data...]; reorder to party-major [flag_i, data_i, ...]
-    dims = [2] * n_parties + list(data_dims)
-    order = []
-    for i in range(n_parties):
-        order.extend([i, n_parties + i])
-    return permute_subsystems_matrix(mat, dims, order)
+    return _flag_diag(h, -h.conj())
 
 
 def multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> DensityMatrix:
@@ -171,23 +157,24 @@ def multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> Dens
     The flag registers only populate the logical states |0...0> and |1...1>;
     all cross-flag populations vanish, so locally premeasured flags always agree.
     With one party this is the single-flag member: projecting the flag onto
-    |0>/|1> leaves the reference/conjugate state.
+    |0>/|1> leaves the reference/conjugate state.  The block of flags (z, z') is
+    written where every row flag equals z and every column flag equals z'.
     """
     if len(psi.dims) != n_parties:
         raise ValueError(f"state has {len(psi.dims)} subsystems, expected one per party")
     v = psi.amplitudes
     ref = np.outer(v, v.conj())
     cross = np.outer(v, v)
-    f0, f1, fc = _logical_flag_projectors(n_parties)
     a, c = p.a, p.c
-    mat = (a * np.kron(f0, ref)
-           + (1 - a) * np.kron(f1, ref.conj())
-           + c * np.kron(fc, cross)
-           + np.conj(c) * np.kron(fc.conj().T, cross.conj()))
-    out_dims = []
-    for d in psi.dims:
-        out_dims.extend([2, d])
-    return DensityMatrix(out_dims, _interleave_flags(mat, n_parties, psi.dims))
+    blocks = {(0, 0): a * ref, (1, 1): (1 - a) * ref.conj(),
+              (0, 1): c * cross, (1, 0): np.conj(c) * cross.conj()}
+    out_dims = [d for dim in psi.dims for d in (2, dim)]
+    mat = np.zeros(out_dims * 2, dtype=complex)      # rows (f_1, d_1, ..., f_n, d_n), then columns
+    for (z, zc), block in blocks.items():
+        # added onto +0, so a zero entry of a block is +0 whatever its sign
+        mat[(z, slice(None)) * n_parties + (zc, slice(None)) * n_parties] += \
+            block.reshape(psi.dims * 2)
+    return DensityMatrix(out_dims, mat.reshape(v.size * 2 ** n_parties, -1))
 
 
 # App-B basis change on the flag qubit: Hadamard then diag(1, -i), normalized.

@@ -14,7 +14,7 @@ Conventions used across the package:
   ``Psi M^T`` (``conjsim.selftest.Experiment.act``), and a product state of
   the parties' registers is built with ``np.kron`` on Psi.  No operator on
   the full space is ever built: the routines here that take ``dims`` only
-  reorder, trace out or Pauli-split the subsystems of the array they get.
+  trace out or Pauli-split the subsystems of the operator they get.
 """
 
 from __future__ import annotations
@@ -78,33 +78,6 @@ def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     if int(np.prod(dims)) != size:
         raise ValueError(f"{what}: dims {dims} do not match size {size}")
     return dims
-
-
-def permute_subsystems_vector(vec: np.ndarray, dims: Sequence[int],
-                              order: Sequence[int]) -> np.ndarray:
-    """Reorder subsystems of a state vector; ``order[i]`` is the old index now at slot i."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    dims = _check_dims(dims, vec.size, "permute_subsystems_vector")
-    order = list(order)
-    if sorted(order) != list(range(len(dims))):
-        raise ValueError(f"order {order} is not a permutation of {len(dims)} subsystems")
-    return vec.reshape(dims).transpose(order).reshape(-1)
-
-
-def permute_subsystems_matrix(mat: np.ndarray, dims: Sequence[int],
-                              order: Sequence[int]) -> np.ndarray:
-    """Reorder subsystems of an operator (rows and columns together)."""
-    mat = as_matrix(mat)
-    dims = _check_dims(dims, mat.shape[0], "permute_subsystems_matrix")
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("operator must be square")
-    order = list(order)
-    if sorted(order) != list(range(len(dims))):
-        raise ValueError(f"order {order} is not a permutation of {len(dims)} subsystems")
-    n = len(dims)
-    t = mat.reshape(dims + dims)
-    t = t.transpose(order + [n + o for o in order])
-    return t.reshape(mat.shape)
 
 
 def op_partial_trace(mat: np.ndarray, dims: Sequence[int],

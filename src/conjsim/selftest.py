@@ -37,14 +37,7 @@ from .linalg import (
     op_partial_trace,
     pauli_decompose,
 )
-from .states import (
-    DensityMatrix,
-    StateVector,
-    epr_pair,
-    partial_trace,
-    purify,
-    support_projector,
-)
+from .states import DensityMatrix, StateVector, epr_pair, partial_trace, purify
 
 PARTIES = ("A", "B")
 
@@ -299,8 +292,14 @@ def _psi(exp: Experiment) -> np.ndarray:
 
 
 def _support(psi: np.ndarray, party: str) -> np.ndarray:
-    """Projector onto the support on ``party`` of an amplitude matrix (rows A, columns B)."""
-    return support_projector(StateVector(psi.shape, psi), [PARTIES.index(party)])
+    """Projector onto the support on ``party`` of an amplitude matrix (rows A, columns B).
+
+    It is spanned by the left singular vectors of Psi (A) or Psi^T (B) whose
+    singular values exceed 1e-12 times the largest.
+    """
+    u, s, _ = np.linalg.svd(psi if party == "A" else psi.T, full_matrices=False)
+    basis = u[:, s > 1e-12 * s[0]]
+    return basis @ basis.conj().T
 
 
 def _setting_vectors(exp: Experiment) -> dict[str, dict[str, np.ndarray]]:
@@ -819,7 +818,7 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
 
     anticomms: dict[str, tuple[float, float]] = {}
     for party in PARTIES:
-        proj = _support(_psi(exp_pure), party)         # one Schmidt decomposition per party
+        proj = _support(_psi(exp_pure), party)         # one SVD of Psi per party
         for pair in anticommuting_pairs(exp.kind):
             raw, support = _anticommutator_residual(exp_pure, party, pair, proj)
             anticomms[f"{party}:{pair[0]}{pair[1]}"] = (raw, support)

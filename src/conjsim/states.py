@@ -1,4 +1,4 @@
-"""Quantum states over ordered subsystem lists, with measurement and Schmidt tools.
+"""Quantum states over ordered subsystem lists, with partial traces, purification and measurement.
 
 All values are immutable after construction and every operation is a pure
 function; sampling takes an explicit ``numpy.random.Generator``.
@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    ATOL,
-    as_matrix,
-    is_binary_observable,
-    op_partial_trace,
-    permute_subsystems_vector,
-)
+from .linalg import ATOL, as_matrix, is_binary_observable, op_partial_trace
 
 NORM_TOL = 1e-12
 
@@ -50,10 +44,6 @@ class StateVector:
 
     def conj(self) -> "StateVector":
         return StateVector(self.dims, self.amplitudes.conj())
-
-    def permute(self, order) -> "StateVector":
-        return StateVector([self.dims[o] for o in order],
-                           permute_subsystems_vector(self.amplitudes, self.dims, order))
 
 
 @dataclass(frozen=True)
@@ -136,80 +126,23 @@ def expectation(state: StateVector | DensityMatrix, m: np.ndarray,
 
 
 def partial_trace(state: DensityMatrix | StateVector, keep) -> DensityMatrix:
-    """Reduced state on the kept subsystems (order preserved).
+    """Reduced state on the kept subsystems (order preserved; repeated indices count once).
 
     A pure state is reduced from its amplitudes: with M the amplitude tensor
     reshaped to (kept, traced out), the result is M M^dagger.
     """
+    n = len(state.dims)
     keep = sorted(set(int(k) for k in keep))
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"invalid subsystem index in keep={keep} for {n} subsystems")
     if isinstance(state, DensityMatrix):
         reduced = op_partial_trace(state.matrix, state.dims, keep)
     else:
-        rest = [i for i in range(len(state.dims)) if i not in keep]
-        m = permute_subsystems_vector(state.amplitudes, state.dims, keep + rest)
+        rest = [i for i in range(n) if i not in keep]
+        m = state.amplitudes.reshape(state.dims).transpose(keep + rest)
         m = m.reshape(int(np.prod([state.dims[k] for k in keep])), -1)
         reduced = m @ m.conj().T
     return DensityMatrix([state.dims[k] for k in keep], reduced)
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt data of a pure state across a bipartition.
-
-    ``coefficients`` are nonincreasing and positive; ``left_basis`` /
-    ``right_basis`` hold the orthonormal Schmidt vectors as columns, over the
-    left/right subsystem groups in their original internal order.
-    """
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    dims: tuple[int, ...]
-
-    def reconstruct(self) -> StateVector:
-        """Reassemble sum_j c_j |l_j>|r_j> in the original subsystem order."""
-        mat = (self.left_basis * self.coefficients) @ self.right_basis.T
-        order = list(self.left) + list(self.right)
-        inverse = np.argsort(order)
-        dims_lr = [self.dims[i] for i in order]
-        vec = permute_subsystems_vector(mat.reshape(-1), dims_lr, list(inverse))
-        return StateVector(self.dims, vec)
-
-
-def schmidt(state: StateVector, left, tol: float = 1e-12) -> SchmidtDecomposition:
-    """Schmidt decomposition across the cut (left subsystems | the rest).
-
-    Coefficients below ``tol`` times the largest singular value are dropped.
-    """
-    left = [int(i) for i in left]
-    n = len(state.dims)
-    if not left or len(left) == n:
-        raise ValueError("cut must leave both sides of the bipartition nonempty")
-    if len(set(left)) != len(left) or any(i < 0 or i >= n for i in left):
-        raise ValueError(f"invalid cut {left}")
-    right = [i for i in range(n) if i not in left]
-    order = left + right
-    d_l = int(np.prod([state.dims[i] for i in left]))
-    mat = permute_subsystems_vector(state.amplitudes, state.dims, order).reshape(d_l, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > tol * s[0]
-    return SchmidtDecomposition(
-        coefficients=s[keep],
-        left_basis=u[:, keep],
-        right_basis=vh[keep, :].T,
-        left=tuple(left),
-        right=tuple(right),
-        dims=state.dims,
-    )
-
-
-def support_projector(state: StateVector, side, tol: float = 1e-12) -> np.ndarray:
-    """Orthogonal projector onto the span of the state's Schmidt vectors on ``side``."""
-    sd = schmidt(state, side, tol=tol)
-    basis = sd.left_basis
-    return basis @ basis.conj().T
 
 
 def purify(dm: DensityMatrix, tol: float = 1e-12) -> StateVector:

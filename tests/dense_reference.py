@@ -10,22 +10,82 @@ subsystems, ``party_circuit`` is the extraction circuit made from them, and
 ``flag_branches`` collapses the source's flags with two 16x16 projectors.
 ``dense_rotate``, ``dense_attach_junk`` and ``dense_purify`` build the
 experiment builders' state vectors with a full-space product or a subsystem
-permutation.
+permutation.  ``support_projector`` reads a party's support from the Schmidt
+decomposition across a register cut, and ``dense_multiparty_sim_state`` builds
+a family member flag-major with ``np.kron`` and then interleaves the flags.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from conjsim.linalg import (
-    HADAMARD,
-    PAULIS,
-    as_matrix,
-    permute_subsystems_matrix,
-    permute_subsystems_vector,
-)
+from conjsim.family import SimParams
+from conjsim.linalg import HADAMARD, PAULIS, as_matrix
 from conjsim.sixstate import FLAG_A, FLAG_B, SOURCE_DIMS
-from conjsim.states import DensityMatrix, purify
+from conjsim.states import DensityMatrix, StateVector, purify
+
+
+def _check_order(dims, size, order, what):
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims) or math.prod(dims) != size:
+        raise ValueError(f"{what}: dims {dims} do not match size {size}")
+    order = list(order)
+    if sorted(order) != list(range(len(dims))):
+        raise ValueError(f"order {order} is not a permutation of {len(dims)} subsystems")
+    return dims, order
+
+
+def permute_subsystems_vector(vec, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """Reorder subsystems of a state vector; ``order[i]`` is the old index now at slot i."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    dims, order = _check_order(dims, vec.size, order, "permute_subsystems_vector")
+    return vec.reshape(dims).transpose(order).reshape(-1)
+
+
+def permute_subsystems_matrix(mat, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """Reorder subsystems of an operator (rows and columns together)."""
+    mat = as_matrix(mat)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError("operator must be square")
+    dims, order = _check_order(dims, mat.shape[0], order, "permute_subsystems_matrix")
+    n = len(dims)
+    t = mat.reshape(dims + dims).transpose(order + [n + o for o in order])
+    return t.reshape(mat.shape)
+
+
+def ancillas_last(state: StateVector) -> np.ndarray:
+    """An extracted vector on (d_A, anc_A, d_B, anc_B), reordered to (d_A, d_B, anc_A, anc_B)."""
+    return permute_subsystems_vector(state.amplitudes, state.dims, [0, 2, 1, 3])
+
+
+def support_projector(state: StateVector, side, tol: float = 1e-12) -> np.ndarray:
+    """Projector onto the span of the state's Schmidt vectors on the ``side`` registers.
+
+    The registers of ``side`` are permuted to the front and the amplitudes cut
+    there; singular values at or below ``tol`` times the largest are dropped.
+    """
+    side = [int(i) for i in side]
+    rest = [i for i in range(len(state.dims)) if i not in side]
+    d_side = math.prod(state.dims[i] for i in side)
+    mat = permute_subsystems_vector(state.amplitudes, state.dims, side + rest).reshape(d_side, -1)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    basis = u[:, s > tol * s[0]]
+    return basis @ basis.conj().T
+
+
+def dense_multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> DensityMatrix:
+    """``multiparty_sim_state`` built on [flags..., data...] and permuted to party-major."""
+    d = 2 ** n_parties
+    f0, f1, fc = (np.zeros((d, d), dtype=complex) for _ in range(3))
+    f0[0, 0] = f1[-1, -1] = fc[0, -1] = 1.0            # |0...0><0...0|, |1...1><1...1|, cross
+    v = psi.amplitudes
+    ref, cross = np.outer(v, v.conj()), np.outer(v, v)
+    mat = (p.a * np.kron(f0, ref) + (1 - p.a) * np.kron(f1, ref.conj())
+           + p.c * np.kron(fc, cross) + np.conj(p.c) * np.kron(fc.conj().T, cross.conj()))
+    order = [i for party in range(n_parties) for i in (party, n_parties + party)]
+    dims = [2] * n_parties + list(psi.dims)
+    return DensityMatrix([dims[o] for o in order], permute_subsystems_matrix(mat, dims, order))
 
 
 def kron_all(*factors):

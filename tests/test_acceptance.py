@@ -38,6 +38,8 @@ from conjsim.sixstate import (
 )
 from conjsim.states import StateVector, basis_state, epr_pair
 
+from dense_reference import ancillas_last
+
 SQ2 = 1 / np.sqrt(2)
 
 
@@ -124,10 +126,10 @@ def test_criterion_5_extraction_normal_form():
     ext = extraction_isometry(reference_experiment("mayersyao"))
     psi = epr_pair().amplitudes
     collapsed = (np.eye(4) + np.kron(np.eye(2), Z)) @ psi * SQ2
-    lhs = ext.state.permute([0, 2, 1, 3]).amplitudes       # [junkA junkB ancA ancB]
+    lhs = ancillas_last(ext.state)       # [junkA junkB ancA ancB]
     np.testing.assert_allclose(lhs, np.kron(collapsed, psi), atol=1e-10)
     for lab, m in (("X", X), ("Z", Z), ("D", (X + Z) * SQ2)):
-        got = ext.actions[("A", lab)].permute([0, 2, 1, 3]).amplitudes
+        got = ancillas_last(ext.actions[("A", lab)])
         want = np.kron(collapsed, tensor(m, np.eye(2)) @ psi)
         np.testing.assert_allclose(got, want, atol=1e-10)
     report("5: PASS extraction matches the closing identities entrywise to 1e-10")

@@ -439,9 +439,9 @@ USAGE_WITHOUT_NUMPY = [
      "error: sampled mode requires a seed (no wall-clock seeding)\n"),
     (["selftest", "--sampled", "n=0", "seed=1"], 2, "error: --sampled n must be at least 1\n"),
     (["simulate", "--experiment", "missing.json"], 2,
-     "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+     "error: --experiment missing.json: No such file or directory\n"),
     (["simulate", "--experiment", "not_json.json"], 2,
-     "error: Expecting value: line 1 column 1 (char 0)\n"),
+     "error: --experiment not_json.json: not JSON (Expecting value: line 1 column 1 (char 0))\n"),
 ]
 
 
@@ -452,6 +452,30 @@ def test_usage_errors_are_answered_without_numpy(tmp_path):
         assert got == code and err.endswith(message), argv
         assert modules == ["conjsim.cli"], argv
     assert results[0][1].startswith("usage: conjsim")
+
+
+DOCUMENT_FLAGS = {"--config": ["--config", "{path}", "props"],
+                  "--experiment": ["selftest", "--experiment", "{path}"],
+                  "--strategy custom": ["qkd", "--strategy", "custom", "{path}", "--seed", "1"]}
+BAD_DOCUMENTS = {"not_utf8.json": "not UTF-8 text", "malformed.json": "not JSON",
+                 "a_directory": "Is a directory"}
+
+
+def test_unreadable_documents_are_usage_errors(tmp_path):
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "malformed.json").write_text('{"kind": ')
+    (tmp_path / "a_directory").mkdir()
+    # --strategy custom reads its file after loading sixstate, so it runs last
+    cases = [(flag, name) for flag in DOCUMENT_FLAGS for name in BAD_DOCUMENTS]
+    argvs = [[a.format(path=tmp_path / name) for a in DOCUMENT_FLAGS[flag]]
+             for flag, name in cases]
+    for (flag, name), (code, stdout, err, modules) in zip(cases, fresh_main(tmp_path, *argvs)):
+        assert (code, stdout) == (2, ""), (flag, name)
+        assert err.startswith(f"error: {flag} {tmp_path / name}: {BAD_DOCUMENTS[name]}"), \
+            (flag, name)
+        assert err.count("\n") == 1 and "Traceback" not in err, (flag, name)
+        if flag != "--strategy custom":
+            assert modules == ["conjsim.cli"], (flag, name)
 
 
 @pytest.mark.parametrize("argv, absent", [

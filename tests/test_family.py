@@ -17,7 +17,7 @@ from conjsim.family import (
     sim_unitary_evolve,
     to_real_simulation,
 )
-from conjsim.linalg import HADAMARD, X, Y, Z, herm_expm, is_hermitian, tensor
+from conjsim.linalg import HADAMARD, X, Y, Z, as_matrix, herm_expm, is_hermitian, tensor
 from conjsim.selftest import family_experiment, with_observable
 from conjsim.states import (
     StateVector,
@@ -27,7 +27,7 @@ from conjsim.states import (
     partial_trace,
 )
 
-from dense_reference import embed_operator
+from dense_reference import dense_multiparty_sim_state, embed_operator, permute_subsystems_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -143,6 +143,33 @@ def test_c_of_real_imaginary_form():
     iz = 1j * np.kron(Z, np.eye(3))
     expected = np.kron(np.eye(2), m.real) + iz @ np.kron(np.eye(2), m.imag)
     np.testing.assert_allclose(c_of(m), expected, atol=1e-12)
+
+
+def same_bits(got, want):
+    """Equal values and equal zero signs in both the real and the imaginary parts."""
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and all(np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+                    for part in (np.real, np.imag)))
+
+
+def block_lift(upper, lower):
+    m = as_matrix(upper)
+    zero = np.zeros_like(m)
+    return np.block([[m, zero], [zero, lower]])
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_flag_lifts_match_block_oracle(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m.real[0, :] = -0.0                      # signed zeros must come through unchanged
+    m.imag[:, -1] = -0.0
+    assert same_bits(c_of(m), block_lift(m, m.conj()))
+    h = m + m.conj().T
+    for herm in (h, h.real, np.zeros((dim, dim)), -np.eye(dim)):
+        assert same_bits(sim_hamiltonian(herm), block_lift(herm, -as_matrix(herm).conj()))
+    with pytest.raises(ValueError, match="square"):
+        c_of(np.ones((dim, dim + 1)))
 
 
 def test_c_property_suite_clean():
@@ -278,12 +305,30 @@ def test_hamiltonian_identity_random(seed, dim):
 def test_multiparty_reference_branch():
     rho = multiparty_sim_state(epr_pair(), 2, SimParams(1.0, 0.0))
     # party-major layout [fA, dA, fB, dB]: reorder to [fA, fB, dA, dB] to compare
-    from conjsim.linalg import permute_subsystems_matrix
-
     plain = permute_subsystems_matrix(rho.matrix, [2, 2, 2, 2], [0, 2, 1, 3])
     flags = np.zeros((4, 4)); flags[0, 0] = 1.0
     phi = epr_pair().amplitudes
     np.testing.assert_allclose(plain, np.kron(flags, np.outer(phi, phi.conj())), atol=1e-14)
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_multiparty_sim_state_matches_kron_oracle(seed, n):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 4, size=n)]
+    v = rng.standard_normal(int(np.prod(dims))).astype(complex)
+    if rng.random() < 0.5:                    # complex amplitudes; otherwise real ones
+        v += 1j * rng.standard_normal(v.size)
+    v[rng.random(v.size) < 0.3] = 0.0
+    v[0] += 1.0
+    psi = StateVector(dims, v / np.linalg.norm(v))
+    a = float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
+    bound = np.sqrt(a * (1 - a))
+    c = bound * complex(rng.choice([0.0, 1.0, -1.0, 1j, np.exp(1j * rng.uniform(-3, 3))]))
+    got = multiparty_sim_state(psi, n, SimParams(a, c))
+    want = dense_multiparty_sim_state(psi, n, SimParams(a, c))
+    assert got.dims == want.dims
+    assert same_bits(got.matrix, want.matrix)
 
 
 def test_multiparty_party_count_mismatch():

@@ -15,15 +15,20 @@ from conjsim.linalg import (
     is_unitary,
     op_partial_trace,
     pauli_decompose,
-    permute_subsystems_matrix,
-    permute_subsystems_vector,
     random_complex_matrix,
     random_hermitian,
     random_unitary,
     tensor,
 )
 
-from dense_reference import controlled_gate, embed_operator, kron_all, pauli_recompose
+from dense_reference import (
+    controlled_gate,
+    embed_operator,
+    kron_all,
+    pauli_recompose,
+    permute_subsystems_matrix,
+    permute_subsystems_vector,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -27,3 +27,21 @@ def test_qkd_strategies_experiment_runs(monkeypatch, capsys):
     assert out.startswith("n = 600 rounds per strategy")
     assert "after correction" in out and "within tolerance" in out
 
+
+
+def test_workload_parity_names_the_differing_jobs():
+    script = load_script("workload_parity")
+
+    def result(exit=0, stdout=b"{}\n", stderr=b"", outputs=None):
+        return {"exit": exit, "stdout": stdout, "stderr": stderr,
+                "outputs": {"r.json": b"{}"} if outputs is None else outputs}
+
+    old = {"a": result(), "b": result(), "c": result(), "d": result(), "e": result()}
+    new = {"a": result(), "b": result(exit=1, stderr=b"error: x\n"),
+           "c": result(outputs={"r.json": b"{ }"}), "e": result(stdout=b""), "f": result()}
+    assert script.differences(old, old) == []
+    assert script.differences(old, new) == [
+        ("b", ["exit", "stderr"]), ("c", ["outputs"]), ("d", list(script.FIELDS)),
+        ("e", ["stdout"]), ("f", list(script.FIELDS))]
+    line = script.describe("b", ["exit", "stderr"], old, new)
+    assert "exit 0 -> 1" in line and "error: x" in line

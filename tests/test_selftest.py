@@ -15,7 +15,6 @@ from conjsim.linalg import (
     is_binary_observable,
     op_partial_trace,
     pauli_decompose,
-    permute_subsystems_vector,
     random_unitary,
     tensor,
 )
@@ -60,16 +59,18 @@ from conjsim.states import (
     epr_pair,
     expectation,
     product_state,
-    support_projector,
 )
 
 from dense_reference import (
+    ancillas_last,
     dense_attach_junk,
     dense_purify,
     dense_rotate,
     embed_operator,
     party_circuit,
     party_registers,
+    permute_subsystems_vector,
+    support_projector,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -325,6 +326,28 @@ def test_d_collapse_ignores_rogue_action_outside_support():
     assert check_against_reference(table, "mayersyao").passed
 
 
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_support_matches_schmidt_oracle(seed):
+    # the party support read from Psi (d_A, d_B) is the projector the Schmidt
+    # decomposition across the party's register cut gives, to the last bit
+    rng = np.random.default_rng(seed)
+    party_dims = {p: [int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 3)))]
+                  for p in PARTIES}
+    d_a, d_b = (int(np.prod(party_dims[p])) for p in PARTIES)
+    rank = int(rng.integers(1, min(d_a, d_b) + 1))       # rank-deficient as often as not
+    left, right = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                   for d in (d_a, d_b))
+    psi = left @ right.T
+    psi /= np.linalg.norm(psi)
+    state = StateVector(party_dims["A"] + party_dims["B"], psi)
+    n_a = len(party_dims["A"])
+    registers = {"A": list(range(n_a)), "B": list(range(n_a, len(state.dims)))}
+    for party in PARTIES:
+        np.testing.assert_array_equal(selftest._support(psi, party),
+                                      support_projector(state, registers[party]))
+
+
 def test_anticommutator_reference():
     raw, support = anticommutator_residual(reference_experiment("mayersyao"), "A", ("X", "Z"))
     assert raw <= 1e-12 and support <= 1e-12
@@ -371,7 +394,7 @@ def test_extraction_normal_form_on_reference():
     ext = extraction_isometry(reference_experiment("mayersyao"))
     # (1/sqrt2)(I + I (x) Z_B)|psi> (x) |phi+> on (junk_A, junk_B, anc_A, anc_B)
     psi = epr_pair().amplitudes
-    lhs = ext.state.permute([0, 2, 1, 3]).amplitudes     # -> [junkA, junkB, ancA, ancB]
+    lhs = ancillas_last(ext.state)     # -> [junkA, junkB, ancA, ancB]
     collapsed = (np.kron(np.eye(2), np.eye(2)) + np.kron(np.eye(2), Z)) @ psi * SQ2
     rhs = np.kron(collapsed, psi)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -382,7 +405,7 @@ def test_extraction_actions_on_reference():
     psi = epr_pair().amplitudes
     collapsed = (np.kron(np.eye(2), np.eye(2)) + np.kron(np.eye(2), Z)) @ psi * SQ2
     for lab, m in (("X", X), ("Z", Z), ("D", (X + Z) * SQ2)):
-        got = ext.actions[("A", lab)].permute([0, 2, 1, 3]).amplitudes
+        got = ancillas_last(ext.actions[("A", lab)])
         want = np.kron(collapsed, tensor(m, np.eye(2)) @ psi)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -978,8 +1001,7 @@ def test_selftest_builds_no_full_space_operator(monkeypatch):
         return wrapper
 
     # every linalg routine that takes an operator together with its dims
-    operator_routines = (linalg.op_partial_trace, linalg.pauli_decompose,
-                         linalg.permute_subsystems_matrix)
+    operator_routines = (linalg.op_partial_trace, linalg.pauli_decompose)
     for original in operator_routines:
         for module in (linalg, selftest, states):
             if getattr(module, original.__name__, None) is original:
@@ -1156,16 +1178,15 @@ def test_sampled_statistics_failure_does_not_refuse_extraction():
 def test_run_selftest_computes_each_stage_once(kind, sampled, monkeypatch):
     exp = junk_ladder_experiment(64, seed=1) if kind == "extended" else \
         reference_experiment(kind)
-    calls = {"correlations": [], "_anticommutator_residual": [], "schmidt": []}
-    for module, name in ((selftest, "correlations"), (selftest, "_anticommutator_residual"),
-                         (states, "schmidt")):
-        original = getattr(module, name)
+    calls = {"correlations": [], "_anticommutator_residual": [], "_support": []}
+    for name in calls:
+        original = getattr(selftest, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name].append(args[0])
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(selftest, name, counted)
     kwargs = {"sampled_n": 300, "seed": 3} if sampled else {}
     assert run_selftest(exp, **kwargs).refused_stage is None
     assert len(calls["correlations"]) == 2
@@ -1173,7 +1194,7 @@ def test_run_selftest_computes_each_stage_once(kind, sampled, monkeypatch):
     assert calls["correlations"][1].state.dims == (2, 2)
     assert len(calls["_anticommutator_residual"]) == 2 * len(anticommuting_pairs(kind))
     # one support projector per party of Psi, and for the Y check one per party of Psi'
-    assert len(calls["schmidt"]) <= (4 if kind == "extended" else 2)
+    assert len(calls["_support"]) <= (4 if kind == "extended" else 2)
 
 
 def test_draw_outcomes_never_picks_a_missing_outcome():

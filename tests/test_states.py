@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim.family import SimParams, multiparty_sim_state
-from conjsim.linalg import X, Y, Z, tensor
+from conjsim.linalg import X, Y, Z, op_partial_trace, tensor
+from conjsim.selftest import _support
 from conjsim.states import (
     DensityMatrix,
     StateVector,
@@ -15,8 +16,6 @@ from conjsim.states import (
     partial_trace,
     product_state,
     purify,
-    schmidt,
-    support_projector,
 )
 
 
@@ -107,12 +106,12 @@ def test_partial_trace_of_pure_state_matches_density_route(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     dims = [int(d) for d in rng.integers(1, 4, size=n)]
-    keep = [int(k) for k in rng.permutation(n)[:int(rng.integers(0, n + 1))]]
+    keep = [int(k) for k in rng.integers(0, n, size=int(rng.integers(0, n + 2)))]  # repeats too
     psi = random_pure(dims, rng)
     fast = partial_trace(psi, keep)
-    dense = partial_trace(psi.density(), keep)
-    assert fast.dims == dense.dims
-    np.testing.assert_allclose(fast.matrix, dense.matrix, atol=1e-12)
+    dense = op_partial_trace(psi.density().matrix, dims, keep)
+    assert fast.dims == tuple(dims[k] for k in sorted(set(keep)))
+    np.testing.assert_allclose(fast.matrix, dense, rtol=0, atol=1e-14)
 
 
 def test_partial_trace_invalid_index():
@@ -120,59 +119,38 @@ def test_partial_trace_invalid_index():
         partial_trace(epr_pair(), [2])
 
 
-def test_schmidt_epr_coefficients():
-    sd = schmidt(epr_pair(), [0])
-    np.testing.assert_allclose(sd.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
+@pytest.mark.parametrize("pure", [True, False], ids=["state_vector", "density_matrix"])
+def test_partial_trace_checks_keep_once_for_both_kinds(pure):
+    rng = np.random.default_rng(3)
+    psi = random_pure([2, 3, 2], rng)
+    state = psi if pure else psi.density()
+    for keep in ([3], [-1], [0, 5], [-4, 1]):
+        with pytest.raises(ValueError, match=r"invalid subsystem index .* for 3 subsystems"):
+            partial_trace(state, keep)
+    merged = partial_trace(state, [2, 0, 2, 0])
+    assert merged.dims == (2, 2)
+    np.testing.assert_array_equal(merged.matrix, partial_trace(state, [0, 2]).matrix)
 
 
-def test_schmidt_product_state():
-    sd = schmidt(basis_state([2, 2], [0, 0]), [0])
-    np.testing.assert_allclose(sd.coefficients, [1.0], atol=1e-14)
-
-
-def test_schmidt_rejects_empty_cut():
-    with pytest.raises(ValueError):
-        schmidt(epr_pair(), [])
-    with pytest.raises(ValueError):
-        schmidt(epr_pair(), [0, 1])
-
-
-@given(seeds)
-@settings(max_examples=100, deadline=None)
-def test_schmidt_roundtrip_random_bipartite(seed):
-    rng = np.random.default_rng(seed)
-    state = random_pure([2, 3], rng)
-    sd = schmidt(state, [0])
-    assert np.isclose(np.sum(sd.coefficients**2), 1.0, atol=1e-10)
-    r = len(sd.coefficients)
-    np.testing.assert_allclose(sd.left_basis.conj().T @ sd.left_basis, np.eye(r), atol=1e-10)
-    np.testing.assert_allclose(sd.right_basis.conj().T @ sd.right_basis, np.eye(r), atol=1e-10)
-    np.testing.assert_allclose(sd.reconstruct().amplitudes, state.amplitudes, atol=1e-10)
-
-
-@given(seeds)
-@settings(max_examples=50, deadline=None)
-def test_schmidt_roundtrip_odd_cut(seed):
-    rng = np.random.default_rng(seed)
-    state = random_pure([2, 2, 2], rng)
-    sd = schmidt(state, [1])      # non-contiguous bipartition
-    np.testing.assert_allclose(sd.reconstruct().amplitudes, state.amplitudes, atol=1e-10)
+# The party support of a pure state is read from its amplitude matrix Psi (d_A, d_B).
 
 
 def test_support_projector_full_rank_and_product():
-    np.testing.assert_allclose(support_projector(epr_pair(), [0]), np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(support_projector(basis_state([2, 2], [0, 0]), [0]),
-                               np.diag([1.0, 0.0]), atol=1e-12)
+    for party in ("A", "B"):
+        np.testing.assert_allclose(_support(epr_pair().amplitudes.reshape(2, 2), party),
+                                   np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(
+            _support(basis_state([2, 2], [0, 0]).amplitudes.reshape(2, 2), party),
+            np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_support_projector_excludes_empty_flag_branch():
     # reference-branch family member: the flag-1 sector never appears, so the
-    # Schmidt rank oracle on (flag+data | rest) sees only flag-0 vectors
-    from conjsim.states import purify
-
+    # support on A's registers (flag_A, data_A) holds only flag-0 vectors
     rho = multiparty_sim_state(epr_pair(), 2, SimParams(1.0, 0.0))
     psi = purify(rho)
-    proj = support_projector(psi, [0, 1])
+    assert psi.dims == (2, 2, 2, 2)
+    proj = _support(psi.amplitudes.reshape(4, 4), "A")
     # projector on (flag_A, data_A): flag-1 block must vanish
     np.testing.assert_allclose(proj[2:, 2:], np.zeros((2, 2)), atol=1e-12)
     np.testing.assert_allclose(proj[:2, :2], np.eye(2), atol=1e-12)
@@ -182,12 +160,14 @@ def test_support_projector_excludes_empty_flag_branch():
 @settings(max_examples=50, deadline=None)
 def test_support_projector_properties(seed):
     rng = np.random.default_rng(seed)
-    state = random_pure([3, 2], rng)
-    p = support_projector(state, [0])
-    np.testing.assert_allclose(p @ p, p, atol=1e-10)
-    np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
-    killed = np.kron(np.eye(3) - p, np.eye(2)) @ state.amplitudes
-    assert np.linalg.norm(killed) <= 1e-9
+    psi = random_pure([3, 2], rng).amplitudes.reshape(3, 2)
+    for party, killed in (("A", lambda p: (np.eye(3) - p) @ psi),
+                          ("B", lambda p: psi @ (np.eye(2) - p).T)):
+        p = _support(psi, party)
+        np.testing.assert_allclose(p @ p, p, atol=1e-10)
+        np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
+        assert np.linalg.norm(killed(p)) <= 1e-9
+    assert round(np.trace(_support(psi, "A")).real) == 2     # rank of a generic 3 x 2 Psi
 
 
 def test_purify_roundtrip():
