@@ -12,6 +12,7 @@ from conjsim.selftest import (
     check_against_reference,
     correlations,
     family_experiment,
+    reference_experiment,
     run_selftest,
 )
 
@@ -29,9 +30,10 @@ def main():
     print(f"{'a':>5} {'|c|':>6} {'arg c':>6} | {'worst dev':>10} "
           f"{'state fid':>10} {'pop_0':>7} {'pop_1':>7} verdict")
     print("-" * 72)
+    ref = correlations(reference_experiment("extended"))
     for p in grid():
         exp = family_experiment(p, "extended")
-        stats = check_against_reference(correlations(exp), "extended", tol=1e-10)
+        stats = check_against_reference(correlations(exp), ref, tol=1e-10)
         report = run_selftest(exp)
         pops = report.family_params
         print(f"{p.a:5.2f} {abs(p.c):6.3f} {np.angle(p.c):6.2f} | "

@@ -18,8 +18,7 @@ _EXPORTS = {
         "CorrelationTable", "EquivalenceReport", "Experiment", "anticommutator_residual",
         "check_against_reference", "check_d_collapse", "check_state_equalities",
         "correlations", "estimate_family_params", "extraction_isometry", "family_experiment",
-        "reference_experiment", "run_selftest", "sampled_correlations", "verify_equivalence",
-        "y_coefficient_check",
+        "reference_experiment", "run_selftest", "sampled_correlations", "y_coefficient_check",
     ),
     "sixstate": (
         "Conjugate", "CustomState", "Honest", "MismatchedFlags", "QberReport", "Transcript",

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -56,6 +57,28 @@ def _read_document(flag: str, path: str):
     except json.JSONDecodeError as err:
         detail = f"not JSON ({err})"
     raise UsageError(f"{flag} {path}: {detail}")
+
+
+def _check_output(flag: str, path: str) -> None:
+    """Refuse, before any work, an output path that is a directory or has no parent directory."""
+    if Path(path).is_dir():
+        raise UsageError(f"{flag} {path}: Is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):      # the dirname of "d/" is d
+        raise UsageError(f"{flag} {path}: parent directory does not exist")
+
+
+def _write_output(path: str, write) -> None:
+    """Call ``write(file)`` on a new file beside ``path``, then move it onto ``path``.
+
+    A run that fails before or while writing leaves any file already at ``path`` intact.
+    """
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as out:
+            write(out)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _parse_kv(tokens, allowed, what):
@@ -121,7 +144,7 @@ def _wrap(results: dict, config: dict, seed) -> str:
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        _write_output(out, lambda f: f.write(text))
     else:
         sys.stdout.write(text)
 
@@ -292,8 +315,7 @@ def cmd_qkd(args) -> int:
     report = sift(transcript, abort_threshold=threshold)
     if args.transcript_out:
         encode = transcript_to_json if args.transcript_out.endswith(".json") else transcript_to_csv
-        with open(args.transcript_out, "w") as out:
-            encode(transcript, out)
+        _write_output(args.transcript_out, lambda out: encode(transcript, out))
     _emit(_wrap(qber_report_to_dict(report), vars_config(args), args.seed), args.out)
     expected = expected_consistent(strategy)
     if expected is None:
@@ -404,17 +426,14 @@ def main(argv=None) -> int:
             value = getattr(args, key, None)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise UsageError(f"--{key.replace('_', '-')} must be finite and non-negative")
+        for flag in ("--out", "--transcript-out"):
+            path = getattr(args, flag[2:].replace("-", "_"), None)
+            if path:
+                _check_output(flag, path)
         return args.func(args)
     except (UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as err:
-        # A refused self-test stage; selftest is loaded whenever one was raised.
-        selftest = sys.modules.get(f"{__package__}.selftest")
-        if selftest is None or not isinstance(err, selftest.SelfTestPreconditionError):
-            raise
-        print(f"refused: stage {err.stage}", file=sys.stderr)
-        return EXIT_FAIL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL

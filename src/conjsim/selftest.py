@@ -19,6 +19,12 @@ register dims, and an operator M acts as ``M Psi`` for party A and as
 ``vdot(A Psi, Psi B^T)``.  Extraction pads Psi with the two ancillas to Psi_0
 of shape (2 d_A, 2 d_B), each party laid out as (d_p, 2), and returns
 ``U_A Psi_0 U_B^T``.  No operator on the full space is ever built.
+
+The stages are public functions that :func:`run_selftest` calls in order:
+the (sampled) correlations against the reference, state equalities, D-collapse,
+anti-commutators, extraction, its fidelities, the Y normal form and the family
+parameters.  The extraction gate lives only in run_selftest, on the values its
+earlier stages recorded.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ ACTION_LABELS = ("X", "Z", "D")
 
 
 class SelfTestPreconditionError(RuntimeError):
-    """A pipeline stage was refused because its gate checks failed."""
+    """A stage was given an experiment that its preconditions exclude."""
 
     def __init__(self, stage: str, detail: str = ""):
         self.stage = stage
@@ -265,6 +271,8 @@ class CorrelationTable:
         for v in list(self.joints.values()) + list(self.marginals.values()):
             if not abs(v) <= 1 + 1e-9:             # NaN is outside too
                 raise ValueError(f"correlation value {v} outside [-1, 1]")
+        if self.n_per_pair is None and (self.joint_stderr, self.marginal_stderr) != (None, None):
+            raise ValueError("a sampled table needs n_per_pair")
 
     @property
     def sampled(self) -> bool:
@@ -346,10 +354,12 @@ def _draw_outcomes(cumulants: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
     return k
 
 
-def _sample_table(exact: CorrelationTable, n_per_pair: int, seed: int) -> CorrelationTable:
+def sampled_correlations(exact: CorrelationTable, n_per_pair: int, seed: int) -> CorrelationTable:
     """Monte-Carlo table drawn from an exact table's outcome distributions.
 
-    Entry i (joints, then marginals, in table order) draws from ``SeedSequence([seed, i])``.
+    Each entry averages n_per_pair +/-1 products.  Entry i (joints, then
+    marginals, in table order) draws from ``SeedSequence([seed, i])``, so the
+    draws are reproducible and independent of the other entries.
     """
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
@@ -368,17 +378,6 @@ def _sample_table(exact: CorrelationTable, n_per_pair: int, seed: int) -> Correl
                             n_per_pair=n_per_pair, seed=int(seed))
 
 
-def sampled_correlations(exp: Experiment, n_per_pair: int, seed: int,
-                         include_cross_pairs: bool = False) -> CorrelationTable:
-    """Monte-Carlo table: each entry averages n_per_pair rounds of +/-1 products.
-
-    Each schedule entry has its own substream derived as
-    ``SeedSequence([seed, entry_index])``, so tables are reproducible and each
-    entry's draws do not depend on the other entries.
-    """
-    return _sample_table(correlations(exp, include_cross_pairs), n_per_pair, seed)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Entrywise comparison with a reference table.
@@ -394,22 +393,14 @@ class CheckResult:
     deviations: dict[str, float]
 
 
-def check_against_reference(table: CorrelationTable, kind: str,
-                            tol: float = 1e-10, nsigma: float = 5.0,
-                            include_cross_pairs: bool = False) -> CheckResult:
-    """Compare a table entrywise with the exact reference table of the kind.
+def check_against_reference(table: CorrelationTable, ref: CorrelationTable,
+                            tol: float = 1e-10, nsigma: float = 5.0) -> CheckResult:
+    """Compare a table entrywise with a reference table over the reference's entries.
 
-    Exact tables use ``tol``; sampled tables use nsigma standard errors per
-    entry (with ``tol`` as a floor).
+    Exact tables use ``tol``.  A sampled entry's tolerance is nsigma null
+    standard errors sqrt((1 - r^2) / n_per_pair) of its reference value r,
+    with ``tol`` as a floor.
     """
-    ref = correlations(reference_experiment(kind),
-                       include_cross_pairs=include_cross_pairs)
-    return _compare_tables(table, ref, tol, nsigma)
-
-
-def _compare_tables(table: CorrelationTable, ref: CorrelationTable,
-                    tol: float, nsigma: float) -> CheckResult:
-    """:func:`check_against_reference` against an already computed reference table."""
     deviations: dict[str, float] = {}
     failing: dict[str, float] = {}
     for key, ref_val in list(ref.joints.items()) + list(ref.marginals.items()):
@@ -422,8 +413,8 @@ def _compare_tables(table: CorrelationTable, ref: CorrelationTable,
         deviations[name] = dev
         entry_tol = tol
         if table.sampled:
-            err = (table.joint_stderr if is_joint else table.marginal_stderr)[key]
-            entry_tol = max(nsigma * err, tol)
+            null_var = max(1.0 - ref_val * ref_val, 0.0) / table.n_per_pair
+            entry_tol = max(nsigma * float(np.sqrt(null_var)), tol)
         if not dev <= entry_tol:                    # a NaN deviation or tolerance fails
             failing[name] = dev
     return CheckResult(passed=not failing, worst_entry=_worst_entry(failing),
@@ -503,38 +494,24 @@ def check_d_collapse(exp: Experiment) -> dict[str, float]:
     return out
 
 
-def anticommutator_residual(exp: Experiment, party: str,
-                            pair: tuple[str, str]) -> tuple[float, float]:
-    """(raw, support) residuals of the anti-commutator of two settings of one party.
+def anticommutator_residual(exp: Experiment) -> dict[str, tuple[float, float]]:
+    """(raw, support) residuals of {M, N} for each party and sub-test (M, N, D), keyed "A:MN".
 
     raw: ||{M, N} (x) I |psi>||.  support: operator norm of P {M, N} P with P the
     projector onto the state's support on that party's registers; this is the
     quantity the certification gates on.
     """
-    l1, l2 = pair
-    if l1 not in exp.observables[party] or l2 not in exp.observables[party]:
-        raise ValueError(f"pair {pair} is not a valid setting pair for party {party}")
     exp = purify_experiment(exp)
-    return _anticommutator_residual(exp, party, pair, _support(_psi(exp), party))
-
-
-def _anticommutator_residual(exp: Experiment, party: str, pair: tuple[str, str],
-                             proj: np.ndarray) -> tuple[float, float]:
-    """:func:`anticommutator_residual` of a pure experiment, given the party's support projector."""
-    m = exp.observable(party, pair[0])
-    n = exp.observable(party, pair[1])
-    anti = m @ n + n @ m
-    raw = float(np.linalg.norm(exp.act(party, anti, _psi(exp))))
-    support = float(np.linalg.norm(proj @ anti @ proj, ord=2))
-    return raw, support
-
-
-def anticommuting_pairs(kind: str) -> tuple[tuple[str, str], ...]:
-    pairs: list[tuple[str, str]] = []
-    for m1, m2, _ in SUBTESTS[kind]:
-        if (m1, m2) not in pairs:
-            pairs.append((m1, m2))
-    return tuple(pairs)
+    psi = _psi(exp)
+    out: dict[str, tuple[float, float]] = {}
+    for party in PARTIES:
+        proj = _support(psi, party)                 # one SVD of Psi per party
+        for l1, l2, _ in SUBTESTS[exp.kind]:
+            m, n = exp.observable(party, l1), exp.observable(party, l2)
+            anti = m @ n + n @ m
+            out[f"{party}:{l1}{l2}"] = (float(np.linalg.norm(exp.act(party, anti, psi))),
+                                        float(np.linalg.norm(proj @ anti @ proj, ord=2)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +571,12 @@ def _extraction_refusal(kind: str, deviations: dict[str, float],
     return ""
 
 
-def extraction_isometry(exp: Experiment, tol: float = 1e-9,
-                        stats_tol: float = 1e-10) -> Extraction:
-    """Build and apply the extraction circuit; refuses when the gates fail."""
+def extraction_isometry(exp: Experiment) -> Extraction:
+    """``U_A Phi U_B^T`` for Psi_0 and each M Psi_0 of the purified experiment.
+
+    It certifies nothing by itself: :func:`run_selftest` gates it.
+    """
     exp = purify_experiment(exp)
-    pair = anticommuting_pairs(exp.kind)[0]
-    stats = check_against_reference(correlations(exp), exp.kind, tol=stats_tol)
-    anticomms = {f"{p}:{pair[0]}{pair[1]}": anticommutator_residual(exp, p, pair)
-                 for p in PARTIES}
-    detail = _extraction_refusal(exp.kind, stats.deviations, anticomms, tol, stats_tol)
-    if detail:
-        raise SelfTestPreconditionError("extraction", detail)
-    return _extract(exp)
-
-
-def _extract(exp: Experiment) -> Extraction:
-    """Ungated extraction of a pure experiment: ``U_A Phi U_B^T`` for Psi_0 and each M Psi_0."""
     psi = _psi(exp)
     d_a, d_b = psi.shape
     # Psi_0 = |psi'> (x) |0>_ancA (x) |0>_ancB on the party layout (d_A, 2, d_B, 2)
@@ -732,15 +699,14 @@ class FamilyParams:
     source: str
 
 
-def estimate_family_params(exp: Experiment, ext: Extraction | None = None,
-                           y_check: YCoefficientReport | None = None,
+def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None = None,
                            tol: float = 1e-9) -> FamilyParams:
     """Populations (|alpha|^2, |beta|^2) and coherence magnitude of the member.
 
     Experiments that kept their flag registers report the reduced flag state
     directly (and its support must lie in {|00>, |11>}).  Otherwise the
-    populations come from the extracted Y sign operator, which is basis free;
-    the coherence is then only determined when one branch is empty.
+    populations come from the extracted Y sign operator of the required ``y_check``,
+    which is basis free; the coherence is then only determined when one branch is empty.
     """
     if exp.flag_registers is not None:
         reduced = partial_trace(exp.state, [exp.flag_registers["A"],
@@ -756,9 +722,7 @@ def estimate_family_params(exp: Experiment, ext: Extraction | None = None,
             raise ValueError("flag coherence exceeds the positivity bound")
         return FamilyParams(p0, p1, coherence, source="flag_registers")
     if y_check is None:
-        if ext is None:
-            ext = extraction_isometry(exp)
-        y_check = y_coefficient_check(ext, tol)
+        raise ValueError("without flag registers, pass the y_check of a gated extraction")
     p0, p1 = y_check.populations
     coherence = 0.0 if min(p0, p1) <= tol else None
     return FamilyParams(p0, p1, coherence, source="extracted_sign")
@@ -776,10 +740,10 @@ class EquivalenceReport:
     passed: bool
     failures: tuple[str, ...]
     refused_stage: str | None
-    statistics: CheckResult | None
-    state_equalities: dict[str, float] | None
-    collapse_residuals: dict[str, float] | None
-    anticommutators: dict[str, tuple[float, float]] | None
+    statistics: CheckResult
+    state_equalities: dict[str, float]
+    collapse_residuals: dict[str, float]
+    anticommutators: dict[str, tuple[float, float]]
     state_fidelity: float | None
     action_fidelities: dict[tuple[str, str], float] | None
     y_check: YCoefficientReport | None
@@ -791,8 +755,9 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
                  nsigma: float = 5.0) -> EquivalenceReport:
     """Statistics -> equalities -> anti-commutation -> extraction -> equivalence.
 
-    Never raises on a failing check; failures are collected and extraction is
-    simply refused (recorded in ``refused_stage``) when its gates fail.
+    One call per stage.  Never raises on a failing check; failures are
+    collected, and extraction is refused (recorded in ``refused_stage``)
+    unless sub-test 1's exact statistics and anti-commutators pass the gate.
     """
     failures: list[str] = []
     exp_pure = purify_experiment(exp)
@@ -802,10 +767,11 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     exact = correlations(exp_pure)
     ref = correlations(reference_experiment(exp.kind))
     # the extraction gate reads the exact table's deviations also in sampled mode
-    exact_stats = _compare_tables(exact, ref, stats_tol, nsigma)
+    exact_stats = check_against_reference(exact, ref, stats_tol, nsigma)
     stats = exact_stats
     if sampled_n is not None:
-        stats = _compare_tables(_sample_table(exact, sampled_n, seed), ref, stats_tol, nsigma)
+        stats = check_against_reference(sampled_correlations(exact, sampled_n, seed), ref,
+                                        stats_tol, nsigma)
     if not stats.passed:
         failures.append(f"statistics[{stats.worst_entry}]")
 
@@ -816,14 +782,9 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
         if worst:
             failures.append(f"{stage}[{worst}]")
 
-    anticomms: dict[str, tuple[float, float]] = {}
-    for party in PARTIES:
-        proj = _support(_psi(exp_pure), party)         # one SVD of Psi per party
-        for pair in anticommuting_pairs(exp.kind):
-            raw, support = _anticommutator_residual(exp_pure, party, pair, proj)
-            anticomms[f"{party}:{pair[0]}{pair[1]}"] = (raw, support)
-            if support > tol:
-                failures.append(f"anticommutator[{party}:{pair[0]}{pair[1]}]")
+    anticomms = anticommutator_residual(exp_pure)
+    failures += [f"anticommutator[{key}]" for key, (_, support) in anticomms.items()
+                 if support > tol]
 
     state_fid = action_fids = y_check = params = None
     refused = bool(_extraction_refusal(exp.kind, exact_stats.deviations, anticomms,
@@ -831,7 +792,7 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     if refused:
         failures.append("extraction_refused[extraction]")
     else:
-        ext = _extract(exp_pure)
+        ext = extraction_isometry(exp_pure)
         state_fid = extraction_state_fidelity(ext)
         if state_fid < 1 - tol:
             failures.append("state_fidelity")
@@ -844,7 +805,7 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
             if not y_check.passed(tol):
                 failures.append("y_coefficients")
             try:
-                params = estimate_family_params(exp_pure, ext=ext, y_check=y_check, tol=tol)
+                params = estimate_family_params(exp_pure, y_check=y_check, tol=tol)
             except ValueError as err:
                 failures.append(f"family_params[{err}]")
 
@@ -856,13 +817,3 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
         collapse_residuals=collapse, anticommutators=anticomms,
         state_fidelity=state_fid, action_fidelities=action_fids,
         y_check=y_check, family_params=params)
-
-
-def verify_equivalence(exp: Experiment, tol: float = 1e-9,
-                       stats_tol: float = 1e-10) -> EquivalenceReport:
-    """Like :func:`run_selftest` but refuses (raises) when a gate stage fails."""
-    report = run_selftest(exp, tol=tol, stats_tol=stats_tol)
-    if report.refused_stage is not None:
-        raise SelfTestPreconditionError(report.refused_stage,
-                                        "; ".join(report.failures))
-    return report

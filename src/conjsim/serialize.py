@@ -274,21 +274,17 @@ def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
         "verdict": "pass" if report.passed else "fail",
         "failures": list(report.failures),
         "refused_stage": report.refused_stage,
-    }
-    if report.statistics is not None:
-        out["statistics"] = {
+        "statistics": {
             "passed": report.statistics.passed,
             "worst_entry": report.statistics.worst_entry,
             "worst_deviation": report.statistics.worst_deviation,
             "deviations": dict(sorted(report.statistics.deviations.items())),
-        }
-    if report.state_equalities is not None:
-        out["state_equalities"] = dict(sorted(report.state_equalities.items()))
-    if report.collapse_residuals is not None:
-        out["collapse_residuals"] = dict(sorted(report.collapse_residuals.items()))
-    if report.anticommutators is not None:
-        out["anticommutators"] = {k: {"raw": v[0], "support": v[1]}
-                                  for k, v in sorted(report.anticommutators.items())}
+        },
+        "state_equalities": dict(sorted(report.state_equalities.items())),
+        "collapse_residuals": dict(sorted(report.collapse_residuals.items())),
+        "anticommutators": {k: {"raw": v[0], "support": v[1]}
+                            for k, v in sorted(report.anticommutators.items())},
+    }
     if report.state_fidelity is not None:
         out["state_fidelity"] = report.state_fidelity
     if report.action_fidelities is not None:

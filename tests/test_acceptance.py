@@ -94,9 +94,10 @@ def test_criterion_2_extended_reference_statistics():
 
 def test_criterion_3_family_indistinguishability():
     grid = acceptance_grid()
+    ref = correlations(reference_experiment("extended"))
     for p in grid:
         exp = family_experiment(p, "extended")
-        result = check_against_reference(correlations(exp), "extended", tol=1e-10)
+        result = check_against_reference(correlations(exp), ref, tol=1e-10)
         assert result.passed, (p, result.worst_entry)
         rep = run_selftest(exp, tol=1e-9)
         assert rep.passed, (p, rep.failures)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conjsim
-from conjsim import cli, sixstate
+from conjsim import cli, serialize, sixstate
 from conjsim.cli import main
 from conjsim.family import SimParams
 from conjsim.linalg import X
@@ -476,6 +476,50 @@ def test_unreadable_documents_are_usage_errors(tmp_path):
         assert err.count("\n") == 1 and "Traceback" not in err, (flag, name)
         if flag != "--strategy custom":
             assert modules == ["conjsim.cli"], (flag, name)
+
+
+QKD = ["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]
+OUTPUT_FLAGS = {"props --out": ["props", "--trials", "1", "--out", "{path}"],
+                "selftest --out": ["selftest", "--out", "{path}"],
+                "simulate --out": ["simulate", "--out", "{path}"],
+                "qkd --out": QKD + ["--out", "{path}"],
+                "qkd --transcript-out": QKD + ["--transcript-out", "{path}"]}
+BAD_OUTPUTS = {"a_directory": "Is a directory",
+               "missing/report.out": "parent directory does not exist",
+               "missing/": "parent directory does not exist"}
+
+
+def test_unwritable_outputs_are_refused_before_the_work(tmp_path):
+    (tmp_path / "a_directory").mkdir()
+    cases = [(label, name) for label in OUTPUT_FLAGS for name in BAD_OUTPUTS]
+    argvs = [[a.format(path=f"{tmp_path}/{name}") for a in OUTPUT_FLAGS[label]]
+             for label, name in cases]
+    for (label, name), (code, stdout, err, modules) in zip(cases, fresh_main(tmp_path, *argvs)):
+        flag = label.split()[1]
+        assert (code, stdout) == (2, ""), (label, name)
+        assert err == f"error: {flag} {tmp_path}/{name}: {BAD_OUTPUTS[name]}\n", (label, name)
+        assert modules == ["conjsim.cli"], (label, name)      # refused before any numeric work
+    assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
+    assert list((tmp_path / "a_directory").iterdir()) == []
+
+
+def test_a_failed_write_keeps_the_existing_file(tmp_path, monkeypatch):
+    out = tmp_path / "transcript.csv"
+    out.write_text("earlier run\n")
+    encode = serialize.transcript_to_csv
+
+    def failing(transcript, handle):
+        handle.write("partial")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(serialize, "transcript_to_csv", failing)
+    assert run(QKD + ["--transcript-out", str(out)]) == 2
+    assert out.read_text() == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]
+    monkeypatch.setattr(serialize, "transcript_to_csv", encode)
+    assert run(QKD + ["--transcript-out", str(out)]) == 0
+    assert out.read_text().startswith("round,")
+    assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]
 
 
 @pytest.mark.parametrize("argv, absent", [

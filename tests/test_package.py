@@ -18,15 +18,14 @@ EXPORTS = [
     "family", "family_experiment", "linalg", "measure", "multiparty_sim_state", "partial_trace",
     "reference_experiment", "run_rounds", "run_selftest", "sampled_correlations",
     "selftest", "sift", "sim_hamiltonian", "sim_kraus", "sim_povm", "sim_unitary_evolve",
-    "sixstate", "states", "to_real_simulation", "verify_equivalence",
-    "y_coefficient_check", "zpremeasure_analysis",
+    "sixstate", "states", "to_real_simulation", "y_coefficient_check", "zpremeasure_analysis",
 ]
 SUBMODULES = ["family", "linalg", "selftest", "sixstate", "states"]
 
 
 def test_all_keeps_its_names_and_order():
     assert conjsim.__all__ == EXPORTS
-    assert len(EXPORTS) == 49
+    assert len(EXPORTS) == 48
 
 
 def test_star_import_binds_every_export_to_its_defining_object():

@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from conjsim.selftest import (
     Extraction,
     SelfTestPreconditionError,
     anticommutator_residual,
-    anticommuting_pairs,
     attach_junk,
     check_against_reference,
     check_d_collapse,
@@ -46,7 +48,6 @@ from conjsim.selftest import (
     run_selftest,
     sampled_correlations,
     setting_labels,
-    verify_equivalence,
     with_observable,
     with_state,
     y_coefficient_check,
@@ -76,6 +77,10 @@ from dense_reference import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 SQ2 = 1 / np.sqrt(2)
+
+
+def ref_table(kind):
+    return correlations(reference_experiment(kind))
 
 
 def family_grid():
@@ -168,36 +173,36 @@ def test_reference_correlations_extended():
 
 def test_sampled_correlations_match_exact():
     n = 100_000
-    table = sampled_correlations(reference_experiment("mayersyao"), n, seed=11)
+    table = sampled_correlations(correlations(reference_experiment("mayersyao")), n, seed=11)
     assert abs(table.joints[("X", "X")] - 1.0) <= 4 / np.sqrt(n)
     assert abs(table.joints[("X", "D")] - SQ2) <= 4 / np.sqrt(n)
     assert abs(table.marginals[("A", "X")]) <= 4 / np.sqrt(n)
 
 
 def test_sampled_correlations_single_round_is_plus_minus_one():
-    table = sampled_correlations(reference_experiment("mayersyao"), 1, seed=3)
+    table = sampled_correlations(correlations(reference_experiment("mayersyao")), 1, seed=3)
     for v in table.joints.values():
         assert v in (1.0, -1.0)
 
 
 def test_sampled_correlations_deterministic():
     exp = reference_experiment("mayersyao")
-    t1 = sampled_correlations(exp, 500, seed=21)
-    t2 = sampled_correlations(exp, 500, seed=21)
+    t1 = sampled_correlations(correlations(exp), 500, seed=21)
+    t2 = sampled_correlations(correlations(exp), 500, seed=21)
     assert t1.joints == t2.joints and t1.marginals == t2.marginals
-    t3 = sampled_correlations(exp, 500, seed=22)
+    t3 = sampled_correlations(correlations(exp), 500, seed=22)
     assert t1.joints != t3.joints
 
 
 def test_check_against_reference_passes_exact():
     table = correlations(reference_experiment("mayersyao"))
-    result = check_against_reference(table, "mayersyao", tol=1e-10)
+    result = check_against_reference(table, ref_table("mayersyao"), tol=1e-10)
     assert result.passed and result.worst_deviation <= 1e-10
 
 
 def test_check_against_reference_flags_corrupted_d():
     exp = with_observable(reference_experiment("mayersyao"), "A", "D", X)
-    result = check_against_reference(correlations(exp), "mayersyao")
+    result = check_against_reference(correlations(exp), ref_table("mayersyao"))
     assert not result.passed
     assert result.worst_entry == "joint(D,Z)"
     assert result.worst_deviation == pytest.approx(SQ2, abs=1e-9)
@@ -206,7 +211,7 @@ def test_check_against_reference_flags_corrupted_d():
 def test_check_against_reference_family_grid():
     for p in family_grid():
         table = correlations(family_experiment(p, "extended"))
-        result = check_against_reference(table, "extended", tol=1e-10)
+        result = check_against_reference(table, ref_table("extended"), tol=1e-10)
         assert result.passed, (p, result.worst_entry, result.worst_deviation)
 
 
@@ -215,27 +220,26 @@ def test_passing_report_names_no_worst_entry():
     report = run_selftest(exp)
     assert report.passed and report.statistics.worst_entry == ""
     assert equivalence_report_to_dict(report)["statistics"]["worst_entry"] == ""
-    table = correlations(exp)
+    table, ref = correlations(exp), ref_table("extended")
     for entries in ("joints", "marginals"):
         values = getattr(table, entries)
         for key, value in values.items():
             perturbed = dataclasses.replace(table, **{entries: {**values, key: value + 1e-16}})
-            result = check_against_reference(perturbed, "extended")
+            result = check_against_reference(perturbed, ref)
             assert result.passed and result.worst_entry == "", key
 
 
 def test_worst_entry_is_the_largest_failing_deviation():
     ref = correlations(reference_experiment("mayersyao"))
     joints = dict(ref.joints)
-    joints[("X", "X")] -= 0.5           # large, but inside its wide error bar
-    joints[("Z", "Z")] -= 0.1           # smaller, and failing
+    joints[("X", "Z")] -= 0.5           # large, but inside 5 sqrt((1 - 0^2)/50) = 0.71
+    joints[("Z", "Z")] -= 0.1           # smaller, and failing: a reference value of 1
     joints[("D", "D")] -= 0.05          # failing, but not the worst failure
-    stderr = {key: 0.001 for key in joints}
-    stderr[("X", "X")] = 0.2
     table = CorrelationTable(kind="mayersyao", joints=joints, marginals=ref.marginals,
-                             joint_stderr=stderr,
-                             marginal_stderr={key: 0.001 for key in ref.marginals})
-    result = check_against_reference(table, "mayersyao")
+                             joint_stderr={key: 0.001 for key in joints},
+                             marginal_stderr={key: 0.001 for key in ref.marginals},
+                             n_per_pair=50)
+    result = check_against_reference(table, ref)
     assert not result.passed
     assert result.worst_entry == "joint(Z,Z)"
     assert result.worst_deviation == pytest.approx(0.5)
@@ -246,20 +250,19 @@ def test_nan_entries_fail_and_are_named():
     with pytest.raises(ValueError, match="outside"):
         CorrelationTable(kind="mayersyao", joints={**ref.joints, ("X", "X"): np.nan},
                          marginals=ref.marginals)
-    # a NaN value slipped past construction, and a NaN error bar next to a larger failure
+    # a NaN value slipped past construction
     table = correlations(reference_experiment("mayersyao"))
     object.__setattr__(table, "joints", {**table.joints, ("D", "D"): np.nan})
-    result = check_against_reference(table, "mayersyao")
+    result = check_against_reference(table, ref)
     assert (result.passed, result.worst_entry) == (False, "joint(D,D)")
-    joints = {**ref.joints, ("Z", "Z"): ref.joints[("Z", "Z")] - 0.5}
-    stderr = {key: 0.001 for key in joints}
-    stderr[("X", "X")] = np.nan
-    table = CorrelationTable(kind="mayersyao", joints=joints, marginals=ref.marginals,
-                             joint_stderr=stderr,
-                             marginal_stderr={key: 0.001 for key in ref.marginals})
-    result = check_against_reference(table, "mayersyao")
-    assert (result.passed, result.worst_entry) == (False, "joint(Z,Z)")
-    assert result.worst_deviation == pytest.approx(0.5)
+
+
+def test_sampled_table_needs_its_round_count():
+    ref = correlations(reference_experiment("mayersyao"))
+    with pytest.raises(ValueError, match="n_per_pair"):
+        CorrelationTable(kind="mayersyao", joints=ref.joints, marginals=ref.marginals,
+                         joint_stderr={key: 0.1 for key in ref.joints},
+                         marginal_stderr={key: 0.1 for key in ref.marginals})
 
 
 def test_check_against_reference_missing_entry():
@@ -269,13 +272,56 @@ def test_check_against_reference_missing_entry():
     from dataclasses import replace
 
     with pytest.raises(KeyError):
-        check_against_reference(replace(table, joints=broken), "mayersyao")
+        check_against_reference(replace(table, joints=broken), ref_table("mayersyao"))
 
 
 def test_sampled_table_check_with_sigma_tolerance():
-    table = sampled_correlations(reference_experiment("extended"), 30_000, seed=5)
-    result = check_against_reference(table, "extended")
+    table = sampled_correlations(correlations(reference_experiment("extended")), 30_000, seed=5)
+    result = check_against_reference(table, ref_table("extended"))
     assert result.passed
+
+
+def binomial_bound(trials, rate, alpha=1e-6):
+    """The smallest k with P(Binomial(trials, rate) > k) <= alpha."""
+    k, pmf = 0, (1 - rate) ** trials
+    tail = 1 - pmf
+    while tail > alpha:
+        k += 1
+        pmf *= (trials - k + 1) / k * rate / (1 - rate)
+        tail -= pmf
+    return k
+
+
+@pytest.mark.parametrize("kind, member, sizes, seeds", [
+    ("mayersyao", None, (10, 20, 50), range(100)),
+    ("extended", None, (10, 20, 50), range(100)),
+    ("extended", SimParams(0.3, 0.2j), (50,), range(50)),
+    ("extended", SimParams(0.5, 0.5), (50,), range(50)),
+    ("extended", SimParams(0.0, 0.0), (50,), range(50)),
+], ids=["mayersyao", "extended", "member(0.3,0.2i)", "member(0.5,0.5)", "member(0,0)"])
+def test_sampled_statistics_false_reject_rate(kind, member, sizes, seeds):
+    # each entry's tolerance is the reference value's null spread, so the reference and
+    # members whose tables equal it are rejected at most at the 5 sigma rate, also at small n
+    exp = reference_experiment(kind) if member is None else family_experiment(member, kind)
+    exact, ref = correlations(exp), ref_table(kind)
+    rate = (len(ref.joints) + len(ref.marginals)) * math.erfc(5 / math.sqrt(2))
+    for n in sizes:
+        rejects = sum(not check_against_reference(sampled_correlations(exact, n, seed), ref).passed
+                      for seed in seeds)
+        assert rejects <= binomial_bound(len(seeds), rate), (n, rejects)
+
+
+@pytest.mark.parametrize("key, value", [(("X", "D"), 0.0), (("X", "Z"), 0.5), (("Z", "D"), 0.95)],
+                         ids=["XD", "XZ", "ZD"])
+def test_sampled_statistics_reject_an_offset_entry(key, value):
+    # once 5 null standard errors are at most half the offset, every seed rejects
+    ref = ref_table("mayersyao")
+    r = ref.joints[key]
+    n = math.ceil((2 * 5 * math.sqrt(1 - r * r) / abs(value - r)) ** 2)
+    offset = dataclasses.replace(ref, joints={**ref.joints, key: value})
+    for seed in range(200):
+        result = check_against_reference(sampled_correlations(offset, n, seed), ref)
+        assert result.worst_entry == f"joint({key[0]},{key[1]})", seed
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +369,7 @@ def test_d_collapse_ignores_rogue_action_outside_support():
     exp = with_observable(exp, "A", "D", rogue_d)
     assert check_d_collapse(exp)["A:D"] <= 1e-12
     table = correlations(exp)
-    assert check_against_reference(table, "mayersyao").passed
+    assert check_against_reference(table, ref_table("mayersyao")).passed
 
 
 @given(seeds)
@@ -349,21 +395,23 @@ def test_support_matches_schmidt_oracle(seed):
 
 
 def test_anticommutator_reference():
-    raw, support = anticommutator_residual(reference_experiment("mayersyao"), "A", ("X", "Z"))
-    assert raw <= 1e-12 and support <= 1e-12
+    residuals = anticommutator_residual(reference_experiment("mayersyao"))
+    assert list(residuals) == ["A:XZ", "B:XZ"]
+    for raw, support in residuals.values():
+        assert raw <= 1e-12 and support <= 1e-12
 
 
 def test_anticommutator_family_on_support():
-    exp = family_experiment(SimParams(0.5, 0.0), "extended")
-    for pair in (("X", "Z"), ("X", "Y"), ("Y", "Z")):
-        for party in ("A", "B"):
-            raw, support = anticommutator_residual(exp, party, pair)
-            assert support <= 1e-10, (party, pair)
-            assert raw <= 1e-10
+    residuals = anticommutator_residual(family_experiment(SimParams(0.5, 0.0), "extended"))
+    assert list(residuals) == [f"{p}:{pair}" for p in PARTIES for pair in ("XZ", "XY", "YZ")]
+    for key, (raw, support) in residuals.items():
+        assert support <= 1e-10, key
+        assert raw <= 1e-10
 
 
 def test_anticommutator_commuting_pair():
-    raw, support = anticommutator_residual(reference_experiment("mayersyao"), "A", ("X", "X"))
+    exp = with_observable(reference_experiment("mayersyao"), "A", "Z", X)
+    raw, support = anticommutator_residual(exp)["A:XZ"]      # {X, X} = 2
     assert raw == pytest.approx(2.0, abs=1e-12)
     assert support == pytest.approx(2.0, abs=1e-12)
 
@@ -376,14 +424,9 @@ def test_anticommutator_raw_sees_out_of_support_action():
     n = np.kron(Z, np.array([[0, 1], [1, 0]]))
     exp = with_observable(exp, "A", "X", m)
     exp = with_observable(exp, "A", "Z", n)
-    raw, support = anticommutator_residual(exp, "A", ("X", "Z"))
+    raw, support = anticommutator_residual(exp)["A:XZ"]
     assert raw > 0.5
     assert support <= 1e-10
-
-
-def test_anticommutator_invalid_pair():
-    with pytest.raises(ValueError):
-        anticommutator_residual(reference_experiment("mayersyao"), "A", ("X", "E"))
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +455,11 @@ def test_extraction_actions_on_reference():
 
 def test_extraction_refuses_failing_statistics():
     bad = with_state(reference_experiment("mayersyao"), basis_state([2, 2], [0, 0]))
-    with pytest.raises(SelfTestPreconditionError):
-        extraction_isometry(bad)
+    report = run_selftest(bad)
+    assert report.refused_stage == "extraction"
+    assert "extraction_refused[extraction]" in report.failures
+    assert report.state_fidelity is None and report.action_fidelities is None
+    assert isinstance(extraction_isometry(bad), Extraction)      # the circuit alone is ungated
 
 
 def test_extraction_rotated_reference_fidelity():
@@ -427,26 +473,20 @@ def test_extraction_rotated_reference_fidelity():
         assert v == pytest.approx(1.0, abs=1e-10)
 
 
-def test_verify_equivalence_reference_mayersyao():
-    report = verify_equivalence(reference_experiment("mayersyao"), tol=1e-9)
-    assert report.passed
+def test_run_selftest_reference_mayersyao():
+    report = run_selftest(reference_experiment("mayersyao"), tol=1e-9)
+    assert report.passed and report.refused_stage is None
     assert report.state_fidelity == pytest.approx(1.0, abs=1e-10)
     for v in report.action_fidelities.values():
         assert v == pytest.approx(1.0, abs=1e-10)
 
 
-def test_verify_equivalence_family_member_extended():
-    report = verify_equivalence(family_experiment(SimParams(0.25, 0.3), "extended"))
-    assert report.passed
+def test_run_selftest_family_member_extended():
+    report = run_selftest(family_experiment(SimParams(0.25, 0.3), "extended"))
+    assert report.passed and report.refused_stage is None
     p0, p1 = report.family_params.population_0, report.family_params.population_1
     assert p0 == pytest.approx(0.25, abs=1e-9)
     assert p1 == pytest.approx(0.75, abs=1e-9)
-
-
-def test_verify_equivalence_refuses_statistics_failure():
-    bad = with_state(reference_experiment("mayersyao"), basis_state([2, 2], [0, 0]))
-    with pytest.raises(SelfTestPreconditionError):
-        verify_equivalence(bad)
 
 
 # --------------------------------------------------------------------------
@@ -462,6 +502,8 @@ def test_y_coefficients_extended_reference():
         assert y.normal_form_deviation[party] <= 1e-10
         assert y.sign_expectation[party] == pytest.approx(1.0, abs=1e-10)
     assert y.populations[0] == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(SelfTestPreconditionError, match="requires an extended experiment"):
+        y_coefficient_check(extraction_isometry(reference_experiment("mayersyao")))
 
 
 def test_y_coefficients_conjugate_member_sign():
@@ -498,7 +540,9 @@ def test_estimate_family_params_examples():
 
 def test_estimate_family_params_without_flags_uses_sign_operator():
     exp = reference_experiment("extended")
-    got = estimate_family_params(exp)
+    with pytest.raises(ValueError, match="y_check"):
+        estimate_family_params(exp)              # no populations from an ungated extraction
+    got = estimate_family_params(exp, y_check=run_selftest(exp).y_check)
     assert got.source == "extracted_sign"
     assert got.population_0 == pytest.approx(1.0, abs=1e-9)
     assert got.coherence == 0.0
@@ -712,13 +756,6 @@ def dense_extract(exp):
                       local_units=local_units)
 
 
-def dense_extraction_isometry(exp, tol=1e-9, stats_tol=1e-10):
-    ok, detail = recomputing_extraction_gate(exp, tol, stats_tol)
-    if not ok:
-        raise SelfTestPreconditionError("extraction", detail)
-    return dense_extract(exp)
-
-
 def dense_partial_trace(state, keep):
     dm = state.density()
     keep = sorted(keep)
@@ -758,17 +795,18 @@ def dense_party_y_blocks(ext, party):
     return norms, deviation, factorization, float(np.clip(2 * pop0 - 1, -1, 1)), pop0
 
 
-def dense_anticommutator(exp, party, pair, proj):
-    """The private anti-commutator kernel's dense form: it recomputes the projector it is given."""
-    return dense_anticommutator_residual(exp, party, pair)
+def dense_anticommutators(exp):
+    """:func:`anticommutator_residual` in dense form, pair by pair."""
+    return {f"{p}:{m1}{m2}": dense_anticommutator_residual(exp, p, (m1, m2))
+            for p in PARTIES for m1, m2, _ in SUBTESTS[exp.kind]}
 
 
 DENSE_STAGES = {
     "correlations": dense_correlations,
     "check_state_equalities": dense_state_equalities,
     "check_d_collapse": dense_d_collapse,
-    "_anticommutator_residual": dense_anticommutator,
-    "_extract": dense_extract,
+    "anticommutator_residual": dense_anticommutators,
+    "extraction_isometry": dense_extract,
     "partial_trace": dense_partial_trace,
     "extraction_action_fidelities": dense_action_fidelities,
     "_party_y_blocks": dense_party_y_blocks,
@@ -925,13 +963,13 @@ def test_failure_names_do_not_hang_on_rounding(monkeypatch):
     for exp in tied_failures():
         report = run_selftest(exp)
         assert not report.passed
-        table = correlations(exp)
+        table, ref = correlations(exp), ref_table(exp.kind)
         for entries in ("joints", "marginals"):
             values = getattr(table, entries)
             for key, value in values.items():
                 for moved in nudged(value):
                     perturbed = dataclasses.replace(table, **{entries: {**values, key: moved}})
-                    result = check_against_reference(perturbed, exp.kind)
+                    result = check_against_reference(perturbed, ref)
                     assert result.worst_entry == report.statistics.worst_entry, key
         for stage, field in (("check_state_equalities", "state_equalities"),
                              ("check_d_collapse", "collapse_residuals")):
@@ -1148,17 +1186,13 @@ def test_extraction_gate_matches_recomputing_gate():
         tol, stats_tol = 1e-9, kwargs.get("stats_tol", 1e-10)
         ok, detail = recomputing_extraction_gate(exp, tol, stats_tol)
         branches.add(detail.split("(")[0])
+        stats = check_against_reference(correlations(exp), ref_table(exp.kind), stats_tol)
+        assert selftest._extraction_refusal(exp.kind, stats.deviations,
+                                            anticommutator_residual(exp), tol, stats_tol) == detail
         report = run_selftest(exp, **kwargs)
         assert report.refused_stage == (None if ok else "extraction"), name
         assert (report.state_fidelity is None) == (not ok), name
-        if ok:
-            extraction_isometry(exp, tol=tol, stats_tol=stats_tol)
-            continue
-        for extract in (extraction_isometry, dense_extraction_isometry):
-            with pytest.raises(SelfTestPreconditionError) as err:
-                extract(exp, tol=tol, stats_tol=stats_tol)
-            assert str(err.value) == f"self-test stage refused: extraction ({detail})", name
-        assert isinstance(dense_extract(exp), Extraction)
+        assert isinstance(extraction_isometry(exp), Extraction), name
     assert branches == {"", "joint", "marginal", "anticommutator"}
 
 
@@ -1178,7 +1212,8 @@ def test_sampled_statistics_failure_does_not_refuse_extraction():
 def test_run_selftest_computes_each_stage_once(kind, sampled, monkeypatch):
     exp = junk_ladder_experiment(64, seed=1) if kind == "extended" else \
         reference_experiment(kind)
-    calls = {"correlations": [], "_anticommutator_residual": [], "_support": []}
+    calls = {"correlations": [], "anticommutator_residual": [], "extraction_isometry": [],
+             "_support": []}
     for name in calls:
         original = getattr(selftest, name)
 
@@ -1192,9 +1227,33 @@ def test_run_selftest_computes_each_stage_once(kind, sampled, monkeypatch):
     assert len(calls["correlations"]) == 2
     assert calls["correlations"][0] is exp
     assert calls["correlations"][1].state.dims == (2, 2)
-    assert len(calls["_anticommutator_residual"]) == 2 * len(anticommuting_pairs(kind))
+    assert len(calls["anticommutator_residual"]) == len(calls["extraction_isometry"]) == 1
     # one support projector per party of Psi, and for the Y check one per party of Psi'
     assert len(calls["_support"]) <= (4 if kind == "extended" else 2)
+
+
+def test_every_traced_stage_is_a_public_function_that_runs(monkeypatch):
+    # the benchmark times each name of SELFTEST_STAGES; a stage run_selftest never
+    # calls would read 0 there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    from conjbench.trace import SELFTEST_STAGES
+
+    calls = dict.fromkeys(SELFTEST_STAGES, 0)
+    for name in SELFTEST_STAGES:
+        original = getattr(selftest, name, None)
+        assert not name.startswith("_") and inspect.isfunction(original), name
+        assert original.__module__ == selftest.__name__, name
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(selftest, name, counted)
+    exp = junk_ladder_experiment(64, seed=4)
+    assert run_selftest(exp).passed
+    assert run_selftest(exp, sampled_n=20_000, seed=6).passed
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_draw_outcomes_never_picks_a_missing_outcome():

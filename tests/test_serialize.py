@@ -99,7 +99,7 @@ def test_correlation_table_csv_format():
 
 
 def test_correlation_table_dict_sampled_fields():
-    table = sampled_correlations(reference_experiment("mayersyao"), 50, seed=1)
+    table = sampled_correlations(correlations(reference_experiment("mayersyao")), 50, seed=1)
     data = correlation_table_to_dict(table)
     assert data["n_per_pair"] == 50 and data["seed"] == 1
     assert set(data["joint_stderr"]) == set(data["joints"])
