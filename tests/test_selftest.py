@@ -462,6 +462,15 @@ def test_extraction_refuses_failing_statistics():
     assert isinstance(extraction_isometry(bad), Extraction)      # the circuit alone is ungated
 
 
+def test_verify_equivalence_refuses_statistics_failure():
+    bad = with_state(reference_experiment("mayersyao"), basis_state([2, 2], [0, 0]))
+    report = run_selftest(bad)
+    assert not report.passed
+    assert any(f.startswith("statistics[") for f in report.failures)
+    assert report.failures[-1] == "extraction_refused[extraction]"
+    assert report.family_params is None
+
+
 def test_extraction_rotated_reference_fidelity():
     rng = np.random.default_rng(23)
     exp = rotate_experiment(reference_experiment("mayersyao"),
