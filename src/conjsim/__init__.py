@@ -25,7 +25,7 @@ _EXPORTS = {
         "ZPremeasure", "eve_flip_correction", "run_rounds", "sift", "zpremeasure_analysis",
     ),
     "states": (
-        "DensityMatrix", "StateVector", "epr_pair", "expectation", "measure", "partial_trace",
+        "DensityMatrix", "StateVector", "epr_pair", "partial_trace",
     ),
 }
 _SUBMODULES = ("family", "linalg", "selftest", "sixstate", "states")

@@ -329,8 +329,9 @@ def vars_config(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: _apply_config knows a flag as given only by its full name
     parser = argparse.ArgumentParser(
-        prog="conjsim",
+        prog="conjsim", allow_abbrev=False,
         description="Conjugation-simulation toolkit: property suites, EPR self-tests, 6-state QKD")
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,13 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=None,
                         help="accepted for interface stability; must not affect outputs")
 
-    p = sub.add_parser("props", parents=[common],
+    p = sub.add_parser("props", parents=[common], allow_abbrev=False,
                        help="run the lifting property suite and simulation invariants")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.set_defaults(func=cmd_props)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the self-test pipeline")
+    p = sub.add_parser("selftest", parents=[common], allow_abbrev=False,
+                       help="run the self-test pipeline")
     p.add_argument("--kind", choices=["mayersyao", "extended"], default="extended")
     p.add_argument("--experiment", help="experiment JSON path")
     p.add_argument("--family", nargs="+", metavar="K=V",
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-tol", type=float, default=None, dest="stats_tol")
     p.set_defaults(func=cmd_selftest)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common], allow_abbrev=False,
                        help="dump the exact correlation table of an experiment")
     p.add_argument("--kind", choices=["mayersyao", "extended"], default="extended")
     p.add_argument("--experiment")
@@ -367,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-pairs", action="store_true", dest="cross_pairs")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("qkd", parents=[common], help="simulate 6-state protocol rounds")
+    p = sub.add_parser("qkd", parents=[common], allow_abbrev=False,
+                       help="simulate 6-state protocol rounds")
     p.add_argument("--strategy", nargs="+", required=True,
                    help="honest a=.. c=.. | conjugate | zpremeasure a=.. c=.. | "
                         "mismatched FA FB | custom path.json")

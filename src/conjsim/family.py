@@ -57,7 +57,7 @@ class Povm:
 
     elements: tuple[np.ndarray, ...] = field(repr=False)
 
-    def __init__(self, elements, tol: float = ATOL):
+    def __init__(self, elements):
         mats = tuple(as_matrix(e) for e in elements)
         if not mats:
             raise ValueError("POVM needs at least one element")
@@ -66,10 +66,10 @@ class Povm:
         for e in mats:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must share one dimension")
-            if not is_psd(e, tol):
+            if not is_psd(e):
                 raise ValueError("POVM element is not positive semidefinite")
             total += e
-        if np.abs(total - np.eye(d)).max() > tol:
+        if np.abs(total - np.eye(d)).max() > ATOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", mats)
 
@@ -88,7 +88,7 @@ class KrausMap:
 
     operators: tuple[np.ndarray, ...] = field(repr=False)
 
-    def __init__(self, operators, tol: float = ATOL):
+    def __init__(self, operators):
         ops = tuple(as_matrix(k) for k in operators)
         if not ops:
             raise ValueError("Kraus map needs at least one operator")
@@ -96,7 +96,7 @@ class KrausMap:
         total = np.zeros((d, d), dtype=complex)
         for k in ops:
             total += k.conj().T @ k
-        if np.abs(total - np.eye(d)).max() > tol:
+        if np.abs(total - np.eye(d)).max() > ATOL:
             raise ValueError("Kraus operators are not trace preserving")
         object.__setattr__(self, "operators", ops)
 
@@ -128,11 +128,10 @@ def sim_povm(povm: Povm) -> Povm:
     return Povm([c_of(e) for e in povm.elements])
 
 
-def sim_unitary_evolve(rho_sim: DensityMatrix, u: np.ndarray,
-                       tol: float = ATOL) -> DensityMatrix:
+def sim_unitary_evolve(rho_sim: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """Evolve a family member by C(U); tracks U applied to the reference state."""
     u = as_matrix(u)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("sim_unitary_evolve requires a unitary")
     cu = c_of(u)
     return DensityMatrix(rho_sim.dims, cu @ rho_sim.matrix @ cu.conj().T)
@@ -143,10 +142,10 @@ def sim_kraus(kmap: KrausMap) -> KrausMap:
     return KrausMap([c_of(k) for k in kmap.operators])
 
 
-def sim_hamiltonian(h: np.ndarray, tol: float = ATOL) -> np.ndarray:
+def sim_hamiltonian(h: np.ndarray) -> np.ndarray:
     """|0><0| (x) H - |1><1| (x) H*; generates C(exp(-iHt)) under herm_expm."""
     h = as_matrix(h)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("sim_hamiltonian requires a Hermitian matrix")
     return _flag_diag(h, -h.conj())
 
@@ -179,6 +178,7 @@ def multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> Dens
 
 # App-B basis change on the flag qubit: Hadamard then diag(1, -i), normalized.
 REAL_BASIS_CHANGE = np.diag([1.0, -1.0j]).astype(complex) @ HADAMARD
+REAL_SIM_TOL = 1e-9      # how far an input of to_real_simulation may be from the required form
 
 
 def _split_flag_blocks(mat: np.ndarray):
@@ -189,7 +189,7 @@ def _split_flag_blocks(mat: np.ndarray):
     return mat[:h, :h], mat[:h, h:], mat[h:, :h], mat[h:, h:]
 
 
-def to_real_simulation(value, which: str, tol: float = 1e-9):
+def to_real_simulation(value, which: str):
     """Basis change on the flag qubit taking the family picture to the real simulation.
 
     ``which='state'`` expects the pure a=c=1/2 member and returns the vector
@@ -200,7 +200,7 @@ def to_real_simulation(value, which: str, tol: float = 1e-9):
     if which == "state":
         if isinstance(value, DensityMatrix):
             w, vecs = np.linalg.eigh(value.matrix)
-            if w[:-1].max(initial=0.0) > tol:
+            if w[:-1].max(initial=0.0) > REAL_SIM_TOL:
                 raise ValueError("state branch requires the pure a=c=1/2 family member")
             vec = vecs[:, -1]
             dims = value.dims
@@ -211,19 +211,19 @@ def to_real_simulation(value, which: str, tol: float = 1e-9):
             raise TypeError("expected StateVector or DensityMatrix")
         half = vec.size // 2
         top, bottom = vec[:half], vec[half:]
-        if abs(np.linalg.norm(top) ** 2 - 0.5) > tol:
+        if abs(np.linalg.norm(top) ** 2 - 0.5) > REAL_SIM_TOL:
             raise ValueError("flag populations are not (1/2, 1/2); not an a=c=1/2 member")
         # the branch structure bottom = conj(top) holds only up to a global
         # phase e^{i phi}; recover it from sum_i top_i bottom_i and rotate it out
         s = np.sum(top * bottom)
-        if abs(abs(s) - 0.5) > tol:
+        if abs(abs(s) - 0.5) > REAL_SIM_TOL:
             raise ValueError("flag branches are not conjugate; not an a=c=1/2 member")
         rot = np.exp(-0.5j * np.angle(s))
         top, bottom = rot * top, rot * bottom
-        if np.abs(bottom - top.conj()).max() > tol:
+        if np.abs(bottom - top.conj()).max() > REAL_SIM_TOL:
             raise ValueError("flag branches are not conjugate; not an a=c=1/2 member")
         out = np.concatenate([np.sqrt(2) * top.real, np.sqrt(2) * top.imag])
-        if abs(np.linalg.norm(out) - 1.0) > tol:
+        if abs(np.linalg.norm(out) - 1.0) > REAL_SIM_TOL:
             raise ValueError("transformed state is not normalized")
         if out[np.argmax(np.abs(out))] < 0:     # canonical overall sign
             out = -out
@@ -231,8 +231,8 @@ def to_real_simulation(value, which: str, tol: float = 1e-9):
     if which == "operator":
         mat = as_matrix(value)
         top_l, top_r, bot_l, bot_r = _split_flag_blocks(mat)
-        if (np.abs(top_r).max() > tol or np.abs(bot_l).max() > tol
-                or np.abs(bot_r - top_l.conj()).max() > tol):
+        if (np.abs(top_r).max() > REAL_SIM_TOL or np.abs(bot_l).max() > REAL_SIM_TOL
+                or np.abs(bot_r - top_l.conj()).max() > REAL_SIM_TOL):
             raise ValueError("operator is not of the C(M) block form")
         m = top_l
         xz = np.array([[0, -1], [1, 0]], dtype=complex)
@@ -262,9 +262,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failing(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
 
 
 def c_property_suite(trials: int, dim: int, seed: int, tol: float = ATOL) -> PropertyReport:

@@ -5,7 +5,7 @@ Conventions used across the package:
 - Subsystems are ordered party-major (all of Alice's registers before all of
   Bob's).  Basis indices are big-endian: the first subsystem is the most
   significant factor of a flattened index.
-- ``tensor(A, B)`` puts A's indices major, so the left factor belongs to the
+- ``np.kron(A, B)`` puts A's indices major, so the left factor belongs to the
   lower party index.
 - The default algebraic tolerance is 1e-10.
 - A bipartite pure state is handled as its amplitude matrix Psi of shape
@@ -66,11 +66,6 @@ def is_binary_observable(m, tol: float = ATOL) -> bool:
     return is_hermitian(m, tol) and is_unitary(m, tol)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the left factor's indices major."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
@@ -98,10 +93,10 @@ def op_partial_trace(mat: np.ndarray, dims: Sequence[int],
     return np.einsum("arbr->ab", t)
 
 
-def herm_expm(h: np.ndarray, t: float, tol: float = ATOL) -> np.ndarray:
+def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via spectral decomposition."""
     h = as_matrix(h)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("herm_expm requires a Hermitian matrix")
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -58,14 +58,6 @@ SUBTESTS = {
 ACTION_LABELS = ("X", "Z", "D")
 
 
-class SelfTestPreconditionError(RuntimeError):
-    """A stage was given an experiment that its preconditions exclude."""
-
-    def __init__(self, stage: str, detail: str = ""):
-        self.stage = stage
-        super().__init__(f"self-test stage refused: {stage}" + (f" ({detail})" if detail else ""))
-
-
 def setting_labels(kind: str) -> tuple[str, ...]:
     if kind not in SUBTESTS:
         raise ValueError(f"unknown test kind {kind!r}")
@@ -115,7 +107,8 @@ class Experiment:
 
     Party A owns the leading subsystems and party B the trailing ones.
     ``flag_registers`` records the global index of each party's simulation
-    flag qubit for experiments constructed from the family (None otherwise).
+    flag qubit for experiments constructed from the family (None otherwise);
+    each index must name a qubit register in its own party's block.
     """
 
     kind: str
@@ -143,6 +136,12 @@ class Experiment:
                     raise ValueError(f"observable {lab}_{p} must act on party {p}'s registers")
                 if not is_binary_observable(m):
                     raise ValueError(f"observable {lab}_{p} is not a binary observable")
+        flags, n_a = self.flag_registers, len(pd["A"])
+        if flags is not None and not (set(flags) == set(PARTIES) and all(
+                0 <= flags[p] - first < len(pd[p]) and pd[p][flags[p] - first] == 2
+                for p, first in (("A", 0), ("B", n_a)))):
+            raise ValueError(f"flag_registers {flags} must name a qubit register of each party: "
+                             f"A's among 0..{n_a - 1}, B's among {n_a}..{len(self.state.dims) - 1}")
 
     def act(self, party: str, m: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """``M Psi`` for party A, ``Psi M^T`` (as ``(M Psi^T)^T``) for party B, C-ordered.
@@ -238,11 +237,11 @@ def attach_junk(exp: Experiment, party: str, junk: StateVector) -> Experiment:
     return _with_registers(exp, party, junk.dims, np.kron(_psi(exp), j))
 
 
-def purify_experiment(exp: Experiment, tol: float = 1e-12) -> Experiment:
+def purify_experiment(exp: Experiment) -> Experiment:
     """Pure-state version of the experiment; any auxiliary register joins party A."""
     if isinstance(exp.state, StateVector):
         return exp
-    pure = purify(exp.state, tol=tol)
+    pure = purify(exp.state)
     if pure.dims == exp.state.dims:
         return replace(exp, state=pure)
     d_a, r = int(np.prod(exp.party_dims["A"])), pure.dims[-1]
@@ -676,7 +675,8 @@ def y_coefficient_check(ext: Extraction, tol: float = 1e-9) -> YCoefficientRepor
     family flag populations.
     """
     if ext.exp.kind != "extended":
-        raise SelfTestPreconditionError("y_coefficient_check", "requires an extended experiment")
+        raise ValueError("self-test stage refused: y_coefficient_check "
+                         "(requires an extended experiment)")
     norms, dev, fact, sign_exp, pops = {}, {}, {}, {}, {}
     for party in PARTIES:
         n, d, f, s, p0 = _party_y_blocks(ext, party)
@@ -704,7 +704,8 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
     """Populations (|alpha|^2, |beta|^2) and coherence magnitude of the member.
 
     Experiments that kept their flag registers report the reduced flag state
-    directly (and its support must lie in {|00>, |11>}).  Otherwise the
+    directly (and its support must lie in {|00>, |11>}); given a ``y_check`` as
+    well, its populations must agree with the flags' within ``tol``.  Otherwise the
     populations come from the extracted Y sign operator of the required ``y_check``,
     which is basis free; the coherence is then only determined when one branch is empty.
     """
@@ -720,6 +721,9 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
         coherence = float(abs(reduced[0, 3]))
         if coherence > np.sqrt(max(p0, 0.0) * max(p1, 0.0)) + tol:
             raise ValueError("flag coherence exceeds the positivity bound")
+        if y_check is not None and abs(p0 - y_check.populations[0]) > tol:
+            raise ValueError(f"flag population {p0} contradicts the extracted sign's "
+                             f"{y_check.populations[0]}")
         return FamilyParams(p0, p1, coherence, source="flag_registers")
     if y_check is None:
         raise ValueError("without flag registers, pass the y_check of a gated extraction")

@@ -73,10 +73,6 @@ def state_from_json(data) -> StateVector | DensityMatrix:
     raise ValueError("state JSON needs an 'amplitudes' or 'matrix' field")
 
 
-def sim_params_to_json(p: SimParams) -> dict:
-    return {"a": float(p.a), "c_abs": float(abs(p.c)), "c_phase": float(np.angle(p.c))}
-
-
 def sim_params_from_json(data) -> SimParams:
     return SimParams.from_polar(float(data["a"]), float(data.get("c_abs", 0.0)),
                                 float(data.get("c_phase", 0.0)))
@@ -111,15 +107,6 @@ def experiment_from_json(data) -> Experiment:
         party_dims={p: tuple(data["parties"][p]["dims"]) for p in ("A", "B")},
         flag_registers={k: int(v) for k, v in flags.items()} if flags else None,
     )
-
-
-def strategy_to_json(strategy: EveStrategy) -> dict:
-    from .sixstate import CustomState
-
-    data = strategy.describe()
-    if isinstance(strategy, CustomState):
-        data["state"] = state_to_json(strategy.state)
-    return data
 
 
 def strategy_from_json(data) -> EveStrategy:

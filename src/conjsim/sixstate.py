@@ -38,6 +38,7 @@ from .states import DensityMatrix, StateVector, epr_pair
 BASES = ("X", "Y", "Z")
 SOURCE_DIMS = (2, 2, 2, 2)            # flag_A, data_A, flag_B, data_B
 FLAG_A, DATA_A, FLAG_B, DATA_B = range(4)
+BRANCH_TOL = 1e-9                     # a flag branch of at most this weight is empty
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,11 @@ def _outcome_cumulants(rho: DensityMatrix) -> dict[tuple[str, str], np.ndarray]:
     return out
 
 
-def _flag_branches(rho: DensityMatrix, tol: float = 1e-9):
+def _flag_branches(rho: DensityMatrix):
     """Z-collapse of both flags: [(probability, (z_a, z_b), post_state)].
 
     Family states only populate the logical flag states, so only the (0, 0)
-    and (1, 1) branches can appear; a cross branch beyond tolerance is an error.
+    and (1, 1) branches can appear; a cross branch above BRANCH_TOL is an error.
     The flag projector P is diagonal, so P rho P is rho with the rows and
     columns of the other flag values zeroed.
     """
@@ -158,10 +159,10 @@ def _flag_branches(rho: DensityMatrix, tol: float = 1e-9):
             kept = np.where(np.outer(on, on), rho.matrix, 0)
             p = float(np.trace(kept).real)
             if za != zb:
-                if p > tol:
+                if p > BRANCH_TOL:
                     raise ValueError(f"family source has cross-flag population {p}")
                 continue
-            if p <= tol:
+            if p <= BRANCH_TOL:
                 continue
             post = kept / p
             branches.append((p, (za, zb), DensityMatrix(SOURCE_DIMS, post)))

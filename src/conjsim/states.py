@@ -1,7 +1,7 @@
-"""Quantum states over ordered subsystem lists, with partial traces, purification and measurement.
+"""Quantum states over ordered subsystem lists, with partial traces and purification.
 
-All values are immutable after construction and every operation is a pure
-function; sampling takes an explicit ``numpy.random.Generator``.
+All values are immutable after construction, which checks them to NORM_TOL,
+and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, as_matrix, is_binary_observable, op_partial_trace
+from .linalg import as_matrix, op_partial_trace
 
 NORM_TOL = 1e-12
 
@@ -42,9 +42,6 @@ class StateVector:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def conj(self) -> "StateVector":
-        return StateVector(self.dims, self.amplitudes.conj())
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -53,7 +50,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
 
-    def __init__(self, dims, matrix, tol: float = NORM_TOL):
+    def __init__(self, dims, matrix):
         dims = tuple(int(d) for d in dims)
         mat = as_matrix(matrix)
         d = int(np.prod(dims))
@@ -61,12 +58,12 @@ class DensityMatrix:
             raise ValueError(f"dims {dims} do not match matrix shape {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        if np.abs(mat - mat.conj().T).max() > tol:
+        if np.abs(mat - mat.conj().T).max() > NORM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {tol}")
-        if np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -tol:
+        if abs(tr - 1.0) > NORM_TOL:
+            raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {NORM_TOL}")
+        if np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -NORM_TOL:
             raise ValueError("density matrix has negative eigenvalues beyond tolerance")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -81,48 +78,11 @@ class DensityMatrix:
         return self
 
 
-def basis_state(dims, index) -> StateVector:
-    """Computational basis state; ``index`` is one value per subsystem."""
-    dims = tuple(int(d) for d in dims)
-    amp = np.zeros(int(np.prod(dims)), dtype=complex)
-    flat = 0
-    for d, i in zip(dims, index):
-        if not 0 <= i < d:
-            raise ValueError(f"basis index {i} out of range for dimension {d}")
-        flat = flat * d + i
-    amp[flat] = 1.0
-    return StateVector(dims, amp)
-
-
 def epr_pair() -> StateVector:
     """The two-qubit maximally entangled state (|00> + |11>)/sqrt(2)."""
     amp = np.zeros(4, dtype=complex)
     amp[0] = amp[3] = 1 / np.sqrt(2)
     return StateVector((2, 2), amp)
-
-
-def product_state(*parts: StateVector) -> StateVector:
-    dims: list[int] = []
-    amp = np.array([1.0], dtype=complex)
-    for p in parts:
-        dims.extend(p.dims)
-        amp = np.kron(amp, p.amplitudes)
-    return StateVector(dims, amp)
-
-
-def expectation(state: StateVector | DensityMatrix, m: np.ndarray,
-                tol: float = ATOL) -> float:
-    """tr(rho M) for Hermitian M; errors if the imaginary residue is non-negligible."""
-    m = as_matrix(m)
-    if m.shape != (state.dim, state.dim):
-        raise ValueError(f"operator shape {m.shape} does not match state dimension {state.dim}")
-    if isinstance(state, StateVector):
-        val = np.vdot(state.amplitudes, m @ state.amplitudes)
-    else:
-        val = np.trace(state.matrix @ m)
-    if abs(val.imag) > tol:
-        raise ValueError(f"expectation has imaginary residue {val.imag}; operator not Hermitian?")
-    return float(val.real)
 
 
 def partial_trace(state: DensityMatrix | StateVector, keep) -> DensityMatrix:
@@ -145,16 +105,16 @@ def partial_trace(state: DensityMatrix | StateVector, keep) -> DensityMatrix:
     return DensityMatrix([state.dims[k] for k in keep], reduced)
 
 
-def purify(dm: DensityMatrix, tol: float = 1e-12) -> StateVector:
+def purify(dm: DensityMatrix) -> StateVector:
     """Purification with the auxiliary register appended as the last subsystem.
 
-    Eigenvalues at or below ``tol`` are dropped and the kept ones rescaled to
+    Eigenvalues at or below NORM_TOL are dropped and the kept ones rescaled to
     sum to 1, so the result is a unit vector even when the dropped weight is
     as large as the trace tolerance.  Rank-1 inputs come back as a plain
     state vector (no auxiliary subsystem).
     """
     w, v = np.linalg.eigh(dm.matrix)
-    keep = w > tol
+    keep = w > NORM_TOL
     rank = int(keep.sum())
     if rank == 0:
         raise ValueError("cannot purify a zero matrix")
@@ -163,35 +123,3 @@ def purify(dm: DensityMatrix, tol: float = 1e-12) -> StateVector:
     if rank == 1:
         return StateVector(dm.dims, cols[:, 0])
     return StateVector(dm.dims + (rank,), cols.reshape(dm.dim * rank))
-
-
-def measure(state: StateVector | DensityMatrix, m: np.ndarray,
-            rng: np.random.Generator, tol: float = ATOL):
-    """Projective readout of a binary observable.
-
-    Returns ``(outcome, post_state)`` with outcome +1/-1 sampled from
-    tr(rho (I +/- M)/2) and the renormalized projected state.  Deterministic
-    given the generator state.
-    """
-    m = as_matrix(m)
-    if not is_binary_observable(m, tol):
-        raise ValueError("measure requires a binary (Hermitian and unitary) observable")
-    eye = np.eye(state.dim)
-    proj_plus = (eye + m) / 2
-    proj_minus = (eye - m) / 2
-    if isinstance(state, StateVector):
-        p_plus = float(np.vdot(state.amplitudes, proj_plus @ state.amplitudes).real)
-        p_minus = float(np.vdot(state.amplitudes, proj_minus @ state.amplitudes).real)
-    else:
-        p_plus = float(np.trace(state.matrix @ proj_plus).real)
-        p_minus = float(np.trace(state.matrix @ proj_minus).real)
-    if abs(p_plus + p_minus - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {p_plus + p_minus}, not 1")
-    outcome = 1 if rng.random() < p_plus else -1
-    proj = proj_plus if outcome == 1 else proj_minus
-    p = p_plus if outcome == 1 else p_minus
-    if isinstance(state, StateVector):
-        post = StateVector(state.dims, proj @ state.amplitudes / np.sqrt(p))
-    else:
-        post = DensityMatrix(state.dims, proj @ state.matrix @ proj / p)
-    return outcome, post

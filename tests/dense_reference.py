@@ -13,6 +13,9 @@ experiment builders' state vectors with a full-space product or a subsystem
 permutation.  ``support_projector`` reads a party's support from the Schmidt
 decomposition across a register cut, and ``dense_multiparty_sim_state`` builds
 a family member flag-major with ``np.kron`` and then interleaves the flags.
+``basis_state`` builds a computational basis state from one index per
+register, and ``expectation`` is tr(rho M) of a full-space operator, the slow
+reference for the per-party correlation kernel ``conjsim.selftest.correlations``.
 """
 
 import math
@@ -86,6 +89,33 @@ def dense_multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -
     order = [i for party in range(n_parties) for i in (party, n_parties + party)]
     dims = [2] * n_parties + list(psi.dims)
     return DensityMatrix([dims[o] for o in order], permute_subsystems_matrix(mat, dims, order))
+
+
+def basis_state(dims, index) -> StateVector:
+    """Computational basis state; ``index`` is one value per subsystem."""
+    dims = tuple(int(d) for d in dims)
+    amp = np.zeros(math.prod(dims), dtype=complex)
+    flat = 0
+    for d, i in zip(dims, index):
+        if not 0 <= i < d:
+            raise ValueError(f"basis index {i} out of range for dimension {d}")
+        flat = flat * d + i
+    amp[flat] = 1.0
+    return StateVector(dims, amp)
+
+
+def expectation(state, m) -> float:
+    """tr(rho M) for a Hermitian full-space M; an imaginary residue above 1e-10 is refused."""
+    m = as_matrix(m)
+    if m.shape != (state.dim, state.dim):
+        raise ValueError(f"operator shape {m.shape} does not match state dimension {state.dim}")
+    if isinstance(state, StateVector):
+        val = np.vdot(state.amplitudes, m @ state.amplitudes)
+    else:
+        val = np.trace(state.matrix @ m)
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"expectation has imaginary residue {val.imag}; operator not Hermitian?")
+    return float(val.real)
 
 
 def kron_all(*factors):

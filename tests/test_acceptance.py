@@ -17,7 +17,7 @@ from conjsim.family import (
     multiparty_sim_state,
     to_real_simulation,
 )
-from conjsim.linalg import X, Y, Z, random_hermitian, tensor
+from conjsim.linalg import X, Y, Z, random_hermitian
 from conjsim.selftest import (
     check_against_reference,
     correlations,
@@ -36,9 +36,9 @@ from conjsim.sixstate import (
     run_rounds,
     sift,
 )
-from conjsim.states import StateVector, basis_state, epr_pair
+from conjsim.states import StateVector, epr_pair
 
-from dense_reference import ancillas_last
+from dense_reference import ancillas_last, basis_state
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -131,7 +131,7 @@ def test_criterion_5_extraction_normal_form():
     np.testing.assert_allclose(lhs, np.kron(collapsed, psi), atol=1e-10)
     for lab, m in (("X", X), ("Z", Z), ("D", (X + Z) * SQ2)):
         got = ancillas_last(ext.actions[("A", lab)])
-        want = np.kron(collapsed, tensor(m, np.eye(2)) @ psi)
+        want = np.kron(collapsed, np.kron(m, np.eye(2)) @ psi)
         np.testing.assert_allclose(got, want, atol=1e-10)
     report("5: PASS extraction matches the closing identities entrywise to 1e-10")
 

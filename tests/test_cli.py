@@ -250,6 +250,19 @@ def test_config_values_are_converted_like_flags(tmp_path):
     assert data["results"]["tol"] == 1e-8
 
 
+def test_abbreviated_flags_are_refused(tmp_path, capsys):
+    # a config key yields only to a flag given by its full name, so a prefix would lose to it
+    config = write_config(tmp_path, {"trials": 7, "dim": 2})
+    with pytest.raises(SystemExit) as stop:
+        run(["--config", config, "props", "--tri", "3", "--di", "3"])
+    assert stop.value.code == 2
+    assert "error: unrecognized arguments: --tri 3 --di 3" in capsys.readouterr().err
+    out = tmp_path / "props.json"
+    assert run(["--config", config, "props", "--trials", "3", "--dim", "3",
+                "--out", str(out)]) == 0
+    assert {k: read_json(out)["config"][k] for k in ("trials", "dim")} == {"trials": 3, "dim": 3}
+
+
 @pytest.mark.parametrize("argv, config", [
     (["props", "--trials", "0"], None),
     (["props"], {"trials": -5}),
@@ -278,6 +291,23 @@ def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, text):
     path.write_text(text)
     assert run([a.format(path=path) for a in argv]) == 2
     assert one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags", [{"A": 0, "B": 0}, {"A": 0, "B": 9}, {"A": -1, "B": 2},
+                                   {"A": 2, "B": 3}, {"A": 0}],
+                         ids=["same_register", "past_the_end", "negative", "in_the_other_block",
+                              "no_B"])
+def test_flag_registers_outside_their_party_are_usage_errors(tmp_path, flags):
+    document = experiment_to_json(family_experiment(SimParams(0.5, 0.5), "extended"))
+    document["flag_registers"] = flags
+    path = tmp_path / "experiment.json"
+    path.write_text(dumps(document))
+    env = {**os.environ, "PYTHONPATH": str(Path(conjsim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "conjsim", "selftest", "--experiment", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_error_line(proc.stderr) and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: flag_registers ")
 
 
 def nan_inputs():

@@ -18,7 +18,6 @@ from conjsim.linalg import (
     random_complex_matrix,
     random_hermitian,
     random_unitary,
-    tensor,
 )
 
 from dense_reference import (
@@ -33,8 +32,12 @@ from dense_reference import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+# The dense oracles build their full-space operators with kron_all, so its Kronecker
+# identities and index convention (the left factor's indices major) are checked here.
+
+
 def test_tensor_identity():
-    np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
+    np.testing.assert_allclose(kron_all(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_entry_formula_on_paulis():
@@ -45,12 +48,12 @@ def test_tensor_entry_formula_on_paulis():
             for k in range(2):
                 for l in range(2):
                     expected[2 * i + k, 2 * j + l] = X[i, j] * Z[k, l]
-    np.testing.assert_allclose(tensor(X, Z), expected)
+    np.testing.assert_allclose(kron_all(X, Z), expected)
 
 
 def test_tensor_zz_stabilizes_epr():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    np.testing.assert_allclose(tensor(Z, Z) @ phi, phi, atol=1e-14)
+    np.testing.assert_allclose(kron_all(Z, Z) @ phi, phi, atol=1e-14)
 
 
 @given(seeds)
@@ -58,7 +61,7 @@ def test_tensor_zz_stabilizes_epr():
 def test_tensor_mixed_product(seed):
     rng = np.random.default_rng(seed)
     a, b, c, d = (random_complex_matrix(3, rng) for _ in range(4))
-    np.testing.assert_allclose(tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d), atol=1e-10)
+    np.testing.assert_allclose(kron_all(a, b) @ kron_all(c, d), kron_all(a @ c, b @ d), atol=1e-10)
 
 
 @given(seeds)
@@ -66,7 +69,7 @@ def test_tensor_mixed_product(seed):
 def test_tensor_associative(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (random_complex_matrix(2, rng) for _ in range(3))
-    np.testing.assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-12)
+    np.testing.assert_allclose(kron_all(kron_all(a, b), c), kron_all(a, kron_all(b, c)), atol=1e-12)
 
 
 def test_predicates():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -14,8 +15,8 @@ EXPORTS = [
     "SimParams", "StateVector", "Transcript", "ZPremeasure",
     "anticommutator_residual", "c_of", "c_property_suite", "check_against_reference",
     "check_d_collapse", "check_state_equalities", "correlations", "epr_pair",
-    "estimate_family_params", "eve_flip_correction", "expectation", "extraction_isometry",
-    "family", "family_experiment", "linalg", "measure", "multiparty_sim_state", "partial_trace",
+    "estimate_family_params", "eve_flip_correction", "extraction_isometry",
+    "family", "family_experiment", "linalg", "multiparty_sim_state", "partial_trace",
     "reference_experiment", "run_rounds", "run_selftest", "sampled_correlations",
     "selftest", "sift", "sim_hamiltonian", "sim_kraus", "sim_povm", "sim_unitary_evolve",
     "sixstate", "states", "to_real_simulation", "y_coefficient_check", "zpremeasure_analysis",
@@ -25,7 +26,7 @@ SUBMODULES = ["family", "linalg", "selftest", "sixstate", "states"]
 
 def test_all_keeps_its_names_and_order():
     assert conjsim.__all__ == EXPORTS
-    assert len(EXPORTS) == 48
+    assert len(EXPORTS) == 46
 
 
 def test_star_import_binds_every_export_to_its_defining_object():
@@ -55,3 +56,50 @@ def test_bare_import_loads_nothing_and_resolves_on_use():
     assert loaded == ["conjsim"] and listed
     assert modules == [f"conjsim.{m}" for m in SUBMODULES]
     assert origin == "conjsim.selftest"
+
+
+# The paper's objects that no job, script or other module calls.
+PAPER_OBJECTS = {
+    "sim_unitary_evolve": "the family's discrete evolution, C(U) rho' C(U)^dagger",
+    "sim_kraus": "the family's lift of a channel in Kraus form",
+    "to_real_simulation": "the basis change from the family member to the real simulation",
+    "rotate_experiment": "builds the real simulation from the rotated a = c = 1/2 member",
+}
+
+
+def _referenced_names(tree, skip=None) -> set[str]:
+    """Names, attributes and from-imports in ``tree``, leaving out the subtree ``skip``."""
+    hidden = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in hidden:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_name_serves_a_job_or_is_a_paper_object():
+    """Each public function or class of src/conjsim is used outside its own definition in
+    src/, in scripts/ or by the benchmark's job builder, or is one of the paper's objects."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((root / "src" / "conjsim").glob("*.py"))}
+    callers = set()
+    for path in [*sorted((root / "scripts").glob("*.py")), root / "benchmark/conjbench/jobs.py"]:
+        callers |= _referenced_names(ast.parse(path.read_text()))
+    defined, unused = set(), []
+    for path, tree in trees.items():
+        elsewhere = callers.union(*(_referenced_names(t) for p, t in trees.items() if p != path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add(node.name)
+                used = elsewhere | _referenced_names(tree, skip=node)
+                if node.name not in used and node.name not in PAPER_OBJECTS:
+                    unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+    assert set(PAPER_OBJECTS) <= defined

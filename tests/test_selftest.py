@@ -19,7 +19,6 @@ from conjsim.linalg import (
     op_partial_trace,
     pauli_decompose,
     random_unitary,
-    tensor,
 )
 from conjsim.selftest import (
     ACTION_LABELS,
@@ -28,7 +27,6 @@ from conjsim.selftest import (
     CorrelationTable,
     Experiment,
     Extraction,
-    SelfTestPreconditionError,
     anticommutator_residual,
     attach_junk,
     check_against_reference,
@@ -53,21 +51,16 @@ from conjsim.selftest import (
     y_coefficient_check,
 )
 from conjsim.serialize import equivalence_report_to_dict
-from conjsim.states import (
-    DensityMatrix,
-    StateVector,
-    basis_state,
-    epr_pair,
-    expectation,
-    product_state,
-)
+from conjsim.states import DensityMatrix, StateVector, epr_pair
 
 from dense_reference import (
     ancillas_last,
+    basis_state,
     dense_attach_junk,
     dense_purify,
     dense_rotate,
     embed_operator,
+    expectation,
     party_circuit,
     party_registers,
     permute_subsystems_vector,
@@ -449,7 +442,7 @@ def test_extraction_actions_on_reference():
     collapsed = (np.kron(np.eye(2), np.eye(2)) + np.kron(np.eye(2), Z)) @ psi * SQ2
     for lab, m in (("X", X), ("Z", Z), ("D", (X + Z) * SQ2)):
         got = ancillas_last(ext.actions[("A", lab)])
-        want = np.kron(collapsed, tensor(m, np.eye(2)) @ psi)
+        want = np.kron(collapsed, np.kron(m, np.eye(2)) @ psi)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -511,7 +504,7 @@ def test_y_coefficients_extended_reference():
         assert y.normal_form_deviation[party] <= 1e-10
         assert y.sign_expectation[party] == pytest.approx(1.0, abs=1e-10)
     assert y.populations[0] == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(SelfTestPreconditionError, match="requires an extended experiment"):
+    with pytest.raises(ValueError, match="requires an extended experiment"):
         y_coefficient_check(extraction_isometry(reference_experiment("mayersyao")))
 
 
@@ -555,6 +548,21 @@ def test_estimate_family_params_without_flags_uses_sign_operator():
     assert got.source == "extracted_sign"
     assert got.population_0 == pytest.approx(1.0, abs=1e-9)
     assert got.coherence == 0.0
+
+
+def test_flag_populations_must_agree_with_the_y_check():
+    # the data qubits named as flags read (0.5, 0.5); the extracted sign reads (0.3, 0.7)
+    member = family_experiment(SimParams(0.3, 0.2), "extended")
+    y_check = run_selftest(member).y_check
+    assert estimate_family_params(member, y_check=y_check).population_0 == pytest.approx(0.3)
+    data_as_flags = dataclasses.replace(member, flag_registers={"A": 1, "B": 3})
+    with pytest.raises(ValueError, match="contradicts the extracted sign"):
+        estimate_family_params(data_as_flags, y_check=y_check)
+    report = run_selftest(data_as_flags)
+    assert report.y_check.populations[0] == pytest.approx(0.3)
+    assert not report.passed and report.family_params is None
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("family_params[flag population 0.5")
 
 
 def test_estimate_family_params_rejects_leaky_flags():

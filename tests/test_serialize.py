@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conjsim.family import SimParams
+from conjsim.family import SimParams, multiparty_sim_state
 from conjsim.selftest import (
     correlations,
     family_experiment,
@@ -24,15 +24,22 @@ from conjsim.serialize import (
     matrix_to_json,
     qber_report_to_dict,
     sim_params_from_json,
-    sim_params_to_json,
     state_from_json,
     state_to_json,
     strategy_from_json,
-    strategy_to_json,
     transcript_to_csv,
     transcript_to_json,
 )
-from conjsim.sixstate import BASES, Honest, MismatchedFlags, ZPremeasure, run_rounds, sift
+from conjsim.sixstate import (
+    BASES,
+    Conjugate,
+    CustomState,
+    Honest,
+    MismatchedFlags,
+    ZPremeasure,
+    run_rounds,
+    sift,
+)
 from conjsim.states import DensityMatrix, StateVector, epr_pair
 
 
@@ -60,10 +67,12 @@ def test_state_json_shape():
 
 
 def test_sim_params_roundtrip():
+    # the README's family-parameter document; c_abs and c_phase default to 0
     p = SimParams.from_polar(0.5, 0.3, 1.2)
-    back = sim_params_from_json(sim_params_to_json(p))
+    back = sim_params_from_json({"a": 0.5, "c_abs": 0.3, "c_phase": 1.2})
     assert back.a == pytest.approx(p.a)
     assert back.c == pytest.approx(p.c)
+    assert sim_params_from_json({"a": 0.25}) == SimParams(0.25, 0.0)
 
 
 def test_experiment_roundtrip():
@@ -81,10 +90,15 @@ def test_experiment_roundtrip():
 
 
 def test_strategy_roundtrip():
+    # each strategy's describe() is the README's strategy document it is read back from
     for strat in (Honest(SimParams(0.5, 0.25)), MismatchedFlags(0, 1),
-                  ZPremeasure(SimParams(1.0, 0.0))):
-        back = strategy_from_json(strategy_to_json(strat))
+                  ZPremeasure(SimParams(1.0, 0.0)), Conjugate()):
+        back = strategy_from_json(strat.describe())
         assert back.describe() == strat.describe()
+    rho = multiparty_sim_state(epr_pair(), 2, SimParams(0.3, 0.2))
+    back = strategy_from_json({"strategy": "custom_state", "state": state_to_json(rho)})
+    assert isinstance(back, CustomState)
+    np.testing.assert_array_equal(back.state.matrix, rho.matrix)
 
 
 def test_correlation_table_csv_format():

