@@ -10,7 +10,6 @@ reference, which is what makes the family a simulation.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +26,12 @@ from .linalg import (
     random_psd,
     random_unitary,
 )
-from .states import DensityMatrix, StateVector
+from .states import DensityMatrix, Record, StateVector
 
 FEAS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(Record):
     """Flag population ``a`` and coherence ``c`` of one family member."""
 
     a: float
@@ -51,11 +49,10 @@ class SimParams:
         return cls(a, c_abs * cmath.exp(1j * c_phase))
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(Record):
     """Positive elements summing to the identity."""
 
-    elements: tuple[np.ndarray, ...] = field(repr=False)
+    elements: tuple[np.ndarray, ...]
 
     def __init__(self, elements):
         mats = tuple(as_matrix(e) for e in elements)
@@ -82,11 +79,10 @@ class Povm:
         return np.array([np.trace(rho @ e).real for e in self.elements])
 
 
-@dataclass(frozen=True)
-class KrausMap:
+class KrausMap(Record):
     """Trace-preserving completely positive map in Kraus form."""
 
-    operators: tuple[np.ndarray, ...] = field(repr=False)
+    operators: tuple[np.ndarray, ...]
 
     def __init__(self, operators):
         ops = tuple(as_matrix(k) for k in operators)
@@ -241,8 +237,7 @@ def to_real_simulation(value, which: str):
     raise ValueError(f"which must be 'state' or 'operator', got {which!r}")
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(Record):
     name: str
     max_residual: float
     tol: float
@@ -252,8 +247,7 @@ class PropertyCheck:
         return self.max_residual <= self.tol
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     trials: int
     dim: int
     seed: int

@@ -29,8 +29,6 @@ earlier stages recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from .family import SimParams, c_of, multiparty_sim_state
@@ -43,7 +41,15 @@ from .linalg import (
     op_partial_trace,
     pauli_decompose,
 )
-from .states import DensityMatrix, StateVector, epr_pair, partial_trace, purify
+from .states import (
+    DensityMatrix,
+    Record,
+    StateVector,
+    epr_pair,
+    partial_trace,
+    purify,
+    replace,
+)
 
 PARTIES = ("A", "B")
 
@@ -101,8 +107,7 @@ def reference_observables(kind: str) -> dict[str, dict[str, np.ndarray]]:
     return {"A": {l: alice[l] for l in labels}, "B": {l: bob[l] for l in labels}}
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(Record):
     """A state plus per-party binary observables, with register bookkeeping.
 
     Party A owns the leading subsystems and party B the trailing ones.
@@ -113,7 +118,7 @@ class Experiment:
 
     kind: str
     state: StateVector | DensityMatrix
-    observables: dict[str, dict[str, np.ndarray]] = field(repr=False)
+    observables: dict[str, dict[str, np.ndarray]]
     party_dims: dict[str, tuple[int, ...]]
     flag_registers: dict[str, int] | None = None
 
@@ -254,8 +259,7 @@ def purify_experiment(exp: Experiment) -> Experiment:
 # correlation tables
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
+class CorrelationTable(Record):
     """Marginals <M (x) I>, <I (x) M> and joints <M_A (x) M_B> over a schedule."""
 
     kind: str
@@ -377,8 +381,7 @@ def sampled_correlations(exact: CorrelationTable, n_per_pair: int, seed: int) ->
                             n_per_pair=n_per_pair, seed=int(seed))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Entrywise comparison with a reference table.
 
     ``worst_entry`` names the failing entry with the largest deviation, or is ""
@@ -517,8 +520,7 @@ def anticommutator_residual(exp: Experiment) -> dict[str, tuple[float, float]]:
 # extraction isometry
 
 
-@dataclass(frozen=True)
-class Extraction:
+class Extraction(Record):
     """The applied extraction circuit and the states it produces.
 
     ``state`` is Phi(|psi'>) over the party layout (d_A, 2, d_B, 2): each
@@ -530,8 +532,8 @@ class Extraction:
 
     exp: Experiment                      # purified input experiment
     state: StateVector
-    actions: dict[tuple[str, str], StateVector] = field(repr=False)
-    local_units: dict[str, np.ndarray] = field(repr=False)
+    actions: dict[tuple[str, str], StateVector]
+    local_units: dict[str, np.ndarray]
 
 
 def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
@@ -617,8 +619,7 @@ def extraction_action_fidelities(ext: Extraction) -> dict[tuple[str, str], float
 # Y normal form and family parameters
 
 
-@dataclass(frozen=True)
-class YCoefficientReport:
+class YCoefficientReport(Record):
     """Per-party Pauli-block data of the pushed-forward Y observable.
 
     Blocks are taken at the extracted qubit after restricting to the support
@@ -689,8 +690,7 @@ def y_coefficient_check(ext: Extraction, tol: float = 1e-9) -> YCoefficientRepor
                               population_mismatch=mismatch)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Estimated flag populations and cross-branch coherence of a passing experiment."""
 
     population_0: float
@@ -736,8 +736,7 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
 # full pipeline
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     kind: str
     tol: float
     stats_tol: float

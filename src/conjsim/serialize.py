@@ -59,6 +59,13 @@ def matrix_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool is refused, naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"{what}: expected a JSON integer, got {value!r}")
+    return value
+
+
 def state_to_json(state: StateVector | DensityMatrix) -> dict:
     if isinstance(state, StateVector):
         return {"dims": list(state.dims), "amplitudes": vector_to_json(state.amplitudes)}
@@ -66,11 +73,12 @@ def state_to_json(state: StateVector | DensityMatrix) -> dict:
 
 
 def state_from_json(data) -> StateVector | DensityMatrix:
+    if "amplitudes" not in data and "matrix" not in data:
+        raise ValueError("state JSON needs an 'amplitudes' or 'matrix' field")
+    dims = [_integer(d, "state dims") for d in data["dims"]]
     if "amplitudes" in data:
-        return StateVector(data["dims"], vector_from_json(data["amplitudes"]))
-    if "matrix" in data:
-        return DensityMatrix(data["dims"], matrix_from_json(data["matrix"]))
-    raise ValueError("state JSON needs an 'amplitudes' or 'matrix' field")
+        return StateVector(dims, vector_from_json(data["amplitudes"]))
+    return DensityMatrix(dims, matrix_from_json(data["matrix"]))
 
 
 def sim_params_from_json(data) -> SimParams:
@@ -104,8 +112,10 @@ def experiment_from_json(data) -> Experiment:
         observables={p: {lab: matrix_from_json(m)
                          for lab, m in data["parties"][p]["observables"].items()}
                      for p in ("A", "B")},
-        party_dims={p: tuple(data["parties"][p]["dims"]) for p in ("A", "B")},
-        flag_registers={k: int(v) for k, v in flags.items()} if flags else None,
+        party_dims={p: tuple(_integer(d, f"party {p} dims") for d in data["parties"][p]["dims"])
+                    for p in ("A", "B")},
+        flag_registers=({k: _integer(v, f"flag_registers {k}") for k, v in flags.items()}
+                        if flags else None),
     )
 
 
@@ -120,7 +130,8 @@ def strategy_from_json(data) -> EveStrategy:
     if name == "zpremeasure":
         return ZPremeasure(sim_params_from_json(data))
     if name == "mismatched_flags":
-        return MismatchedFlags(int(data["flag_a"]), int(data["flag_b"]))
+        return MismatchedFlags(_integer(data["flag_a"], "flag_a"),
+                               _integer(data["flag_b"], "flag_b"))
     if name == "custom_state":
         state = state_from_json(data["state"])
         return CustomState(state.density())

@@ -27,13 +27,11 @@ draws with too).  Transcripts are therefore a pure function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from .family import SimParams, multiparty_sim_state
 from .selftest import _draw_outcomes, correlations, family_experiment, with_state
-from .states import DensityMatrix, StateVector, epr_pair
+from .states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 BASES = ("X", "Y", "Z")
 SOURCE_DIMS = (2, 2, 2, 2)            # flag_A, data_A, flag_B, data_B
@@ -41,8 +39,7 @@ FLAG_A, DATA_A, FLAG_B, DATA_B = range(4)
 BRANCH_TOL = 1e-9                     # a flag branch of at most this weight is empty
 
 
-@dataclass(frozen=True)
-class Honest:
+class Honest(Record):
     """Eve prepares the agreed family member and otherwise stays out."""
 
     params: SimParams
@@ -52,16 +49,14 @@ class Honest:
                 "c_abs": abs(self.params.c), "c_phase": float(np.angle(self.params.c))}
 
 
-@dataclass(frozen=True)
-class Conjugate:
+class Conjugate(Record):
     """The fully conjugated member (a = 0, c = 0)."""
 
     def describe(self) -> dict:
         return {"strategy": "conjugate"}
 
 
-@dataclass(frozen=True)
-class ZPremeasure:
+class ZPremeasure(Record):
     """Eve measures both flag registers in Z before the protocol starts."""
 
     params: SimParams
@@ -71,8 +66,7 @@ class ZPremeasure:
                 "c_abs": abs(self.params.c), "c_phase": float(np.angle(self.params.c))}
 
 
-@dataclass(frozen=True)
-class MismatchedFlags:
+class MismatchedFlags(Record):
     """Flags pinned to possibly different Z eigenvectors on the two sides."""
 
     flag_a: int
@@ -86,8 +80,7 @@ class MismatchedFlags:
         return {"strategy": "mismatched_flags", "flag_a": self.flag_a, "flag_b": self.flag_b}
 
 
-@dataclass(frozen=True)
-class CustomState:
+class CustomState(Record):
     """Arbitrary two-flag-two-data source, e.g. a non-family negative control."""
 
     state: DensityMatrix
@@ -169,8 +162,7 @@ def _flag_branches(rho: DensityMatrix):
     return branches
 
 
-@dataclass(frozen=True, eq=False)
-class Transcript:
+class Transcript(Record):
     """Per-round columns: ``int8`` arrays of length n, round i at index i.
 
     Bases are coded 0/1/2 as indices into :data:`BASES`; outcomes are bits
@@ -178,14 +170,14 @@ class Transcript:
     Eve premeasures and are None otherwise.
     """
 
-    basis_a: np.ndarray = field(repr=False)
-    basis_b: np.ndarray = field(repr=False)
-    outcome_a: np.ndarray = field(repr=False)
-    outcome_b: np.ndarray = field(repr=False)
+    basis_a: np.ndarray
+    basis_b: np.ndarray
+    outcome_a: np.ndarray
+    outcome_b: np.ndarray
     seed: int
     strategy: dict
-    flag_a: np.ndarray | None = field(default=None, repr=False)
-    flag_b: np.ndarray | None = field(default=None, repr=False)
+    flag_a: np.ndarray | None = None
+    flag_b: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -227,8 +219,7 @@ def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
                       flag_b=None if flags is None else flags[:, 1].take(branch))
 
 
-@dataclass(frozen=True)
-class QberReport:
+class QberReport(Record):
     """Per-basis sifted counts and error rates plus the abort verdict."""
 
     sifted: dict[str, int]
@@ -298,8 +289,7 @@ def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> Qbe
     return replace(report, errors=errors, rates=rates, verdict=verdict)
 
 
-@dataclass(frozen=True)
-class PremeasureComparison:
+class PremeasureComparison(Record):
     zpremeasure: QberReport
     honest: QberReport
     rate_differences: dict[str, float]

@@ -2,11 +2,16 @@
 
 All values are immutable after construction, which checks them to NORM_TOL,
 and every operation is a pure function.
+
+:class:`Record` is the base of every value class in the package.  A subclass
+declares its fields as class annotations, with optional class-level defaults;
+the fields are bound by position or keyword, then ``__post_init__`` (if
+defined) validates them.  Records refuse assignment and deletion, compare and
+hash by their field tuple, and :func:`replace` rebuilds one through its
+``__init__``, so validation runs again.  No code is generated per class.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,12 +20,66 @@ from .linalg import as_matrix, op_partial_trace
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class StateVector:
+class Record:
+    """Immutable value whose fields are its class annotations, base classes' first."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(vars(cls).get("__annotations__", ()))     # a subclass extends its base's
+        cls._fields = tuple(dict.fromkeys(cls._fields + own))
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} arguments but {len(args)} were given")
+        values = {**self._defaults, **dict(zip(fields, args))}
+        for key, value in kwargs.items():
+            if key not in fields or fields.index(key) < len(args):
+                raise TypeError(f"{name} got an unexpected or repeated argument {key!r}")
+            values[key] = value
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name} is missing the argument {field!r}")
+            object.__setattr__(self, field, values[field])
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({items})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes``, built and validated by its class's ``__init__``."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
+class StateVector(Record):
     """Pure state over an ordered list of subsystem dimensions."""
 
     dims: tuple[int, ...]
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray
 
     def __init__(self, dims, amplitudes):
         dims = tuple(int(d) for d in dims)
@@ -43,12 +102,11 @@ class StateVector:
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Mixed state over an ordered list of subsystem dimensions."""
 
     dims: tuple[int, ...]
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray
 
     def __init__(self, dims, matrix):
         dims = tuple(int(d) for d in dims)

@@ -294,9 +294,10 @@ def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, text):
 
 
 @pytest.mark.parametrize("flags", [{"A": 0, "B": 0}, {"A": 0, "B": 9}, {"A": -1, "B": 2},
-                                   {"A": 2, "B": 3}, {"A": 0}],
+                                   {"A": 2, "B": 3}, {"A": 0}, {"A": 0.7, "B": 2.9},
+                                   {"A": "0", "B": "2"}, {"A": True, "B": 2}],
                          ids=["same_register", "past_the_end", "negative", "in_the_other_block",
-                              "no_B"])
+                              "no_B", "float", "string", "bool"])
 def test_flag_registers_outside_their_party_are_usage_errors(tmp_path, flags):
     document = experiment_to_json(family_experiment(SimParams(0.5, 0.5), "extended"))
     document["flag_registers"] = flags
@@ -308,6 +309,31 @@ def test_flag_registers_outside_their_party_are_usage_errors(tmp_path, flags):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_error_line(proc.stderr) and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {path}: flag_registers ")
+
+
+def non_integer_documents():
+    """(name, document, argv) whose dims entry or flag bit is a JSON float or bool."""
+    member = experiment_to_json(family_experiment(SimParams(0.5, 0.5), "extended"))
+    state_dims = json.loads(json.dumps(member))
+    state_dims["state"]["dims"] = [2.0, 2.9, 2, 2]
+    party_dims = json.loads(json.dumps(member))
+    party_dims["parties"]["B"]["dims"] = [2, 2.0]
+    mismatched = {"strategy": "mismatched_flags", "flag_a": 0.9, "flag_b": True}
+    selftest = ["selftest", "--experiment", "{path}"]
+    return [("state_dims", state_dims, selftest), ("party_dims", party_dims, selftest),
+            ("flag_a", mismatched, ["qkd", "--strategy", "custom", "{path}", "--seed", "1"])]
+
+
+def test_non_integer_dims_and_flag_bits_are_usage_errors(tmp_path):
+    cases = non_integer_documents()
+    for name, document, _ in cases:
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    results = fresh_main(tmp_path, *[[a.format(path=f"{name}.json") for a in argv]
+                                     for name, _, argv in cases])
+    for (name, _, _), (code, stdout, err, _) in zip(cases, results):
+        assert (code, stdout) == (2, ""), name
+        assert one_error_line(err) and "Traceback" not in err, name
+        assert err.startswith(f"error: {name}.json: ") and "expected a JSON integer" in err, name
 
 
 def nan_inputs():

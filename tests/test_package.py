@@ -103,3 +103,31 @@ def test_every_public_name_serves_a_job_or_is_a_paper_object():
                     unused.append(f"{path.stem}.{node.name}")
     assert unused == []
     assert set(PAPER_OBJECTS) <= defined
+
+
+def test_records_are_built_without_dataclasses():
+    """Records subclass states.Record: src/ neither imports dataclasses nor decorates a class,
+    and a qkd job, which builds records of every module, never loads the dataclasses module."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "conjsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.ClassDef):
+                names = [ast.unparse(d) for d in node.decorator_list]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno}" for n in names if "dataclass" in n]
+    assert found == []
+    # -X importtime lists every module the job imports, one "| name" per line, on stderr
+    argv = ["-X", "importtime", "-m", "conjsim", "qkd", "--strategy", "conjugate",
+            "--n", "300", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(conjsim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                         timeout=120)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    assert out.returncode == 0 and "conjsim.sixstate" in imported
+    assert "dataclasses" not in imported

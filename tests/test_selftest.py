@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import sys
@@ -51,7 +50,7 @@ from conjsim.selftest import (
     y_coefficient_check,
 )
 from conjsim.serialize import equivalence_report_to_dict
-from conjsim.states import DensityMatrix, StateVector, epr_pair
+from conjsim.states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 from dense_reference import (
     ancillas_last,
@@ -217,7 +216,7 @@ def test_passing_report_names_no_worst_entry():
     for entries in ("joints", "marginals"):
         values = getattr(table, entries)
         for key, value in values.items():
-            perturbed = dataclasses.replace(table, **{entries: {**values, key: value + 1e-16}})
+            perturbed = replace(table, **{entries: {**values, key: value + 1e-16}})
             result = check_against_reference(perturbed, ref)
             assert result.passed and result.worst_entry == "", key
 
@@ -262,8 +261,6 @@ def test_check_against_reference_missing_entry():
     table = correlations(reference_experiment("mayersyao"))
     broken = dict(table.joints)
     del broken[("X", "Z")]
-    from dataclasses import replace
-
     with pytest.raises(KeyError):
         check_against_reference(replace(table, joints=broken), ref_table("mayersyao"))
 
@@ -311,7 +308,7 @@ def test_sampled_statistics_reject_an_offset_entry(key, value):
     ref = ref_table("mayersyao")
     r = ref.joints[key]
     n = math.ceil((2 * 5 * math.sqrt(1 - r * r) / abs(value - r)) ** 2)
-    offset = dataclasses.replace(ref, joints={**ref.joints, key: value})
+    offset = replace(ref, joints={**ref.joints, key: value})
     for seed in range(200):
         result = check_against_reference(sampled_correlations(offset, n, seed), ref)
         assert result.worst_entry == f"joint({key[0]},{key[1]})", seed
@@ -555,7 +552,7 @@ def test_flag_populations_must_agree_with_the_y_check():
     member = family_experiment(SimParams(0.3, 0.2), "extended")
     y_check = run_selftest(member).y_check
     assert estimate_family_params(member, y_check=y_check).population_0 == pytest.approx(0.3)
-    data_as_flags = dataclasses.replace(member, flag_registers={"A": 1, "B": 3})
+    data_as_flags = replace(member, flag_registers={"A": 1, "B": 3})
     with pytest.raises(ValueError, match="contradicts the extracted sign"):
         estimate_family_params(data_as_flags, y_check=y_check)
     report = run_selftest(data_as_flags)
@@ -572,8 +569,6 @@ def test_estimate_family_params_rejects_leaky_flags():
     vec[0b0010] = SQ2          # flags (0, 1) -> cross-flag leak
     bad_state = StateVector([2, 2, 2, 2], vec)
     exp = family_experiment(SimParams(0.5, 0.5), "extended")
-    from dataclasses import replace
-
     exp = replace(exp, state=bad_state)
     with pytest.raises(ValueError):
         estimate_family_params(exp)
@@ -846,8 +841,8 @@ def report_numbers(value, path="report"):
         items = value.items()
     elif isinstance(value, (tuple, list)):
         items = enumerate(value)
-    elif dataclasses.is_dataclass(value):
-        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    elif isinstance(value, Record):
+        items = ((name, getattr(value, name)) for name in value._fields)
     else:
         return {}
     out = {}
@@ -985,7 +980,7 @@ def test_failure_names_do_not_hang_on_rounding(monkeypatch):
             values = getattr(table, entries)
             for key, value in values.items():
                 for moved in nudged(value):
-                    perturbed = dataclasses.replace(table, **{entries: {**values, key: moved}})
+                    perturbed = replace(table, **{entries: {**values, key: moved}})
                     result = check_against_reference(perturbed, ref)
                     assert result.worst_entry == report.statistics.worst_entry, key
         for stage, field in (("check_state_equalities", "state_equalities"),
