@@ -1,5 +1,30 @@
+"""Process entry point of ``python -m conjsim`` and of the ``conjsim`` console script.
+
+A job ends as soon as ``cli.main`` returns its exit code: the standard streams
+are flushed and ``os._exit`` ends the process without the interpreter's
+teardown, which would spend about 28 ms finalizing numpy and every loaded
+module.  No ``atexit`` handler runs, so ``main`` closes every output it writes.
+An argparse ``SystemExit`` (usage errors, ``--help``) or an exception that
+escapes ``main`` takes the ordinary exit.
+"""
+
+import os
 import sys
+from typing import NoReturn
 
 from .cli import main
 
-sys.exit(main())
+
+def run() -> NoReturn:
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:           # None when the file descriptor was closed at start
+            try:
+                stream.flush()
+            except OSError:              # main flushed its report and named a closed reader
+                pass
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

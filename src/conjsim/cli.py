@@ -1,8 +1,8 @@
 """Command-line front-end: props, selftest, simulate, and qkd subcommands.
 
 Exit codes: 0 = checks passed (or an adversarial strategy behaved as
-documented), 1 = check failure or internal numerical failure, 2 = usage or
-configuration error.  Every
+documented), 1 = check failure, internal numerical failure or an output whose
+reader has gone away, 2 = usage or configuration error.  Every
 report embeds the effective config, the seed, and the toolkit version.  A
 JSON config file can stand in for flags; explicitly given flags win.
 
@@ -60,23 +60,35 @@ def _read_document(flag: str, path: str):
 
 
 def _check_output(flag: str, path: str) -> None:
-    """Refuse, before any work, an output path that is a directory or has no parent directory."""
+    """Refuse, before any work, an output path that is a directory or has no parent directory.
+
+    The parent is checked both for ``path`` and for the file its symlinks resolve to.
+    """
     if Path(path).is_dir():
         raise UsageError(f"{flag} {path}: Is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):      # the dirname of "d/" is d
+    parents = (os.path.dirname(path) or ".", os.path.dirname(os.path.realpath(path)))
+    if not all(map(os.path.isdir, parents)):                  # the dirname of "d/" is d
         raise UsageError(f"{flag} {path}: parent directory does not exist")
 
 
 def _write_output(path: str, write) -> None:
-    """Call ``write(file)`` on a new file beside ``path``, then move it onto ``path``.
+    """Call ``write(file)`` on a new file beside the file ``path`` names, then move it there.
 
-    A run that fails before or while writing leaves any file already at ``path`` intact.
+    Symlinks in ``path`` are resolved first, so a link keeps pointing at the new
+    file.  A run that fails before or while writing leaves any file already there
+    intact.  A path that exists but is no regular file (a FIFO, a device) is
+    written in place, since moving a file onto it would replace it.
     """
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as out:
+            write(out)
+        return
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as out:
             write(out)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -147,6 +159,7 @@ def _emit(text: str, out: str | None):
         _write_output(out, lambda f: f.write(text))
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()      # a closed reader surfaces here, buffered or not
 
 
 def cmd_props(args) -> int:
@@ -434,17 +447,14 @@ def main(argv=None) -> int:
             if path:
                 _check_output(flag, path)
         return args.func(args)
+    except (BrokenPipeError, ValueError) as err:     # an output's reader left: no usage error
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAIL
     except (UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAIL
     except MemoryError as err:
         detail = f" ({err})" if str(err) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_FAIL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -42,6 +42,21 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as a Python int; a bool, a float or any other non-integer is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def as_dims(dims: Sequence[int], what: str) -> tuple[int, ...]:
+    """Subsystem dimensions as Python ints, each an integer of at least 1."""
+    dims = tuple(as_int(d, what) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{what}: dimensions must be positive, got {dims}")
+    return dims
+
+
 def is_hermitian(m, tol: float = ATOL) -> bool:
     m = as_matrix(m)
     return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
@@ -67,9 +82,7 @@ def is_binary_observable(m, tol: float = ATOL) -> bool:
 
 
 def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"{what}: dimensions must be positive, got {dims}")
+    dims = as_dims(dims, what)
     if int(np.prod(dims)) != size:
         raise ValueError(f"{what}: dims {dims} do not match size {size}")
     return dims

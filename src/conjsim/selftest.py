@@ -36,6 +36,7 @@ from .linalg import (
     ATOL,
     HADAMARD,
     PAULIS,
+    as_dims,
     as_matrix,
     is_binary_observable,
     op_partial_trace,
@@ -125,7 +126,7 @@ class Experiment(Record):
     def __post_init__(self):
         if self.kind not in SUBTESTS:
             raise ValueError(f"unknown test kind {self.kind!r}")
-        pd = {p: tuple(int(d) for d in self.party_dims[p]) for p in PARTIES}
+        pd = {p: as_dims(self.party_dims[p], f"party {p} dims") for p in PARTIES}
         object.__setattr__(self, "party_dims", pd)
         if pd["A"] + pd["B"] != tuple(self.state.dims):
             raise ValueError("party dims must partition the state dims, A block first")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .family import SimParams, multiparty_sim_state
+from .linalg import as_int
 from .selftest import _draw_outcomes, correlations, family_experiment, with_state
 from .states import DensityMatrix, Record, StateVector, epr_pair, replace
 
@@ -73,8 +74,11 @@ class MismatchedFlags(Record):
     flag_b: int
 
     def __post_init__(self):
-        if self.flag_a not in (0, 1) or self.flag_b not in (0, 1):
-            raise ValueError("flags must be bits")
+        for field in ("flag_a", "flag_b"):
+            flag = as_int(getattr(self, field), field)
+            if flag not in (0, 1):
+                raise ValueError("flags must be bits")
+            object.__setattr__(self, field, flag)
 
     def describe(self) -> dict:
         return {"strategy": "mismatched_flags", "flag_a": self.flag_a, "flag_b": self.flag_b}

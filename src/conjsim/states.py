@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, op_partial_trace
+from .linalg import as_dims, as_matrix, op_partial_trace
 
 NORM_TOL = 1e-12
 
@@ -82,7 +82,7 @@ class StateVector(Record):
     amplitudes: np.ndarray
 
     def __init__(self, dims, amplitudes):
-        dims = tuple(int(d) for d in dims)
+        dims = as_dims(dims, "state dims")
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if int(np.prod(dims)) != amp.size:
             raise ValueError(f"dims {dims} do not match amplitude length {amp.size}")
@@ -109,7 +109,7 @@ class DensityMatrix(Record):
     matrix: np.ndarray
 
     def __init__(self, dims, matrix):
-        dims = tuple(int(d) for d in dims)
+        dims = as_dims(dims, "state dims")
         mat = as_matrix(matrix)
         d = int(np.prod(dims))
         if mat.shape != (d, d):

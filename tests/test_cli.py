@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -576,6 +577,100 @@ def test_a_failed_write_keeps_the_existing_file(tmp_path, monkeypatch):
     assert run(QKD + ["--transcript-out", str(out)]) == 0
     assert out.read_text().startswith("round,")
     assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]
+
+
+def test_outputs_through_symlinks_and_fifos_keep_the_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("target.json").write_text("earlier run\n")
+    Path("link.json").symlink_to("target.json")
+    Path("dangling.json").symlink_to("later.json")
+    Path("nowhere.json").symlink_to("missing/report.json")
+    os.mkfifo("fifo")
+    reader = os.open("fifo", os.O_RDONLY | os.O_NONBLOCK)    # so opening it to write won't block
+    try:
+        for name in ("link.json", "dangling.json", "fifo"):
+            assert run(QKD + ["--out", name]) == 0, name
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    reports = [json.loads(text) for text in (Path("target.json").read_text(),
+                                             Path("later.json").read_text(), received)]
+    assert [r["config"]["out"] for r in reports] == ["link.json", "dangling.json", "fifo"]
+    assert reports[0]["results"] == reports[1]["results"] == reports[2]["results"]
+    assert (os.readlink("link.json"), os.readlink("dangling.json")) == ("target.json", "later.json")
+    assert stat.S_ISFIFO(os.stat("fifo").st_mode)
+    capsys.readouterr()
+    assert run(QKD + ["--out", "nowhere.json"]) == 2
+    assert capsys.readouterr().err == "error: --out nowhere.json: parent directory does not exist\n"
+    assert sorted(os.listdir()) == ["dangling.json", "fifo", "later.json", "link.json",
+                                    "nowhere.json", "target.json"]
+
+
+def conjsim_env(**changes):
+    """The environment of a fresh ``python -m conjsim`` on this tree; a None value unsets."""
+    env = {**os.environ, "PYTHONPATH": str(Path(conjsim.__file__).parents[1]), **changes}
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def take_outputs(directory):
+    """The bytes of each output file a job left in ``directory``, removing the files."""
+    found = {}
+    for name in ("report.json", "transcript.csv"):
+        path = directory / name
+        if path.exists():
+            found[name] = path.read_bytes()
+            path.unlink()
+    return found
+
+
+# exit 0 to stdout, exit 0 to files, exit 1 and exit 2, each after numpy has loaded
+FAST_EXIT_JOBS = [
+    (["simulate", "--kind", "mayersyao", "--family", "a=0.3", "--format", "csv"], 0),
+    (QKD + ["--out", "report.json", "--transcript-out", "transcript.csv"], 0),
+    (["--config", "fixture.json", "props", "--trials", "5", "--out", "report.json"], 1),
+    (["qkd", "--strategy", "honest", "a=0.5", "c=0.9", "--seed", "1"], 2),
+]
+
+
+def test_a_fresh_job_ends_like_main_in_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fixture.json").write_text(dumps({"fixtures": [
+        {"label": "fake_unitary", "matrix": matrix_to_json(np.diag([1.0, 2.0])),
+         "claims": ["unitary"]}]}))
+    for argv, code in FAST_EXIT_JOBS:
+        proc = subprocess.run([sys.executable, "-m", "conjsim", *argv], capture_output=True,
+                              text=True, env=conjsim_env(), timeout=120)
+        fresh = (proc.returncode, proc.stdout, proc.stderr, take_outputs(tmp_path))
+        capsys.readouterr()
+        in_process = (main(argv), *capsys.readouterr(), take_outputs(tmp_path))
+        assert fresh == in_process and fresh[0] == code, argv
+
+
+def test_a_finished_job_skips_interpreter_teardown(tmp_path):
+    """Once main returns, no atexit handler runs; argparse's SystemExit still takes the
+    ordinary exit, which runs them."""
+    probe = ("import atexit, runpy; atexit.register(print, 'teardown ran'); "
+             "runpy.run_module('conjsim', run_name='__main__')")
+    for argv, code, stdout in [(QKD + ["--out", "report.json"], 0, ""),
+                               (["props", "--trials", "x"], 2, "teardown ran\n")]:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, env=conjsim_env(), cwd=tmp_path, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, stdout), argv
+    assert json.loads((tmp_path / "report.json").read_text())["results"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_is_one_error_line_and_exit_one(unbuffered):
+    read, write = os.pipe()
+    os.close(read)                  # the reader has gone before the job writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conjsim", "simulate", "--kind", "mayersyao", "--family", "a=0.3"],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=conjsim_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("argv, absent", [

@@ -131,6 +131,12 @@ def test_experiment_validation():
                    party_dims={"A": (2,), "B": (2,)})
     with pytest.raises(ValueError):
         with_observable(ref, "A", "X", np.diag([1.0, 2.0]))      # not binary
+    for dims in ((2.9,), (2.0,), (True, 2)):
+        with pytest.raises(ValueError, match="party A dims"):
+            replace(ref, party_dims={"A": dims, "B": (2,)})
+    exp = replace(ref, party_dims={"A": np.array([2]), "B": (np.int64(2),)})
+    assert exp.party_dims == {"A": (2,), "B": (2,)}
+    assert all(type(d) is int for p in "AB" for d in exp.party_dims[p])
 
 
 # --------------------------------------------------------------------------

@@ -293,6 +293,16 @@ def test_run_rounds_rejects_bad_args():
         run_rounds(Honest(SimParams(1.0, 0.0)), 0, seed=1)
     with pytest.raises(ValueError):
         MismatchedFlags(2, 0)
+    for flags in ((True, 0.0), (0.0, 1), (1, False), (0, 1.0), (np.bool_(True), 0)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            MismatchedFlags(*flags)
+
+
+def test_mismatched_flags_store_python_ints():
+    strategy = MismatchedFlags(np.int64(1), np.int8(0))
+    assert strategy == MismatchedFlags(1, 0)
+    assert type(strategy.flag_a) is int and type(strategy.flag_b) is int
+    assert strategy.describe() == {"strategy": "mismatched_flags", "flag_a": 1, "flag_b": 0}
 
 
 def test_honest_grid_all_bases_error_free():

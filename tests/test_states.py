@@ -41,6 +41,22 @@ def test_density_matrix_validation():
             DensityMatrix([2], np.array([[1.0, bad], [bad, 0.0]]))
 
 
+@pytest.mark.parametrize("dims", [[2.9, 2], [2.0, 2], [True, 4], [np.float64(2), 2], [-1, -4],
+                                  [-2, -2]])
+def test_dims_must_be_integers_of_at_least_one(dims):
+    e0 = np.eye(4)[0]
+    with pytest.raises(ValueError, match="state dims"):
+        StateVector(dims, e0)
+    with pytest.raises(ValueError, match="state dims"):
+        DensityMatrix(dims, np.outer(e0, e0))
+
+
+def test_numpy_integer_dims_are_stored_as_ints():
+    e0 = np.eye(4)[0]
+    for state in (StateVector(np.array([2, 2]), e0), DensityMatrix([np.int64(2), 2], np.diag(e0))):
+        assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+
+
 def test_expectation_epr_values():
     phi = epr_pair()
     assert expectation(phi, np.kron(X, X)) == pytest.approx(1.0, abs=1e-12)
