@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import conjsim
 from conjsim import cli, serialize, sixstate
 from conjsim.cli import main
 from conjsim.family import SimParams
-from conjsim.linalg import X
+from conjsim.linalg import HADAMARD, X
 from conjsim.selftest import family_experiment, reference_experiment, with_observable
 from conjsim.serialize import dumps, experiment_to_json, matrix_to_json, state_to_json
 from conjsim.sixstate import MismatchedFlags, source_state
@@ -58,6 +59,40 @@ def test_props_fixture_failure(tmp_path):
     items = read_json(out)["results"]["items"]
     failing = [i["name"] for i in items if not i["passed"]]
     assert failing == ["fixture[fake_unitary:unitary]"]
+
+
+# SHA-256 of the --out bytes of props jobs shaped like the benchmark's small jobs, a config
+# run, and a config whose fixtures pass and fail; paths are relative, so the bytes are fixed.
+PROPS_REPORTS = [
+    (["props", "--dim", "2", "--trials", "20", "--seed", "11"], 0,
+     "71a6a5d9994af4b2b99e746c5678a40d381ccdd17cfafe9ac8922016f7cfc667"),
+    (["props", "--dim", "4", "--trials", "30", "--seed", "12"], 0,
+     "5f7bfba9534a464b574f167a49ceef1f59fe901d0d7fcd510b9eb86fae800c1d"),
+    (["props", "--dim", "6", "--trials", "30", "--seed", "13"], 0,
+     "3599c3ca22436b6bfba69e028a5cc9031bed11ff361e9bf24be14d1f17aeec4b"),
+    (["props", "--dim", "8", "--trials", "40", "--seed", "14"], 0,
+     "11ed5dab4ef92f18c0b651bb1e94eb514b5d68c6c45caaddfcddabacd4f9a8bd"),
+    (["--config", "config.json", "props"], 0,
+     "ffc4064ff46ebd2b48a2a9674727cb338c5e6ec42c20c966708b09d5c3c13593"),
+    (["--config", "fixtures.json", "props"], 1,
+     "b068de41a8dbd1c526618e4b7ad6b5b8c0d3a7e488f3af8270791125b8ada5ad"),
+]
+
+
+def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(dumps({"dim": 5, "trials": 25, "seed": 3}))
+    Path("fixtures.json").write_text(dumps({"trials": 5, "seed": 2, "fixtures": [
+        {"label": "hadamard", "matrix": matrix_to_json(HADAMARD),
+         "claims": ["hermitian", "unitary"]},
+        {"label": "stretch", "matrix": matrix_to_json(np.diag([1.0, 2.0])),
+         "claims": ["unitary", "psd"]},
+        {"label": "rotation", "matrix": matrix_to_json(np.array([[0, -1], [1, 0]])),
+         "claims": ["psd"]},
+    ]}))
+    for argv, code, digest in PROPS_REPORTS:
+        assert run(argv + ["--out", "report.json"]) == code, argv
+        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
 
 
 def test_selftest_family_extended(tmp_path):
