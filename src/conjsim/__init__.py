@@ -8,6 +8,7 @@ numpy nor any numeric module.
 import importlib
 
 __version__ = "0.1.0"
+MAX_PROPERTY_DIM = 8     # largest --dim of the props suite, checked before numpy loads
 
 _EXPORTS = {
     "family": (

@@ -13,9 +13,12 @@ import cmath
 
 import numpy as np
 
+from . import MAX_PROPERTY_DIM
 from .linalg import (
     ATOL,
+    DEFECTS,
     HADAMARD,
+    PAULIS,
     as_matrix,
     herm_expm,
     is_hermitian,
@@ -29,6 +32,7 @@ from .linalg import (
 from .states import DensityMatrix, Record, StateVector
 
 FEAS_TOL = 1e-12
+HAMILTONIAN_BOUND = 1e-8     # residual bound of exp(-iH't) = C(exp(-iHt)); expm is not exact
 
 
 class SimParams(Record):
@@ -240,17 +244,14 @@ def to_real_simulation(value, which: str):
 class PropertyCheck(Record):
     name: str
     max_residual: float
-    tol: float
+    bound: float
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= self.bound      # a NaN residual fails
 
 
 class PropertyReport(Record):
-    trials: int
-    dim: int
-    seed: int
     checks: tuple[PropertyCheck, ...]
 
     @property
@@ -258,23 +259,25 @@ class PropertyReport(Record):
         return all(c.passed for c in self.checks)
 
 
-def c_property_suite(trials: int, dim: int, seed: int, tol: float = ATOL) -> PropertyReport:
-    """Exercise the eight algebraic properties of the C(.) lifting on random matrices.
+def c_property_suite(trials: int, dim: int, seed: int, tol: float = ATOL,
+                     fixtures=()) -> PropertyReport:
+    """Check the C(.) lifting: eight algebraic properties, the Hamiltonian identity,
+    statistics preservation, and each claim of each (label, matrix, claims) fixture.
 
-    Preservation items are checked in both directions through exact norm
-    relations, e.g. ||C(M) - C(M)^dag||_F = sqrt(2) ||M - M^dag||_F, so a
-    non-Hermitian input failing to lift to a non-Hermitian output would show
-    up as a nonzero residual.
+    Preservation items are checked in both directions through exact norm relations,
+    e.g. ||C(M) - C(M)^dag||_F = sqrt(2) ||M - M^dag||_F.  A fixture claim's residual
+    is the larger DEFECTS measure of M and C(M).  A check passes when its residual is
+    at most its bound: HAMILTONIAN_BOUND, ATOL for fixtures, ``tol`` for the rest.
     """
-    if dim > 8:
-        raise ValueError("property suite supports dim <= 8")
+    if dim > MAX_PROPERTY_DIM:
+        raise ValueError(f"property suite supports dim <= {MAX_PROPERTY_DIM}")
     rng = np.random.default_rng(seed)
-    res = {k: 0.0 for k in (
+    res = {k: [0.0] for k in (
         "multiplicative", "additive", "real_scalar", "eigenvector_lift",
         "hermiticity", "unitarity", "psd", "trace_doubling")}
 
     def bump(key, value):
-        res[key] = max(res[key], float(value))
+        res[key].append(value)
 
     for _ in range(trials):
         m = random_complex_matrix(dim, rng)
@@ -306,8 +309,25 @@ def c_property_suite(trials: int, dim: int, seed: int, tol: float = ATOL) -> Pro
 
         bump("trace_doubling", abs(np.trace(c_of(herm)) - 2 * np.trace(herm)))
 
-    checks = tuple(PropertyCheck(k, v, tol) for k, v in res.items())
-    return PropertyReport(trials=trials, dim=dim, seed=seed, checks=checks)
+    checks = [PropertyCheck(k, _worst(v), tol) for k, v in res.items()]
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    hams = [random_hermitian(int(rng.integers(2, 5)), rng) for _ in range(trials // 10 + 1)]
+    ham = _worst([_hamiltonian_identity_residual(h, (0.1, 1.0, np.pi)) for h in hams])
+    checks += [PropertyCheck("hamiltonian_identity", ham, HAMILTONIAN_BOUND),
+               PropertyCheck("statistics_preservation", _statistics_preservation_residual(), tol)]
+    for label, m, claims in fixtures:
+        m = as_matrix(m)
+        lifts = (m, c_of(m)) if m.shape[0] == m.shape[1] else (m,)
+        checks += [PropertyCheck(f"fixture[{label}:{claim}]",
+                                 _worst([DEFECTS[claim](x) for x in lifts]), ATOL)
+                   for claim in claims]
+    return PropertyReport(tuple(checks))
+
+
+def _worst(residuals) -> float:
+    """The largest residual; NaN if any is NaN."""
+    return float(np.max(residuals))
 
 
 def _both_ways(m: np.ndarray, defect) -> float:
@@ -316,10 +336,22 @@ def _both_ways(m: np.ndarray, defect) -> float:
     return abs(defect(c_of(m)) - np.sqrt(2) * defect(m))
 
 
-def hamiltonian_identity_residual(h: np.ndarray, times) -> float:
+def _hamiltonian_identity_residual(h: np.ndarray, times) -> float:
     """max_t || exp(-i H' t) - C(exp(-i H t)) ||_F over the given time grid."""
     hp = sim_hamiltonian(h)
-    worst = 0.0
-    for t in times:
-        worst = max(worst, float(np.linalg.norm(herm_expm(hp, t) - c_of(herm_expm(h, t)))))
-    return worst
+    return _worst([np.linalg.norm(herm_expm(hp, t) - c_of(herm_expm(h, t))) for t in times])
+
+
+def _statistics_preservation_residual() -> float:
+    """Outcome probabilities of lifted POVMs on family members vs the reference."""
+    plus = StateVector([2], np.array([1, 1]) / np.sqrt(2))
+    imag = StateVector([2], np.array([1, 1j]) / np.sqrt(2))
+    residuals = []
+    for a in (0.0, 0.25, 0.5, 1.0):
+        cmax = np.sqrt(a * (1 - a))
+        for c in {0.0, cmax, cmax * 1j}:
+            for psi, axis in ((plus, "X"), (imag, "Y"), (imag, "Z")):
+                povm = Povm([(PAULIS["I"] + sign * PAULIS[axis]) / 2 for sign in (1, -1)])
+                sim = sim_povm(povm).probabilities(multiparty_sim_state(psi, 1, SimParams(a, c)))
+                residuals.append(np.abs(povm.probabilities(psi) - sim).max())
+    return _worst(residuals)

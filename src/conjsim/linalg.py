@@ -19,6 +19,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -57,23 +58,41 @@ def as_dims(dims: Sequence[int], what: str) -> tuple[int, ...]:
     return dims
 
 
-def is_hermitian(m, tol: float = ATOL) -> bool:
+def hermitian_defect(m) -> float:
+    """max |M - M^dag|; inf for a non-square matrix."""
     m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
+    return float(np.abs(m - m.conj().T).max()) if m.shape[0] == m.shape[1] else math.inf
+
+
+def unitary_defect(m) -> float:
+    """max |M M^dag - I|; inf for a non-square matrix."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        return math.inf
+    return float(np.abs(m @ m.conj().T - np.eye(len(m))).max())
+
+
+def psd_defect(m) -> float:
+    """The larger of the Hermitian defect and minus the least eigenvalue of the Hermitian part."""
+    m = as_matrix(m)
+    defect = hermitian_defect(m)      # inf or NaN leaves no Hermitian part to diagonalize
+    return max(defect, -float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())) \
+        if math.isfinite(defect) else defect
+
+
+DEFECTS = {"hermitian": hermitian_defect, "unitary": unitary_defect, "psd": psd_defect}
+
+
+def is_hermitian(m, tol: float = ATOL) -> bool:
+    return hermitian_defect(m) <= tol
 
 
 def is_unitary(m, tol: float = ATOL) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= tol
+    return unitary_defect(m) <= tol
 
 
 def is_psd(m, tol: float = ATOL) -> bool:
-    m = as_matrix(m)
-    if not is_hermitian(m, tol):
-        return False
-    return np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -tol
+    return psd_defect(m) <= tol
 
 
 def is_binary_observable(m, tol: float = ATOL) -> bool:

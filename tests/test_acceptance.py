@@ -11,9 +11,9 @@ import numpy as np
 from conjsim.cli import main as cli_main
 from conjsim.family import (
     SimParams,
+    _hamiltonian_identity_residual,
     c_of,
     c_property_suite,
-    hamiltonian_identity_residual,
     multiparty_sim_state,
     to_real_simulation,
 )
@@ -109,14 +109,16 @@ def test_criterion_3_family_indistinguishability():
 
 def test_criterion_4_lifting_property_suite():
     suite = c_property_suite(trials=100, dim=8, seed=2024)
-    assert len(suite.checks) == 8
-    for check in suite.checks:
+    assert len(suite.checks) == 10 and suite.passed
+    assert [c.name for c in suite.checks[8:]] == ["hamiltonian_identity",
+                                                  "statistics_preservation"]
+    for check in suite.checks[:8]:
         assert check.max_residual <= 1e-10, check.name
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(20):
         dim = int(rng.integers(2, 5))
-        worst = max(worst, hamiltonian_identity_residual(
+        worst = max(worst, _hamiltonian_identity_residual(
             random_hermitian(dim, rng), (0.1, 1.0, np.pi)))
     assert worst <= 1e-8
     report("4: PASS 8-item lifting suite <= 1e-10 on 100 x dim-8 samples; "

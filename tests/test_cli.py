@@ -75,7 +75,7 @@ PROPS_REPORTS = [
     (["--config", "config.json", "props"], 0,
      "ffc4064ff46ebd2b48a2a9674727cb338c5e6ec42c20c966708b09d5c3c13593"),
     (["--config", "fixtures.json", "props"], 1,
-     "b068de41a8dbd1c526618e4b7ad6b5b8c0d3a7e488f3af8270791125b8ada5ad"),
+     "4b5028cc41dc6e394599dbd4032537d3c5510a9c47362d6933bbdc45203db7d0"),
 ]
 
 

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjsim import family
 from conjsim.family import (
+    HAMILTONIAN_BOUND,
     KrausMap,
     Povm,
+    PropertyCheck,
     SimParams,
+    _hamiltonian_identity_residual,
     c_of,
     c_property_suite,
-    hamiltonian_identity_residual,
     multiparty_sim_state,
     sim_hamiltonian,
     sim_kraus,
@@ -17,7 +20,7 @@ from conjsim.family import (
     sim_unitary_evolve,
     to_real_simulation,
 )
-from conjsim.linalg import HADAMARD, X, Y, Z, as_matrix, herm_expm, is_hermitian
+from conjsim.linalg import ATOL, HADAMARD, X, Y, Z, as_matrix, herm_expm, is_hermitian
 from conjsim.selftest import family_experiment, with_observable
 from conjsim.states import StateVector, epr_pair, partial_trace
 
@@ -196,6 +199,37 @@ def test_c_of_hermiticity_contrapositive():
     assert not is_hermitian(c_of(m))
 
 
+def test_property_verdict_is_residual_within_bound():
+    assert PropertyCheck("x", 1.0, 1.0).passed and not PropertyCheck("x", 1.5, 1.0).passed
+    assert not PropertyCheck("x", float("nan"), 1.0).passed
+    report = c_property_suite(2, 2, seed=0, fixtures=[("nan", [[np.nan]], ["hermitian"])])
+    assert np.isnan(report.checks[-1].max_residual) and not report.passed
+
+
+def test_hamiltonian_identity_is_held_to_its_own_bound(monkeypatch):
+    tol = 1e-10
+    for residual, passed in ((10 * tol, True), (HAMILTONIAN_BOUND, True),
+                             (2 * HAMILTONIAN_BOUND, False)):
+        monkeypatch.setattr(family, "_hamiltonian_identity_residual", lambda h, t: residual)
+        check = c_property_suite(2, 2, seed=0, tol=tol).checks[8]
+        assert (check.name, check.max_residual, check.passed) == (
+            "hamiltonian_identity", residual, passed)
+
+
+def test_fixture_residual_is_the_real_defect():
+    fixtures = [("below", [[0, 0.5 * ATOL], [0, 0]], ["hermitian"]),
+                ("above", [[0, 1.5 * ATOL], [0, 0]], ["hermitian"]),
+                ("stretch", np.diag([1.0, 2.0]), ["unitary", "psd"]),
+                ("wide", np.ones((1, 2)), ["psd"])]
+    checks = c_property_suite(2, 2, seed=0, fixtures=fixtures).checks[10:]
+    assert [(c.name, c.max_residual, c.passed) for c in checks] == [
+        ("fixture[below:hermitian]", 0.5 * ATOL, True),
+        ("fixture[above:hermitian]", 1.5 * ATOL, False),
+        ("fixture[stretch:unitary]", 3.0, False),
+        ("fixture[stretch:psd]", 0.0, True),
+        ("fixture[wide:psd]", np.inf, False)]
+
+
 def test_c_property_suite_rejects_large_dim():
     with pytest.raises(ValueError):
         c_property_suite(10, 9, seed=0)
@@ -299,7 +333,7 @@ def test_hamiltonian_identity_random(seed, dim):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (h + h.conj().T) / 2
-    assert hamiltonian_identity_residual(h, (0.1, 1.0, np.pi)) <= 1e-8
+    assert _hamiltonian_identity_residual(h, (0.1, 1.0, np.pi)) <= 1e-8
 
 
 def test_multiparty_reference_branch():

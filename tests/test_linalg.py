@@ -9,15 +9,18 @@ from conjsim.linalg import (
     Y,
     Z,
     herm_expm,
+    hermitian_defect,
     is_binary_observable,
     is_hermitian,
     is_psd,
     is_unitary,
     op_partial_trace,
     pauli_decompose,
+    psd_defect,
     random_complex_matrix,
     random_hermitian,
     random_unitary,
+    unitary_defect,
 )
 
 from dense_reference import (
@@ -77,6 +80,19 @@ def test_predicates():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert is_psd(np.diag([0.0, 1.0])) and not is_psd(np.diag([-1.0, 1.0]))
     assert is_unitary(HADAMARD) and not is_unitary(np.diag([1.0, 2.0]))
+
+
+def test_predicates_are_defects_within_tol():
+    skew = np.array([[0, 3e-10], [0, 0]])
+    assert hermitian_defect(skew) == 3e-10
+    assert is_hermitian(skew, tol=3e-10) and not is_hermitian(skew, tol=2e-10)
+    assert unitary_defect(np.diag([1.0, 2.0])) == 3.0
+    assert psd_defect(np.diag([-0.5, 1.0])) == 0.5 and psd_defect(np.diag([0.0, 1.0])) == 0.0
+    assert psd_defect(np.array([[1.0, 2.0], [0.0, 1.0]])) == 2.0     # the Hermitian defect
+    wide = np.ones((1, 2))
+    assert hermitian_defect(wide) == unitary_defect(wide) == psd_defect(wide) == np.inf
+    assert not (is_hermitian(wide) or is_unitary(wide) or is_psd(wide))
+    assert np.isnan(psd_defect(np.array([[np.nan]]))) and not is_psd(np.array([[np.nan]]))
 
 
 def test_herm_expm_trivial_and_diagonal():
