@@ -1,8 +1,8 @@
 """Command-line front-end: props, selftest, simulate, and qkd subcommands.
 
 Exit codes: 0 = checks passed (or an adversarial strategy behaved as
-documented), 1 = check failure, internal numerical failure or an output whose
-reader has gone away, 2 = usage or configuration error.  Every
+documented), 1 = check failure, internal numerical failure or an output that
+could not be written, 2 = usage or configuration error.  Every
 report embeds the effective config, the seed, and the toolkit version.  A
 JSON config file can stand in for flags; explicitly given flags win.
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -34,6 +35,18 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output could not be written; the work has run, so this is no usage error."""
+
+
+@contextlib.contextmanager
+def _writing():
+    try:
+        yield
+    except OSError as err:
+        raise OutputError(err) from None
 
 
 @contextlib.contextmanager
@@ -79,18 +92,19 @@ def _write_output(path: str, write) -> None:
     intact.  A path that exists but is no regular file (a FIFO, a device) is
     written in place, since moving a file onto it would replace it.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as out:
-            write(out)
-        return
-    target = Path(os.path.realpath(path))
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as out:
-            write(out)
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _writing():
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as out:
+                write(out)
+            return
+        target = Path(os.path.realpath(path))
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as out:
+                write(out)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _parse_kv(tokens, allowed, what):
@@ -157,9 +171,26 @@ def _wrap(results: dict, config: dict, seed) -> str:
 def _emit(text: str, out: str | None):
     if out:
         _write_output(out, lambda f: f.write(text))
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()      # a closed reader surfaces here, buffered or not
+        return
+    with _writing():
+        stdout = sys.stdout
+        if stdout is None:          # descriptor 1 was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if getattr(stdout, "buffer", None) is None:
+            stdout.write(text)
+        else:   # unbuffered, the buffer is the raw file, which may take part of a write
+            stdout.flush()
+            data = memoryview(text.encode(stdout.encoding, stdout.errors))
+            while data:
+                data = data[stdout.buffer.write(data):]
+        stdout.flush()      # a closed reader surfaces here, buffered or not
+
+
+def _error(message: str) -> None:
+    """Print ``error: message`` on stderr; a closed or failing stderr loses only the line."""
+    if sys.stderr is not None:      # None when descriptor 2 was closed at start
+        with contextlib.suppress(OSError, ValueError):
+            print(f"error: {message}", file=sys.stderr, flush=True)
 
 
 def cmd_props(args) -> int:
@@ -295,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to this path (default: stdout)")
-    common.add_argument("--format", choices=["json", "csv"], default=None)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--workers", type=int, default=None,
@@ -324,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment")
     p.add_argument("--family", nargs="+", metavar="K=V")
     p.add_argument("--cross-pairs", action="store_true", dest="cross_pairs")
+    p.add_argument("--format", choices=["json", "csv"], default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("qkd", parents=[common], allow_abbrev=False,
@@ -391,14 +422,13 @@ def main(argv=None) -> int:
             if path:
                 _check_output(flag, path)
         return args.func(args)
-    except (BrokenPipeError, ValueError) as err:     # an output's reader left: no usage error
-        print(f"error: {err}", file=sys.stderr)
+    except (OutputError, ValueError) as err:     # the work ran: no usage error
+        _error(str(err))
         return EXIT_FAIL
     except (UsageError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _error(str(err))
         return EXIT_USAGE
     except MemoryError as err:
-        detail = f" ({err})" if str(err) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
+        _error("out of memory" + (f" ({err})" if str(err) else ""))
         return EXIT_FAIL
 

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import resource
+import signal
 import stat
 import subprocess
 import sys
@@ -605,7 +607,7 @@ def test_a_failed_write_keeps_the_existing_file(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(serialize, "transcript_to_csv", failing)
-    assert run(QKD + ["--transcript-out", str(out)]) == 2
+    assert run(QKD + ["--transcript-out", str(out)]) == 1      # the work ran: no usage error
     assert out.read_text() == "earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["transcript.csv"]
     monkeypatch.setattr(serialize, "transcript_to_csv", encode)
@@ -708,6 +710,83 @@ def test_a_closed_stdout_is_one_error_line_and_exit_one(unbuffered):
     assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
 
+def fresh_job(argv, *, cwd, setup, unbuffered=None, stdout=subprocess.PIPE):
+    """A fresh ``python -m conjsim`` whose child runs ``setup`` before it starts."""
+    return subprocess.run([sys.executable, "-m", "conjsim", *argv], cwd=cwd, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, preexec_fn=setup, timeout=120,
+                          env=conjsim_env(PYTHONUNBUFFERED=unbuffered))
+
+
+def close_stdout():
+    os.close(1)
+
+
+def close_stderr():
+    os.close(2)
+
+
+def limit_file_size():
+    """Cap the size of any file the process writes at 200 bytes; writing past it fails."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)       # or the signal would kill the job
+    resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_stdout_closed_at_start_is_one_error_line_and_exit_one(tmp_path, unbuffered):
+    proc = fresh_job(["simulate", "--kind", "mayersyao", "--family", "a=0.3"], cwd=tmp_path,
+                     setup=close_stdout, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 9] Bad file descriptor\n")
+
+
+def test_a_closed_or_failing_stderr_keeps_the_exit_code(tmp_path):
+    (tmp_path / "read_only").write_text("")
+
+    def read_only_stderr():
+        os.close(2)
+        fd = os.open(tmp_path / "read_only", os.O_RDONLY)       # takes the free descriptor 2
+        os.set_inheritable(fd, True)
+
+    unseeded = ["qkd", "--strategy", "conjugate", "--n", "10"]
+    infeasible = ["qkd", "--strategy", "honest", "a=0.5", "c=0.9", "--seed", "1"]
+    for setup in (close_stderr, read_only_stderr):
+        for argv, code in ((unseeded, 2), (infeasible, 2), (QKD + ["--out", "report.json"], 0)):
+            proc = fresh_job(argv, cwd=tmp_path, setup=setup)
+            assert (proc.returncode, proc.stdout) == (code, ""), (setup.__name__, argv)
+    assert (tmp_path / "read_only").read_text() == ""
+    assert json.loads((tmp_path / "report.json").read_text())["results"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--transcript-out"])
+def test_an_output_past_the_file_size_limit_is_exit_one(tmp_path, flag):
+    (tmp_path / "big.out").write_text("earlier run\n")
+    proc = fresh_job(QKD + ["--n", "100", flag, "big.out"], cwd=tmp_path, setup=limit_file_size)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 27] File too large\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.out"]
+    assert (tmp_path / "big.out").read_text() == "earlier run\n"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_stdout_report_past_the_file_size_limit_is_exit_one(tmp_path, unbuffered):
+    # unbuffered, a text stream drops what its raw file did not take; the report must not
+    with open(tmp_path / "report.json", "w") as report:
+        proc = fresh_job(QKD, cwd=tmp_path, setup=limit_file_size, unbuffered=unbuffered,
+                         stdout=report)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 27] File too large\n")
+    assert (tmp_path / "report.json").stat().st_size == 200
+
+
+@pytest.mark.parametrize("argv", [["props"], ["selftest"], QKD])
+def test_format_belongs_to_simulate_alone(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        run(argv + ["--format", "csv"])
+    assert stop.value.code == 2
+    assert "error: unrecognized arguments: --format csv" in capsys.readouterr().err
+    config = write_config(tmp_path, {"format": "csv", "trials": 2, "n": 10})
+    out = tmp_path / "report.json"
+    assert run(["--config", config, *argv, "--out", str(out)]) == 0
+    assert "format" not in read_json(out)["config"]
+
+
 @pytest.mark.parametrize("argv, absent", [
     (["props", "--trials", "3", "--dim", "2"], {"conjsim.selftest", "conjsim.sixstate"}),
     (["selftest", "--kind", "mayersyao"], {"conjsim.sixstate"}),
@@ -754,14 +833,15 @@ EXPERIMENTS = ["@good", "@no_kind", "@list", "@not_json", "@missing"]
 FUZZ_FLAGS = {
     "common": {"seed": ["-1", "0", "7", "x"],
                "tol": ["1e-9", "0", "nan", "inf", "-1", "abc"],
-               "workers": ["0", "1", "2"], "format": ["json", "csv", "xml"]},
+               "workers": ["0", "1", "2"]},
     "props": {"trials": ["-5", "0", "1", "3", "x"], "dim": ["-1", "0", "1", "4", "9"]},
     "selftest": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
                  "experiment": EXPERIMENTS, "stats_tol": ["1e-10", "-1", "-inf", "x"],
                  "sampled": [["n=50", "seed=3"], ["n=0", "seed=3"], ["n=x"], ["n=20"],
                              ["seed=1"], ["n=20", "seed=-4"], ["m=1"]]},
     "simulate": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
-                 "experiment": EXPERIMENTS, "cross_pairs": [True]},
+                 "experiment": EXPERIMENTS, "cross_pairs": [True],
+                 "format": ["json", "csv", "xml"]},
     "qkd": {"strategy": [["honest", "a=0.5", "c=0.5"], ["conjugate"], ["zpremeasure", "a=0.5"],
                          ["mismatched", "0", "1"], ["mismatched", "2", "0"], ["mismatched", "0"],
                          ["teleport"], ["custom", "@custom"], ["custom", "@no_kind"],
