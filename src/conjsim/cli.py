@@ -43,6 +43,7 @@ class OutputError(Exception):
 
 @contextlib.contextmanager
 def _writing():
+    """Turn an OSError raised while writing an output into an OutputError."""
     try:
         yield
     except OSError as err:
@@ -178,7 +179,7 @@ def _emit(text: str, out: str | None):
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         if getattr(stdout, "buffer", None) is None:
             stdout.write(text)
-        else:   # unbuffered, the buffer is the raw file, which may take part of a write
+        else:   # until all is taken: unbuffered, the buffer is a raw file that may take part
             stdout.flush()
             data = memoryview(text.encode(stdout.encoding, stdout.errors))
             while data:
