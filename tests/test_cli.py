@@ -19,10 +19,19 @@ import conjsim
 from conjsim import cli, serialize, sixstate
 from conjsim.cli import main
 from conjsim.family import SimParams
-from conjsim.linalg import HADAMARD, X
-from conjsim.selftest import family_experiment, reference_experiment, with_observable
+from conjsim.linalg import HADAMARD, X, Z, random_unitary
+from conjsim.selftest import (
+    attach_junk,
+    family_experiment,
+    purify_experiment,
+    reference_experiment,
+    rotate_experiment,
+    with_observable,
+    with_state,
+)
 from conjsim.serialize import dumps, experiment_to_json, matrix_to_json, state_to_json
 from conjsim.sixstate import MismatchedFlags, source_state
+from conjsim.states import StateVector, replace
 
 
 def run(args):
@@ -94,6 +103,67 @@ def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
     ]}))
     for argv, code, digest in PROPS_REPORTS:
         assert run(argv + ["--out", "report.json"]) == code, argv
+        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
+
+
+# SHA-256 of the --out bytes of selftest jobs: four passing runs (exact, flagged, sampled,
+# and a rotated, junked member with no flags) and failing runs of every stage family.
+SELFTEST_REPORTS = [
+    (["--experiment", "mayersyao.json", "--kind", "mayersyao"], 0,
+     "5000e4f50212a283db461deceb152fed1414f7917537cf23f76d2441ba2f25bb"),
+    (["--experiment", "member.json"], 0,
+     "350e9675b64fdd21256324f5f9e94e4226eeeeb931d3490c798d0112cd2e44b8"),
+    (["--experiment", "mayersyao.json", "--kind", "mayersyao",
+      "--sampled", "n=20000", "seed=7"], 0,
+     "b13901ef8cc7927538a3e6483cf08be23caab28f470107b303daa07810104d07"),
+    (["--experiment", "rotated.json"], 0,
+     "555d8dba3ffd85f5018822ab23c14f42b0117cffefb70e46180e8ee6ae7b0f6c"),
+    (["--experiment", "d_is_x.json"], 1,
+     "8caab8303cff43b07acb68b591d0f0b63968e390f88d7333446d40969e67e565"),
+    (["--experiment", "d_is_x.json", "--stats-tol", "2"], 1,
+     "d41cd17fdb81ad4a70e189da81c7524ebabd9bdc3b1a57eb8138d128bb1a5feb"),
+    (["--experiment", "y_is_z.json"], 1,
+     "89d5a7faf583f2ee62d843a6dfccf687552160ff65cfcd0e88f26119a2e54970"),
+    (["--experiment", "y_is_z.json", "--stats-tol", "2"], 1,
+     "dce64b24586bc787e515698dd610b196d26c076320dc423a58d4772f534f637c"),
+    (["--experiment", "product.json"], 1,
+     "26d42ec6cb531761fa60cc7fe40487336bcd4b716fb4868e6592477b7151d922"),
+    (["--experiment", "data_as_flags.json"], 1,
+     "3fa29e5739a07d54e1f7c84a5def0c284f859c8484eda29a2e27261479384659"),
+    (["--experiment", "tilted.json", "--kind", "mayersyao", "--stats-tol", "2"], 1,
+     "cd3e22c1a7963a3bc73d08d10d261611a0e52a6064d3308bc450302ec8eb9e0a"),
+]
+
+
+def selftest_experiments():
+    """The experiments of SELFTEST_REPORTS, by file name."""
+    ref = reference_experiment("extended")
+    mayersyao = reference_experiment("mayersyao")
+    member = family_experiment(SimParams(0.3, 0.2))
+    rng = np.random.default_rng(5)
+    junked = attach_junk(purify_experiment(family_experiment(SimParams(0.3, 0.2j))), "A",
+                         StateVector([2], np.array([1, 1j]) / np.sqrt(2)))
+    theta = np.pi / 4 - 0.1
+    return {
+        "mayersyao.json": mayersyao,
+        "member.json": member,
+        "rotated.json": rotate_experiment(junked, {
+            p: random_unitary(int(np.prod(junked.party_dims[p])), rng) for p in ("A", "B")}),
+        "d_is_x.json": with_observable(ref, "A", "D", X),
+        "y_is_z.json": with_observable(ref, "A", "Y", Z),
+        "product.json": with_state(ref, StateVector([2, 2], [1, 0, 0, 0])),
+        "data_as_flags.json": replace(member, flag_registers={"A": 1, "B": 3}),
+        "tilted.json": with_state(mayersyao, StateVector(
+            [2, 2], [np.cos(theta), 0, 0, np.sin(theta)])),
+    }
+
+
+def test_selftest_reports_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, exp in selftest_experiments().items():
+        Path(name).write_text(dumps(experiment_to_json(exp)))
+    for argv, code, digest in SELFTEST_REPORTS:
+        assert run(["selftest", *argv, "--out", "report.json"]) == code, argv
         assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
 
 
