@@ -23,8 +23,10 @@ of shape (2 d_A, 2 d_B), each party laid out as (d_p, 2), and returns
 The stages are public functions that :func:`run_selftest` calls in order:
 the (sampled) correlations against the reference, state equalities, D-collapse,
 anti-commutators, extraction, its fidelities, the Y normal form and the family
-parameters.  The extraction gate lives only in run_selftest, on the values its
-earlier stages recorded.
+parameters.  Each stage's checks are residuals {entry: residual}, 0 being ideal
+(a fidelity f enters as 1 - f), and one rule judges them all, naming a failing
+stage by its worst entry.  The extraction gate lives only in run_selftest, on
+the residuals its earlier stages recorded.
 """
 
 from __future__ import annotations
@@ -405,33 +407,34 @@ def check_against_reference(table: CorrelationTable, ref: CorrelationTable,
     with ``tol`` as a floor.
     """
     deviations: dict[str, float] = {}
-    failing: dict[str, float] = {}
+    bounds: dict[str, float] = {}
     for key, ref_val in list(ref.joints.items()) + list(ref.marginals.items()):
         is_joint = key in ref.joints
         source = table.joints if is_joint else table.marginals
         if key not in source:
             raise KeyError(f"table is missing schedule entry {key}")
-        dev = abs(source[key] - ref_val)
         name = f"joint({key[0]},{key[1]})" if is_joint else f"marginal({key[0]},{key[1]})"
-        deviations[name] = dev
-        entry_tol = tol
+        deviations[name], bounds[name] = abs(source[key] - ref_val), tol
         if table.sampled:
             null_var = max(1.0 - ref_val * ref_val, 0.0) / table.n_per_pair
-            entry_tol = max(nsigma * float(np.sqrt(null_var)), tol)
-        if not dev <= entry_tol:                    # a NaN deviation or tolerance fails
-            failing[name] = dev
-    return CheckResult(passed=not failing, worst_entry=_worst_entry(failing),
-                       deviations=deviations,
+            bounds[name] = max(nsigma * float(np.sqrt(null_var)), tol)
+    worst = _worst_failing(deviations, bounds)
+    return CheckResult(passed=not worst, worst_entry=worst, deviations=deviations,
                        worst_deviation=float(np.max(list(deviations.values()))))
 
 
-def _worst_entry(failing: dict[str, float]) -> str:
-    """Name of the worst failing entry, or "" when none fails.
+def _worst_failing(residuals: dict[str, float], bound: float | dict[str, float]) -> str:
+    """The verdict rule: the worst entry whose residual exceeds its bound, or "" when all hold.
 
-    A NaN entry ranks first.  Otherwise the name is the first entry, in the
-    dict's (schedule) order, within a relative 1e-12 of the largest value, so
-    entries that are equal in exact arithmetic do not let rounding pick it.
+    ``bound`` is one bound for every entry, or a dict of per-entry bounds that
+    also picks the entries judged.  An entry holds when ``residual <= bound``,
+    so a NaN residual or bound fails.  A NaN entry ranks first.  Otherwise the
+    name is the first failing entry, in (schedule) order, within a relative
+    1e-12 of the largest failing residual, so entries that are equal in exact
+    arithmetic do not let rounding pick it.
     """
+    bounds = bound if isinstance(bound, dict) else dict.fromkeys(residuals, bound)
+    failing = {name: residuals[name] for name, b in bounds.items() if not residuals[name] <= b}
     if not failing:
         return ""
     worst = max(failing.values(), key=lambda v: (np.isnan(v), v))
@@ -553,26 +556,6 @@ def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
     return ctl("X") @ (had @ (ctl("Z") @ had))      # H, then C-Z, H, C-X
 
 
-def _extraction_refusal(kind: str, deviations: dict[str, float],
-                        anticomms: dict[str, tuple[float, float]],
-                        tol: float, stats_tol: float) -> str:
-    """The extraction gate: the first failing check, or "" when extraction may run.
-
-    It reads what earlier stages record: an exact table's reference deviations
-    on the sub-test-1 entries and each party's X/Z support residual.
-    """
-    sub1 = SUBTESTS[kind][0]
-    entries = ([f"joint({la},{lb})" for la in sub1 for lb in sub1]
-               + [f"marginal({p},{lab})" for p in PARTIES for lab in sub1])
-    for name in entries:
-        if deviations[name] > stats_tol:
-            return name
-    for p in PARTIES:
-        if anticomms[f"{p}:{sub1[0]}{sub1[1]}"][1] > tol:
-            return f"anticommutator({p},{sub1[0]},{sub1[1]})"
-    return ""
-
-
 def extraction_isometry(exp: Experiment) -> Extraction:
     """``U_A Phi U_B^T`` for Psi_0 and each M Psi_0 of the purified experiment.
 
@@ -636,11 +619,16 @@ class YCoefficientReport(Record):
     populations: tuple[float, float]
     population_mismatch: float
 
-    def passed(self, tol: float) -> bool:
-        ok = all(v <= tol for norms in self.block_norms.values() for v in norms.values())
-        ok = ok and all(v <= tol for v in self.normal_form_deviation.values())
-        ok = ok and all(v <= tol for v in self.support_factorization.values())
-        return ok and self.population_mismatch <= tol
+    @property
+    def residuals(self) -> dict[str, float]:
+        """Per party the I/X/Z block norms, normal form and factorization, then the mismatch."""
+        out: dict[str, float] = {}
+        for p in PARTIES:
+            out.update({f"{p}:{block}": v for block, v in self.block_norms[p].items()})
+            out[f"{p}:normal_form"] = self.normal_form_deviation[p]
+            out[f"{p}:factorization"] = self.support_factorization[p]
+        out["population_mismatch"] = self.population_mismatch
+        return out
 
 
 def _party_y_blocks(ext: Extraction, party: str):
@@ -668,7 +656,7 @@ def _party_y_blocks(ext: Extraction, party: str):
     return norms, deviation, factorization, sign_exp, pop0
 
 
-def y_coefficient_check(ext: Extraction, tol: float = 1e-9) -> YCoefficientReport:
+def y_coefficient_check(ext: Extraction) -> YCoefficientReport:
     """Check that each party's Y pushed through the extraction has the normal form.
 
     The I, X, Z blocks at the extracted qubit must vanish on the support, and
@@ -692,12 +680,18 @@ def y_coefficient_check(ext: Extraction, tol: float = 1e-9) -> YCoefficientRepor
 
 
 class FamilyParams(Record):
-    """Estimated flag populations and cross-branch coherence of a passing experiment."""
+    """Estimated flag populations and cross-branch coherence of a passing experiment.
+
+    ``residuals`` checks the flag registers: ``flag_leak`` (the reduced flag state
+    outside {|00>, |11>}), ``coherence_bound`` (coherence - sqrt(p0 p1)) and, given
+    a y_check, ``sign_population`` (|p0 - the extracted sign's p0|).
+    """
 
     population_0: float
     population_1: float
     coherence: float | None
     source: str
+    residuals: dict[str, float]
 
 
 def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None = None,
@@ -705,32 +699,28 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
     """Populations (|alpha|^2, |beta|^2) and coherence magnitude of the member.
 
     Experiments that kept their flag registers report the reduced flag state
-    directly (and its support must lie in {|00>, |11>}); given a ``y_check`` as
-    well, its populations must agree with the flags' within ``tol``.  Otherwise the
-    populations come from the extracted Y sign operator of the required ``y_check``,
-    which is basis free; the coherence is then only determined when one branch is empty.
+    directly, with its data checks in ``residuals``.  Otherwise the populations
+    come from the extracted Y sign operator of the required ``y_check``, which is
+    basis free; the coherence is then only determined when one branch is empty
+    (its population at most ``tol``).
     """
     if exp.flag_registers is not None:
         reduced = partial_trace(exp.state, [exp.flag_registers["A"],
                                             exp.flag_registers["B"]]).matrix
         leak = max(np.abs(reduced[1, :]).max(), np.abs(reduced[2, :]).max(),
                    np.abs(reduced[:, 1]).max(), np.abs(reduced[:, 2]).max())
-        if leak > tol:
-            raise ValueError(f"flag support leaks outside {{|00>, |11>}} by {leak}")
         p0 = float(reduced[0, 0].real)
         p1 = float(reduced[3, 3].real)
         coherence = float(abs(reduced[0, 3]))
-        if coherence > np.sqrt(max(p0, 0.0) * max(p1, 0.0)) + tol:
-            raise ValueError("flag coherence exceeds the positivity bound")
-        if y_check is not None and abs(p0 - y_check.populations[0]) > tol:
-            raise ValueError(f"flag population {p0} contradicts the extracted sign's "
-                             f"{y_check.populations[0]}")
-        return FamilyParams(p0, p1, coherence, source="flag_registers")
+        residuals = {"flag_leak": float(leak), "coherence_bound":
+                     coherence - float(np.sqrt(max(p0, 0.0) * max(p1, 0.0)))}
+        if y_check is not None:
+            residuals["sign_population"] = abs(p0 - y_check.populations[0])
+        return FamilyParams(p0, p1, coherence, "flag_registers", residuals)
     if y_check is None:
         raise ValueError("without flag registers, pass the y_check of a gated extraction")
     p0, p1 = y_check.populations
-    coherence = 0.0 if min(p0, p1) <= tol else None
-    return FamilyParams(p0, p1, coherence, source="extracted_sign")
+    return FamilyParams(p0, p1, 0.0 if min(p0, p1) <= tol else None, "extracted_sign", {})
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +749,19 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
                  nsigma: float = 5.0) -> EquivalenceReport:
     """Statistics -> equalities -> anti-commutation -> extraction -> equivalence.
 
-    One call per stage.  Never raises on a failing check; failures are
-    collected, and extraction is refused (recorded in ``refused_stage``)
-    unless sub-test 1's exact statistics and anti-commutators pass the gate.
+    One call per stage, each judged by one rule.  Never raises on a failing
+    check: each failing stage adds one name, ``stage[worst entry]``, and
+    extraction is refused (recorded in ``refused_stage``) unless sub-test 1's
+    exact statistics and its X/Z support anti-commutators hold.
     """
     failures: list[str] = []
+
+    def holds(stage: str, residuals: dict[str, float], bound=tol) -> bool:
+        worst = _worst_failing(residuals, bound)
+        if worst:
+            failures.append(f"{stage}[{worst}]")
+        return not worst
+
     exp_pure = purify_experiment(exp)
     if sampled_n is not None and seed is None:
         raise ValueError("sampled mode requires an explicit seed")
@@ -780,38 +778,32 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
         failures.append(f"statistics[{stats.worst_entry}]")
 
     equalities = check_state_equalities(exp_pure)
+    holds("state_equalities", equalities)
     collapse = check_d_collapse(exp_pure)
-    for stage, residuals in (("state_equalities", equalities), ("d_collapse", collapse)):
-        worst = _worst_entry({k: v for k, v in residuals.items() if not v <= tol})
-        if worst:
-            failures.append(f"{stage}[{worst}]")
-
+    holds("d_collapse", collapse)
     anticomms = anticommutator_residual(exp_pure)
-    failures += [f"anticommutator[{key}]" for key, (_, support) in anticomms.items()
-                 if support > tol]
+    supports = {key: support for key, (_, support) in anticomms.items()}
+    holds("anticommutator", supports)
+
+    # the extraction gate: sub-test 1's exact deviations and X/Z support anti-commutators
+    x, z, _ = sub1 = SUBTESTS[exp.kind][0]
+    gate = {**{f"joint({la},{lb})": stats_tol for la in sub1 for lb in sub1},
+            **{f"marginal({p},{lab})": stats_tol for p in PARTIES for lab in sub1},
+            **{f"{p}:{x}{z}": tol for p in PARTIES}}
+    refused = not holds("extraction_refused", {**exact_stats.deviations, **supports}, gate)
 
     state_fid = action_fids = y_check = params = None
-    refused = bool(_extraction_refusal(exp.kind, exact_stats.deviations, anticomms,
-                                       tol, stats_tol))
-    if refused:
-        failures.append("extraction_refused[extraction]")
-    else:
+    if not refused:
         ext = extraction_isometry(exp_pure)
         state_fid = extraction_state_fidelity(ext)
-        if state_fid < 1 - tol:
-            failures.append("state_fidelity")
+        holds("state_fidelity", {"ancillas": 1 - state_fid})
         action_fids = extraction_action_fidelities(ext)
-        for key, fid in action_fids.items():
-            if fid < 1 - tol:
-                failures.append(f"action_fidelity[{key[1]}_{key[0]}]")
+        holds("action_fidelity", {f"{lab}_{p}": 1 - f for (p, lab), f in action_fids.items()})
         if exp.kind == "extended":
-            y_check = y_coefficient_check(ext, tol)
-            if not y_check.passed(tol):
-                failures.append("y_coefficients")
-            try:
-                params = estimate_family_params(exp_pure, y_check=y_check, tol=tol)
-            except ValueError as err:
-                failures.append(f"family_params[{err}]")
+            y_check = y_coefficient_check(ext)
+            holds("y_coefficients", y_check.residuals)
+            params = estimate_family_params(exp_pure, y_check=y_check, tol=tol)
+            holds("family_params", params.residuals)
 
     return EquivalenceReport(
         kind=exp.kind, tol=tol, stats_tol=stats_tol,

@@ -119,19 +119,19 @@ SELFTEST_REPORTS = [
     (["--experiment", "rotated.json"], 0,
      "555d8dba3ffd85f5018822ab23c14f42b0117cffefb70e46180e8ee6ae7b0f6c"),
     (["--experiment", "d_is_x.json"], 1,
-     "8caab8303cff43b07acb68b591d0f0b63968e390f88d7333446d40969e67e565"),
+     "3b36ce163b1557d3fe007c66d0c224358de997ea2659f0e7c5b5aa9cf14c189a"),
     (["--experiment", "d_is_x.json", "--stats-tol", "2"], 1,
      "d41cd17fdb81ad4a70e189da81c7524ebabd9bdc3b1a57eb8138d128bb1a5feb"),
     (["--experiment", "y_is_z.json"], 1,
-     "89d5a7faf583f2ee62d843a6dfccf687552160ff65cfcd0e88f26119a2e54970"),
+     "60c1dbf639d2a73bcf16d3bd9d1d2e8684747d9071b197023e12536b23ccdbc2"),
     (["--experiment", "y_is_z.json", "--stats-tol", "2"], 1,
-     "dce64b24586bc787e515698dd610b196d26c076320dc423a58d4772f534f637c"),
+     "35384b2a491cf7c1240665689cdcd6175392bf6832c4d3f54f916cc474ea8fa7"),
     (["--experiment", "product.json"], 1,
-     "26d42ec6cb531761fa60cc7fe40487336bcd4b716fb4868e6592477b7151d922"),
+     "0ae66541c72c18870f931426f0a5ca1eeed05601b788197ea83c7bf8490761a5"),
     (["--experiment", "data_as_flags.json"], 1,
-     "3fa29e5739a07d54e1f7c84a5def0c284f859c8484eda29a2e27261479384659"),
+     "d346eb9e8cd29e653c5eb3ce380c8f6227224d9a9ce5e26380f05d83e0dd6fd8"),
     (["--experiment", "tilted.json", "--kind", "mayersyao", "--stats-tol", "2"], 1,
-     "cd3e22c1a7963a3bc73d08d10d261611a0e52a6064d3308bc450302ec8eb9e0a"),
+     "0399bfa62cab36102d0ce1bb12f0e5bb537c1b380ade8e2b7c8cb127c3ea6724"),
 ]
 
 
