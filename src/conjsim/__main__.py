@@ -4,8 +4,9 @@ A job ends as soon as ``cli.main`` returns its exit code: the standard streams
 are flushed and ``os._exit`` ends the process without the interpreter's
 teardown, which would spend about 28 ms finalizing numpy and every loaded
 module.  No ``atexit`` handler runs, so ``main`` closes every output it writes.
-An argparse ``SystemExit`` (usage errors, ``--help``) or an exception that
-escapes ``main`` takes the ordinary exit.
+An argparse ``SystemExit`` (usage errors, ``--help``) ends the same way with its
+code, so a stderr that fails the interpreter's last flush cannot turn exit 2
+into 120.  An exception that escapes ``main`` takes the ordinary exit.
 """
 
 import os
@@ -16,7 +17,10 @@ from .cli import main
 
 
 def run() -> NoReturn:
-    code = main()
+    try:
+        code = main()
+    except SystemExit as stop:          # argparse has written its usage text or help
+        code = stop.code
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:           # None when the file descriptor was closed at start
             try:

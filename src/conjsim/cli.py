@@ -189,9 +189,8 @@ def _emit(text: str, out: str | None):
 
 def _error(message: str) -> None:
     """Print ``error: message`` on stderr; a closed or failing stderr loses only the line."""
-    if sys.stderr is not None:      # None when descriptor 2 was closed at start
-        with contextlib.suppress(OSError, ValueError):
-            print(f"error: {message}", file=sys.stderr, flush=True)
+    with contextlib.suppress(OSError, ValueError):
+        print(f"error: {message}", file=sys.stderr, flush=True)
 
 
 def cmd_props(args) -> int:
@@ -404,6 +403,8 @@ def _apply_config(parser, args, argv):
 
 
 def main(argv=None) -> int:
+    if sys.stderr is None:      # descriptor 2 was closed at start; argparse would use stdout
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
@@ -34,8 +35,20 @@ if TYPE_CHECKING:
 CHUNK_ROUNDS = 4096     # rounds rendered per write, so a transcript's text is never whole in memory
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float, however deeply nested, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinite float is written as null."""
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def complex_pair(z: complex) -> list[float]:

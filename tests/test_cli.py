@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conjsim
-from conjsim import cli, serialize, sixstate
+from conjsim import cli, selftest, serialize, sixstate
 from conjsim.cli import main
 from conjsim.family import SimParams
 from conjsim.linalg import HADAMARD, X, Z, random_unitary
@@ -165,6 +165,28 @@ def test_selftest_reports_keep_their_bytes(tmp_path, monkeypatch):
     for argv, code, digest in SELFTEST_REPORTS:
         assert run(["selftest", *argv, "--out", "report.json"]) == code, argv
         assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("wide.json").write_text(dumps({"trials": 2, "fixtures": [
+        {"label": "wide", "matrix": matrix_to_json(np.ones((1, 2))), "claims": ["unitary"]}]}))
+    assert run(["--config", "wide.json", "props", "--out", "props.json"]) == 1
+    items = strict_json(Path("props.json").read_text())["results"]["items"]
+    assert items[-1] == {"name": "fixture[wide:unitary]", "max_residual": None, "passed": False}
+    collapse = selftest.check_d_collapse
+    monkeypatch.setattr(selftest, "check_d_collapse", lambda e: {**collapse(e), "A:D": np.nan})
+    assert run(["selftest", "--kind", "mayersyao", "--out", "selftest.json"]) == 1
+    results = strict_json(Path("selftest.json").read_text())["results"]
+    assert (results["collapse_residuals"]["A:D"], results["failures"]) == (None, ["d_collapse[A:D]"])
 
 
 def test_selftest_family_extended(tmp_path):
@@ -336,7 +358,7 @@ def test_flags_win_over_config(tmp_path):
 
 def write_config(tmp_path, data):
     config = tmp_path / "config.json"
-    config.write_text(dumps(data))
+    config.write_text(json.dumps(data))         # a user's file may hold NaN and Infinity
     return str(config)
 
 
@@ -754,15 +776,15 @@ def test_a_fresh_job_ends_like_main_in_process(tmp_path, monkeypatch, capsys):
 
 
 def test_a_finished_job_skips_interpreter_teardown(tmp_path):
-    """Once main returns, no atexit handler runs; argparse's SystemExit still takes the
-    ordinary exit, which runs them."""
+    """Once main returns, or argparse exits from it, no atexit handler runs."""
     probe = ("import atexit, runpy; atexit.register(print, 'teardown ran'); "
              "runpy.run_module('conjsim', run_name='__main__')")
     for argv, code, stdout in [(QKD + ["--out", "report.json"], 0, ""),
-                               (["props", "--trials", "x"], 2, "teardown ran\n")]:
+                               (["props", "--trials", "x"], 2, ""), (["--help"], 0, "usage:")]:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                               text=True, env=conjsim_env(), cwd=tmp_path, timeout=120)
-        assert (proc.returncode, proc.stdout) == (code, stdout), argv
+        assert (proc.returncode, proc.stdout[:len(stdout) or None]) == (code, stdout), argv
+        assert not proc.stdout.endswith("teardown ran\n"), argv
     assert json.loads((tmp_path / "report.json").read_text())["results"]
 
 
@@ -818,11 +840,16 @@ def test_a_closed_or_failing_stderr_keeps_the_exit_code(tmp_path):
 
     unseeded = ["qkd", "--strategy", "conjugate", "--n", "10"]
     infeasible = ["qkd", "--strategy", "honest", "a=0.5", "c=0.9", "--seed", "1"]
+    refused_flag = ["props", "--trials", "x"]           # argparse's usage text and exit 2
     for setup in (close_stderr, read_only_stderr):
-        for argv, code in ((unseeded, 2), (infeasible, 2), (QKD + ["--out", "report.json"], 0)):
+        for argv, code in ((unseeded, 2), (infeasible, 2), (refused_flag, 2),
+                           (QKD + ["--out", "report.json"], 0)):
             proc = fresh_job(argv, cwd=tmp_path, setup=setup)
             assert (proc.returncode, proc.stdout) == (code, ""), (setup.__name__, argv)
     assert (tmp_path / "read_only").read_text() == ""
+    proc = fresh_job(refused_flag, cwd=tmp_path, setup=None)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: conjsim props")
     assert json.loads((tmp_path / "report.json").read_text())["results"]
 
 
