@@ -692,7 +692,8 @@ BOUNDARY_CASES = {
                    ["statistics[joint(X,Y)]"], {}),
     "statistics_sampled": ("sampled_correlations", lambda r, v: replace(
         with_joint(r, ("X", "Y"), v), joint_stderr={}, marginal_stderr={}, n_per_pair=64),
-        0.5, ["statistics[joint(X,Y)]"], {"sampled_n": 64, "seed": 0, "nsigma": 4.0}),
+        0.5, ["statistics[joint(X,Y)]"],                  # 4 sqrt(1/64): r = 0, n = 64
+        {"sampled_n": 64, "seed": 0, "nsigma": 4.0}),
     "state_equalities": ("check_state_equalities", lambda r, v: {**r, "XYE:orthogonality": v},
                          TOL, ["state_equalities[XYE:orthogonality]"], {}),
     "d_collapse": ("check_d_collapse", lambda r, v: {**r, "B:F": v}, TOL, ["d_collapse[B:F]"],
