@@ -269,10 +269,8 @@ def cmd_selftest(args) -> int:
     from .selftest import run_selftest
     from .serialize import equivalence_report_to_dict
 
-    tol = args.tol if args.tol is not None else 1e-9
-    stats_tol = args.stats_tol if args.stats_tol is not None else 1e-10
-    report = run_selftest(exp, tol=tol, stats_tol=stats_tol,
-                          sampled_n=sampled_n, seed=seed)
+    tols = {k: v for k, v in (("tol", args.tol), ("stats_tol", args.stats_tol)) if v is not None}
+    report = run_selftest(exp, sampled_n=sampled_n, seed=seed, **tols)
     _emit(_wrap(equivalence_report_to_dict(report), vars_config(args), seed), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 

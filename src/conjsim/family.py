@@ -181,64 +181,35 @@ REAL_BASIS_CHANGE = np.diag([1.0, -1.0j]).astype(complex) @ HADAMARD
 REAL_SIM_TOL = 1e-9      # how far an input of to_real_simulation may be from the required form
 
 
-def _split_flag_blocks(mat: np.ndarray):
-    d = mat.shape[0]
-    if d % 2:
-        raise ValueError("operator has no leading flag qubit")
-    h = d // 2
-    return mat[:h, :h], mat[:h, h:], mat[h:, :h], mat[h:, h:]
+def to_real_simulation(value):
+    """App-B basis change R (x) I on the leading flag qubit, R = ``REAL_BASIS_CHANGE``.
 
-
-def to_real_simulation(value, which: str):
-    """Basis change on the flag qubit taking the family picture to the real simulation.
-
-    ``which='state'`` expects the pure a=c=1/2 member and returns the vector
-    |0> Re(psi) + |1> Im(psi); ``which='operator'`` expects a C(.)-lifted
-    operator and returns I (x) Re(M) + XZ (x) Im(M).  Outputs are real within
-    1e-12 by construction; inputs not of the required form are rejected.
+    A state must be the pure a=c=1/2 member up to a global phase; it becomes the real
+    |0> Re(psi) + |1> Im(psi), largest entry positive.  Any other value must be a lift
+    C(M); it becomes the real I (x) Re(M) + XZ (x) Im(M).  Other inputs are refused.
     """
-    if which == "state":
+    if isinstance(value, (StateVector, DensityMatrix)):
+        if value.dims[0] != 2:
+            raise ValueError("state has no leading flag qubit")
         if isinstance(value, DensityMatrix):
             w, vecs = np.linalg.eigh(value.matrix)
             if w[:-1].max(initial=0.0) > REAL_SIM_TOL:
-                raise ValueError("state branch requires the pure a=c=1/2 family member")
+                raise ValueError("state is not pure; not an a=c=1/2 member")
             vec = vecs[:, -1]
-            dims = value.dims
-        elif isinstance(value, StateVector):
-            vec = value.amplitudes.copy()
-            dims = value.dims
         else:
-            raise TypeError("expected StateVector or DensityMatrix")
-        half = vec.size // 2
-        top, bottom = vec[:half], vec[half:]
-        if abs(np.linalg.norm(top) ** 2 - 0.5) > REAL_SIM_TOL:
-            raise ValueError("flag populations are not (1/2, 1/2); not an a=c=1/2 member")
-        # the branch structure bottom = conj(top) holds only up to a global
-        # phase e^{i phi}; recover it from sum_i top_i bottom_i and rotate it out
-        s = np.sum(top * bottom)
-        if abs(abs(s) - 0.5) > REAL_SIM_TOL:
-            raise ValueError("flag branches are not conjugate; not an a=c=1/2 member")
-        rot = np.exp(-0.5j * np.angle(s))
-        top, bottom = rot * top, rot * bottom
-        if np.abs(bottom - top.conj()).max() > REAL_SIM_TOL:
-            raise ValueError("flag branches are not conjugate; not an a=c=1/2 member")
-        out = np.concatenate([np.sqrt(2) * top.real, np.sqrt(2) * top.imag])
-        if abs(np.linalg.norm(out) - 1.0) > REAL_SIM_TOL:
-            raise ValueError("transformed state is not normalized")
-        if out[np.argmax(np.abs(out))] < 0:     # canonical overall sign
-            out = -out
-        return StateVector(dims, out)
-    if which == "operator":
-        mat = as_matrix(value)
-        top_l, top_r, bot_l, bot_r = _split_flag_blocks(mat)
-        if (np.abs(top_r).max() > REAL_SIM_TOL or np.abs(bot_l).max() > REAL_SIM_TOL
-                or np.abs(bot_r - top_l.conj()).max() > REAL_SIM_TOL):
-            raise ValueError("operator is not of the C(M) block form")
-        m = top_l
-        xz = np.array([[0, -1], [1, 0]], dtype=complex)
-        out = np.kron(np.eye(2), m.real) + np.kron(xz, m.imag)
-        return out.real.astype(float) if np.abs(out.imag).max() <= 1e-12 else out
-    raise ValueError(f"which must be 'state' or 'operator', got {which!r}")
+            vec = value.amplitudes
+        out = (REAL_BASIS_CHANGE @ vec.reshape(2, -1)).ravel()
+        big = out[np.argmax(np.abs(out))]
+        out *= abs(big) / big
+        if np.abs(out.imag).max() > REAL_SIM_TOL:
+            raise ValueError("state does not come out real; not an a=c=1/2 member")
+        return StateVector(value.dims, out.real)
+    mat = as_matrix(value)
+    d = mat.shape[0] // 2
+    if mat.shape != (2 * d, 2 * d) or np.abs(mat - c_of(mat[:d, :d])).max() > REAL_SIM_TOL:
+        raise ValueError("operator is not of the C(M) block form")
+    r = np.kron(REAL_BASIS_CHANGE, np.eye(d))
+    return (r @ mat @ r.conj().T).real
 
 
 class PropertyCheck(Record):

@@ -683,8 +683,8 @@ class FamilyParams(Record):
     """Estimated flag populations and cross-branch coherence of a passing experiment.
 
     ``residuals`` checks the flag registers: ``flag_leak`` (the reduced flag state
-    outside {|00>, |11>}), ``coherence_bound`` (coherence - sqrt(p0 p1)) and, given
-    a y_check, ``sign_population`` (|p0 - the extracted sign's p0|).
+    outside {|00>, |11>}) and, given a y_check, ``sign_population`` (|p0 - the
+    extracted sign's p0|).  The coherence needs no check: it is at most sqrt(p0 p1).
     """
 
     population_0: float
@@ -711,12 +711,10 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
                    np.abs(reduced[:, 1]).max(), np.abs(reduced[:, 2]).max())
         p0 = float(reduced[0, 0].real)
         p1 = float(reduced[3, 3].real)
-        coherence = float(abs(reduced[0, 3]))
-        residuals = {"flag_leak": float(leak), "coherence_bound":
-                     coherence - float(np.sqrt(max(p0, 0.0) * max(p1, 0.0)))}
+        residuals = {"flag_leak": float(leak)}
         if y_check is not None:
             residuals["sign_population"] = abs(p0 - y_check.populations[0])
-        return FamilyParams(p0, p1, coherence, "flag_registers", residuals)
+        return FamilyParams(p0, p1, float(abs(reduced[0, 3])), "flag_registers", residuals)
     if y_check is None:
         raise ValueError("without flag registers, pass the y_check of a gated extraction")
     p0, p1 = y_check.populations

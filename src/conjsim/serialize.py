@@ -95,8 +95,11 @@ def state_from_json(data) -> StateVector | DensityMatrix:
 
 
 def sim_params_from_json(data) -> SimParams:
-    return SimParams.from_polar(float(data["a"]), float(data.get("c_abs", 0.0)),
-                                float(data.get("c_phase", 0.0)))
+    values = {"a": data["a"], "c_abs": data.get("c_abs", 0.0), "c_phase": data.get("c_phase", 0.0)}
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key}: expected a JSON number, got {value!r}")
+    return SimParams.from_polar(*map(float, values.values()))
 
 
 def experiment_to_json(exp: Experiment) -> dict:
@@ -136,6 +139,14 @@ def strategy_from_json(data) -> EveStrategy:
     from .sixstate import Conjugate, CustomState, Honest, MismatchedFlags, ZPremeasure
 
     name = data["strategy"]
+    family = ("a", "c_abs", "c_phase")
+    reads = {"honest": family, "zpremeasure": family, "conjugate": (),
+             "mismatched_flags": ("flag_a", "flag_b"), "custom_state": ("state",)}
+    if name not in reads:
+        raise ValueError(f"unknown strategy {name!r}")
+    for key in data:
+        if key != "strategy" and key not in reads[name]:
+            raise ValueError(f"{key}: strategy {name!r} does not read this key")
     if name == "honest":
         return Honest(sim_params_from_json(data))
     if name == "conjugate":
@@ -145,10 +156,7 @@ def strategy_from_json(data) -> EveStrategy:
     if name == "mismatched_flags":
         return MismatchedFlags(_integer(data["flag_a"], "flag_a"),
                                _integer(data["flag_b"], "flag_b"))
-    if name == "custom_state":
-        state = state_from_json(data["state"])
-        return CustomState(state.density())
-    raise ValueError(f"unknown strategy {name!r}")
+    return CustomState(state_from_json(data["state"]).density())
 
 
 def correlation_table_to_dict(table: CorrelationTable) -> dict:

@@ -466,6 +466,32 @@ def test_non_integer_dims_and_flag_bits_are_usage_errors(tmp_path):
         assert err.startswith(f"error: {name}.json: ") and "expected a JSON integer" in err, name
 
 
+STRATEGY_DOCUMENTS_WITH_FOREIGN_VALUES = [
+    ("c", {"strategy": "honest", "a": 0.5, "c": 0.5}, "strategy 'honest' does not read this key"),
+    ("flag_a", {"strategy": "conjugate", "flag_a": 0}, "strategy 'conjugate' does not read"),
+    ("state", {"strategy": "mismatched_flags", "flag_a": 0, "flag_b": 1, "state": {}},
+     "does not read"),
+    ("a", {"strategy": "honest", "a": "0.5"}, "expected a JSON number, got '0.5'"),
+    ("a", {"strategy": "zpremeasure", "a": True}, "expected a JSON number, got True"),
+    ("c_phase", {"strategy": "honest", "a": 0.5, "c_abs": 0.5, "c_phase": False},
+     "expected a JSON number"),
+]
+
+
+def test_strategy_documents_read_only_their_own_keys_as_numbers(tmp_path):
+    # at the parent each of these ran: "c" was ignored, "0.5" and true were read as numbers
+    argvs = []
+    for i, (_, document, _) in enumerate(STRATEGY_DOCUMENTS_WITH_FOREIGN_VALUES):
+        (tmp_path / f"s{i}.json").write_text(json.dumps(document))
+        argvs.append(["qkd", "--strategy", "custom", f"s{i}.json", "--n", "100", "--seed", "1"])
+    results = fresh_main(tmp_path, *argvs)
+    for i, ((key, _, detail), (code, stdout, err, _)) in enumerate(
+            zip(STRATEGY_DOCUMENTS_WITH_FOREIGN_VALUES, results)):
+        assert (code, stdout) == (2, ""), key
+        assert one_error_line(err) and "Traceback" not in err, key
+        assert err.startswith(f"error: s{i}.json: {key}: ") and detail in err, err
+
+
 def nan_inputs():
     """An experiment with one NaN amplitude, and a custom QKD source state with one."""
     experiment = experiment_to_json(reference_experiment("extended"))

@@ -424,19 +424,19 @@ def test_multiparty_statistics_preservation():
 
 def test_to_real_simulation_real_state():
     zero = basis_state([2], [0])
-    out = to_real_simulation(multiparty_sim_state(zero, 1, SimParams(0.5, 0.5)), "state")
+    out = to_real_simulation(multiparty_sim_state(zero, 1, SimParams(0.5, 0.5)))
     np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_to_real_simulation_imag_state_components():
-    out = to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(0.5, 0.5)), "state")
+    out = to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(0.5, 0.5)))
     expected = np.array([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
     np.testing.assert_allclose(np.abs(out.amplitudes), expected, atol=1e-12)
     assert np.abs(out.amplitudes.imag).max() <= 1e-12
 
 
 def test_to_real_simulation_operator_y():
-    out = to_real_simulation(c_of(Y), "operator")
+    out = to_real_simulation(c_of(Y))
     xz = np.array([[0, -1], [1, 0]])
     np.testing.assert_allclose(out, np.kron(xz, Y.imag), atol=1e-12)
     assert np.abs(np.asarray(out, dtype=complex).imag).max() <= 1e-12
@@ -444,28 +444,57 @@ def test_to_real_simulation_operator_y():
 
 def test_to_real_simulation_rejects_wrong_forms():
     with pytest.raises(ValueError):
-        to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(1.0, 0.0)), "state")
-    with pytest.raises(ValueError):
-        to_real_simulation(np.kron(X, np.eye(2)), "operator")
-    with pytest.raises(ValueError):
-        to_real_simulation(c_of(Y), "banana")
+        to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(1.0, 0.0)))
+    m = np.array([[1, 2j], [0, -1]])
+    for op in (np.kron(X, np.eye(2)), np.kron(np.eye(2), m), np.kron(Z, m.real),
+               c_of(m) + 1e-6 * np.kron(X, np.eye(2)), np.eye(3), np.ones((4, 2))):
+        with pytest.raises(ValueError):
+            to_real_simulation(op)
+
+
+def test_to_real_simulation_refuses_members_without_a_leading_flag_qubit():
+    v = np.array([1, 1j, 0.5]) / np.linalg.norm([1, 1j, 0.5])
+    member = np.concatenate([v, v.conj()]) / np.sqrt(2)
+    to_real_simulation(StateVector([2, 3], member))
+    for dims in ([3, 2], [6]):
+        with pytest.raises(ValueError, match="no leading flag qubit"):
+            to_real_simulation(StateVector(dims, member))
+
+
+def test_to_real_simulation_accepts_exactly_the_half_half_members():
+    psi = StateVector([2], np.array([0.6, 0.8j]))
+    for p in feasible_grid():
+        rho = multiparty_sim_state(psi, 1, p)
+        if p.a == 0.5 and abs(p.c) == pytest.approx(0.5):
+            to_real_simulation(rho)
+        else:
+            with pytest.raises(ValueError):
+                to_real_simulation(rho)
 
 
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_to_real_simulation_matches_explicit_basis_change(seed):
-    # independent route: apply the flag-qubit basis change matrix directly to
-    # the pure member vector and compare up to a global phase
-    from conjsim.family import REAL_BASIS_CHANGE
-
+    # independent route, by hand: the member (|0> psi + |1> psi*)/sqrt(2) in any
+    # global phase goes to sqrt(2) Re(top) + sqrt(2) Im(top) with top = psi/sqrt(2),
+    # largest entry positive, and C(M) goes to I (x) Re(M) + XZ (x) Im(M)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    psi = StateVector([2], v / np.linalg.norm(v))
-    member = np.concatenate([psi.amplitudes, psi.amplitudes.conj()]) / np.sqrt(2)
-    oracle = np.kron(REAL_BASIS_CHANGE, np.eye(2)) @ member
-    got = to_real_simulation(StateVector([2, 2], member), "state").amplitudes
-    overlap = abs(np.vdot(oracle, got))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
+    d = int(rng.integers(1, 6))
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    top = v / np.linalg.norm(v) / np.sqrt(2)
+    member = np.exp(2j * np.pi * rng.random()) * np.concatenate([top, top.conj()])
+    want = np.sqrt(2) * np.concatenate([top.real, top.imag])
+    want *= np.sign(want[np.argmax(np.abs(want))])
+    for value in (StateVector([2, d], member), StateVector([2, d], member).density()):
+        got = to_real_simulation(value)
+        assert got.dims == (2, d)
+        np.testing.assert_allclose(got.amplitudes, want, rtol=0, atol=1e-12)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    xz = np.array([[0, -1], [1, 0]])
+    got = to_real_simulation(c_of(m))
+    assert got.dtype == float
+    np.testing.assert_allclose(got, np.kron(np.eye(2), m.real) + np.kron(xz, m.imag),
+                               rtol=0, atol=1e-12)
 
 
 @given(seeds)
@@ -474,8 +503,8 @@ def test_to_real_simulation_realness_random(seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     psi = StateVector([3], v / np.linalg.norm(v))
-    out = to_real_simulation(multiparty_sim_state(psi, 1, SimParams(0.5, 0.5)), "state")
+    out = to_real_simulation(multiparty_sim_state(psi, 1, SimParams(0.5, 0.5)))
     assert np.abs(out.amplitudes.imag).max() <= 1e-12
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    out_op = np.asarray(to_real_simulation(c_of(m), "operator"), dtype=complex)
+    out_op = np.asarray(to_real_simulation(c_of(m)), dtype=complex)
     assert np.abs(out_op.imag).max() <= 1e-12

@@ -577,7 +577,7 @@ def test_estimate_family_params_rejects_leaky_flags():
     exp = family_experiment(SimParams(0.5, 0.5), "extended")
     exp = replace(exp, state=bad_state)
     residuals = estimate_family_params(exp).residuals
-    assert residuals == {"flag_leak": pytest.approx(0.5), "coherence_bound": 0.0}
+    assert residuals == {"flag_leak": pytest.approx(0.5)}
 
 
 # --------------------------------------------------------------------------
@@ -715,7 +715,7 @@ BOUNDARY_CASES = {
     **{f"family_params:{entry}": (
         "estimate_family_params", lambda r, v, entry=entry: replace(
             r, residuals={**r.residuals, entry: v}), TOL, [f"family_params[{entry}]"], {})
-       for entry in ("flag_leak", "coherence_bound", "sign_population")},
+       for entry in ("flag_leak", "sign_population")},
 }
 
 

@@ -73,6 +73,7 @@ def test_sim_params_roundtrip():
     assert back.a == pytest.approx(p.a)
     assert back.c == pytest.approx(p.c)
     assert sim_params_from_json({"a": 0.25}) == SimParams(0.25, 0.0)
+    assert sim_params_from_json({"a": 1, "c_abs": 0}) == SimParams(1.0, 0.0)
 
 
 def test_experiment_roundtrip():

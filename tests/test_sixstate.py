@@ -414,6 +414,19 @@ def test_custom_state_strategy():
     assert report.rates["Y"] == 1.0
 
 
+def test_a_z_rate_alone_above_the_threshold_aborts():
+    # Bob's data flipped by X and by Y, each with p = 0.04: X and Y errors stay near
+    # 0.04, while Z, which both flips disturb, reads about 0.08 and alone crosses 0.06
+    rho = source_state(MismatchedFlags(0, 0)).matrix
+    flips = [embed_operator(PAULIS[f], list(SOURCE_DIMS), [3]) for f in ("X", "Y")]
+    noisy = 0.92 * rho + sum(0.04 * f @ rho @ f.conj().T for f in flips)
+    report = sift(run_rounds(CustomState(DensityMatrix(SOURCE_DIMS, noisy)), 200_000, seed=1),
+                  abort_threshold=0.06)
+    assert max(report.rates["X"], report.rates["Y"]) < 0.045
+    assert report.rates["Z"] == pytest.approx(0.08, abs=0.005)
+    assert report.verdict == "not-protocol-consistent"
+
+
 def test_expected_consistency_conventions():
     assert expected_consistent(Honest(SimParams(0.5, 0.0))) is True
     assert expected_consistent(Conjugate()) is True
