@@ -66,6 +66,8 @@ SUBTESTS = {
 # instead, because their extracted sign depends on the family member.
 ACTION_LABELS = ("X", "Z", "D")
 
+NSIGMA = 5.0        # a sampled estimate's tolerance, in null standard errors
+
 
 def setting_labels(kind: str) -> tuple[str, ...]:
     if kind not in SUBTESTS:
@@ -268,8 +270,6 @@ class CorrelationTable(Record):
     kind: str
     joints: dict[tuple[str, str], float]
     marginals: dict[tuple[str, str], float]        # keyed (party, label)
-    joint_stderr: dict[tuple[str, str], float] | None = None
-    marginal_stderr: dict[tuple[str, str], float] | None = None
     n_per_pair: int | None = None
     seed: int | None = None
 
@@ -277,12 +277,10 @@ class CorrelationTable(Record):
         for v in list(self.joints.values()) + list(self.marginals.values()):
             if not abs(v) <= 1 + 1e-9:             # NaN is outside too
                 raise ValueError(f"correlation value {v} outside [-1, 1]")
-        if self.n_per_pair is None and (self.joint_stderr, self.marginal_stderr) != (None, None):
-            raise ValueError("a sampled table needs n_per_pair")
 
     @property
     def sampled(self) -> bool:
-        return self.joint_stderr is not None
+        return self.n_per_pair is not None
 
     def outcome_probs(self, la: str, lb: str) -> np.ndarray:
         """Joint outcome distribution of the pair (la, lb).
@@ -346,42 +344,23 @@ def correlations(exp: Experiment, include_cross_pairs: bool = False) -> Correlat
     return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
 
 
-def _draw_outcomes(cumulants: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
-    """Outcome index per uniform in ``u``: how many cumulants, all but the last, are <= it.
-
-    ``cumulants`` holds one cumulative distribution per row; ``rows`` picks each
-    uniform's row.  Never reading the last cumulant pins it to 1, so no uniform
-    in [0, 1) picks an outcome past the end when rounding leaves the sum below 1.
-    """
-    cum = np.atleast_2d(cumulants)
-    k = np.zeros(len(u), dtype=np.int8)
-    for column in cum[:, :-1].T:
-        k += column.take(rows) <= u
-    return k
-
-
 def sampled_correlations(exact: CorrelationTable, n_per_pair: int, seed: int) -> CorrelationTable:
     """Monte-Carlo table drawn from an exact table's outcome distributions.
 
-    Each entry averages n_per_pair +/-1 products.  Entry i (joints, then
-    marginals, in table order) draws from ``SeedSequence([seed, i])``, so the
-    draws are reproducible and independent of the other entries.
+    Entry i (joints, then marginals, in table order) is the mean (2k - n)/n of
+    n = n_per_pair +/-1 products, with k ~ Binomial(n, p(+1)) drawn from
+    ``SeedSequence([seed, i])``: p(++) + p(--) for a joint, (1 + m)/2 for a marginal m.
     """
-    if n_per_pair < 1:
-        raise ValueError("n_per_pair must be at least 1")
-    joints, marginals, j_err, m_err = {}, {}, {}, {}
-    entries = ([(joints, j_err, key, exact.outcome_probs(*key)) for key in exact.joints]
-               + [(marginals, m_err, key, np.array([1.0 + m, 1.0 - m]) / 2.0)
-                  for key, m in exact.marginals.items()])
-    for stream, (means, errs, key, probs) in enumerate(entries):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
-        k = _draw_outcomes(np.cumsum(probs), rng.random(n_per_pair))
-        signs = np.where((k == 0) | (k == 3), 1.0, -1.0)
-        spread = signs.std(ddof=1) if n_per_pair > 1 else 0.0
-        means[key], errs[key] = float(signs.mean()), float(spread / np.sqrt(n_per_pair))
-    return CorrelationTable(kind=exact.kind, joints=joints, marginals=marginals,
-                            joint_stderr=j_err, marginal_stderr=m_err,
-                            n_per_pair=n_per_pair, seed=int(seed))
+    n = n_per_pair
+    if not 1 <= n < 2 ** 63:                       # numpy's binomial counts are int64
+        raise ValueError(f"n_per_pair must be at least 1 and below 2**63, got {n}")
+    plus = ([exact.outcome_probs(*key)[[0, 3]].sum() for key in exact.joints]
+            + [(1.0 + m) / 2.0 for m in exact.marginals.values()])
+    means = [(2 * int(np.random.default_rng([int(seed), i]).binomial(n, p)) - n) / n
+             for i, p in enumerate(np.clip(plus, 0.0, 1.0))]
+    return CorrelationTable(kind=exact.kind, joints=dict(zip(exact.joints, means)),
+                            marginals=dict(zip(exact.marginals, means[len(exact.joints):])),
+                            n_per_pair=n, seed=int(seed))
 
 
 class CheckResult(Record):
@@ -399,10 +378,10 @@ class CheckResult(Record):
 
 
 def check_against_reference(table: CorrelationTable, ref: CorrelationTable,
-                            tol: float = 1e-10, nsigma: float = 5.0) -> CheckResult:
+                            tol: float = 1e-10) -> CheckResult:
     """Compare a table entrywise with a reference table over the reference's entries.
 
-    Exact tables use ``tol``.  A sampled entry's tolerance is nsigma null
+    Exact tables use ``tol``.  A sampled entry's tolerance is NSIGMA null
     standard errors sqrt((1 - r^2) / n_per_pair) of its reference value r,
     with ``tol`` as a floor.
     """
@@ -417,7 +396,7 @@ def check_against_reference(table: CorrelationTable, ref: CorrelationTable,
         deviations[name], bounds[name] = abs(source[key] - ref_val), tol
         if table.sampled:
             null_var = max(1.0 - ref_val * ref_val, 0.0) / table.n_per_pair
-            bounds[name] = max(nsigma * float(np.sqrt(null_var)), tol)
+            bounds[name] = max(NSIGMA * float(np.sqrt(null_var)), tol)
     worst = _worst_failing(deviations, bounds)
     return CheckResult(passed=not worst, worst_entry=worst, deviations=deviations,
                        worst_deviation=float(np.max(list(deviations.values()))))
@@ -733,6 +712,7 @@ class EquivalenceReport(Record):
     failures: tuple[str, ...]
     refused_stage: str | None
     statistics: CheckResult
+    exact_deviations: dict[str, float] | None      # sampled runs only: what the gate reads
     state_equalities: dict[str, float]
     collapse_residuals: dict[str, float]
     anticommutators: dict[str, tuple[float, float]]
@@ -743,8 +723,7 @@ class EquivalenceReport(Record):
 
 
 def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
-                 sampled_n: int | None = None, seed: int | None = None,
-                 nsigma: float = 5.0) -> EquivalenceReport:
+                 sampled_n: int | None = None, seed: int | None = None) -> EquivalenceReport:
     """Statistics -> equalities -> anti-commutation -> extraction -> equivalence.
 
     One call per stage, each judged by one rule.  Never raises on a failing
@@ -767,11 +746,11 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     exact = correlations(exp_pure)
     ref = correlations(reference_experiment(exp.kind))
     # the extraction gate reads the exact table's deviations also in sampled mode
-    exact_stats = check_against_reference(exact, ref, stats_tol, nsigma)
+    exact_stats = check_against_reference(exact, ref, stats_tol)
     stats = exact_stats
     if sampled_n is not None:
         stats = check_against_reference(sampled_correlations(exact, sampled_n, seed), ref,
-                                        stats_tol, nsigma)
+                                        stats_tol)
     if not stats.passed:
         failures.append(f"statistics[{stats.worst_entry}]")
 
@@ -807,7 +786,9 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
         kind=exp.kind, tol=tol, stats_tol=stats_tol,
         passed=not failures, failures=tuple(failures),
         refused_stage="extraction" if refused else None,
-        statistics=stats, state_equalities=equalities,
+        statistics=stats,
+        exact_deviations=None if sampled_n is None else exact_stats.deviations,
+        state_equalities=equalities,
         collapse_residuals=collapse, anticommutators=anticomms,
         state_fidelity=state_fid, action_fidelities=action_fids,
         y_check=y_check, family_params=params)

@@ -60,16 +60,25 @@ def vector_to_json(vec: np.ndarray) -> list:
     return [complex_pair(z) for z in np.asarray(vec, dtype=complex).reshape(-1)]
 
 
+def _complex(pair, what: str) -> complex:
+    """The ``[re, im]`` pair as a complex; a part that is no JSON number, a bool included, is
+    refused, naming ``what``."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(part) in (int, float) for part in pair)):
+        raise ValueError(f"{what}: expected a [re, im] pair of JSON numbers, got {pair!r}")
+    return complex(*pair)
+
+
 def vector_from_json(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+    return np.array([_complex(z, "amplitudes") for z in data], dtype=complex)
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
     return [[complex_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+def matrix_from_json(data, what: str = "matrix") -> np.ndarray:
+    return np.array([[_complex(z, what) for z in row] for row in data], dtype=complex)
 
 
 def _integer(value, what: str) -> int:
@@ -79,6 +88,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _known_keys(data: dict, keys, what: str) -> dict:
+    """``data`` when each of its keys is in ``keys``; otherwise the first other key is refused."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{key}: {what} does not read this key")
+    return data
+
+
 def state_to_json(state: StateVector | DensityMatrix) -> dict:
     if isinstance(state, StateVector):
         return {"dims": list(state.dims), "amplitudes": vector_to_json(state.amplitudes)}
@@ -86,6 +103,7 @@ def state_to_json(state: StateVector | DensityMatrix) -> dict:
 
 
 def state_from_json(data) -> StateVector | DensityMatrix:
+    _known_keys(data, ("dims", "amplitudes", "matrix"), "a state")
     if "amplitudes" not in data and "matrix" not in data:
         raise ValueError("state JSON needs an 'amplitudes' or 'matrix' field")
     dims = [_integer(d, "state dims") for d in data["dims"]]
@@ -121,14 +139,18 @@ def experiment_to_json(exp: Experiment) -> dict:
 def experiment_from_json(data) -> Experiment:
     from .selftest import Experiment
 
+    _known_keys(data, ("kind", "state", "parties", "flag_registers"), "an experiment")
+    parties = _known_keys(data["parties"], ("A", "B"), "the parties of an experiment")
+    for p in ("A", "B"):
+        _known_keys(parties[p], ("dims", "observables"), f"party {p}")
     flags = data.get("flag_registers")
     return Experiment(
         kind=data["kind"],
         state=state_from_json(data["state"]),
-        observables={p: {lab: matrix_from_json(m)
-                         for lab, m in data["parties"][p]["observables"].items()}
+        observables={p: {lab: matrix_from_json(m, f"observable {lab}_{p}")
+                         for lab, m in parties[p]["observables"].items()}
                      for p in ("A", "B")},
-        party_dims={p: tuple(_integer(d, f"party {p} dims") for d in data["parties"][p]["dims"])
+        party_dims={p: tuple(_integer(d, f"party {p} dims") for d in parties[p]["dims"])
                     for p in ("A", "B")},
         flag_registers=({k: _integer(v, f"flag_registers {k}") for k, v in flags.items()}
                         if flags else None),
@@ -144,9 +166,7 @@ def strategy_from_json(data) -> EveStrategy:
              "mismatched_flags": ("flag_a", "flag_b"), "custom_state": ("state",)}
     if name not in reads:
         raise ValueError(f"unknown strategy {name!r}")
-    for key in data:
-        if key != "strategy" and key not in reads[name]:
-            raise ValueError(f"{key}: strategy {name!r} does not read this key")
+    _known_keys(data, ("strategy", *reads[name]), f"strategy {name!r}")
     if name == "honest":
         return Honest(sim_params_from_json(data))
     if name == "conjugate":
@@ -159,6 +179,12 @@ def strategy_from_json(data) -> EveStrategy:
     return CustomState(state_from_json(data["state"]).density())
 
 
+def _stderr(table: CorrelationTable, v: float) -> float:
+    """Sample spread over sqrt(n) of a sampled entry v's n +/-1 products; 0 if exact or n = 1."""
+    n = table.n_per_pair
+    return math.sqrt((1.0 - v * v) / (n - 1)) if table.sampled and n > 1 else 0.0
+
+
 def correlation_table_to_dict(table: CorrelationTable) -> dict:
     out = {
         "kind": table.kind,
@@ -166,9 +192,10 @@ def correlation_table_to_dict(table: CorrelationTable) -> dict:
         "marginals": {f"{p},{l}": v for (p, l), v in sorted(table.marginals.items())},
     }
     if table.sampled:
-        out["joint_stderr"] = {f"{a},{b}": v for (a, b), v in sorted(table.joint_stderr.items())}
-        out["marginal_stderr"] = {f"{p},{l}": v
-                                  for (p, l), v in sorted(table.marginal_stderr.items())}
+        out["joint_stderr"] = {f"{a},{b}": _stderr(table, v)
+                               for (a, b), v in sorted(table.joints.items())}
+        out["marginal_stderr"] = {f"{p},{l}": _stderr(table, v)
+                                  for (p, l), v in sorted(table.marginals.items())}
         out["n_per_pair"] = table.n_per_pair
         out["seed"] = table.seed
     return out
@@ -178,13 +205,11 @@ def correlation_table_to_csv(table: CorrelationTable) -> str:
     """Columns: setting_a, setting_b, value, stderr.  Marginal rows use 'I' for the idle side."""
     buf = io.StringIO()
     buf.write("setting_a,setting_b,value,stderr\n")
-    j_err = table.joint_stderr or {}
-    m_err = table.marginal_stderr or {}
     for (a, b), v in sorted(table.joints.items()):
-        buf.write(f"{a},{b},{v!r},{j_err.get((a, b), 0.0)!r}\n")
+        buf.write(f"{a},{b},{v!r},{_stderr(table, v)!r}\n")
     for (p, l), v in sorted(table.marginals.items()):
         pair = (l, "I") if p == "A" else ("I", l)
-        buf.write(f"{pair[0]},{pair[1]},{v!r},{m_err.get((p, l), 0.0)!r}\n")
+        buf.write(f"{pair[0]},{pair[1]},{v!r},{_stderr(table, v)!r}\n")
     return buf.getvalue()
 
 
@@ -304,6 +329,8 @@ def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
         "anticommutators": {k: {"raw": v[0], "support": v[1]}
                             for k, v in sorted(report.anticommutators.items())},
     }
+    if report.exact_deviations is not None:
+        out["statistics"]["exact_deviations"] = dict(sorted(report.exact_deviations.items()))
     if report.state_fidelity is not None:
         out["state_fidelity"] = report.state_fidelity
     if report.action_fidelities is not None:

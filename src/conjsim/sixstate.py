@@ -20,9 +20,8 @@ the ``basis_b`` column (the same call), then, only when the flag collapse is
 not deterministic, one uniform per round choosing the flag branch, then one
 uniform per round choosing the joint outcome.  Each branch and each outcome is
 the number of cumulants of its table, all but the last, that are <= its
-uniform (:func:`conjsim.selftest._draw_outcomes`, which the sampled self-test
-draws with too).  Transcripts are therefore a pure function of
-(strategy, n, seed).
+uniform (:func:`_draw_outcomes`).  Transcripts are therefore a pure function
+of (strategy, n, seed).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .family import SimParams, multiparty_sim_state
 from .linalg import as_int
-from .selftest import _draw_outcomes, correlations, family_experiment, with_state
+from .selftest import NSIGMA, correlations, family_experiment, with_state
 from .states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 BASES = ("X", "Y", "Z")
@@ -164,6 +163,20 @@ def _flag_branches(rho: DensityMatrix):
             post = kept / p
             branches.append((p, (za, zb), DensityMatrix(SOURCE_DIMS, post)))
     return branches
+
+
+def _draw_outcomes(cumulants: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
+    """Outcome index per uniform in ``u``: how many cumulants, all but the last, are <= it.
+
+    ``cumulants`` holds one cumulative distribution per row; ``rows`` picks each
+    uniform's row.  Never reading the last cumulant pins it to 1, so no uniform
+    in [0, 1) picks an outcome past the end when rounding leaves the sum below 1.
+    """
+    cum = np.atleast_2d(cumulants)
+    k = np.zeros(len(u), dtype=np.int8)
+    for column in cum[:, :-1].T:
+        k += column.take(rows) <= u
+    return k
 
 
 class Transcript(Record):
@@ -302,13 +315,12 @@ class PremeasureComparison(Record):
     flag_mismatches: int
 
 
-def zpremeasure_analysis(p: SimParams, n: int, seed: int,
-                         nsigma: float = 5.0) -> PremeasureComparison:
+def zpremeasure_analysis(p: SimParams, n: int, seed: int) -> PremeasureComparison:
     """Run ZPremeasure and Honest side by side on derived seeds and compare.
 
     Because the family source only populates the logical flag states, the
     premeasured flags always agree and the two error-rate profiles must
-    coincide within binomial tolerance.
+    coincide within NSIGMA binomial standard errors.
     """
     seed_z = np.random.SeedSequence([int(seed), 0]).generate_state(1)[0]
     seed_h = np.random.SeedSequence([int(seed), 1]).generate_state(1)[0]
@@ -323,7 +335,7 @@ def zpremeasure_analysis(p: SimParams, n: int, seed: int,
             if rep.sifted[b]:
                 r = rep.rates[b]
                 var += r * (1 - r) / rep.sifted[b]
-        bounds[b] = nsigma * np.sqrt(var)
+        bounds[b] = NSIGMA * np.sqrt(var)
         if diffs[b] > bounds[b]:
             ok = False
     return PremeasureComparison(zpremeasure=rz, honest=rh, rate_differences=diffs,

@@ -16,6 +16,9 @@ a family member flag-major with ``np.kron`` and then interleaves the flags.
 ``basis_state`` builds a computational basis state from one index per
 register, and ``expectation`` is tr(rho M) of a full-space operator, the slow
 reference for the per-party correlation kernel ``conjsim.selftest.correlations``.
+``per_round_sampled_correlations`` draws every round of a sampled table, the
+slow reference for the one binomial count per entry of
+``conjsim.selftest.sampled_correlations``.
 """
 
 import math
@@ -236,3 +239,27 @@ def dense_purify(exp):
     n, n_a = len(exp.state.dims), len(exp.party_dims["A"])
     order = list(range(n_a)) + [n] + list(range(n_a, n)) if len(pure.dims) > n else list(range(n))
     return _moved(list(pure.dims), pure.amplitudes, order, exp.flag_registers)
+
+
+def per_round_sampled_correlations(exact, n_per_pair: int, seed: int):
+    """(joints, marginals, joint_stderr, marginal_stderr) of n_per_pair drawn rounds per entry.
+
+    Entry i of the exact table (joints, then marginals, in table order) draws one
+    uniform per round from ``SeedSequence([seed, i])`` and picks the round's
+    outcome as the number of cumulants of the entry's outcome distribution, all
+    but the last, that are <= it.  The entry is the mean of the rounds' +/-1
+    products, and its stderr the products' sample standard deviation over
+    sqrt(n_per_pair) (0 at n = 1).
+    """
+    joints, marginals, joint_stderr, marginal_stderr = {}, {}, {}, {}
+    entries = ([(joints, joint_stderr, key, exact.outcome_probs(*key), (1, -1, -1, 1))
+                for key in exact.joints]
+               + [(marginals, marginal_stderr, key, np.array([1.0 + m, 1.0 - m]) / 2.0, (1, -1))
+                  for key, m in exact.marginals.items()])
+    for stream, (means, errs, key, probs, sign_of) in enumerate(entries):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
+        outcomes = np.searchsorted(np.cumsum(probs)[:-1], rng.random(n_per_pair), side="right")
+        signs = np.array(sign_of, dtype=float)[outcomes]
+        spread = signs.std(ddof=1) if n_per_pair > 1 else 0.0
+        means[key], errs[key] = float(signs.mean()), float(spread / np.sqrt(n_per_pair))
+    return joints, marginals, joint_stderr, marginal_stderr

@@ -115,7 +115,7 @@ SELFTEST_REPORTS = [
      "350e9675b64fdd21256324f5f9e94e4226eeeeb931d3490c798d0112cd2e44b8"),
     (["--experiment", "mayersyao.json", "--kind", "mayersyao",
       "--sampled", "n=20000", "seed=7"], 0,
-     "b13901ef8cc7927538a3e6483cf08be23caab28f470107b303daa07810104d07"),
+     "ce29ab5bbca1fedaa3bad599d1f9c9f34c7b3bcafdc5f0466bc0c34910368d1a"),
     (["--experiment", "rotated.json"], 0,
      "555d8dba3ffd85f5018822ab23c14f42b0117cffefb70e46180e8ee6ae7b0f6c"),
     (["--experiment", "d_is_x.json"], 1,
@@ -490,6 +490,71 @@ def test_strategy_documents_read_only_their_own_keys_as_numbers(tmp_path):
         assert (code, stdout) == (2, ""), key
         assert one_error_line(err) and "Traceback" not in err, key
         assert err.startswith(f"error: s{i}.json: {key}: ") and detail in err, err
+
+
+def foreign_documents():
+    """(field, document, argv, detail): documents with a key no decoder reads, or a complex
+    part that is no JSON number; each ran at the parent, with the key ignored or true read as 1."""
+    member = experiment_to_json(family_experiment(SimParams(0.3, 0.2), "extended"))
+
+    def edited(edit):
+        document = json.loads(json.dumps(member))
+        edit(document)
+        return document
+
+    def misspelt(document):
+        document["flag_register"] = document.pop("flag_registers")
+
+    def bool_entry(document):                   # a 1 of X_B, so the observable stays binary
+        row = next(r for r in document["parties"]["B"]["observables"]["X"] if [1.0, 0.0] in r)
+        row[row.index([1.0, 0.0])] = [True, 0]
+
+    ket = [[1.0, 0.0]] + [[0.0, 0.0]] * 15
+    selftest, qkd = ["selftest", "--experiment"], ["qkd", "--n", "100", "--seed", "1",
+                                                   "--strategy", "custom"]
+    return [
+        ("flag_register", edited(misspelt), selftest, "an experiment does not read this key"),
+        ("C", edited(lambda d: d["parties"].update(C=d["parties"]["B"])), selftest,
+         "the parties of an experiment does not read this key"),
+        ("observable", edited(lambda d: d["parties"]["A"].update(observable={})), selftest,
+         "party A does not read this key"),
+        ("comment", edited(lambda d: d["state"].update(comment="")), selftest,
+         "a state does not read this key"),
+        ("observable X_B", edited(bool_entry), selftest,
+         "expected a [re, im] pair of JSON numbers, got [True, 0]"),
+        ("comment", {"dims": [2, 2, 2, 2], "amplitudes": ket, "comment": ""}, qkd,
+         "a state does not read this key"),
+        ("amplitudes", {"dims": [2, 2, 2, 2], "amplitudes": [[True, False]] + ket[1:]}, qkd,
+         "expected a [re, im] pair of JSON numbers, got [True, False]"),
+        ("matrix", {"strategy": "custom_state", "state": {"dims": [2, 2, 2, 2], "matrix": [
+            [[True, False]] + [[0, 0]] * 15] + [[[0, 0]] * 16] * 15}}, qkd,
+         "expected a [re, im] pair of JSON numbers, got [True, False]"),
+    ]
+
+
+def test_documents_with_unread_keys_or_non_number_parts_are_usage_errors(tmp_path):
+    cases = foreign_documents()
+    for i, (_, document, _, _) in enumerate(cases):
+        (tmp_path / f"d{i}.json").write_text(json.dumps(document))
+    results = fresh_main(tmp_path, *[[*argv, f"d{i}.json"] for i, (_, _, argv, _) in
+                                     enumerate(cases)])
+    for i, ((field, _, _, detail), (code, stdout, err, _)) in enumerate(zip(cases, results)):
+        assert (code, stdout) == (2, ""), field
+        assert one_error_line(err) and "Traceback" not in err, field
+        assert err.startswith(f"error: d{i}.json: {field}: ") and detail in err, err
+
+
+@pytest.mark.parametrize("document", [
+    {"dims": [2, 2, 2, 2], "amplitudes": [[10**400, 0]] + [[0, 0]] * 15},
+    {"strategy": "honest", "a": 10**400},
+], ids=["amplitude", "a"])
+def test_a_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsys, document):
+    # at the parent, float() of the integer raised an OverflowError past main: a traceback
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(document))
+    assert run(["qkd", "--strategy", "custom", str(path), "--seed", "1", "--n", "10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and one_error_line(out.err) and "OverflowError" in out.err
 
 
 def nan_inputs():
@@ -929,6 +994,13 @@ def test_internal_value_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(sixstate, "run_rounds", failing)
     assert run(["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]) == 1
     assert capsys.readouterr().err == "error: outcome probabilities sum to nan\n"
+
+
+@pytest.mark.parametrize("n", [2**63, 10**20])
+def test_a_sampled_count_past_the_binomial_range_exits_one(n, capsys):
+    assert run(["selftest", "--kind", "mayersyao", "--sampled", f"n={n}", "seed=1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and one_error_line(out.err) and "below 2**63" in out.err
 
 
 @pytest.mark.parametrize("error, line", [

@@ -105,6 +105,20 @@ def test_every_public_name_serves_a_job_or_is_a_paper_object():
     assert set(PAPER_OBJECTS) <= defined
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """A private name serves its own module: no module of src/conjsim imports an underscore
+    name (dunders such as __version__ aside) from a sibling module."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "conjsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "conjsim"):
+                found += [f"{path.stem}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert found == []
+
+
 def test_records_are_built_without_dataclasses():
     """Records subclass states.Record: src/ neither imports dataclasses nor decorates a class,
     and a qkd job, which builds records of every module, never loads the dataclasses module."""

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from conjsim.selftest import (
     with_state,
     y_coefficient_check,
 )
-from conjsim.serialize import equivalence_report_to_dict
+from conjsim.serialize import correlation_table_to_dict, equivalence_report_to_dict
 from conjsim.states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 from dense_reference import (
@@ -62,6 +63,7 @@ from dense_reference import (
     expectation,
     party_circuit,
     party_registers,
+    per_round_sampled_correlations,
     permute_subsystems_vector,
     support_projector,
 )
@@ -192,6 +194,52 @@ def test_sampled_correlations_deterministic():
     assert t1.joints != t3.joints
 
 
+def unequal_table():
+    """One joint and its two marginals whose four joint outcomes are all unequally likely."""
+    return CorrelationTable(kind="mayersyao", joints={("X", "D"): 0.45},
+                            marginals={("A", "X"): -0.3, ("B", "D"): 0.2})
+
+
+def test_sampled_counts_follow_the_per_round_law():
+    # each entry's count k of +1 products, over 2000 seeds at n = 4, is distributed as the
+    # per-round reference's; frequencies differ by at most 5 standard errors of a difference
+    exact, n, seeds = unequal_table(), 4, range(2000)
+    np.testing.assert_allclose(exact.outcome_probs("X", "D"), [0.3375, 0.0125, 0.2625, 0.3875])
+    counts = {"fast": [], "slow": []}
+    for seed in seeds:
+        fast = sampled_correlations(exact, n, seed)
+        slow = per_round_sampled_correlations(exact, n, seed)
+        counts["fast"].append([*fast.joints.values(), *fast.marginals.values()])
+        counts["slow"].append([*slow[0].values(), *slow[1].values()])
+        # each stderr is the closed form sqrt((1 - v^2)/(n - 1)) of its entry's value v:
+        # the per-round spread, and the encoder's for the binomial table
+        encoded = correlation_table_to_dict(fast)
+        for values, errs in ((slow[0], slow[2]), (slow[1], slow[3]),
+                             (encoded["joints"], encoded["joint_stderr"]),
+                             (encoded["marginals"], encoded["marginal_stderr"])):
+            for key, v in values.items():
+                assert abs(errs[key] - math.sqrt((1 - v * v) / (n - 1))) <= 1e-12, (seed, key)
+    k = {name: np.rint((np.array(c) + 1) * n / 2).astype(int) for name, c in counts.items()}
+    for entry in range(k["fast"].shape[1]):
+        for count in range(n + 1):
+            freq = {name: np.mean(k[name][:, entry] == count) for name in k}
+            pooled = (freq["fast"] + freq["slow"]) / 2
+            sigma = math.sqrt(2 * pooled * (1 - pooled) / len(seeds))
+            assert abs(freq["fast"] - freq["slow"]) <= 5 * sigma, (entry, count, freq)
+
+
+def test_sampled_correlations_memory_does_not_grow_with_n():
+    exact = unequal_table()
+    sampled_correlations(exact, 10, seed=0)         # one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        sampled_correlations(exact, 2_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_check_against_reference_passes_exact():
     table = correlations(reference_experiment("mayersyao"))
     result = check_against_reference(table, ref_table("mayersyao"), tol=1e-10)
@@ -234,8 +282,6 @@ def test_worst_entry_is_the_largest_failing_deviation():
     joints[("Z", "Z")] -= 0.1           # smaller, and failing: a reference value of 1
     joints[("D", "D")] -= 0.05          # failing, but not the worst failure
     table = CorrelationTable(kind="mayersyao", joints=joints, marginals=ref.marginals,
-                             joint_stderr={key: 0.001 for key in joints},
-                             marginal_stderr={key: 0.001 for key in ref.marginals},
                              n_per_pair=50)
     result = check_against_reference(table, ref)
     assert not result.passed
@@ -253,14 +299,6 @@ def test_nan_entries_fail_and_are_named():
     object.__setattr__(table, "joints", {**table.joints, ("D", "D"): np.nan})
     result = check_against_reference(table, ref)
     assert (result.passed, result.worst_entry) == (False, "joint(D,D)")
-
-
-def test_sampled_table_needs_its_round_count():
-    ref = correlations(reference_experiment("mayersyao"))
-    with pytest.raises(ValueError, match="n_per_pair"):
-        CorrelationTable(kind="mayersyao", joints=ref.joints, marginals=ref.marginals,
-                         joint_stderr={key: 0.1 for key in ref.joints},
-                         marginal_stderr={key: 0.1 for key in ref.marginals})
 
 
 def test_check_against_reference_missing_entry():
@@ -665,7 +703,7 @@ def test_run_selftest_sampled_requires_seed():
 
 TOL, STATS_TOL = 2.0 ** -30, 2.0 ** -33      # 1 - TOL, and 1 minus that, are exact doubles
 # one ulp past each bound; for a fidelity bound 1 - TOL, one ulp below it
-ABOVE = {bound: np.nextafter(bound, 1) for bound in (TOL, STATS_TOL, 0.5)}
+ABOVE = {bound: np.nextafter(bound, 1) for bound in (TOL, STATS_TOL, 0.625)}
 ABOVE[1 - TOL] = np.nextafter(1 - TOL, 0)
 
 
@@ -690,10 +728,9 @@ def y_with(y, entry, value):
 BOUNDARY_CASES = {
     "statistics": ("correlations", lambda r, v: with_joint(r, ("X", "Y"), v), STATS_TOL,
                    ["statistics[joint(X,Y)]"], {}),
-    "statistics_sampled": ("sampled_correlations", lambda r, v: replace(
-        with_joint(r, ("X", "Y"), v), joint_stderr={}, marginal_stderr={}, n_per_pair=64),
-        0.5, ["statistics[joint(X,Y)]"],                  # 4 sqrt(1/64): r = 0, n = 64
-        {"sampled_n": 64, "seed": 0, "nsigma": 4.0}),
+    "statistics_sampled": ("sampled_correlations", lambda r, v: with_joint(r, ("X", "Y"), v),
+                           0.625, ["statistics[joint(X,Y)]"],  # NSIGMA sqrt(1/64): r = 0, n = 64
+                           {"sampled_n": 64, "seed": 0}),
     "state_equalities": ("check_state_equalities", lambda r, v: {**r, "XYE:orthogonality": v},
                          TOL, ["state_equalities[XYE:orthogonality]"], {}),
     "d_collapse": ("check_d_collapse", lambda r, v: {**r, "B:F": v}, TOL, ["d_collapse[B:F]"],
@@ -1304,15 +1341,27 @@ def test_extraction_gate_matches_recomputing_gate():
     assert branches == {"", "joint", "marginal", "anticommutator"}
 
 
-def test_sampled_statistics_failure_does_not_refuse_extraction():
+def test_sampled_statistics_failure_does_not_refuse_extraction(monkeypatch):
     exp = junk_ladder_experiment(64, seed=2)
     assert recomputing_extraction_gate(exp, 1e-9, 1e-10) == {}
-    report = run_selftest(exp, sampled_n=400, seed=9, nsigma=0.01)
+    monkeypatch.setattr(selftest, "NSIGMA", 0.01)
+    report = run_selftest(exp, sampled_n=400, seed=9)
     assert not report.statistics.passed
     assert report.failures[0].startswith("statistics[")
     assert report.refused_stage is None
     assert report.state_fidelity == pytest.approx(1.0, abs=1e-9)
     assert report.y_check is not None and report.family_params is not None
+
+
+def test_a_sampled_report_carries_the_exact_deviations_its_gate_judged():
+    exp = with_observable(reference_experiment("mayersyao"), "A", "D", X)
+    report = equivalence_report_to_dict(run_selftest(exp, sampled_n=2000, seed=3))
+    assert "extraction_refused[joint(D,Z)]" in report["failures"]
+    exact = check_against_reference(correlations(exp), ref_table("mayersyao")).deviations
+    assert report["statistics"]["exact_deviations"] == dict(sorted(exact.items()))
+    assert report["statistics"]["exact_deviations"]["joint(D,Z)"] == pytest.approx(SQ2, abs=1e-12)
+    assert report["statistics"]["deviations"]["joint(D,Z)"] != exact["joint(D,Z)"]
+    assert "exact_deviations" not in equivalence_report_to_dict(run_selftest(exp))["statistics"]
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -1362,31 +1411,3 @@ def test_every_traced_stage_is_a_public_function_that_runs(monkeypatch):
     assert run_selftest(exp).passed
     assert run_selftest(exp, sampled_n=20_000, seed=6).passed
     assert [name for name, n in calls.items() if n == 0] == []
-
-
-def test_draw_outcomes_never_picks_a_missing_outcome():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        probs = rng.random(4)
-        cum = np.cumsum(probs / probs.sum())
-        if cum[-1] < 1.0:
-            break
-    else:
-        pytest.fail("no 4-outcome table whose cumulants end below 1")
-    u = np.array([np.nextafter(1.0, 0.0)])
-    assert np.searchsorted(cum, u, side="right")[0] == 4      # the outcome that does not exist
-    assert selftest._draw_outcomes(cum, u)[0] == 3
-
-
-def test_draw_outcomes_match_searchsorted():
-    rng = np.random.default_rng(1)
-    tables = np.cumsum(rng.dirichlet(np.ones(4), size=5), axis=1)
-    u = rng.random(2000)
-    rows = rng.integers(5, size=2000)
-    keep = u < tables[rows, -1]
-    want = [np.searchsorted(tables[r], x, side="right") for r, x in zip(rows, u)]
-    got = selftest._draw_outcomes(tables, u, rows)
-    np.testing.assert_array_equal(got[keep], np.array(want)[keep])
-    for row in range(5):
-        np.testing.assert_array_equal(selftest._draw_outcomes(tables[row], u),
-                                      np.minimum(np.searchsorted(tables[row], u, "right"), 3))

@@ -201,6 +201,34 @@ def test_run_rounds_matches_per_round_reference(strategy, seed, n):
     assert fast == slow
 
 
+def test_draw_outcomes_never_picks_a_missing_outcome():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        probs = rng.random(4)
+        cum = np.cumsum(probs / probs.sum())
+        if cum[-1] < 1.0:
+            break
+    else:
+        pytest.fail("no 4-outcome table whose cumulants end below 1")
+    u = np.array([np.nextafter(1.0, 0.0)])
+    assert np.searchsorted(cum, u, side="right")[0] == 4      # the outcome that does not exist
+    assert sixstate._draw_outcomes(cum, u)[0] == 3
+
+
+def test_draw_outcomes_match_searchsorted():
+    rng = np.random.default_rng(1)
+    tables = np.cumsum(rng.dirichlet(np.ones(4), size=5), axis=1)
+    u = rng.random(2000)
+    rows = rng.integers(5, size=2000)
+    keep = u < tables[rows, -1]
+    want = [np.searchsorted(tables[r], x, side="right") for r, x in zip(rows, u)]
+    got = sixstate._draw_outcomes(tables, u, rows)
+    np.testing.assert_array_equal(got[keep], np.array(want)[keep])
+    for row in range(5):
+        np.testing.assert_array_equal(sixstate._draw_outcomes(tables[row], u),
+                                      np.minimum(np.searchsorted(tables[row], u, "right"), 3))
+
+
 def reference_sift(t, abort_threshold=0.0):
     sifted = {b: 0 for b in BASES}
     errors = {b: 0 for b in BASES}
