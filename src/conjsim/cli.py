@@ -120,48 +120,62 @@ def _parse_kv(tokens, allowed, what):
         key, _, val = tok.partition("=")
         if key not in allowed:
             raise UsageError(f"{what}: unknown key {key!r} (allowed: {sorted(allowed)})")
+        if key in out:
+            raise UsageError(f"{what}: key {key!r} given twice")
         out[key] = val
     return out
 
 
 def _family_params(tokens, flag: str) -> SimParams:
-    """The family member named by key=value tokens; ``flag`` names their source in errors."""
+    """The family member named by key=value tokens; ``flag`` names their source in errors.
+
+    The tokens are checked and converted before numpy loads.
+    """
     kv = _parse_kv(tokens, {"a", "c", "c_abs", "c_phase"}, flag)
     if "a" not in kv:
         raise UsageError(f"{flag} requires a=<float>")
-    from .family import SimParams
-
+    if "c" in kv and "c_abs" in kv:
+        raise UsageError(f"{flag}: give c= or c_abs=, not both")
     with _user_input(flag):
-        c_abs = float(kv.get("c_abs", kv.get("c", 0.0)))
-        return SimParams.from_polar(float(kv["a"]), c_abs, float(kv.get("c_phase", 0.0)))
+        polar = (float(kv["a"]), float(kv.get("c_abs", kv.get("c", 0.0))),
+                 float(kv.get("c_phase", 0.0)))
+        from .family import SimParams
+
+        return SimParams.from_polar(*polar)
 
 
 def _strategy(tokens):
+    """The strategy named by --strategy's tokens, which are checked before numpy loads."""
     if not tokens:
         raise UsageError("--strategy requires a strategy name")
     name, rest = tokens[0], tokens[1:]
-    from .sixstate import Conjugate, Honest, MismatchedFlags, ZPremeasure
+    flag = f"--strategy {name}"
+    if name in ("honest", "zpremeasure"):
+        params = _family_params(rest, flag)
+        from .sixstate import Honest, ZPremeasure
 
-    if name == "honest":
-        return Honest(_family_params(rest, "--strategy honest"))
+        return (Honest if name == "honest" else ZPremeasure)(params)
     if name == "conjugate":
+        if rest:
+            raise UsageError(f"--strategy conjugate takes no values, got {rest[0]!r}")
+        from .sixstate import Conjugate
+
         return Conjugate()
-    if name == "zpremeasure":
-        return ZPremeasure(_family_params(rest, "--strategy zpremeasure"))
     if name == "mismatched":
         if len(rest) != 2:
             raise UsageError("--strategy mismatched needs two flag bits")
-        with _user_input("--strategy mismatched"):
-            return MismatchedFlags(int(rest[0]), int(rest[1]))
+        with _user_input(flag):
+            bits = int(rest[0]), int(rest[1])
+            from .sixstate import MismatchedFlags
+
+            return MismatchedFlags(*bits)
     if name == "custom":
         if len(rest) != 1:
             raise UsageError("--strategy custom needs a JSON state/strategy path")
-        data = _read_document("--strategy custom", rest[0])
+        data = _read_document(flag, rest[0])
         from .serialize import strategy_from_json
 
         with _user_input(rest[0]):
-            if "strategy" not in data:
-                data = {"strategy": "custom_state", "state": data}
             return strategy_from_json(data)
     raise UsageError(f"unknown strategy {name!r}")
 
@@ -240,10 +254,13 @@ def _build_experiment(args, document):
 
         with _user_input(args.experiment):
             return experiment_from_json(document)
-    from .selftest import family_experiment, reference_experiment
-
     if args.family:
-        return family_experiment(_family_params(args.family, "--family"), args.kind)
+        params = _family_params(args.family, "--family")
+        from .selftest import family_experiment
+
+        return family_experiment(params, args.kind)
+    from .selftest import reference_experiment
+
     return reference_experiment(args.kind)
 
 

@@ -88,8 +88,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _known_keys(data: dict, keys, what: str) -> dict:
-    """``data`` when each of its keys is in ``keys``; otherwise the first other key is refused."""
+def _known_keys(data, keys, what: str) -> dict:
+    """``data`` when it is a JSON object each of whose keys is in ``keys``.
+
+    Any other value, or the first key not in ``keys``, is refused with a ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object")
     for key in data:
         if key not in keys:
             raise ValueError(f"{key}: {what} does not read this key")
@@ -158,8 +163,14 @@ def experiment_from_json(data) -> Experiment:
 
 
 def strategy_from_json(data) -> EveStrategy:
+    """The strategy a ``describe()`` document names.
+
+    A document without a ``"strategy"`` key is the state of a custom source.
+    """
     from .sixstate import Conjugate, CustomState, Honest, MismatchedFlags, ZPremeasure
 
+    if not (isinstance(data, dict) and "strategy" in data):
+        return CustomState(state_from_json(data).density())
     name = data["strategy"]
     family = ("a", "c_abs", "c_phase")
     reads = {"honest": family, "zpremeasure": family, "conjugate": (),

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -492,6 +493,28 @@ def test_strategy_documents_read_only_their_own_keys_as_numbers(tmp_path):
         assert err.startswith(f"error: s{i}.json: {key}: ") and detail in err, err
 
 
+NOT_OBJECTS = [
+    (["selftest", "--experiment"], '"strategy"', "an experiment"),
+    (["selftest", "--experiment"], "5", "an experiment"),
+    (["selftest", "--experiment"], '{"kind": "extended", "state": {}, "parties": []}',
+     "the parties of an experiment"),
+    (["qkd", "--seed", "1", "--strategy", "custom"], '"strategy"', "a state"),
+    (["qkd", "--seed", "1", "--strategy", "custom"], "5", "a state"),
+    (["qkd", "--seed", "1", "--strategy", "custom"], "[1, 2]", "a state"),
+]
+
+
+@pytest.mark.parametrize("argv, text, what", NOT_OBJECTS, ids=[
+    "experiment_string", "experiment_number", "experiment_parties_list",
+    "custom_string", "custom_number", "custom_list"])
+def test_documents_that_are_not_objects_are_named_so(tmp_path, capsys, argv, text, what):
+    # at the parent '"strategy"' was refused for a key 's' and 5 as "'int' object is not iterable"
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    assert run([*argv, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {what}: expected a JSON object\n")
+
+
 def foreign_documents():
     """(field, document, argv, detail): documents with a key no decoder reads, or a complex
     part that is no JSON number; each ran at the parent, with the key ignored or true read as 1."""
@@ -719,6 +742,21 @@ USAGE_WITHOUT_NUMPY = [
      "error: --experiment missing.json: No such file or directory\n"),
     (["simulate", "--experiment", "not_json.json"], 2,
      "error: --experiment not_json.json: not JSON (Expecting value: line 1 column 1 (char 0))\n"),
+    (["qkd", "--strategy", "honest", "--seed", "1"], 2,
+     "error: --strategy honest requires a=<float>\n"),
+    (["qkd", "--strategy", "bogus", "--seed", "1"], 2, "error: unknown strategy 'bogus'\n"),
+    (["qkd", "--strategy", "mismatched", "0", "--seed", "1"], 2,
+     "error: --strategy mismatched needs two flag bits\n"),
+    (["selftest", "--family", "a=x"], 2,
+     "error: --family: could not convert string to float: 'x'\n"),
+    (["selftest", "--family", "a=0.3", "a=0.7"], 2, "error: --family: key 'a' given twice\n"),
+    (["qkd", "--strategy", "honest", "a=0.1", "a=0.9", "--seed", "1"], 2,
+     "error: --strategy honest: key 'a' given twice\n"),
+    (["selftest", "--sampled", "n=10", "n=20"], 2, "error: --sampled: key 'n' given twice\n"),
+    (["simulate", "--family", "a=0.3", "c=0.1", "c_abs=0.1"], 2,
+     "error: --family: give c= or c_abs=, not both\n"),
+    (["qkd", "--strategy", "conjugate", "x", "--seed", "1"], 2,
+     "error: --strategy conjugate takes no values, got 'x'\n"),
 ]
 
 
@@ -742,7 +780,6 @@ def test_unreadable_documents_are_usage_errors(tmp_path):
     (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
     (tmp_path / "malformed.json").write_text('{"kind": ')
     (tmp_path / "a_directory").mkdir()
-    # --strategy custom reads its file after loading sixstate, so it runs last
     cases = [(flag, name) for flag in DOCUMENT_FLAGS for name in BAD_DOCUMENTS]
     argvs = [[a.format(path=tmp_path / name) for a in DOCUMENT_FLAGS[flag]]
              for flag, name in cases]
@@ -751,8 +788,7 @@ def test_unreadable_documents_are_usage_errors(tmp_path):
         assert err.startswith(f"error: {flag} {tmp_path / name}: {BAD_DOCUMENTS[name]}"), \
             (flag, name)
         assert err.count("\n") == 1 and "Traceback" not in err, (flag, name)
-        if flag != "--strategy custom":
-            assert modules == ["conjsim.cli"], (flag, name)
+        assert modules == ["conjsim.cli"], (flag, name)
 
 
 QKD = ["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]
@@ -877,6 +913,25 @@ def test_a_finished_job_skips_interpreter_teardown(tmp_path):
         assert (proc.returncode, proc.stdout[:len(stdout) or None]) == (code, stdout), argv
         assert not proc.stdout.endswith("teardown ran\n"), argv
     assert json.loads((tmp_path / "report.json").read_text())["results"]
+
+
+def test_a_fresh_job_runs_main_without_the_cyclic_collector(tmp_path):
+    """The entry point turns the collector off; importing conjsim.__main__ does not."""
+    probe = ("import gc, runpy, conjsim.__main__, conjsim.cli as cli; main = cli.main; "
+             "print('on import', gc.isenabled()); "
+             "cli.main = lambda: print('in main', gc.isenabled()) or main(); "
+             "runpy.run_module('conjsim', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-c", probe, *QKD],
+                          capture_output=True, text=True, env=conjsim_env(), cwd=tmp_path,
+                          timeout=120)      # runpy warns that conjsim.__main__ was imported
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("on import True\nin main False\n{")
+
+
+def test_main_in_process_leaves_the_cyclic_collector_on(capsys):
+    assert gc.isenabled()
+    assert run(QKD) == 0 and json.loads(capsys.readouterr().out)["results"]
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
@@ -1022,8 +1077,10 @@ def test_memory_error_exits_one_without_traceback(monkeypatch, capsys, error, li
 # --------------------------------------------------------------------------
 # fuzzed flag and config-file combinations
 
+AMBIGUOUS = [["a=0.3", "a=0.7"], ["a=0.3", "c=0.1", "c_abs=0.1"], ["n=10", "n=20"],
+             ["honest", "a=0.1", "a=0.9"], ["conjugate", "x"]]     # refused wherever given
 FAMILIES = [["a=0.5", "c=0.5"], ["a=1"], ["a=0.5", "c=0.9"], ["a=x"], ["c=0.1"],
-            ["a=0.5", "c_phase=inf"], ["b=1"], ["a"]]
+            ["a=0.5", "c_phase=inf"], ["b=1"], ["a"], *AMBIGUOUS[:2]]
 EXPERIMENTS = ["@good", "@no_kind", "@list", "@not_json", "@missing"]
 FUZZ_FLAGS = {
     "common": {"seed": ["-1", "0", "7", "x"],
@@ -1033,14 +1090,14 @@ FUZZ_FLAGS = {
     "selftest": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
                  "experiment": EXPERIMENTS, "stats_tol": ["1e-10", "-1", "-inf", "x"],
                  "sampled": [["n=50", "seed=3"], ["n=0", "seed=3"], ["n=x"], ["n=20"],
-                             ["seed=1"], ["n=20", "seed=-4"], ["m=1"]]},
+                             ["seed=1"], ["n=20", "seed=-4"], ["m=1"], AMBIGUOUS[2]]},
     "simulate": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
                  "experiment": EXPERIMENTS, "cross_pairs": [True],
                  "format": ["json", "csv", "xml"]},
     "qkd": {"strategy": [["honest", "a=0.5", "c=0.5"], ["conjugate"], ["zpremeasure", "a=0.5"],
                          ["mismatched", "0", "1"], ["mismatched", "2", "0"], ["mismatched", "0"],
                          ["teleport"], ["custom", "@custom"], ["custom", "@no_kind"],
-                         ["custom", "@list"], ["custom", "@missing"]],
+                         ["custom", "@list"], ["custom", "@missing"], *AMBIGUOUS[3:]],
             "n": ["-1", "0", "1", "200", "x"], "threshold": ["0", "0.5", "nan", "-1", "inf", "x"]},
 }
 BAD_TOLERANCES = {"nan", "inf", "-inf", "-1"}      # refused for tol, stats_tol, threshold
@@ -1082,7 +1139,8 @@ def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
         if value is None:
             continue
         value = fuzz_value(value, fuzz_dir)
-        bad = key in ("tol", "stats_tol", "threshold") and value in BAD_TOLERANCES
+        bad = (key in ("tol", "stats_tol", "threshold") and value in BAD_TOLERANCES
+               or value in AMBIGUOUS)
         if data.draw(st.booleans(), label=f"{key} from config"):
             config[key] = value
             bad_config |= bad

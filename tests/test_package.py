@@ -119,6 +119,25 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_only_the_entry_point_imports_gc():
+    """conjsim.__main__.run alone turns the cyclic collector off, for a job; importing conjsim
+    or calling cli.main in-process leaves it as it was."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "conjsim").glob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno}" for n in names if n.split(".")[0] == "gc"]
+    assert found == []
+
+
 def test_records_are_built_without_dataclasses():
     """Records subclass states.Record: src/ neither imports dataclasses nor decorates a class,
     and a qkd job, which builds records of every module, never loads the dataclasses module."""

@@ -516,6 +516,25 @@ def test_extraction_rotated_reference_fidelity():
         assert v == pytest.approx(1.0, abs=1e-10)
 
 
+def test_an_action_fidelity_is_the_modulus_of_a_complex_overlap():
+    """An X_A action with overlap 0.8 e^{i pi/4} with the reference action reads 0.8, not the
+    0.8 sqrt(2) of |Re| + |Im|."""
+    ext = extraction_isometry(reference_experiment("extended"))
+    psi = ext.state.amplitudes.reshape(2 * ext.state.dims[0], -1)
+    eye = np.eye(psi.shape[0] // 2)
+    target = ext.exp.act("A", np.kron(eye, reference_observables("extended")["A"]["X"]),
+                         psi).reshape(-1)
+    other = np.roll(target, 1)
+    other -= np.vdot(target, other) * target
+    other /= np.linalg.norm(other)
+    action = 0.8 * np.exp(-1j * np.pi / 4) * target + 0.6 * other
+    assert np.vdot(action, target) == pytest.approx(0.8 * np.exp(1j * np.pi / 4), abs=1e-12)
+    actions = {**ext.actions, ("A", "X"): replace(ext.actions[("A", "X")], amplitudes=action)}
+    fids = extraction_action_fidelities(replace(ext, actions=actions))
+    assert fids[("A", "X")] == pytest.approx(0.8, abs=1e-12)
+    assert all(v == pytest.approx(1.0, abs=1e-10) for key, v in fids.items() if key != ("A", "X"))
+
+
 def test_run_selftest_reference_mayersyao():
     report = run_selftest(reference_experiment("mayersyao"), tol=1e-9)
     assert report.passed and report.refused_stage is None
