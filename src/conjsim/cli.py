@@ -64,16 +64,29 @@ def _user_input(what: str):
         raise UsageError(f"{what}: {detail}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key the object gives twice is refused, naming it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} given twice")
+        out[key] = value
+    return out
+
+
 def _read_document(flag: str, path: str):
-    """The JSON document at ``path``; an unreadable, non-UTF-8 or non-JSON file is a UsageError."""
+    """The JSON document at ``path``; an unreadable, non-UTF-8 or non-JSON file, or an object
+    with a repeated key, is a UsageError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as err:
         detail = err.strerror or str(err)
     except UnicodeDecodeError as err:
         detail = f"not UTF-8 text ({err.reason} at byte {err.start})"
     except json.JSONDecodeError as err:
         detail = f"not JSON ({err})"
+    except ValueError as err:                   # from _unique_keys
+        detail = str(err)
     raise UsageError(f"{flag} {path}: {detail}")
 
 

@@ -88,14 +88,26 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _object(data, what: str) -> dict:
+    """``data`` if it is a JSON object; any other value is refused, naming ``what``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    return data
+
+
+def _array(data, what: str) -> list:
+    """``data`` if it is a JSON array; any other value is refused, naming ``what``."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what}: expected a JSON array")
+    return data
+
+
 def _known_keys(data, keys, what: str) -> dict:
     """``data`` when it is a JSON object each of whose keys is in ``keys``.
 
     Any other value, or the first key not in ``keys``, is refused with a ValueError.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{what}: expected a JSON object")
-    for key in data:
+    for key in _object(data, what):
         if key not in keys:
             raise ValueError(f"{key}: {what} does not read this key")
     return data
@@ -111,7 +123,7 @@ def state_from_json(data) -> StateVector | DensityMatrix:
     _known_keys(data, ("dims", "amplitudes", "matrix"), "a state")
     if "amplitudes" not in data and "matrix" not in data:
         raise ValueError("state JSON needs an 'amplitudes' or 'matrix' field")
-    dims = [_integer(d, "state dims") for d in data["dims"]]
+    dims = [_integer(d, "state dims") for d in _array(data["dims"], "state dims")]
     if "amplitudes" in data:
         return StateVector(dims, vector_from_json(data["amplitudes"]))
     return DensityMatrix(dims, matrix_from_json(data["matrix"]))
@@ -149,13 +161,16 @@ def experiment_from_json(data) -> Experiment:
     for p in ("A", "B"):
         _known_keys(parties[p], ("dims", "observables"), f"party {p}")
     flags = data.get("flag_registers")
+    if flags is not None:
+        _object(flags, "flag_registers")
     return Experiment(
         kind=data["kind"],
         state=state_from_json(data["state"]),
-        observables={p: {lab: matrix_from_json(m, f"observable {lab}_{p}")
-                         for lab, m in parties[p]["observables"].items()}
+        observables={p: {lab: matrix_from_json(m, f"observable {lab}_{p}") for lab, m in
+                         _object(parties[p]["observables"], f"party {p} observables").items()}
                      for p in ("A", "B")},
-        party_dims={p: tuple(_integer(d, f"party {p} dims") for d in parties[p]["dims"])
+        party_dims={p: tuple(_integer(d, f"party {p} dims")
+                             for d in _array(parties[p]["dims"], f"party {p} dims"))
                     for p in ("A", "B")},
         flag_registers=({k: _integer(v, f"flag_registers {k}") for k, v in flags.items()}
                         if flags else None),
@@ -224,38 +239,30 @@ def correlation_table_to_csv(table: CorrelationTable) -> str:
     return buf.getvalue()
 
 
-def _round_table(columns: list[tuple[str, tuple, np.ndarray]], render):
-    """Rendered text for every value combination, plus the rounds in chunks.
+def _round_table(t: Transcript, flags: bool, render):
+    """Rendered text for each cell of ``t``, plus its rounds in chunks.
 
-    ``columns`` holds (key, alphabet, column) with column entries indexing the
-    alphabet; ``render`` maps [(key, value), ...] to text.  A transcript has at
-    most 144 combinations, so each round costs one lookup instead of a format.
-    The chunks enumerate (round, index into the table) for CHUNK_ROUNDS
+    ``render`` maps a cell's [(key, value), ...] to text, with the keys
+    basis_a, basis_b, (flag_a, flag_b when ``flags``,) outcome_a, outcome_b.
+    A transcript has 72 cells, so each round costs one lookup instead of a
+    format.  The chunks enumerate (round, cell index) for CHUNK_ROUNDS
     consecutive rounds each.
     """
-    table = [render(list(zip([key for key, _, _ in columns], values)))
-             for values in itertools.product(*(alphabet for _, alphabet, _ in columns))]
-    code = np.zeros(len(columns[0][2]), dtype=np.intp)
-    for _, alphabet, column in columns:
-        code = code * len(alphabet) + column
-    chunks = (enumerate(code[start:start + CHUNK_ROUNDS].tolist(), start)
-              for start in range(0, len(code), CHUNK_ROUNDS))
-    return table, chunks
-
-
-def _transcript_columns(t: Transcript, flags: bool) -> list[tuple[str, tuple, np.ndarray]]:
     from .sixstate import BASES
 
-    columns = [("basis_a", BASES, t.basis_a), ("basis_b", BASES, t.basis_b)]
-    if flags and t.flag_a is not None:
-        columns += [("flag_a", (0, 1), t.flag_a), ("flag_b", (0, 1), t.flag_b)]
-    return columns + [("outcome_a", (0, 1), t.outcome_a), ("outcome_b", (0, 1), t.outcome_b)]
+    table = [render([("basis_a", ba), ("basis_b", bb),
+                     *([("flag_a", flag), ("flag_b", flag)] if flags else []),
+                     ("outcome_a", oa), ("outcome_b", ob)])
+             for flag, ba, bb, oa, ob in itertools.product((0, 1), BASES, BASES, (0, 1), (0, 1))]
+    cells = t.cells()
+    chunks = (enumerate(cells[start:start + CHUNK_ROUNDS].tolist(), start)
+              for start in range(0, len(cells), CHUNK_ROUNDS))
+    return table, chunks
 
 
 def transcript_to_csv(t: Transcript, out: TextIO) -> None:
     """Write columns round, basis_a, basis_b, outcome_a, outcome_b (flags are not written)."""
-    table, chunks = _round_table(_transcript_columns(t, flags=False),
-                                 lambda items: ",".join(str(v) for _, v in items))
+    table, chunks = _round_table(t, False, lambda items: ",".join(str(v) for _, v in items))
     out.write("round,basis_a,basis_b,outcome_a,outcome_b\n")
     for rounds in chunks:
         out.write("".join([f"{i},{table[c]}\n" for i, c in rounds]))
@@ -274,7 +281,7 @@ def transcript_to_json(t: Transcript, out: TextIO) -> None:
         out.write('{\n  "rounds": [],\n' + head[2:])
         return
     table, chunks = _round_table(
-        _transcript_columns(t, flags=True),
+        t, t.premeasured,
         lambda items: "".join(f'      "{k}": {json.dumps(v)},\n' for k, v in items))
     out.write('{\n  "rounds": [\n')
     separator = ""

@@ -9,19 +9,22 @@ every feasible family member, so the honest QBER is exactly 0.  Each basis
 pair's joint-outcome table is read off that experiment's correlation table
 with the source state put in (:meth:`CorrelationTable.outcome_probs`).
 
-A transcript is a set of columns, not a list of round objects: ``basis_a``,
-``basis_b``, ``outcome_a`` and ``outcome_b`` are ``int8`` arrays of length n
-(bases coded 0/1/2 as indices into :data:`BASES`, outcomes as bits with
-+1 -> 0, -1 -> 1), plus ``flag_a``/``flag_b`` when Eve premeasures the flags.
+A transcript is its cell counts, not a list of rounds: ``counts[f, a, b, k]``
+of shape :data:`CELLS` is how many rounds had premeasured flags (f, f), bases
+``BASES[a]`` and ``BASES[b]``, and joint outcome k, whose bits are
+(k >> 1, k & 1) with +1 -> 0, -1 -> 1.  The flag axis is used only when Eve
+premeasures the flags; otherwise every round counts at f = 0.
 
-All draws come from one ``default_rng(seed)`` stream, in whole blocks of n and
-in this order: the ``basis_a`` column (``integers(3, size=n, dtype=int8)``),
-the ``basis_b`` column (the same call), then, only when the flag collapse is
-not deterministic, one uniform per round choosing the flag branch, then one
-uniform per round choosing the joint outcome.  Each branch and each outcome is
-the number of cumulants of its table, all but the last, that are <= its
-uniform (:func:`_draw_outcomes`).  Transcripts are therefore a pure function
-of (strategy, n, seed).
+All counts come from one ``default_rng(seed).multinomial(n, p)`` over the 72
+cells, with p = flag-branch weight x 1/9 x the pair's outcome distribution,
+so a transcript is a pure function of (strategy, n, seed) and costs the same
+at any n.  A cell of p <= CELL_TOL is empty: rounding leaves about 1e-16 in
+cells that are 0, and each nonzero cell draws uniforms.  Rounds exist only
+when a transcript is written (:meth:`Transcript.cells`): each cell index
+repeated by its count, shuffled once by ``default_rng([seed, 1])``.  An
+i.i.d. sequence is uniform over the orderings of its counts, so the written
+rounds keep the per-round law exactly, and the report does not depend on
+whether they are written.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ BASES = ("X", "Y", "Z")
 SOURCE_DIMS = (2, 2, 2, 2)            # flag_A, data_A, flag_B, data_B
 FLAG_A, DATA_A, FLAG_B, DATA_B = range(4)
 BRANCH_TOL = 1e-9                     # a flag branch of at most this weight is empty
+CELL_TOL = 1e-14                      # a cell of at most this probability is empty
+CELLS = (2, 3, 3, 4)                  # flag, basis_a, basis_b, joint outcome
 
 
 class Honest(Record):
@@ -123,20 +128,14 @@ def expected_consistent(strategy: EveStrategy) -> bool | None:
     return True
 
 
-def _outcome_cumulants(rho: DensityMatrix) -> dict[tuple[str, str], np.ndarray]:
-    """Cumulative joint-outcome distributions for all nine basis pairs.
+def _outcome_probs(rho: DensityMatrix) -> np.ndarray:
+    """Joint-outcome distributions of the nine basis pairs, indexed [basis_a, basis_b, k].
 
     Outcome index k encodes (bit_a, bit_b) = (k >> 1, k & 1) with the
     +1 -> 0, -1 -> 1 convention.
     """
     table = correlations(with_state(family_experiment(SimParams(1.0), "extended"), rho))
-    out = {}
-    for ba in BASES:
-        for bb in BASES:
-            cum = np.cumsum(table.outcome_probs(ba, bb))
-            cum[-1] = 1.0
-            out[(ba, bb)] = cum
-    return out
+    return np.array([[table.outcome_probs(ba, bb) for bb in BASES] for ba in BASES])
 
 
 def _flag_branches(rho: DensityMatrix):
@@ -165,75 +164,54 @@ def _flag_branches(rho: DensityMatrix):
     return branches
 
 
-def _draw_outcomes(cumulants: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
-    """Outcome index per uniform in ``u``: how many cumulants, all but the last, are <= it.
-
-    ``cumulants`` holds one cumulative distribution per row; ``rows`` picks each
-    uniform's row.  Never reading the last cumulant pins it to 1, so no uniform
-    in [0, 1) picks an outcome past the end when rounding leaves the sum below 1.
-    """
-    cum = np.atleast_2d(cumulants)
-    k = np.zeros(len(u), dtype=np.int8)
-    for column in cum[:, :-1].T:
-        k += column.take(rows) <= u
-    return k
-
-
 class Transcript(Record):
-    """Per-round columns: ``int8`` arrays of length n, round i at index i.
+    """n rounds as cell counts: an int64 array of shape :data:`CELLS`.
 
-    Bases are coded 0/1/2 as indices into :data:`BASES`; outcomes are bits
-    (+1 -> 0, -1 -> 1).  ``flag_a``/``flag_b`` hold the premeasured flags when
-    Eve premeasures and are None otherwise.
+    ``premeasured`` says whether Eve premeasured the flags, so that the rounds
+    carry them; otherwise every round counts at flag 0.
     """
 
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-    outcome_a: np.ndarray
-    outcome_b: np.ndarray
+    counts: np.ndarray
     seed: int
     strategy: dict
-    flag_a: np.ndarray | None = None
-    flag_b: np.ndarray | None = None
+    premeasured: bool = False
 
     @property
     def n(self) -> int:
-        return len(self.basis_a)
+        return int(self.counts.sum())
+
+    def cells(self) -> np.ndarray:
+        """Each round's index into ``counts.ravel()``, in round order.
+
+        The indices repeated by their counts, shuffled once by ``default_rng([seed, 1])``.
+        """
+        cells = np.repeat(np.arange(self.counts.size, dtype=np.int8), self.counts.ravel())
+        np.random.default_rng([self.seed, 1]).shuffle(cells)
+        return cells
 
     def __eq__(self, other):
         if not isinstance(other, Transcript):
             return NotImplemented
-        columns = ("basis_a", "basis_b", "outcome_a", "outcome_b", "flag_a", "flag_b")
-        return (self.seed == other.seed and self.strategy == other.strategy
-                and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns))
+        return (np.array_equal(self.counts, other.counts)
+                and (self.seed, self.strategy, self.premeasured)
+                == (other.seed, other.strategy, other.premeasured))
 
 
 def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
     """Simulate n protocol rounds; deterministic for a given (strategy, n, seed)."""
-    if n < 1:
-        raise ValueError("need at least one round")
+    if not 1 <= n < 2 ** 63:                        # numpy's multinomial counts are int64
+        raise ValueError(f"need at least one round and fewer than 2**63, got {n}")
     rho = source_state(strategy)
+    p = np.zeros(CELLS)
     if isinstance(strategy, ZPremeasure):
-        branches = _flag_branches(rho)
-        sources = [b for _, _, b in branches]
-        probs = np.array([p for p, _, _ in branches])
-        flags = np.array([f for _, f, _ in branches], dtype=np.int8)
+        for weight, (flag, _), post in _flag_branches(rho):
+            p[flag] = weight * _outcome_probs(post)
     else:
-        sources, probs, flags = [rho], np.array([1.0]), None
-    tables = [_outcome_cumulants(s) for s in sources]
-    cum = np.array([[t[(ba, bb)] for ba in BASES for bb in BASES] for t in tables])
-
-    rng = np.random.default_rng(int(seed))
-    basis_a = rng.integers(3, size=n, dtype=np.int8)
-    basis_b = rng.integers(3, size=n, dtype=np.int8)
-    branch = np.zeros(n, dtype=np.int8)
-    if len(tables) > 1:
-        branch = _draw_outcomes(np.cumsum(probs / probs.sum()), rng.random(n))
-    k = _draw_outcomes(cum.reshape(-1, 4), rng.random(n), 9 * branch + 3 * basis_a + basis_b)
-    return Transcript(basis_a=basis_a, basis_b=basis_b, outcome_a=k >> 1, outcome_b=k & 1,
-                      seed=int(seed), strategy=strategy.describe(),
-                      flag_a=None if flags is None else flags[:, 0].take(branch),
-                      flag_b=None if flags is None else flags[:, 1].take(branch))
+        p[0] = _outcome_probs(rho)
+    p[p <= CELL_TOL] = 0.0
+    counts = np.random.default_rng(int(seed)).multinomial(n, p.ravel() / p.sum())
+    return Transcript(counts.reshape(CELLS), int(seed), strategy.describe(),
+                      isinstance(strategy, ZPremeasure))
 
 
 class QberReport(Record):
@@ -274,19 +252,16 @@ def _rates_and_verdict(sifted: dict[str, int], errors: dict[str, int], total_rou
 
 def sift(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
     """Keep same-basis rounds and compute per-basis error rates."""
-    same = t.basis_a == t.basis_b
-    sifted_counts = np.bincount(t.basis_a[same], minlength=3)
-    error_counts = np.bincount(t.basis_a[same & (t.outcome_a != t.outcome_b)], minlength=3)
-    sifted = {b: int(c) for b, c in zip(BASES, sifted_counts)}
-    errors = {b: int(c) for b, c in zip(BASES, error_counts)}
+    same = np.einsum("fbbk->bk", t.counts)      # [basis, k] of the rounds with one basis
+    sifted = {b: int(c) for b, c in zip(BASES, same.sum(axis=1))}
+    errors = {b: int(c) for b, c in zip(BASES, same[:, 1] + same[:, 2])}    # the bits differ
     total = t.n
     kept = sum(sifted.values())
     rates, verdict = _rates_and_verdict(sifted, errors, total, abort_threshold)
-    mismatches = None if t.flag_a is None else int(np.count_nonzero(t.flag_a != t.flag_b))
     return QberReport(sifted=sifted, errors=errors, rates=rates,
                       total_rounds=total, sift_fraction=kept / total if total else 0.0,
                       abort_threshold=abort_threshold, verdict=verdict,
-                      flag_mismatches=mismatches)
+                      flag_mismatches=0 if t.premeasured else None)
 
 
 def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> QberReport:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here and nowhere else.
 """
 
+import io
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from conjsim.selftest import (
     with_observable,
     with_state,
 )
+from conjsim.serialize import transcript_to_json
 from conjsim.sixstate import (
     Honest,
     MismatchedFlags,
@@ -186,7 +188,11 @@ def test_criterion_8_qkd_invariants():
     corrected = eve_flip_correction(mismatch, (0, 1))
     assert corrected.rates["Y"] == 0.0
     tz = run_rounds(ZPremeasure(SimParams(0.5, 0.5)), n, seed=7)
-    assert np.count_nonzero(tz.flag_a != tz.flag_b) == 0
+    assert sift(tz).flag_mismatches == 0
+    written = io.StringIO()
+    transcript_to_json(tz, written)
+    rounds = json.loads(written.getvalue())["rounds"]
+    assert len(rounds) == n and all(r["flag_a"] == r["flag_b"] for r in rounds)
     report("8: PASS honest QBER exactly 0 on the grid; mismatched flags flip exactly "
            "the Y basis and are corrected; zero flag mismatches under premeasurement")
 

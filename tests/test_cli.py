@@ -168,6 +168,59 @@ def test_selftest_reports_keep_their_bytes(tmp_path, monkeypatch):
         assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
 
 
+# SHA-256 of the --out bytes of one qkd job per strategy, and of the transcripts two of them
+# write: a CSV one and a premeasured JSON one.  (argv, transcript, exit code, report digest,
+# transcript digest)
+QKD_REPORTS = [
+    (["--strategy", "honest", "a=0.3", "c=0.2", "--n", "20000", "--seed", "3"], None, 0,
+     "365d5372df5b71ec4f78834d768ad3f049e67203c532207ed3952a1e9407ded2", None),
+    (["--strategy", "conjugate", "--n", "3000", "--seed", "4"], "rounds.csv", 0,
+     "ad839627489788ef24f2103ab25c00ed7c2f4f8f3cd410f26022058a3095a858",
+     "bab5d497967b12698c49ff6d8bb86ffacb57433520b3e81dbc5dd41e4a6ac80c"),
+    (["--strategy", "zpremeasure", "a=0.5", "c=0.5", "--n", "3000", "--seed", "5"],
+     "rounds.json", 0, "8c8c82adac8962a6ba82f3e31be81afe36d06435dcea1f05723bacc9fab61fc4",
+     "6f1dc3c655d47b5041639fd0bc94b60364bd6ae3bebb61e0d29abf85bc35a2de"),
+    (["--strategy", "mismatched", "0", "1", "--n", "3000", "--seed", "6"], None, 0,
+     "a4f52a10276696c551573fb18bc7ffcb35874b831699ae3ac5dae7a4b748232d", None),
+    (["--strategy", "custom", "custom.json", "--n", "10000", "--seed", "7", "--threshold",
+      "0.05"], None, 1, "f8edce40dedbf36a6a838bf27662ed0f128c695b4551c20cb1d8c0c6eeb5f447",
+     None),
+]
+
+
+def write_custom_source():
+    """custom.json: the mismatched flags' source with 10 % white noise."""
+    rho = source_state(MismatchedFlags(0, 1))
+    noisy = 0.9 * rho.matrix + 0.1 * np.eye(16) / 16
+    Path("custom.json").write_text(dumps(state_to_json(replace(rho, matrix=noisy))))
+
+
+def test_qkd_reports_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_custom_source()
+    for argv, transcript, code, digest, transcript_digest in QKD_REPORTS:
+        written = ["--transcript-out", transcript] if transcript else []
+        assert run(["qkd", *argv, *written, "--out", "report.json"]) == code, argv
+        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
+        if transcript:
+            assert (hashlib.sha256(Path(transcript).read_bytes()).hexdigest()
+                    == transcript_digest), argv
+
+
+def test_a_qkd_report_does_not_depend_on_writing_a_transcript(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_custom_source()
+    for argv, _, code, _, _ in QKD_REPORTS:
+        assert run(["qkd", *argv, "--out", "report.json"]) == code, argv
+        plain = Path("report.json").read_text()
+        for transcript in ("rounds.csv", "rounds.json"):
+            written = ["--transcript-out", transcript, "--out", "report.json"]
+            assert run(["qkd", *argv, *written]) == code, argv
+            report = read_json(Path("report.json"))
+            assert report["config"].pop("transcript_out") == transcript
+            assert dumps(report) == plain, (argv, transcript)
+
+
 def strict_json(text):
     """``json.loads`` that refuses NaN, Infinity and -Infinity."""
     def refuse(constant):
@@ -493,26 +546,53 @@ def test_strategy_documents_read_only_their_own_keys_as_numbers(tmp_path):
         assert err.startswith(f"error: s{i}.json: {key}: ") and detail in err, err
 
 
+def edited_member(edit):
+    """The (0.3, 0.2) member's experiment document as text, after ``edit``."""
+    document = experiment_to_json(family_experiment(SimParams(0.3, 0.2), "extended"))
+    edit(document)
+    return json.dumps(document)
+
+
+def listed(document, *path):
+    """Replace the object at ``path`` in ``document`` by the list of its values."""
+    *parents, key = path
+    for parent in parents:
+        document = document[parent]
+    document[key] = list(document[key].values())
+
+
+EXPERIMENT = ["selftest", "--experiment"]
+CUSTOM = ["qkd", "--seed", "1", "--strategy", "custom"]
 NOT_OBJECTS = [
-    (["selftest", "--experiment"], '"strategy"', "an experiment"),
-    (["selftest", "--experiment"], "5", "an experiment"),
-    (["selftest", "--experiment"], '{"kind": "extended", "state": {}, "parties": []}',
-     "the parties of an experiment"),
-    (["qkd", "--seed", "1", "--strategy", "custom"], '"strategy"', "a state"),
-    (["qkd", "--seed", "1", "--strategy", "custom"], "5", "a state"),
-    (["qkd", "--seed", "1", "--strategy", "custom"], "[1, 2]", "a state"),
+    (EXPERIMENT, '"strategy"', "an experiment: expected a JSON object"),
+    (EXPERIMENT, "5", "an experiment: expected a JSON object"),
+    (EXPERIMENT, '{"kind": "extended", "state": {}, "parties": []}',
+     "the parties of an experiment: expected a JSON object"),
+    (CUSTOM, '"strategy"', "a state: expected a JSON object"),
+    (CUSTOM, "5", "a state: expected a JSON object"),
+    (CUSTOM, "[1, 2]", "a state: expected a JSON object"),
+    (EXPERIMENT, edited_member(lambda d: listed(d, "parties", "A", "observables")),
+     "party A observables: expected a JSON object"),
+    (EXPERIMENT, edited_member(lambda d: listed(d, "flag_registers")),
+     "flag_registers: expected a JSON object"),
+    (EXPERIMENT, edited_member(lambda d: d["state"].update(dims=16)),
+     "state dims: expected a JSON array"),
+    (EXPERIMENT, edited_member(lambda d: d["parties"]["B"].update(dims=4)),
+     "party B dims: expected a JSON array"),
 ]
 
 
-@pytest.mark.parametrize("argv, text, what", NOT_OBJECTS, ids=[
+@pytest.mark.parametrize("argv, text, detail", NOT_OBJECTS, ids=[
     "experiment_string", "experiment_number", "experiment_parties_list",
-    "custom_string", "custom_number", "custom_list"])
-def test_documents_that_are_not_objects_are_named_so(tmp_path, capsys, argv, text, what):
-    # at the parent '"strategy"' was refused for a key 's' and 5 as "'int' object is not iterable"
+    "custom_string", "custom_number", "custom_list", "observables_list",
+    "flag_registers_list", "state_dims_number", "party_dims_number"])
+def test_documents_that_are_not_objects_are_named_so(tmp_path, capsys, argv, text, detail):
+    # at the parent '"strategy"' was refused for a key 's' and 5 as "'int' object is not
+    # iterable"; a list of observables or flag registers as an AttributeError
     path = tmp_path / "d.json"
     path.write_text(text)
     assert run([*argv, str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: {what}: expected a JSON object\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {detail}\n")
 
 
 def foreign_documents():
@@ -773,12 +853,18 @@ DOCUMENT_FLAGS = {"--config": ["--config", "{path}", "props"],
                   "--experiment": ["selftest", "--experiment", "{path}"],
                   "--strategy custom": ["qkd", "--strategy", "custom", "{path}", "--seed", "1"]}
 BAD_DOCUMENTS = {"not_utf8.json": "not UTF-8 text", "malformed.json": "not JSON",
-                 "a_directory": "Is a directory"}
+                 "a_directory": "Is a directory",
+                 "repeated_key.json": "key 'a' given twice\n",
+                 "repeated_nested_key.json": "key 'dims' given twice\n"}
 
 
 def test_unreadable_documents_are_usage_errors(tmp_path):
+    # a repeated key kept its last value without a word before it was refused
     (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
     (tmp_path / "malformed.json").write_text('{"kind": ')
+    (tmp_path / "repeated_key.json").write_text('{"strategy": "honest", "a": 0.3, "a": 0.7}')
+    (tmp_path / "repeated_nested_key.json").write_text(
+        '{"state": {"dims": [2, 2], "amplitudes": [], "dims": [4]}}')
     (tmp_path / "a_directory").mkdir()
     cases = [(flag, name) for flag in DOCUMENT_FLAGS for name in BAD_DOCUMENTS]
     argvs = [[a.format(path=tmp_path / name) for a in DOCUMENT_FLAGS[flag]]

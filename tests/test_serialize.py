@@ -32,6 +32,7 @@ from conjsim.serialize import (
 )
 from conjsim.sixstate import (
     BASES,
+    CELLS,
     Conjugate,
     CustomState,
     Honest,
@@ -121,14 +122,17 @@ def test_correlation_table_dict_sampled_fields():
 
 
 # --------------------------------------------------------------------------
-# reference encoders: one record per round, a CSV f-string loop and dumps(dict)
+# reference encoders: one record per round, each decoded from its cell index on its own,
+# a CSV f-string loop and dumps(dict)
 
 def reference_records(t):
-    flags = t.flag_a is not None
-    return [{"round": i, "basis_a": BASES[t.basis_a[i]], "basis_b": BASES[t.basis_b[i]],
-             "outcome_a": int(t.outcome_a[i]), "outcome_b": int(t.outcome_b[i]),
-             **({"flag_a": int(t.flag_a[i]), "flag_b": int(t.flag_b[i])} if flags else {})}
-            for i in range(t.n)]
+    records = []
+    for i, cell in enumerate(t.cells()):
+        flag, a, b, k = (int(x) for x in np.unravel_index(cell, CELLS))
+        records.append({"round": i, "basis_a": BASES[a], "basis_b": BASES[b],
+                        "outcome_a": k >> 1, "outcome_b": k & 1,
+                        **({"flag_a": flag, "flag_b": flag} if t.premeasured else {})})
+    return records
 
 
 def reference_csv(t):

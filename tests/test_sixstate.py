@@ -1,3 +1,11 @@
+import csv
+import io
+import itertools
+import json
+import math
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,8 +13,10 @@ from conjsim import sixstate
 from conjsim.family import SimParams, c_of
 from conjsim.linalg import PAULIS, Y, random_psd
 from conjsim.selftest import family_experiment
+from conjsim.serialize import transcript_to_csv, transcript_to_json
 from conjsim.sixstate import (
     BASES,
+    CELLS,
     SOURCE_DIMS,
     Conjugate,
     CustomState,
@@ -21,7 +31,7 @@ from conjsim.sixstate import (
     source_state,
     zpremeasure_analysis,
 )
-from conjsim.states import DensityMatrix
+from conjsim.states import DensityMatrix, replace
 
 from dense_reference import embed_operator, flag_branches
 
@@ -51,23 +61,21 @@ def dense_measurement_ops():
     return ops
 
 
-def dense_outcome_cumulants(rho):
+def dense_outcome_probs(rho):
+    """[basis_a, basis_b, k] joint-outcome table of ``rho`` from 16x16 projectors."""
     ops = dense_measurement_ops()
     eye = np.eye(rho.dim)
-    out = {}
-    for ba in BASES:
-        for bb in BASES:
-            ma, mb = ops[("A", ba)], ops[("B", bb)]
-            probs = []
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    proj = ((eye + sa * ma) / 2) @ ((eye + sb * mb) / 2)
-                    probs.append(float(np.trace(rho.matrix @ proj).real))
-            probs = np.clip(np.array(probs), 0.0, None)
-            assert abs(probs.sum() - 1.0) <= 1e-9
-            cum = np.cumsum(probs / probs.sum())
-            cum[-1] = 1.0
-            out[(ba, bb)] = cum
+    out = np.zeros((3, 3, 4))
+    for (a, ba), (b, bb) in itertools.product(enumerate(BASES), repeat=2):
+        ma, mb = ops[("A", ba)], ops[("B", bb)]
+        probs = []
+        for sa in (1, -1):
+            for sb in (1, -1):
+                proj = ((eye + sa * ma) / 2) @ ((eye + sb * mb) / 2)
+                probs.append(float(np.trace(rho.matrix @ proj).real))
+        probs = np.clip(np.array(probs), 0.0, None)
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        out[a, b] = probs / probs.sum()
     return out
 
 
@@ -87,16 +95,28 @@ STRATEGIES = [
     Conjugate(),
     ZPremeasure(SimParams(0.5, 0.5)),
     ZPremeasure(SimParams(0.0, 0.0)),
+    ZPremeasure(SimParams(0.3, 0.25 * np.exp(0.7j))),     # unequal flag branches
     *(MismatchedFlags(fa, fb) for fa in (0, 1) for fb in (0, 1)),
     *(random_custom_state(seed, rank) for seed, rank in ((1, None), (2, 1), (3, 3))),
 ]
 
 
 def source_branches(strategy):
+    """[(weight, flag, state)]: the dense flag collapse under ZPremeasure, else the source."""
     rho = source_state(strategy)
     if isinstance(strategy, ZPremeasure):
-        return [branch for _, _, branch in flag_branches(rho)]
-    return [rho]
+        return [(p, flags[0], branch) for p, flags, branch in flag_branches(rho)]
+    return [(1.0, 0, rho)]
+
+
+def exact_cell_probs(strategy):
+    """[flag, basis_a, basis_b, k] probability of one round, from the dense references."""
+    branches = source_branches(strategy)
+    total = sum(weight for weight, _, _ in branches)
+    probs = np.zeros(CELLS)
+    for weight, flag, rho in branches:
+        probs[flag] = weight / total / 9 * dense_outcome_probs(rho)
+    return probs
 
 
 @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 1.0])
@@ -129,104 +149,108 @@ def test_lifted_observables():
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
 def test_outcome_tables_match_dense_reference(strategy):
-    for rho in source_branches(strategy):
-        got, want = sixstate._outcome_cumulants(rho), dense_outcome_cumulants(rho)
-        assert got.keys() == want.keys()
-        for key in want:
-            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+    for _, _, rho in source_branches(strategy):
+        got, want = sixstate._outcome_probs(rho), dense_outcome_probs(rho)
+        assert got.shape == want.shape == (3, 3, 4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
 def test_run_rounds_identical_with_dense_tables(seed, monkeypatch):
     fast = [run_rounds(s, 2000, seed) for s in STRATEGIES]
-    monkeypatch.setattr(sixstate, "_outcome_cumulants", dense_outcome_cumulants)
+    monkeypatch.setattr(sixstate, "_outcome_probs", dense_outcome_probs)
     dense = [run_rounds(s, 2000, seed) for s in STRATEGIES]
     assert fast == dense
 
 
 # --------------------------------------------------------------------------
-# per-round reference: the same documented block draws, one searchsorted per
-# round on the dense tables
+# per-round references: rounds drawn one at a time, the documented draw
+# expanded a round at a time, and rounds read back from a written transcript,
+# all as columns
 
-COLUMNS = ("basis_a", "basis_b", "outcome_a", "outcome_b", "flag_a", "flag_b")
+KEYS = ("basis_a", "basis_b", "outcome_a", "outcome_b")
 
 
-def same_rounds(a, b):
-    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in COLUMNS)
+def as_columns(records):
+    """Columns of round records {basis_a: 0..2, basis_b, outcome_a: bit, outcome_b[, flag_a,
+    flag_b]}; flag_a and flag_b are None when the records carry no flags."""
+    flags = ("flag_a", "flag_b") if "flag_a" in records[0] else ()
+    columns = {key: np.array([r[key] for r in records]) for key in KEYS + flags}
+    return SimpleNamespace(**{"n": len(records), "flag_a": None, "flag_b": None, **columns})
+
+
+def cell_counts(rounds):
+    """How many of ``rounds`` fall in each cell; rounds without flags count at flag 0."""
+    flag = 0 if rounds.flag_a is None else rounds.flag_a
+    cells = np.ravel_multi_index((flag, rounds.basis_a, rounds.basis_b,
+                                  2 * rounds.outcome_a + rounds.outcome_b), CELLS)
+    return np.bincount(cells, minlength=math.prod(CELLS)).reshape(CELLS)
 
 
 def reference_rounds(strategy, n, seed):
-    rho = source_state(strategy)
-    if isinstance(strategy, ZPremeasure):
-        branches = flag_branches(rho)
-    else:
-        branches = [(1.0, None, rho)]
-    tables = [dense_outcome_cumulants(b) for _, _, b in branches]
+    """n rounds drawn one at a time from ``default_rng(seed)``: two uniform bases, the flag
+    branch, then the joint outcome, each the searchsorted of one uniform in the dense
+    cumulants (clamped to the last entry when rounding leaves them below 1)."""
+    branches = source_branches(strategy)
+    weights = np.cumsum([weight for weight, _, _ in branches])
+    tables = [np.cumsum(dense_outcome_probs(rho), axis=-1) for _, _, rho in branches]
     rng = np.random.default_rng(seed)
-    basis_a = rng.integers(3, size=n, dtype=np.int8)
-    basis_b = rng.integers(3, size=n, dtype=np.int8)
-    if len(branches) > 1:
-        probs = np.array([p for p, _, _ in branches])
-        cum_branch = np.cumsum(probs / probs.sum())
-        cum_branch[-1] = 1.0
-        u_branch = rng.random(n)
-    u = rng.random(n)
-    outcome_a, outcome_b, flag_a, flag_b = [], [], [], []
-    for i in range(n):
-        branch = 0
-        if len(branches) > 1:
-            branch = int(np.searchsorted(cum_branch, u_branch[i], side="right"))
-        pair = (BASES[basis_a[i]], BASES[basis_b[i]])
-        k = int(np.searchsorted(tables[branch][pair], u[i], side="right"))
-        outcome_a.append(k >> 1)
-        outcome_b.append(k & 1)
-        flags = branches[branch][1]
-        if flags is not None:
-            flag_a.append(flags[0])
-            flag_b.append(flags[1])
-    flag_a, flag_b = (np.array(f, dtype=np.int8) if isinstance(strategy, ZPremeasure) else None
-                      for f in (flag_a, flag_b))
-    return Transcript(basis_a=basis_a, basis_b=basis_b,
-                      outcome_a=np.array(outcome_a, dtype=np.int8),
-                      outcome_b=np.array(outcome_b, dtype=np.int8),
-                      seed=seed, strategy=strategy.describe(), flag_a=flag_a, flag_b=flag_b)
+    records = []
+    for _ in range(n):
+        a, b = rng.integers(3, size=2)
+        branch = min(int(np.searchsorted(weights / weights[-1], rng.random(), "right")),
+                     len(branches) - 1)
+        k = min(int(np.searchsorted(tables[branch][a, b], rng.random(), "right")), 3)
+        flag = branches[branch][1]
+        records.append({"basis_a": a, "basis_b": b, "outcome_a": k >> 1, "outcome_b": k & 1,
+                        **({"flag_a": flag, "flag_b": flag}
+                           if isinstance(strategy, ZPremeasure) else {})})
+    return as_columns(records)
+
+
+def written_rounds(t, encode):
+    """The rounds ``encode`` writes for ``t``, read back as columns."""
+    out = io.StringIO()
+    encode(t, out)
+    text = out.getvalue()
+    records = (json.loads(text)["rounds"] if encode is transcript_to_json
+               else list(csv.DictReader(io.StringIO(text))))
+    assert [int(r.pop("round")) for r in records] == list(range(t.n))
+    return as_columns([{k: BASES.index(v) if k.startswith("basis") else int(v)
+                        for k, v in r.items()} for r in records])
+
+
+def documented_rounds(strategy, n, seed):
+    """The documented draw on the dense references, a round at a time: the multinomial
+    counts of the exact cell probabilities from ``default_rng(seed)``, each cell listed once
+    per count in cell order, shuffled by ``default_rng([seed, 1])``, as columns."""
+    counts = np.random.default_rng(seed).multinomial(n, exact_cell_probs(strategy).ravel())
+    cells = []
+    for cell, count in enumerate(counts):
+        cells += [cell] * int(count)
+    order = np.array(cells)
+    np.random.default_rng([seed, 1]).shuffle(order)
+    records = []
+    for cell in order:
+        flag, a, b, k = (int(x) for x in np.unravel_index(cell, CELLS))
+        records.append({"basis_a": a, "basis_b": b, "outcome_a": k >> 1, "outcome_b": k & 1,
+                        **({"flag_a": flag, "flag_b": flag}
+                           if isinstance(strategy, ZPremeasure) else {})})
+    return as_columns(records)
+
+
+def same_rounds(a, b):
+    return a.n == b.n and all(
+        (getattr(a, key) is None and getattr(b, key) is None)
+        or np.array_equal(getattr(a, key), getattr(b, key)) for key in KEYS + ("flag_a", "flag_b"))
 
 
 @pytest.mark.parametrize("n", [1, 2000])
 @pytest.mark.parametrize("seed", [0, 5, 9])
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
 def test_run_rounds_matches_per_round_reference(strategy, seed, n):
-    fast, slow = run_rounds(strategy, n, seed), reference_rounds(strategy, n, seed)
-    assert same_rounds(fast, slow)
-    assert fast == slow
-
-
-def test_draw_outcomes_never_picks_a_missing_outcome():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        probs = rng.random(4)
-        cum = np.cumsum(probs / probs.sum())
-        if cum[-1] < 1.0:
-            break
-    else:
-        pytest.fail("no 4-outcome table whose cumulants end below 1")
-    u = np.array([np.nextafter(1.0, 0.0)])
-    assert np.searchsorted(cum, u, side="right")[0] == 4      # the outcome that does not exist
-    assert sixstate._draw_outcomes(cum, u)[0] == 3
-
-
-def test_draw_outcomes_match_searchsorted():
-    rng = np.random.default_rng(1)
-    tables = np.cumsum(rng.dirichlet(np.ones(4), size=5), axis=1)
-    u = rng.random(2000)
-    rows = rng.integers(5, size=2000)
-    keep = u < tables[rows, -1]
-    want = [np.searchsorted(tables[r], x, side="right") for r, x in zip(rows, u)]
-    got = sixstate._draw_outcomes(tables, u, rows)
-    np.testing.assert_array_equal(got[keep], np.array(want)[keep])
-    for row in range(5):
-        np.testing.assert_array_equal(sixstate._draw_outcomes(tables[row], u),
-                                      np.minimum(np.searchsorted(tables[row], u, "right"), 3))
+    t = run_rounds(strategy, n, seed)
+    assert same_rounds(written_rounds(t, transcript_to_json), documented_rounds(strategy, n, seed))
 
 
 def reference_sift(t, abort_threshold=0.0):
@@ -249,20 +273,89 @@ def reference_sift(t, abort_threshold=0.0):
                                flag_mismatches=mismatches)
 
 
+def within_bernstein(count, n, p, delta=1e-6):
+    """Whether a Binomial(n, p) count lies within Bernstein's two-sided bound of n p, which
+    a correct sampler leaves with probability at most delta."""
+    log_term = math.log(2 / delta)
+    slack = log_term / 3 + math.sqrt(log_term ** 2 / 9 + 2 * n * p * (1 - p) * log_term)
+    return abs(count - n * p) <= slack
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
+def test_cell_frequencies_match_exact_probabilities(strategy):
+    # run_rounds over 20 seeds of 500 rounds and reference_rounds over 20 seeds of 100: the
+    # summed counts of each are multinomial, so each of the 72 cells is binomial.  A cell of
+    # probability <= 1e-12 must stay empty (chance <= 1e-8); every other cell must lie within
+    # Bernstein's bound at delta = 1e-6.  Over the 15 strategies x 2 samplers x 72 cells the
+    # union bound puts the false-reject rate of the whole test at most 2160 x 1e-6 = 0.2 %.
+    probs = exact_cell_probs(strategy)
+    fast = sum(run_rounds(strategy, 500, seed).counts for seed in range(20))
+    slow = sum(cell_counts(reference_rounds(strategy, 100, seed)) for seed in range(20))
+    for counts, n in ((fast, 10_000), (slow, 2_000)):
+        assert counts.sum() == n
+        for cell, p in np.ndenumerate(probs):
+            if p <= 1e-12:
+                assert counts[cell] == 0, cell
+            else:
+                assert within_bernstein(counts[cell], n, p), (cell, counts[cell], n * p)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
 def test_sift_matches_per_round_reference(strategy):
     t = run_rounds(strategy, 2000, seed=5)
+    from_json = written_rounds(t, transcript_to_json)
+    from_csv = written_rounds(t, transcript_to_csv)
+    assert (from_json.flag_a is None) == (not t.premeasured) and from_csv.flag_a is None
     for threshold in (0.0, 0.5):
-        assert sift(t, threshold) == reference_sift(t, threshold)
+        report = sift(t, threshold)
+        assert reference_sift(from_json, threshold) == report
+        assert reference_sift(from_csv, threshold) == replace(report, flag_mismatches=None)
+
+
+@pytest.mark.parametrize("n", [1, 2000])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
+def test_written_rounds_are_a_permutation_of_the_counts(strategy, n):
+    t = run_rounds(strategy, n, seed=9)
+    assert cell_counts(written_rounds(t, transcript_to_json)).tolist() == t.counts.tolist()
+    assert (cell_counts(written_rounds(t, transcript_to_csv)).sum(axis=0).tolist()
+            == t.counts.sum(axis=0).tolist())
+    cells = t.cells()
+    assert cells.dtype == np.int8 and np.array_equal(cells, t.cells())
+    assert np.array_equal(np.sort(cells), np.repeat(np.arange(72), t.counts.ravel()))
+
+
+def test_written_round_order_is_uniform_over_orderings():
+    # three rounds in three cells: each of the 6 orders has probability 1/6 per seed, so over
+    # 6000 seeds each count lies within Bernstein's bound (false-reject rate <= 6e-6)
+    counts = np.zeros(CELLS, dtype=np.int64)
+    counts.flat[[3, 40, 71]] = 1
+    orders = [tuple(Transcript(counts, seed, {}).cells()) for seed in range(6000)]
+    tally = {order: orders.count(order) for order in set(orders)}
+    assert sorted(tally) == sorted(itertools.permutations((3, 40, 71)))
+    assert all(within_bernstein(c, 6000, 1 / 6) for c in tally.values()), tally
+
+
+@pytest.mark.parametrize("strategy", [Honest(SimParams(0.3, 0.2)),
+                                      ZPremeasure(SimParams(0.3, 0.2))],
+                         ids=lambda s: s.describe()["strategy"])
+def test_a_report_takes_no_memory_per_round(strategy):
+    sift(run_rounds(strategy, 10, seed=1))          # load and warm what the first call builds
+    tracemalloc.start()
+    try:
+        sift(run_rounds(strategy, 3_000_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("strategy", [s for s in STRATEGIES if isinstance(s, CustomState)])
 def test_custom_state_qber_matches_exact_error_probabilities(strategy):
     n = 100_000
     report = sift(run_rounds(strategy, n, seed=21))
-    tables = dense_outcome_cumulants(source_state(strategy))
-    for b in BASES:
-        probs = np.diff(tables[(b, b)], prepend=0.0)
+    tables = dense_outcome_probs(source_state(strategy))
+    for i, b in enumerate(BASES):
+        probs = tables[i, i]
         p_err = probs[1] + probs[2]            # outcomes (0, 1) and (1, 0)
         sigma = np.sqrt(p_err * (1 - p_err) / report.sifted[b])
         assert abs(report.rates[b] - p_err) <= 5 * sigma, (b, report.rates[b], p_err)
@@ -294,9 +387,9 @@ def test_run_rounds_mismatched_flags_y_flips():
 def test_run_rounds_deterministic():
     a = run_rounds(Honest(SimParams(0.5, 0.5)), 300, seed=9)
     b = run_rounds(Honest(SimParams(0.5, 0.5)), 300, seed=9)
-    assert same_rounds(a, b)
+    assert a == b and np.array_equal(a.cells(), b.cells())
     c = run_rounds(Honest(SimParams(0.5, 0.5)), 300, seed=10)
-    assert not same_rounds(a, c)
+    assert a != c and not np.array_equal(a.cells(), c.cells())
 
 
 @pytest.mark.parametrize("strategy", [Honest(SimParams(0.5, 0.5)), ZPremeasure(SimParams(0.5, 0.5))],
@@ -305,15 +398,12 @@ def test_run_rounds_deterministic():
 def test_transcript_columns_are_int8_of_length_n(strategy, n):
     t = run_rounds(strategy, n, seed=3)
     assert t.n == n
-    premeasured = isinstance(strategy, ZPremeasure)
-    for name in COLUMNS:
-        col = getattr(t, name)
-        if name.startswith("flag") and not premeasured:
-            assert col is None
-            continue
-        assert isinstance(col, np.ndarray) and col.dtype == np.int8 and col.shape == (n,)
-    assert set(np.unique(np.concatenate([t.basis_a, t.basis_b]))) <= {0, 1, 2}
-    assert set(np.unique(np.concatenate([t.outcome_a, t.outcome_b]))) <= {0, 1}
+    assert t.counts.shape == CELLS and t.counts.dtype == np.int64 and t.counts.min() >= 0
+    assert t.premeasured == isinstance(strategy, ZPremeasure)
+    if not t.premeasured:
+        assert not t.counts[1].any()
+    cells = t.cells()
+    assert cells.shape == (n,) and 0 <= cells.min() and cells.max() < 72
 
 
 def test_run_rounds_rejects_bad_args():
@@ -343,11 +433,10 @@ def test_honest_grid_all_bases_error_free():
 def test_honest_exact_distributions_match_reference():
     # analytic check, no sampling: every basis pair's joint outcome
     # distribution equals the dense (a=1, c=0) reference distribution
-    ref = dense_outcome_cumulants(source_state(Honest(SimParams(1.0, 0.0))))
+    ref = dense_outcome_probs(source_state(Honest(SimParams(1.0, 0.0))))
     for p in family_grid():
-        got = sixstate._outcome_cumulants(source_state(Honest(p)))
-        for key in ref:
-            np.testing.assert_allclose(got[key], ref[key], atol=1e-10)
+        got = sixstate._outcome_probs(source_state(Honest(p)))
+        np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
 def test_sift_all_equal_transcript():
@@ -389,9 +478,11 @@ def test_eve_flip_correction_double_flag_unchanged():
 
 def test_zpremeasure_flags_always_agree():
     t = run_rounds(ZPremeasure(SimParams(0.5, 0.5)), 5000, seed=11)
-    mismatches = np.count_nonzero(t.flag_a != t.flag_b)
-    assert mismatches == 0
-    flags0 = np.count_nonzero(t.flag_a == 0)
+    rounds = written_rounds(t, transcript_to_json)
+    assert np.count_nonzero(rounds.flag_a != rounds.flag_b) == 0
+    assert sift(t).flag_mismatches == 0
+    flags0 = np.count_nonzero(rounds.flag_a == 0)
+    assert flags0 == t.counts[0].sum()
     sigma = np.sqrt(0.25 / 5000)
     assert abs(flags0 / 5000 - 0.5) <= 5 * sigma
 
@@ -399,14 +490,14 @@ def test_zpremeasure_flags_always_agree():
 def test_zpremeasure_deterministic_flag_degenerates_to_honest():
     tz = run_rounds(ZPremeasure(SimParams(1.0, 0.0)), 500, seed=12)
     th = run_rounds(Honest(SimParams(1.0, 0.0)), 500, seed=12)
-    for name in ("basis_a", "basis_b", "outcome_a", "outcome_b"):
-        np.testing.assert_array_equal(getattr(tz, name), getattr(th, name))
-    assert np.all((tz.flag_a == 0) & (tz.flag_b == 0))
+    np.testing.assert_array_equal(tz.counts, th.counts)
+    np.testing.assert_array_equal(tz.cells(), th.cells())
+    assert not tz.counts[1].any()
 
 
 def test_zpremeasure_conjugate_branch_error_free():
     t = run_rounds(ZPremeasure(SimParams(0.0, 0.0)), 2000, seed=13)
-    assert np.all((t.flag_a == 1) & (t.flag_b == 1))
+    assert t.counts[1].sum() == 2000
     assert sum(sift(t).errors.values()) == 0
 
 
@@ -419,12 +510,11 @@ def test_zpremeasure_analysis_matches_honest():
 
 
 def test_analyze_empty_transcript():
-    empty = np.zeros(0, dtype=np.int8)
-    t = Transcript(basis_a=empty, basis_b=empty, outcome_a=empty, outcome_b=empty,
-                   seed=0, strategy={"strategy": "honest"})
+    t = Transcript(np.zeros(CELLS, dtype=np.int64), seed=0, strategy={"strategy": "honest"})
     report = sift(t)
     assert report.verdict == "insufficient data"
     assert report.total_rounds == 0
+    assert len(t.cells()) == 0
 
 
 def test_analyze_threshold():
