@@ -30,8 +30,6 @@ from typing import TYPE_CHECKING
 from . import MAX_PROPERTY_DIM, __version__
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .family import SimParams
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -59,9 +57,8 @@ def _user_input(what: str):
     """Turn what decoding a malformed flag value or JSON document raises into a UsageError."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as err:
-        detail = str(err) if isinstance(err, ValueError) else f"{type(err).__name__}: {err}"
-        raise UsageError(f"{what}: {detail}") from None
+    except (OverflowError, ValueError) as err:
+        raise UsageError(f"{what}: {err}") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -233,25 +230,15 @@ def cmd_props(args) -> int:
 
     seed = 0 if args.seed is None else args.seed
     tol = {} if args.tol is None else {"tol": args.tol}
-    report = c_property_suite(trials, dim, seed, fixtures=_fixtures(args.config_data), **tol)
+    from .serialize import fixtures_from_json
+
+    with _user_input(args.config):
+        fixtures = fixtures_from_json(args.config_data)
+    report = c_property_suite(trials, dim, seed, fixtures=fixtures, **tol)
     items = [{"name": c.name, "max_residual": c.max_residual, "passed": c.passed}
              for c in report.checks]
     _emit(_wrap({"items": items, "passed": report.passed}, vars_config(args), seed), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-def _fixtures(config: dict) -> list[tuple[str, np.ndarray, list[str]]]:
-    """(label, matrix, claims) of each fixture in the config file."""
-    from .linalg import DEFECTS
-    from .serialize import matrix_from_json
-
-    with _user_input("config fixtures"):
-        out = [(str(f.get("label", "?")), matrix_from_json(f["matrix"]),
-                [str(claim) for claim in f.get("claims", [])]) for f in config.get("fixtures", [])]
-    unknown = [claim for _, _, claims in out for claim in claims if claim not in DEFECTS]
-    if unknown:
-        raise UsageError(f"fixture claim {unknown[0]!r} not recognized")
-    return out
 
 
 def _experiment_document(args):
@@ -262,19 +249,27 @@ def _experiment_document(args):
 
 
 def _build_experiment(args, document):
+    """The experiment of --experiment, --family or the reference; ``args.kind`` is then the
+    kind it has, and an explicit --kind that an experiment document disagrees with is refused."""
     if args.experiment:
         from .serialize import experiment_from_json
 
         with _user_input(args.experiment):
-            return experiment_from_json(document)
-    if args.family:
+            exp = experiment_from_json(document)
+        if args.kind not in (None, exp.kind):
+            raise UsageError(f"--kind {args.kind}: the experiment in {args.experiment} has kind "
+                             f"{exp.kind!r}")
+    elif args.family:
         params = _family_params(args.family, "--family")
         from .selftest import family_experiment
 
-        return family_experiment(params, args.kind)
-    from .selftest import reference_experiment
+        exp = family_experiment(params, args.kind or "extended")
+    else:
+        from .selftest import reference_experiment
 
-    return reference_experiment(args.kind)
+        exp = reference_experiment(args.kind or "extended")
+    args.kind = exp.kind
+    return exp
 
 
 def _sampled(args) -> tuple[int | None, int | None]:
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common], allow_abbrev=False,
                        help="run the self-test pipeline")
-    p.add_argument("--kind", choices=["mayersyao", "extended"], default="extended")
+    p.add_argument("--kind", choices=["mayersyao", "extended"], default=None)
     p.add_argument("--experiment", help="experiment JSON path")
     p.add_argument("--family", nargs="+", metavar="K=V",
                    help="family member, e.g. a=0.5 c=0.5 c_phase=0")
@@ -382,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], allow_abbrev=False,
                        help="dump the exact correlation table of an experiment")
-    p.add_argument("--kind", choices=["mayersyao", "extended"], default="extended")
+    p.add_argument("--kind", choices=["mayersyao", "extended"], default=None)
     p.add_argument("--experiment")
     p.add_argument("--family", nargs="+", metavar="K=V")
     p.add_argument("--cross-pairs", action="store_true", dest="cross_pairs")

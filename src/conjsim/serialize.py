@@ -1,7 +1,11 @@
 """JSON and CSV encodings for states, experiments, strategies, and reports.
 
 All complex numbers serialize as [re, im] pairs of decimal doubles; matrices
-are row-major nested lists of pairs.  ``dumps`` output is deterministic
+are row-major nested lists of pairs.  The ``*_from_json`` readers take every
+document the CLI reads (experiment, state, strategy and config fixtures): each
+object's keys and each value's JSON type are checked before the value is used,
+and a refusal is a ValueError that names the value's JSON path, such as
+``parties.A.observables.X[0]``.  ``dumps`` output is deterministic
 (sorted keys, fixed indentation) so reports are byte-identical across runs
 with identical inputs.  Transcripts are written to an open text file a chunk
 of rounds at a time.  ``selftest`` and ``sixstate`` are imported only by the
@@ -11,6 +15,7 @@ loads neither.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
@@ -20,6 +25,7 @@ from typing import TYPE_CHECKING, TextIO
 import numpy as np
 
 from .family import SimParams
+from .linalg import DEFECTS
 from .states import DensityMatrix, StateVector
 
 if TYPE_CHECKING:
@@ -51,90 +57,155 @@ def dumps(obj) -> str:
     return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def complex_to_json(arr) -> list:
+    """``arr`` as nested JSON arrays, one level per axis, of [re, im] pairs."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def vector_to_json(vec: np.ndarray) -> list:
-    return [complex_pair(z) for z in np.asarray(vec, dtype=complex).reshape(-1)]
+def complex_from_json(data, rank: int, path: str) -> np.ndarray:
+    """The complex array of ``rank`` axes that nested JSON arrays of [re, im] pairs write.
+
+    Every array of a level is non-empty and as long as the level's first, and a
+    pair is two JSON numbers (a bool is none).  The rule is checked a level at a
+    time over the whole array; only a refusal walks the entries, to name the
+    JSON path of the first one that breaks it.
+    """
+    level, shape = [data], []
+    for depth in range(rank + 1):
+        if set(map(type, level)) != {list}:
+            break
+        size = len(level[0])
+        if set(map(len, level)) != {2 if depth == rank else size}:
+            break
+        shape.append(size)
+        level = list(itertools.chain.from_iterable(level))
+    else:
+        if set(map(type, level)) <= {int, float}:
+            with contextlib.suppress(OverflowError):       # an integer past the float range
+                return np.array(level, dtype=float).view(complex).reshape(shape[:-1])
+    _refuse_first_bad_entry(data, rank, path)
+    raise _refused(path, f"expected arrays {rank} deep of [re, im] pairs")     # not reached
 
 
-def _complex(pair, what: str) -> complex:
-    """The ``[re, im]`` pair as a complex; a part that is no JSON number, a bool included, is
-    refused, naming ``what``."""
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(type(part) in (int, float) for part in pair)):
-        raise ValueError(f"{what}: expected a [re, im] pair of JSON numbers, got {pair!r}")
-    return complex(*pair)
+def _refuse_first_bad_entry(data, rank: int, path: str) -> None:
+    """Refuse, naming its JSON path, the first entry of ``data`` (depth first) that breaks
+    the rule of ``complex_from_json``."""
+    sizes: list[int] = []
+
+    def walk(value, depth, where):
+        if depth > rank:
+            _number(value, where)
+            return
+        if depth == rank:
+            if not (type(value) is list and len(value) == 2):
+                raise _refused(where, f"expected a [re, im] pair, got {_shown(value)}")
+        elif type(value) is not list or not value:
+            raise _refused(where, f"expected a non-empty JSON array, got {_shown(value)}")
+        elif len(sizes) == depth:
+            sizes.append(len(value))
+        elif len(value) != sizes[depth]:
+            raise _refused(where, f"expected {sizes[depth]} entries like the first array of "
+                                  f"its level, got {len(value)}")
+        for i, item in enumerate(value):
+            walk(item, depth + 1, f"{where}[{i}]")
+
+    walk(data, 0, path)
 
 
-def vector_from_json(data) -> np.ndarray:
-    return np.array([_complex(z, "amplitudes") for z in data], dtype=complex)
+def _at(path: str, key: str) -> str:
+    """The JSON path of member ``key`` of the object at ``path``."""
+    return f"{path}.{key}" if path else key
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[complex_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
+def _shown(value) -> str:
+    """``value`` as short text for an error: a scalar as JSON, an array or object by its kind."""
+    if isinstance(value, list):
+        return f"an array of {len(value)}"
+    if isinstance(value, dict):
+        return "an object"
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:36] + "..."
 
 
-def matrix_from_json(data, what: str = "matrix") -> np.ndarray:
-    return np.array([[_complex(z, what) for z in row] for row in data], dtype=complex)
+def _refused(path: str, detail: str) -> ValueError:
+    return ValueError(f"{path}: {detail}" if path else detail)
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a float, string or bool is refused, naming ``what``."""
-    if type(value) is not int:
-        raise ValueError(f"{what}: expected a JSON integer, got {value!r}")
+def _object(data, path: str, required=(), optional=()) -> dict:
+    """``data`` if it is a JSON object with every key of ``required`` and no key outside
+    ``required`` and ``optional``; a refusal names the JSON path."""
+    if type(data) is not dict:
+        raise _refused(path, f"expected a JSON object, got {_shown(data)}")
+    for key in data:
+        if key not in required and key not in optional:
+            known = ", ".join((*required, *optional))
+            raise ValueError(f"{_at(path, key)}: unknown key (known: {known})")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{_at(path, key)}: required key missing")
+    return data
+
+
+def _array(data, path: str) -> list:
+    """``data`` if it is a JSON array; any other value is refused, naming ``path``."""
+    if type(data) is not list:
+        raise _refused(path, f"expected a JSON array, got {_shown(data)}")
+    return data
+
+
+def _string(value, path: str) -> str:
+    if type(value) is not str:
+        raise _refused(path, f"expected a JSON string, got {_shown(value)}")
     return value
 
 
-def _object(data, what: str) -> dict:
-    """``data`` if it is a JSON object; any other value is refused, naming ``what``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what}: expected a JSON object")
-    return data
+def _integer(value, path: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool is refused, naming ``path``."""
+    if type(value) is not int:
+        raise _refused(path, f"expected a JSON integer, got {_shown(value)}")
+    return value
 
 
-def _array(data, what: str) -> list:
-    """``data`` if it is a JSON array; any other value is refused, naming ``what``."""
-    if not isinstance(data, list):
-        raise ValueError(f"{what}: expected a JSON array")
-    return data
+def _integers(data, path: str) -> list[int]:
+    return [_integer(v, f"{path}[{i}]") for i, v in enumerate(_array(data, path))]
 
 
-def _known_keys(data, keys, what: str) -> dict:
-    """``data`` when it is a JSON object each of whose keys is in ``keys``.
-
-    Any other value, or the first key not in ``keys``, is refused with a ValueError.
-    """
-    for key in _object(data, what):
-        if key not in keys:
-            raise ValueError(f"{key}: {what} does not read this key")
-    return data
+def _number(value, path: str) -> float:
+    """``value`` as a float if it is a JSON number (a bool is none), naming ``path`` if not."""
+    if type(value) not in (int, float):
+        raise _refused(path, f"expected a JSON number, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _refused(path, f"{_shown(value)} is past the float range") from None
 
 
 def state_to_json(state: StateVector | DensityMatrix) -> dict:
     if isinstance(state, StateVector):
-        return {"dims": list(state.dims), "amplitudes": vector_to_json(state.amplitudes)}
-    return {"dims": list(state.dims), "matrix": matrix_to_json(state.matrix)}
+        return {"dims": list(state.dims), "amplitudes": complex_to_json(state.amplitudes)}
+    return {"dims": list(state.dims), "matrix": complex_to_json(state.matrix)}
 
 
-def state_from_json(data) -> StateVector | DensityMatrix:
-    _known_keys(data, ("dims", "amplitudes", "matrix"), "a state")
+def state_from_json(data, path: str = "") -> StateVector | DensityMatrix:
+    """The state a ``{"dims", "amplitudes" | "matrix"}`` object at ``path`` writes."""
+    _object(data, path, ("dims",), ("amplitudes", "matrix"))
+    if "amplitudes" in data and "matrix" in data:
+        raise ValueError(f"{_at(path, 'amplitudes')}: give amplitudes or matrix, not both")
     if "amplitudes" not in data and "matrix" not in data:
-        raise ValueError("state JSON needs an 'amplitudes' or 'matrix' field")
-    dims = [_integer(d, "state dims") for d in _array(data["dims"], "state dims")]
+        raise _refused(path, "expected the key amplitudes or matrix")
+    dims = _integers(data["dims"], _at(path, "dims"))
     if "amplitudes" in data:
-        return StateVector(dims, vector_from_json(data["amplitudes"]))
-    return DensityMatrix(dims, matrix_from_json(data["matrix"]))
+        return StateVector(dims, complex_from_json(data["amplitudes"], 1, _at(path, "amplitudes")))
+    return DensityMatrix(dims, complex_from_json(data["matrix"], 2, _at(path, "matrix")))
 
 
 def sim_params_from_json(data) -> SimParams:
-    values = {"a": data["a"], "c_abs": data.get("c_abs", 0.0), "c_phase": data.get("c_phase", 0.0)}
-    for key, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{key}: expected a JSON number, got {value!r}")
-    return SimParams.from_polar(*map(float, values.values()))
+    """The family member a ``{"a", "c_abs", "c_phase"}`` object writes; c_abs and c_phase
+    default to 0."""
+    _object(data, "", ("a",), ("c_abs", "c_phase"))
+    return SimParams.from_polar(*(_number(data.get(key, 0.0), key)
+                                  for key in ("a", "c_abs", "c_phase")))
 
 
 def experiment_to_json(exp: Experiment) -> dict:
@@ -144,8 +215,7 @@ def experiment_to_json(exp: Experiment) -> dict:
         "parties": {
             p: {
                 "dims": list(exp.party_dims[p]),
-                "observables": {lab: matrix_to_json(m)
-                                for lab, m in exp.observables[p].items()},
+                "observables": {lab: complex_to_json(m) for lab, m in exp.observables[p].items()},
             }
             for p in ("A", "B")
         },
@@ -154,26 +224,29 @@ def experiment_to_json(exp: Experiment) -> dict:
 
 
 def experiment_from_json(data) -> Experiment:
-    from .selftest import Experiment
+    from .selftest import PARTIES, SUBTESTS, Experiment, setting_labels
 
-    _known_keys(data, ("kind", "state", "parties", "flag_registers"), "an experiment")
-    parties = _known_keys(data["parties"], ("A", "B"), "the parties of an experiment")
-    for p in ("A", "B"):
-        _known_keys(parties[p], ("dims", "observables"), f"party {p}")
+    _object(data, "", ("kind", "state", "parties"), ("flag_registers",))
+    kind = _string(data["kind"], "kind")
+    if kind not in SUBTESTS:
+        raise ValueError(f"kind: unknown test kind {kind!r} (known: {', '.join(SUBTESTS)})")
+    parties = _object(data["parties"], "parties", PARTIES)
+    for p in PARTIES:
+        _object(parties[p], f"parties.{p}", ("dims", "observables"))
     flags = data.get("flag_registers")
     if flags is not None:
-        _object(flags, "flag_registers")
+        flags = {k: _integer(v, f"flag_registers.{k}")
+                 for k, v in _object(flags, "flag_registers", (), PARTIES).items()}
     return Experiment(
-        kind=data["kind"],
-        state=state_from_json(data["state"]),
-        observables={p: {lab: matrix_from_json(m, f"observable {lab}_{p}") for lab, m in
-                         _object(parties[p]["observables"], f"party {p} observables").items()}
-                     for p in ("A", "B")},
-        party_dims={p: tuple(_integer(d, f"party {p} dims")
-                             for d in _array(parties[p]["dims"], f"party {p} dims"))
-                    for p in ("A", "B")},
-        flag_registers=({k: _integer(v, f"flag_registers {k}") for k, v in flags.items()}
-                        if flags else None),
+        kind=kind,
+        state=state_from_json(data["state"], "state"),
+        observables={p: {lab: complex_from_json(m, 2, f"parties.{p}.observables.{lab}")
+                         for lab, m in _object(parties[p]["observables"],
+                                               f"parties.{p}.observables",
+                                               setting_labels(kind)).items()}
+                     for p in PARTIES},
+        party_dims={p: _integers(parties[p]["dims"], f"parties.{p}.dims") for p in PARTIES},
+        flag_registers=flags,
     )
 
 
@@ -184,25 +257,47 @@ def strategy_from_json(data) -> EveStrategy:
     """
     from .sixstate import Conjugate, CustomState, Honest, MismatchedFlags, ZPremeasure
 
-    if not (isinstance(data, dict) and "strategy" in data):
+    if not (type(data) is dict and "strategy" in data):
         return CustomState(state_from_json(data).density())
-    name = data["strategy"]
-    family = ("a", "c_abs", "c_phase")
-    reads = {"honest": family, "zpremeasure": family, "conjugate": (),
-             "mismatched_flags": ("flag_a", "flag_b"), "custom_state": ("state",)}
+    name = _string(data["strategy"], "strategy")
+    family = (("a",), ("c_abs", "c_phase"))
+    reads = {"honest": family, "zpremeasure": family, "conjugate": ((), ()),
+             "mismatched_flags": (("flag_a", "flag_b"), ()), "custom_state": (("state",), ())}
     if name not in reads:
-        raise ValueError(f"unknown strategy {name!r}")
-    _known_keys(data, ("strategy", *reads[name]), f"strategy {name!r}")
-    if name == "honest":
-        return Honest(sim_params_from_json(data))
+        raise ValueError(f"strategy: unknown strategy {name!r} (known: {', '.join(reads)})")
+    required, optional = reads[name]
+    _object(data, "", ("strategy", *required), optional)
+    if name in ("honest", "zpremeasure"):
+        params = sim_params_from_json({k: v for k, v in data.items() if k != "strategy"})
+        return (Honest if name == "honest" else ZPremeasure)(params)
     if name == "conjugate":
         return Conjugate()
-    if name == "zpremeasure":
-        return ZPremeasure(sim_params_from_json(data))
     if name == "mismatched_flags":
         return MismatchedFlags(_integer(data["flag_a"], "flag_a"),
                                _integer(data["flag_b"], "flag_b"))
-    return CustomState(state_from_json(data["state"]).density())
+    return CustomState(state_from_json(data["state"], "state").density())
+
+
+def fixtures_from_json(config: dict) -> list[tuple[str, np.ndarray, list[str]]]:
+    """(label, matrix, claims) of each fixture in a config's ``fixtures`` array.
+
+    A fixture is ``{"matrix": ..., "label": "?", "claims": []}``, label and claims
+    optional, and each claim is a key of ``linalg.DEFECTS``.  An absent or null
+    ``fixtures`` lists none.
+    """
+    out = []
+    fixtures = config.get("fixtures")
+    for i, fixture in enumerate(_array(fixtures, "fixtures") if fixtures is not None else ()):
+        path = f"fixtures[{i}]"
+        _object(fixture, path, ("matrix",), ("label", "claims"))
+        claims = _array(fixture.get("claims", []), f"{path}.claims")
+        for j, claim in enumerate(claims):
+            if _string(claim, f"{path}.claims[{j}]") not in DEFECTS:
+                raise ValueError(f"{path}.claims[{j}]: unknown claim {claim!r} "
+                                 f"(known: {', '.join(DEFECTS)})")
+        out.append((_string(fixture.get("label", "?"), f"{path}.label"),
+                    complex_from_json(fixture["matrix"], 2, f"{path}.matrix"), claims))
+    return out
 
 
 def _stderr(table: CorrelationTable, v: float) -> float:

@@ -18,7 +18,10 @@ register, and ``expectation`` is tr(rho M) of a full-space operator, the slow
 reference for the per-party correlation kernel ``conjsim.selftest.correlations``.
 ``per_round_sampled_correlations`` draws every round of a sampled table, the
 slow reference for the one binomial count per entry of
-``conjsim.selftest.sampled_correlations``.
+``conjsim.selftest.sampled_correlations``.  ``per_pair_complex_to_json`` and
+``per_pair_complex_from_json`` write and read a complex array one [re, im] pair
+at a time, the slow reference for the level-at-a-time JSON codec of
+``conjsim.serialize``.
 """
 
 import math
@@ -263,3 +266,33 @@ def per_round_sampled_correlations(exact, n_per_pair: int, seed: int):
         spread = signs.std(ddof=1) if n_per_pair > 1 else 0.0
         means[key], errs[key] = float(signs.mean()), float(spread / np.sqrt(n_per_pair))
     return joints, marginals, joint_stderr, marginal_stderr
+
+
+def per_pair_complex_to_json(arr) -> list:
+    """``arr`` as nested lists, one level per axis, of [float(re), float(im)] pairs."""
+    arr = np.asarray(arr, dtype=complex)
+    if arr.ndim == 0:
+        z = complex(arr)
+        return [float(z.real), float(z.imag)]
+    return [per_pair_complex_to_json(item) for item in arr]
+
+
+def per_pair_complex_from_json(data, rank: int) -> np.ndarray:
+    """The complex array of ``rank`` axes that nested JSON arrays of [re, im] pairs write.
+
+    Each pair is read on its own: a list of two parts, each a JSON number and no
+    bool, passed to ``complex``.  Every level above the pairs must be a non-empty
+    list, and numpy refuses a ragged nesting.  A refusal is a ValueError, or the
+    OverflowError of ``complex`` on an integer past the float range.
+    """
+    def read(value, depth):
+        if depth == rank:
+            if not (isinstance(value, list) and len(value) == 2
+                    and all(type(part) in (int, float) for part in value)):
+                raise ValueError(f"expected a [re, im] pair of JSON numbers, got {value!r}")
+            return complex(*value)
+        if not (isinstance(value, list) and value):
+            raise ValueError(f"expected a non-empty list, got {value!r}")
+        return [read(item, depth + 1) for item in value]
+
+    return np.array(read(data, 0), dtype=complex)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import signal
 import stat
@@ -30,7 +31,7 @@ from conjsim.selftest import (
     with_observable,
     with_state,
 )
-from conjsim.serialize import dumps, experiment_to_json, matrix_to_json, state_to_json
+from conjsim.serialize import complex_to_json, dumps, experiment_to_json, state_to_json
 from conjsim.sixstate import MismatchedFlags, source_state
 from conjsim.states import StateVector, replace
 
@@ -62,7 +63,7 @@ def test_props_dim_too_large_is_usage_error():
 def test_props_fixture_failure(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(dumps({"fixtures": [
-        {"label": "fake_unitary", "matrix": matrix_to_json(np.diag([1.0, 2.0])),
+        {"label": "fake_unitary", "matrix": complex_to_json(np.diag([1.0, 2.0])),
          "claims": ["unitary"]},
     ]}))
     out = tmp_path / "props.json"
@@ -95,11 +96,11 @@ def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("config.json").write_text(dumps({"dim": 5, "trials": 25, "seed": 3}))
     Path("fixtures.json").write_text(dumps({"trials": 5, "seed": 2, "fixtures": [
-        {"label": "hadamard", "matrix": matrix_to_json(HADAMARD),
+        {"label": "hadamard", "matrix": complex_to_json(HADAMARD),
          "claims": ["hermitian", "unitary"]},
-        {"label": "stretch", "matrix": matrix_to_json(np.diag([1.0, 2.0])),
+        {"label": "stretch", "matrix": complex_to_json(np.diag([1.0, 2.0])),
          "claims": ["unitary", "psd"]},
-        {"label": "rotation", "matrix": matrix_to_json(np.array([[0, -1], [1, 0]])),
+        {"label": "rotation", "matrix": complex_to_json(np.array([[0, -1], [1, 0]])),
          "claims": ["psd"]},
     ]}))
     for argv, code, digest in PROPS_REPORTS:
@@ -232,7 +233,7 @@ def strict_json(text):
 def test_reports_are_strict_json(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("wide.json").write_text(dumps({"trials": 2, "fixtures": [
-        {"label": "wide", "matrix": matrix_to_json(np.ones((1, 2))), "claims": ["unitary"]}]}))
+        {"label": "wide", "matrix": complex_to_json(np.ones((1, 2))), "claims": ["unitary"]}]}))
     assert run(["--config", "wide.json", "props", "--out", "props.json"]) == 1
     items = strict_json(Path("props.json").read_text())["results"]["items"]
     assert items[-1] == {"name": "fixture[wide:unitary]", "max_residual": None, "passed": False}
@@ -267,6 +268,32 @@ def test_selftest_corrupted_experiment(tmp_path):
     assert results["verdict"] == "fail"
     assert results["statistics"]["worst_entry"] == "joint(D,Z)"
     assert any("statistics" in f for f in results["failures"])
+
+
+def test_an_explicit_kind_must_agree_with_the_experiment_document(tmp_path, monkeypatch,
+                                                                    capsys):
+    # an extended document run with --kind mayersyao ran as extended and echoed mayersyao
+    monkeypatch.chdir(tmp_path)
+    Path("member.json").write_text(dumps(experiment_to_json(
+        family_experiment(SimParams(0.3, 0.2)))))
+    Path("mayersyao.json").write_text(dumps(experiment_to_json(reference_experiment("mayersyao"))))
+    Path("kind.json").write_text(dumps({"kind": "mayersyao"}))
+    for argv, line in [
+            (["selftest", "--experiment", "member.json", "--kind", "mayersyao"],
+             "--kind mayersyao: the experiment in member.json has kind 'extended'"),
+            (["simulate", "--experiment", "member.json", "--kind", "mayersyao"],
+             "--kind mayersyao: the experiment in member.json has kind 'extended'"),
+            (["--config", "kind.json", "selftest", "--experiment", "member.json"],
+             "--kind mayersyao: the experiment in member.json has kind 'extended'"),
+            (["simulate", "--experiment", "mayersyao.json", "--kind", "extended"],
+             "--kind extended: the experiment in mayersyao.json has kind 'mayersyao'")]:
+        assert run(argv + ["--out", "report.json"]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {line}\n"), argv
+    assert not Path("report.json").exists()
+    for command in ("selftest", "simulate"):       # without --kind, the document's kind runs
+        assert run([command, "--experiment", "mayersyao.json", "--out", "report.json"]) == 0
+        report = read_json(Path("report.json"))
+        assert report["config"]["kind"] == report["results"]["kind"] == "mayersyao", command
 
 
 def test_selftest_sampled_mode(tmp_path):
@@ -463,18 +490,58 @@ def one_error_line(err):
     return len(lines) == 1 and lines[0].startswith("error:")
 
 
-@pytest.mark.parametrize("argv, text", [
-    (["simulate", "--experiment", "{path}"], '{"state": {}}'),
-    (["qkd", "--strategy", "custom", "{path}", "--seed", "1"], '{"strategy": "honest"}'),
-    (["--config", "{path}", "props"], "[1,2]"),
-    (["--config", "{path}", "props", "--trials", "2"], '{"fixtures": [{"matrix": 1}]}'),
+def edited_member(edit):
+    """The (0.3, 0.2) member's experiment document as text, after ``edit``."""
+    document = experiment_to_json(family_experiment(SimParams(0.3, 0.2), "extended"))
+    edit(document)
+    return json.dumps(document)
+
+
+def without(document, *path):
+    """Remove the key at ``path`` from ``document``."""
+    *parents, key = path
+    for parent in parents:
+        document = document[parent]
+    del document[key]
+
+
+SIMULATE, SELFTEST = ["simulate", "--experiment", "{path}"], ["selftest", "--experiment", "{path}"]
+CUSTOM_SOURCE = ["qkd", "--strategy", "custom", "{path}", "--seed", "1"]
+PROPS_CONFIG = ["--config", "{path}", "props", "--trials", "2"]
+
+
+# at the parent, every case but config_not_an_object and unknown_claim printed a TypeError,
+# KeyError or AttributeError, or (string_claims) a claim's first letter, in place of the field
+@pytest.mark.parametrize("argv, text, line", [
+    (SIMULATE, '{"state": {}}', "{path}: kind: required key missing"),
+    (CUSTOM_SOURCE, '{"strategy": "honest"}', "{path}: a: required key missing"),
+    (["--config", "{path}", "props"], "[1,2]", "--config {path}: expected a JSON object"),
+    (PROPS_CONFIG, '{"fixtures": [{"matrix": 1}]}',
+     "{path}: fixtures[0].matrix: expected a non-empty JSON array, got 1"),
+    (SELFTEST, edited_member(lambda d: d.update(kind=["extended"])),
+     "{path}: kind: expected a JSON string, got an array of 1"),
+    (SELFTEST, edited_member(lambda d: d.update(state={"dims": d["state"]["dims"],
+                                                       "amplitudes": 5})),
+     "{path}: state.amplitudes: expected a non-empty JSON array, got 5"),
+    (SELFTEST, edited_member(lambda d: d["parties"]["A"]["observables"].update(X=[5])),
+     "{path}: parties.A.observables.X[0]: expected a non-empty JSON array, got 5"),
+    (SELFTEST, edited_member(lambda d: without(d, "state")), "{path}: state: required key missing"),
+    (SELFTEST, edited_member(lambda d: without(d, "parties", "B", "dims")),
+     "{path}: parties.B.dims: required key missing"),
+    (PROPS_CONFIG, '{"fixtures": [5]}', "{path}: fixtures[0]: expected a JSON object, got 5"),
+    (PROPS_CONFIG, '{"fixtures": [{"matrix": [[[1, 0]]], "claims": "hermitian"}]}',
+     '{path}: fixtures[0].claims: expected a JSON array, got "hermitian"'),
+    (PROPS_CONFIG, '{"fixtures": [{"matrix": [[[1, 0]]], "claims": ["hermitian", "real"]}]}',
+     "{path}: fixtures[0].claims[1]: unknown claim 'real' (known: hermitian, unitary, psd)"),
 ], ids=["experiment_without_kind", "custom_strategy_without_a", "config_not_an_object",
-        "config_fixture_without_matrix"])
-def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, text):
+        "config_fixture_without_matrix", "list_kind", "number_amplitudes", "number_observable_row",
+        "experiment_without_state", "party_without_dims", "number_fixture", "string_claims",
+        "unknown_claim"])
+def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, text, line):
     path = tmp_path / "input.json"
     path.write_text(text)
     assert run([a.format(path=path) for a in argv]) == 2
-    assert one_error_line(capsys.readouterr().err)
+    assert capsys.readouterr() == ("", f"error: {line.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("flags", [{"A": 0, "B": 0}, {"A": 0, "B": 9}, {"A": -1, "B": 2},
@@ -492,7 +559,7 @@ def test_flag_registers_outside_their_party_are_usage_errors(tmp_path, flags):
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert one_error_line(proc.stderr) and "Traceback" not in proc.stderr
-    assert proc.stderr.startswith(f"error: {path}: flag_registers ")
+    assert proc.stderr.startswith(f"error: {path}: flag_registers")
 
 
 def non_integer_documents():
@@ -521,12 +588,13 @@ def test_non_integer_dims_and_flag_bits_are_usage_errors(tmp_path):
 
 
 STRATEGY_DOCUMENTS_WITH_FOREIGN_VALUES = [
-    ("c", {"strategy": "honest", "a": 0.5, "c": 0.5}, "strategy 'honest' does not read this key"),
-    ("flag_a", {"strategy": "conjugate", "flag_a": 0}, "strategy 'conjugate' does not read"),
+    ("c", {"strategy": "honest", "a": 0.5, "c": 0.5},
+     "unknown key (known: strategy, a, c_abs, c_phase)"),
+    ("flag_a", {"strategy": "conjugate", "flag_a": 0}, "unknown key (known: strategy)"),
     ("state", {"strategy": "mismatched_flags", "flag_a": 0, "flag_b": 1, "state": {}},
-     "does not read"),
-    ("a", {"strategy": "honest", "a": "0.5"}, "expected a JSON number, got '0.5'"),
-    ("a", {"strategy": "zpremeasure", "a": True}, "expected a JSON number, got True"),
+     "unknown key"),
+    ("a", {"strategy": "honest", "a": "0.5"}, 'expected a JSON number, got "0.5"'),
+    ("a", {"strategy": "zpremeasure", "a": True}, "expected a JSON number, got true"),
     ("c_phase", {"strategy": "honest", "a": 0.5, "c_abs": 0.5, "c_phase": False},
      "expected a JSON number"),
 ]
@@ -546,13 +614,6 @@ def test_strategy_documents_read_only_their_own_keys_as_numbers(tmp_path):
         assert err.startswith(f"error: s{i}.json: {key}: ") and detail in err, err
 
 
-def edited_member(edit):
-    """The (0.3, 0.2) member's experiment document as text, after ``edit``."""
-    document = experiment_to_json(family_experiment(SimParams(0.3, 0.2), "extended"))
-    edit(document)
-    return json.dumps(document)
-
-
 def listed(document, *path):
     """Replace the object at ``path`` in ``document`` by the list of its values."""
     *parents, key = path
@@ -564,21 +625,21 @@ def listed(document, *path):
 EXPERIMENT = ["selftest", "--experiment"]
 CUSTOM = ["qkd", "--seed", "1", "--strategy", "custom"]
 NOT_OBJECTS = [
-    (EXPERIMENT, '"strategy"', "an experiment: expected a JSON object"),
-    (EXPERIMENT, "5", "an experiment: expected a JSON object"),
+    (EXPERIMENT, '"strategy"', 'expected a JSON object, got "strategy"'),
+    (EXPERIMENT, "5", "expected a JSON object, got 5"),
     (EXPERIMENT, '{"kind": "extended", "state": {}, "parties": []}',
-     "the parties of an experiment: expected a JSON object"),
-    (CUSTOM, '"strategy"', "a state: expected a JSON object"),
-    (CUSTOM, "5", "a state: expected a JSON object"),
-    (CUSTOM, "[1, 2]", "a state: expected a JSON object"),
+     "parties: expected a JSON object, got an array of 0"),
+    (CUSTOM, '"strategy"', 'expected a JSON object, got "strategy"'),
+    (CUSTOM, "5", "expected a JSON object, got 5"),
+    (CUSTOM, "[1, 2]", "expected a JSON object, got an array of 2"),
     (EXPERIMENT, edited_member(lambda d: listed(d, "parties", "A", "observables")),
-     "party A observables: expected a JSON object"),
+     "parties.A.observables: expected a JSON object, got an array of 6"),
     (EXPERIMENT, edited_member(lambda d: listed(d, "flag_registers")),
-     "flag_registers: expected a JSON object"),
+     "flag_registers: expected a JSON object, got an array of 2"),
     (EXPERIMENT, edited_member(lambda d: d["state"].update(dims=16)),
-     "state dims: expected a JSON array"),
+     "state.dims: expected a JSON array, got 16"),
     (EXPERIMENT, edited_member(lambda d: d["parties"]["B"].update(dims=4)),
-     "party B dims: expected a JSON array"),
+     "parties.B.dims: expected a JSON array, got 4"),
 ]
 
 
@@ -608,30 +669,35 @@ def foreign_documents():
     def misspelt(document):
         document["flag_register"] = document.pop("flag_registers")
 
+    x_b = member["parties"]["B"]["observables"]["X"]
+    r = next(i for i, row in enumerate(x_b) if [1.0, 0.0] in row)
+    c = x_b[r].index([1.0, 0.0])
+
     def bool_entry(document):                   # a 1 of X_B, so the observable stays binary
-        row = next(r for r in document["parties"]["B"]["observables"]["X"] if [1.0, 0.0] in r)
-        row[row.index([1.0, 0.0])] = [True, 0]
+        document["parties"]["B"]["observables"]["X"][r][c] = [True, 0]
 
     ket = [[1.0, 0.0]] + [[0.0, 0.0]] * 15
     selftest, qkd = ["selftest", "--experiment"], ["qkd", "--n", "100", "--seed", "1",
                                                    "--strategy", "custom"]
     return [
-        ("flag_register", edited(misspelt), selftest, "an experiment does not read this key"),
-        ("C", edited(lambda d: d["parties"].update(C=d["parties"]["B"])), selftest,
-         "the parties of an experiment does not read this key"),
-        ("observable", edited(lambda d: d["parties"]["A"].update(observable={})), selftest,
-         "party A does not read this key"),
-        ("comment", edited(lambda d: d["state"].update(comment="")), selftest,
-         "a state does not read this key"),
-        ("observable X_B", edited(bool_entry), selftest,
-         "expected a [re, im] pair of JSON numbers, got [True, 0]"),
+        ("flag_register", edited(misspelt), selftest,
+         "unknown key (known: kind, state, parties, flag_registers)"),
+        ("parties.C", edited(lambda d: d["parties"].update(C=d["parties"]["B"])), selftest,
+         "unknown key (known: A, B)"),
+        ("parties.A.observable", edited(lambda d: d["parties"]["A"].update(observable={})),
+         selftest, "unknown key (known: dims, observables)"),
+        ("state.comment", edited(lambda d: d["state"].update(comment="")), selftest,
+         "unknown key (known: dims, amplitudes, matrix)"),
+        (f"parties.B.observables.X[{r}][{c}][0]", edited(bool_entry), selftest,
+         "expected a JSON number, got true"),
         ("comment", {"dims": [2, 2, 2, 2], "amplitudes": ket, "comment": ""}, qkd,
-         "a state does not read this key"),
-        ("amplitudes", {"dims": [2, 2, 2, 2], "amplitudes": [[True, False]] + ket[1:]}, qkd,
-         "expected a [re, im] pair of JSON numbers, got [True, False]"),
-        ("matrix", {"strategy": "custom_state", "state": {"dims": [2, 2, 2, 2], "matrix": [
-            [[True, False]] + [[0, 0]] * 15] + [[[0, 0]] * 16] * 15}}, qkd,
-         "expected a [re, im] pair of JSON numbers, got [True, False]"),
+         "unknown key (known: dims, amplitudes, matrix)"),
+        ("amplitudes[0][0]", {"dims": [2, 2, 2, 2], "amplitudes": [[True, False]] + ket[1:]},
+         qkd, "expected a JSON number, got true"),
+        ("state.matrix[0][0][0]", {"strategy": "custom_state", "state": {
+            "dims": [2, 2, 2, 2],
+            "matrix": [[[True, False]] + [[0, 0]] * 15] + [[[0, 0]] * 16] * 15}},
+         qkd, "expected a JSON number, got true"),
     ]
 
 
@@ -647,17 +713,19 @@ def test_documents_with_unread_keys_or_non_number_parts_are_usage_errors(tmp_pat
         assert err.startswith(f"error: d{i}.json: {field}: ") and detail in err, err
 
 
-@pytest.mark.parametrize("document", [
-    {"dims": [2, 2, 2, 2], "amplitudes": [[10**400, 0]] + [[0, 0]] * 15},
-    {"strategy": "honest", "a": 10**400},
+@pytest.mark.parametrize("document, field", [
+    ({"dims": [2, 2, 2, 2], "amplitudes": [[10**400, 0]] + [[0, 0]] * 15}, "amplitudes[0][0]"),
+    ({"strategy": "honest", "a": 10**400}, "a"),
 ], ids=["amplitude", "a"])
-def test_a_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsys, document):
-    # at the parent, float() of the integer raised an OverflowError past main: a traceback
+def test_a_json_integer_past_the_float_range_is_a_usage_error(tmp_path, capsys, document, field):
+    # float() of the integer once raised an OverflowError past main, a traceback, and then
+    # printed "OverflowError: int too large to convert to float" without naming the field
     path = tmp_path / "source.json"
     path.write_text(json.dumps(document))
     assert run(["qkd", "--strategy", "custom", str(path), "--seed", "1", "--n", "10"]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and one_error_line(out.err) and "OverflowError" in out.err
+    assert out.out == "" and one_error_line(out.err)
+    assert out.err.startswith(f"error: {path}: {field}: 1000") and "past the float range" in out.err
 
 
 def nan_inputs():
@@ -977,7 +1045,7 @@ FAST_EXIT_JOBS = [
 def test_a_fresh_job_ends_like_main_in_process(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fixture.json").write_text(dumps({"fixtures": [
-        {"label": "fake_unitary", "matrix": matrix_to_json(np.diag([1.0, 2.0])),
+        {"label": "fake_unitary", "matrix": complex_to_json(np.diag([1.0, 2.0])),
          "claims": ["unitary"]}]}))
     for argv, code in FAST_EXIT_JOBS:
         proc = subprocess.run([sys.executable, "-m", "conjsim", *argv], capture_output=True,
@@ -1250,3 +1318,77 @@ def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
     if bad_flag or (bad_config and config_text == dumps(config)):
         assert code == 2, (argv, config_text)
     assert "Traceback" not in err.getvalue()
+
+
+# --------------------------------------------------------------------------
+# fuzzed JSON documents
+
+WRONG_VALUES = [None, [], {}, "x", 5, 2.5, True, [1], {"z": 1}, -1]
+REMOVED = "<removed>"
+NAMES_AN_EXCEPTION = r"\b[A-Z]\w*(Error|Exception)\b"
+QKD_CUSTOM = ["qkd", "--strategy", "custom", "{path}", "--seed", "1", "--n", "100"]
+
+
+def fuzzed_documents():
+    """{name: (document, argv)}: one document of each reader, and the job that reads it."""
+    ket = np.zeros(16)
+    ket[0] = ket[5] = 1 / np.sqrt(2)                # flags |00>, data in the EPR pair
+    return {
+        "experiment": (experiment_to_json(family_experiment(SimParams(0.3, 0.2), "extended")),
+                       ["selftest", "--experiment", "{path}"]),
+        "describe": (sixstate.Honest(SimParams(0.3, 0.2)).describe(), QKD_CUSTOM),
+        "state": (state_to_json(StateVector([2, 2, 2, 2], ket)), QKD_CUSTOM),
+        "fixtures": ({"fixtures": [{"label": "one", "matrix": [[[1.0, 0.0]]],
+                                    "claims": ["unitary"]}]},
+                     ["--config", "{path}", "props", "--trials", "1", "--dim", "2"]),
+    }
+
+
+def json_paths(value, path=()):
+    """(path, is an object key) of every member of ``value``, and of each array's first entry:
+    a reader applies one rule to all entries of an array."""
+    if isinstance(value, dict):
+        members = value.items()
+    elif isinstance(value, list):
+        members = list(enumerate(value))[:1]
+    else:
+        return
+    for key, member in members:
+        yield path + (key,), isinstance(value, dict)
+        yield from json_paths(member, path + (key,))
+
+
+FUZZED_DOCUMENTS = fuzzed_documents()
+# (name, path, wrong value or REMOVED) for every path of every fuzzed document
+DOCUMENT_CORRUPTIONS = [(name, path, value) for name, (document, _) in FUZZED_DOCUMENTS.items()
+                        for path, is_key in json_paths(document)
+                        for value in WRONG_VALUES + ([REMOVED] if is_key else [])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corruption=st.sampled_from(DOCUMENT_CORRUPTIONS))
+def test_a_corrupted_document_is_refused_naming_a_field(tmp_path_factory, corruption):
+    # at the parent, 208 of these 896 corruptions printed a TypeError, KeyError or
+    # AttributeError in place of the field
+    name, path, value = corruption
+    document, argv = FUZZED_DOCUMENTS[name]
+    document = json.loads(json.dumps(document))
+    *parents, key = path
+    node = document
+    for parent in parents:
+        node = node[parent]
+    if value is REMOVED:
+        del node[key]
+    else:
+        node[key] = value
+    directory = tmp_path_factory.mktemp("document")
+    (directory / "d.json").write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(path=directory / "d.json") for a in argv])
+    assert code in (0, 1, 2), corruption
+    if code == 2:
+        assert out.getvalue() == "" and one_error_line(err.getvalue()), corruption
+        assert not re.search(NAMES_AN_EXCEPTION, err.getvalue()), (corruption, err.getvalue())
+    else:       # a corruption that is still a valid document, such as Z_A[0][0] = -1
+        assert err.getvalue() == "" and json.loads(out.getvalue())["results"], corruption

@@ -164,3 +164,18 @@ def test_records_are_built_without_dataclasses():
     imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
     assert out.returncode == 0 and "conjsim.sixstate" in imported
     assert "dataclasses" not in imported
+
+
+def test_no_handler_catches_a_python_error_that_names_no_field():
+    """No except clause in src/conjsim names TypeError, KeyError, AttributeError or IndexError:
+    a document reader refuses a bad field with a ValueError naming its JSON path, so a
+    handler for these would only turn a reader's gap into an error line that names none."""
+    root = Path(__file__).resolve().parents[1]
+    banned = {"TypeError", "KeyError", "AttributeError", "IndexError"}
+    found = []
+    for path in sorted((root / "src" / "conjsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                found += [f"{path.stem}:{node.lineno} {name}" for name in sorted(names & banned)]
+    assert found == []

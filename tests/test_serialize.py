@@ -1,8 +1,11 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjsim.family import SimParams, multiparty_sim_state
 from conjsim.selftest import (
@@ -14,14 +17,14 @@ from conjsim.selftest import (
 )
 from conjsim.serialize import (
     CHUNK_ROUNDS,
+    complex_from_json,
+    complex_to_json,
     correlation_table_to_csv,
     correlation_table_to_dict,
     dumps,
     equivalence_report_to_dict,
     experiment_from_json,
     experiment_to_json,
-    matrix_from_json,
-    matrix_to_json,
     qber_report_to_dict,
     sim_params_from_json,
     state_from_json,
@@ -42,12 +45,86 @@ from conjsim.sixstate import (
     sift,
 )
 from conjsim.states import DensityMatrix, StateVector, epr_pair
+from dense_reference import per_pair_complex_from_json, per_pair_complex_to_json
 
 
 def test_matrix_roundtrip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_allclose(matrix_from_json(matrix_to_json(m)), m)
+    np.testing.assert_allclose(complex_from_json(complex_to_json(m), 2, "m"), m)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=2) | st.floats()
+                | st.integers(-2**70, 2**70) | st.sampled_from([10**400, -10**400]))
+JSON_VALUES = JSON_SCALARS | st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                                          | st.dictionaries(st.text(max_size=1), inner,
+                                                            max_size=2), max_leaves=6)
+PARTS = st.floats() | st.integers(-2**70, 2**70) | st.sampled_from([0, -0.0, 2**53 + 1, 10**400])
+
+
+@st.composite
+def nested_pairs(draw):
+    """(rank, data): a regular nesting of [re, im] pairs of ``rank`` axes, then up to three
+    edits that each set a pair's part to a JSON scalar, or set, drop or add one entry at a
+    random place, so it may be refused."""
+    rank = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+
+    def build(depth):
+        if depth == rank:
+            return [draw(PARTS), draw(PARTS)]
+        return [build(depth + 1) for _ in range(shape[depth])]
+
+    data = build(0)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["part", "set", "drop", "add"]))
+        value = draw(JSON_SCALARS if edit == "part" else JSON_VALUES)
+        node = data
+        depth = rank if edit == "part" else draw(st.integers(0, rank))
+        for _ in range(depth):                          # down to an array or a pair
+            child = node[draw(st.integers(0, len(node) - 1))] if node else None
+            if not isinstance(child, list):
+                break
+            node = child
+        if edit == "add" or not node:
+            node.append(value)
+        elif edit == "drop":
+            node.pop(draw(st.integers(0, len(node) - 1)))
+        else:                                           # "set" or "part"
+            node[draw(st.integers(0, len(node) - 1))] = value
+    return rank, data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=nested_pairs())
+def test_complex_codec_reads_what_the_per_pair_reference_reads(case):
+    rank, data = case
+    try:
+        expected = per_pair_complex_from_json(data, rank)
+    except (OverflowError, ValueError):
+        expected = None
+    try:
+        got = complex_from_json(data, rank, "x")
+    except ValueError as err:                   # the codec raises nothing else
+        assert expected is None, data
+        assert str(err).startswith("x"), err    # it names a path under "x"
+        return
+    assert expected is not None, data
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rank=st.integers(1, 2), data=st.data())
+def test_complex_codec_round_trips_and_writes_the_per_pair_encoding(rank, data):
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=rank, max_size=rank))
+    size = 2 * math.prod(shape)
+    parts = data.draw(st.lists(st.floats(), min_size=size, max_size=size))
+    arr = np.array(parts, dtype=float).view(complex).reshape(shape)
+    encoded = complex_to_json(arr)
+    assert json.dumps(encoded) == json.dumps(per_pair_complex_to_json(arr))
+    back = complex_from_json(json.loads(json.dumps(encoded)), rank, "x")
+    assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
 
 
 def test_state_roundtrip_vector_and_density():
