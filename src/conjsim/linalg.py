@@ -102,7 +102,7 @@ def is_binary_observable(m, tol: float = ATOL) -> bool:
 
 def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
     dims = as_dims(dims, what)
-    if int(np.prod(dims)) != size:
+    if math.prod(dims) != size:
         raise ValueError(f"{what}: dims {dims} do not match size {size}")
     return dims
 
@@ -119,8 +119,8 @@ def op_partial_trace(mat: np.ndarray, dims: Sequence[int],
     rest = [i for i in range(n) if i not in keep]
     order = keep + rest
     t = mat.reshape(dims + dims).transpose(order + [n + o for o in order])
-    d_k = int(np.prod([dims[i] for i in keep])) if keep else 1
-    d_r = int(np.prod([dims[i] for i in rest])) if rest else 1
+    d_k = math.prod(dims[i] for i in keep)
+    d_r = math.prod(dims[i] for i in rest)
     t = t.reshape(d_k, d_r, d_k, d_r)
     return np.einsum("arbr->ab", t)
 
@@ -149,7 +149,7 @@ def pauli_decompose(mat: np.ndarray, qubit: int,
     rest = [i for i in range(n) if i != qubit]
     order = [qubit] + rest
     t = mat.reshape(dims + dims).transpose(order + [n + o for o in order])
-    d_r = int(np.prod([dims[i] for i in rest])) if rest else 1
+    d_r = math.prod(dims[i] for i in rest)
     t = t.reshape(2, d_r, 2, d_r)
     return {name: 0.5 * np.einsum("ac,cras->rs", p, t) for name, p in PAULIS.items()}
 

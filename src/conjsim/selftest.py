@@ -31,6 +31,8 @@ the residuals its earlier stages recorded.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .family import SimParams, c_of, multiparty_sim_state
@@ -139,7 +141,7 @@ class Experiment(Record):
             got = tuple(self.observables[p])
             if set(got) != set(labels):
                 raise ValueError(f"party {p} must define observables {labels}, got {got}")
-            d = int(np.prod(pd[p]))
+            d = math.prod(pd[p])
             for lab, m in self.observables[p].items():
                 m = as_matrix(m)
                 if m.shape != (d, d):
@@ -224,7 +226,7 @@ def _with_registers(exp: Experiment, party: str, dims: tuple[int, ...],
 
     The party's observables act as the identity on the new registers.
     """
-    eye = np.eye(int(np.prod(dims)), dtype=complex)
+    eye = np.eye(math.prod(dims), dtype=complex)
     obs = {p: dict(exp.observables[p]) for p in PARTIES}
     obs[party] = {lab: np.kron(m, eye) for lab, m in obs[party].items()}
     pd = dict(exp.party_dims)
@@ -254,7 +256,7 @@ def purify_experiment(exp: Experiment) -> Experiment:
     pure = purify(exp.state)
     if pure.dims == exp.state.dims:
         return replace(exp, state=pure)
-    d_a, r = int(np.prod(exp.party_dims["A"])), pure.dims[-1]
+    d_a, r = math.prod(exp.party_dims["A"]), pure.dims[-1]
     # (d_A, d_B, r) -> (d_A, r, d_B): the auxiliary register becomes A's last
     psi = pure.amplitudes.reshape(d_a, -1, r).swapaxes(1, 2).reshape(d_a * r, -1)
     return _with_registers(exp, "A", (r,), psi)
@@ -300,7 +302,7 @@ class CorrelationTable(Record):
 
 def _psi(exp: Experiment) -> np.ndarray:
     """The pure experiment's amplitude matrix Psi, of shape (d_A, d_B)."""
-    return exp.state.amplitudes.reshape(int(np.prod(exp.party_dims["A"])), -1)
+    return exp.state.amplitudes.reshape(math.prod(exp.party_dims["A"]), -1)
 
 
 def _support(psi: np.ndarray, party: str) -> np.ndarray:
@@ -509,8 +511,8 @@ class Extraction(Record):
     ``state`` is Phi(|psi'>) over the party layout (d_A, 2, d_B, 2): each
     party's registers as one index followed by its ancilla qubit, so its
     amplitude matrix Psi' has shape (2 d_A, 2 d_B).  ``actions[(party, label)]``
-    is Phi(M'|psi'>) over the same layout and ``local_units[party]`` is the
-    party's circuit on its (d_p, 2) layout.
+    is Phi(M'|psi'>) over the same layout, for ACTION_LABELS (X, Z, D) only,
+    and ``local_units[party]`` is the party's circuit on its (d_p, 2) layout.
     """
 
     exp: Experiment                      # purified input experiment
@@ -525,7 +527,7 @@ def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
     In this party-major (d_p, 2) layout ``kron(I, H)`` is H on the ancilla and
     ``kron(I, |0><0|) + kron(M, |1><1|)`` is M controlled by the ancilla.
     """
-    eye = np.eye(int(np.prod(exp.party_dims[party])), dtype=complex)
+    eye = np.eye(math.prod(exp.party_dims[party]), dtype=complex)
     p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
 
     def ctl(label: str) -> np.ndarray:
@@ -536,7 +538,7 @@ def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
 
 
 def extraction_isometry(exp: Experiment) -> Extraction:
-    """``U_A Phi U_B^T`` for Psi_0 and each M Psi_0 of the purified experiment.
+    """``U_A Phi U_B^T`` for Psi_0 and each action M Psi_0 of the purified experiment.
 
     It certifies nothing by itself: :func:`run_selftest` gates it.
     """
@@ -553,7 +555,7 @@ def extraction_isometry(exp: Experiment) -> Extraction:
         return StateVector((d_a, 2, d_b, 2), out)
 
     actions = {(p, lab): circuit(exp.act(p, np.kron(exp.observable(p, lab), np.eye(2)), psi0))
-               for p in PARTIES for lab in setting_labels(exp.kind)}
+               for p in PARTIES for lab in ACTION_LABELS}
     return Extraction(exp=exp, state=circuit(psi0), actions=actions, local_units=local_units)
 
 

@@ -13,6 +13,8 @@ hash by their field tuple, and :func:`replace` rebuilds one through its
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import as_dims, as_matrix, op_partial_trace
@@ -84,7 +86,7 @@ class StateVector(Record):
     def __init__(self, dims, amplitudes):
         dims = as_dims(dims, "state dims")
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if int(np.prod(dims)) != amp.size:
+        if math.prod(dims) != amp.size:
             raise ValueError(f"dims {dims} do not match amplitude length {amp.size}")
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= NORM_TOL:         # a NaN norm fails too
@@ -111,7 +113,7 @@ class DensityMatrix(Record):
     def __init__(self, dims, matrix):
         dims = as_dims(dims, "state dims")
         mat = as_matrix(matrix)
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"dims {dims} do not match matrix shape {mat.shape}")
         if not np.isfinite(mat).all():
@@ -158,7 +160,7 @@ def partial_trace(state: DensityMatrix | StateVector, keep) -> DensityMatrix:
     else:
         rest = [i for i in range(n) if i not in keep]
         m = state.amplitudes.reshape(state.dims).transpose(keep + rest)
-        m = m.reshape(int(np.prod([state.dims[k] for k in keep])), -1)
+        m = m.reshape(math.prod(state.dims[k] for k in keep), -1)
         reduced = m @ m.conj().T
     return DensityMatrix([state.dims[k] for k in keep], reduced)
 

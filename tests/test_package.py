@@ -179,3 +179,20 @@ def test_no_handler_catches_a_python_error_that_names_no_field():
                 names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
                 found += [f"{path.stem}:{node.lineno} {name}" for name in sorted(names & banned)]
     assert found == []
+
+
+def test_no_module_takes_a_dims_product_with_numpy():
+    """No module of src/conjsim calls np.prod or numpy.prod: a product of Python ints wraps
+    in int64 there, so dims such as (2**62 + 1, 4) would match four amplitudes.  Dims
+    products use math.prod, which does not wrap."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "conjsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "prod" and isinstance(
+                    node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name == "prod"]
+    assert found == []

@@ -903,7 +903,7 @@ def dense_extract(exp):
          @ embed_operator(local_units["A"], dims, blocks["A"] + [ancillas["A"]]))
     actions = {}
     for party in PARTIES:
-        for lab in setting_labels(exp.kind):
+        for lab in ACTION_LABELS:
             m_emb = embed_operator(exp.observable(party, lab), dims, blocks[party])
             actions[(party, lab)] = party_layout(exp, u @ m_emb @ vec)
     return Extraction(exp=exp, state=party_layout(exp, u @ vec), actions=actions,
@@ -1076,6 +1076,7 @@ def test_party_layout_matches_register_layout_oracles(case):
     assert exp.state.dim <= 64
     ext, oracle = extraction_isometry(exp), dense_extract(exp)
     assert ext.state.dims == oracle.state.dims
+    assert ext.actions.keys() == oracle.actions.keys()
     for got, want in [(ext.state, oracle.state)] + [
             (ext.actions[key], action) for key, action in oracle.actions.items()]:
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)

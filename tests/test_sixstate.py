@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjsim import sixstate
 from conjsim.family import SimParams, c_of
@@ -501,12 +503,49 @@ def test_zpremeasure_conjugate_branch_error_free():
     assert sum(sift(t).errors.values()) == 0
 
 
+MEMBERS = [SimParams(0.5, 0.5), SimParams(0.3, 0.2 * np.exp(0.7j)), SimParams(0.25, 0.2j)]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
+def test_cell_law_matches_dense_reference(strategy):
+    np.testing.assert_allclose(sixstate._cell_law(strategy), exact_cell_probs(strategy),
+                               rtol=0, atol=1e-12)
+
+
 def test_zpremeasure_analysis_matches_honest():
-    cmp = zpremeasure_analysis(SimParams(0.5, 0.5), 30_000, seed=14)
-    assert cmp.flag_mismatches == 0
-    assert cmp.within_tolerance
-    for b in BASES:
-        assert cmp.rate_differences[b] == pytest.approx(0.0, abs=1e-12)
+    for p in MEMBERS:
+        cmp = zpremeasure_analysis(p)
+        assert cmp.within_tolerance, p
+        assert cmp.cell_difference <= 1e-12, p
+        for b in BASES:
+            assert cmp.rate_differences[b] == pytest.approx(0.0, abs=1e-12), (p, b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0), phase=st.floats(-np.pi, np.pi))
+def test_zpremeasure_law_equals_honest_law_on_feasible_members(a, share, phase):
+    cmp = zpremeasure_analysis(SimParams(a, share * np.sqrt(a * (1 - a)) * np.exp(1j * phase)))
+    assert cmp.cell_difference <= 1e-12 and cmp.within_tolerance
+
+
+@pytest.mark.parametrize("p", MEMBERS, ids=["a0.5", "a0.3", "a0.25"])
+def test_zpremeasure_analysis_sees_a_perturbed_flag_branch(p, monkeypatch):
+    # move 1e-9 of the flag-1 branch's Y agreements to a Y error: the check must see it
+    exact = sixstate._cell_law
+
+    def perturbed(strategy):
+        law = exact(strategy)
+        if isinstance(strategy, ZPremeasure):
+            law[1, 1, 1, 0] -= 1e-9
+            law[1, 1, 1, 1] += 1e-9
+        return law
+
+    monkeypatch.setattr(sixstate, "_cell_law", perturbed)
+    cmp = zpremeasure_analysis(p)
+    assert not cmp.within_tolerance
+    assert cmp.cell_difference == pytest.approx(1e-9, rel=1e-6)
+    assert cmp.rate_differences["Y"] > 1e-9
+    assert cmp.rate_differences["X"] == cmp.rate_differences["Z"] == 0.0
 
 
 def test_analyze_empty_transcript():

@@ -51,6 +51,16 @@ def test_dims_must_be_integers_of_at_least_one(dims):
         DensityMatrix(dims, np.outer(e0, e0))
 
 
+@pytest.mark.parametrize("dims", [[2 ** 62 + 1, 4], [4, 2 ** 62 + 1], [2, 2, 2 ** 62 + 1]])
+def test_dims_whose_product_wraps_in_int64_are_refused(dims):
+    # 4 (2**62 + 1) is 4 mod 2**64: a product that wraps in int64 matches four amplitudes
+    e0 = np.eye(4)[0]
+    with pytest.raises(ValueError, match="do not match amplitude length 4"):
+        StateVector(dims, e0)
+    with pytest.raises(ValueError, match=r"do not match matrix shape \(4, 4\)"):
+        DensityMatrix(dims, np.outer(e0, e0))
+
+
 def test_numpy_integer_dims_are_stored_as_ints():
     e0 = np.eye(4)[0]
     for state in (StateVector(np.array([2, 2]), e0), DensityMatrix([np.int64(2), 2], np.diag(e0))):
