@@ -25,12 +25,8 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import MAX_PROPERTY_DIM, __version__
-
-if TYPE_CHECKING:
-    from .family import SimParams
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -136,58 +132,48 @@ def _parse_kv(tokens, allowed, what):
     return out
 
 
-def _family_params(tokens, flag: str) -> SimParams:
-    """The family member named by key=value tokens; ``flag`` names their source in errors.
-
-    The tokens are checked and converted before numpy loads.
-    """
+def _family_document(tokens, flag: str) -> dict:
+    """The ``{"a", "c_abs", "c_phase"}`` document of a family member's key=value tokens, which
+    are checked and converted before numpy loads; ``flag`` names their source in errors."""
     kv = _parse_kv(tokens, {"a", "c", "c_abs", "c_phase"}, flag)
     if "a" not in kv:
         raise UsageError(f"{flag} requires a=<float>")
     if "c" in kv and "c_abs" in kv:
         raise UsageError(f"{flag}: give c= or c_abs=, not both")
     with _user_input(flag):
-        polar = (float(kv["a"]), float(kv.get("c_abs", kv.get("c", 0.0))),
-                 float(kv.get("c_phase", 0.0)))
-        from .family import SimParams
-
-        return SimParams.from_polar(*polar)
+        return {"a": float(kv["a"]), "c_abs": float(kv.get("c_abs", kv.get("c", 0.0))),
+                "c_phase": float(kv.get("c_phase", 0.0))}
 
 
 def _strategy(tokens):
-    """The strategy named by --strategy's tokens, which are checked before numpy loads."""
+    """The strategy named by --strategy's tokens, which are checked before numpy loads and
+    then read as the ``describe()`` document they write."""
     if not tokens:
-        raise UsageError("--strategy requires a strategy name")
+        raise UsageError("qkd requires --strategy")
     name, rest = tokens[0], tokens[1:]
-    flag = f"--strategy {name}"
+    source = flag = f"--strategy {name}"
     if name in ("honest", "zpremeasure"):
-        params = _family_params(rest, flag)
-        from .sixstate import Honest, ZPremeasure
-
-        return (Honest if name == "honest" else ZPremeasure)(params)
-    if name == "conjugate":
+        document = {"strategy": name, **_family_document(rest, flag)}
+    elif name == "conjugate":
         if rest:
             raise UsageError(f"--strategy conjugate takes no values, got {rest[0]!r}")
-        from .sixstate import Conjugate
-
-        return Conjugate()
-    if name == "mismatched":
+        document = {"strategy": "conjugate"}
+    elif name == "mismatched":
         if len(rest) != 2:
             raise UsageError("--strategy mismatched needs two flag bits")
         with _user_input(flag):
-            bits = int(rest[0]), int(rest[1])
-            from .sixstate import MismatchedFlags
-
-            return MismatchedFlags(*bits)
-    if name == "custom":
+            document = {"strategy": "mismatched_flags", "flag_a": int(rest[0]),
+                        "flag_b": int(rest[1])}
+    elif name == "custom":
         if len(rest) != 1:
             raise UsageError("--strategy custom needs a JSON state/strategy path")
-        data = _read_document(flag, rest[0])
-        from .serialize import strategy_from_json
+        document, source = _read_document(flag, rest[0]), rest[0]
+    else:
+        raise UsageError(f"unknown strategy {name!r}")
+    from .serialize import strategy_from_json
 
-        with _user_input(rest[0]):
-            return strategy_from_json(data)
-    raise UsageError(f"unknown strategy {name!r}")
+    with _user_input(source):
+        return strategy_from_json(document)
 
 
 def _wrap(results: dict, config: dict, seed) -> str:
@@ -260,9 +246,12 @@ def _build_experiment(args, document):
             raise UsageError(f"--kind {args.kind}: the experiment in {args.experiment} has kind "
                              f"{exp.kind!r}")
     elif args.family:
-        params = _family_params(args.family, "--family")
+        document = _family_document(args.family, "--family")
         from .selftest import family_experiment
+        from .serialize import sim_params_from_json
 
+        with _user_input("--family"):
+            params = sim_params_from_json(document)
         exp = family_experiment(params, args.kind or "extended")
     else:
         from .selftest import reference_experiment
@@ -386,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qkd", parents=[common], allow_abbrev=False,
                        help="simulate 6-state protocol rounds")
-    p.add_argument("--strategy", nargs="+", required=True,
+    p.add_argument("--strategy", nargs="+",
                    help="honest a=.. c=.. | conjugate | zpremeasure a=.. c=.. | "
                         "mismatched FA FB | custom path.json")
     p.add_argument("--n", type=int, default=None)

@@ -58,8 +58,8 @@ class Povm(Record):
 
     elements: tuple[np.ndarray, ...]
 
-    def __init__(self, elements):
-        mats = tuple(as_matrix(e) for e in elements)
+    def __post_init__(self):
+        mats = tuple(as_matrix(e) for e in self.elements)
         if not mats:
             raise ValueError("POVM needs at least one element")
         d = mats[0].shape[0]
@@ -88,8 +88,8 @@ class KrausMap(Record):
 
     operators: tuple[np.ndarray, ...]
 
-    def __init__(self, operators):
-        ops = tuple(as_matrix(k) for k in operators)
+    def __post_init__(self):
+        ops = tuple(as_matrix(k) for k in self.operators)
         if not ops:
             raise ValueError("Kraus map needs at least one operator")
         d = ops[0].shape[1]

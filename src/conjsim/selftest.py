@@ -273,7 +273,6 @@ class CorrelationTable(Record):
     joints: dict[tuple[str, str], float]
     marginals: dict[tuple[str, str], float]        # keyed (party, label)
     n_per_pair: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         for v in list(self.joints.values()) + list(self.marginals.values()):
@@ -362,7 +361,7 @@ def sampled_correlations(exact: CorrelationTable, n_per_pair: int, seed: int) ->
              for i, p in enumerate(np.clip(plus, 0.0, 1.0))]
     return CorrelationTable(kind=exact.kind, joints=dict(zip(exact.joints, means)),
                             marginals=dict(zip(exact.marginals, means[len(exact.joints):])),
-                            n_per_pair=n, seed=int(seed))
+                            n_per_pair=n)
 
 
 class CheckResult(Record):

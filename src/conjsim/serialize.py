@@ -202,10 +202,13 @@ def state_from_json(data, path: str = "") -> StateVector | DensityMatrix:
 
 def sim_params_from_json(data) -> SimParams:
     """The family member a ``{"a", "c_abs", "c_phase"}`` object writes; c_abs and c_phase
-    default to 0."""
+    default to 0, and a value that is not finite is refused, naming its key."""
     _object(data, "", ("a",), ("c_abs", "c_phase"))
-    return SimParams.from_polar(*(_number(data.get(key, 0.0), key)
-                                  for key in ("a", "c_abs", "c_phase")))
+    polar = {key: _number(data.get(key, 0.0), key) for key in ("a", "c_abs", "c_phase")}
+    for key, value in polar.items():
+        if not math.isfinite(value):
+            raise _refused(key, f"expected a finite number, got {value}")
+    return SimParams.from_polar(**polar)
 
 
 def experiment_to_json(exp: Experiment) -> dict:
@@ -300,37 +303,24 @@ def fixtures_from_json(config: dict) -> list[tuple[str, np.ndarray, list[str]]]:
     return out
 
 
-def _stderr(table: CorrelationTable, v: float) -> float:
-    """Sample spread over sqrt(n) of a sampled entry v's n +/-1 products; 0 if exact or n = 1."""
-    n = table.n_per_pair
-    return math.sqrt((1.0 - v * v) / (n - 1)) if table.sampled and n > 1 else 0.0
-
-
 def correlation_table_to_dict(table: CorrelationTable) -> dict:
-    out = {
+    return {
         "kind": table.kind,
         "joints": {f"{a},{b}": v for (a, b), v in sorted(table.joints.items())},
         "marginals": {f"{p},{l}": v for (p, l), v in sorted(table.marginals.items())},
     }
-    if table.sampled:
-        out["joint_stderr"] = {f"{a},{b}": _stderr(table, v)
-                               for (a, b), v in sorted(table.joints.items())}
-        out["marginal_stderr"] = {f"{p},{l}": _stderr(table, v)
-                                  for (p, l), v in sorted(table.marginals.items())}
-        out["n_per_pair"] = table.n_per_pair
-        out["seed"] = table.seed
-    return out
 
 
 def correlation_table_to_csv(table: CorrelationTable) -> str:
-    """Columns: setting_a, setting_b, value, stderr.  Marginal rows use 'I' for the idle side."""
+    """Columns: setting_a, setting_b, value, stderr.  Marginal rows use 'I' for the idle side;
+    the table is exact, so every stderr is 0.0."""
     buf = io.StringIO()
     buf.write("setting_a,setting_b,value,stderr\n")
     for (a, b), v in sorted(table.joints.items()):
-        buf.write(f"{a},{b},{v!r},{_stderr(table, v)!r}\n")
+        buf.write(f"{a},{b},{v!r},0.0\n")
     for (p, l), v in sorted(table.marginals.items()):
         pair = (l, "I") if p == "A" else ("I", l)
-        buf.write(f"{pair[0]},{pair[1]},{v!r},{_stderr(table, v)!r}\n")
+        buf.write(f"{pair[0]},{pair[1]},{v!r},0.0\n")
     return buf.getvalue()
 
 
@@ -343,12 +333,12 @@ def _round_table(t: Transcript, flags: bool, render):
     format.  The chunks enumerate (round, cell index) for CHUNK_ROUNDS
     consecutive rounds each.
     """
-    from .sixstate import BASES
+    from .sixstate import CELL_LABELS
 
     table = [render([("basis_a", ba), ("basis_b", bb),
                      *([("flag_a", flag), ("flag_b", flag)] if flags else []),
                      ("outcome_a", oa), ("outcome_b", ob)])
-             for flag, ba, bb, oa, ob in itertools.product((0, 1), BASES, BASES, (0, 1), (0, 1))]
+             for flag, ba, bb, oa, ob in CELL_LABELS]
     cells = t.cells()
     chunks = (enumerate(cells[start:start + CHUNK_ROUNDS].tolist(), start)
               for start in range(0, len(cells), CHUNK_ROUNDS))

@@ -43,6 +43,8 @@ FLAG_A, DATA_A, FLAG_B, DATA_B = range(4)
 BRANCH_TOL = 1e-9                     # a flag branch of at most this weight is empty
 CELL_TOL = 1e-14                      # a cell of at most this probability is empty
 CELLS = (2, 3, 3, 4)                  # flag, basis_a, basis_b, joint outcome
+# (flag, basis_a, basis_b, outcome_a, outcome_b) of each cell, in the order of counts.ravel()
+CELL_LABELS = tuple((f, BASES[a], BASES[b], k >> 1, k & 1) for f, a, b, k in np.ndindex(CELLS))
 
 
 class Honest(Record):
@@ -190,13 +192,6 @@ class Transcript(Record):
         np.random.default_rng([self.seed, 1]).shuffle(cells)
         return cells
 
-    def __eq__(self, other):
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return (np.array_equal(self.counts, other.counts)
-                and (self.seed, self.strategy, self.premeasured)
-                == (other.seed, other.strategy, other.premeasured))
-
 
 def _cell_law(strategy: EveStrategy) -> np.ndarray:
     """One round's normalized probability of each cell of :data:`CELLS`."""
@@ -221,7 +216,11 @@ def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
 
 
 class QberReport(Record):
-    """Per-basis sifted counts and error rates plus the abort verdict."""
+    """Per-basis sifted counts and error rates plus the abort verdict.
+
+    ``flag_mismatches`` (ZPremeasure only) is 0 by construction, as :data:`CELLS` has one
+    flag axis; the guard is :func:`_flag_branches` refusing a cross-flag population.
+    """
 
     sifted: dict[str, int]
     errors: dict[str, int]
@@ -263,7 +262,8 @@ def _same_basis(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sift(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
-    """Keep same-basis rounds and compute per-basis error rates."""
+    """Keep same-basis rounds and compute per-basis error rates; ``flag_mismatches`` is 0
+    by construction under ZPremeasure (see :class:`QberReport`)."""
     sifted, errors = ({b: int(c) for b, c in zip(BASES, col)} for col in _same_basis(t.counts))
     total = t.n
     kept = sum(sifted.values())

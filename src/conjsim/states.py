@@ -6,8 +6,9 @@ and every operation is a pure function.
 :class:`Record` is the base of every value class in the package.  A subclass
 declares its fields as class annotations, with optional class-level defaults;
 the fields are bound by position or keyword, then ``__post_init__`` (if
-defined) validates them.  Records refuse assignment and deletion, compare and
-hash by their field tuple, and :func:`replace` rebuilds one through its
+defined) validates them.  Records refuse assignment and deletion, compare by
+their field tuple (arrays by their entries, also inside dicts, tuples and
+lists) and hash by it, and :func:`replace` rebuilds one through its
 ``__init__``, so validation runs again.  No code is generated per class.
 """
 
@@ -62,7 +63,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return bool(_same(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -70,6 +71,19 @@ class Record:
     def __repr__(self):
         items = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({items})"
+
+
+def _same(x, y) -> bool:
+    """Whether ``x`` and ``y`` are equal as a tuple's items are (identity, then ``==``), two
+    ndarrays being equal when their shapes and entries are, also inside dicts, tuples and
+    lists."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and np.array_equal(x, y)
+    if type(x) is type(y) and isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_same(x[key], y[key]) for key in x)
+    return x is y or x == y
 
 
 def replace(record: Record, **changes) -> Record:
@@ -83,9 +97,9 @@ class StateVector(Record):
     dims: tuple[int, ...]
     amplitudes: np.ndarray
 
-    def __init__(self, dims, amplitudes):
-        dims = as_dims(dims, "state dims")
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    def __post_init__(self):
+        dims = as_dims(self.dims, "state dims")
+        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if math.prod(dims) != amp.size:
             raise ValueError(f"dims {dims} do not match amplitude length {amp.size}")
         norm = np.linalg.norm(amp)
@@ -110,9 +124,9 @@ class DensityMatrix(Record):
     dims: tuple[int, ...]
     matrix: np.ndarray
 
-    def __init__(self, dims, matrix):
-        dims = as_dims(dims, "state dims")
-        mat = as_matrix(matrix)
+    def __post_init__(self):
+        dims = as_dims(self.dims, "state dims")
+        mat = as_matrix(self.matrix)
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"dims {dims} do not match matrix shape {mat.shape}")

@@ -425,6 +425,20 @@ def test_config_file_supplies_flags(tmp_path):
     assert data["results"]["total_rounds"] == 1000
 
 
+def test_config_file_supplies_the_strategy(tmp_path, monkeypatch):
+    # --strategy is checked after the config file is merged, like any other flag; the
+    # config form's report is the flag form's but for the config path it records
+    monkeypatch.chdir(tmp_path)
+    assert run(["qkd", "--strategy", "honest", "a=0.5", "--seed", "2", "--n", "7",
+                "--out", "report.json"]) == 0
+    flag_form = Path("report.json").read_bytes()
+    config = write_config(tmp_path, {"strategy": ["honest", "a=0.5"], "seed": 2, "n": 7})
+    assert run(["--config", config, "qkd", "--out", "report.json"]) == 0
+    report = read_json(Path("report.json"))
+    assert report["config"].pop("config") == config
+    assert dumps(report).encode() == flag_form
+
+
 def test_flags_win_over_config(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(dumps({"seed": 5, "n": 1000}))
@@ -795,6 +809,14 @@ def test_invalid_values_are_usage_errors(capsys, argv, message):
     (["qkd", "--strategy", "zpremeasure", "a=0.5", "b=1", "--seed", "1"],
      "error: --strategy zpremeasure: unknown key 'b'"),
     (["selftest", "--family", "c=0.3"], "error: --family requires a=<float>"),
+    # a non-finite value is named by its key, not as a coherence |c| = nan
+    (["qkd", "--strategy", "honest", "a=0.3", "c_phase=inf", "--seed", "1"],
+     "error: --strategy honest: c_phase: expected a finite number, got inf\n"),
+    (["qkd", "--strategy", "zpremeasure", "a=0.3", "c_abs=-inf", "--seed", "1"],
+     "error: --strategy zpremeasure: c_abs: expected a finite number, got -inf\n"),
+    (["selftest", "--family", "a=0.3", "c_phase=nan"],
+     "error: --family: c_phase: expected a finite number, got nan\n"),
+    (["simulate", "--family", "a=nan"], "error: --family: a: expected a finite number, got nan\n"),
 ])
 def test_family_errors_name_their_flag(capsys, argv, message):
     assert run(argv) == 2
@@ -905,6 +927,7 @@ USAGE_WITHOUT_NUMPY = [
      "error: --family: give c= or c_abs=, not both\n"),
     (["qkd", "--strategy", "conjugate", "x", "--seed", "1"], 2,
      "error: --strategy conjugate takes no values, got 'x'\n"),
+    (["qkd", "--seed", "1"], 2, "error: qkd requires --strategy\n"),
 ]
 
 

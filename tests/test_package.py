@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import conjsim
 
 EXPORTS = [
@@ -196,3 +198,38 @@ def test_no_module_takes_a_dims_product_with_numpy():
                 found += [f"{path.name}:{node.lineno}" for alias in node.names
                           if alias.name == "prod"]
     assert found == []
+
+
+def test_the_cli_imports_no_class_of_sixstate_or_family():
+    """serialize alone maps a strategy name to its class and user input to a SimParams: the
+    CLI builds the describe() document and hands it over, so it imports no class of sixstate
+    or family (functions such as run_rounds it does import)."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {name: importlib.import_module(f"conjsim.{name}") for name in ("sixstate", "family")}
+    imported = []
+    for node in ast.walk(ast.parse((root / "src" / "conjsim" / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module in modules:
+            imported += [(node.module, alias.name) for alias in node.names]
+    assert ("sixstate", "run_rounds") in imported             # the walk sees the lazy imports
+    assert [(m, n) for m, n in imported if inspect.isclass(getattr(modules[m], n))] == []
+
+
+def test_serialize_takes_the_cell_labels_from_sixstate():
+    """The transcript encoders read each cell's labels from sixstate.CELL_LABELS; serialize
+    builds no labels of its own with itertools.product."""
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "src" / "conjsim" / "serialize.py").read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "product" not in names and "CELL_LABELS" in names
+
+
+def test_the_project_version_is_the_package_version():
+    """pyproject.toml's [project] version and conjsim.__version__, which every report embeds,
+    are one number."""
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == conjsim.__version__

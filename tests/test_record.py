@@ -3,12 +3,13 @@
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from conjsim.family import SimParams
-from conjsim.selftest import family_experiment
-from conjsim.sixstate import Honest, ZPremeasure
-from conjsim.states import Record, replace
+from conjsim.family import KrausMap, Povm, SimParams
+from conjsim.selftest import family_experiment, reference_experiment
+from conjsim.sixstate import Honest, Transcript, ZPremeasure, run_rounds
+from conjsim.states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 
 class EmptyR(Record):
@@ -190,3 +191,58 @@ def test_records_of_different_classes_never_compare_equal():
     assert Honest(p) != ZPremeasure(p) and not Honest(p) == ZPremeasure(p)
     assert Honest(p) == Honest(SimParams(0.5, 0.5))
     assert hash(Honest(p)) == hash(Honest(SimParams(0.5, 0.5)))
+
+
+class ArraysR(Record):
+    items: object
+
+
+@pytest.mark.parametrize("left, right, equal", [
+    (np.arange(3), np.arange(3), True),
+    (np.arange(3), np.arange(3.0), True),           # entries, as np.array_equal compares them
+    (np.arange(3), np.arange(1, 4), False),
+    (np.zeros(4), np.zeros((2, 2)), False),
+    (np.arange(3), [0, 1, 2], False),               # an array equals only an array
+    ({"a": np.eye(2)}, {"a": np.eye(2)}, True),
+    ({"a": np.eye(2)}, {"a": -np.eye(2)}, False),
+    ({"a": np.eye(2)}, {"b": np.eye(2)}, False),
+    ((np.eye(2), {"x": (np.ones(2),)}), (np.eye(2), {"x": (np.ones(2),)}), True),
+    ((np.eye(2), {"x": (np.ones(2),)}), (np.eye(2), {"x": (np.zeros(2),)}), False),
+    ([np.ones(2)], [np.ones(2), np.ones(2)], False),
+    ((np.ones(2),), [np.ones(2)], False),           # a tuple never equals a list
+])
+def test_arrays_compare_by_their_entries_also_inside_dicts_and_tuples(left, right, equal):
+    # == on a field tuple holding an array would raise ValueError (ambiguous truth value)
+    assert (ArraysR(left) == ArraysR(right), ArraysR(left) != ArraysR(right)) == (equal, not equal)
+    assert (ArraysR(right) == ArraysR(left)) == equal
+
+
+def test_package_records_holding_arrays_compare_and_stay_unhashable():
+    assert epr_pair() == epr_pair() and epr_pair() != StateVector((2, 2), [1, 0, 0, 0])
+    assert reference_experiment("extended") == reference_experiment("extended")
+    assert reference_experiment("extended") != reference_experiment("mayersyao")
+    strategy = ZPremeasure(SimParams(0.5, 0.5))
+    t = run_rounds(strategy, 100, seed=3)
+    assert t == run_rounds(strategy, 100, seed=3) and t != run_rounds(strategy, 100, seed=4)
+    assert t != replace(t, premeasured=False)
+    for record in (epr_pair(), t):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+
+@pytest.mark.parametrize("cls, args, bad", [
+    (StateVector, ((2,), [0, 1]), {"amplitudes": [0, 2]}),
+    (DensityMatrix, ((2,), np.eye(2) / 2), {"matrix": np.eye(2)}),
+    (Povm, ((np.eye(2) / 2, np.eye(2) / 2),), {"elements": (np.eye(2), np.eye(2))}),
+    (KrausMap, ((np.eye(2),),), {"operators": (2 * np.eye(2),)}),
+])
+def test_state_and_map_records_are_bound_by_record_init(cls, args, bad):
+    # each checks and converts its fields in __post_init__, so it binds by keyword and
+    # replace rebuilds it through the same checks
+    assert "__init__" not in vars(cls) and "__post_init__" in vars(cls)
+    record = cls(**dict(zip(cls._fields, args)))
+    assert record == cls(*args) and replace(record) == record
+    with pytest.raises(TypeError, match="missing the argument"):
+        cls()
+    with pytest.raises(ValueError):
+        replace(record, **bad)

@@ -50,7 +50,7 @@ from conjsim.selftest import (
     with_state,
     y_coefficient_check,
 )
-from conjsim.serialize import correlation_table_to_dict, equivalence_report_to_dict
+from conjsim.serialize import equivalence_report_to_dict
 from conjsim.states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 from dense_reference import (
@@ -211,12 +211,8 @@ def test_sampled_counts_follow_the_per_round_law():
         slow = per_round_sampled_correlations(exact, n, seed)
         counts["fast"].append([*fast.joints.values(), *fast.marginals.values()])
         counts["slow"].append([*slow[0].values(), *slow[1].values()])
-        # each stderr is the closed form sqrt((1 - v^2)/(n - 1)) of its entry's value v:
-        # the per-round spread, and the encoder's for the binomial table
-        encoded = correlation_table_to_dict(fast)
-        for values, errs in ((slow[0], slow[2]), (slow[1], slow[3]),
-                             (encoded["joints"], encoded["joint_stderr"]),
-                             (encoded["marginals"], encoded["marginal_stderr"])):
+        # each per-round stderr is the closed form sqrt((1 - v^2)/(n - 1)) of its entry's value v
+        for values, errs in ((slow[0], slow[2]), (slow[1], slow[3])):
             for key, v in values.items():
                 assert abs(errs[key] - math.sqrt((1 - v * v) / (n - 1))) <= 1e-12, (seed, key)
     k = {name: np.rint((np.array(c) + 1) * n / 2).astype(int) for name, c in counts.items()}

@@ -17,6 +17,7 @@ from conjsim.selftest import (
 )
 from conjsim.serialize import (
     CHUNK_ROUNDS,
+    _round_table,
     complex_from_json,
     complex_to_json,
     correlation_table_to_csv,
@@ -35,6 +36,7 @@ from conjsim.serialize import (
 )
 from conjsim.sixstate import (
     BASES,
+    CELL_LABELS,
     CELLS,
     Conjugate,
     CustomState,
@@ -154,6 +156,20 @@ def test_sim_params_roundtrip():
     assert sim_params_from_json({"a": 1, "c_abs": 0}) == SimParams(1.0, 0.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("a", math.nan), ("a", math.inf), ("c_abs", math.inf), ("c_abs", -math.inf),
+    ("c_phase", math.nan), ("c_phase", math.inf),
+])
+def test_a_non_finite_family_value_is_refused_naming_its_key(key, value):
+    # named by its key, not as a coherence "|c| = nan exceeds sqrt(a(1-a))"; Python's json
+    # reads NaN and Infinity, so a strategy document can hold them
+    message = f"^{key}: expected a finite number, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        sim_params_from_json({"a": 0.3, key: value})
+    with pytest.raises(ValueError, match=message):
+        strategy_from_json({"strategy": "zpremeasure", "a": 0.3, key: value})
+
+
 def test_experiment_roundtrip():
     exp = family_experiment(SimParams(0.25, 0.2j), "extended")
     back = experiment_from_json(experiment_to_json(exp))
@@ -191,11 +207,16 @@ def test_correlation_table_csv_format():
     assert row["setting_a"] in ("X", "Z", "D", "I")
 
 
-def test_correlation_table_dict_sampled_fields():
-    table = sampled_correlations(correlations(reference_experiment("mayersyao")), 50, seed=1)
-    data = correlation_table_to_dict(table)
-    assert data["n_per_pair"] == 50 and data["seed"] == 1
-    assert set(data["joint_stderr"]) == set(data["joints"])
+def test_a_correlation_table_encodes_its_entries_alone():
+    # no job writes a sampled table: it encodes as an exact one does, with no stderr,
+    # n_per_pair or seed; the CSV keeps its stderr column, 0.0 on every row
+    exact = correlations(reference_experiment("mayersyao"))
+    for table in (exact, sampled_correlations(exact, 50, seed=1)):
+        data = correlation_table_to_dict(table)
+        assert set(data) == {"kind", "joints", "marginals"}
+        assert set(data["joints"]) == {f"{a},{b}" for a, b in table.joints}
+    rows = correlation_table_to_csv(exact).splitlines()[1:]
+    assert {row.split(",")[3] for row in rows} == {"0.0"}
 
 
 # --------------------------------------------------------------------------
@@ -210,6 +231,18 @@ def reference_records(t):
                         "outcome_a": k >> 1, "outcome_b": k & 1,
                         **({"flag_a": flag, "flag_b": flag} if t.premeasured else {})})
     return records
+
+
+def test_round_table_labels_each_cell_as_sixstate_defines_it():
+    # all 72 cells, in counts.ravel() order, each decoded from its index on its own
+    t = run_rounds(ZPremeasure(SimParams(0.5, 0.5)), 10, seed=1)
+    table, _ = _round_table(t, True, dict)
+    assert len(table) == len(CELL_LABELS) == math.prod(CELLS) == 72
+    for cell, (label, rendered) in enumerate(zip(CELL_LABELS, table)):
+        flag, a, b, k = (int(x) for x in np.unravel_index(cell, CELLS))
+        assert label == (flag, BASES[a], BASES[b], k >> 1, k & 1)
+        assert rendered == {"basis_a": BASES[a], "basis_b": BASES[b], "flag_a": flag,
+                            "flag_b": flag, "outcome_a": k >> 1, "outcome_b": k & 1}
 
 
 def reference_csv(t):
