@@ -2,9 +2,9 @@
 
 Exit codes: 0 = checks passed (or an adversarial strategy behaved as
 documented), 1 = check failure, internal numerical failure or an output that
-could not be written, 2 = usage or configuration error.  Every
-report embeds the effective config, the seed, and the toolkit version.  A
-JSON config file can stand in for flags; explicitly given flags win.
+could not be written, 2 = usage or configuration error.  Every report embeds the
+effective config, the seed and the toolkit version.  A subcommand takes only the
+flags it reads; a JSON config file can stand in for them, explicit flags win.
 
 Each subcommand imports the numeric modules it runs only when it runs, after
 the checks that need nothing but its flags, so a parsing error or a flag out
@@ -165,7 +165,7 @@ def _strategy(tokens):
             document = {"strategy": "mismatched_flags", "flag_a": int(rest[0]),
                         "flag_b": int(rest[1])}
     elif name == "custom":
-        if len(rest) != 1:
+        if len(rest) != 1 or not rest[0]:
             raise UsageError("--strategy custom needs a JSON state/strategy path")
         document, source = _read_document(flag, rest[0]), rest[0]
     else:
@@ -176,11 +176,12 @@ def _strategy(tokens):
         return strategy_from_json(document)
 
 
-def _wrap(results: dict, config: dict, seed) -> str:
+def _wrap(results: dict, args, seed) -> str:
     from .serialize import dumps
 
-    return dumps({"version": __version__, "seed": seed, "config": config,
-                  "results": results})
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "config_data")
+              and v is not None}
+    return dumps({"version": __version__, "seed": seed, "config": config, "results": results})
 
 
 def _emit(text: str, out: str | None):
@@ -223,21 +224,18 @@ def cmd_props(args) -> int:
     report = c_property_suite(trials, dim, seed, fixtures=fixtures, **tol)
     items = [{"name": c.name, "max_residual": c.max_residual, "passed": c.passed}
              for c in report.checks]
-    _emit(_wrap({"items": items, "passed": report.passed}, vars_config(args), seed), args.out)
+    _emit(_wrap({"items": items, "passed": report.passed}, args, seed), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _experiment_document(args):
-    """The parsed --experiment file, or None; refuses --experiment together with --family."""
+def _build_experiment(args):
+    """The experiment of --experiment, --family (not both) or the reference; ``args.kind`` is
+    then the kind it has, and an explicit --kind that an experiment document disagrees with is
+    refused."""
     if args.experiment and args.family:
         raise UsageError("give either --experiment or --family, not both")
-    return _read_document("--experiment", args.experiment) if args.experiment else None
-
-
-def _build_experiment(args, document):
-    """The experiment of --experiment, --family or the reference; ``args.kind`` is then the
-    kind it has, and an explicit --kind that an experiment document disagrees with is refused."""
     if args.experiment:
+        document = _read_document("--experiment", args.experiment)
         from .serialize import experiment_from_json
 
         with _user_input(args.experiment):
@@ -268,6 +266,8 @@ def _sampled(args) -> tuple[int | None, int | None]:
     kv = _parse_kv(args.sampled, {"n", "seed"}, "--sampled")
     if "n" not in kv:
         raise UsageError("--sampled requires n=<count>")
+    if "seed" in kv and args.seed is not None:
+        raise UsageError("give the sampled seed as --sampled seed= or as --seed, not both")
     with _user_input("--sampled"):
         n = int(kv["n"])
         seed = int(kv["seed"]) if "seed" in kv else args.seed
@@ -281,20 +281,19 @@ def _sampled(args) -> tuple[int | None, int | None]:
 
 
 def cmd_selftest(args) -> int:
-    document = _experiment_document(args)
     sampled_n, seed = _sampled(args)
-    exp = _build_experiment(args, document)
+    exp = _build_experiment(args)
     from .selftest import run_selftest
     from .serialize import equivalence_report_to_dict
 
     tols = {k: v for k, v in (("tol", args.tol), ("stats_tol", args.stats_tol)) if v is not None}
     report = run_selftest(exp, sampled_n=sampled_n, seed=seed, **tols)
-    _emit(_wrap(equivalence_report_to_dict(report), vars_config(args), seed), args.out)
+    _emit(_wrap(equivalence_report_to_dict(report), args, seed), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_simulate(args) -> int:
-    exp = _build_experiment(args, _experiment_document(args))
+    exp = _build_experiment(args)
     from .selftest import correlations
     from .serialize import correlation_table_to_csv, correlation_table_to_dict
 
@@ -302,7 +301,7 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         _emit(correlation_table_to_csv(table), args.out)
     else:
-        _emit(_wrap(correlation_table_to_dict(table), vars_config(args), args.seed), args.out)
+        _emit(_wrap(correlation_table_to_dict(table), args, None), args.out)
     return EXIT_PASS
 
 
@@ -320,16 +319,11 @@ def cmd_qkd(args) -> int:
     if args.transcript_out:
         encode = transcript_to_json if args.transcript_out.endswith(".json") else transcript_to_csv
         _write_output(args.transcript_out, lambda out: encode(transcript, out))
-    _emit(_wrap(qber_report_to_dict(report), vars_config(args), args.seed), args.out)
+    _emit(_wrap(qber_report_to_dict(report), args, args.seed), args.out)
     expected = expected_consistent(strategy)
     if expected is None:
         return EXIT_PASS if report.consistent else EXIT_FAIL
     return EXIT_PASS if report.consistent == expected else EXIT_FAIL
-
-
-def vars_config(args) -> dict:
-    skip = {"func", "config_data"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,47 +334,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common, tol, seed, source = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--out", help="write the report to this path (default: stdout)")
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None,
+    common.add_argument("--workers", type=int,
                         help="accepted for interface stability; must not affect outputs")
+    tol.add_argument("--tol", type=float)
+    seed.add_argument("--seed", type=int)
+    source.add_argument("--kind", choices=["mayersyao", "extended"])
+    source.add_argument("--experiment", help="experiment JSON path")
+    source.add_argument("--family", nargs="+", metavar="K=V",
+                        help="family member, e.g. a=0.5 c=0.5 c_phase=0")
 
-    p = sub.add_parser("props", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("props", parents=[common, tol, seed], allow_abbrev=False,
                        help="run the lifting property suite and simulation invariants")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--dim", type=int)
     p.set_defaults(func=cmd_props)
 
-    p = sub.add_parser("selftest", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("selftest", parents=[common, tol, seed, source], allow_abbrev=False,
                        help="run the self-test pipeline")
-    p.add_argument("--kind", choices=["mayersyao", "extended"], default=None)
-    p.add_argument("--experiment", help="experiment JSON path")
-    p.add_argument("--family", nargs="+", metavar="K=V",
-                   help="family member, e.g. a=0.5 c=0.5 c_phase=0")
     p.add_argument("--sampled", nargs="+", metavar="K=V",
                    help="sampled statistics, e.g. n=100000 seed=7")
-    p.add_argument("--stats-tol", type=float, default=None, dest="stats_tol")
+    p.add_argument("--stats-tol", type=float)
     p.set_defaults(func=cmd_selftest)
 
-    p = sub.add_parser("simulate", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("simulate", parents=[common, source], allow_abbrev=False,
                        help="dump the exact correlation table of an experiment")
-    p.add_argument("--kind", choices=["mayersyao", "extended"], default=None)
-    p.add_argument("--experiment")
-    p.add_argument("--family", nargs="+", metavar="K=V")
-    p.add_argument("--cross-pairs", action="store_true", dest="cross_pairs")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
+    p.add_argument("--cross-pairs", action="store_true")
+    p.add_argument("--format", choices=["json", "csv"])
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("qkd", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("qkd", parents=[common, seed], allow_abbrev=False,
                        help="simulate 6-state protocol rounds")
     p.add_argument("--strategy", nargs="+",
                    help="honest a=.. c=.. | conjugate | zpremeasure a=.. c=.. | "
                         "mismatched FA FB | custom path.json")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--transcript-out", dest="transcript_out")
+    p.add_argument("--n", type=int)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--transcript-out")
     p.set_defaults(func=cmd_qkd)
     return parser
 
@@ -429,16 +420,21 @@ def main(argv=None) -> int:
         for key in ("workers", "n", "trials", "dim"):
             if getattr(args, key, None) is not None and getattr(args, key) < 1:
                 raise UsageError(f"--{key} must be at least 1")
-        if args.seed is not None and args.seed < 0:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError("--seed must be non-negative")
         for key in ("tol", "stats_tol", "threshold"):
             value = getattr(args, key, None)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise UsageError(f"--{key.replace('_', '-')} must be finite and non-negative")
-        for flag in ("--out", "--transcript-out"):
+        for flag in ("--config", "--experiment", "--out", "--transcript-out"):
             path = getattr(args, flag[2:].replace("-", "_"), None)
-            if path:
+            if path == "":
+                raise UsageError(f"{flag}: empty path")
+            if path and flag in ("--out", "--transcript-out"):
                 _check_output(flag, path)
+        transcript = getattr(args, "transcript_out", None)      # _write_output resolves links
+        if args.out and transcript and os.path.realpath(args.out) == os.path.realpath(transcript):
+            raise UsageError(f"--out {args.out} and --transcript-out {transcript} name one file")
         return args.func(args)
     except (OutputError, ValueError) as err:     # the work ran: no usage error
         _error(str(err))

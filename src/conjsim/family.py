@@ -150,8 +150,8 @@ def sim_hamiltonian(h: np.ndarray) -> np.ndarray:
     return _flag_diag(h, -h.conj())
 
 
-def multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> DensityMatrix:
-    """Family member with one flag qubit per party, prepended to each party's register.
+def multiparty_sim_state(psi: StateVector, p: SimParams) -> DensityMatrix:
+    """Family member with one flag qubit prepended to each party's register, a subsystem of psi.
 
     The flag registers only populate the logical states |0...0> and |1...1>;
     all cross-flag populations vanish, so locally premeasured flags always agree.
@@ -159,8 +159,7 @@ def multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> Dens
     |0>/|1> leaves the reference/conjugate state.  The block of flags (z, z') is
     written where every row flag equals z and every column flag equals z'.
     """
-    if len(psi.dims) != n_parties:
-        raise ValueError(f"state has {len(psi.dims)} subsystems, expected one per party")
+    n_parties = len(psi.dims)
     v = psi.amplitudes
     ref = np.outer(v, v.conj())
     cross = np.outer(v, v)
@@ -323,6 +322,6 @@ def _statistics_preservation_residual() -> float:
         for c in {0.0, cmax, cmax * 1j}:
             for psi, axis in ((plus, "X"), (imag, "Y"), (imag, "Z")):
                 povm = Povm([(PAULIS["I"] + sign * PAULIS[axis]) / 2 for sign in (1, -1)])
-                sim = sim_povm(povm).probabilities(multiparty_sim_state(psi, 1, SimParams(a, c)))
+                sim = sim_povm(povm).probabilities(multiparty_sim_state(psi, SimParams(a, c)))
                 residuals.append(np.abs(povm.probabilities(psi) - sim).max())
     return _worst(residuals)

@@ -7,7 +7,8 @@ Conventions used across the package:
   significant factor of a flattened index.
 - ``np.kron(A, B)`` puts A's indices major, so the left factor belongs to the
   lower party index.
-- The default algebraic tolerance is 1e-10.
+- The algebraic tolerance ``ATOL`` is 1e-10; each ``is_*`` predicate holds when
+  its defect is at most ``ATOL``.
 - A bipartite pure state is handled as its amplitude matrix Psi of shape
   (d_A, d_B), with d_p the product of party p's register dims.  A local
   operator acts as a party product: A's operator M as ``M Psi`` and B's as
@@ -83,21 +84,21 @@ def psd_defect(m) -> float:
 DEFECTS = {"hermitian": hermitian_defect, "unitary": unitary_defect, "psd": psd_defect}
 
 
-def is_hermitian(m, tol: float = ATOL) -> bool:
-    return hermitian_defect(m) <= tol
+def is_hermitian(m) -> bool:
+    return hermitian_defect(m) <= ATOL
 
 
-def is_unitary(m, tol: float = ATOL) -> bool:
-    return unitary_defect(m) <= tol
+def is_unitary(m) -> bool:
+    return unitary_defect(m) <= ATOL
 
 
-def is_psd(m, tol: float = ATOL) -> bool:
-    return psd_defect(m) <= tol
+def is_psd(m) -> bool:
+    return psd_defect(m) <= ATOL
 
 
-def is_binary_observable(m, tol: float = ATOL) -> bool:
+def is_binary_observable(m) -> bool:
     """Hermitian and unitary: eigenvalues are exactly +/-1."""
-    return is_hermitian(m, tol) and is_unitary(m, tol)
+    return is_hermitian(m) and is_unitary(m)
 
 
 def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:

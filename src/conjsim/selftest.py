@@ -184,7 +184,7 @@ def family_experiment(p: SimParams, kind: str = "extended") -> Experiment:
     ref = reference_observables(kind)
     return Experiment(
         kind=kind,
-        state=multiparty_sim_state(epr_pair(), 2, p),
+        state=multiparty_sim_state(epr_pair(), p),
         observables={pt: {l: c_of(m) for l, m in ref[pt].items()} for pt in PARTIES},
         party_dims={"A": (2, 2), "B": (2, 2)},
         flag_registers={"A": 0, "B": 2},

@@ -109,9 +109,9 @@ EveStrategy = Honest | Conjugate | ZPremeasure | MismatchedFlags | CustomState
 
 def source_state(strategy: EveStrategy) -> DensityMatrix:
     if isinstance(strategy, (Honest, ZPremeasure)):
-        return multiparty_sim_state(epr_pair(), 2, strategy.params)
+        return multiparty_sim_state(epr_pair(), strategy.params)
     if isinstance(strategy, Conjugate):
-        return multiparty_sim_state(epr_pair(), 2, SimParams(0.0, 0.0))
+        return multiparty_sim_state(epr_pair(), SimParams(0.0, 0.0))
     if isinstance(strategy, MismatchedFlags):
         e_fa, e_fb = np.eye(2, dtype=complex)[[strategy.flag_a, strategy.flag_b]]
         # rows (flag_A, data_A), columns (flag_B, data_B)

@@ -83,8 +83,9 @@ def support_projector(state: StateVector, side, tol: float = 1e-12) -> np.ndarra
     return basis @ basis.conj().T
 
 
-def dense_multiparty_sim_state(psi: StateVector, n_parties: int, p: SimParams) -> DensityMatrix:
+def dense_multiparty_sim_state(psi: StateVector, p: SimParams) -> DensityMatrix:
     """``multiparty_sim_state`` built on [flags..., data...] and permuted to party-major."""
+    n_parties = len(psi.dims)
     d = 2 ** n_parties
     f0, f1, fc = (np.zeros((d, d), dtype=complex) for _ in range(3))
     f0[0, 0] = f1[-1, -1] = fc[0, -1] = 1.0            # |0...0><0...0|, |1...1><1...1|, cross

@@ -166,13 +166,13 @@ def test_criterion_7_real_simulation_equivalence():
         StateVector([4], (np.arange(4) + 1j) / np.linalg.norm(np.arange(4) + 1j)),
     ]
     for psi in corpus:
-        out = to_real_simulation(multiparty_sim_state(psi, 1, SimParams(0.5, 0.5)))
+        out = to_real_simulation(multiparty_sim_state(psi, SimParams(0.5, 0.5)))
         assert np.abs(out.amplitudes.imag).max() <= tol
     for m in (Y, X @ Y, (X + Y) / np.sqrt(2)):
         out = np.asarray(to_real_simulation(c_of(m)), dtype=complex)
         assert np.abs(out.imag).max() <= tol
     # the printed example: psi = (|0> + i|1>)/sqrt(2) -> |0>Re + |1>Im
-    out = to_real_simulation(multiparty_sim_state(corpus[0], 1, SimParams(0.5, 0.5)))
+    out = to_real_simulation(multiparty_sim_state(corpus[0], SimParams(0.5, 0.5)))
     np.testing.assert_allclose(np.abs(out.amplitudes), [SQ2, 0, 0, SQ2], atol=tol)
     report("7: PASS real-simulation outputs have |imag| <= 1e-12 across the corpus")
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -928,11 +929,25 @@ USAGE_WITHOUT_NUMPY = [
     (["qkd", "--strategy", "conjugate", "x", "--seed", "1"], 2,
      "error: --strategy conjugate takes no values, got 'x'\n"),
     (["qkd", "--seed", "1"], 2, "error: qkd requires --strategy\n"),
+    (["selftest", "--kind", "mayersyao", "--seed", "2", "--sampled", "n=100", "seed=1"], 2,
+     "error: give the sampled seed as --sampled seed= or as --seed, not both\n"),
+    (["--config", "seed.json", "selftest", "--sampled", "n=100", "seed=1"], 2,
+     "error: give the sampled seed as --sampled seed= or as --seed, not both\n"),
+    # an empty path once meant "not given": the reference passed, or stdout got the report
+    (["selftest", "--experiment", ""], 2, "error: --experiment: empty path\n"),
+    (["simulate", "--experiment", ""], 2, "error: --experiment: empty path\n"),
+    (["qkd", "--strategy", "conjugate", "--n", "5", "--seed", "1", "--transcript-out", ""], 2,
+     "error: --transcript-out: empty path\n"),
+    (["props", "--trials", "1", "--out", ""], 2, "error: --out: empty path\n"),
+    (["--config", "", "props", "--trials", "1"], 2, "error: --config: empty path\n"),
+    (["qkd", "--strategy", "custom", "", "--seed", "1"], 2,
+     "error: --strategy custom needs a JSON state/strategy path\n"),
 ]
 
 
 def test_usage_errors_are_answered_without_numpy(tmp_path):
     (tmp_path / "not_json.json").write_text("")
+    (tmp_path / "seed.json").write_text('{"seed": 2}')
     results = fresh_main(tmp_path, *[argv for argv, _, _ in USAGE_WITHOUT_NUMPY])
     for (argv, code, message), (got, stdout, err, modules) in zip(USAGE_WITHOUT_NUMPY, results):
         assert got == code and err.endswith(message), argv
@@ -991,6 +1006,18 @@ def test_unwritable_outputs_are_refused_before_the_work(tmp_path):
         assert modules == ["conjsim.cli"], (label, name)      # refused before any numeric work
     assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
     assert list((tmp_path / "a_directory").iterdir()) == []
+
+
+def test_one_file_named_by_both_outputs_is_refused_before_the_work(tmp_path):
+    # the report used to overwrite the transcript
+    (tmp_path / "link.json").symlink_to(tmp_path / "same.json")
+    argvs = [QKD + ["--out", "same.json", "--transcript-out", transcript]
+             for transcript in ("same.json", "link.json", f"{tmp_path}/same.json")]
+    for argv, (code, stdout, err, modules) in zip(argvs, fresh_main(tmp_path, *argvs)):
+        assert (code, stdout) == (2, ""), argv
+        assert err == f"error: --out same.json and --transcript-out {argv[-1]} name one file\n"
+        assert modules == ["conjsim.cli"], argv
+    assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
 
 
 def test_a_failed_write_keeps_the_existing_file(tmp_path, monkeypatch):
@@ -1195,6 +1222,38 @@ def test_a_stdout_report_past_the_file_size_limit_is_exit_one(tmp_path, unbuffer
     assert (tmp_path / "report.json").stat().st_size == 200
 
 
+# the option dests of each subcommand, and of conjsim itself: 30 settable values
+CLI_SURFACE = {
+    "conjsim": {"config"},
+    "props": {"out", "workers", "tol", "seed", "trials", "dim"},
+    "selftest": {"out", "workers", "tol", "seed", "kind", "experiment", "family", "sampled",
+                 "stats_tol"},
+    "simulate": {"out", "workers", "kind", "experiment", "family", "cross_pairs", "format"},
+    "qkd": {"out", "workers", "seed", "strategy", "n", "threshold", "transcript_out"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: {a.dest for a in p._actions if a.option_strings} - {"help"}
+               for name, p in {"conjsim": parser, **subparsers.choices}.items()}
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 30
+
+
+@pytest.mark.parametrize("argv, key", [(QKD, "tol"), (["simulate"], "tol"),
+                                       (["simulate"], "seed")])
+def test_a_flag_no_run_reads_is_refused_and_its_config_key_ignored(tmp_path, capsys, argv, key):
+    with pytest.raises(SystemExit) as stop:
+        run(argv + [f"--{key}", "1"])
+    assert stop.value.code == 2
+    assert f"error: unrecognized arguments: --{key} 1" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert run(["--config", write_config(tmp_path, {key: 1}), *argv, "--out", str(out)]) == 0
+    assert key not in read_json(out)["config"]
+
+
 @pytest.mark.parametrize("argv", [["props"], ["selftest"], QKD])
 def test_format_belongs_to_simulate_alone(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as stop:
@@ -1259,19 +1318,22 @@ AMBIGUOUS = [["a=0.3", "a=0.7"], ["a=0.3", "c=0.1", "c_abs=0.1"], ["n=10", "n=20
 FAMILIES = [["a=0.5", "c=0.5"], ["a=1"], ["a=0.5", "c=0.9"], ["a=x"], ["c=0.1"],
             ["a=0.5", "c_phase=inf"], ["b=1"], ["a"], *AMBIGUOUS[:2]]
 EXPERIMENTS = ["@good", "@no_kind", "@list", "@not_json", "@missing"]
+SEEDS = ["-1", "0", "7", "x"]
+TOLS = ["1e-9", "0", "nan", "inf", "-1", "abc"]
 FUZZ_FLAGS = {
-    "common": {"seed": ["-1", "0", "7", "x"],
-               "tol": ["1e-9", "0", "nan", "inf", "-1", "abc"],
-               "workers": ["0", "1", "2"]},
-    "props": {"trials": ["-5", "0", "1", "3", "x"], "dim": ["-1", "0", "1", "4", "9"]},
-    "selftest": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
+    "common": {"workers": ["0", "1", "2"]},
+    "props": {"seed": SEEDS, "tol": TOLS, "trials": ["-5", "0", "1", "3", "x"],
+              "dim": ["-1", "0", "1", "4", "9"]},
+    "selftest": {"seed": SEEDS, "tol": TOLS,
+                 "kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
                  "experiment": EXPERIMENTS, "stats_tol": ["1e-10", "-1", "-inf", "x"],
                  "sampled": [["n=50", "seed=3"], ["n=0", "seed=3"], ["n=x"], ["n=20"],
                              ["seed=1"], ["n=20", "seed=-4"], ["m=1"], AMBIGUOUS[2]]},
     "simulate": {"kind": ["mayersyao", "extended", "bogus"], "family": FAMILIES,
                  "experiment": EXPERIMENTS, "cross_pairs": [True],
                  "format": ["json", "csv", "xml"]},
-    "qkd": {"strategy": [["honest", "a=0.5", "c=0.5"], ["conjugate"], ["zpremeasure", "a=0.5"],
+    "qkd": {"seed": SEEDS,
+            "strategy": [["honest", "a=0.5", "c=0.5"], ["conjugate"], ["zpremeasure", "a=0.5"],
                          ["mismatched", "0", "1"], ["mismatched", "2", "0"], ["mismatched", "0"],
                          ["teleport"], ["custom", "@custom"], ["custom", "@no_kind"],
                          ["custom", "@list"], ["custom", "@missing"], *AMBIGUOUS[3:]],
@@ -1311,6 +1373,7 @@ def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
     command = data.draw(st.sampled_from(["props", "selftest", "simulate", "qkd"]))
     argv, config = [command, "--out", str(fuzz_dir / "report.out")], {}
     bad_flag, bad_config = False, False
+    seeds_from_config = []      # a sampled run given --seed and --sampled seed= is refused
     for key, values in {**FUZZ_FLAGS["common"], **FUZZ_FLAGS[command]}.items():
         value = data.draw(st.sampled_from([None, *values]), label=key)
         if value is None:
@@ -1318,7 +1381,10 @@ def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
         value = fuzz_value(value, fuzz_dir)
         bad = (key in ("tol", "stats_tol", "threshold") and value in BAD_TOLERANCES
                or value in AMBIGUOUS)
-        if data.draw(st.booleans(), label=f"{key} from config"):
+        from_config = data.draw(st.booleans(), label=f"{key} from config")
+        if key == "seed" or key == "sampled" and any(v.startswith("seed=") for v in value):
+            seeds_from_config.append(from_config)
+        if from_config:
             config[key] = value
             bad_config |= bad
             continue
@@ -1326,6 +1392,9 @@ def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
         argv.append("--" + key.replace("_", "-"))
         if value is not True:
             argv += value if isinstance(value, list) else [value]
+    if len(seeds_from_config) == 2:
+        bad_config |= any(seeds_from_config)
+        bad_flag |= not any(seeds_from_config)
     config_text = data.draw(st.sampled_from([None, dumps(config), *BAD_CONFIGS]),
                             label="config")
     if config_text is not None:

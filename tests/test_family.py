@@ -67,14 +67,14 @@ def test_sim_params_from_polar():
 
 def test_sim_state_reference_branch():
     psi = IMAG
-    rho = multiparty_sim_state(psi, 1, SimParams(1.0, 0.0))
+    rho = multiparty_sim_state(psi, SimParams(1.0, 0.0))
     expected = np.kron(np.diag([1.0, 0.0]), np.outer(psi.amplitudes, psi.amplitudes.conj()))
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
 
 
 def test_sim_state_conjugate_branch():
     psi = IMAG
-    rho = multiparty_sim_state(psi, 1, SimParams(0.0, 0.0))
+    rho = multiparty_sim_state(psi, SimParams(0.0, 0.0))
     conj = np.outer(psi.amplitudes.conj(), psi.amplitudes)
     expected = np.kron(np.diag([0.0, 1.0]), conj)
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
@@ -82,14 +82,14 @@ def test_sim_state_conjugate_branch():
 
 def test_sim_state_pure_superposition():
     psi = IMAG
-    rho = multiparty_sim_state(psi, 1, SimParams(0.5, 0.5))
+    rho = multiparty_sim_state(psi, SimParams(0.5, 0.5))
     vec = np.concatenate([psi.amplitudes, psi.amplitudes.conj()]) / np.sqrt(2)
     np.testing.assert_allclose(rho.matrix, np.outer(vec, vec.conj()), atol=1e-14)
 
 
 def test_sim_state_flag_projections():
     psi = IMAG
-    rho = multiparty_sim_state(psi, 1, SimParams(0.3, 0.2j)).matrix
+    rho = multiparty_sim_state(psi, SimParams(0.3, 0.2j)).matrix
     np.testing.assert_allclose(rho[:2, :2] / 0.3,
                                np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-12)
     np.testing.assert_allclose(rho[2:, 2:] / 0.7,
@@ -98,7 +98,7 @@ def test_sim_state_flag_projections():
 
 def test_sim_state_rejects_infeasible():
     with pytest.raises(ValueError):
-        multiparty_sim_state(PLUS, 1, SimParams(0.5, 0.6))
+        multiparty_sim_state(PLUS, SimParams(0.5, 0.6))
 
 
 def test_sim_povm_identity():
@@ -109,13 +109,13 @@ def test_sim_povm_identity():
 def test_sim_povm_x_basis_on_plus():
     povm = Povm([(np.eye(2) + X) / 2, (np.eye(2) - X) / 2])
     for p in feasible_grid():
-        probs = sim_povm(povm).probabilities(multiparty_sim_state(PLUS, 1, p))
+        probs = sim_povm(povm).probabilities(multiparty_sim_state(PLUS, p))
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
 
 def test_sim_povm_y_basis_on_conjugate_branch():
     povm = Povm([(np.eye(2) + Y) / 2, (np.eye(2) - Y) / 2])
-    probs = sim_povm(povm).probabilities(multiparty_sim_state(IMAG, 1, SimParams(0.0, 0.0)))
+    probs = sim_povm(povm).probabilities(multiparty_sim_state(IMAG, SimParams(0.0, 0.0)))
     np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
 
@@ -129,7 +129,7 @@ def test_statistics_preservation_random_states(seed):
     povm = Povm([np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
     a = float(rng.uniform(0, 1))
     c = rng.uniform(0, np.sqrt(a * (1 - a))) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    probs = sim_povm(povm).probabilities(multiparty_sim_state(psi, 1, SimParams(a, c)))
+    probs = sim_povm(povm).probabilities(multiparty_sim_state(psi, SimParams(a, c)))
     np.testing.assert_allclose(probs, povm.probabilities(psi), atol=1e-10)
 
 
@@ -236,7 +236,7 @@ def test_c_property_suite_rejects_large_dim():
 
 
 def test_sim_unitary_evolve_identity():
-    rho = multiparty_sim_state(PLUS, 1, SimParams(0.5, 0.25))
+    rho = multiparty_sim_state(PLUS, SimParams(0.5, 0.25))
     out = sim_unitary_evolve(rho, np.eye(2))
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
@@ -245,9 +245,9 @@ def test_sim_unitary_evolve_hadamard_matches_sim_of_evolved():
     zero = basis_state([2], [0])
     plus = StateVector(zero.dims, HADAMARD @ zero.amplitudes)
     for p in (SimParams(1.0, 0.0), SimParams(0.5, 0.5), SimParams(0.25, 0.1j)):
-        evolved = sim_unitary_evolve(multiparty_sim_state(zero, 1, p), HADAMARD)
+        evolved = sim_unitary_evolve(multiparty_sim_state(zero, p), HADAMARD)
         np.testing.assert_allclose(evolved.matrix,
-                                   multiparty_sim_state(plus, 1, p).matrix, atol=1e-10)
+                                   multiparty_sim_state(plus, p).matrix, atol=1e-10)
 
 
 @given(seeds)
@@ -263,14 +263,14 @@ def test_sim_unitary_evolution_commutes_with_family(seed):
     c = rng.uniform(0, np.sqrt(a * (1 - a))) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     p = SimParams(a, c)
     evolved = StateVector(psi.dims, u @ psi.amplitudes)
-    np.testing.assert_allclose(sim_unitary_evolve(multiparty_sim_state(psi, 1, p), u).matrix,
-                               multiparty_sim_state(evolved, 1, p).matrix, atol=1e-10)
+    np.testing.assert_allclose(sim_unitary_evolve(multiparty_sim_state(psi, p), u).matrix,
+                               multiparty_sim_state(evolved, p).matrix, atol=1e-10)
 
 
 def test_sim_unitary_evolve_phase_gate_conjugate_branch():
     s_gate = np.diag([1.0, 1.0j])
     zero = basis_state([2], [0])
-    out = sim_unitary_evolve(multiparty_sim_state(zero, 1, SimParams(0.0, 0.0)), s_gate)
+    out = sim_unitary_evolve(multiparty_sim_state(zero, SimParams(0.0, 0.0)), s_gate)
     # flag-1 branch carries S*|0>* = |0>
     branch = out.matrix[2:, 2:]
     np.testing.assert_allclose(branch, np.diag([1.0, 0.0]), atol=1e-12)
@@ -278,7 +278,7 @@ def test_sim_unitary_evolve_phase_gate_conjugate_branch():
 
 def test_sim_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
-        sim_unitary_evolve(multiparty_sim_state(PLUS, 1, SimParams(1.0, 0.0)), np.diag([1.0, 2.0]))
+        sim_unitary_evolve(multiparty_sim_state(PLUS, SimParams(1.0, 0.0)), np.diag([1.0, 2.0]))
 
 
 def test_sim_kraus_identity_channel():
@@ -290,7 +290,7 @@ def test_sim_kraus_dephasing_branches():
     dephase = KrausMap([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * Z])
     psi = IMAG
     for p in (SimParams(1.0, 0.0), SimParams(0.0, 0.0), SimParams(0.5, 0.5)):
-        out = sim_kraus(dephase).apply(multiparty_sim_state(psi, 1, p)).matrix
+        out = sim_kraus(dephase).apply(multiparty_sim_state(psi, p)).matrix
         ref_out = dephase.apply(psi).matrix
         a = p.a
         if a > 0:
@@ -337,7 +337,7 @@ def test_hamiltonian_identity_random(seed, dim):
 
 
 def test_multiparty_reference_branch():
-    rho = multiparty_sim_state(epr_pair(), 2, SimParams(1.0, 0.0))
+    rho = multiparty_sim_state(epr_pair(), SimParams(1.0, 0.0))
     # party-major layout [fA, dA, fB, dB]: reorder to [fA, fB, dA, dB] to compare
     plain = permute_subsystems_matrix(rho.matrix, [2, 2, 2, 2], [0, 2, 1, 3])
     flags = np.zeros((4, 4)); flags[0, 0] = 1.0
@@ -359,19 +359,14 @@ def test_multiparty_sim_state_matches_kron_oracle(seed, n):
     a = float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
     bound = np.sqrt(a * (1 - a))
     c = bound * complex(rng.choice([0.0, 1.0, -1.0, 1j, np.exp(1j * rng.uniform(-3, 3))]))
-    got = multiparty_sim_state(psi, n, SimParams(a, c))
-    want = dense_multiparty_sim_state(psi, n, SimParams(a, c))
+    got = multiparty_sim_state(psi, SimParams(a, c))
+    want = dense_multiparty_sim_state(psi, SimParams(a, c))
     assert got.dims == want.dims
     assert same_bits(got.matrix, want.matrix)
 
 
-def test_multiparty_party_count_mismatch():
-    with pytest.raises(ValueError):
-        multiparty_sim_state(epr_pair(), 3, SimParams(1.0, 0.0))
-
-
 def test_multiparty_flag_support():
-    rho = multiparty_sim_state(epr_pair(), 2, SimParams(0.5, 0.5))
+    rho = multiparty_sim_state(epr_pair(), SimParams(0.5, 0.5))
     flags = partial_trace(rho, [0, 2]).matrix
     # populated only on |00> and |11>
     for idx in (1, 2):
@@ -386,7 +381,7 @@ def test_multiparty_flags_agree_under_z():
     dims = [2, 2, 2, 2]
     zz_same = (embed_operator(Z, dims, [0]) @ embed_operator(Z, dims, [2]))
     for p in feasible_grid():
-        rho = multiparty_sim_state(epr_pair(), 2, p)
+        rho = multiparty_sim_state(epr_pair(), p)
         assert expectation(rho, zz_same) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -406,7 +401,7 @@ def test_multiparty_lifted_y_correlation():
     ya = embed_operator(c_of(Y), dims, [0, 1])
     yb = embed_operator(c_of(-Y), dims, [2, 3])
     for p in feasible_grid():
-        rho = multiparty_sim_state(epr_pair(), 2, p)
+        rho = multiparty_sim_state(epr_pair(), p)
         assert expectation(rho, ya @ yb) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -418,18 +413,18 @@ def test_multiparty_statistics_preservation():
         op = (embed_operator(c_of(ma), dims, [0, 1])
               @ embed_operator(c_of(mb), dims, [2, 3]))
         for p in feasible_grid():
-            rho = multiparty_sim_state(epr_pair(), 2, p)
+            rho = multiparty_sim_state(epr_pair(), p)
             assert expectation(rho, op) == pytest.approx(ref_val, abs=1e-10)
 
 
 def test_to_real_simulation_real_state():
     zero = basis_state([2], [0])
-    out = to_real_simulation(multiparty_sim_state(zero, 1, SimParams(0.5, 0.5)))
+    out = to_real_simulation(multiparty_sim_state(zero, SimParams(0.5, 0.5)))
     np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_to_real_simulation_imag_state_components():
-    out = to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(0.5, 0.5)))
+    out = to_real_simulation(multiparty_sim_state(IMAG, SimParams(0.5, 0.5)))
     expected = np.array([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
     np.testing.assert_allclose(np.abs(out.amplitudes), expected, atol=1e-12)
     assert np.abs(out.amplitudes.imag).max() <= 1e-12
@@ -444,7 +439,7 @@ def test_to_real_simulation_operator_y():
 
 def test_to_real_simulation_rejects_wrong_forms():
     with pytest.raises(ValueError):
-        to_real_simulation(multiparty_sim_state(IMAG, 1, SimParams(1.0, 0.0)))
+        to_real_simulation(multiparty_sim_state(IMAG, SimParams(1.0, 0.0)))
     m = np.array([[1, 2j], [0, -1]])
     for op in (np.kron(X, np.eye(2)), np.kron(np.eye(2), m), np.kron(Z, m.real),
                c_of(m) + 1e-6 * np.kron(X, np.eye(2)), np.eye(3), np.ones((4, 2))):
@@ -464,7 +459,7 @@ def test_to_real_simulation_refuses_members_without_a_leading_flag_qubit():
 def test_to_real_simulation_accepts_exactly_the_half_half_members():
     psi = StateVector([2], np.array([0.6, 0.8j]))
     for p in feasible_grid():
-        rho = multiparty_sim_state(psi, 1, p)
+        rho = multiparty_sim_state(psi, p)
         if p.a == 0.5 and abs(p.c) == pytest.approx(0.5):
             to_real_simulation(rho)
         else:
@@ -503,7 +498,7 @@ def test_to_real_simulation_realness_random(seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     psi = StateVector([3], v / np.linalg.norm(v))
-    out = to_real_simulation(multiparty_sim_state(psi, 1, SimParams(0.5, 0.5)))
+    out = to_real_simulation(multiparty_sim_state(psi, SimParams(0.5, 0.5)))
     assert np.abs(out.amplitudes.imag).max() <= 1e-12
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     out_op = np.asarray(to_real_simulation(c_of(m)), dtype=complex)

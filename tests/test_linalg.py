@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim.linalg import (
+    ATOL,
     HADAMARD,
     X,
     Y,
@@ -85,7 +86,7 @@ def test_predicates():
 def test_predicates_are_defects_within_tol():
     skew = np.array([[0, 3e-10], [0, 0]])
     assert hermitian_defect(skew) == 3e-10
-    assert is_hermitian(skew, tol=3e-10) and not is_hermitian(skew, tol=2e-10)
+    assert is_hermitian(np.array([[0, ATOL], [0, 0]])) and not is_hermitian(skew)
     assert unitary_defect(np.diag([1.0, 2.0])) == 3.0
     assert psd_defect(np.diag([-0.5, 1.0])) == 0.5 and psd_defect(np.diag([0.0, 1.0])) == 0.0
     assert psd_defect(np.array([[1.0, 2.0], [0.0, 1.0]])) == 2.0     # the Hermitian defect
@@ -118,7 +119,7 @@ def test_herm_expm_inverse(seed, dim):
     h = random_hermitian(dim, rng)
     t = float(rng.uniform(0.1, 3.0))
     np.testing.assert_allclose(herm_expm(h, t) @ herm_expm(h, -t), np.eye(dim), atol=1e-9)
-    assert is_unitary(herm_expm(h, t), tol=1e-10)
+    assert unitary_defect(herm_expm(h, t)) <= 1e-10
 
 
 def test_embed_and_permute_consistency():
@@ -215,4 +216,4 @@ def test_pauli_decompose_rejects_non_qubit():
 @settings(max_examples=25, deadline=None)
 def test_random_unitary_is_unitary(seed):
     rng = np.random.default_rng(seed)
-    assert is_unitary(random_unitary(5, rng), tol=1e-10)
+    assert unitary_defect(random_unitary(5, rng)) <= 1e-10

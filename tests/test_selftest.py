@@ -15,10 +15,11 @@ from conjsim.linalg import (
     X,
     Y,
     Z,
-    is_binary_observable,
+    hermitian_defect,
     op_partial_trace,
     pauli_decompose,
     random_unitary,
+    unitary_defect,
 )
 from conjsim.selftest import (
     ACTION_LABELS,
@@ -109,7 +110,7 @@ def test_reference_extended_observables_binary():
     exp = reference_experiment("extended")
     for party in ("A", "B"):
         for label, m in exp.observables[party].items():
-            assert is_binary_observable(m, tol=1e-12), (party, label)
+            assert max(hermitian_defect(m), unitary_defect(m)) <= 1e-12, (party, label)
 
 
 def test_schedule_is_union_of_subtests_without_cross_pairs():
@@ -700,6 +701,29 @@ def test_no_false_passes_on_mayersyao_catalog():
     for exp in (with_observable(ref, "A", "D", X),
                 with_state(ref, basis_state([2, 2], [0, 0]))):
         assert not run_selftest(exp).passed
+
+
+# D tilted by TILT towards Y moves each joint by at most TILT**2 / 2, below the default
+# statistics tolerance, so only the state stages can see it.
+TILT = 1e-5
+
+
+def tilted_d(exp, party, sign):
+    d = exp.observable(party, "D")
+    return with_observable(exp, party, "D", np.cos(TILT) * d + sign * np.sin(TILT) * Y)
+
+
+def test_d_tilted_opposite_ways_on_both_sides_fails_only_the_d_collapse():
+    report = run_selftest(tilted_d(tilted_d(reference_experiment("mayersyao"), "A", 1), "B", -1))
+    assert max(report.statistics.deviations.values()) <= TILT ** 2 / 2 < report.stats_tol
+    assert max(report.state_equalities.values()) <= report.tol       # the transfers hold
+    assert report.failures == ("d_collapse[A:D]",)
+
+
+def test_d_tilted_on_one_side_fails_the_state_equalities():
+    report = run_selftest(tilted_d(reference_experiment("mayersyao"), "B", 1))
+    assert report.statistics.passed         # joint(D,D) moves by 1 - cos(TILT)
+    assert report.failures == ("state_equalities[XZD:state=DD]", "d_collapse[B:D]")
 
 
 def test_run_selftest_sampled_mode():

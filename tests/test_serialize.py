@@ -190,7 +190,7 @@ def test_strategy_roundtrip():
                   ZPremeasure(SimParams(1.0, 0.0)), Conjugate()):
         back = strategy_from_json(strat.describe())
         assert back.describe() == strat.describe()
-    rho = multiparty_sim_state(epr_pair(), 2, SimParams(0.3, 0.2))
+    rho = multiparty_sim_state(epr_pair(), SimParams(0.3, 0.2))
     back = strategy_from_json({"strategy": "custom_state", "state": state_to_json(rho)})
     assert isinstance(back, CustomState)
     np.testing.assert_array_equal(back.state.matrix, rho.matrix)

@@ -104,7 +104,7 @@ def test_partial_trace_of_product_factors():
 
 def test_partial_trace_of_reference_branch_sim_state():
     psi = random_pure([2], np.random.default_rng(11))
-    rho = multiparty_sim_state(psi, 1, SimParams(1.0, 0.0))
+    rho = multiparty_sim_state(psi, SimParams(1.0, 0.0))
     reduced = partial_trace(rho, [1])
     np.testing.assert_allclose(reduced.matrix,
                                np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-12)
@@ -112,7 +112,7 @@ def test_partial_trace_of_reference_branch_sim_state():
 
 def test_partial_trace_flag_of_epr_sim_state():
     phi = StateVector([4], epr_pair().amplitudes)          # the pair as one register
-    rho = multiparty_sim_state(phi, 1, SimParams(1.0, 0.0))     # dims (flag, 4)
+    rho = multiparty_sim_state(phi, SimParams(1.0, 0.0))     # dims (flag, 4)
     reduced = partial_trace(rho, [1])
     np.testing.assert_allclose(reduced.matrix,
                                np.outer(phi.amplitudes, phi.amplitudes.conj()), atol=1e-12)
@@ -165,7 +165,7 @@ def test_support_projector_full_rank_and_product():
 def test_support_projector_excludes_empty_flag_branch():
     # reference-branch family member: the flag-1 sector never appears, so the
     # support on A's registers (flag_A, data_A) holds only flag-0 vectors
-    rho = multiparty_sim_state(epr_pair(), 2, SimParams(1.0, 0.0))
+    rho = multiparty_sim_state(epr_pair(), SimParams(1.0, 0.0))
     psi = purify(rho)
     assert psi.dims == (2, 2, 2, 2)
     proj = _support(psi.amplitudes.reshape(4, 4), "A")
