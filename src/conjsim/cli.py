@@ -320,10 +320,7 @@ def cmd_qkd(args) -> int:
         encode = transcript_to_json if args.transcript_out.endswith(".json") else transcript_to_csv
         _write_output(args.transcript_out, lambda out: encode(transcript, out))
     _emit(_wrap(qber_report_to_dict(report), args, args.seed), args.out)
-    expected = expected_consistent(strategy)
-    if expected is None:
-        return EXIT_PASS if report.consistent else EXIT_FAIL
-    return EXIT_PASS if report.consistent == expected else EXIT_FAIL
+    return EXIT_PASS if report.consistent == expected_consistent(strategy) else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,10 +74,6 @@ class Povm(Record):
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", mats)
 
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
     def probabilities(self, state: StateVector | DensityMatrix) -> np.ndarray:
         rho = state.density().matrix
         return np.array([np.trace(rho @ e).real for e in self.elements])

@@ -361,10 +361,7 @@ def transcript_to_json(t: Transcript, out: TextIO) -> None:
     the layout ``dumps`` gives them (sorted keys, indent 2), so the bytes are
     those of ``dumps`` on the whole document.
     """
-    head = dumps({"seed": t.seed, "strategy": t.strategy})   # "rounds" sorts first
-    if not t.n:
-        out.write('{\n  "rounds": [],\n' + head[2:])
-        return
+    head = dumps({"seed": t.seed, "strategy": t.strategy.describe()})   # "rounds" sorts first
     table, chunks = _round_table(
         t, t.premeasured,
         lambda items: "".join(f'      "{k}": {json.dumps(v)},\n' for k, v in items))

@@ -122,12 +122,10 @@ def source_state(strategy: EveStrategy) -> DensityMatrix:
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def expected_consistent(strategy: EveStrategy) -> bool | None:
-    """Documented expectation for the abort verdict; None when there is none."""
+def expected_consistent(strategy: EveStrategy) -> bool:
+    """Documented expectation for the abort verdict: a custom source is expected to pass."""
     if isinstance(strategy, MismatchedFlags):
         return strategy.flag_a == strategy.flag_b
-    if isinstance(strategy, CustomState):
-        return None
     return True
 
 
@@ -168,16 +166,30 @@ def _flag_branches(rho: DensityMatrix):
 
 
 class Transcript(Record):
-    """n rounds as cell counts: an int64 array of shape :data:`CELLS`.
+    """n >= 1 rounds of ``strategy`` as cell counts: an integer array of shape :data:`CELLS`.
 
-    ``premeasured`` says whether Eve premeasured the flags, so that the rounds
-    carry them; otherwise every round counts at flag 0.
+    The rounds carry the flags only when the strategy premeasures them (``premeasured``);
+    otherwise every round counts at flag 0.  The counts are frozen.
     """
 
     counts: np.ndarray
     seed: int
-    strategy: dict
-    premeasured: bool = False
+    strategy: EveStrategy
+
+    def __post_init__(self):
+        counts = np.array(self.counts)
+        if counts.shape != CELLS or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"counts must be integers of shape {CELLS}")
+        if (counts < 0).any() or not counts.any():
+            raise ValueError("counts must be non-negative with at least one round")
+        if counts[1].any() and not self.premeasured:
+            raise ValueError("flag-1 counts need a strategy that premeasures the flags")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def premeasured(self) -> bool:
+        return isinstance(self.strategy, ZPremeasure)
 
     @property
     def n(self) -> int:
@@ -211,48 +223,52 @@ def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
     if not 1 <= n < 2 ** 63:                        # numpy's multinomial counts are int64
         raise ValueError(f"need at least one round and fewer than 2**63, got {n}")
     counts = np.random.default_rng(int(seed)).multinomial(n, _cell_law(strategy).ravel())
-    return Transcript(counts.reshape(CELLS), int(seed), strategy.describe(),
-                      isinstance(strategy, ZPremeasure))
+    return Transcript(counts.reshape(CELLS), int(seed), strategy)
 
 
 class QberReport(Record):
-    """Per-basis sifted counts and error rates plus the abort verdict.
+    """Per-basis sifted and error counts; the rates and the abort verdict are read off them.
 
-    ``flag_mismatches`` (ZPremeasure only) is 0 by construction, as :data:`CELLS` has one
-    flag axis; the guard is :func:`_flag_branches` refusing a cross-flag population.
+    The verdict is ``insufficient data`` when a basis has no sifted round, else whether
+    every per-basis rate is at most ``abort_threshold``.  ``flag_mismatches`` (premeasured
+    transcripts only) is 0 by construction, as :data:`CELLS` has one flag axis; the guard
+    is :func:`_flag_branches` refusing a cross-flag population.
     """
 
     sifted: dict[str, int]
     errors: dict[str, int]
-    rates: dict[str, float]
     total_rounds: int
-    sift_fraction: float
     abort_threshold: float
-    verdict: str
-    flag_mismatches: int | None = None
+    premeasured: bool
 
     @property
-    def consistent(self) -> bool:
-        return self.verdict == "protocol-consistent"
+    def rates(self) -> dict[str, float]:
+        return {b: (self.errors[b] / self.sifted[b]) if self.sifted[b] else 0.0 for b in BASES}
+
+    @property
+    def sift_fraction(self) -> float:
+        return sum(self.sifted.values()) / self.total_rounds
+
+    @property
+    def verdict(self) -> str:
+        if not all(self.sifted.values()):
+            return "insufficient data"
+        if all(rate <= self.abort_threshold for rate in self.rates.values()):
+            return "protocol-consistent"
+        return "not-protocol-consistent"
+
+    @property
+    def consistent(self) -> bool | None:
+        """Whether the verdict passes; None on ``insufficient data``."""
+        return self.verdict == "protocol-consistent" if all(self.sifted.values()) else None
+
+    @property
+    def flag_mismatches(self) -> int | None:
+        return 0 if self.premeasured else None
 
     @property
     def flag_agreements(self) -> int | None:
-        if self.flag_mismatches is None:
-            return None
-        return self.total_rounds - self.flag_mismatches
-
-
-def _rates_and_verdict(sifted: dict[str, int], errors: dict[str, int], total_rounds: int,
-                       abort_threshold: float) -> tuple[dict[str, float], str]:
-    """Per-basis error rates and the abort verdict on them."""
-    rates = {b: (errors[b] / sifted[b]) if sifted[b] else 0.0 for b in BASES}
-    if total_rounds == 0:
-        verdict = "insufficient data"
-    elif all(rates[b] <= abort_threshold for b in BASES):
-        verdict = "protocol-consistent"
-    else:
-        verdict = "not-protocol-consistent"
-    return rates, verdict
+        return self.total_rounds if self.premeasured else None
 
 
 def _same_basis(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,16 +278,9 @@ def _same_basis(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sift(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
-    """Keep same-basis rounds and compute per-basis error rates; ``flag_mismatches`` is 0
-    by construction under ZPremeasure (see :class:`QberReport`)."""
+    """Keep same-basis rounds and count them and their errors per basis."""
     sifted, errors = ({b: int(c) for b, c in zip(BASES, col)} for col in _same_basis(t.counts))
-    total = t.n
-    kept = sum(sifted.values())
-    rates, verdict = _rates_and_verdict(sifted, errors, total, abort_threshold)
-    return QberReport(sifted=sifted, errors=errors, rates=rates,
-                      total_rounds=total, sift_fraction=kept / total if total else 0.0,
-                      abort_threshold=abort_threshold, verdict=verdict,
-                      flag_mismatches=0 if t.premeasured else None)
+    return QberReport(sifted, errors, t.n, abort_threshold, t.premeasured)
 
 
 def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> QberReport:
@@ -284,11 +293,7 @@ def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> Qbe
     fa, fb = known_flags
     if fa == fb:
         return report
-    errors = dict(report.errors)
-    errors["Y"] = report.sifted["Y"] - report.errors["Y"]
-    rates, verdict = _rates_and_verdict(report.sifted, errors, report.total_rounds,
-                                        report.abort_threshold)
-    return replace(report, errors=errors, rates=rates, verdict=verdict)
+    return replace(report, errors={**report.errors, "Y": report.sifted["Y"] - report.errors["Y"]})
 
 
 class PremeasureComparison(Record):

@@ -223,6 +223,20 @@ def test_a_qkd_report_does_not_depend_on_writing_a_transcript(tmp_path, monkeypa
             assert dumps(report) == plain, (argv, transcript)
 
 
+@pytest.mark.parametrize("argv, sifted", [
+    (["--strategy", "honest", "a=0.5", "--n", "4", "--seed", "0"], {"X": 0, "Y": 0, "Z": 0}),
+    (["--strategy", "custom", "custom.json", "--n", "4", "--seed", "0"], {"X": 0, "Y": 0, "Z": 0}),
+    (["--strategy", "mismatched", "0", "1", "--n", "4", "--seed", "2"], {"X": 0, "Y": 1, "Z": 0}),
+], ids=["honest", "custom", "mismatched"])
+def test_a_basis_without_a_sifted_round_fails_every_strategy(tmp_path, monkeypatch, argv, sifted):
+    # each exited 0 when a basis with nothing sifted counted as error-free
+    monkeypatch.chdir(tmp_path)
+    write_custom_source()
+    assert run(["qkd", *argv, "--out", "report.json"]) == 1
+    results = read_json(Path("report.json"))["results"]
+    assert results["sifted"] == sifted and results["verdict"] == "insufficient data"
+
+
 def strict_json(text):
     """``json.loads`` that refuses NaN, Infinity and -Infinity."""
     def refuse(constant):
@@ -430,11 +444,25 @@ def test_config_file_supplies_the_strategy(tmp_path, monkeypatch):
     # --strategy is checked after the config file is merged, like any other flag; the
     # config form's report is the flag form's but for the config path it records
     monkeypatch.chdir(tmp_path)
-    assert run(["qkd", "--strategy", "honest", "a=0.5", "--seed", "2", "--n", "7",
+    assert run(["qkd", "--strategy", "honest", "a=0.5", "--seed", "2", "--n", "300",
                 "--out", "report.json"]) == 0
     flag_form = Path("report.json").read_bytes()
-    config = write_config(tmp_path, {"strategy": ["honest", "a=0.5"], "seed": 2, "n": 7})
+    config = write_config(tmp_path, {"strategy": ["honest", "a=0.5"], "seed": 2, "n": 300})
     assert run(["--config", config, "qkd", "--out", "report.json"]) == 0
+    report = read_json(Path("report.json"))
+    assert report["config"].pop("config") == config
+    assert dumps(report).encode() == flag_form
+
+
+@pytest.mark.parametrize("value, flags", [(True, ["--cross-pairs"]), (False, []), (None, [])])
+def test_a_config_true_stands_in_for_its_flag(tmp_path, monkeypatch, value, flags):
+    # true gives the bare flag's bytes; false and null leave the flag unset
+    monkeypatch.chdir(tmp_path)
+    simulate = ["simulate", "--kind", "extended", "--out", "report.json"]
+    assert run(simulate + flags) == 0
+    flag_form = Path("report.json").read_bytes()
+    config = write_config(tmp_path, {"cross_pairs": value})
+    assert run(["--config", config, *simulate]) == 0
     report = read_json(Path("report.json"))
     assert report["config"].pop("config") == config
     assert dumps(report).encode() == flag_form
@@ -983,7 +1011,7 @@ def test_unreadable_documents_are_usage_errors(tmp_path):
         assert modules == ["conjsim.cli"], (flag, name)
 
 
-QKD = ["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]
+QKD = ["qkd", "--strategy", "conjugate", "--n", "300", "--seed", "1"]
 OUTPUT_FLAGS = {"props --out": ["props", "--trials", "1", "--out", "{path}"],
                 "selftest --out": ["selftest", "--out", "{path}"],
                 "simulate --out": ["simulate", "--out", "{path}"],
@@ -1283,7 +1311,7 @@ def test_internal_value_error_exits_one(monkeypatch, capsys):
         raise ValueError("outcome probabilities sum to nan")
 
     monkeypatch.setattr(sixstate, "run_rounds", failing)
-    assert run(["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]) == 1
+    assert run(["qkd", "--strategy", "conjugate", "--n", "300", "--seed", "1"]) == 1
     assert capsys.readouterr().err == "error: outcome probabilities sum to nan\n"
 
 
@@ -1306,7 +1334,7 @@ def test_memory_error_exits_one_without_traceback(monkeypatch, capsys, error, li
         raise error
 
     monkeypatch.setattr(sixstate, "run_rounds", exhausted)
-    assert run(["qkd", "--strategy", "conjugate", "--n", "10", "--seed", "1"]) == 1
+    assert run(["qkd", "--strategy", "conjugate", "--n", "300", "--seed", "1"]) == 1
     assert capsys.readouterr().err == line
 
 

@@ -224,7 +224,7 @@ def test_package_records_holding_arrays_compare_and_stay_unhashable():
     strategy = ZPremeasure(SimParams(0.5, 0.5))
     t = run_rounds(strategy, 100, seed=3)
     assert t == run_rounds(strategy, 100, seed=3) and t != run_rounds(strategy, 100, seed=4)
-    assert t != replace(t, premeasured=False)
+    assert t != replace(t, strategy=ZPremeasure(SimParams(0.5, -0.5)))
     for record in (epr_pair(), t):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)

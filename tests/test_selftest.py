@@ -201,6 +201,15 @@ def unequal_table():
                             marginals={("A", "X"): -0.3, ("B", "D"): 0.2})
 
 
+def test_an_inconsistent_table_has_no_outcome_distribution():
+    # <A> = 1 and <B> = -1 force outcome (+, -), which <AB> = 1 excludes: the clipped
+    # outcome weights are (1/2, 1/2, 0, 1/2)
+    table = CorrelationTable(kind="mayersyao", joints={("X", "D"): 1.0},
+                             marginals={("A", "X"): 1.0, ("B", "D"): -1.0})
+    with pytest.raises(ValueError, match=r"outcome probabilities sum to 1\.5"):
+        table.outcome_probs("X", "D")
+
+
 def test_sampled_counts_follow_the_per_round_law():
     # each entry's count k of +1 products, over 2000 seeds at n = 4, is distributed as the
     # per-round reference's; frequencies differ by at most 5 standard errors of a difference

@@ -255,7 +255,7 @@ def reference_csv(t):
 
 
 def transcript_to_dict(t):
-    return {"seed": t.seed, "strategy": t.strategy, "rounds": reference_records(t)}
+    return {"seed": t.seed, "strategy": t.strategy.describe(), "rounds": reference_records(t)}
 
 
 def encoded(encode, t):

@@ -15,7 +15,7 @@ from conjsim import sixstate
 from conjsim.family import SimParams, c_of
 from conjsim.linalg import PAULIS, Y, random_psd
 from conjsim.selftest import family_experiment
-from conjsim.serialize import transcript_to_csv, transcript_to_json
+from conjsim.serialize import qber_report_to_dict, transcript_to_csv, transcript_to_json
 from conjsim.sixstate import (
     BASES,
     CELLS,
@@ -256,6 +256,7 @@ def test_run_rounds_matches_per_round_reference(strategy, seed, n):
 
 
 def reference_sift(t, abort_threshold=0.0):
+    """The report document of ``t``'s rounds, counted and judged one round at a time."""
     sifted = {b: 0 for b in BASES}
     errors = {b: 0 for b in BASES}
     mismatches = None if t.flag_a is None else 0
@@ -267,12 +268,19 @@ def reference_sift(t, abort_threshold=0.0):
         sifted[BASES[t.basis_a[i]]] += 1
         if t.outcome_a[i] != t.outcome_b[i]:
             errors[BASES[t.basis_a[i]]] += 1
-    rates, verdict = sixstate._rates_and_verdict(sifted, errors, t.n, abort_threshold)
-    kept = sum(sifted.values())
-    return sixstate.QberReport(sifted=sifted, errors=errors, rates=rates, total_rounds=t.n,
-                               sift_fraction=kept / t.n if t.n else 0.0,
-                               abort_threshold=abort_threshold, verdict=verdict,
-                               flag_mismatches=mismatches)
+    rates = {b: errors[b] / sifted[b] if sifted[b] else 0.0 for b in BASES}
+    if 0 in sifted.values():
+        verdict = "insufficient data"
+    elif max(rates.values()) <= abort_threshold:
+        verdict = "protocol-consistent"
+    else:
+        verdict = "not-protocol-consistent"
+    doc = {"sifted": sifted, "errors": errors, "rates": rates, "total_rounds": t.n,
+           "sift_fraction": sum(sifted.values()) / t.n, "abort_threshold": abort_threshold,
+           "verdict": verdict}
+    if mismatches is not None:
+        doc.update(flag_mismatches=mismatches, flag_agreements=t.n - mismatches)
+    return doc
 
 
 def within_bernstein(count, n, p, delta=1e-6):
@@ -310,8 +318,9 @@ def test_sift_matches_per_round_reference(strategy):
     assert (from_json.flag_a is None) == (not t.premeasured) and from_csv.flag_a is None
     for threshold in (0.0, 0.5):
         report = sift(t, threshold)
-        assert reference_sift(from_json, threshold) == report
-        assert reference_sift(from_csv, threshold) == replace(report, flag_mismatches=None)
+        assert reference_sift(from_json, threshold) == qber_report_to_dict(report)
+        assert (reference_sift(from_csv, threshold)
+                == qber_report_to_dict(replace(report, premeasured=False)))
 
 
 @pytest.mark.parametrize("n", [1, 2000])
@@ -331,7 +340,8 @@ def test_written_round_order_is_uniform_over_orderings():
     # 6000 seeds each count lies within Bernstein's bound (false-reject rate <= 6e-6)
     counts = np.zeros(CELLS, dtype=np.int64)
     counts.flat[[3, 40, 71]] = 1
-    orders = [tuple(Transcript(counts, seed, {}).cells()) for seed in range(6000)]
+    strategy = ZPremeasure(SimParams(0.5))
+    orders = [tuple(Transcript(counts, seed, strategy).cells()) for seed in range(6000)]
     tally = {order: orders.count(order) for order in set(orders)}
     assert sorted(tally) == sorted(itertools.permutations((3, 40, 71)))
     assert all(within_bernstein(c, 6000, 1 / 6) for c in tally.values()), tally
@@ -548,12 +558,48 @@ def test_zpremeasure_analysis_sees_a_perturbed_flag_branch(p, monkeypatch):
     assert cmp.rate_differences["X"] == cmp.rate_differences["Z"] == 0.0
 
 
-def test_analyze_empty_transcript():
-    t = Transcript(np.zeros(CELLS, dtype=np.int64), seed=0, strategy={"strategy": "honest"})
-    report = sift(t)
-    assert report.verdict == "insufficient data"
-    assert report.total_rounds == 0
-    assert len(t.cells()) == 0
+def one_round(cell):
+    counts = np.zeros(CELLS, dtype=np.int64)
+    counts[cell] = 1
+    return counts
+
+
+HONEST, PREMEASURED = Honest(SimParams(0.5)), ZPremeasure(SimParams(0.5))
+
+
+@pytest.mark.parametrize("counts, strategy, message", [
+    (np.zeros(CELLS, dtype=np.int64), HONEST, "at least one round"),
+    (np.ones((2, 3, 3, 2), dtype=np.int64), HONEST, "integers of shape"),
+    (np.ones(CELLS), PREMEASURED, "integers of shape"),
+    (np.ones(CELLS, dtype=bool), PREMEASURED, "integers of shape"),
+    (2 * one_round((0, 0, 0, 0)) - one_round((0, 1, 1, 0)), HONEST, "non-negative"),
+    (one_round((1, 0, 0, 0)), HONEST, "premeasures"),
+], ids=["no_round", "shape", "float", "bool", "negative", "flag1_unpremeasured"])
+def test_a_transcript_refuses_counts_run_rounds_never_makes(counts, strategy, message):
+    with pytest.raises(ValueError, match=message):
+        Transcript(counts, 0, strategy)
+
+
+def test_transcript_counts_are_frozen_copies():
+    counts = np.ones(CELLS, dtype=np.int64)
+    t = Transcript(counts, 0, PREMEASURED)
+    counts[0, 0, 0, 0] = 5
+    assert t.n == 72
+    with pytest.raises(ValueError, match="read-only"):
+        t.counts[0, 0, 0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        run_rounds(Conjugate(), 10, seed=1).counts[0] = 0
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_a_basis_without_a_sifted_round_is_insufficient_data(threshold):
+    # one Y-Y round and one X-Z round: X and Z have nothing sifted, whatever the threshold
+    counts = one_round((0, 1, 1, 0)) + one_round((0, 0, 2, 3))
+    report = sift(Transcript(counts, 0, HONEST), threshold)
+    assert report.sifted == {"X": 0, "Y": 1, "Z": 0}
+    assert report.verdict == "insufficient data" and report.consistent is None
+    assert report.rates == {"X": 0.0, "Y": 0.0, "Z": 0.0} and report.sift_fraction == 0.5
+    assert eve_flip_correction(report, (0, 1)).consistent is None
 
 
 def test_analyze_threshold():
@@ -590,7 +636,7 @@ def test_expected_consistency_conventions():
     assert expected_consistent(ZPremeasure(SimParams(0.5, 0.0))) is True
     assert expected_consistent(MismatchedFlags(0, 1)) is False
     assert expected_consistent(MismatchedFlags(1, 1)) is True
-    assert expected_consistent(CustomState(source_state(Conjugate()))) is None
+    assert expected_consistent(CustomState(source_state(Conjugate()))) is True
 
 
 def test_conjugate_strategy_is_zero_error():
@@ -600,6 +646,5 @@ def test_conjugate_strategy_is_zero_error():
 
 def test_transcript_strategy_descriptor():
     t = run_rounds(Honest(SimParams(0.25, 0.1)), 10, seed=18)
-    assert t.strategy["strategy"] == "honest"
-    assert t.strategy["a"] == 0.25
+    assert t.strategy == Honest(SimParams(0.25, 0.1))
     assert t.seed == 18
