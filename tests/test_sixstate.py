@@ -568,13 +568,12 @@ HONEST, PREMEASURED = Honest(SimParams(0.5)), ZPremeasure(SimParams(0.5))
 
 
 @pytest.mark.parametrize("counts, strategy, message", [
-    (np.zeros(CELLS, dtype=np.int64), HONEST, "at least one round"),
     (np.ones((2, 3, 3, 2), dtype=np.int64), HONEST, "integers of shape"),
     (np.ones(CELLS), PREMEASURED, "integers of shape"),
     (np.ones(CELLS, dtype=bool), PREMEASURED, "integers of shape"),
     (2 * one_round((0, 0, 0, 0)) - one_round((0, 1, 1, 0)), HONEST, "non-negative"),
     (one_round((1, 0, 0, 0)), HONEST, "premeasures"),
-], ids=["no_round", "shape", "float", "bool", "negative", "flag1_unpremeasured"])
+], ids=["shape", "float", "bool", "negative", "flag1_unpremeasured"])
 def test_a_transcript_refuses_counts_run_rounds_never_makes(counts, strategy, message):
     with pytest.raises(ValueError, match=message):
         Transcript(counts, 0, strategy)
@@ -589,6 +588,14 @@ def test_transcript_counts_are_frozen_copies():
         t.counts[0, 0, 0, 0] = 5
     with pytest.raises(ValueError, match="read-only"):
         run_rounds(Conjugate(), 10, seed=1).counts[0] = 0
+
+
+def test_analyze_empty_transcript():
+    # a transcript has at least one round: neither run_rounds nor a hand-built one is empty
+    with pytest.raises(ValueError, match="at least one round"):
+        Transcript(np.zeros(CELLS, dtype=np.int64), 0, HONEST)
+    with pytest.raises(ValueError, match="at least one round"):
+        run_rounds(HONEST, 0, seed=0)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0])
