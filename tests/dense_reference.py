@@ -21,7 +21,8 @@ slow reference for the one binomial count per entry of
 ``conjsim.selftest.sampled_correlations``.  ``per_pair_complex_to_json`` and
 ``per_pair_complex_from_json`` write and read a complex array one [re, im] pair
 at a time, the slow reference for the level-at-a-time JSON codec of
-``conjsim.serialize``.
+``conjsim.serialize``.  ``dense_stabilizer_and_split`` computes the two state
+identities that ``conjsim.selftest.check_state_equalities`` leaves out.
 """
 
 import math
@@ -192,6 +193,24 @@ def party_circuit(exp, party):
     u = had @ u
     u = controlled_gate(exp.observable(party, "X"), dims, anc, targets) @ u
     return u
+
+
+def dense_stabilizer_and_split(exp):
+    """The stabilizer and split norms of a pure experiment, from full-space matrices.
+
+    ``stabilizer[L]`` is ||psi - L_A L_B psi|| for every setting L, and
+    ``split[(M, N)]`` is ||(MN)_A psi - M_A N_B psi|| for every ordered pair
+    of distinct settings.
+    """
+    psi = exp.state.amplitudes
+    ops = {p: {lab: embed_operator(m, exp.state.dims, party_registers(exp, p))
+               for lab, m in exp.observables[p].items()} for p in ("A", "B")}
+    stabilizer = {lab: float(np.linalg.norm(psi - ops["A"][lab] @ ops["B"][lab] @ psi))
+                  for lab in ops["A"]}
+    split = {(m, n): float(np.linalg.norm(ops["A"][m] @ ops["A"][n] @ psi
+                                          - ops["A"][m] @ ops["B"][n] @ psi))
+             for m in ops["A"] for n in ops["A"] if m != n}
+    return stabilizer, split
 
 
 def flag_branches(rho, tol=1e-9):

@@ -113,28 +113,28 @@ def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
 # and a rotated, junked member with no flags) and failing runs of every stage family.
 SELFTEST_REPORTS = [
     (["--experiment", "mayersyao.json", "--kind", "mayersyao"], 0,
-     "5000e4f50212a283db461deceb152fed1414f7917537cf23f76d2441ba2f25bb"),
+     "070f9c97915febf6023b3071a205465c9d9c44e19aedb0af8a4082d85fb23790"),
     (["--experiment", "member.json"], 0,
-     "350e9675b64fdd21256324f5f9e94e4226eeeeb931d3490c798d0112cd2e44b8"),
+     "0f5564c265dcd17980d44410dc85a3680a22a134f2b82419069c0afb8a4d8b36"),
     (["--experiment", "mayersyao.json", "--kind", "mayersyao",
       "--sampled", "n=20000", "seed=7"], 0,
-     "ce29ab5bbca1fedaa3bad599d1f9c9f34c7b3bcafdc5f0466bc0c34910368d1a"),
+     "d25dab9239e9f57999572f7614919dcbfd089403d51f8444cc231e53328b38e9"),
     (["--experiment", "rotated.json"], 0,
-     "555d8dba3ffd85f5018822ab23c14f42b0117cffefb70e46180e8ee6ae7b0f6c"),
+     "5d966362670226f20a890e6ea5d5a98434df18417d79e5e84fbc215b34cce1f8"),
     (["--experiment", "d_is_x.json"], 1,
-     "3b36ce163b1557d3fe007c66d0c224358de997ea2659f0e7c5b5aa9cf14c189a"),
+     "99ae4961eb23683a36f14c985c41db291895a799d7d05b079bae7613532bc053"),
     (["--experiment", "d_is_x.json", "--stats-tol", "2"], 1,
-     "d41cd17fdb81ad4a70e189da81c7524ebabd9bdc3b1a57eb8138d128bb1a5feb"),
+     "822f49b01b1b2177fe40c7b806007fbbf13e16948df5dee418ee684cfa3cd6f0"),
     (["--experiment", "y_is_z.json"], 1,
-     "60c1dbf639d2a73bcf16d3bd9d1d2e8684747d9071b197023e12536b23ccdbc2"),
+     "04e4402204b4179b2aa405bdd3a062ae189577709c16dcc4a54210c1558f3b2f"),
     (["--experiment", "y_is_z.json", "--stats-tol", "2"], 1,
-     "35384b2a491cf7c1240665689cdcd6175392bf6832c4d3f54f916cc474ea8fa7"),
+     "36c21fc73c823cb89c9e09c4707b15b2ef2ff2dc4d558a2fa565bda5c4fbd181"),
     (["--experiment", "product.json"], 1,
-     "0ae66541c72c18870f931426f0a5ca1eeed05601b788197ea83c7bf8490761a5"),
+     "a7090fcac1c384465cf29c5586bab6d8e6be0ad4fd14b859188eb6100adfbcba"),
     (["--experiment", "data_as_flags.json"], 1,
-     "d346eb9e8cd29e653c5eb3ce380c8f6227224d9a9ce5e26380f05d83e0dd6fd8"),
+     "358f67a4d6ec762723c0763771b4f0c4c66e7b19b133ef2651efce3001625207"),
     (["--experiment", "tilted.json", "--kind", "mayersyao", "--stats-tol", "2"], 1,
-     "0399bfa62cab36102d0ce1bb12f0e5bb537c1b380ade8e2b7c8cb127c3ea6724"),
+     "d4c5da7e78552c8b84b7a9fb65d11e5be58611a45db42d088f466cd620dd0762"),
 ]
 
 

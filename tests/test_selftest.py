@@ -18,6 +18,7 @@ from conjsim.linalg import (
     hermitian_defect,
     op_partial_trace,
     pauli_decompose,
+    random_hermitian,
     random_unitary,
     unitary_defect,
 )
@@ -60,6 +61,7 @@ from dense_reference import (
     dense_attach_junk,
     dense_purify,
     dense_rotate,
+    dense_stabilizer_and_split,
     embed_operator,
     expectation,
     party_circuit,
@@ -390,7 +392,14 @@ def test_state_equalities_rotated_reference():
 def test_state_equalities_detect_corrupted_d():
     exp = with_observable(reference_experiment("mayersyao"), "A", "D", X)
     res = check_state_equalities(exp)
-    assert res["XZD:transfer=D"] > 0.5
+    assert res["transfer=D"] > 0.5
+    assert list(res) == ["transfer=X", "transfer=Z", "transfer=D",
+                         "XZD:transfer=XZ", "XZD:transfer=ZX", "XZD:orthogonality"]
+    assert list(check_state_equalities(reference_experiment("extended"))) == [
+        "transfer=X", "transfer=Z", "transfer=D", "transfer=Y", "transfer=E", "transfer=F",
+        "XZD:transfer=XZ", "XZD:transfer=ZX", "XZD:orthogonality",
+        "XYE:transfer=XY", "XYE:transfer=YX", "XYE:orthogonality",
+        "YZF:transfer=YZ", "YZF:transfer=ZY", "YZF:orthogonality"]
 
 
 def test_d_collapse_reference_and_family():
@@ -732,7 +741,7 @@ def test_d_tilted_opposite_ways_on_both_sides_fails_only_the_d_collapse():
 def test_d_tilted_on_one_side_fails_the_state_equalities():
     report = run_selftest(tilted_d(reference_experiment("mayersyao"), "B", 1))
     assert report.statistics.passed         # joint(D,D) moves by 1 - cos(TILT)
-    assert report.failures == ("state_equalities[XZD:state=DD]", "d_collapse[B:D]")
+    assert report.failures == ("state_equalities[transfer=D]", "d_collapse[B:D]")
 
 
 def test_run_selftest_sampled_mode():
@@ -741,9 +750,14 @@ def test_run_selftest_sampled_mode():
     assert report.statistics.passed
 
 
-def test_run_selftest_sampled_requires_seed():
+def test_run_selftest_sampled_requires_seed(monkeypatch):
     with pytest.raises(ValueError):
         run_selftest(reference_experiment("mayersyao"), sampled_n=100)
+    purified = []
+    monkeypatch.setattr(selftest, "purify_experiment", purified.append)
+    with pytest.raises(ValueError, match="seed"):       # refused before any work
+        run_selftest(family_experiment(SimParams(0.3, 0.2)), sampled_n=100)
+    assert purified == []
 
 
 # --------------------------------------------------------------------------
@@ -855,23 +869,17 @@ def dense_joint_outcome_probs(exp, la, lb):
 def dense_state_equalities(exp):
     exp = purify_experiment(exp)
     psi = exp.state.amplitudes
-    out = {}
+    ops = {p: {l: _embed(exp, p, exp.observable(p, l)) for l in setting_labels(exp.kind)}
+           for p in PARTIES}
+    out = {f"transfer={lab}": np.linalg.norm(ops["A"][lab] @ psi - ops["B"][lab] @ psi)
+           for lab in setting_labels(exp.kind)}
     for m1, m2, dl in SUBTESTS[exp.kind]:
         tag = m1 + m2 + dl
-        ops = {p: {l: _embed(exp, p, exp.observable(p, l)) for l in (m1, m2, dl)}
-               for p in PARTIES}
         prod = {p: {(a, b): _embed(exp, p, exp.observable(p, a) @ exp.observable(p, b))
                     for a, b in ((m1, m2), (m2, m1))} for p in PARTIES}
-        for lab in (m1, m2, dl):
-            out[f"{tag}:state={lab}{lab}"] = np.linalg.norm(
-                psi - ops["A"][lab] @ ops["B"][lab] @ psi)
-            out[f"{tag}:transfer={lab}"] = np.linalg.norm(
-                ops["A"][lab] @ psi - ops["B"][lab] @ psi)
         for a, b in ((m1, m2), (m2, m1)):
             out[f"{tag}:transfer={a}{b}"] = np.linalg.norm(
                 prod["A"][(a, b)] @ psi - prod["B"][(b, a)] @ psi)
-            out[f"{tag}:split={a}{b}"] = np.linalg.norm(
-                prod["A"][(a, b)] @ psi - ops["A"][a] @ ops["B"][b] @ psi)
         vecs = [psi, ops["A"][m1] @ psi, ops["A"][m2] @ psi, prod["A"][(m1, m2)] @ psi]
         out[f"{tag}:orthogonality"] = max(abs(np.vdot(vecs[i], vecs[j]))
                                           for i in range(4) for j in range(i + 1, 4))
@@ -1120,6 +1128,29 @@ def test_party_layout_matches_register_layout_oracles(case):
     assert flags[0]["population_0"] == pytest.approx(a, abs=1e-9)
 
 
+@given(rotated_junked_members(), st.sampled_from(PARTIES),
+       st.sampled_from(setting_labels("extended")), st.floats(1e-6, 1e-2), seeds)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_stabilizer_and_split_norms_equal_the_kept_transfers(case, party, label, angle, seed):
+    """The forms check_state_equalities leaves out equal a transfer it keeps.
+
+    One observable is rotated by a small angle, so the identities fail by
+    about that angle instead of holding at rounding level.
+    """
+    exp, _ = case
+    w, v = np.linalg.eigh(random_hermitian(int(np.prod(exp.party_dims[party])),
+                                           np.random.default_rng(seed)))
+    u = (v * np.exp(1j * angle * w / np.abs(w).max())) @ v.conj().T
+    exp = with_observable(exp, party, label, u @ exp.observable(party, label) @ u.conj().T)
+    kept = check_state_equalities(exp)
+    stabilizer, split = dense_stabilizer_and_split(exp)
+    assert max(stabilizer.values()) > 1e-9
+    for lab, value in stabilizer.items():
+        assert abs(value - kept[f"transfer={lab}"]) <= 1e-12, lab
+    for (m, n), value in split.items():
+        assert abs(value - kept[f"transfer={n}"]) <= 1e-12, (m, n)
+
+
 def nudged(value):
     """``value`` moved by one and two ulps each way (at most 4.5e-16 relative)."""
     out = []
@@ -1134,8 +1165,8 @@ def nudged(value):
 def tied_failures():
     """Failing members whose worst entries tie in exact arithmetic.
 
-    Swapping X and Z makes joint(X,X) and joint(Z,Z) fail equally, and with
-    unitary observables state=LL and transfer=L are the same norm.
+    Swapping X and Z makes joint(X,X) and joint(Z,Z) fail equally, and
+    XZD:transfer=XZ and XZD:transfer=ZX by the same norm.
     """
     member = family_experiment(SimParams(0.3, 0.25 * np.exp(0.7j)), "extended")
     junked = junk_ladder_experiment(64, seed=2)
