@@ -3,8 +3,9 @@
 Exit codes: 0 = checks passed (or an adversarial strategy behaved as
 documented), 1 = check failure, internal numerical failure or an output that
 could not be written, 2 = usage or configuration error.  Every report embeds the
-effective config, the seed and the toolkit version.  A subcommand takes only the
-flags it reads; a JSON config file can stand in for them, explicit flags win.
+effective config and the toolkit version, and the seed of a run that draws one.
+A subcommand takes only the flags it reads; a JSON config file can stand in for
+them, explicit flags win.
 
 Each subcommand imports the numeric modules it runs only when it runs, after
 the checks that need nothing but its flags, so a parsing error or a flag out
@@ -181,7 +182,10 @@ def _wrap(results: dict, args, seed) -> str:
 
     config = {k: v for k, v in vars(args).items() if k not in ("func", "config_data")
               and v is not None}
-    return dumps({"version": __version__, "seed": seed, "config": config, "results": results})
+    document = {"version": __version__, "config": config, "results": results}
+    if seed is not None:
+        document["seed"] = seed
+    return dumps(document)
 
 
 def _emit(text: str, out: str | None):
@@ -333,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common, tol, seed, source = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--out", help="write the report to this path (default: stdout)")
-    common.add_argument("--workers", type=int,
-                        help="accepted for interface stability; must not affect outputs")
     tol.add_argument("--tol", type=float)
     seed.add_argument("--seed", type=int)
     source.add_argument("--kind", choices=["mayersyao", "extended"])
@@ -369,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--transcript-out")
+    p.add_argument("--workers", type=int,
+                   help="accepted for interface stability; must not affect outputs")
     p.set_defaults(func=cmd_qkd)
     return parser
 

@@ -409,17 +409,18 @@ def _worst_failing(residuals: dict[str, float], bound: float | dict[str, float])
     ``bound`` is one bound for every entry, or a dict of per-entry bounds that
     also picks the entries judged.  An entry holds when ``residual <= bound``,
     so a NaN residual or bound fails.  A NaN entry ranks first.  Otherwise the
-    name is the first failing entry, in (schedule) order, within a relative
-    1e-12 of the largest failing residual, so entries that are equal in exact
-    arithmetic do not let rounding pick it.
+    name is the smallest failing entry name within a relative 1e-12 of the
+    largest failing residual, so entries that are equal in exact arithmetic do
+    not let rounding pick it, and a report, whose keys ``dumps`` sorts, shows
+    the order that does.
     """
     bounds = bound if isinstance(bound, dict) else dict.fromkeys(residuals, bound)
     failing = {name: residuals[name] for name, b in bounds.items() if not residuals[name] <= b}
     if not failing:
         return ""
     worst = max(failing.values(), key=lambda v: (np.isnan(v), v))
-    return next(name for name, v in failing.items()
-                if np.isnan(v) or v >= worst * (1 - 1e-12))
+    return min(name for name, v in failing.items()
+               if np.isnan(v) or v >= worst * (1 - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +592,7 @@ class YCoefficientReport(Record):
     block_norms: dict[str, dict[str, float]]          # party -> {I,X,Z} -> norm
     normal_form_deviation: dict[str, float]           # party -> residual
     support_factorization: dict[str, float]           # party -> ||P - Q (x) I||
-    sign_expectation: dict[str, float]                # party -> <M_junk>
-    populations: tuple[float, float]
+    populations: dict[str, float]                     # party -> weight p0 of the sign's +1
     population_mismatch: float
 
     @property
@@ -628,8 +628,7 @@ def _party_y_blocks(ext: Extraction, party: str):
     norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
     plus = np.kron((q + sign) / 2.0, np.eye(2))
     pop0 = float(np.real(np.vdot(psi, exp.act(party, plus, psi))))
-    sign_exp = float(np.clip(2 * pop0 - 1, -1, 1))
-    return norms, deviation, factorization, sign_exp, pop0
+    return norms, deviation, factorization, pop0
 
 
 def y_coefficient_check(ext: Extraction) -> YCoefficientReport:
@@ -637,30 +636,27 @@ def y_coefficient_check(ext: Extraction) -> YCoefficientReport:
 
     The I, X, Z blocks at the extracted qubit must vanish on the support, and
     the Y block must be a sign operator on the junk support (Bob's is read
-    against his -Y reference convention).  The sign's +1/-1 weights are the
-    family flag populations.
+    against his -Y reference convention).  Each party's weight p0 of the sign's
+    +1 is a family flag population, and the two parties' must agree.
     """
     if ext.exp.kind != "extended":
         raise ValueError("self-test stage refused: y_coefficient_check "
                          "(requires an extended experiment)")
-    norms, dev, fact, sign_exp, pops = {}, {}, {}, {}, {}
+    norms, dev, fact, pops = {}, {}, {}, {}
     for party in PARTIES:
-        n, d, f, s, p0 = _party_y_blocks(ext, party)
-        norms[party], dev[party], fact[party], sign_exp[party], pops[party] = n, d, f, s, p0
-    mismatch = abs(pops["A"] - pops["B"])
-    pop0 = pops["A"]
+        norms[party], dev[party], fact[party], pops[party] = _party_y_blocks(ext, party)
     return YCoefficientReport(block_norms=norms, normal_form_deviation=dev,
-                              support_factorization=fact, sign_expectation=sign_exp,
-                              populations=(pop0, 1.0 - pop0),
-                              population_mismatch=mismatch)
+                              support_factorization=fact, populations=pops,
+                              population_mismatch=abs(pops["A"] - pops["B"]))
 
 
 class FamilyParams(Record):
     """Estimated flag populations and cross-branch coherence of a passing experiment.
 
     ``residuals`` checks the flag registers: ``flag_leak`` (the reduced flag state
-    outside {|00>, |11>}) and, given a y_check, ``sign_population`` (|p0 - the
-    extracted sign's p0|).  The coherence needs no check: it is at most sqrt(p0 p1).
+    outside {|00>, |11>}) and, given a y_check, ``P:sign_population`` (|p0 - party
+    P's extracted sign p0|) for each party.  The coherence needs no check: it is
+    at most sqrt(p0 p1).
     """
 
     population_0: float
@@ -676,9 +672,10 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
 
     Experiments that kept their flag registers report the reduced flag state
     directly, with its data checks in ``residuals``.  Otherwise the populations
-    come from the extracted Y sign operator of the required ``y_check``, which is
-    basis free; the coherence is then only determined when one branch is empty
-    (its population at most ``tol``).
+    come from Alice's extracted Y sign operator in the required ``y_check``, which
+    is basis free and, in a passing y_coefficients stage, within ``tol`` of Bob's;
+    the coherence is then only determined when one branch is empty (its
+    population at most ``tol``).
     """
     if exp.flag_registers is not None:
         reduced = partial_trace(exp.state, [exp.flag_registers["A"],
@@ -689,11 +686,13 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
         p1 = float(reduced[3, 3].real)
         residuals = {"flag_leak": float(leak)}
         if y_check is not None:
-            residuals["sign_population"] = abs(p0 - y_check.populations[0])
+            residuals.update({f"{party}:sign_population": abs(p0 - pop)
+                              for party, pop in y_check.populations.items()})
         return FamilyParams(p0, p1, float(abs(reduced[0, 3])), "flag_registers", residuals)
     if y_check is None:
         raise ValueError("without flag registers, pass the y_check of a gated extraction")
-    p0, p1 = y_check.populations
+    p0 = y_check.populations["A"]
+    p1 = 1.0 - p0
     return FamilyParams(p0, p1, 0.0 if min(p0, p1) <= tol else None, "extracted_sign", {})
 
 

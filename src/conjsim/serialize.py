@@ -26,16 +26,10 @@ import numpy as np
 
 from .family import SimParams
 from .linalg import DEFECTS
-from .states import DensityMatrix, StateVector
+from .states import DensityMatrix, Record, StateVector
 
 if TYPE_CHECKING:
-    from .selftest import (
-        CorrelationTable,
-        EquivalenceReport,
-        Experiment,
-        FamilyParams,
-        YCoefficientReport,
-    )
+    from .selftest import CorrelationTable, EquivalenceReport, Experiment
     from .sixstate import EveStrategy, QberReport, Transcript
 
 CHUNK_ROUNDS = 4096     # rounds rendered per write, so a transcript's text is never whole in memory
@@ -390,24 +384,9 @@ def qber_report_to_dict(report: QberReport) -> dict:
     return out
 
 
-def family_params_to_dict(params: FamilyParams) -> dict:
-    return {
-        "population_0": params.population_0,
-        "population_1": params.population_1,
-        "coherence": params.coherence,
-        "source": params.source,
-    }
-
-
-def y_check_to_dict(y: YCoefficientReport) -> dict:
-    return {
-        "block_norms": {p: dict(v) for p, v in y.block_norms.items()},
-        "normal_form_deviation": dict(y.normal_form_deviation),
-        "support_factorization": dict(y.support_factorization),
-        "sign_expectation": dict(y.sign_expectation),
-        "populations": list(y.populations),
-        "population_mismatch": y.population_mismatch,
-    }
+def _fields(record: Record) -> dict:
+    """A record's fields by name, each value as it is."""
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
@@ -418,26 +397,21 @@ def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
         "verdict": "pass" if report.passed else "fail",
         "failures": list(report.failures),
         "refused_stage": report.refused_stage,
-        "statistics": {
-            "passed": report.statistics.passed,
-            "worst_entry": report.statistics.worst_entry,
-            "worst_deviation": report.statistics.worst_deviation,
-            "deviations": dict(sorted(report.statistics.deviations.items())),
-        },
-        "state_equalities": dict(sorted(report.state_equalities.items())),
-        "collapse_residuals": dict(sorted(report.collapse_residuals.items())),
-        "anticommutators": {k: {"raw": v[0], "support": v[1]}
-                            for k, v in sorted(report.anticommutators.items())},
+        "statistics": _fields(report.statistics),
+        "state_equalities": report.state_equalities,
+        "collapse_residuals": report.collapse_residuals,
+        "anticommutators": {k: {"raw": raw, "support": support}
+                            for k, (raw, support) in report.anticommutators.items()},
     }
     if report.exact_deviations is not None:
-        out["statistics"]["exact_deviations"] = dict(sorted(report.exact_deviations.items()))
+        out["statistics"]["exact_deviations"] = report.exact_deviations
     if report.state_fidelity is not None:
         out["state_fidelity"] = report.state_fidelity
     if report.action_fidelities is not None:
         out["action_fidelities"] = {f"{lab}_{p}": v
-                                    for (p, lab), v in sorted(report.action_fidelities.items())}
+                                    for (p, lab), v in report.action_fidelities.items()}
     if report.y_check is not None:
-        out["y_check"] = y_check_to_dict(report.y_check)
+        out["y_check"] = _fields(report.y_check)
     if report.family_params is not None:
-        out["flag_populations"] = family_params_to_dict(report.family_params)
+        out["flag_populations"] = _fields(report.family_params)
     return out

@@ -23,6 +23,7 @@ slow reference for the one binomial count per entry of
 at a time, the slow reference for the level-at-a-time JSON codec of
 ``conjsim.serialize``.  ``dense_stabilizer_and_split`` computes the two state
 identities that ``conjsim.selftest.check_state_equalities`` leaves out.
+``rejudge`` re-derives a self-test report's verdict from its JSON alone.
 """
 
 import math
@@ -32,6 +33,7 @@ import numpy as np
 
 from conjsim.family import SimParams
 from conjsim.linalg import HADAMARD, PAULIS, as_matrix
+from conjsim.selftest import correlations, reference_experiment
 from conjsim.sixstate import FLAG_A, FLAG_B, SOURCE_DIMS
 from conjsim.states import DensityMatrix, StateVector, purify
 
@@ -316,3 +318,79 @@ def per_pair_complex_from_json(data, rank: int) -> np.ndarray:
         return [read(item, depth + 1) for item in value]
 
     return np.array(read(data, 0), dtype=complex)
+
+
+NSIGMA = 5.0                    # a sampled entry's bound, in null standard errors
+SUBTEST_1 = ("X", "Z", "D")     # the sub-test whose statistics and X/Z pair gate extraction
+
+
+def _worst(residuals: dict, bounds: dict) -> str:
+    """The failing entry of the largest residual (a NaN first), the smallest name among ties
+    within a relative 1e-12; "" when every entry of ``bounds`` holds."""
+    failing = {name: residuals[name] for name, bound in bounds.items()
+               if not residuals[name] <= bound}
+    nan = [name for name, value in failing.items() if math.isnan(value)]
+    if nan or not failing:
+        return min(nan, default="")
+    worst = max(failing.values())
+    return min(name for name, value in failing.items() if value >= worst * (1 - 1e-12))
+
+
+def _read(value):
+    """A JSON value with every null read as NaN."""
+    if isinstance(value, dict):
+        return {key: _read(item) for key, item in value.items()}
+    return math.nan if value is None else value
+
+
+def rejudge(report: dict) -> tuple[list[str], str | None]:
+    """(failures, refused_stage) of a ``selftest`` report document, from its JSON alone.
+
+    The report gives every judged residual, ``tol`` and ``stats_tol``; a null
+    is read as NaN.  A sampled run's bounds NSIGMA sqrt((1 - r^2) / n), floored
+    at ``stats_tol``, take n from ``config.sampled`` and r from the kind's
+    reference table, and its extraction gate reads ``statistics.exact_deviations``.
+    """
+    res = _read(report["results"])
+    tol, stats_tol = res["tol"], res["stats_tol"]
+    failures: list[str] = []
+
+    def holds(stage, residuals, bounds=None):
+        worst = _worst(residuals, dict.fromkeys(residuals, tol) if bounds is None else bounds)
+        if worst:
+            failures.append(f"{stage}[{worst}]")
+        return not worst
+
+    stats = res["statistics"]
+    sampled = report["config"].get("sampled")
+    bounds = dict.fromkeys(stats["deviations"], stats_tol)
+    if sampled:
+        [n] = [int(token[2:]) for token in sampled if token.startswith("n=")]
+        ref = correlations(reference_experiment(res["kind"]))
+        for entry, table in (("joint", ref.joints), ("marginal", ref.marginals)):
+            for (a, b), r in table.items():
+                null_sd = math.sqrt(max(1 - r * r, 0.0) / n)
+                bounds[f"{entry}({a},{b})"] = max(NSIGMA * null_sd, stats_tol)
+    holds("statistics", stats["deviations"], bounds)
+    holds("state_equalities", res["state_equalities"])
+    holds("d_collapse", res["collapse_residuals"])
+    supports = {key: pair["support"] for key, pair in res["anticommutators"].items()}
+    holds("anticommutator", supports)
+    gate = {**{f"joint({a},{b})": stats_tol for a in SUBTEST_1 for b in SUBTEST_1},
+            **{f"marginal({p},{lab})": stats_tol for p in "AB" for lab in SUBTEST_1},
+            "A:XZ": tol, "B:XZ": tol}
+    exact = stats["exact_deviations"] if sampled else stats["deviations"]
+    if not holds("extraction_refused", {**exact, **supports}, gate):
+        return failures, "extraction"
+    holds("state_fidelity", {"ancillas": 1 - res["state_fidelity"]})
+    holds("action_fidelity", {name: 1 - f for name, f in res["action_fidelities"].items()})
+    if res["kind"] == "extended":
+        y = res["y_check"]
+        holds("y_coefficients", {
+            **{f"{p}:{block}": v for p, norms in y["block_norms"].items()
+               for block, v in norms.items()},
+            **{f"{p}:normal_form": v for p, v in y["normal_form_deviation"].items()},
+            **{f"{p}:factorization": v for p, v in y["support_factorization"].items()},
+            "population_mismatch": y["population_mismatch"]})
+        holds("family_params", res["flag_populations"]["residuals"])
+    return failures, None

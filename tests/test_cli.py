@@ -36,6 +36,8 @@ from conjsim.serialize import complex_to_json, dumps, experiment_to_json, state_
 from conjsim.sixstate import MismatchedFlags, source_state
 from conjsim.states import StateVector, replace
 
+from dense_reference import rejudge
+
 
 def run(args):
     return main(args)
@@ -113,28 +115,28 @@ def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
 # and a rotated, junked member with no flags) and failing runs of every stage family.
 SELFTEST_REPORTS = [
     (["--experiment", "mayersyao.json", "--kind", "mayersyao"], 0,
-     "070f9c97915febf6023b3071a205465c9d9c44e19aedb0af8a4082d85fb23790"),
+     "081b63cd548afc79ce316b407f4910b0e50afc5152f6a5c1c931519584a9ac1c"),
     (["--experiment", "member.json"], 0,
-     "0f5564c265dcd17980d44410dc85a3680a22a134f2b82419069c0afb8a4d8b36"),
+     "d7bbc940a5ad9a7d1d0fee4e99c801b8a7d89d2014153f7911617daa1894620e"),
     (["--experiment", "mayersyao.json", "--kind", "mayersyao",
       "--sampled", "n=20000", "seed=7"], 0,
      "d25dab9239e9f57999572f7614919dcbfd089403d51f8444cc231e53328b38e9"),
     (["--experiment", "rotated.json"], 0,
-     "5d966362670226f20a890e6ea5d5a98434df18417d79e5e84fbc215b34cce1f8"),
+     "093bd334eb8b4cb1f820a36676399e8dd172310a18b56ea057b9e9ab39df0ed6"),
     (["--experiment", "d_is_x.json"], 1,
-     "99ae4961eb23683a36f14c985c41db291895a799d7d05b079bae7613532bc053"),
+     "10a34ed3130f6f491281661cd272bd1a050491f4e7b908d1a9fbbdd4aea999cf"),
     (["--experiment", "d_is_x.json", "--stats-tol", "2"], 1,
-     "822f49b01b1b2177fe40c7b806007fbbf13e16948df5dee418ee684cfa3cd6f0"),
+     "fab71a5602057eb5ed2405bc44ee20ae4c7e65bcd2a0e85d4d89ffdcc8a7d192"),
     (["--experiment", "y_is_z.json"], 1,
-     "04e4402204b4179b2aa405bdd3a062ae189577709c16dcc4a54210c1558f3b2f"),
+     "a6eb5cd598b813cd37b3852ed59b3ddd93d644f7d3160ffee05b6114ee4fa7e1"),
     (["--experiment", "y_is_z.json", "--stats-tol", "2"], 1,
-     "36c21fc73c823cb89c9e09c4707b15b2ef2ff2dc4d558a2fa565bda5c4fbd181"),
+     "299bb55967e7fb47cbf10834a1d4847f29727912ca00e1ddb76ba9428f1a9c11"),
     (["--experiment", "product.json"], 1,
-     "a7090fcac1c384465cf29c5586bab6d8e6be0ad4fd14b859188eb6100adfbcba"),
+     "de37bbbbb15c9b94e83324f73fe8985f3c44ff1ea5f6e694fdbd81980889b1c3"),
     (["--experiment", "data_as_flags.json"], 1,
-     "358f67a4d6ec762723c0763771b4f0c4c66e7b19b133ef2651efce3001625207"),
+     "6e485720f6a24e84c6a8c93ea440631a8345c340a8f349bf0173a8b23af746cc"),
     (["--experiment", "tilted.json", "--kind", "mayersyao", "--stats-tol", "2"], 1,
-     "d4c5da7e78552c8b84b7a9fb65d11e5be58611a45db42d088f466cd620dd0762"),
+     "033fb6f99cbacf6a7734cdced43349fd359e99067e50e3291d489483472effc9"),
 ]
 
 
@@ -167,7 +169,28 @@ def test_selftest_reports_keep_their_bytes(tmp_path, monkeypatch):
         Path(name).write_text(dumps(experiment_to_json(exp)))
     for argv, code, digest in SELFTEST_REPORTS:
         assert run(["selftest", *argv, "--out", "report.json"]) == code, argv
+        report = read_json(Path("report.json"))         # its verdict follows from it alone
+        assert rejudge(report) == (report["results"]["failures"],
+                                   report["results"]["refused_stage"]), argv
         assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
+
+
+# SHA-256 of the --out bytes of simulate jobs: an extended JSON table with the cross pairs
+# (a report without a seed, which simulate never draws) and a Mayers-Yao CSV table.
+SIMULATE_REPORTS = [
+    (["--family", "a=0.3", "c=0.2", "--cross-pairs", "--out", "table.json"],
+     "f4c7f573153377a5416b4a3fa92a58450c1e1d787397cdcebe220c80e165035c"),
+    (["--kind", "mayersyao", "--family", "a=0.3", "c=0.2", "--format", "csv",
+      "--out", "table.csv"],
+     "0c29fbf426e65f36a52ee56009342f61ec960901f63709d02ac64fd479c52e7e"),
+]
+
+
+def test_simulate_reports_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in SIMULATE_REPORTS:
+        assert run(["simulate", *argv]) == 0, argv
+        assert hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest() == digest, argv
 
 
 # SHA-256 of the --out bytes of one qkd job per strategy, and of the transcripts two of them
@@ -1250,13 +1273,12 @@ def test_a_stdout_report_past_the_file_size_limit_is_exit_one(tmp_path, unbuffer
     assert (tmp_path / "report.json").stat().st_size == 200
 
 
-# the option dests of each subcommand, and of conjsim itself: 30 settable values
+# the option dests of each subcommand, and of conjsim itself: 27 settable values
 CLI_SURFACE = {
     "conjsim": {"config"},
-    "props": {"out", "workers", "tol", "seed", "trials", "dim"},
-    "selftest": {"out", "workers", "tol", "seed", "kind", "experiment", "family", "sampled",
-                 "stats_tol"},
-    "simulate": {"out", "workers", "kind", "experiment", "family", "cross_pairs", "format"},
+    "props": {"out", "tol", "seed", "trials", "dim"},
+    "selftest": {"out", "tol", "seed", "kind", "experiment", "family", "sampled", "stats_tol"},
+    "simulate": {"out", "kind", "experiment", "family", "cross_pairs", "format"},
     "qkd": {"out", "workers", "seed", "strategy", "n", "threshold", "transcript_out"},
 }
 
@@ -1267,11 +1289,12 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     surface = {name: {a.dest for a in p._actions if a.option_strings} - {"help"}
                for name, p in {"conjsim": parser, **subparsers.choices}.items()}
     assert surface == CLI_SURFACE
-    assert sum(map(len, surface.values())) == 30
+    assert sum(map(len, surface.values())) == 27
 
 
 @pytest.mark.parametrize("argv, key", [(QKD, "tol"), (["simulate"], "tol"),
-                                       (["simulate"], "seed")])
+                                       (["simulate"], "seed"), (["props"], "workers"),
+                                       (["selftest"], "workers"), (["simulate"], "workers")])
 def test_a_flag_no_run_reads_is_refused_and_its_config_key_ignored(tmp_path, capsys, argv, key):
     with pytest.raises(SystemExit) as stop:
         run(argv + [f"--{key}", "1"])
@@ -1349,7 +1372,6 @@ EXPERIMENTS = ["@good", "@no_kind", "@list", "@not_json", "@missing"]
 SEEDS = ["-1", "0", "7", "x"]
 TOLS = ["1e-9", "0", "nan", "inf", "-1", "abc"]
 FUZZ_FLAGS = {
-    "common": {"workers": ["0", "1", "2"]},
     "props": {"seed": SEEDS, "tol": TOLS, "trials": ["-5", "0", "1", "3", "x"],
               "dim": ["-1", "0", "1", "4", "9"]},
     "selftest": {"seed": SEEDS, "tol": TOLS,
@@ -1365,7 +1387,8 @@ FUZZ_FLAGS = {
                          ["mismatched", "0", "1"], ["mismatched", "2", "0"], ["mismatched", "0"],
                          ["teleport"], ["custom", "@custom"], ["custom", "@no_kind"],
                          ["custom", "@list"], ["custom", "@missing"], *AMBIGUOUS[3:]],
-            "n": ["-1", "0", "1", "200", "x"], "threshold": ["0", "0.5", "nan", "-1", "inf", "x"]},
+            "n": ["-1", "0", "1", "200", "x"], "threshold": ["0", "0.5", "nan", "-1", "inf", "x"],
+            "workers": ["0", "1", "2"]},
 }
 BAD_TOLERANCES = {"nan", "inf", "-inf", "-1"}      # refused for tol, stats_tol, threshold
 BAD_CONFIGS = ["[1, 2]", '"text"', "{", '{"fixtures": 5}', '{"fixtures": [{"matrix": 1}]}',
@@ -1402,7 +1425,7 @@ def test_main_fuzz_exit_codes_without_traceback(fuzz_dir, data):
     argv, config = [command, "--out", str(fuzz_dir / "report.out")], {}
     bad_flag, bad_config = False, False
     seeds_from_config = []      # a sampled run given --seed and --sampled seed= is refused
-    for key, values in {**FUZZ_FLAGS["common"], **FUZZ_FLAGS[command]}.items():
+    for key, values in FUZZ_FLAGS[command].items():
         value = data.draw(st.sampled_from([None, *values]), label=key)
         if value is None:
             continue

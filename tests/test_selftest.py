@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import sys
 import tracemalloc
@@ -52,7 +53,7 @@ from conjsim.selftest import (
     with_state,
     y_coefficient_check,
 )
-from conjsim.serialize import equivalence_report_to_dict
+from conjsim.serialize import dumps, equivalence_report_to_dict
 from conjsim.states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 from dense_reference import (
@@ -68,6 +69,7 @@ from dense_reference import (
     party_registers,
     per_round_sampled_correlations,
     permute_subsystems_vector,
+    rejudge,
     support_projector,
 )
 
@@ -577,8 +579,7 @@ def test_y_coefficients_extended_reference():
         for block in ("I", "X", "Z"):
             assert y.block_norms[party][block] <= 1e-12
         assert y.normal_form_deviation[party] <= 1e-10
-        assert y.sign_expectation[party] == pytest.approx(1.0, abs=1e-10)
-    assert y.populations[0] == pytest.approx(1.0, abs=1e-10)
+        assert y.populations[party] == pytest.approx(1.0, abs=5e-11)    # sign 2 p0 - 1 = 1
     with pytest.raises(ValueError, match="requires an extended experiment"):
         y_coefficient_check(extraction_isometry(reference_experiment("mayersyao")))
 
@@ -589,8 +590,7 @@ def test_y_coefficients_conjugate_member_sign():
     for party in ("A", "B"):
         for block in ("I", "X", "Z"):
             assert y.block_norms[party][block] <= 1e-10
-        assert y.sign_expectation[party] == pytest.approx(-1.0, abs=1e-10)
-    assert y.populations == (pytest.approx(0.0, abs=1e-10), pytest.approx(1.0, abs=1e-10))
+        assert y.populations[party] == pytest.approx(0.0, abs=5e-11)    # sign 2 p0 - 1 = -1
 
 
 def test_y_coefficients_adversarial_d_substitution():
@@ -633,11 +633,30 @@ def test_flag_populations_must_agree_with_the_y_check():
     assert estimate_family_params(member, y_check=y_check).population_0 == pytest.approx(0.3)
     data_as_flags = replace(member, flag_registers={"A": 1, "B": 3})
     residuals = estimate_family_params(data_as_flags, y_check=y_check).residuals
-    assert residuals["sign_population"] == pytest.approx(0.2)
+    assert residuals["A:sign_population"] == pytest.approx(0.2)
+    assert residuals["B:sign_population"] == pytest.approx(0.2)
     report = run_selftest(data_as_flags)
-    assert report.y_check.populations[0] == pytest.approx(0.3)
+    assert report.y_check.populations["A"] == pytest.approx(0.3)
     assert report.family_params.population_0 == pytest.approx(0.5)
-    assert report.failures == ("family_params[sign_population]",)
+    assert report.failures == ("family_params[A:sign_population]",)
+
+
+@pytest.mark.parametrize("theta", [1e-2, 1e-5])
+@pytest.mark.parametrize("axis", ["X", "Z"])
+def test_the_family_check_is_party_symmetric(axis, theta):
+    """Alice's or Bob's Y of the flagged (0.3, 0.2) member rotated by theta about X or Z: both
+    fail the same stages, family_params included.  At 1e-5 neither sign population leaves
+    the flags' by more than tol, so family_params holds on both sides (the control)."""
+    member = family_experiment(SimParams(0.3, 0.2))
+    half = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * {"X": X, "Z": Z}[axis]
+    u = np.kron(np.eye(2), half)                # on the data qubit; the flag qubit leads
+    stages = {}
+    for party in PARTIES:
+        y = member.observable(party, "Y")
+        report = run_selftest(with_observable(member, party, "Y", u @ y @ u.conj().T))
+        stages[party] = {failure.partition("[")[0] for failure in report.failures}
+    assert stages["A"] == stages["B"]
+    assert ("family_params" in stages["A"]) == (theta == 1e-2)
 
 
 def test_estimate_family_params_rejects_leaky_flags():
@@ -682,7 +701,8 @@ def test_basis_change_invariance(seed):
     assert abs(r1.state_fidelity - r0.state_fidelity) <= 1e-9
     for key in r0.action_fidelities:
         assert abs(r1.action_fidelities[key] - r0.action_fidelities[key]) <= 1e-9
-    assert abs(r1.y_check.populations[0] - r0.y_check.populations[0]) <= 1e-9
+    for party in PARTIES:
+        assert abs(r1.y_check.populations[party] - r0.y_check.populations[party]) <= 1e-9
 
 
 def test_rejection_catalog():
@@ -769,6 +789,13 @@ ABOVE = {bound: np.nextafter(bound, 1) for bound in (TOL, STATS_TOL, 0.625)}
 ABOVE[1 - TOL] = np.nextafter(1 - TOL, 0)
 
 
+def report_document(report, sampled_n=None):
+    """The report as the JSON text ``selftest`` writes, read back: NaN is null, and a sampled
+    run's config gives its n."""
+    config = {} if sampled_n is None else {"sampled": [f"n={sampled_n}"]}
+    return json.loads(dumps({"config": config, "results": equivalence_report_to_dict(report)}))
+
+
 def with_joint(table, key, value):
     return replace(table, joints={**table.joints, key: value})
 
@@ -814,7 +841,7 @@ BOUNDARY_CASES = {
     **{f"family_params:{entry}": (
         "estimate_family_params", lambda r, v, entry=entry: replace(
             r, residuals={**r.residuals, entry: v}), TOL, [f"family_params[{entry}]"], {})
-       for entry in ("flag_leak", "sign_population")},
+       for entry in ("flag_leak", "A:sign_population", "B:sign_population")},
 }
 
 
@@ -837,6 +864,8 @@ def test_each_stage_passes_at_its_bound_and_fails_above(case, monkeypatch):
         assert list(report.failures) == want, (case, value)
         assert report.refused_stage == ("extraction" if case.startswith("gate") and want
                                         else None), (case, value)
+        assert rejudge(report_document(report, kwargs.get("sampled_n"))) == \
+            (want, report.refused_stage), (case, value)
 
 
 # --------------------------------------------------------------------------
@@ -983,7 +1012,7 @@ def dense_party_y_blocks(ext, party):
     norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
     plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), dims, side)
     pop0 = float(np.real(np.vdot(state.amplitudes, plus @ state.amplitudes)))
-    return norms, deviation, factorization, float(np.clip(2 * pop0 - 1, -1, 1)), pop0
+    return norms, deviation, factorization, pop0
 
 
 def dense_anticommutators(exp):
@@ -1128,6 +1157,14 @@ def test_party_layout_matches_register_layout_oracles(case):
     assert flags[0]["population_0"] == pytest.approx(a, abs=1e-9)
 
 
+def rotated_setting(exp, party, label, angle, seed):
+    """``exp`` with one setting conjugated by exp(i angle H), H random with largest |eigenvalue| 1."""
+    w, v = np.linalg.eigh(random_hermitian(int(np.prod(exp.party_dims[party])),
+                                           np.random.default_rng(seed)))
+    u = (v * np.exp(1j * angle * w / np.abs(w).max())) @ v.conj().T
+    return with_observable(exp, party, label, u @ exp.observable(party, label) @ u.conj().T)
+
+
 @given(rotated_junked_members(), st.sampled_from(PARTIES),
        st.sampled_from(setting_labels("extended")), st.floats(1e-6, 1e-2), seeds)
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1137,11 +1174,7 @@ def test_stabilizer_and_split_norms_equal_the_kept_transfers(case, party, label,
     One observable is rotated by a small angle, so the identities fail by
     about that angle instead of holding at rounding level.
     """
-    exp, _ = case
-    w, v = np.linalg.eigh(random_hermitian(int(np.prod(exp.party_dims[party])),
-                                           np.random.default_rng(seed)))
-    u = (v * np.exp(1j * angle * w / np.abs(w).max())) @ v.conj().T
-    exp = with_observable(exp, party, label, u @ exp.observable(party, label) @ u.conj().T)
+    exp = rotated_setting(case[0], party, label, angle, seed)
     kept = check_state_equalities(exp)
     stabilizer, split = dense_stabilizer_and_split(exp)
     assert max(stabilizer.values()) > 1e-9
@@ -1149,6 +1182,22 @@ def test_stabilizer_and_split_norms_equal_the_kept_transfers(case, party, label,
         assert abs(value - kept[f"transfer={lab}"]) <= 1e-12, lab
     for (m, n), value in split.items():
         assert abs(value - kept[f"transfer={n}"]) <= 1e-12, (m, n)
+
+
+@given(rotated_junked_members(), st.sampled_from(PARTIES),
+       st.sampled_from(setting_labels("extended")), st.floats(1e-8, 1e-2), seeds,
+       st.sampled_from([None, 64, 20_000]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_report_rederives_its_verdict_from_its_json(case, party, label, angle, seed,
+                                                      sampled_n):
+    """rejudge reads failures and refused_stage off the report's JSON, on a member, the member
+    with one setting rotated and the member with X and Z swapped (whose worst entries tie)."""
+    exp, _ = case
+    for tested in (exp, rotated_setting(exp, party, label, angle, seed),
+                   swapped(exp, party, "X", "Z")):
+        report = run_selftest(tested, sampled_n=sampled_n, seed=seed)
+        assert rejudge(report_document(report, sampled_n)) == \
+            (list(report.failures), report.refused_stage)
 
 
 def nudged(value):
