@@ -26,9 +26,11 @@ def main():
     print("-" * 72)
     for p in grid():
         report = run_selftest(family_experiment(p, "extended"))
-        pops = report.family_params
+        pops, residuals = report.family_params, report.residuals
+        worst = max(residuals["statistics"].values())
+        fidelity = 1 - residuals["state_fidelity"]["ancillas"]
         print(f"{p.a:5.2f} {abs(p.c):6.3f} {np.angle(p.c):6.2f} | "
-              f"{report.statistics.worst_deviation:10.2e} {report.state_fidelity:10.7f} "
+              f"{worst:10.2e} {fidelity:10.7f} "
               f"{pops.population_0:7.4f} {pops.population_1:7.4f} "
               f"{'pass' if report.passed else 'FAIL ' + ','.join(report.failures)}")
 

@@ -10,13 +10,15 @@ are generated by the conjsim of OLD_SRC, and nothing under ``benchmark/`` is
 written.  Every job then runs as a fresh ``python -m conjsim`` against each
 tree in turn, in the same work paths, with one BLAS thread.  Exit code,
 stdout, stderr and the bytes of the job's output files are compared.  The
-script prints the number of differing jobs and the first few, and exits 1 on
-any difference.
+script prints the number of differing jobs and every one of them, and exits 1
+on any difference.  For each differing JSON report file it also says which of
+VERDICT_KEYS, read under ``results``, changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -26,7 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("exit", "stdout", "stderr", "outputs")
-SHOWN = 5
+VERDICT_KEYS = ("verdict", "failures", "refused_stage", "flag_populations.population_0",
+                "flag_populations.population_1")
 
 
 def child_env(src: Path) -> dict:
@@ -62,6 +65,21 @@ def differences(old: dict, new: dict) -> list[tuple[str, list[str]]]:
     return out
 
 
+def verdict_changes(old: bytes | None, new: bytes | None) -> list[str] | None:
+    """The VERDICT_KEYS whose values differ between two report files, or None when either is
+    not a JSON report; a key absent from a report reads None."""
+    def at(results, key):
+        for part in key.split("."):
+            results = results.get(part) if isinstance(results, dict) else None
+        return results
+
+    try:
+        reports = [json.loads(data)["results"] for data in (old, new)]
+    except (TypeError, ValueError, KeyError):
+        return None
+    return [key for key in VERDICT_KEYS if at(reports[0], key) != at(reports[1], key)]
+
+
 def describe(name: str, fields: list[str], old: dict, new: dict) -> str:
     line = f"  {name}: {', '.join(fields)}"
     if name in old and name in new:
@@ -69,7 +87,21 @@ def describe(name: str, fields: list[str], old: dict, new: dict) -> str:
             line += f"; exit {old[name]['exit']} -> {new[name]['exit']}"
         if "stderr" in fields:
             line += f"; stderr {old[name]['stderr'][-200:]!r} -> {new[name]['stderr'][-200:]!r}"
+        before, after = old[name]["outputs"], new[name]["outputs"]
+        for path in sorted(set(before) | set(after)):
+            if before.get(path) == after.get(path):
+                continue
+            changes = verdict_changes(before.get(path), after.get(path))
+            if changes is not None:
+                line += f"; {path} " + (f"changed {', '.join(changes)}" if changes
+                                        else "kept its verdict keys")
     return line
+
+
+def summary(seed: int, old: dict, new: dict, diffs: list[tuple[str, list[str]]]) -> str:
+    """The seed's count of differing jobs, then every one of them, a line each."""
+    return "\n".join([f"seed {seed}: {len(old)} jobs, {len(diffs)} differ",
+                      *(describe(name, fields, old, new) for name, fields in diffs)])
 
 
 def run_seed(seed: int, old_src: Path, new_src: Path, work: Path) -> tuple[dict, dict]:
@@ -106,9 +138,7 @@ def main(argv=None) -> int:
         finally:
             shutil.rmtree(work)
         diffs = differences(old, new)
-        print(f"seed {seed}: {len(old)} jobs, {len(diffs)} differ")
-        for name, fields in diffs[:SHOWN]:
-            print(describe(name, fields, old, new))
+        print(summary(seed, old, new, diffs))
         failed |= bool(diffs)
     return 1 if failed else 0
 

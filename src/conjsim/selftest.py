@@ -25,8 +25,9 @@ the (sampled) correlations against the reference, state equalities, D-collapse,
 anti-commutators, extraction, its fidelities, the Y normal form and the family
 parameters.  Each stage's checks are residuals {entry: residual}, 0 being ideal
 (a fidelity f enters as 1 - f), and one rule judges them all, naming a failing
-stage by its worst entry.  The extraction gate lives only in run_selftest, on
-the residuals its earlier stages recorded.
+stage by its worst entry.  The report keeps each judged map under its stage's
+name, so it writes what the rule read.  The extraction gate lives only in
+run_selftest, on the residuals its earlier stages recorded.
 """
 
 from __future__ import annotations
@@ -593,17 +594,17 @@ class YCoefficientReport(Record):
     normal_form_deviation: dict[str, float]           # party -> residual
     support_factorization: dict[str, float]           # party -> ||P - Q (x) I||
     populations: dict[str, float]                     # party -> weight p0 of the sign's +1
-    population_mismatch: float
 
     @property
     def residuals(self) -> dict[str, float]:
-        """Per party the I/X/Z block norms, normal form and factorization, then the mismatch."""
+        """Per party the I/X/Z block norms, normal form and factorization, then the mismatch
+        |p0(A) - p0(B)| of the parties' populations."""
         out: dict[str, float] = {}
         for p in PARTIES:
             out.update({f"{p}:{block}": v for block, v in self.block_norms[p].items()})
             out[f"{p}:normal_form"] = self.normal_form_deviation[p]
             out[f"{p}:factorization"] = self.support_factorization[p]
-        out["population_mismatch"] = self.population_mismatch
+        out["population_mismatch"] = abs(self.populations["A"] - self.populations["B"])
         return out
 
 
@@ -646,8 +647,7 @@ def y_coefficient_check(ext: Extraction) -> YCoefficientReport:
     for party in PARTIES:
         norms[party], dev[party], fact[party], pops[party] = _party_y_blocks(ext, party)
     return YCoefficientReport(block_norms=norms, normal_form_deviation=dev,
-                              support_factorization=fact, populations=pops,
-                              population_mismatch=abs(pops["A"] - pops["B"]))
+                              support_factorization=fact, populations=pops)
 
 
 class FamilyParams(Record):
@@ -701,20 +701,16 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
 
 
 class EquivalenceReport(Record):
+    """The verdict of :func:`run_selftest`: ``residuals[stage]`` holds each stage that ran, in
+    run order, with exactly the entries its rule judged."""
+
     kind: str
     tol: float
     stats_tol: float
     passed: bool
     failures: tuple[str, ...]
     refused_stage: str | None
-    statistics: CheckResult
-    exact_deviations: dict[str, float] | None      # sampled runs only: what the gate reads
-    state_equalities: dict[str, float]
-    collapse_residuals: dict[str, float]
-    anticommutators: dict[str, tuple[float, float]]
-    state_fidelity: float | None
-    action_fidelities: dict[tuple[str, str], float] | None
-    y_check: YCoefficientReport | None
+    residuals: dict[str, dict[str, float]]
     family_params: FamilyParams | None
 
 
@@ -728,9 +724,11 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     exact statistics and its X/Z support anti-commutators hold.
     """
     failures: list[str] = []
+    residuals: dict[str, dict[str, float]] = {}
 
-    def holds(stage: str, residuals: dict[str, float], bound=tol) -> bool:
-        worst = _worst_failing(residuals, bound)
+    def holds(stage: str, entries: dict[str, float], bound=tol) -> bool:
+        residuals[stage] = entries
+        worst = _worst_failing(entries, bound)
         if worst:
             failures.append(f"{stage}[{worst}]")
         return not worst
@@ -743,19 +741,15 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     ref = correlations(reference_experiment(exp.kind))
     # the extraction gate reads the exact table's deviations also in sampled mode
     exact_stats = check_against_reference(exact, ref, stats_tol)
-    stats = exact_stats
-    if sampled_n is not None:
-        stats = check_against_reference(sampled_correlations(exact, sampled_n, seed), ref,
-                                        stats_tol)
+    stats = exact_stats if sampled_n is None else check_against_reference(
+        sampled_correlations(exact, sampled_n, seed), ref, stats_tol)
+    residuals["statistics"] = stats.deviations
     if not stats.passed:
         failures.append(f"statistics[{stats.worst_entry}]")
 
-    equalities = check_state_equalities(exp_pure)
-    holds("state_equalities", equalities)
-    collapse = check_d_collapse(exp_pure)
-    holds("d_collapse", collapse)
-    anticomms = anticommutator_residual(exp_pure)
-    supports = {key: support for key, (_, support) in anticomms.items()}
+    holds("state_equalities", check_state_equalities(exp_pure))
+    holds("d_collapse", check_d_collapse(exp_pure))
+    supports = {key: support for key, (_, support) in anticommutator_residual(exp_pure).items()}
     holds("anticommutator", supports)
 
     # the extraction gate: sub-test 1's exact deviations and X/Z support anti-commutators
@@ -763,15 +757,15 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     gate = {**{f"joint({la},{lb})": stats_tol for la in sub1 for lb in sub1},
             **{f"marginal({p},{lab})": stats_tol for p in PARTIES for lab in sub1},
             **{f"{p}:{x}{z}": tol for p in PARTIES}}
-    refused = not holds("extraction_refused", {**exact_stats.deviations, **supports}, gate)
+    judged = {**exact_stats.deviations, **supports}
+    refused = not holds("extraction_refused", {name: judged[name] for name in gate}, gate)
 
-    state_fid = action_fids = y_check = params = None
+    params = None
     if not refused:
         ext = extraction_isometry(exp_pure)
-        state_fid = extraction_state_fidelity(ext)
-        holds("state_fidelity", {"ancillas": 1 - state_fid})
-        action_fids = extraction_action_fidelities(ext)
-        holds("action_fidelity", {f"{lab}_{p}": 1 - f for (p, lab), f in action_fids.items()})
+        holds("state_fidelity", {"ancillas": 1 - extraction_state_fidelity(ext)})
+        holds("action_fidelity", {f"{lab}_{p}": 1 - f
+                                  for (p, lab), f in extraction_action_fidelities(ext).items()})
         if exp.kind == "extended":
             y_check = y_coefficient_check(ext)
             holds("y_coefficients", y_check.residuals)
@@ -782,9 +776,4 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
         kind=exp.kind, tol=tol, stats_tol=stats_tol,
         passed=not failures, failures=tuple(failures),
         refused_stage="extraction" if refused else None,
-        statistics=stats,
-        exact_deviations=None if sampled_n is None else exact_stats.deviations,
-        state_equalities=equalities,
-        collapse_residuals=collapse, anticommutators=anticomms,
-        state_fidelity=state_fid, action_fidelities=action_fids,
-        y_check=y_check, family_params=params)
+        residuals=residuals, family_params=params)

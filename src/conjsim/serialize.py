@@ -26,7 +26,7 @@ import numpy as np
 
 from .family import SimParams
 from .linalg import DEFECTS
-from .states import DensityMatrix, Record, StateVector
+from .states import DensityMatrix, StateVector
 
 if TYPE_CHECKING:
     from .selftest import CorrelationTable, EquivalenceReport, Experiment
@@ -384,12 +384,8 @@ def qber_report_to_dict(report: QberReport) -> dict:
     return out
 
 
-def _fields(record: Record) -> dict:
-    """A record's fields by name, each value as it is."""
-    return {name: getattr(record, name) for name in record._fields}
-
-
 def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
+    """The verdict, ``residuals`` by stage, and the flag populations without their residuals."""
     out = {
         "kind": report.kind,
         "tol": report.tol,
@@ -397,21 +393,10 @@ def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
         "verdict": "pass" if report.passed else "fail",
         "failures": list(report.failures),
         "refused_stage": report.refused_stage,
-        "statistics": _fields(report.statistics),
-        "state_equalities": report.state_equalities,
-        "collapse_residuals": report.collapse_residuals,
-        "anticommutators": {k: {"raw": raw, "support": support}
-                            for k, (raw, support) in report.anticommutators.items()},
+        "residuals": report.residuals,
     }
-    if report.exact_deviations is not None:
-        out["statistics"]["exact_deviations"] = report.exact_deviations
-    if report.state_fidelity is not None:
-        out["state_fidelity"] = report.state_fidelity
-    if report.action_fidelities is not None:
-        out["action_fidelities"] = {f"{lab}_{p}": v
-                                    for (p, lab), v in report.action_fidelities.items()}
-    if report.y_check is not None:
-        out["y_check"] = _fields(report.y_check)
-    if report.family_params is not None:
-        out["flag_populations"] = _fields(report.family_params)
+    params = report.family_params
+    if params is not None:
+        out["flag_populations"] = {name: getattr(params, name) for name in params._fields
+                                   if name != "residuals"}
     return out

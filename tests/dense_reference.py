@@ -23,7 +23,8 @@ slow reference for the one binomial count per entry of
 at a time, the slow reference for the level-at-a-time JSON codec of
 ``conjsim.serialize``.  ``dense_stabilizer_and_split`` computes the two state
 identities that ``conjsim.selftest.check_state_equalities`` leaves out.
-``rejudge`` re-derives a self-test report's verdict from its JSON alone.
+``rejudge`` re-derives a self-test report's verdict from its ``residuals``
+alone, and ``unjudged_names`` lists what a report names but does not hold.
 """
 
 import math
@@ -321,7 +322,10 @@ def per_pair_complex_from_json(data, rank: int) -> np.ndarray:
 
 
 NSIGMA = 5.0                    # a sampled entry's bound, in null standard errors
-SUBTEST_1 = ("X", "Z", "D")     # the sub-test whose statistics and X/Z pair gate extraction
+# the self-test's stages in run order; a report cannot show it, since dumps sorts its keys
+RUN_ORDER = ("statistics", "state_equalities", "d_collapse", "anticommutator",
+             "extraction_refused", "state_fidelity", "action_fidelity", "y_coefficients",
+             "family_params")
 
 
 def _worst(residuals: dict, bounds: dict) -> str:
@@ -346,51 +350,44 @@ def _read(value):
 def rejudge(report: dict) -> tuple[list[str], str | None]:
     """(failures, refused_stage) of a ``selftest`` report document, from its JSON alone.
 
-    The report gives every judged residual, ``tol`` and ``stats_tol``; a null
-    is read as NaN.  A sampled run's bounds NSIGMA sqrt((1 - r^2) / n), floored
-    at ``stats_tol``, take n from ``config.sampled`` and r from the kind's
-    reference table, and its extraction gate reads ``statistics.exact_deviations``.
+    It reads ``residuals``, a null as NaN, with ``tol``, ``stats_tol`` and
+    ``config.sampled``, and judges each stage in RUN_ORDER.  Every bound is
+    ``tol`` but the table entries' (``joint(..)``, ``marginal(..)``) of the
+    statistics and the extraction gate, which are ``stats_tol``.  A sampled
+    run's statistics bounds are NSIGMA sqrt((1 - r^2) / n), floored at
+    ``stats_tol``, with n from ``config.sampled`` and r from the extended
+    reference table, which holds every kind's entries.
     """
-    res = _read(report["results"])
+    res = report["results"]
     tol, stats_tol = res["tol"], res["stats_tol"]
-    failures: list[str] = []
-
-    def holds(stage, residuals, bounds=None):
-        worst = _worst(residuals, dict.fromkeys(residuals, tol) if bounds is None else bounds)
-        if worst:
-            failures.append(f"{stage}[{worst}]")
-        return not worst
-
-    stats = res["statistics"]
+    residuals = _read(res["residuals"])
+    bounds = {stage: {entry: stats_tol if entry.startswith(("joint(", "marginal(")) else tol
+                      for entry in entries}
+              for stage, entries in residuals.items()}
     sampled = report["config"].get("sampled")
-    bounds = dict.fromkeys(stats["deviations"], stats_tol)
     if sampled:
         [n] = [int(token[2:]) for token in sampled if token.startswith("n=")]
-        ref = correlations(reference_experiment(res["kind"]))
+        ref = correlations(reference_experiment("extended"))
         for entry, table in (("joint", ref.joints), ("marginal", ref.marginals)):
             for (a, b), r in table.items():
-                null_sd = math.sqrt(max(1 - r * r, 0.0) / n)
-                bounds[f"{entry}({a},{b})"] = max(NSIGMA * null_sd, stats_tol)
-    holds("statistics", stats["deviations"], bounds)
-    holds("state_equalities", res["state_equalities"])
-    holds("d_collapse", res["collapse_residuals"])
-    supports = {key: pair["support"] for key, pair in res["anticommutators"].items()}
-    holds("anticommutator", supports)
-    gate = {**{f"joint({a},{b})": stats_tol for a in SUBTEST_1 for b in SUBTEST_1},
-            **{f"marginal({p},{lab})": stats_tol for p in "AB" for lab in SUBTEST_1},
-            "A:XZ": tol, "B:XZ": tol}
-    exact = stats["exact_deviations"] if sampled else stats["deviations"]
-    if not holds("extraction_refused", {**exact, **supports}, gate):
-        return failures, "extraction"
-    holds("state_fidelity", {"ancillas": 1 - res["state_fidelity"]})
-    holds("action_fidelity", {name: 1 - f for name, f in res["action_fidelities"].items()})
-    if res["kind"] == "extended":
-        y = res["y_check"]
-        holds("y_coefficients", {
-            **{f"{p}:{block}": v for p, norms in y["block_norms"].items()
-               for block, v in norms.items()},
-            **{f"{p}:normal_form": v for p, v in y["normal_form_deviation"].items()},
-            **{f"{p}:factorization": v for p, v in y["support_factorization"].items()},
-            "population_mismatch": y["population_mismatch"]})
-        holds("family_params", res["flag_populations"]["residuals"])
-    return failures, None
+                name = f"{entry}({a},{b})"
+                if name in bounds["statistics"]:
+                    null_sd = math.sqrt(max(1 - r * r, 0.0) / n)
+                    bounds["statistics"][name] = max(NSIGMA * null_sd, stats_tol)
+    failures = [f"{stage}[{worst}]" for stage in RUN_ORDER if stage in residuals
+                for worst in [_worst(residuals[stage], bounds[stage])] if worst]
+    gate_failed = any(f.startswith("extraction_refused[") for f in failures)
+    return failures, "extraction" if gate_failed else None
+
+
+def unjudged_names(report: dict) -> list[str]:
+    """The keys of a ``selftest`` report's ``residuals`` that name no stage, and the failures
+    ``stage[entry]`` with no ``residuals[stage][entry]``: [] when the report writes what its
+    rule judged."""
+    res = report["results"]
+    out = [stage for stage in res["residuals"] if stage not in RUN_ORDER]
+    for failure in res["failures"]:
+        stage, _, entry = failure.removesuffix("]").partition("[")
+        if entry not in res["residuals"].get(stage, {}):
+            out.append(failure)
+    return out

@@ -103,8 +103,8 @@ def test_criterion_3_family_indistinguishability():
         assert result.passed, (p, result.worst_entry)
         rep = run_selftest(exp, tol=1e-9)
         assert rep.passed, (p, rep.failures)
-        assert rep.state_fidelity >= 1 - 1e-9
-        assert all(f >= 1 - 1e-9 for f in rep.action_fidelities.values())
+        assert rep.residuals["state_fidelity"]["ancillas"] <= 1e-9
+        assert all(v <= 1e-9 for v in rep.residuals["action_fidelity"].values())
     report(f"3: PASS {len(grid)} family members indistinguishable and certified "
            "(tables 1e-10, fidelities >= 1-1e-9)")
 

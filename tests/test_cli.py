@@ -36,7 +36,7 @@ from conjsim.serialize import complex_to_json, dumps, experiment_to_json, state_
 from conjsim.sixstate import MismatchedFlags, source_state
 from conjsim.states import StateVector, replace
 
-from dense_reference import rejudge
+from dense_reference import rejudge, unjudged_names
 
 
 def run(args):
@@ -115,28 +115,28 @@ def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
 # and a rotated, junked member with no flags) and failing runs of every stage family.
 SELFTEST_REPORTS = [
     (["--experiment", "mayersyao.json", "--kind", "mayersyao"], 0,
-     "081b63cd548afc79ce316b407f4910b0e50afc5152f6a5c1c931519584a9ac1c"),
+     "0b0961c0c53f3ea52448898d4a0b58e7e060dac241fc731f3e680ff2623e664b"),
     (["--experiment", "member.json"], 0,
-     "d7bbc940a5ad9a7d1d0fee4e99c801b8a7d89d2014153f7911617daa1894620e"),
+     "dc62a6bfdeda6b8f4a461237556613fa1257c08001218d14fe569e991a84b066"),
     (["--experiment", "mayersyao.json", "--kind", "mayersyao",
       "--sampled", "n=20000", "seed=7"], 0,
-     "d25dab9239e9f57999572f7614919dcbfd089403d51f8444cc231e53328b38e9"),
+     "fbd1f52b118e0aeeac49b306ee9af50ca3bb9236e4b4c612855c8b2440b6faab"),
     (["--experiment", "rotated.json"], 0,
-     "093bd334eb8b4cb1f820a36676399e8dd172310a18b56ea057b9e9ab39df0ed6"),
+     "c6c3dbde18a7d8605861007d4385b731c7f15f65af67529a1fab920f5f066910"),
     (["--experiment", "d_is_x.json"], 1,
-     "10a34ed3130f6f491281661cd272bd1a050491f4e7b908d1a9fbbdd4aea999cf"),
+     "6ea23eaa23953592b9bb3887ad7d48a805a0c900e1351c6d1ed52264a0d39f20"),
     (["--experiment", "d_is_x.json", "--stats-tol", "2"], 1,
-     "fab71a5602057eb5ed2405bc44ee20ae4c7e65bcd2a0e85d4d89ffdcc8a7d192"),
+     "e2b8be3af67251402d1b54ff8a84ebcdfff05a04e5b1eab50ba0ec85f4b4bbcc"),
     (["--experiment", "y_is_z.json"], 1,
-     "a6eb5cd598b813cd37b3852ed59b3ddd93d644f7d3160ffee05b6114ee4fa7e1"),
+     "fd29f2d957cca9a9f459b84ebdc267456b3e901bac40d862257975d96178befa"),
     (["--experiment", "y_is_z.json", "--stats-tol", "2"], 1,
-     "299bb55967e7fb47cbf10834a1d4847f29727912ca00e1ddb76ba9428f1a9c11"),
+     "be10276b11fa6022f2ba8a39728f83d52bd437c0277a09e6d8619af726cd3079"),
     (["--experiment", "product.json"], 1,
-     "de37bbbbb15c9b94e83324f73fe8985f3c44ff1ea5f6e694fdbd81980889b1c3"),
+     "99998b07c8cf856ccd4e9e1b1a23555d836c37e49b5c824c16f0816017dafe2c"),
     (["--experiment", "data_as_flags.json"], 1,
-     "6e485720f6a24e84c6a8c93ea440631a8345c340a8f349bf0173a8b23af746cc"),
+     "3c3441f29d329d9c2238c1fc64140ddee8a65984a74f2d8480ed7977e6a2350e"),
     (["--experiment", "tilted.json", "--kind", "mayersyao", "--stats-tol", "2"], 1,
-     "033fb6f99cbacf6a7734cdced43349fd359e99067e50e3291d489483472effc9"),
+     "569484b500c6006c49d8b968522697bed902ff9312b8c8042b5ea02b374f7e78"),
 ]
 
 
@@ -172,6 +172,7 @@ def test_selftest_reports_keep_their_bytes(tmp_path, monkeypatch):
         report = read_json(Path("report.json"))         # its verdict follows from it alone
         assert rejudge(report) == (report["results"]["failures"],
                                    report["results"]["refused_stage"]), argv
+        assert unjudged_names(report) == [], argv       # and each failure names its residual
         assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
 
 
@@ -279,7 +280,8 @@ def test_reports_are_strict_json(tmp_path, monkeypatch):
     monkeypatch.setattr(selftest, "check_d_collapse", lambda e: {**collapse(e), "A:D": np.nan})
     assert run(["selftest", "--kind", "mayersyao", "--out", "selftest.json"]) == 1
     results = strict_json(Path("selftest.json").read_text())["results"]
-    assert (results["collapse_residuals"]["A:D"], results["failures"]) == (None, ["d_collapse[A:D]"])
+    assert (results["residuals"]["d_collapse"]["A:D"], results["failures"]) == \
+        (None, ["d_collapse[A:D]"])
 
 
 def test_selftest_family_extended(tmp_path):
@@ -304,7 +306,7 @@ def test_selftest_corrupted_experiment(tmp_path):
     assert code == 1
     results = read_json(out)["results"]
     assert results["verdict"] == "fail"
-    assert results["statistics"]["worst_entry"] == "joint(D,Z)"
+    assert results["failures"][0] == "statistics[joint(D,Z)]"
     assert any("statistics" in f for f in results["failures"])
 
 

@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script under ``scripts/`` runs to the end in-process."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -45,3 +46,37 @@ def test_workload_parity_names_the_differing_jobs():
         ("e", ["stdout"]), ("f", list(script.FIELDS))]
     line = script.describe("b", ["exit", "stderr"], old, new)
     assert "exit 0 -> 1" in line and "error: x" in line
+    # every differing job is listed, and a differing JSON report says which verdict keys moved
+    lines = script.summary(5, old, new, script.differences(old, new)).splitlines()
+    assert lines[0] == "seed 5: 5 jobs, 5 differ"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == ["b", "c", "d", "e", "f"]
+
+    def report(**results):
+        return json.dumps({"config": {}, "results": results}).encode()
+
+    kept = {"verdict": "pass", "failures": [], "refused_stage": None,
+            "flag_populations": {"population_0": 0.3, "population_1": 0.7}}
+    before = {"r.json": report(**kept, residuals={"a": 1.0}), "t.csv": b"x\n", "q.json": b"{}"}
+    same = {"r.json": report(**kept), "t.csv": b"y\n", "q.json": b"{ }"}
+    moved = {"r.json": report(**{**kept, "verdict": "fail", "failures": ["s[e]"],
+                                 "flag_populations": {"population_0": 0.5,
+                                                      "population_1": 0.7}}),
+             "t.csv": b"x\n", "q.json": b"{}"}
+    assert script.verdict_changes(before["r.json"], same["r.json"]) == []
+    assert script.verdict_changes(before["r.json"], moved["r.json"]) == [
+        "verdict", "failures", "flag_populations.population_0"]
+    assert script.verdict_changes(before["t.csv"], same["t.csv"]) is None     # no JSON
+    assert script.verdict_changes(before["q.json"], same["q.json"]) is None   # no results
+    assert script.verdict_changes(before["r.json"], None) is None             # not written
+
+    def job(outputs):
+        return {"exit": 0, "stdout": b"", "stderr": b"", "outputs": outputs}
+
+    runs = {f"j{i}": job(before) for i in range(8)}
+    changed = {**runs, **{f"j{i}": job(same) for i in range(1, 7)}, "j7": job(moved)}
+    diffs = script.differences(runs, changed)
+    assert diffs == [(f"j{i}", ["outputs"]) for i in range(1, 8)]
+    assert script.summary(23, runs, changed, diffs).splitlines() == [
+        "seed 23: 8 jobs, 7 differ",
+        *(f"  j{i}: outputs; r.json kept its verdict keys" for i in range(1, 7)),
+        "  j7: outputs; r.json changed verdict, failures, flag_populations.population_0"]

@@ -57,6 +57,7 @@ from conjsim.serialize import dumps, equivalence_report_to_dict
 from conjsim.states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 from dense_reference import (
+    RUN_ORDER,
     ancillas_last,
     basis_state,
     dense_attach_junk,
@@ -71,11 +72,17 @@ from dense_reference import (
     permute_subsystems_vector,
     rejudge,
     support_projector,
+    unjudged_names,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 SQ2 = 1 / np.sqrt(2)
+
+
+def named_entry(report, stage):
+    """The entry that ``report``'s failure of ``stage`` names, or "" when the stage holds."""
+    return next((f[len(stage) + 1:-1] for f in report.failures if f.startswith(f"{stage}[")), "")
 
 
 def ref_table(kind):
@@ -274,8 +281,9 @@ def test_check_against_reference_family_grid():
 def test_passing_report_names_no_worst_entry():
     exp = junk_ladder_experiment(64, seed=64)
     report = run_selftest(exp)
-    assert report.passed and report.statistics.worst_entry == ""
-    assert equivalence_report_to_dict(report)["statistics"]["worst_entry"] == ""
+    assert report.passed and named_entry(report, "statistics") == ""
+    assert max(report.residuals["statistics"].values()) <= report.stats_tol
+    assert equivalence_report_to_dict(report)["failures"] == []
     table, ref = correlations(exp), ref_table("extended")
     for entries in ("joints", "marginals"):
         values = getattr(table, entries)
@@ -509,7 +517,7 @@ def test_extraction_refuses_failing_statistics():
     report = run_selftest(bad)
     assert report.refused_stage == "extraction"
     assert "extraction_refused[joint(X,X)]" in report.failures
-    assert report.state_fidelity is None and report.action_fidelities is None
+    assert list(report.residuals) == list(RUN_ORDER[:5])     # nothing past the gate ran
     assert isinstance(extraction_isometry(bad), Extraction)      # the circuit alone is ungated
 
 
@@ -555,9 +563,9 @@ def test_an_action_fidelity_is_the_modulus_of_a_complex_overlap():
 def test_run_selftest_reference_mayersyao():
     report = run_selftest(reference_experiment("mayersyao"), tol=1e-9)
     assert report.passed and report.refused_stage is None
-    assert report.state_fidelity == pytest.approx(1.0, abs=1e-10)
-    for v in report.action_fidelities.values():
-        assert v == pytest.approx(1.0, abs=1e-10)
+    assert report.residuals["state_fidelity"]["ancillas"] == pytest.approx(0.0, abs=1e-10)
+    for v in report.residuals["action_fidelity"].values():
+        assert v == pytest.approx(0.0, abs=1e-10)
 
 
 def test_run_selftest_family_member_extended():
@@ -620,7 +628,7 @@ def test_estimate_family_params_without_flags_uses_sign_operator():
     exp = reference_experiment("extended")
     with pytest.raises(ValueError, match="y_check"):
         estimate_family_params(exp)              # no populations from an ungated extraction
-    got = estimate_family_params(exp, y_check=run_selftest(exp).y_check)
+    got = estimate_family_params(exp, y_check=y_coefficient_check(extraction_isometry(exp)))
     assert got.source == "extracted_sign"
     assert got.population_0 == pytest.approx(1.0, abs=1e-9)
     assert got.coherence == 0.0
@@ -629,14 +637,15 @@ def test_estimate_family_params_without_flags_uses_sign_operator():
 def test_flag_populations_must_agree_with_the_y_check():
     # the data qubits named as flags read (0.5, 0.5); the extracted sign reads (0.3, 0.7)
     member = family_experiment(SimParams(0.3, 0.2), "extended")
-    y_check = run_selftest(member).y_check
+    y_check = y_coefficient_check(extraction_isometry(member))
     assert estimate_family_params(member, y_check=y_check).population_0 == pytest.approx(0.3)
     data_as_flags = replace(member, flag_registers={"A": 1, "B": 3})
     residuals = estimate_family_params(data_as_flags, y_check=y_check).residuals
     assert residuals["A:sign_population"] == pytest.approx(0.2)
     assert residuals["B:sign_population"] == pytest.approx(0.2)
     report = run_selftest(data_as_flags)
-    assert report.y_check.populations["A"] == pytest.approx(0.3)
+    assert y_coefficient_check(extraction_isometry(data_as_flags)).populations["A"] == \
+        pytest.approx(0.3)
     assert report.family_params.population_0 == pytest.approx(0.5)
     assert report.failures == ("family_params[A:sign_population]",)
 
@@ -679,9 +688,9 @@ def test_family_soundness_grid():
     for p in family_grid():
         report = run_selftest(family_experiment(p, "extended"))
         assert report.passed, (p, report.failures)
-        assert report.state_fidelity >= 1 - 1e-9
-        for v in report.action_fidelities.values():
-            assert v >= 1 - 1e-9
+        assert report.residuals["state_fidelity"]["ancillas"] <= 1e-9
+        for v in report.residuals["action_fidelity"].values():
+            assert v <= 1e-9
         assert abs(report.family_params.population_0 - p.a) <= 1e-9
 
 
@@ -698,11 +707,12 @@ def test_basis_change_invariance(seed):
     r0 = run_selftest(base)
     r1 = run_selftest(rotated)
     assert r1.passed
-    assert abs(r1.state_fidelity - r0.state_fidelity) <= 1e-9
-    for key in r0.action_fidelities:
-        assert abs(r1.action_fidelities[key] - r0.action_fidelities[key]) <= 1e-9
+    for stage in ("state_fidelity", "action_fidelity"):
+        for key, v in r0.residuals[stage].items():
+            assert abs(r1.residuals[stage][key] - v) <= 1e-9, key
+    y0, y1 = (y_coefficient_check(extraction_isometry(e)) for e in (base, rotated))
     for party in PARTIES:
-        assert abs(r1.y_check.populations[party] - r0.y_check.populations[party]) <= 1e-9
+        assert abs(y1.populations[party] - y0.populations[party]) <= 1e-9
 
 
 def test_rejection_catalog():
@@ -753,21 +763,21 @@ def tilted_d(exp, party, sign):
 
 def test_d_tilted_opposite_ways_on_both_sides_fails_only_the_d_collapse():
     report = run_selftest(tilted_d(tilted_d(reference_experiment("mayersyao"), "A", 1), "B", -1))
-    assert max(report.statistics.deviations.values()) <= TILT ** 2 / 2 < report.stats_tol
-    assert max(report.state_equalities.values()) <= report.tol       # the transfers hold
+    assert max(report.residuals["statistics"].values()) <= TILT ** 2 / 2 < report.stats_tol
+    assert max(report.residuals["state_equalities"].values()) <= report.tol   # the transfers hold
     assert report.failures == ("d_collapse[A:D]",)
 
 
 def test_d_tilted_on_one_side_fails_the_state_equalities():
     report = run_selftest(tilted_d(reference_experiment("mayersyao"), "B", 1))
-    assert report.statistics.passed         # joint(D,D) moves by 1 - cos(TILT)
+    assert named_entry(report, "statistics") == ""      # joint(D,D) moves by 1 - cos(TILT)
     assert report.failures == ("state_equalities[transfer=D]", "d_collapse[B:D]")
 
 
 def test_run_selftest_sampled_mode():
     report = run_selftest(reference_experiment("mayersyao"), sampled_n=20_000, seed=7)
     assert report.passed
-    assert report.statistics.passed
+    assert named_entry(report, "statistics") == ""
 
 
 def test_run_selftest_sampled_requires_seed(monkeypatch):
@@ -803,8 +813,8 @@ def with_joint(table, key, value):
 def y_with(y, entry, value):
     """``y`` with one entry of its residuals set to ``value``."""
     party, _, check = entry.partition(":")
-    if entry == "population_mismatch":
-        return replace(y, population_mismatch=value)
+    if entry == "population_mismatch":                  # |p0(A) - p0(B)| = |0 - value|
+        return replace(y, populations={"A": 0.0, "B": value})
     if check == "factorization":
         return replace(y, support_factorization={**y.support_factorization, party: value})
     if check == "normal_form":
@@ -864,8 +874,9 @@ def test_each_stage_passes_at_its_bound_and_fails_above(case, monkeypatch):
         assert list(report.failures) == want, (case, value)
         assert report.refused_stage == ("extraction" if case.startswith("gate") and want
                                         else None), (case, value)
-        assert rejudge(report_document(report, kwargs.get("sampled_n"))) == \
-            (want, report.refused_stage), (case, value)
+        document = report_document(report, kwargs.get("sampled_n"))
+        assert rejudge(document) == (want, report.refused_stage), (case, value)
+        assert unjudged_names(document) == [], (case, value)
 
 
 # --------------------------------------------------------------------------
@@ -1033,12 +1044,28 @@ DENSE_STAGES = {
 }
 
 
-def dense_selftest(exp, monkeypatch, **kwargs):
-    """run_selftest with every stage that touches the full space in its dense form."""
+def in_dense_form(monkeypatch, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with every stage that touches the full space in its dense form."""
     with monkeypatch.context() as patch:
         for name, fn in DENSE_STAGES.items():
             patch.setattr(selftest, name, fn)
-        return run_selftest(exp, **kwargs)
+        return call(*args, **kwargs)
+
+
+def dense_selftest(exp, monkeypatch, **kwargs):
+    """run_selftest with every stage that touches the full space in its dense form."""
+    return in_dense_form(monkeypatch, run_selftest, exp, **kwargs)
+
+
+def unjudged_numbers(exp, report):
+    """The stage numbers that no rule judges, which a report leaves out: each raw
+    anti-commutator and, for an extended run past the gate, each party's sign population."""
+    exp = purify_experiment(exp)
+    out = {f"raw.{key}": raw for key, (raw, _) in selftest.anticommutator_residual(exp).items()}
+    if exp.kind == "extended" and report.refused_stage is None:
+        y = selftest.y_coefficient_check(selftest.extraction_isometry(exp))
+        out.update({f"populations.{party}": p0 for party, p0 in y.populations.items()})
+    return out
 
 
 def report_numbers(value, path="report"):
@@ -1059,10 +1086,13 @@ def report_numbers(value, path="report"):
     return out
 
 
-def assert_same_report(fast, dense, atol=1e-12):
+def assert_same_report(fast, dense, exp, atol=1e-12):
+    """The reports of ``exp`` agree, and so do the stage numbers they leave out."""
     assert (fast.passed, fast.failures, fast.refused_stage) == \
         (dense.passed, dense.failures, dense.refused_stage)
-    got, want = report_numbers(fast), report_numbers(dense)
+    got = {**report_numbers(fast), **unjudged_numbers(exp, fast)}
+    want = {**report_numbers(dense),
+            **in_dense_form(pytest.MonkeyPatch(), unjudged_numbers, exp, dense)}
     assert got.keys() == want.keys()
     worst = max((abs(got[k] - want[k]), k) for k in got)
     assert worst[0] <= atol, worst
@@ -1097,7 +1127,7 @@ def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
     for name, case in cases.items():
         fast = run_selftest(case)
         assert fast.passed == (name in ("passing", "rotated")), name
-        assert_same_report(fast, dense_selftest(case, monkeypatch))
+        assert_same_report(fast, dense_selftest(case, monkeypatch), case)
     table = correlations(exp)
     for la, lb in pair_schedule("extended"):
         np.testing.assert_allclose(table.outcome_probs(la, lb),
@@ -1106,10 +1136,10 @@ def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
 
 def test_local_kernel_matches_dense_pipeline_mixed_and_sampled(monkeypatch):
     exp = family_experiment(SimParams(0.4, 0.2), "extended")     # a density matrix
-    assert_same_report(run_selftest(exp), dense_selftest(exp, monkeypatch))
+    assert_same_report(run_selftest(exp), dense_selftest(exp, monkeypatch), exp)
     junked = junk_ladder_experiment(64, seed=3)
     assert_same_report(run_selftest(junked, sampled_n=2000, seed=8),
-                       dense_selftest(junked, monkeypatch, sampled_n=2000, seed=8))
+                       dense_selftest(junked, monkeypatch, sampled_n=2000, seed=8), junked)
 
 
 @st.composite
@@ -1148,7 +1178,7 @@ def test_party_layout_matches_register_layout_oracles(case):
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
     fast = run_selftest(exp)
     dense = dense_selftest(exp, pytest.MonkeyPatch())
-    assert_same_report(fast, dense)
+    assert_same_report(fast, dense, exp)
     assert fast.passed and fast.refused_stage is None
     # the populations are report floats, so they already agree within 1e-12
     flags = [equivalence_report_to_dict(r)["flag_populations"] for r in (fast, dense)]
@@ -1196,8 +1226,9 @@ def test_a_report_rederives_its_verdict_from_its_json(case, party, label, angle,
     for tested in (exp, rotated_setting(exp, party, label, angle, seed),
                    swapped(exp, party, "X", "Z")):
         report = run_selftest(tested, sampled_n=sampled_n, seed=seed)
-        assert rejudge(report_document(report, sampled_n)) == \
-            (list(report.failures), report.refused_stage)
+        document = report_document(report, sampled_n)
+        assert rejudge(document) == (list(report.failures), report.refused_stage)
+        assert unjudged_names(document) == []
 
 
 def nudged(value):
@@ -1234,10 +1265,10 @@ def test_failure_names_do_not_hang_on_rounding(monkeypatch):
                 for moved in nudged(value):
                     perturbed = replace(table, **{entries: {**values, key: moved}})
                     result = check_against_reference(perturbed, ref)
-                    assert result.worst_entry == report.statistics.worst_entry, key
+                    assert result.worst_entry == named_entry(report, "statistics"), key
         for stage, field in (("check_state_equalities", "state_equalities"),
-                             ("check_d_collapse", "collapse_residuals")):
-            residuals = getattr(report, field)
+                             ("check_d_collapse", "d_collapse")):
+            residuals = report.residuals[field]
             for key, value in residuals.items():
                 for moved in nudged(value):
                     with monkeypatch.context() as patch:
@@ -1254,8 +1285,8 @@ def test_failure_names_match_dense_oracle(case):
         bad = swapped(exp, party, la, lb)
         fast, dense = run_selftest(bad), dense_selftest(bad, pytest.MonkeyPatch())
         assert not fast.passed
-        assert fast.statistics.worst_entry == dense.statistics.worst_entry
-        assert_same_report(fast, dense)
+        assert named_entry(fast, "statistics") == named_entry(dense, "statistics")
+        assert_same_report(fast, dense, bad)
 
 
 @given(seeds)
@@ -1460,7 +1491,7 @@ def test_extraction_gate_matches_recomputing_gate():
         branches.add("anticommutator" if ":" in first else first.split("(")[0])
         report = run_selftest(exp, **kwargs)
         assert report.refused_stage == ("extraction" if failing else None), name
-        assert (report.state_fidelity is None) == bool(failing), name
+        assert ("state_fidelity" not in report.residuals) == bool(failing), name
         assert isinstance(extraction_isometry(exp), Extraction), name
         # one gate name: an entry the oracle fails by the largest residual, up to rounding
         gate = [f for f in report.failures if f.startswith("extraction_refused[")]
@@ -1475,11 +1506,11 @@ def test_sampled_statistics_failure_does_not_refuse_extraction(monkeypatch):
     assert recomputing_extraction_gate(exp, 1e-9, 1e-10) == {}
     monkeypatch.setattr(selftest, "NSIGMA", 0.01)
     report = run_selftest(exp, sampled_n=400, seed=9)
-    assert not report.statistics.passed
+    assert named_entry(report, "statistics") != ""
     assert report.failures[0].startswith("statistics[")
     assert report.refused_stage is None
-    assert report.state_fidelity == pytest.approx(1.0, abs=1e-9)
-    assert report.y_check is not None and report.family_params is not None
+    assert report.residuals["state_fidelity"]["ancillas"] == pytest.approx(0.0, abs=1e-9)
+    assert "y_coefficients" in report.residuals and report.family_params is not None
 
 
 def test_a_sampled_report_carries_the_exact_deviations_its_gate_judged():
@@ -1487,10 +1518,16 @@ def test_a_sampled_report_carries_the_exact_deviations_its_gate_judged():
     report = equivalence_report_to_dict(run_selftest(exp, sampled_n=2000, seed=3))
     assert "extraction_refused[joint(D,Z)]" in report["failures"]
     exact = check_against_reference(correlations(exp), ref_table("mayersyao")).deviations
-    assert report["statistics"]["exact_deviations"] == dict(sorted(exact.items()))
-    assert report["statistics"]["exact_deviations"]["joint(D,Z)"] == pytest.approx(SQ2, abs=1e-12)
-    assert report["statistics"]["deviations"]["joint(D,Z)"] != exact["joint(D,Z)"]
-    assert "exact_deviations" not in equivalence_report_to_dict(run_selftest(exp))["statistics"]
+    gate = report["residuals"]["extraction_refused"]
+    # sub-test 1's 15 entries are the whole Mayers-Yao table, then the X/Z anti-commutators
+    assert len(gate) == 17
+    assert {key: v for key, v in gate.items() if key not in ("A:XZ", "B:XZ")} == exact
+    for key in ("A:XZ", "B:XZ"):
+        assert gate[key] == report["residuals"]["anticommutator"][key]
+    assert gate["joint(D,Z)"] == pytest.approx(SQ2, abs=1e-12)
+    assert report["residuals"]["statistics"]["joint(D,Z)"] != exact["joint(D,Z)"]
+    # an exact run's gate reads the same entries
+    assert equivalence_report_to_dict(run_selftest(exp))["residuals"]["extraction_refused"] == gate
 
 
 @pytest.mark.parametrize("sampled", [False, True])

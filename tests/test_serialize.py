@@ -47,7 +47,7 @@ from conjsim.sixstate import (
     sift,
 )
 from conjsim.states import DensityMatrix, StateVector, epr_pair
-from dense_reference import per_pair_complex_from_json, per_pair_complex_to_json
+from dense_reference import RUN_ORDER, per_pair_complex_from_json, per_pair_complex_to_json
 
 
 def test_matrix_roundtrip():
@@ -320,7 +320,9 @@ def test_equivalence_report_dict():
     data = equivalence_report_to_dict(report)
     assert data["verdict"] == "pass"
     assert data["flag_populations"]["population_0"] == pytest.approx(0.5, abs=1e-9)
-    assert "y_check" in data and "statistics" in data
+    assert "residuals" not in data["flag_populations"]
+    assert list(data["residuals"]) == list(RUN_ORDER)   # a passing extended run ran every stage
+    assert data["residuals"]["family_params"] == report.family_params.residuals
     json.loads(dumps(data))    # serializable
 
 
