@@ -25,9 +25,12 @@ the (sampled) correlations against the reference, state equalities, D-collapse,
 anti-commutators, extraction, its fidelities, the Y normal form and the family
 parameters.  Each stage's checks are residuals {entry: residual}, 0 being ideal
 (a fidelity f enters as 1 - f), and one rule judges them all, naming a failing
-stage by its worst entry.  The report keeps each judged map under its stage's
-name, so it writes what the rule read.  The extraction gate lives only in
-run_selftest, on the residuals its earlier stages recorded.
+stage by its worst entry.  No stage judges itself: the statistics stage returns
+its deviations with their per-entry bounds, and the family stage returns its
+flag checks beside the estimate.  The report keeps each judged map under its
+stage's name, so it writes what the rule read, and each map only there.  The
+extraction gate lives only in run_selftest, on the residuals its earlier
+stages recorded.
 """
 
 from __future__ import annotations
@@ -365,27 +368,13 @@ def sampled_correlations(exact: CorrelationTable, n_per_pair: int, seed: int) ->
                             n_per_pair=n)
 
 
-class CheckResult(Record):
-    """Entrywise comparison with a reference table.
+def check_against_reference(table: CorrelationTable, ref: CorrelationTable, tol: float = 1e-10
+                            ) -> tuple[dict[str, float], dict[str, float]]:
+    """The deviations {entry: |table - ref|} over the reference's entries, and their bounds.
 
-    ``worst_entry`` names the failing entry with the largest deviation, or is ""
-    when every entry is within its tolerance; ``worst_deviation`` is the largest
-    deviation over all entries.
-    """
-
-    passed: bool
-    worst_entry: str
-    worst_deviation: float
-    deviations: dict[str, float]
-
-
-def check_against_reference(table: CorrelationTable, ref: CorrelationTable,
-                            tol: float = 1e-10) -> CheckResult:
-    """Compare a table entrywise with a reference table over the reference's entries.
-
-    Exact tables use ``tol``.  A sampled entry's tolerance is NSIGMA null
+    An exact table's bound is ``tol``.  A sampled entry's bound is NSIGMA null
     standard errors sqrt((1 - r^2) / n_per_pair) of its reference value r,
-    with ``tol`` as a floor.
+    with ``tol`` as a floor.  The caller judges the two maps with the verdict rule.
     """
     deviations: dict[str, float] = {}
     bounds: dict[str, float] = {}
@@ -399,9 +388,7 @@ def check_against_reference(table: CorrelationTable, ref: CorrelationTable,
         if table.sampled:
             null_var = max(1.0 - ref_val * ref_val, 0.0) / table.n_per_pair
             bounds[name] = max(NSIGMA * float(np.sqrt(null_var)), tol)
-    worst = _worst_failing(deviations, bounds)
-    return CheckResult(passed=not worst, worst_entry=worst, deviations=deviations,
-                       worst_deviation=float(np.max(list(deviations.values()))))
+    return deviations, bounds
 
 
 def _worst_failing(residuals: dict[str, float], bound: float | dict[str, float]) -> str:
@@ -653,29 +640,29 @@ def y_coefficient_check(ext: Extraction) -> YCoefficientReport:
 class FamilyParams(Record):
     """Estimated flag populations and cross-branch coherence of a passing experiment.
 
-    ``residuals`` checks the flag registers: ``flag_leak`` (the reduced flag state
-    outside {|00>, |11>}) and, given a y_check, ``P:sign_population`` (|p0 - party
-    P's extracted sign p0|) for each party.  The coherence needs no check: it is
-    at most sqrt(p0 p1).
+    The checks of the flag registers are not kept here: :func:`estimate_family_params`
+    returns them beside the estimate.  The coherence needs no check: it is at
+    most sqrt(p0 p1).
     """
 
     population_0: float
     population_1: float
     coherence: float | None
     source: str
-    residuals: dict[str, float]
 
 
 def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None = None,
-                           tol: float = 1e-9) -> FamilyParams:
-    """Populations (|alpha|^2, |beta|^2) and coherence magnitude of the member.
+                           tol: float = 1e-9) -> tuple[FamilyParams, dict[str, float]]:
+    """Populations (|alpha|^2, |beta|^2) and coherence magnitude of the member, and their checks.
 
     Experiments that kept their flag registers report the reduced flag state
-    directly, with its data checks in ``residuals``.  Otherwise the populations
-    come from Alice's extracted Y sign operator in the required ``y_check``, which
-    is basis free and, in a passing y_coefficients stage, within ``tol`` of Bob's;
-    the coherence is then only determined when one branch is empty (its
-    population at most ``tol``).
+    directly, with the residuals ``flag_leak`` (the reduced flag state outside
+    {|00>, |11>}) and, given a y_check, ``P:sign_population`` (|p0 - party P's
+    extracted sign p0|) for each party.  Otherwise the populations come from
+    Alice's extracted Y sign operator in the required ``y_check``, which is basis
+    free and, in a passing y_coefficients stage, within ``tol`` of Bob's; there
+    is nothing further to check, and the coherence is only determined when one
+    branch is empty (its population at most ``tol``).
     """
     if exp.flag_registers is not None:
         reduced = partial_trace(exp.state, [exp.flag_registers["A"],
@@ -688,12 +675,12 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
         if y_check is not None:
             residuals.update({f"{party}:sign_population": abs(p0 - pop)
                               for party, pop in y_check.populations.items()})
-        return FamilyParams(p0, p1, float(abs(reduced[0, 3])), "flag_registers", residuals)
+        return FamilyParams(p0, p1, float(abs(reduced[0, 3])), "flag_registers"), residuals
     if y_check is None:
         raise ValueError("without flag registers, pass the y_check of a gated extraction")
     p0 = y_check.populations["A"]
     p1 = 1.0 - p0
-    return FamilyParams(p0, p1, 0.0 if min(p0, p1) <= tol else None, "extracted_sign", {})
+    return FamilyParams(p0, p1, 0.0 if min(p0, p1) <= tol else None, "extracted_sign"), {}
 
 
 # ---------------------------------------------------------------------------
@@ -702,16 +689,20 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
 
 class EquivalenceReport(Record):
     """The verdict of :func:`run_selftest`: ``residuals[stage]`` holds each stage that ran, in
-    run order, with exactly the entries its rule judged."""
+    run order, with exactly the entries its rule judged, the family stage's flag checks
+    included; ``family_params`` is the estimate alone."""
 
     kind: str
     tol: float
     stats_tol: float
-    passed: bool
     failures: tuple[str, ...]
     refused_stage: str | None
     residuals: dict[str, dict[str, float]]
     family_params: FamilyParams | None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
@@ -740,12 +731,12 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     exact = correlations(exp_pure)
     ref = correlations(reference_experiment(exp.kind))
     # the extraction gate reads the exact table's deviations also in sampled mode
-    exact_stats = check_against_reference(exact, ref, stats_tol)
-    stats = exact_stats if sampled_n is None else check_against_reference(
-        sampled_correlations(exact, sampled_n, seed), ref, stats_tol)
-    residuals["statistics"] = stats.deviations
-    if not stats.passed:
-        failures.append(f"statistics[{stats.worst_entry}]")
+    exact_deviations, bounds = check_against_reference(exact, ref, stats_tol)
+    deviations = exact_deviations
+    if sampled_n is not None:
+        deviations, bounds = check_against_reference(
+            sampled_correlations(exact, sampled_n, seed), ref, stats_tol)
+    holds("statistics", deviations, bounds)
 
     holds("state_equalities", check_state_equalities(exp_pure))
     holds("d_collapse", check_d_collapse(exp_pure))
@@ -757,7 +748,7 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
     gate = {**{f"joint({la},{lb})": stats_tol for la in sub1 for lb in sub1},
             **{f"marginal({p},{lab})": stats_tol for p in PARTIES for lab in sub1},
             **{f"{p}:{x}{z}": tol for p in PARTIES}}
-    judged = {**exact_stats.deviations, **supports}
+    judged = {**exact_deviations, **supports}
     refused = not holds("extraction_refused", {name: judged[name] for name in gate}, gate)
 
     params = None
@@ -769,11 +760,10 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
         if exp.kind == "extended":
             y_check = y_coefficient_check(ext)
             holds("y_coefficients", y_check.residuals)
-            params = estimate_family_params(exp_pure, y_check=y_check, tol=tol)
-            holds("family_params", params.residuals)
+            params, flag_checks = estimate_family_params(exp_pure, y_check=y_check, tol=tol)
+            holds("family_params", flag_checks)
 
     return EquivalenceReport(
-        kind=exp.kind, tol=tol, stats_tol=stats_tol,
-        passed=not failures, failures=tuple(failures),
+        kind=exp.kind, tol=tol, stats_tol=stats_tol, failures=tuple(failures),
         refused_stage="extraction" if refused else None,
         residuals=residuals, family_params=params)

@@ -385,7 +385,7 @@ def qber_report_to_dict(report: QberReport) -> dict:
 
 
 def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
-    """The verdict, ``residuals`` by stage, and the flag populations without their residuals."""
+    """The verdict, ``residuals`` by stage, and every field of the family estimate."""
     out = {
         "kind": report.kind,
         "tol": report.tol,
@@ -397,6 +397,5 @@ def equivalence_report_to_dict(report: EquivalenceReport) -> dict:
     }
     params = report.family_params
     if params is not None:
-        out["flag_populations"] = {name: getattr(params, name) for name in params._fields
-                                   if name != "residuals"}
+        out["flag_populations"] = {name: getattr(params, name) for name in params._fields}
     return out

@@ -299,19 +299,22 @@ def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> Qbe
 class PremeasureComparison(Record):
     rate_differences: dict[str, float]       # |QBER difference| of each basis
     cell_difference: float                   # largest |difference| over the 36 cells
-    within_tolerance: bool
+
+    @property
+    def within_tolerance(self) -> bool:
+        """Every difference is at most ``linalg.ATOL``; a NaN fails."""
+        return all(d <= ATOL for d in (self.cell_difference, *self.rate_differences.values()))
 
 
 def zpremeasure_analysis(p: SimParams) -> PremeasureComparison:
     """Compare the ZPremeasure(p) cell law, flags summed out, with the Honest(p) law exactly.
 
     The family source populates only the logical flag states, so the two must
-    agree; each difference is judged against ``linalg.ATOL``, and a NaN fails.
+    agree; ``within_tolerance`` judges each difference against ``linalg.ATOL``.
     """
     premeasured = _cell_law(ZPremeasure(p)).sum(axis=0, keepdims=True)
     honest = _cell_law(Honest(p))[:1]
     (kept_z, wrong_z), (kept_h, wrong_h) = _same_basis(premeasured), _same_basis(honest)
     diffs = {b: float(d) for b, d in zip(BASES, np.abs(wrong_z / kept_z - wrong_h / kept_h))}
     cell = float(np.abs(premeasured - honest).max())
-    return PremeasureComparison(rate_differences=diffs, cell_difference=cell,
-                                within_tolerance=all(d <= ATOL for d in (cell, *diffs.values())))
+    return PremeasureComparison(rate_differences=diffs, cell_difference=cell)

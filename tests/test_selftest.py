@@ -30,6 +30,7 @@ from conjsim.selftest import (
     CorrelationTable,
     Experiment,
     Extraction,
+    _worst_failing,
     anticommutator_residual,
     attach_junk,
     check_against_reference,
@@ -259,23 +260,23 @@ def test_sampled_correlations_memory_does_not_grow_with_n():
 
 def test_check_against_reference_passes_exact():
     table = correlations(reference_experiment("mayersyao"))
-    result = check_against_reference(table, ref_table("mayersyao"), tol=1e-10)
-    assert result.passed and result.worst_deviation <= 1e-10
+    deviations, bounds = check_against_reference(table, ref_table("mayersyao"), tol=1e-10)
+    assert _worst_failing(deviations, bounds) == "" and max(deviations.values()) <= 1e-10
+    assert bounds == dict.fromkeys(deviations, 1e-10)   # an exact table's bound is tol
 
 
 def test_check_against_reference_flags_corrupted_d():
     exp = with_observable(reference_experiment("mayersyao"), "A", "D", X)
-    result = check_against_reference(correlations(exp), ref_table("mayersyao"))
-    assert not result.passed
-    assert result.worst_entry == "joint(D,Z)"
-    assert result.worst_deviation == pytest.approx(SQ2, abs=1e-9)
+    deviations, bounds = check_against_reference(correlations(exp), ref_table("mayersyao"))
+    assert _worst_failing(deviations, bounds) == "joint(D,Z)"
+    assert max(deviations.values()) == pytest.approx(SQ2, abs=1e-9)
 
 
 def test_check_against_reference_family_grid():
     for p in family_grid():
         table = correlations(family_experiment(p, "extended"))
-        result = check_against_reference(table, ref_table("extended"), tol=1e-10)
-        assert result.passed, (p, result.worst_entry, result.worst_deviation)
+        deviations, bounds = check_against_reference(table, ref_table("extended"), tol=1e-10)
+        assert _worst_failing(deviations, bounds) == "", (p, max(deviations.values()))
 
 
 def test_passing_report_names_no_worst_entry():
@@ -289,8 +290,7 @@ def test_passing_report_names_no_worst_entry():
         values = getattr(table, entries)
         for key, value in values.items():
             perturbed = replace(table, **{entries: {**values, key: value + 1e-16}})
-            result = check_against_reference(perturbed, ref)
-            assert result.passed and result.worst_entry == "", key
+            assert _worst_failing(*check_against_reference(perturbed, ref)) == "", key
 
 
 def test_worst_entry_is_the_largest_failing_deviation():
@@ -301,10 +301,9 @@ def test_worst_entry_is_the_largest_failing_deviation():
     joints[("D", "D")] -= 0.05          # failing, but not the worst failure
     table = CorrelationTable(kind="mayersyao", joints=joints, marginals=ref.marginals,
                              n_per_pair=50)
-    result = check_against_reference(table, ref)
-    assert not result.passed
-    assert result.worst_entry == "joint(Z,Z)"
-    assert result.worst_deviation == pytest.approx(0.5)
+    deviations, bounds = check_against_reference(table, ref)
+    assert _worst_failing(deviations, bounds) == "joint(Z,Z)"
+    assert max(deviations.values()) == pytest.approx(0.5)
 
 
 def test_nan_entries_fail_and_are_named():
@@ -315,8 +314,7 @@ def test_nan_entries_fail_and_are_named():
     # a NaN value slipped past construction
     table = correlations(reference_experiment("mayersyao"))
     object.__setattr__(table, "joints", {**table.joints, ("D", "D"): np.nan})
-    result = check_against_reference(table, ref)
-    assert (result.passed, result.worst_entry) == (False, "joint(D,D)")
+    assert _worst_failing(*check_against_reference(table, ref)) == "joint(D,D)"
 
 
 def test_check_against_reference_missing_entry():
@@ -329,8 +327,7 @@ def test_check_against_reference_missing_entry():
 
 def test_sampled_table_check_with_sigma_tolerance():
     table = sampled_correlations(correlations(reference_experiment("extended")), 30_000, seed=5)
-    result = check_against_reference(table, ref_table("extended"))
-    assert result.passed
+    assert _worst_failing(*check_against_reference(table, ref_table("extended"))) == ""
 
 
 def binomial_bound(trials, rate, alpha=1e-6):
@@ -358,8 +355,9 @@ def test_sampled_statistics_false_reject_rate(kind, member, sizes, seeds):
     exact, ref = correlations(exp), ref_table(kind)
     rate = (len(ref.joints) + len(ref.marginals)) * math.erfc(5 / math.sqrt(2))
     for n in sizes:
-        rejects = sum(not check_against_reference(sampled_correlations(exact, n, seed), ref).passed
-                      for seed in seeds)
+        checks = (check_against_reference(sampled_correlations(exact, n, seed), ref)
+                  for seed in seeds)
+        rejects = sum(_worst_failing(*check) != "" for check in checks)
         assert rejects <= binomial_bound(len(seeds), rate), (n, rejects)
 
 
@@ -372,8 +370,8 @@ def test_sampled_statistics_reject_an_offset_entry(key, value):
     n = math.ceil((2 * 5 * math.sqrt(1 - r * r) / abs(value - r)) ** 2)
     offset = replace(ref, joints={**ref.joints, key: value})
     for seed in range(200):
-        result = check_against_reference(sampled_correlations(offset, n, seed), ref)
-        assert result.worst_entry == f"joint({key[0]},{key[1]})", seed
+        deviations, bounds = check_against_reference(sampled_correlations(offset, n, seed), ref)
+        assert _worst_failing(deviations, bounds) == f"joint({key[0]},{key[1]})", seed
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +426,7 @@ def test_d_collapse_ignores_rogue_action_outside_support():
     exp = with_observable(exp, "A", "D", rogue_d)
     assert check_d_collapse(exp)["A:D"] <= 1e-12
     table = correlations(exp)
-    assert check_against_reference(table, ref_table("mayersyao")).passed
+    assert _worst_failing(*check_against_reference(table, ref_table("mayersyao"))) == ""
 
 
 @given(seeds)
@@ -618,7 +616,8 @@ def test_estimate_family_params_examples():
         (SimParams(0.25, 0.0), (0.25, 0.75, 0.0)),
     ]:
         exp = family_experiment(p, "extended")
-        got = estimate_family_params(exp)
+        got, residuals = estimate_family_params(exp)
+        assert residuals == {"flag_leak": pytest.approx(0.0, abs=1e-12)}
         assert got.population_0 == pytest.approx(want[0], abs=1e-9)
         assert got.population_1 == pytest.approx(want[1], abs=1e-9)
         assert got.coherence == pytest.approx(want[2], abs=1e-9)
@@ -628,8 +627,9 @@ def test_estimate_family_params_without_flags_uses_sign_operator():
     exp = reference_experiment("extended")
     with pytest.raises(ValueError, match="y_check"):
         estimate_family_params(exp)              # no populations from an ungated extraction
-    got = estimate_family_params(exp, y_check=y_coefficient_check(extraction_isometry(exp)))
-    assert got.source == "extracted_sign"
+    got, residuals = estimate_family_params(
+        exp, y_check=y_coefficient_check(extraction_isometry(exp)))
+    assert got.source == "extracted_sign" and residuals == {}
     assert got.population_0 == pytest.approx(1.0, abs=1e-9)
     assert got.coherence == 0.0
 
@@ -638,9 +638,9 @@ def test_flag_populations_must_agree_with_the_y_check():
     # the data qubits named as flags read (0.5, 0.5); the extracted sign reads (0.3, 0.7)
     member = family_experiment(SimParams(0.3, 0.2), "extended")
     y_check = y_coefficient_check(extraction_isometry(member))
-    assert estimate_family_params(member, y_check=y_check).population_0 == pytest.approx(0.3)
+    assert estimate_family_params(member, y_check=y_check)[0].population_0 == pytest.approx(0.3)
     data_as_flags = replace(member, flag_registers={"A": 1, "B": 3})
-    residuals = estimate_family_params(data_as_flags, y_check=y_check).residuals
+    _, residuals = estimate_family_params(data_as_flags, y_check=y_check)
     assert residuals["A:sign_population"] == pytest.approx(0.2)
     assert residuals["B:sign_population"] == pytest.approx(0.2)
     report = run_selftest(data_as_flags)
@@ -676,7 +676,7 @@ def test_estimate_family_params_rejects_leaky_flags():
     bad_state = StateVector([2, 2, 2, 2], vec)
     exp = family_experiment(SimParams(0.5, 0.5), "extended")
     exp = replace(exp, state=bad_state)
-    residuals = estimate_family_params(exp).residuals
+    _, residuals = estimate_family_params(exp)
     assert residuals == {"flag_leak": pytest.approx(0.5)}
 
 
@@ -849,8 +849,8 @@ BOUNDARY_CASES = {
         [f"y_coefficients[{entry}]"], {})
        for entry in ("A:X", "B:normal_form", "B:factorization", "population_mismatch")},
     **{f"family_params:{entry}": (
-        "estimate_family_params", lambda r, v, entry=entry: replace(
-            r, residuals={**r.residuals, entry: v}), TOL, [f"family_params[{entry}]"], {})
+        "estimate_family_params", lambda r, v, entry=entry: (r[0], {**r[1], entry: v}), TOL,
+        [f"family_params[{entry}]"], {})
        for entry in ("flag_leak", "A:sign_population", "B:sign_population")},
 }
 
@@ -1264,8 +1264,8 @@ def test_failure_names_do_not_hang_on_rounding(monkeypatch):
             for key, value in values.items():
                 for moved in nudged(value):
                     perturbed = replace(table, **{entries: {**values, key: moved}})
-                    result = check_against_reference(perturbed, ref)
-                    assert result.worst_entry == named_entry(report, "statistics"), key
+                    assert _worst_failing(*check_against_reference(perturbed, ref)) == \
+                        named_entry(report, "statistics"), key
         for stage, field in (("check_state_equalities", "state_equalities"),
                              ("check_d_collapse", "d_collapse")):
             residuals = report.residuals[field]
@@ -1517,7 +1517,7 @@ def test_a_sampled_report_carries_the_exact_deviations_its_gate_judged():
     exp = with_observable(reference_experiment("mayersyao"), "A", "D", X)
     report = equivalence_report_to_dict(run_selftest(exp, sampled_n=2000, seed=3))
     assert "extraction_refused[joint(D,Z)]" in report["failures"]
-    exact = check_against_reference(correlations(exp), ref_table("mayersyao")).deviations
+    exact, _ = check_against_reference(correlations(exp), ref_table("mayersyao"))
     gate = report["residuals"]["extraction_refused"]
     # sub-test 1's 15 entries are the whole Mayers-Yao table, then the X/Z anti-commutators
     assert len(gate) == 17

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjsim import selftest
 from conjsim.family import SimParams, multiparty_sim_state
 from conjsim.selftest import (
+    FamilyParams,
     correlations,
     family_experiment,
     reference_experiment,
@@ -315,14 +317,24 @@ def test_qber_report_dict():
     assert data["verdict"] == "not-protocol-consistent"
 
 
-def test_equivalence_report_dict():
+def test_equivalence_report_dict(monkeypatch):
+    returned = []
+    stage = selftest.estimate_family_params
+    monkeypatch.setattr(selftest, "estimate_family_params",
+                        lambda *args, **kw: returned.append(stage(*args, **kw)) or returned[-1])
     report = run_selftest(family_experiment(SimParams(0.5, 0.5), "extended"))
     data = equivalence_report_to_dict(report)
-    assert data["verdict"] == "pass"
+    assert data["verdict"] == "pass" and "passed" not in report._fields   # read off failures
     assert data["flag_populations"]["population_0"] == pytest.approx(0.5, abs=1e-9)
     assert "residuals" not in data["flag_populations"]
     assert list(data["residuals"]) == list(RUN_ORDER)   # a passing extended run ran every stage
-    assert data["residuals"]["family_params"] == report.family_params.residuals
+    # a flagged member: every field of the estimate is written, and its checks only once
+    [(params, flag_checks)] = returned
+    assert list(data["flag_populations"]) == list(FamilyParams._fields)
+    assert data["flag_populations"] == {name: getattr(params, name) for name in params._fields}
+    assert params.source == "flag_registers"
+    assert data["residuals"]["family_params"] == flag_checks
+    assert list(flag_checks) == ["flag_leak", "A:sign_population", "B:sign_population"]
     json.loads(dumps(data))    # serializable
 
 
