@@ -9,6 +9,7 @@ import importlib
 
 __version__ = "0.1.0"
 MAX_PROPERTY_DIM = 8     # largest --dim of the props suite, checked before numpy loads
+MAX_COUNT = 2 ** 63 - 1  # largest --n and --sampled n=: numpy draws counts as int64
 
 _EXPORTS = {
     "family": (

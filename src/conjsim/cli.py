@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import MAX_PROPERTY_DIM, __version__
+from . import MAX_COUNT, MAX_PROPERTY_DIM, __version__
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -277,6 +277,8 @@ def _sampled(args) -> tuple[int | None, int | None]:
         seed = int(kv["seed"]) if "seed" in kv else args.seed
     if n < 1:
         raise UsageError("--sampled n must be at least 1")
+    if n > MAX_COUNT:
+        raise UsageError("--sampled n must be below 2**63")
     if seed is None:
         raise UsageError("sampled mode requires a seed (no wall-clock seeding)")
     if seed < 0:
@@ -421,6 +423,8 @@ def main(argv=None) -> int:
         for key in ("workers", "n", "trials", "dim"):
             if getattr(args, key, None) is not None and getattr(args, key) < 1:
                 raise UsageError(f"--{key} must be at least 1")
+        if getattr(args, "n", None) is not None and args.n > MAX_COUNT:
+            raise UsageError("--n must be below 2**63")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError("--seed must be non-negative")
         for key in ("tol", "stats_tol", "threshold"):

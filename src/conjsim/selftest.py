@@ -23,14 +23,15 @@ of shape (2 d_A, 2 d_B), each party laid out as (d_p, 2), and returns
 The stages are public functions that :func:`run_selftest` calls in order:
 the (sampled) correlations against the reference, state equalities, D-collapse,
 anti-commutators, extraction, its fidelities, the Y normal form and the family
-parameters.  Each stage's checks are residuals {entry: residual}, 0 being ideal
-(a fidelity f enters as 1 - f), and one rule judges them all, naming a failing
-stage by its worst entry.  No stage judges itself: the statistics stage returns
-its deviations with their per-entry bounds, and the family stage returns its
-flag checks beside the estimate.  The report keeps each judged map under its
-stage's name, so it writes what the rule read, and each map only there.  The
-extraction gate lives only in run_selftest, on the residuals its earlier
-stages recorded.
+parameters.  Each stage function returns the map its rule judges, residuals
+{entry: residual} named as the report names them, 0 being ideal (a fidelity f
+enters as 1 - f), and one rule judges them all, naming a failing stage by its
+worst entry.  No stage judges itself: the statistics stage returns its
+deviations with their per-entry bounds, and the Y normal form and the family
+stage return their estimate first and its checks second.  The report keeps
+each judged map under its stage's name, so it writes what the rule read, and
+each map only there.  The extraction gate lives only in run_selftest, on the
+residuals its earlier stages recorded.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 
 import numpy as np
 
+from . import MAX_COUNT
 from .family import SimParams, c_of, multiparty_sim_state
 from .linalg import (
     ATOL,
@@ -357,7 +359,7 @@ def sampled_correlations(exact: CorrelationTable, n_per_pair: int, seed: int) ->
     ``SeedSequence([seed, i])``: p(++) + p(--) for a joint, (1 + m)/2 for a marginal m.
     """
     n = n_per_pair
-    if not 1 <= n < 2 ** 63:                       # numpy's binomial counts are int64
+    if not 1 <= n <= MAX_COUNT:
         raise ValueError(f"n_per_pair must be at least 1 and below 2**63, got {n}")
     plus = ([exact.outcome_probs(*key)[[0, 3]].sum() for key in exact.joints]
             + [(1.0 + m) / 2.0 for m in exact.marginals.values()])
@@ -465,23 +467,22 @@ def check_d_collapse(exp: Experiment) -> dict[str, float]:
     return out
 
 
-def anticommutator_residual(exp: Experiment) -> dict[str, tuple[float, float]]:
-    """(raw, support) residuals of {M, N} for each party and sub-test (M, N, D), keyed "A:MN".
+def anticommutator_residual(exp: Experiment) -> dict[str, float]:
+    """Support residual of {M, N} for each party and sub-test (M, N, D), keyed "A:MN".
 
-    raw: ||{M, N} (x) I |psi>||.  support: operator norm of P {M, N} P with P the
-    projector onto the state's support on that party's registers; this is the
-    quantity the certification gates on.
+    It is the operator norm of P {M, N} P with P the projector onto the state's
+    support on that party's registers, so an action outside the support is not
+    seen.
     """
     exp = purify_experiment(exp)
     psi = _psi(exp)
-    out: dict[str, tuple[float, float]] = {}
+    out: dict[str, float] = {}
     for party in PARTIES:
         proj = _support(psi, party)                 # one SVD of Psi per party
         for l1, l2, _ in SUBTESTS[exp.kind]:
             m, n = exp.observable(party, l1), exp.observable(party, l2)
             anti = m @ n + n @ m
-            out[f"{party}:{l1}{l2}"] = (float(np.linalg.norm(exp.act(party, anti, psi))),
-                                        float(np.linalg.norm(proj @ anti @ proj, ord=2)))
+            out[f"{party}:{l1}{l2}"] = float(np.linalg.norm(proj @ anti @ proj, ord=2))
     return out
 
 
@@ -497,6 +498,7 @@ class Extraction(Record):
     amplitude matrix Psi' has shape (2 d_A, 2 d_B).  ``actions[(party, label)]``
     is Phi(M'|psi'>) over the same layout, for ACTION_LABELS (X, Z, D) only,
     and ``local_units[party]`` is the party's circuit on its (d_p, 2) layout.
+    The stages after extraction each read it and return their residual map.
     """
 
     exp: Experiment                      # purified input experiment
@@ -543,24 +545,26 @@ def extraction_isometry(exp: Experiment) -> Extraction:
     return Extraction(exp=exp, state=circuit(psi0), actions=actions, local_units=local_units)
 
 
-def extraction_state_fidelity(ext: Extraction) -> float:
-    """Fidelity of the reduced state on the two ancillas with the EPR pair."""
+def extraction_state_fidelity(ext: Extraction) -> dict[str, float]:
+    """{"ancillas": 1 - f}, f the fidelity of the reduced state on the two ancillas with the
+    EPR pair."""
     rho = partial_trace(ext.state, [1, 3])         # the ancillas of the layout (d_A, 2, d_B, 2)
     phi = epr_pair().amplitudes
-    return float(np.real(phi.conj() @ rho.matrix @ phi))
+    return {"ancillas": 1 - float(np.real(phi.conj() @ rho.matrix @ phi))}
 
 
-def extraction_action_fidelities(ext: Extraction) -> dict[tuple[str, str], float]:
-    """|<Phi(M'psi')| I (x) M_ref |Phi(psi')>| for the sign-free settings."""
+def extraction_action_fidelities(ext: Extraction) -> dict[str, float]:
+    """{"M_P": 1 - f} for the sign-free settings M of each party P, with the fidelity
+    f = |<Phi(M'psi')| I (x) M_ref |Phi(psi')>|."""
     ref = reference_observables(ext.exp.kind)
     psi = ext.state.amplitudes.reshape(2 * ext.state.dims[0], -1)
-    out: dict[tuple[str, str], float] = {}
+    out: dict[str, float] = {}
     for party in PARTIES:
         eye = np.eye(ext.local_units[party].shape[0] // 2)
         for lab in ACTION_LABELS:
             m_ref_state = ext.exp.act(party, np.kron(eye, ref[party][lab]), psi)
             val = np.vdot(ext.actions[(party, lab)].amplitudes, m_ref_state)
-            out[(party, lab)] = float(abs(val))
+            out[f"{lab}_{party}"] = 1 - float(abs(val))
     return out
 
 
@@ -568,34 +572,8 @@ def extraction_action_fidelities(ext: Extraction) -> dict[tuple[str, str], float
 # Y normal form and family parameters
 
 
-class YCoefficientReport(Record):
-    """Per-party Pauli-block data of the pushed-forward Y observable.
-
-    Blocks are taken at the extracted qubit after restricting to the support
-    of the extracted state on the party's registers; norms are Frobenius,
-    normalized by the square root of the support rank so that a full-weight
-    block reads 1.
-    """
-
-    block_norms: dict[str, dict[str, float]]          # party -> {I,X,Z} -> norm
-    normal_form_deviation: dict[str, float]           # party -> residual
-    support_factorization: dict[str, float]           # party -> ||P - Q (x) I||
-    populations: dict[str, float]                     # party -> weight p0 of the sign's +1
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        """Per party the I/X/Z block norms, normal form and factorization, then the mismatch
-        |p0(A) - p0(B)| of the parties' populations."""
-        out: dict[str, float] = {}
-        for p in PARTIES:
-            out.update({f"{p}:{block}": v for block, v in self.block_norms[p].items()})
-            out[f"{p}:normal_form"] = self.normal_form_deviation[p]
-            out[f"{p}:factorization"] = self.support_factorization[p]
-        out["population_mismatch"] = abs(self.populations["A"] - self.populations["B"])
-        return out
-
-
-def _party_y_blocks(ext: Extraction, party: str):
+def _party_y_blocks(ext: Extraction, party: str) -> tuple[dict[str, float], float]:
+    """The party's ``y_coefficients`` entries and the weight p0 of its sign's +1."""
     exp = ext.exp
     u_local = ext.local_units[party]
     layout = (u_local.shape[0] // 2, 2)            # the party's registers, then its ancilla
@@ -613,28 +591,36 @@ def _party_y_blocks(ext: Extraction, party: str):
         float(np.linalg.norm(sign - sign.conj().T)) / scale,
         float(np.linalg.norm(sign @ sign - q)) / scale,
     )
-    norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
+    entries = {f"{party}:{k}": float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
+    entries[f"{party}:normal_form"] = deviation
+    entries[f"{party}:factorization"] = factorization
     plus = np.kron((q + sign) / 2.0, np.eye(2))
-    pop0 = float(np.real(np.vdot(psi, exp.act(party, plus, psi))))
-    return norms, deviation, factorization, pop0
+    return entries, float(np.real(np.vdot(psi, exp.act(party, plus, psi))))
 
 
-def y_coefficient_check(ext: Extraction) -> YCoefficientReport:
-    """Check that each party's Y pushed through the extraction has the normal form.
+def y_coefficient_check(ext: Extraction) -> tuple[dict[str, float], dict[str, float]]:
+    """Each party's sign population p0, and the residuals of Y's normal form after extraction.
 
-    The I, X, Z blocks at the extracted qubit must vanish on the support, and
-    the Y block must be a sign operator on the junk support (Bob's is read
-    against his -Y reference convention).  Each party's weight p0 of the sign's
-    +1 is a family flag population, and the two parties' must agree.
+    Y is pushed through each party's extraction circuit and restricted to the
+    support of the extracted state on the party's registers.  Its I, X, Z
+    blocks at the extracted qubit must vanish there (``P:I``, ``P:X``, ``P:Z``:
+    Frobenius norms over the square root of half the support rank, so that a
+    full-weight block reads 1), the support must factor as Q (x) I
+    (``P:factorization``), and the Y block must be a sign operator on Q
+    (``P:normal_form``; Bob's is read against his -Y reference convention).
+    Each party's weight p0 of the sign's +1 is a family flag population, and
+    the two parties' must agree (``population_mismatch``, |p0(A) - p0(B)|).
     """
     if ext.exp.kind != "extended":
         raise ValueError("self-test stage refused: y_coefficient_check "
                          "(requires an extended experiment)")
-    norms, dev, fact, pops = {}, {}, {}, {}
+    populations: dict[str, float] = {}
+    residuals: dict[str, float] = {}
     for party in PARTIES:
-        norms[party], dev[party], fact[party], pops[party] = _party_y_blocks(ext, party)
-    return YCoefficientReport(block_norms=norms, normal_form_deviation=dev,
-                              support_factorization=fact, populations=pops)
+        entries, populations[party] = _party_y_blocks(ext, party)
+        residuals.update(entries)
+    residuals["population_mismatch"] = abs(populations["A"] - populations["B"])
+    return populations, residuals
 
 
 class FamilyParams(Record):
@@ -651,18 +637,20 @@ class FamilyParams(Record):
     source: str
 
 
-def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None = None,
+def estimate_family_params(exp: Experiment, populations: dict[str, float] | None = None,
                            tol: float = 1e-9) -> tuple[FamilyParams, dict[str, float]]:
     """Populations (|alpha|^2, |beta|^2) and coherence magnitude of the member, and their checks.
 
-    Experiments that kept their flag registers report the reduced flag state
-    directly, with the residuals ``flag_leak`` (the reduced flag state outside
-    {|00>, |11>}) and, given a y_check, ``P:sign_population`` (|p0 - party P's
-    extracted sign p0|) for each party.  Otherwise the populations come from
-    Alice's extracted Y sign operator in the required ``y_check``, which is basis
-    free and, in a passing y_coefficients stage, within ``tol`` of Bob's; there
-    is nothing further to check, and the coherence is only determined when one
-    branch is empty (its population at most ``tol``).
+    ``populations`` are the parties' extracted sign populations p0 that
+    :func:`y_coefficient_check` returns.  Experiments that kept their flag
+    registers report the reduced flag state directly, with the residuals
+    ``flag_leak`` (the reduced flag state outside {|00>, |11>}) and, given
+    populations, ``P:sign_population`` (|p0 - party P's extracted sign p0|) for
+    each party.  Otherwise the populations come from Alice's extracted Y sign
+    operator, in the required ``populations``, which is basis free and, in a
+    passing y_coefficients stage, within ``tol`` of Bob's; there is nothing
+    further to check, and the coherence is only determined when one branch is
+    empty (its population at most ``tol``).
     """
     if exp.flag_registers is not None:
         reduced = partial_trace(exp.state, [exp.flag_registers["A"],
@@ -672,13 +660,14 @@ def estimate_family_params(exp: Experiment, y_check: YCoefficientReport | None =
         p0 = float(reduced[0, 0].real)
         p1 = float(reduced[3, 3].real)
         residuals = {"flag_leak": float(leak)}
-        if y_check is not None:
+        if populations is not None:
             residuals.update({f"{party}:sign_population": abs(p0 - pop)
-                              for party, pop in y_check.populations.items()})
+                              for party, pop in populations.items()})
         return FamilyParams(p0, p1, float(abs(reduced[0, 3])), "flag_registers"), residuals
-    if y_check is None:
-        raise ValueError("without flag registers, pass the y_check of a gated extraction")
-    p0 = y_check.populations["A"]
+    if populations is None:
+        raise ValueError("without flag registers, pass the sign populations of a gated "
+                         "extraction's y_coefficient_check")
+    p0 = populations["A"]
     p1 = 1.0 - p0
     return FamilyParams(p0, p1, 0.0 if min(p0, p1) <= tol else None, "extracted_sign"), {}
 
@@ -730,37 +719,33 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
 
     exact = correlations(exp_pure)
     ref = correlations(reference_experiment(exp.kind))
-    # the extraction gate reads the exact table's deviations also in sampled mode
-    exact_deviations, bounds = check_against_reference(exact, ref, stats_tol)
-    deviations = exact_deviations
+    statistics = check_against_reference(exact, ref, stats_tol)
+    exact_deviations = statistics[0]        # the extraction gate reads these also when sampled
     if sampled_n is not None:
-        deviations, bounds = check_against_reference(
+        statistics = check_against_reference(
             sampled_correlations(exact, sampled_n, seed), ref, stats_tol)
-    holds("statistics", deviations, bounds)
-
+    holds("statistics", *statistics)
     holds("state_equalities", check_state_equalities(exp_pure))
     holds("d_collapse", check_d_collapse(exp_pure))
-    supports = {key: support for key, (_, support) in anticommutator_residual(exp_pure).items()}
-    holds("anticommutator", supports)
+    holds("anticommutator", anticommutator_residual(exp_pure))
 
     # the extraction gate: sub-test 1's exact deviations and X/Z support anti-commutators
     x, z, _ = sub1 = SUBTESTS[exp.kind][0]
     gate = {**{f"joint({la},{lb})": stats_tol for la in sub1 for lb in sub1},
             **{f"marginal({p},{lab})": stats_tol for p in PARTIES for lab in sub1},
             **{f"{p}:{x}{z}": tol for p in PARTIES}}
-    judged = {**exact_deviations, **supports}
+    judged = {**exact_deviations, **residuals["anticommutator"]}
     refused = not holds("extraction_refused", {name: judged[name] for name in gate}, gate)
 
     params = None
     if not refused:
         ext = extraction_isometry(exp_pure)
-        holds("state_fidelity", {"ancillas": 1 - extraction_state_fidelity(ext)})
-        holds("action_fidelity", {f"{lab}_{p}": 1 - f
-                                  for (p, lab), f in extraction_action_fidelities(ext).items()})
+        holds("state_fidelity", extraction_state_fidelity(ext))
+        holds("action_fidelity", extraction_action_fidelities(ext))
         if exp.kind == "extended":
-            y_check = y_coefficient_check(ext)
-            holds("y_coefficients", y_check.residuals)
-            params, flag_checks = estimate_family_params(exp_pure, y_check=y_check, tol=tol)
+            populations, y_residuals = y_coefficient_check(ext)
+            holds("y_coefficients", y_residuals)
+            params, flag_checks = estimate_family_params(exp_pure, populations, tol=tol)
             holds("family_params", flag_checks)
 
     return EquivalenceReport(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import MAX_COUNT
 from .family import SimParams, multiparty_sim_state
 from .linalg import ATOL, as_int
 from .selftest import correlations, family_experiment, with_state
@@ -220,7 +221,7 @@ def _cell_law(strategy: EveStrategy) -> np.ndarray:
 
 def run_rounds(strategy: EveStrategy, n: int, seed: int) -> Transcript:
     """Simulate n protocol rounds; deterministic for a given (strategy, n, seed)."""
-    if not 1 <= n < 2 ** 63:                        # numpy's multinomial counts are int64
+    if not 1 <= n <= MAX_COUNT:
         raise ValueError(f"need at least one round and fewer than 2**63, got {n}")
     counts = np.random.default_rng(int(seed)).multinomial(n, _cell_law(strategy).ravel())
     return Transcript(counts.reshape(CELLS), int(seed), strategy)

@@ -962,6 +962,13 @@ USAGE_WITHOUT_NUMPY = [
     (["selftest", "--kind", "mayersyao", "--sampled", "n=100"], 2,
      "error: sampled mode requires a seed (no wall-clock seeding)\n"),
     (["selftest", "--sampled", "n=0", "seed=1"], 2, "error: --sampled n must be at least 1\n"),
+    # a count numpy cannot draw was refused by the numeric code, with exit 1
+    (["qkd", "--strategy", "conjugate", "--n", str(2**63), "--seed", "1"], 2,
+     "error: --n must be below 2**63\n"),
+    (["selftest", "--sampled", f"n={2**63}", "seed=1"], 2,
+     "error: --sampled n must be below 2**63\n"),
+    (["--config", "huge_n.json", "qkd", "--strategy", "conjugate", "--seed", "1"], 2,
+     "error: --n must be below 2**63\n"),
     (["simulate", "--experiment", "missing.json"], 2,
      "error: --experiment missing.json: No such file or directory\n"),
     (["simulate", "--experiment", "not_json.json"], 2,
@@ -1001,6 +1008,7 @@ USAGE_WITHOUT_NUMPY = [
 def test_usage_errors_are_answered_without_numpy(tmp_path):
     (tmp_path / "not_json.json").write_text("")
     (tmp_path / "seed.json").write_text('{"seed": 2}')
+    (tmp_path / "huge_n.json").write_text(json.dumps({"n": 2**63}))
     results = fresh_main(tmp_path, *[argv for argv, _, _ in USAGE_WITHOUT_NUMPY])
     for (argv, code, message), (got, stdout, err, modules) in zip(USAGE_WITHOUT_NUMPY, results):
         assert got == code and err.endswith(message), argv
@@ -1341,8 +1349,8 @@ def test_internal_value_error_exits_one(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("n", [2**63, 10**20])
-def test_a_sampled_count_past_the_binomial_range_exits_one(n, capsys):
-    assert run(["selftest", "--kind", "mayersyao", "--sampled", f"n={n}", "seed=1"]) == 1
+def test_a_sampled_count_past_the_binomial_range_is_a_usage_error(n, capsys):
+    assert run(["selftest", "--kind", "mayersyao", "--sampled", f"n={n}", "seed=1"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and one_error_line(out.err) and "below 2**63" in out.err
 

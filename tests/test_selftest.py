@@ -454,22 +454,20 @@ def test_support_matches_schmidt_oracle(seed):
 def test_anticommutator_reference():
     residuals = anticommutator_residual(reference_experiment("mayersyao"))
     assert list(residuals) == ["A:XZ", "B:XZ"]
-    for raw, support in residuals.values():
-        assert raw <= 1e-12 and support <= 1e-12
+    for support in residuals.values():
+        assert support <= 1e-12
 
 
 def test_anticommutator_family_on_support():
     residuals = anticommutator_residual(family_experiment(SimParams(0.5, 0.0), "extended"))
     assert list(residuals) == [f"{p}:{pair}" for p in PARTIES for pair in ("XZ", "XY", "YZ")]
-    for key, (raw, support) in residuals.items():
+    for key, support in residuals.items():
         assert support <= 1e-10, key
-        assert raw <= 1e-10
 
 
 def test_anticommutator_commuting_pair():
     exp = with_observable(reference_experiment("mayersyao"), "A", "Z", X)
-    raw, support = anticommutator_residual(exp)["A:XZ"]      # {X, X} = 2
-    assert raw == pytest.approx(2.0, abs=1e-12)
+    support = anticommutator_residual(exp)["A:XZ"]      # {X, X} = 2
     assert support == pytest.approx(2.0, abs=1e-12)
 
 
@@ -481,9 +479,7 @@ def test_anticommutator_raw_sees_out_of_support_action():
     n = np.kron(Z, np.array([[0, 1], [1, 0]]))
     exp = with_observable(exp, "A", "X", m)
     exp = with_observable(exp, "A", "Z", n)
-    raw, support = anticommutator_residual(exp)["A:XZ"]
-    assert raw > 0.5
-    assert support <= 1e-10
+    assert anticommutator_residual(exp)["A:XZ"] <= 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -533,10 +529,11 @@ def test_extraction_rotated_reference_fidelity():
     exp = rotate_experiment(reference_experiment("mayersyao"),
                             {"A": random_unitary(2, rng), "B": random_unitary(2, rng)})
     ext = extraction_isometry(exp)
-    assert extraction_state_fidelity(ext) == pytest.approx(1.0, abs=1e-10)
-    fids = extraction_action_fidelities(ext)
-    for v in fids.values():
-        assert v == pytest.approx(1.0, abs=1e-10)
+    assert extraction_state_fidelity(ext) == {"ancillas": pytest.approx(0.0, abs=1e-10)}
+    residuals = extraction_action_fidelities(ext)
+    assert list(residuals) == [f"{lab}_{p}" for p in PARTIES for lab in ACTION_LABELS]
+    for v in residuals.values():
+        assert v == pytest.approx(0.0, abs=1e-10)
 
 
 def test_an_action_fidelity_is_the_modulus_of_a_complex_overlap():
@@ -553,9 +550,9 @@ def test_an_action_fidelity_is_the_modulus_of_a_complex_overlap():
     action = 0.8 * np.exp(-1j * np.pi / 4) * target + 0.6 * other
     assert np.vdot(action, target) == pytest.approx(0.8 * np.exp(1j * np.pi / 4), abs=1e-12)
     actions = {**ext.actions, ("A", "X"): replace(ext.actions[("A", "X")], amplitudes=action)}
-    fids = extraction_action_fidelities(replace(ext, actions=actions))
-    assert fids[("A", "X")] == pytest.approx(0.8, abs=1e-12)
-    assert all(v == pytest.approx(1.0, abs=1e-10) for key, v in fids.items() if key != ("A", "X"))
+    residuals = extraction_action_fidelities(replace(ext, actions=actions))
+    assert residuals["X_A"] == pytest.approx(1 - 0.8, abs=1e-12)
+    assert all(v == pytest.approx(0.0, abs=1e-10) for key, v in residuals.items() if key != "X_A")
 
 
 def test_run_selftest_reference_mayersyao():
@@ -580,32 +577,37 @@ def test_run_selftest_family_member_extended():
 
 def test_y_coefficients_extended_reference():
     ext = extraction_isometry(reference_experiment("extended"))
-    y = y_coefficient_check(ext)
+    populations, residuals = y_coefficient_check(ext)
+    assert list(residuals) == [f"{p}:{check}" for p in PARTIES for check in (
+        "I", "X", "Z", "normal_form", "factorization")] + ["population_mismatch"]
     for party in ("A", "B"):
         for block in ("I", "X", "Z"):
-            assert y.block_norms[party][block] <= 1e-12
-        assert y.normal_form_deviation[party] <= 1e-10
-        assert y.populations[party] == pytest.approx(1.0, abs=5e-11)    # sign 2 p0 - 1 = 1
+            assert residuals[f"{party}:{block}"] <= 1e-12
+        assert residuals[f"{party}:normal_form"] <= 1e-10
+        assert populations[party] == pytest.approx(1.0, abs=5e-11)    # sign 2 p0 - 1 = 1
     with pytest.raises(ValueError, match="requires an extended experiment"):
         y_coefficient_check(extraction_isometry(reference_experiment("mayersyao")))
 
 
 def test_y_coefficients_conjugate_member_sign():
     ext = extraction_isometry(family_experiment(SimParams(0.0, 0.0), "extended"))
-    y = y_coefficient_check(ext)
+    populations, residuals = y_coefficient_check(ext)
     for party in ("A", "B"):
         for block in ("I", "X", "Z"):
-            assert y.block_norms[party][block] <= 1e-10
-        assert y.populations[party] == pytest.approx(0.0, abs=5e-11)    # sign 2 p0 - 1 = -1
+            assert residuals[f"{party}:{block}"] <= 1e-10
+        assert populations[party] == pytest.approx(0.0, abs=5e-11)    # sign 2 p0 - 1 = -1
 
 
 def test_y_coefficients_adversarial_d_substitution():
     exp = with_observable(reference_experiment("extended"), "A", "Y", (X + Z) * SQ2)
     ext = extraction_isometry(exp)     # sub-test 1 untouched, so extraction proceeds
-    y = y_coefficient_check(ext)
-    assert y.block_norms["A"]["X"] == pytest.approx(SQ2, abs=1e-9)
-    assert y.block_norms["A"]["Z"] == pytest.approx(SQ2, abs=1e-9)
-    assert y.residuals["A:normal_form"] == pytest.approx(1.0, abs=1e-9)
+    populations, residuals = y_coefficient_check(ext)
+    assert residuals["A:X"] == pytest.approx(SQ2, abs=1e-9)
+    assert residuals["A:Z"] == pytest.approx(SQ2, abs=1e-9)
+    assert residuals["A:normal_form"] == pytest.approx(1.0, abs=1e-9)
+    # Alice's sign block is 0, so half her weight is on its +1; Bob's sign is the identity
+    assert populations == {"A": pytest.approx(0.5, abs=1e-9), "B": pytest.approx(1.0, abs=1e-9)}
+    assert residuals["population_mismatch"] == pytest.approx(0.5, abs=1e-9)
     assert run_selftest(exp).failures[-1] == "y_coefficients[A:normal_form]"
 
 
@@ -625,10 +627,10 @@ def test_estimate_family_params_examples():
 
 def test_estimate_family_params_without_flags_uses_sign_operator():
     exp = reference_experiment("extended")
-    with pytest.raises(ValueError, match="y_check"):
+    with pytest.raises(ValueError, match="sign populations"):
         estimate_family_params(exp)              # no populations from an ungated extraction
     got, residuals = estimate_family_params(
-        exp, y_check=y_coefficient_check(extraction_isometry(exp)))
+        exp, populations=y_coefficient_check(extraction_isometry(exp))[0])
     assert got.source == "extracted_sign" and residuals == {}
     assert got.population_0 == pytest.approx(1.0, abs=1e-9)
     assert got.coherence == 0.0
@@ -637,15 +639,14 @@ def test_estimate_family_params_without_flags_uses_sign_operator():
 def test_flag_populations_must_agree_with_the_y_check():
     # the data qubits named as flags read (0.5, 0.5); the extracted sign reads (0.3, 0.7)
     member = family_experiment(SimParams(0.3, 0.2), "extended")
-    y_check = y_coefficient_check(extraction_isometry(member))
-    assert estimate_family_params(member, y_check=y_check)[0].population_0 == pytest.approx(0.3)
+    populations, _ = y_coefficient_check(extraction_isometry(member))
+    assert estimate_family_params(member, populations)[0].population_0 == pytest.approx(0.3)
     data_as_flags = replace(member, flag_registers={"A": 1, "B": 3})
-    _, residuals = estimate_family_params(data_as_flags, y_check=y_check)
+    _, residuals = estimate_family_params(data_as_flags, populations)
     assert residuals["A:sign_population"] == pytest.approx(0.2)
     assert residuals["B:sign_population"] == pytest.approx(0.2)
     report = run_selftest(data_as_flags)
-    assert y_coefficient_check(extraction_isometry(data_as_flags)).populations["A"] == \
-        pytest.approx(0.3)
+    assert y_coefficient_check(extraction_isometry(data_as_flags))[0]["A"] == pytest.approx(0.3)
     assert report.family_params.population_0 == pytest.approx(0.5)
     assert report.failures == ("family_params[A:sign_population]",)
 
@@ -710,9 +711,9 @@ def test_basis_change_invariance(seed):
     for stage in ("state_fidelity", "action_fidelity"):
         for key, v in r0.residuals[stage].items():
             assert abs(r1.residuals[stage][key] - v) <= 1e-9, key
-    y0, y1 = (y_coefficient_check(extraction_isometry(e)) for e in (base, rotated))
+    p0, p1 = (y_coefficient_check(extraction_isometry(e))[0] for e in (base, rotated))
     for party in PARTIES:
-        assert abs(y1.populations[party] - y0.populations[party]) <= 1e-9
+        assert abs(p1[party] - p0[party]) <= 1e-9
 
 
 def test_rejection_catalog():
@@ -793,10 +794,8 @@ def test_run_selftest_sampled_requires_seed(monkeypatch):
 # --------------------------------------------------------------------------
 # one verdict rule: residual <= bound passes, one ulp above or NaN fails
 
-TOL, STATS_TOL = 2.0 ** -30, 2.0 ** -33      # 1 - TOL, and 1 minus that, are exact doubles
-# one ulp past each bound; for a fidelity bound 1 - TOL, one ulp below it
-ABOVE = {bound: np.nextafter(bound, 1) for bound in (TOL, STATS_TOL, 0.625)}
-ABOVE[1 - TOL] = np.nextafter(1 - TOL, 0)
+TOL, STATS_TOL = 2.0 ** -30, 2.0 ** -33
+ABOVE = {bound: np.nextafter(bound, 1) for bound in (TOL, STATS_TOL, 0.625)}   # one ulp past
 
 
 def report_document(report, sampled_n=None):
@@ -808,18 +807,6 @@ def report_document(report, sampled_n=None):
 
 def with_joint(table, key, value):
     return replace(table, joints={**table.joints, key: value})
-
-
-def y_with(y, entry, value):
-    """``y`` with one entry of its residuals set to ``value``."""
-    party, _, check = entry.partition(":")
-    if entry == "population_mismatch":                  # |p0(A) - p0(B)| = |0 - value|
-        return replace(y, populations={"A": 0.0, "B": value})
-    if check == "factorization":
-        return replace(y, support_factorization={**y.support_factorization, party: value})
-    if check == "normal_form":
-        return replace(y, normal_form_deviation={**y.normal_form_deviation, party: value})
-    return replace(y, block_norms={**y.block_norms, party: {**y.block_norms[party], check: value}})
 
 
 # (stage function, how its result takes the value, value at the bound, failure names, kwargs);
@@ -834,18 +821,18 @@ BOUNDARY_CASES = {
                          TOL, ["state_equalities[XYE:orthogonality]"], {}),
     "d_collapse": ("check_d_collapse", lambda r, v: {**r, "B:F": v}, TOL, ["d_collapse[B:F]"],
                    {}),
-    "anticommutator": ("anticommutator_residual", lambda r, v: {**r, "B:YZ": (0.0, v)}, TOL,
+    "anticommutator": ("anticommutator_residual", lambda r, v: {**r, "B:YZ": v}, TOL,
                        ["anticommutator[B:YZ]"], {}),
-    "gate_anticommutator": ("anticommutator_residual", lambda r, v: {**r, "A:XZ": (0.0, v)},
+    "gate_anticommutator": ("anticommutator_residual", lambda r, v: {**r, "A:XZ": v},
                             TOL, ["anticommutator[A:XZ]", "extraction_refused[A:XZ]"], {}),
     "gate_statistics": ("correlations", lambda r, v: with_joint(r, ("X", "Z"), v), STATS_TOL,
                         ["statistics[joint(X,Z)]", "extraction_refused[joint(X,Z)]"], {}),
-    "state_fidelity": ("extraction_state_fidelity", lambda r, v: v, 1 - TOL,
+    "state_fidelity": ("extraction_state_fidelity", lambda r, v: {**r, "ancillas": v}, TOL,
                        ["state_fidelity[ancillas]"], {}),
-    "action_fidelity": ("extraction_action_fidelities", lambda r, v: {**r, ("B", "D"): v},
-                        1 - TOL, ["action_fidelity[D_B]"], {}),
+    "action_fidelity": ("extraction_action_fidelities", lambda r, v: {**r, "D_B": v}, TOL,
+                        ["action_fidelity[D_B]"], {}),
     **{f"y_coefficients:{entry}": (
-        "y_coefficient_check", lambda r, v, entry=entry: y_with(r, entry, v), TOL,
+        "y_coefficient_check", lambda r, v, entry=entry: (r[0], {**r[1], entry: v}), TOL,
         [f"y_coefficients[{entry}]"], {})
        for entry in ("A:X", "B:normal_form", "B:factorization", "population_mismatch")},
     **{f"family_params:{entry}": (
@@ -938,10 +925,8 @@ def dense_d_collapse(exp):
 def dense_anticommutator_residual(exp, party, pair):
     exp = purify_experiment(exp)
     m, n = exp.observable(party, pair[0]), exp.observable(party, pair[1])
-    anti = m @ n + n @ m
-    raw = float(np.linalg.norm(_embed(exp, party, anti) @ exp.state.amplitudes))
     proj = support_projector(exp.state, party_registers(exp, party))
-    return raw, float(np.linalg.norm(proj @ anti @ proj, ord=2))
+    return float(np.linalg.norm(proj @ (m @ n + n @ m) @ proj, ord=2))
 
 
 def register_layout(exp):
@@ -997,33 +982,40 @@ def dense_action_fidelities(ext):
     ref = reference_observables(ext.exp.kind)
     dims, _, ancillas = register_layout(ext.exp)
     state = register_vector(ext).amplitudes
-    return {(p, lab): float(abs(np.vdot(ext.actions[(p, lab)].amplitudes,
-                                        embed_operator(ref[p][lab], dims, [ancillas[p]]) @ state)))
+    return {f"{lab}_{p}": 1 - float(abs(np.vdot(
+                ext.actions[(p, lab)].amplitudes,
+                embed_operator(ref[p][lab], dims, [ancillas[p]]) @ state)))
             for p in PARTIES for lab in ACTION_LABELS}
 
 
-def dense_party_y_blocks(ext, party):
+def dense_y_coefficient_check(ext):
+    """:func:`y_coefficient_check` with each party's sign operator embedded in the full space."""
     exp = ext.exp
     dims, registers, ancillas = register_layout(exp)
-    dims_local = list(exp.party_dims[party]) + [2]
-    anc_local = len(dims_local) - 1
-    u_local = ext.local_units[party]
-    pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
-                                      list(range(anc_local))) @ u_local.conj().T
-    side = registers[party] + [ancillas[party]]
     state = register_vector(ext)
-    proj = support_projector(state, side)
-    blocks = pauli_decompose(proj @ pushed @ proj, anc_local, dims_local)
-    scale = np.sqrt(round(np.trace(proj).real) / 2.0)
-    q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
-    factorization = float(np.abs(proj - np.kron(q, np.eye(2))).max())
-    sign = blocks["Y"] if party == "A" else -blocks["Y"]
-    deviation = max(float(np.linalg.norm(sign - sign.conj().T)) / scale,
-                    float(np.linalg.norm(sign @ sign - q)) / scale)
-    norms = {k: float(np.linalg.norm(blocks[k])) / scale for k in ("I", "X", "Z")}
-    plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), dims, side)
-    pop0 = float(np.real(np.vdot(state.amplitudes, plus @ state.amplitudes)))
-    return norms, deviation, factorization, pop0
+    populations, residuals = {}, {}
+    for party in PARTIES:
+        dims_local = list(exp.party_dims[party]) + [2]
+        anc_local = len(dims_local) - 1
+        u_local = ext.local_units[party]
+        pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
+                                          list(range(anc_local))) @ u_local.conj().T
+        side = registers[party] + [ancillas[party]]
+        proj = support_projector(state, side)
+        blocks = pauli_decompose(proj @ pushed @ proj, anc_local, dims_local)
+        scale = np.sqrt(round(np.trace(proj).real) / 2.0)
+        q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
+        sign = blocks["Y"] if party == "A" else -blocks["Y"]
+        residuals.update({f"{party}:{k}": float(np.linalg.norm(blocks[k])) / scale
+                          for k in ("I", "X", "Z")})
+        residuals[f"{party}:normal_form"] = max(
+            float(np.linalg.norm(sign - sign.conj().T)) / scale,
+            float(np.linalg.norm(sign @ sign - q)) / scale)
+        residuals[f"{party}:factorization"] = float(np.abs(proj - np.kron(q, np.eye(2))).max())
+        plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), dims, side)
+        populations[party] = float(np.real(np.vdot(state.amplitudes, plus @ state.amplitudes)))
+    residuals["population_mismatch"] = abs(populations["A"] - populations["B"])
+    return populations, residuals
 
 
 def dense_anticommutators(exp):
@@ -1040,7 +1032,7 @@ DENSE_STAGES = {
     "extraction_isometry": dense_extract,
     "partial_trace": dense_partial_trace,
     "extraction_action_fidelities": dense_action_fidelities,
-    "_party_y_blocks": dense_party_y_blocks,
+    "y_coefficient_check": dense_y_coefficient_check,
 }
 
 
@@ -1058,14 +1050,13 @@ def dense_selftest(exp, monkeypatch, **kwargs):
 
 
 def unjudged_numbers(exp, report):
-    """The stage numbers that no rule judges, which a report leaves out: each raw
-    anti-commutator and, for an extended run past the gate, each party's sign population."""
-    exp = purify_experiment(exp)
-    out = {f"raw.{key}": raw for key, (raw, _) in selftest.anticommutator_residual(exp).items()}
-    if exp.kind == "extended" and report.refused_stage is None:
-        y = selftest.y_coefficient_check(selftest.extraction_isometry(exp))
-        out.update({f"populations.{party}": p0 for party, p0 in y.populations.items()})
-    return out
+    """The stage numbers that no rule judges, which a report leaves out: for an extended run
+    past the gate, each party's sign population."""
+    if exp.kind != "extended" or report.refused_stage is not None:
+        return {}
+    populations, _ = selftest.y_coefficient_check(
+        selftest.extraction_isometry(purify_experiment(exp)))
+    return {f"populations.{party}": p0 for party, p0 in populations.items()}
 
 
 def report_numbers(value, path="report"):
@@ -1411,7 +1402,7 @@ def recomputing_extraction_gate(exp, tol, stats_tol):
             if dev > stats_tol:
                 failing[f"marginal({p},{lab})"] = dev
     for p in PARTIES:
-        _, support = dense_anticommutator_residual(exp, p, (sub1[0], sub1[1]))
+        support = dense_anticommutator_residual(exp, p, (sub1[0], sub1[1]))
         if support > tol:
             failing[f"{p}:{sub1[0]}{sub1[1]}"] = support
     return failing
@@ -1577,3 +1568,47 @@ def test_every_traced_stage_is_a_public_function_that_runs(monkeypatch):
     assert run_selftest(exp).passed
     assert run_selftest(exp, sampled_n=20_000, seed=6).passed
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def public_stage_maps(exp, sampled_n=None, seed=None):
+    """What each stage's public function returns on the purified experiment, under the report's
+    stage names; the statistics are the deviations of the (sampled) table.  The extraction gate
+    is no stage function and is left out."""
+    exp = purify_experiment(exp)
+    table = correlations(exp)
+    if sampled_n is not None:
+        table = sampled_correlations(table, sampled_n, seed)
+    ext = extraction_isometry(exp)
+    out = {"statistics": check_against_reference(table, ref_table(exp.kind))[0],
+           "state_equalities": check_state_equalities(exp),
+           "d_collapse": check_d_collapse(exp),
+           "anticommutator": anticommutator_residual(exp),
+           "state_fidelity": extraction_state_fidelity(ext),
+           "action_fidelity": extraction_action_fidelities(ext)}
+    if exp.kind == "extended":
+        populations, out["y_coefficients"] = y_coefficient_check(ext)
+        out["family_params"] = estimate_family_params(exp, populations)[1]
+    return out
+
+
+def test_each_stage_writes_exactly_what_its_public_function_returns():
+    rng = np.random.default_rng(36)
+    ladder = junk_ladder_experiment(64, seed=36)
+    rotated = rotate_experiment(ladder, {
+        p: random_unitary(int(np.prod(ladder.party_dims[p])), rng) for p in PARTIES})
+    cases = {"flagged_member": (family_experiment(SimParams(0.3, 0.2)), {}),
+             "rotated_junked": (rotated, {}),
+             "mayersyao": (reference_experiment("mayersyao"), {}),
+             "sampled": (ladder, {"sampled_n": 2000, "seed": 8}),
+             "refused": (swapped(ladder, "A", "X", "Z"), {})}
+    assert cases["flagged_member"][0].flag_registers is not None
+    assert rotated.flag_registers is None and rotated.state.dim == 64
+    for name, (exp, kwargs) in cases.items():
+        report = run_selftest(exp, **kwargs)
+        assert report.refused_stage == ("extraction" if name == "refused" else None), name
+        want = public_stage_maps(exp, **kwargs)
+        ran = [stage for stage in report.residuals if stage != "extraction_refused"]
+        assert ran == [stage for stage in RUN_ORDER if stage in want][:len(ran)], name
+        assert len(ran) == (4 if name == "refused" else len(want)), name
+        for stage in ran:
+            assert report.residuals[stage] == want[stage], (name, stage)
