@@ -4,7 +4,8 @@ A family member mixes a reference experiment with its entrywise complex
 conjugate, controlled on an added flag qubit.  The member is parametrized by
 the flag population ``a`` and the cross-branch coherence ``c`` subject to
 |c| <= sqrt(a(1-a)).  Statistics of any feasible member are identical to the
-reference, which is what makes the family a simulation.
+reference, which is what makes the family a simulation.  :func:`c_property_suite`
+checks the lifting C(.) and returns residuals and bounds for ``linalg.failing``.
 """
 
 from __future__ import annotations
@@ -207,38 +208,23 @@ def to_real_simulation(value):
     return (r @ mat @ r.conj().T).real
 
 
-class PropertyCheck(Record):
-    name: str
-    max_residual: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.bound      # a NaN residual fails
-
-
-class PropertyReport(Record):
-    checks: tuple[PropertyCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def c_property_suite(trials: int, dim: int, seed: int, tol: float = ATOL,
-                     fixtures=()) -> PropertyReport:
+                     fixtures=()) -> tuple[dict[str, float], dict[str, float]]:
     """Check the C(.) lifting: eight algebraic properties, the Hamiltonian identity,
     statistics preservation, and each claim of each (label, matrix, claims) fixture.
 
-    Preservation items are checked in both directions through exact norm relations,
-    e.g. ||C(M) - C(M)^dag||_F = sqrt(2) ||M - M^dag||_F.  A fixture claim's residual
-    is the larger DEFECTS measure of M and C(M).  A check passes when its residual is
-    at most its bound: HAMILTONIAN_BOUND, ATOL for fixtures, ``tol`` for the rest.
+    Returns ``(residuals, bounds)`` keyed by item name.  Preservation items are checked
+    in both directions through exact norm relations, e.g. ||C(M) - C(M)^dag||_F =
+    sqrt(2) ||M - M^dag||_F.  A fixture claim's residual is the larger DEFECTS measure
+    of M and C(M); a fixture item named twice is a ValueError.  The bounds are
+    HAMILTONIAN_BOUND, ATOL for fixtures, ``tol`` for the rest.
     """
-    if dim > MAX_PROPERTY_DIM:
-        raise ValueError(f"property suite supports dim <= {MAX_PROPERTY_DIM}")
+    if trials < 1:
+        raise ValueError(f"property suite needs trials >= 1, got {trials}")
+    if not 1 <= dim <= MAX_PROPERTY_DIM:
+        raise ValueError(f"property suite supports dim in 1..{MAX_PROPERTY_DIM}, got {dim}")
     rng = np.random.default_rng(seed)
-    res = {k: [0.0] for k in (
+    res = {k: [] for k in (
         "multiplicative", "additive", "real_scalar", "eigenvector_lift",
         "hermiticity", "unitarity", "psd", "trace_doubling")}
 
@@ -275,20 +261,24 @@ def c_property_suite(trials: int, dim: int, seed: int, tol: float = ATOL,
 
         bump("trace_doubling", abs(np.trace(c_of(herm)) - 2 * np.trace(herm)))
 
-    checks = [PropertyCheck(k, _worst(v), tol) for k, v in res.items()]
+    residuals = {k: _worst(v) for k, v in res.items()}
+    bounds = dict.fromkeys(residuals, tol)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     hams = [random_hermitian(int(rng.integers(2, 5)), rng) for _ in range(trials // 10 + 1)]
-    ham = _worst([_hamiltonian_identity_residual(h, (0.1, 1.0, np.pi)) for h in hams])
-    checks += [PropertyCheck("hamiltonian_identity", ham, HAMILTONIAN_BOUND),
-               PropertyCheck("statistics_preservation", _statistics_preservation_residual(), tol)]
+    residuals["hamiltonian_identity"] = _worst(
+        [_hamiltonian_identity_residual(h, (0.1, 1.0, np.pi)) for h in hams])
+    residuals["statistics_preservation"] = _statistics_preservation_residual()
+    bounds.update(hamiltonian_identity=HAMILTONIAN_BOUND, statistics_preservation=tol)
     for label, m, claims in fixtures:
         m = as_matrix(m)
         lifts = (m, c_of(m)) if m.shape[0] == m.shape[1] else (m,)
-        checks += [PropertyCheck(f"fixture[{label}:{claim}]",
-                                 _worst([DEFECTS[claim](x) for x in lifts]), ATOL)
-                   for claim in claims]
-    return PropertyReport(tuple(checks))
+        for claim in claims:
+            name = f"fixture[{label}:{claim}]"
+            if name in residuals:
+                raise ValueError(f"property item {name} given twice")
+            residuals[name], bounds[name] = _worst([DEFECTS[claim](x) for x in lifts]), ATOL
+    return residuals, bounds
 
 
 def _worst(residuals) -> float:

@@ -8,7 +8,9 @@ Conventions used across the package:
 - ``np.kron(A, B)`` puts A's indices major, so the left factor belongs to the
   lower party index.
 - The algebraic tolerance ``ATOL`` is 1e-10; each ``is_*`` predicate holds when
-  its defect is at most ``ATOL``.
+  its defect is at most ``ATOL``.  :func:`failing` is the one verdict rule of
+  every check in the package: an entry of a residual map holds when its
+  ``residual <= bound``.
 - A bipartite pure state is handled as its amplitude matrix Psi of shape
   (d_A, d_B), with d_p the product of party p's register dims.  A local
   operator acts as a party product: A's operator M as ``M Psi`` and B's as
@@ -82,6 +84,32 @@ def psd_defect(m) -> float:
 
 
 DEFECTS = {"hermitian": hermitian_defect, "unitary": unitary_defect, "psd": psd_defect}
+
+
+def failing(residuals: dict[str, float], bound: float | dict[str, float]) -> dict[str, float]:
+    """The verdict rule: the entries of ``residuals`` that fail their bound, in bound order.
+
+    ``bound`` is one bound for every entry, or a dict of per-entry bounds that
+    also picks the entries judged.  An entry holds when ``residual <= bound``,
+    so a NaN residual or bound fails.
+    """
+    bounds = bound if isinstance(bound, dict) else dict.fromkeys(residuals, bound)
+    return {name: residuals[name] for name, b in bounds.items() if not residuals[name] <= b}
+
+
+def worst_failing(residuals: dict[str, float], bound: float | dict[str, float]) -> str:
+    """The worst entry that :func:`failing` returns, or "" when all hold.
+
+    A NaN entry ranks first.  Otherwise the name is the smallest failing entry
+    name within a relative 1e-12 of the largest failing residual, so entries
+    that are equal in exact arithmetic do not let rounding pick it, and a
+    report, whose keys ``dumps`` sorts, shows the order that does.
+    """
+    failed = failing(residuals, bound)
+    if not failed:
+        return ""
+    worst = max(failed.values(), key=lambda v: (np.isnan(v), v))
+    return min(name for name, v in failed.items() if np.isnan(v) or v >= worst * (1 - 1e-12))
 
 
 def is_hermitian(m) -> bool:

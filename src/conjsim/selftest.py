@@ -25,13 +25,13 @@ the (sampled) correlations against the reference, state equalities, D-collapse,
 anti-commutators, extraction, its fidelities, the Y normal form and the family
 parameters.  Each stage function returns the map its rule judges, residuals
 {entry: residual} named as the report names them, 0 being ideal (a fidelity f
-enters as 1 - f), and one rule judges them all, naming a failing stage by its
-worst entry.  No stage judges itself: the statistics stage returns its
-deviations with their per-entry bounds, and the Y normal form and the family
-stage return their estimate first and its checks second.  The report keeps
-each judged map under its stage's name, so it writes what the rule read, and
-each map only there.  The extraction gate lives only in run_selftest, on the
-residuals its earlier stages recorded.
+enters as 1 - f), and ``linalg.worst_failing`` judges them all, naming a
+failing stage by its worst entry.  No stage judges itself: the statistics
+stage returns its deviations with their per-entry bounds, and the Y normal
+form and the family stage return their estimate first and its checks second.
+The report keeps each judged map under its stage's name, so it writes what the
+rule read, and each map only there.  The extraction gate lives only in
+run_selftest, on the residuals its earlier stages recorded.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .linalg import (
     is_binary_observable,
     op_partial_trace,
     pauli_decompose,
+    worst_failing,
 )
 from .states import (
     DensityMatrix,
@@ -376,7 +377,7 @@ def check_against_reference(table: CorrelationTable, ref: CorrelationTable, tol:
 
     An exact table's bound is ``tol``.  A sampled entry's bound is NSIGMA null
     standard errors sqrt((1 - r^2) / n_per_pair) of its reference value r,
-    with ``tol`` as a floor.  The caller judges the two maps with the verdict rule.
+    with ``tol`` as a floor.  The caller judges the two maps with ``linalg.failing``.
     """
     deviations: dict[str, float] = {}
     bounds: dict[str, float] = {}
@@ -391,26 +392,6 @@ def check_against_reference(table: CorrelationTable, ref: CorrelationTable, tol:
             null_var = max(1.0 - ref_val * ref_val, 0.0) / table.n_per_pair
             bounds[name] = max(NSIGMA * float(np.sqrt(null_var)), tol)
     return deviations, bounds
-
-
-def _worst_failing(residuals: dict[str, float], bound: float | dict[str, float]) -> str:
-    """The verdict rule: the worst entry whose residual exceeds its bound, or "" when all hold.
-
-    ``bound`` is one bound for every entry, or a dict of per-entry bounds that
-    also picks the entries judged.  An entry holds when ``residual <= bound``,
-    so a NaN residual or bound fails.  A NaN entry ranks first.  Otherwise the
-    name is the smallest failing entry name within a relative 1e-12 of the
-    largest failing residual, so entries that are equal in exact arithmetic do
-    not let rounding pick it, and a report, whose keys ``dumps`` sorts, shows
-    the order that does.
-    """
-    bounds = bound if isinstance(bound, dict) else dict.fromkeys(residuals, bound)
-    failing = {name: residuals[name] for name, b in bounds.items() if not residuals[name] <= b}
-    if not failing:
-        return ""
-    worst = max(failing.values(), key=lambda v: (np.isnan(v), v))
-    return min(name for name, v in failing.items()
-               if np.isnan(v) or v >= worst * (1 - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +689,7 @@ def run_selftest(exp: Experiment, tol: float = 1e-9, stats_tol: float = 1e-10,
 
     def holds(stage: str, entries: dict[str, float], bound=tol) -> bool:
         residuals[stage] = entries
-        worst = _worst_failing(entries, bound)
+        worst = worst_failing(entries, bound)
         if worst:
             failures.append(f"{stage}[{worst}]")
         return not worst

@@ -280,9 +280,10 @@ def fixtures_from_json(config: dict) -> list[tuple[str, np.ndarray, list[str]]]:
 
     A fixture is ``{"matrix": ..., "label": "?", "claims": []}``, label and claims
     optional, and each claim is a key of ``linalg.DEFECTS``.  An absent or null
-    ``fixtures`` lists none.
+    ``fixtures`` lists none.  A (label, claim) pair, one report item, given twice is refused.
     """
     out = []
+    seen = set()
     fixtures = config.get("fixtures")
     for i, fixture in enumerate(_array(fixtures, "fixtures") if fixtures is not None else ()):
         path = f"fixtures[{i}]"
@@ -292,8 +293,12 @@ def fixtures_from_json(config: dict) -> list[tuple[str, np.ndarray, list[str]]]:
             if _string(claim, f"{path}.claims[{j}]") not in DEFECTS:
                 raise ValueError(f"{path}.claims[{j}]: unknown claim {claim!r} "
                                  f"(known: {', '.join(DEFECTS)})")
-        out.append((_string(fixture.get("label", "?"), f"{path}.label"),
-                    complex_from_json(fixture["matrix"], 2, f"{path}.matrix"), claims))
+        label = _string(fixture.get("label", "?"), f"{path}.label")
+        for j, claim in enumerate(claims):
+            if (label, claim) in seen:
+                raise ValueError(f"{path}.claims[{j}]: item fixture[{label}:{claim}] given twice")
+            seen.add((label, claim))
+        out.append((label, complex_from_json(fixture["matrix"], 2, f"{path}.matrix"), claims))
     return out
 
 

@@ -25,7 +25,8 @@ uniforms.  Rounds exist only when a transcript is written
 (:meth:`Transcript.cells`): each cell index repeated by its count, shuffled
 once by ``default_rng([seed, 1])``.  An i.i.d. sequence is uniform over the
 orderings of its counts, so the written rounds keep the per-round law
-exactly, and the report does not depend on whether they are written.
+exactly, and the report does not depend on whether they are written.  The abort
+verdict and the exact premeasurement check are judged by ``linalg.failing``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import MAX_COUNT
 from .family import SimParams, multiparty_sim_state
-from .linalg import ATOL, as_int
+from .linalg import as_int, failing
 from .selftest import correlations, family_experiment, with_state
 from .states import DensityMatrix, Record, StateVector, epr_pair, replace
 
@@ -231,9 +232,9 @@ class QberReport(Record):
     """Per-basis sifted and error counts; the rates and the abort verdict are read off them.
 
     The verdict is ``insufficient data`` when a basis has no sifted round, else whether
-    every per-basis rate is at most ``abort_threshold``.  ``flag_mismatches`` (premeasured
-    transcripts only) is 0 by construction, as :data:`CELLS` has one flag axis; the guard
-    is :func:`_flag_branches` refusing a cross-flag population.
+    ``linalg.failing`` holds every per-basis rate to ``abort_threshold``.  ``flag_mismatches``
+    (premeasured transcripts only) is 0 by construction, as :data:`CELLS` has one flag axis;
+    the guard is :func:`_flag_branches` refusing a cross-flag population.
     """
 
     sifted: dict[str, int]
@@ -254,9 +255,8 @@ class QberReport(Record):
     def verdict(self) -> str:
         if not all(self.sifted.values()):
             return "insufficient data"
-        if all(rate <= self.abort_threshold for rate in self.rates.values()):
-            return "protocol-consistent"
-        return "not-protocol-consistent"
+        return ("not-protocol-consistent" if failing(self.rates, self.abort_threshold)
+                else "protocol-consistent")
 
     @property
     def consistent(self) -> bool | None:
@@ -297,25 +297,16 @@ def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> Qbe
     return replace(report, errors={**report.errors, "Y": report.sifted["Y"] - report.errors["Y"]})
 
 
-class PremeasureComparison(Record):
-    rate_differences: dict[str, float]       # |QBER difference| of each basis
-    cell_difference: float                   # largest |difference| over the 36 cells
-
-    @property
-    def within_tolerance(self) -> bool:
-        """Every difference is at most ``linalg.ATOL``; a NaN fails."""
-        return all(d <= ATOL for d in (self.cell_difference, *self.rate_differences.values()))
-
-
-def zpremeasure_analysis(p: SimParams) -> PremeasureComparison:
+def zpremeasure_analysis(p: SimParams) -> dict[str, float]:
     """Compare the ZPremeasure(p) cell law, flags summed out, with the Honest(p) law exactly.
 
-    The family source populates only the logical flag states, so the two must
-    agree; ``within_tolerance`` judges each difference against ``linalg.ATOL``.
+    The residual map: ``cells``, the largest |difference| over the 36 cells, and each
+    basis's |QBER difference| as ``rate:<basis>``.  The family source populates only the
+    logical flag states, so each must hold against ``linalg.ATOL``.
     """
     premeasured = _cell_law(ZPremeasure(p)).sum(axis=0, keepdims=True)
     honest = _cell_law(Honest(p))[:1]
     (kept_z, wrong_z), (kept_h, wrong_h) = _same_basis(premeasured), _same_basis(honest)
-    diffs = {b: float(d) for b, d in zip(BASES, np.abs(wrong_z / kept_z - wrong_h / kept_h))}
-    cell = float(np.abs(premeasured - honest).max())
-    return PremeasureComparison(rate_differences=diffs, cell_difference=cell)
+    rates = np.abs(wrong_z / kept_z - wrong_h / kept_h)
+    return {"cells": float(np.abs(premeasured - honest).max()),
+            **{f"rate:{b}": float(d) for b, d in zip(BASES, rates)}}

@@ -18,9 +18,8 @@ from conjsim.family import (
     multiparty_sim_state,
     to_real_simulation,
 )
-from conjsim.linalg import X, Y, Z, random_hermitian
+from conjsim.linalg import X, Y, Z, failing, random_hermitian, worst_failing
 from conjsim.selftest import (
-    _worst_failing,
     check_against_reference,
     correlations,
     extraction_isometry,
@@ -101,7 +100,7 @@ def test_criterion_3_family_indistinguishability():
     for p in grid:
         exp = family_experiment(p, "extended")
         deviations, bounds = check_against_reference(correlations(exp), ref, tol=1e-10)
-        assert _worst_failing(deviations, bounds) == "", (p, max(deviations.values()))
+        assert worst_failing(deviations, bounds) == "", (p, max(deviations.values()))
         rep = run_selftest(exp, tol=1e-9)
         assert rep.passed, (p, rep.failures)
         assert rep.residuals["state_fidelity"]["ancillas"] <= 1e-9
@@ -111,12 +110,11 @@ def test_criterion_3_family_indistinguishability():
 
 
 def test_criterion_4_lifting_property_suite():
-    suite = c_property_suite(trials=100, dim=8, seed=2024)
-    assert len(suite.checks) == 10 and suite.passed
-    assert [c.name for c in suite.checks[8:]] == ["hamiltonian_identity",
-                                                  "statistics_preservation"]
-    for check in suite.checks[:8]:
-        assert check.max_residual <= 1e-10, check.name
+    residuals, bounds = c_property_suite(trials=100, dim=8, seed=2024)
+    assert len(residuals) == 10 and failing(residuals, bounds) == {}
+    assert list(residuals)[8:] == ["hamiltonian_identity", "statistics_preservation"]
+    for name in list(residuals)[:8]:
+        assert residuals[name] <= 1e-10, name
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(20):

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conjsim
-from conjsim import cli, selftest, serialize, sixstate
+from conjsim import cli, family, linalg, selftest, serialize, sixstate
 from conjsim.cli import main
-from conjsim.family import SimParams
-from conjsim.linalg import HADAMARD, X, Z, random_unitary
+from conjsim.family import HAMILTONIAN_BOUND, SimParams
+from conjsim.linalg import ATOL, HADAMARD, X, Z, failing, random_unitary
 from conjsim.selftest import (
     attach_junk,
     family_experiment,
@@ -37,6 +37,7 @@ from conjsim.sixstate import MismatchedFlags, source_state
 from conjsim.states import StateVector, replace
 
 from dense_reference import rejudge, unjudged_names
+from test_scripts import load_script
 
 
 def run(args):
@@ -259,6 +260,98 @@ def test_a_basis_without_a_sifted_round_fails_every_strategy(tmp_path, monkeypat
     assert run(["qkd", *argv, "--out", "report.json"]) == 1
     results = read_json(Path("report.json"))["results"]
     assert results["sifted"] == sifted and results["verdict"] == "insufficient data"
+
+
+# one verdict rule at its boundary in every job that judges outside the self-test: each
+# judged entry holds at its bound and fails one ulp above it and at NaN, as linalg.failing says
+
+def judged(value):
+    """``value`` as a report writes it: NaN is null."""
+    return None if np.isnan(value) else value
+
+
+def props_verdict(entry, patch, *flags):
+    """Whether a props job passes with ``value`` put into item ``entry`` by ``patch``."""
+    def verdict(monkeypatch, value):
+        patch(monkeypatch, value)
+        code = run(["--config", "fixture.json", "props", "--trials", "1", "--dim", "2", *flags,
+                    "--out", "report.json"])
+        results = read_json(Path("report.json"))["results"]
+        items = {item["name"]: item for item in results["items"]}
+        assert items[entry]["max_residual"] == judged(value)
+        failed = [name for name, item in items.items() if not item["passed"]]
+        assert failed in ([], [entry]) and results["passed"] == (not failed)
+        assert code == (1 if failed else 0)
+        return not failed
+    return verdict
+
+
+def qkd_verdict(basis):
+    """Whether an honest qkd job at threshold 0.25 is consistent with ``basis``'s rate put to
+    ``value``."""
+    def verdict(monkeypatch, value):
+        rates = sixstate.QberReport.rates
+        monkeypatch.setattr(sixstate.QberReport, "rates",
+                            property(lambda report: {**rates.fget(report), basis: value}))
+        code = run(["qkd", "--strategy", "honest", "a=0.5", "c=0.5", "--n", "300", "--seed", "1",
+                    "--threshold", "0.25", "--out", "report.json"])
+        results = read_json(Path("report.json"))["results"]
+        assert results["rates"][basis] == judged(value)
+        assert results["verdict"] in ("protocol-consistent", "not-protocol-consistent")
+        consistent = results["verdict"] == "protocol-consistent"
+        assert code == (0 if consistent else 1)         # an honest source is expected consistent
+        return consistent
+    return verdict
+
+
+def premeasurement_verdict(entry):
+    """Whether the QKD experiment script finds premeasurement within tolerance with ``entry``
+    of the premeasurement map put to ``value``."""
+    def verdict(monkeypatch, value):
+        script = load_script("qkd_strategies_experiment")
+        analysis = script.zpremeasure_analysis
+        monkeypatch.setattr(script, "N", 60)
+        monkeypatch.setattr(script, "zpremeasure_analysis",
+                            lambda p: {**analysis(p), entry: value})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            script.main()
+        last = out.getvalue().splitlines()[-1]
+        assert last.endswith(("within tolerance: True", "within tolerance: False"))
+        return last.endswith("True")
+    return verdict
+
+
+# (bound, whether the job holds with the entry at a value)
+JOB_BOUNDARY_CASES = {
+    "props:hamiltonian_identity": (HAMILTONIAN_BOUND, props_verdict(
+        "hamiltonian_identity",
+        lambda mp, v: mp.setattr(family, "_hamiltonian_identity_residual", lambda h, t: v))),
+    "props:statistics_preservation": (2.0 ** -30, props_verdict(
+        "statistics_preservation",
+        lambda mp, v: mp.setattr(family, "_statistics_preservation_residual", lambda: v),
+        "--tol", repr(2.0 ** -30))),
+    "props:fixture": (ATOL, props_verdict(
+        "fixture[one:hermitian]",
+        lambda mp, v: mp.setitem(linalg.DEFECTS, "hermitian", lambda m: v))),
+    **{f"qkd:rate:{b}": (0.25, qkd_verdict(b)) for b in ("X", "Y", "Z")},
+    **{f"premeasurement:{entry}": (ATOL, premeasurement_verdict(entry))
+       for entry in ("cells", "rate:Y")},
+}
+
+
+@pytest.mark.parametrize("case", JOB_BOUNDARY_CASES)
+def test_each_job_holds_at_its_bound_and_fails_above(case, tmp_path, monkeypatch):
+    bound, verdict = JOB_BOUNDARY_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    Path("fixture.json").write_text(dumps({"fixtures": [
+        {"label": "one", "matrix": complex_to_json(np.eye(1)), "claims": ["hermitian"]}]}))
+    values = [bound, float(np.nextafter(bound, 1)), np.nan]
+    rule = [not failing({case: value}, bound) for value in values]
+    assert rule == [True, False, False]
+    for value, holds in zip(values, rule):
+        with monkeypatch.context() as patch:
+            assert verdict(patch, value) == holds, (case, value)
 
 
 def strict_json(text):
@@ -601,10 +694,14 @@ PROPS_CONFIG = ["--config", "{path}", "props", "--trials", "2"]
      '{path}: fixtures[0].claims: expected a JSON array, got "hermitian"'),
     (PROPS_CONFIG, '{"fixtures": [{"matrix": [[[1, 0]]], "claims": ["hermitian", "real"]}]}',
      "{path}: fixtures[0].claims[1]: unknown claim 'real' (known: hermitian, unitary, psd)"),
+    # at the parent, three items were named fixture[?:hermitian]: one passed, two failed
+    (PROPS_CONFIG, '{"fixtures": [{"matrix": [[[1, 0]]], "claims": ["hermitian"]}, '
+                   '{"matrix": [[[1, 1]]], "claims": ["hermitian", "hermitian"]}]}',
+     "{path}: fixtures[1].claims[0]: item fixture[?:hermitian] given twice"),
 ], ids=["experiment_without_kind", "custom_strategy_without_a", "config_not_an_object",
         "config_fixture_without_matrix", "list_kind", "number_amplitudes", "number_observable_row",
         "experiment_without_state", "party_without_dims", "number_fixture", "string_claims",
-        "unknown_claim"])
+        "unknown_claim", "repeated_fixture_item"])
 def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, text, line):
     path = tmp_path / "input.json"
     path.write_text(text)

@@ -8,7 +8,6 @@ from conjsim.family import (
     HAMILTONIAN_BOUND,
     KrausMap,
     Povm,
-    PropertyCheck,
     SimParams,
     _hamiltonian_identity_residual,
     c_of,
@@ -20,7 +19,17 @@ from conjsim.family import (
     sim_unitary_evolve,
     to_real_simulation,
 )
-from conjsim.linalg import ATOL, HADAMARD, X, Y, Z, as_matrix, herm_expm, is_hermitian
+from conjsim.linalg import (
+    ATOL,
+    HADAMARD,
+    X,
+    Y,
+    Z,
+    as_matrix,
+    failing,
+    herm_expm,
+    is_hermitian,
+)
 from conjsim.selftest import family_experiment, with_observable
 from conjsim.states import StateVector, epr_pair, partial_trace
 
@@ -176,10 +185,10 @@ def test_flag_lifts_match_block_oracle(dim):
 
 
 def test_c_property_suite_clean():
-    report = c_property_suite(100, 4, seed=7)
-    assert report.passed
-    for check in report.checks:
-        assert check.max_residual <= 1e-10, check.name
+    residuals, bounds = c_property_suite(100, 4, seed=7)
+    assert failing(residuals, bounds) == {} and list(bounds) == list(residuals)
+    for name, residual in residuals.items():
+        assert residual <= 1e-10, name
 
 
 def test_c_property_suite_eigenvector_lift_explicit():
@@ -200,10 +209,12 @@ def test_c_of_hermiticity_contrapositive():
 
 
 def test_property_verdict_is_residual_within_bound():
-    assert PropertyCheck("x", 1.0, 1.0).passed and not PropertyCheck("x", 1.5, 1.0).passed
-    assert not PropertyCheck("x", float("nan"), 1.0).passed
-    report = c_property_suite(2, 2, seed=0, fixtures=[("nan", [[np.nan]], ["hermitian"])])
-    assert np.isnan(report.checks[-1].max_residual) and not report.passed
+    assert failing({"x": 1.0}, 1.0) == {} and failing({"x": 1.5}, 1.0) == {"x": 1.5}
+    assert list(failing({"x": float("nan")}, 1.0)) == ["x"]
+    residuals, bounds = c_property_suite(2, 2, seed=0, fixtures=[("nan", [[np.nan]],
+                                                                  ["hermitian"])])
+    assert np.isnan(residuals["fixture[nan:hermitian]"])
+    assert list(failing(residuals, bounds)) == ["fixture[nan:hermitian]"]
 
 
 def test_hamiltonian_identity_is_held_to_its_own_bound(monkeypatch):
@@ -211,9 +222,11 @@ def test_hamiltonian_identity_is_held_to_its_own_bound(monkeypatch):
     for residual, passed in ((10 * tol, True), (HAMILTONIAN_BOUND, True),
                              (2 * HAMILTONIAN_BOUND, False)):
         monkeypatch.setattr(family, "_hamiltonian_identity_residual", lambda h, t: residual)
-        check = c_property_suite(2, 2, seed=0, tol=tol).checks[8]
-        assert (check.name, check.max_residual, check.passed) == (
-            "hamiltonian_identity", residual, passed)
+        residuals, bounds = c_property_suite(2, 2, seed=0, tol=tol)
+        assert list(residuals)[8] == "hamiltonian_identity"
+        assert residuals["hamiltonian_identity"] == residual
+        assert bounds["hamiltonian_identity"] == HAMILTONIAN_BOUND
+        assert ("hamiltonian_identity" not in failing(residuals, bounds)) == passed
 
 
 def test_fixture_residual_is_the_real_defect():
@@ -221,18 +234,37 @@ def test_fixture_residual_is_the_real_defect():
                 ("above", [[0, 1.5 * ATOL], [0, 0]], ["hermitian"]),
                 ("stretch", np.diag([1.0, 2.0]), ["unitary", "psd"]),
                 ("wide", np.ones((1, 2)), ["psd"])]
-    checks = c_property_suite(2, 2, seed=0, fixtures=fixtures).checks[10:]
-    assert [(c.name, c.max_residual, c.passed) for c in checks] == [
-        ("fixture[below:hermitian]", 0.5 * ATOL, True),
-        ("fixture[above:hermitian]", 1.5 * ATOL, False),
-        ("fixture[stretch:unitary]", 3.0, False),
-        ("fixture[stretch:psd]", 0.0, True),
-        ("fixture[wide:psd]", np.inf, False)]
+    residuals, bounds = c_property_suite(2, 2, seed=0, fixtures=fixtures)
+    failed = failing(residuals, bounds)
+    assert [(name, residuals[name], bounds[name], name not in failed)
+            for name in list(residuals)[10:]] == [
+        ("fixture[below:hermitian]", 0.5 * ATOL, ATOL, True),
+        ("fixture[above:hermitian]", 1.5 * ATOL, ATOL, False),
+        ("fixture[stretch:unitary]", 3.0, ATOL, False),
+        ("fixture[stretch:psd]", 0.0, ATOL, True),
+        ("fixture[wide:psd]", np.inf, ATOL, False)]
 
 
 def test_c_property_suite_rejects_large_dim():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dim "):
         c_property_suite(10, 9, seed=0)
+
+
+@pytest.mark.parametrize("trials, dim, name", [(0, 4, "trials"), (-2, 4, "trials"),
+                                               (1, 0, "dim"), (1, -1, "dim")])
+def test_c_property_suite_refuses_an_empty_or_oversized_suite(trials, dim, name):
+    # at the parent, (0, 4) passed on its [0.0] seeds and the rest failed inside numpy
+    with pytest.raises(ValueError, match=f"{name} "):
+        c_property_suite(trials, dim, seed=1)
+
+
+def test_c_property_suite_refuses_a_repeated_item_name():
+    fixtures = [("?", np.eye(2), ["hermitian"]), ("?", np.eye(2), ["unitary", "hermitian"])]
+    with pytest.raises(ValueError, match=r"fixture\[\?:hermitian\] given twice"):
+        c_property_suite(1, 2, seed=0, fixtures=fixtures)
+    residuals, _ = c_property_suite(1, 2, seed=0, fixtures=[("?", np.eye(2), ["hermitian"]),
+                                                            ("!", np.eye(2), ["hermitian"])])
+    assert list(residuals)[10:] == ["fixture[?:hermitian]", "fixture[!:hermitian]"]
 
 
 def test_sim_unitary_evolve_identity():

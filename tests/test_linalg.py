@@ -9,6 +9,7 @@ from conjsim.linalg import (
     X,
     Y,
     Z,
+    failing,
     herm_expm,
     hermitian_defect,
     is_binary_observable,
@@ -22,6 +23,7 @@ from conjsim.linalg import (
     random_hermitian,
     random_unitary,
     unitary_defect,
+    worst_failing,
 )
 
 from dense_reference import (
@@ -94,6 +96,17 @@ def test_predicates_are_defects_within_tol():
     assert hermitian_defect(wide) == unitary_defect(wide) == psd_defect(wide) == np.inf
     assert not (is_hermitian(wide) or is_unitary(wide) or is_psd(wide))
     assert np.isnan(psd_defect(np.array([[np.nan]]))) and not is_psd(np.array([[np.nan]]))
+
+
+def test_the_verdict_rule():
+    residuals = {"a": 1.0, "b": 2.0, "c": np.nan, "d": 0.5}
+    assert failing(residuals, 1.0) == {"b": 2.0, "c": residuals["c"]}
+    # a dict of bounds picks the entries judged, in its order; a NaN bound fails
+    assert failing(residuals, {"d": np.nan, "b": 2.0, "a": np.nextafter(1.0, 0)}) == \
+        {"d": 0.5, "a": 1.0}
+    assert failing({}, 0.0) == {} and worst_failing({"a": 0.0}, 0.0) == ""
+    assert worst_failing(residuals, 0.0) == "c"                       # a NaN ranks first
+    assert worst_failing({"y": 1.0, "x": 1.0 - 1e-13, "w": 0.9}, 0.0) == "x"   # ties by name
 
 
 def test_herm_expm_trivial_and_diagonal():

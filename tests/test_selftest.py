@@ -22,6 +22,7 @@ from conjsim.linalg import (
     random_hermitian,
     random_unitary,
     unitary_defect,
+    worst_failing,
 )
 from conjsim.selftest import (
     ACTION_LABELS,
@@ -30,7 +31,6 @@ from conjsim.selftest import (
     CorrelationTable,
     Experiment,
     Extraction,
-    _worst_failing,
     anticommutator_residual,
     attach_junk,
     check_against_reference,
@@ -261,14 +261,14 @@ def test_sampled_correlations_memory_does_not_grow_with_n():
 def test_check_against_reference_passes_exact():
     table = correlations(reference_experiment("mayersyao"))
     deviations, bounds = check_against_reference(table, ref_table("mayersyao"), tol=1e-10)
-    assert _worst_failing(deviations, bounds) == "" and max(deviations.values()) <= 1e-10
+    assert worst_failing(deviations, bounds) == "" and max(deviations.values()) <= 1e-10
     assert bounds == dict.fromkeys(deviations, 1e-10)   # an exact table's bound is tol
 
 
 def test_check_against_reference_flags_corrupted_d():
     exp = with_observable(reference_experiment("mayersyao"), "A", "D", X)
     deviations, bounds = check_against_reference(correlations(exp), ref_table("mayersyao"))
-    assert _worst_failing(deviations, bounds) == "joint(D,Z)"
+    assert worst_failing(deviations, bounds) == "joint(D,Z)"
     assert max(deviations.values()) == pytest.approx(SQ2, abs=1e-9)
 
 
@@ -276,7 +276,7 @@ def test_check_against_reference_family_grid():
     for p in family_grid():
         table = correlations(family_experiment(p, "extended"))
         deviations, bounds = check_against_reference(table, ref_table("extended"), tol=1e-10)
-        assert _worst_failing(deviations, bounds) == "", (p, max(deviations.values()))
+        assert worst_failing(deviations, bounds) == "", (p, max(deviations.values()))
 
 
 def test_passing_report_names_no_worst_entry():
@@ -290,7 +290,7 @@ def test_passing_report_names_no_worst_entry():
         values = getattr(table, entries)
         for key, value in values.items():
             perturbed = replace(table, **{entries: {**values, key: value + 1e-16}})
-            assert _worst_failing(*check_against_reference(perturbed, ref)) == "", key
+            assert worst_failing(*check_against_reference(perturbed, ref)) == "", key
 
 
 def test_worst_entry_is_the_largest_failing_deviation():
@@ -302,7 +302,7 @@ def test_worst_entry_is_the_largest_failing_deviation():
     table = CorrelationTable(kind="mayersyao", joints=joints, marginals=ref.marginals,
                              n_per_pair=50)
     deviations, bounds = check_against_reference(table, ref)
-    assert _worst_failing(deviations, bounds) == "joint(Z,Z)"
+    assert worst_failing(deviations, bounds) == "joint(Z,Z)"
     assert max(deviations.values()) == pytest.approx(0.5)
 
 
@@ -314,7 +314,7 @@ def test_nan_entries_fail_and_are_named():
     # a NaN value slipped past construction
     table = correlations(reference_experiment("mayersyao"))
     object.__setattr__(table, "joints", {**table.joints, ("D", "D"): np.nan})
-    assert _worst_failing(*check_against_reference(table, ref)) == "joint(D,D)"
+    assert worst_failing(*check_against_reference(table, ref)) == "joint(D,D)"
 
 
 def test_check_against_reference_missing_entry():
@@ -327,7 +327,7 @@ def test_check_against_reference_missing_entry():
 
 def test_sampled_table_check_with_sigma_tolerance():
     table = sampled_correlations(correlations(reference_experiment("extended")), 30_000, seed=5)
-    assert _worst_failing(*check_against_reference(table, ref_table("extended"))) == ""
+    assert worst_failing(*check_against_reference(table, ref_table("extended"))) == ""
 
 
 def binomial_bound(trials, rate, alpha=1e-6):
@@ -357,7 +357,7 @@ def test_sampled_statistics_false_reject_rate(kind, member, sizes, seeds):
     for n in sizes:
         checks = (check_against_reference(sampled_correlations(exact, n, seed), ref)
                   for seed in seeds)
-        rejects = sum(_worst_failing(*check) != "" for check in checks)
+        rejects = sum(worst_failing(*check) != "" for check in checks)
         assert rejects <= binomial_bound(len(seeds), rate), (n, rejects)
 
 
@@ -371,7 +371,7 @@ def test_sampled_statistics_reject_an_offset_entry(key, value):
     offset = replace(ref, joints={**ref.joints, key: value})
     for seed in range(200):
         deviations, bounds = check_against_reference(sampled_correlations(offset, n, seed), ref)
-        assert _worst_failing(deviations, bounds) == f"joint({key[0]},{key[1]})", seed
+        assert worst_failing(deviations, bounds) == f"joint({key[0]},{key[1]})", seed
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def test_d_collapse_ignores_rogue_action_outside_support():
     exp = with_observable(exp, "A", "D", rogue_d)
     assert check_d_collapse(exp)["A:D"] <= 1e-12
     table = correlations(exp)
-    assert _worst_failing(*check_against_reference(table, ref_table("mayersyao"))) == ""
+    assert worst_failing(*check_against_reference(table, ref_table("mayersyao"))) == ""
 
 
 @given(seeds)
@@ -1095,16 +1095,28 @@ def swapped(exp, party, la, lb):
     return with_observable(out, party, lb, exp.observable(party, la))
 
 
-def junk_ladder_experiment(dim, seed):
-    """A passing family member padded with random junk on both sides to dimension ``dim``."""
+def junk_ladder_experiment(dim, seed, junk_a=None):
+    """A passing family member padded with random junk on both sides to dimension ``dim``;
+    A's junk is the qubit state ``junk_a`` when one is given."""
     rng = np.random.default_rng(seed)
     exp = purify_experiment(family_experiment(SimParams(0.3, 0.25 * np.exp(0.7j)), "extended"))
     junk = dim // exp.state.dim
     for party, jdim in (("A", 2), ("B", junk // 2)):
         v = rng.standard_normal(jdim) + 1j * rng.standard_normal(jdim)
-        exp = attach_junk(exp, party, StateVector([jdim], v / np.linalg.norm(v)))
+        state = StateVector([jdim], v / np.linalg.norm(v))
+        exp = attach_junk(exp, party, junk_a if party == "A" and junk_a is not None else state)
     assert exp.state.dim == dim
     return exp
+
+
+def x_as_z_outside_the_support(dim, seed):
+    """The junk ladder member with A's junk |1>, whose X_A acts as its Z_A where the junk is
+    |0>: X (x) |1><1| + Z (x) |0><0|.  On the support X_A and Z_A still anti-commute, so the
+    member passes, but {X_A, Z_A} = 2 off it."""
+    exp = junk_ladder_experiment(dim, seed, junk_a=basis_state([2], [1]))
+    on = np.kron(np.eye(math.prod(exp.party_dims["A"]) // 2), np.diag([0.0, 1.0]))
+    x, z = exp.observable("A", "X"), exp.observable("A", "Z")
+    return with_observable(exp, "A", "X", x @ on + z @ (np.eye(len(on)) - on))
 
 
 @pytest.mark.parametrize("dim", [64, 256])
@@ -1113,12 +1125,13 @@ def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
     exp = junk_ladder_experiment(dim, seed=dim)
     rotated = rotate_experiment(exp, {
         p: random_unitary(int(np.prod(exp.party_dims[p])), rng) for p in PARTIES})
-    cases = {"passing": exp, "rotated": rotated,
+    outside = x_as_z_outside_the_support(dim, seed=dim)
+    cases = {"passing": exp, "rotated": rotated, "x_as_z_outside_the_support": outside,
              "swapped_A": swapped(exp, "A", "X", "Z"), "swapped_B": swapped(exp, "B", "Z", "D")}
     for name, case in cases.items():
         fast = run_selftest(case)
-        assert fast.passed == (name in ("passing", "rotated")), name
         assert_same_report(fast, dense_selftest(case, monkeypatch), case)
+        assert fast.passed == (not name.startswith("swapped")), name
     table = correlations(exp)
     for la, lb in pair_schedule("extended"):
         np.testing.assert_allclose(table.outcome_probs(la, lb),
@@ -1255,7 +1268,7 @@ def test_failure_names_do_not_hang_on_rounding(monkeypatch):
             for key, value in values.items():
                 for moved in nudged(value):
                     perturbed = replace(table, **{entries: {**values, key: moved}})
-                    assert _worst_failing(*check_against_reference(perturbed, ref)) == \
+                    assert worst_failing(*check_against_reference(perturbed, ref)) == \
                         named_entry(report, "statistics"), key
         for stage, field in (("check_state_equalities", "state_equalities"),
                              ("check_d_collapse", "d_collapse")):

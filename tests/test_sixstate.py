@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conjsim import sixstate
 from conjsim.family import SimParams, c_of
-from conjsim.linalg import PAULIS, Y, random_psd
+from conjsim.linalg import ATOL, PAULIS, Y, failing, random_psd
 from conjsim.selftest import family_experiment
 from conjsim.serialize import qber_report_to_dict, transcript_to_csv, transcript_to_json
 from conjsim.sixstate import (
@@ -524,18 +524,20 @@ def test_cell_law_matches_dense_reference(strategy):
 
 def test_zpremeasure_analysis_matches_honest():
     for p in MEMBERS:
-        cmp = zpremeasure_analysis(p)
-        assert cmp.within_tolerance, p
-        assert cmp.cell_difference <= 1e-12, p
+        residuals = zpremeasure_analysis(p)
+        assert list(residuals) == ["cells", "rate:X", "rate:Y", "rate:Z"], p
+        assert failing(residuals, ATOL) == {}, p
+        assert residuals["cells"] <= 1e-12, p
         for b in BASES:
-            assert cmp.rate_differences[b] == pytest.approx(0.0, abs=1e-12), (p, b)
+            assert residuals[f"rate:{b}"] == pytest.approx(0.0, abs=1e-12), (p, b)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(a=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0), phase=st.floats(-np.pi, np.pi))
 def test_zpremeasure_law_equals_honest_law_on_feasible_members(a, share, phase):
-    cmp = zpremeasure_analysis(SimParams(a, share * np.sqrt(a * (1 - a)) * np.exp(1j * phase)))
-    assert cmp.cell_difference <= 1e-12 and cmp.within_tolerance
+    residuals = zpremeasure_analysis(
+        SimParams(a, share * np.sqrt(a * (1 - a)) * np.exp(1j * phase)))
+    assert residuals["cells"] <= 1e-12 and failing(residuals, ATOL) == {}
 
 
 @pytest.mark.parametrize("p", MEMBERS, ids=["a0.5", "a0.3", "a0.25"])
@@ -551,11 +553,11 @@ def test_zpremeasure_analysis_sees_a_perturbed_flag_branch(p, monkeypatch):
         return law
 
     monkeypatch.setattr(sixstate, "_cell_law", perturbed)
-    cmp = zpremeasure_analysis(p)
-    assert not cmp.within_tolerance and "within_tolerance" not in cmp._fields   # derived
-    assert cmp.cell_difference == pytest.approx(1e-9, rel=1e-6)
-    assert cmp.rate_differences["Y"] > 1e-9
-    assert cmp.rate_differences["X"] == cmp.rate_differences["Z"] == 0.0
+    residuals = zpremeasure_analysis(p)
+    assert list(failing(residuals, ATOL)) == ["cells", "rate:Y"]
+    assert residuals["cells"] == pytest.approx(1e-9, rel=1e-6)
+    assert residuals["rate:Y"] > 1e-9
+    assert residuals["rate:X"] == residuals["rate:Z"] == 0.0
 
 
 def one_round(cell):
