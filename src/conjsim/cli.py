@@ -11,9 +11,9 @@ Each subcommand imports the numeric modules it runs only when it runs, after
 the checks that need nothing but its flags, so a parsing error or a flag out
 of range never loads numpy.  An error that only the numeric code can find
 loads it first: ``qkd --strategy honest a=0.5 c=0.9`` is refused by
-``SimParams`` (|c| above sqrt(a(1 - a))) and takes about 160 ms, against
-about 70 ms for a flag-only error such as ``--n 0`` (2 vCPUs, no bytecode
-cache).
+``SimParams`` (|c| above sqrt(a(1 - a))) before the simulator loads and takes
+about 130 ms, against about 50 ms for a flag-only error such as ``--n 0``
+(median of 15 fresh processes each, 2 vCPUs, no bytecode cache).
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ run_selftest, on the residuals its earlier stages recorded.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import MAX_COUNT
-from .family import SimParams, c_of, multiparty_sim_state
 from .linalg import (
     ATOL,
     HADAMARD,
@@ -62,6 +62,9 @@ from .states import (
     purify,
     replace,
 )
+
+if TYPE_CHECKING:
+    from .family import SimParams
 
 PARTIES = ("A", "B")
 
@@ -188,6 +191,8 @@ def reference_experiment(kind: str) -> Experiment:
 
 def family_experiment(p: SimParams, kind: str = "extended") -> Experiment:
     """The simulation-family member for the reference experiment of the given kind."""
+    from .family import c_of, multiparty_sim_state
+
     ref = reference_observables(kind)
     return Experiment(
         kind=kind,
@@ -209,22 +214,6 @@ def with_state(exp: Experiment, state: StateVector | DensityMatrix) -> Experimen
     if tuple(state.dims) != tuple(exp.state.dims):
         raise ValueError("replacement state must keep the register layout")
     return replace(exp, state=state)
-
-
-def rotate_experiment(exp: Experiment, unitaries: dict[str, np.ndarray]) -> Experiment:
-    """Conjugate a pure experiment's state and observables by local unitaries (one per party).
-
-    The rotation scrambles any designated flag registers, so that metadata is
-    dropped.
-    """
-    if not isinstance(exp.state, StateVector):
-        raise ValueError("rotate_experiment expects a pure experiment")
-    units = {p: as_matrix(unitaries[p]) for p in PARTIES}
-    psi = exp.act("B", units["B"], exp.act("A", units["A"], _psi(exp)))
-    obs = {p: {l: units[p] @ m @ units[p].conj().T for l, m in exp.observables[p].items()}
-           for p in PARTIES}
-    return replace(exp, state=StateVector(exp.state.dims, psi), observables=obs,
-                   flag_registers=None)
 
 
 def _with_registers(exp: Experiment, party: str, dims: tuple[int, ...],

@@ -8,9 +8,11 @@ and a refusal is a ValueError that names the value's JSON path, such as
 ``parties.A.observables.X[0]``.  ``dumps`` output is deterministic
 (sorted keys, fixed indentation) so reports are byte-identical across runs
 with identical inputs.  Transcripts are written to an open text file a chunk
-of rounds at a time.  ``selftest`` and ``sixstate`` are imported only by the
-functions that build or inspect their objects, so encoding a ``props`` report
-loads neither.
+of rounds at a time.  ``family``, ``selftest`` and ``sixstate`` are imported
+only by the functions that build or inspect their objects, so encoding a
+``props`` report loads neither of the last two, reading an experiment document
+loads no ``family``, and a strategy document is read, its family member
+included, before ``sixstate`` is imported.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
-from .family import SimParams
 from .linalg import DEFECTS
 from .states import DensityMatrix, StateVector
 
 if TYPE_CHECKING:
+    from .family import SimParams
     from .selftest import CorrelationTable, EquivalenceReport, Experiment
     from .sixstate import EveStrategy, QberReport, Transcript
 
@@ -197,6 +199,8 @@ def state_from_json(data, path: str = "") -> StateVector | DensityMatrix:
 def sim_params_from_json(data) -> SimParams:
     """The family member a ``{"a", "c_abs", "c_phase"}`` object writes; c_abs and c_phase
     default to 0, and a value that is not finite is refused, naming its key."""
+    from .family import SimParams
+
     _object(data, "", ("a",), ("c_abs", "c_phase"))
     polar = {key: _number(data.get(key, 0.0), key) for key in ("a", "c_abs", "c_phase")}
     for key, value in polar.items():
@@ -250,29 +254,35 @@ def experiment_from_json(data) -> Experiment:
 def strategy_from_json(data) -> EveStrategy:
     """The strategy a ``describe()`` document names.
 
-    A document without a ``"strategy"`` key is the state of a custom source.
+    A document without a ``"strategy"`` key is the state of a custom source.  The
+    document, its family member and its state are read before ``sixstate`` is imported,
+    so a refused member costs no import of the simulator.
     """
+    if not (type(data) is dict and "strategy" in data):
+        name, args = "custom_state", (state_from_json(data).density(),)
+    else:
+        name = _string(data["strategy"], "strategy")
+        family = (("a",), ("c_abs", "c_phase"))
+        reads = {"honest": family, "zpremeasure": family, "conjugate": ((), ()),
+                 "mismatched_flags": (("flag_a", "flag_b"), ()),
+                 "custom_state": (("state",), ())}
+        if name not in reads:
+            raise ValueError(f"strategy: unknown strategy {name!r} (known: {', '.join(reads)})")
+        required, optional = reads[name]
+        _object(data, "", ("strategy", *required), optional)
+        if name in ("honest", "zpremeasure"):
+            args = (sim_params_from_json({k: v for k, v in data.items() if k != "strategy"}),)
+        elif name == "mismatched_flags":
+            args = (_integer(data["flag_a"], "flag_a"), _integer(data["flag_b"], "flag_b"))
+        elif name == "custom_state":
+            args = (state_from_json(data["state"], "state").density(),)
+        else:
+            args = ()
     from .sixstate import Conjugate, CustomState, Honest, MismatchedFlags, ZPremeasure
 
-    if not (type(data) is dict and "strategy" in data):
-        return CustomState(state_from_json(data).density())
-    name = _string(data["strategy"], "strategy")
-    family = (("a",), ("c_abs", "c_phase"))
-    reads = {"honest": family, "zpremeasure": family, "conjugate": ((), ()),
-             "mismatched_flags": (("flag_a", "flag_b"), ()), "custom_state": (("state",), ())}
-    if name not in reads:
-        raise ValueError(f"strategy: unknown strategy {name!r} (known: {', '.join(reads)})")
-    required, optional = reads[name]
-    _object(data, "", ("strategy", *required), optional)
-    if name in ("honest", "zpremeasure"):
-        params = sim_params_from_json({k: v for k, v in data.items() if k != "strategy"})
-        return (Honest if name == "honest" else ZPremeasure)(params)
-    if name == "conjugate":
-        return Conjugate()
-    if name == "mismatched_flags":
-        return MismatchedFlags(_integer(data["flag_a"], "flag_a"),
-                               _integer(data["flag_b"], "flag_b"))
-    return CustomState(state_from_json(data["state"], "state").density())
+    kinds = {"honest": Honest, "zpremeasure": ZPremeasure, "conjugate": Conjugate,
+             "mismatched_flags": MismatchedFlags, "custom_state": CustomState}
+    return kinds[name](*args)
 
 
 def fixtures_from_json(config: dict) -> list[tuple[str, np.ndarray, list[str]]]:

@@ -13,11 +13,15 @@ A transcript is its cell counts, not a list of rounds: ``counts[f, a, b, k]``
 of shape :data:`CELLS` is how many rounds had premeasured flags (f, f), bases
 ``BASES[a]`` and ``BASES[b]``, and joint outcome k, whose bits are
 (k >> 1, k & 1) with +1 -> 0, -1 -> 1.  The flag axis is used only when Eve
-premeasures the flags; otherwise every round counts at f = 0.
+premeasures the flags; otherwise every round counts at f = 0.  A family
+member populates only the flag blocks (0, 0) and (1, 1), so Eve's Z
+premeasurement of ZPremeasure(p) leaves the reference source at f = 0 with
+weight a and its conjugate at f = 1 with weight 1 - a, and never reads
+unequal flags.
 
 All counts come from one ``default_rng(seed).multinomial(n, p)`` over the 72
-cells, with p = ``_cell_law(strategy)`` = flag-branch weight x 1/9 x the
-pair's outcome distribution, the one law that the sampler and the exact
+cells, with p = ``_cell_law(strategy)`` = flag weight x 1/9 x the pair's
+outcome distribution, the one law that the sampler and the exact
 premeasurement check read, so a transcript is a pure function of (strategy,
 n, seed) and costs the same at any n.  A cell of p <= CELL_TOL is empty:
 rounding leaves about 1e-16 in cells that are 0, and each nonzero cell draws
@@ -41,8 +45,6 @@ from .states import DensityMatrix, Record, StateVector, epr_pair, replace
 
 BASES = ("X", "Y", "Z")
 SOURCE_DIMS = (2, 2, 2, 2)            # flag_A, data_A, flag_B, data_B
-FLAG_A, DATA_A, FLAG_B, DATA_B = range(4)
-BRANCH_TOL = 1e-9                     # a flag branch of at most this weight is empty
 CELL_TOL = 1e-14                      # a cell of at most this probability is empty
 CELLS = (2, 3, 3, 4)                  # flag, basis_a, basis_b, joint outcome
 # (flag, basis_a, basis_b, outcome_a, outcome_b) of each cell, in the order of counts.ravel()
@@ -141,32 +143,6 @@ def _outcome_probs(rho: DensityMatrix) -> np.ndarray:
     return np.array([[table.outcome_probs(ba, bb) for bb in BASES] for ba in BASES])
 
 
-def _flag_branches(rho: DensityMatrix):
-    """Z-collapse of both flags: [(probability, (z_a, z_b), post_state)].
-
-    Family states only populate the logical flag states, so only the (0, 0)
-    and (1, 1) branches can appear; a cross branch above BRANCH_TOL is an error.
-    The flag projector P is diagonal, so P rho P is rho with the rows and
-    columns of the other flag values zeroed.
-    """
-    digits = np.indices(SOURCE_DIMS).reshape(len(SOURCE_DIMS), -1)   # [subsystem, index]
-    branches = []
-    for za in (0, 1):
-        for zb in (0, 1):
-            on = (digits[FLAG_A] == za) & (digits[FLAG_B] == zb)
-            kept = np.where(np.outer(on, on), rho.matrix, 0)
-            p = float(np.trace(kept).real)
-            if za != zb:
-                if p > BRANCH_TOL:
-                    raise ValueError(f"family source has cross-flag population {p}")
-                continue
-            if p <= BRANCH_TOL:
-                continue
-            post = kept / p
-            branches.append((p, (za, zb), DensityMatrix(SOURCE_DIMS, post)))
-    return branches
-
-
 class Transcript(Record):
     """n >= 1 rounds of ``strategy`` as cell counts: an integer array of shape :data:`CELLS`.
 
@@ -208,14 +184,20 @@ class Transcript(Record):
 
 
 def _cell_law(strategy: EveStrategy) -> np.ndarray:
-    """One round's normalized probability of each cell of :data:`CELLS`."""
-    rho = source_state(strategy)
+    """One round's normalized probability of each cell of :data:`CELLS`.
+
+    ZPremeasure(p) reads both flags in Z, which leaves the reference source with weight
+    ``p.a`` at flag 0 and its conjugate, the source of Conjugate(), with weight 1 - ``p.a``
+    at flag 1: ``multiparty_sim_state`` populates only the flag blocks (0, 0) and (1, 1),
+    and the coherence c joins exactly those two.
+    """
     p = np.zeros(CELLS)
     if isinstance(strategy, ZPremeasure):
-        for weight, (flag, _), post in _flag_branches(rho):
-            p[flag] = weight * _outcome_probs(post)
+        a = strategy.params.a
+        p[0] = a * _outcome_probs(source_state(Honest(SimParams(1.0))))
+        p[1] = (1 - a) * _outcome_probs(source_state(Conjugate()))
     else:
-        p[0] = _outcome_probs(rho)
+        p[0] = _outcome_probs(source_state(strategy))
     p[p <= CELL_TOL] = 0.0
     return p / p.sum()
 
@@ -233,8 +215,9 @@ class QberReport(Record):
 
     The verdict is ``insufficient data`` when a basis has no sifted round, else whether
     ``linalg.failing`` holds every per-basis rate to ``abort_threshold``.  ``flag_mismatches``
-    (premeasured transcripts only) is 0 by construction, as :data:`CELLS` has one flag axis;
-    the guard is :func:`_flag_branches` refusing a cross-flag population.
+    (premeasured transcripts only) is 0 by construction, as :data:`CELLS` has one flag axis:
+    a family member populates no flag block (0, 1) or (1, 0), so reading both flags in Z
+    always finds them equal.
     """
 
     sifted: dict[str, int]
@@ -300,9 +283,11 @@ def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> Qbe
 def zpremeasure_analysis(p: SimParams) -> dict[str, float]:
     """Compare the ZPremeasure(p) cell law, flags summed out, with the Honest(p) law exactly.
 
-    The residual map: ``cells``, the largest |difference| over the 36 cells, and each
-    basis's |QBER difference| as ``rate:<basis>``.  The family source populates only the
-    logical flag states, so each must hold against ``linalg.ATOL``.
+    The premeasured law is the reference law with weight a plus the conjugate law with
+    weight 1 - a, so this checks that c drops out and that the family keeps the statistics
+    of the reference.  The residual map: ``cells``, the largest |difference| over the 36
+    cells, and each basis's |QBER difference| as ``rate:<basis>``; each must hold against
+    ``linalg.ATOL``.
     """
     premeasured = _cell_law(ZPremeasure(p)).sum(axis=0, keepdims=True)
     honest = _cell_law(Honest(p))[:1]

@@ -8,11 +8,14 @@ register index lists: ``party_registers`` lists a party's registers,
 ``embed_operator`` and ``controlled_gate`` embed a matrix by permuting
 subsystems, ``party_circuit`` is the extraction circuit made from them, and
 ``flag_branches`` collapses the source's flags with two 16x16 projectors.
-``dense_rotate``, ``dense_attach_junk`` and ``dense_purify`` build the
-experiment builders' state vectors with a full-space product or a subsystem
-permutation.  ``support_projector`` reads a party's support from the Schmidt
-decomposition across a register cut, and ``dense_multiparty_sim_state`` builds
-a family member flag-major with ``np.kron`` and then interleaves the flags.
+``rotate_experiment`` conjugates a pure experiment by local unitaries as a
+party product, which the tests use to build rotated and scrambled members.
+``dense_rotate``, ``dense_attach_junk`` and ``dense_purify`` build the state
+vectors of ``rotate_experiment`` and of the experiment builders with a
+full-space product or a subsystem permutation.  ``support_projector`` reads a
+party's support from the Schmidt decomposition across a register cut, and
+``dense_multiparty_sim_state`` builds a family member flag-major with
+``np.kron`` and then interleaves the flags.
 ``basis_state`` builds a computational basis state from one index per
 register, and ``expectation`` is tr(rho M) of a full-space operator, the slow
 reference for the per-party correlation kernel ``conjsim.selftest.correlations``.
@@ -34,9 +37,9 @@ import numpy as np
 
 from conjsim.family import SimParams
 from conjsim.linalg import HADAMARD, PAULIS, as_matrix
-from conjsim.selftest import correlations, reference_experiment
-from conjsim.sixstate import FLAG_A, FLAG_B, SOURCE_DIMS
-from conjsim.states import DensityMatrix, StateVector, purify
+from conjsim.selftest import PARTIES, correlations, reference_experiment
+from conjsim.sixstate import SOURCE_DIMS
+from conjsim.states import DensityMatrix, StateVector, purify, replace
 
 
 def _check_order(dims, size, order, what):
@@ -216,8 +219,15 @@ def dense_stabilizer_and_split(exp):
     return stabilizer, split
 
 
+FLAG_A, FLAG_B = 0, 2          # the flag registers of a source of dims SOURCE_DIMS
+
+
 def flag_branches(rho, tol=1e-9):
-    """Z-collapse of both flags: [(probability, (z_a, z_b), post_state)]."""
+    """Z-collapse of both flags: [(probability, (z_a, z_b), post_state)].
+
+    A branch of probability at most ``tol`` is left out, and a cross branch (z_a != z_b)
+    above it is refused.
+    """
     branches = []
     for za in (0, 1):
         for zb in (0, 1):
@@ -235,6 +245,23 @@ def flag_branches(rho, tol=1e-9):
             post = proj @ rho.matrix @ proj / p
             branches.append((p, (za, zb), DensityMatrix(SOURCE_DIMS, post)))
     return branches
+
+
+def rotate_experiment(exp, unitaries):
+    """Conjugate a pure experiment's state and observables by local unitaries (one per party).
+
+    The state is the party product U_A Psi U_B^T.  The rotation scrambles any designated
+    flag registers, so that metadata is dropped.
+    """
+    if not isinstance(exp.state, StateVector):
+        raise ValueError("rotate_experiment expects a pure experiment")
+    units = {p: as_matrix(unitaries[p]) for p in PARTIES}
+    psi = exp.state.amplitudes.reshape(math.prod(exp.party_dims["A"]), -1)
+    psi = exp.act("B", units["B"], exp.act("A", units["A"], psi))
+    obs = {p: {l: units[p] @ m @ units[p].conj().T for l, m in exp.observables[p].items()}
+           for p in PARTIES}
+    return replace(exp, state=StateVector(exp.state.dims, psi), observables=obs,
+                   flag_registers=None)
 
 
 def dense_rotate(exp, unitaries):

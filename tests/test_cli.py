@@ -28,7 +28,6 @@ from conjsim.selftest import (
     family_experiment,
     purify_experiment,
     reference_experiment,
-    rotate_experiment,
     with_observable,
     with_state,
 )
@@ -36,7 +35,7 @@ from conjsim.serialize import complex_to_json, dumps, experiment_to_json, state_
 from conjsim.sixstate import MismatchedFlags, source_state
 from conjsim.states import StateVector, replace
 
-from dense_reference import rejudge, unjudged_names
+from dense_reference import rejudge, rotate_experiment, unjudged_names
 from test_scripts import load_script
 
 
@@ -1426,14 +1425,28 @@ def test_format_belongs_to_simulate_alone(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, absent", [
     (["props", "--trials", "3", "--dim", "2"], {"conjsim.selftest", "conjsim.sixstate"}),
-    (["selftest", "--kind", "mayersyao"], {"conjsim.sixstate"}),
+    (["selftest", "--kind", "mayersyao"], {"conjsim.family", "conjsim.sixstate"}),
+    (["selftest", "--experiment", "experiment.json"], {"conjsim.family", "conjsim.sixstate"}),
+    (["simulate", "--experiment", "experiment.json"], {"conjsim.family", "conjsim.sixstate"}),
     (["selftest", "--sampled", "n=50", "seed=1"], {"conjsim.sixstate"}),
     (["simulate", "--family", "a=0.5", "c=0.5", "--format", "csv"], {"conjsim.sixstate"}),
 ])
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    # conjsim.family loads only where a family member is built: not for a document's experiment
+    (tmp_path / "experiment.json").write_text(
+        dumps(experiment_to_json(reference_experiment("mayersyao"))))
     [(code, _, err, modules)] = fresh_main(tmp_path, argv + ["--out", "report.out"])
     assert (code, err) == (0, "")
     assert "numpy" in modules and absent.isdisjoint(modules)
+
+
+def test_an_infeasible_family_strategy_is_refused_before_the_simulator_loads(tmp_path):
+    [(code, out, err, modules)] = fresh_main(
+        tmp_path, ["qkd", "--strategy", "honest", "a=0.5", "c=0.9", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --strategy honest: |c| = 0.9 exceeds sqrt(a(1-a)) = 0.5\n"
+    assert {"numpy", "conjsim.family"} <= set(modules)
+    assert {"conjsim.selftest", "conjsim.sixstate"}.isdisjoint(modules)
 
 
 def test_internal_value_error_exits_one(monkeypatch, capsys):

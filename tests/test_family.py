@@ -409,6 +409,23 @@ def test_multiparty_flag_support():
     assert abs(flags[0, 3]) == pytest.approx(0.5)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0), phase=st.floats(-np.pi, np.pi))
+def test_a_member_is_the_reference_conjugate_mix_once_its_flags_are_read(a, share, phase):
+    # the construction sixstate's ZPremeasure law rests on: no population, and no coherence,
+    # where the two flags differ, and the flag blocks (0, 0) and (1, 1) are exactly a times
+    # the reference source and 1 - a times the conjugate source
+    p = SimParams(a, share * np.sqrt(a * (1 - a)) * np.exp(1j * phase))
+    shape = (2, 2, 2, 2) * 2                     # rows (fA, dA, fB, dB), then columns
+    rho, ref, conj = (multiparty_sim_state(epr_pair(), q).matrix.reshape(shape)
+                      for q in (p, SimParams(1.0), SimParams(0.0)))
+    for f, g in ((0, 1), (1, 0)):
+        assert not rho[f, :, g].any() and not rho[:, :, :, :, f, :, g].any()
+    for f, weight, source in ((0, p.a, ref), (1, 1 - p.a, conj)):
+        at = (f, slice(None)) * 4
+        assert np.array_equal(rho[at], weight * source[at])
+
+
 def test_multiparty_flags_agree_under_z():
     dims = [2, 2, 2, 2]
     zz_same = (embed_operator(Z, dims, [0]) @ embed_operator(Z, dims, [2]))

@@ -65,7 +65,6 @@ PAPER_OBJECTS = {
     "sim_unitary_evolve": "the family's discrete evolution, C(U) rho' C(U)^dagger",
     "sim_kraus": "the family's lift of a channel in Kraus form",
     "to_real_simulation": "the basis change from the family member to the real simulation",
-    "rotate_experiment": "builds the real simulation from the rotated a = c = 1/2 member",
 }
 
 

@@ -46,7 +46,6 @@ from conjsim.selftest import (
     purify_experiment,
     reference_experiment,
     reference_observables,
-    rotate_experiment,
     run_selftest,
     sampled_correlations,
     setting_labels,
@@ -72,6 +71,7 @@ from dense_reference import (
     per_round_sampled_correlations,
     permute_subsystems_vector,
     rejudge,
+    rotate_experiment,
     support_projector,
     unjudged_names,
 )
