@@ -1,45 +1,44 @@
 """Dense reference routines for the tests: every local operator as an explicit matrix.
 
 The package addresses parties, not registers: a local operator acts on the
-amplitude matrix Psi (d_A, d_B) as the party product ``M Psi`` or
-``Psi M^T``, and its few party-local matrices and product states are built
-with ``np.kron``.  These routines build the same objects independently, on
-register index lists: ``party_registers`` lists a party's registers,
-``embed_operator`` and ``controlled_gate`` embed a matrix by permuting
-subsystems, ``party_circuit`` is the extraction circuit made from them, and
-``flag_branches`` collapses the source's flags with two 16x16 projectors.
-``rotate_experiment`` conjugates a pure experiment by local unitaries as a
-party product, which the tests use to build rotated and scrambled members.
-``dense_rotate``, ``dense_attach_junk`` and ``dense_purify`` build the state
-vectors of ``rotate_experiment`` and of the experiment builders with a
-full-space product or a subsystem permutation.  ``support_projector`` reads a
-party's support from the Schmidt decomposition across a register cut, and
-``dense_multiparty_sim_state`` builds a family member flag-major with
-``np.kron`` and then interleaves the flags.
-``basis_state`` builds a computational basis state from one index per
-register, and ``expectation`` is tr(rho M) of a full-space operator, the slow
-reference for the per-party correlation kernel ``conjsim.selftest.correlations``.
-``per_round_sampled_correlations`` draws every round of a sampled table, the
-slow reference for the one binomial count per entry of
-``conjsim.selftest.sampled_correlations``.  ``per_pair_complex_to_json`` and
+amplitude matrix Psi (d_A, d_B) as ``M Psi`` or ``Psi M^T``.  These routines
+build the same objects independently, on register index lists:
+``party_registers`` lists a party's registers, ``embed_operator`` and
+``controlled_gate`` embed a matrix by permuting subsystems, ``party_circuit``
+is the extraction circuit made from them, ``flag_branches`` collapses the
+source's flags with two 16x16 projectors, and ``support_projector`` reads a
+party's support from the Schmidt decomposition across a register cut.
+``rotate_experiment`` conjugates a pure experiment by local unitaries;
+``dense_rotate``, ``dense_attach_junk``, ``dense_purify`` and
+``dense_multiparty_sim_state`` build the states of it and of the experiment
+builders with full-space products and subsystem permutations.  ``expectation``
+is tr(rho M) of a full-space operator, ``per_round_sampled_correlations`` draws
+every round of a sampled table, ``per_pair_complex_to_json`` and
 ``per_pair_complex_from_json`` write and read a complex array one [re, im] pair
-at a time, the slow reference for the level-at-a-time JSON codec of
-``conjsim.serialize``.  ``dense_stabilizer_and_split`` computes the two state
-identities that ``conjsim.selftest.check_state_equalities`` leaves out.
-``rejudge`` re-derives a self-test report's verdict from its ``residuals``
-alone, and ``unjudged_names`` lists what a report names but does not hold.
-"""
+at a time, and ``dense_stabilizer_and_split`` computes the two state identities
+that ``check_state_equalities`` leaves out.
 
+``dense_run_selftest`` is the self-test written out from the dense stages
+``dense_correlations``, ``dense_state_equalities``, ``dense_d_collapse``,
+``dense_anticommutators``, ``dense_extract``, ``dense_state_fidelity``,
+``dense_action_fidelities``, ``dense_y_coefficient_check`` and
+``dense_family_params``, with its own extraction gate; it calls no stage of
+``conjsim.selftest``.  ``rejudge`` re-derives a report's verdict from its
+``residuals`` alone, and judges ``dense_run_selftest``'s; ``unjudged_names``
+lists what a report names but does not hold.
+"""
 import math
 from typing import Sequence
 
 import numpy as np
 
 from conjsim.family import SimParams
-from conjsim.linalg import HADAMARD, PAULIS, as_matrix
-from conjsim.selftest import PARTIES, correlations, reference_experiment
+from conjsim.linalg import HADAMARD, PAULIS, as_matrix, op_partial_trace, pauli_decompose
+from conjsim.selftest import (ACTION_LABELS, PARTIES, SUBTESTS, CorrelationTable, Experiment,
+                              Extraction, FamilyParams, reference_experiment,
+                              reference_observables, sampled_correlations)
 from conjsim.sixstate import SOURCE_DIMS
-from conjsim.states import DensityMatrix, StateVector, purify, replace
+from conjsim.states import DensityMatrix, StateVector, epr_pair, purify, replace
 
 
 def _check_order(dims, size, order, what):
@@ -287,8 +286,10 @@ def dense_attach_junk(exp, party, junk):
 
 
 def dense_purify(exp):
-    """(dims, vector, flags) of ``purify_experiment``: the auxiliary register moved to A's end."""
-    pure = purify(exp.state)
+    """(dims, vector, flags) of ``purify_experiment``: the auxiliary register moved to A's end.
+
+    A pure experiment's state is kept as it is."""
+    pure = exp.state if isinstance(exp.state, StateVector) else purify(exp.state)
     n, n_a = len(exp.state.dims), len(exp.party_dims["A"])
     order = list(range(n_a)) + [n] + list(range(n_a, n)) if len(pure.dims) > n else list(range(n))
     return _moved(list(pure.dims), pure.amplitudes, order, exp.flag_registers)
@@ -394,7 +395,7 @@ def rejudge(report: dict) -> tuple[list[str], str | None]:
     sampled = report["config"].get("sampled")
     if sampled:
         [n] = [int(token[2:]) for token in sampled if token.startswith("n=")]
-        ref = correlations(reference_experiment("extended"))
+        ref = dense_correlations(reference_experiment("extended"))
         for entry, table in (("joint", ref.joints), ("marginal", ref.marginals)):
             for (a, b), r in table.items():
                 name = f"{entry}({a},{b})"
@@ -418,3 +419,229 @@ def unjudged_names(report: dict) -> list[str]:
         if entry not in res["residuals"].get(stage, {}):
             out.append(failure)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dense self-test: every stage of a pure experiment from full-space matrices
+
+
+def _labels(kind):
+    """The settings of a test kind, sub-test by sub-test, each once."""
+    return list(dict.fromkeys(lab for sub in SUBTESTS[kind] for lab in sub))
+
+
+def _embed(exp, party, m):
+    return embed_operator(m, exp.state.dims, party_registers(exp, party))
+
+
+def dense_correlations(exp):
+    """The exact table over the sub-tests' pairs, each entry tr(rho M) of embedded matrices."""
+    ops = {p: {lab: _embed(exp, p, exp.observable(p, lab)) for lab in _labels(exp.kind)}
+           for p in PARTIES}
+    pairs = dict.fromkeys((la, lb) for sub in SUBTESTS[exp.kind] for la in sub for lb in sub)
+    return CorrelationTable(
+        kind=exp.kind,
+        joints={(la, lb): expectation(exp.state, ops["A"][la] @ ops["B"][lb]) for la, lb in pairs},
+        marginals={(p, lab): expectation(exp.state, ops[p][lab])
+                   for p in PARTIES for lab in _labels(exp.kind)})
+
+
+def dense_joint_outcome_probs(exp, la, lb):
+    rho = exp.state.density().matrix
+    eye = np.eye(exp.state.dim)
+    pa = _embed(exp, "A", exp.observable("A", la))
+    pb = _embed(exp, "B", exp.observable("B", lb))
+    return np.array([np.trace(rho @ (eye + sa * pa) @ (eye + sb * pb)).real / 4
+                     for sa in (1, -1) for sb in (1, -1)])
+
+
+def dense_state_equalities(exp):
+    psi = exp.state.amplitudes
+    ops = {p: {l: _embed(exp, p, exp.observable(p, l)) for l in _labels(exp.kind)}
+           for p in PARTIES}
+    out = {f"transfer={lab}": np.linalg.norm(ops["A"][lab] @ psi - ops["B"][lab] @ psi)
+           for lab in _labels(exp.kind)}
+    for m1, m2, dl in SUBTESTS[exp.kind]:
+        tag = m1 + m2 + dl
+        prod = {p: {(a, b): _embed(exp, p, exp.observable(p, a) @ exp.observable(p, b))
+                    for a, b in ((m1, m2), (m2, m1))} for p in PARTIES}
+        for a, b in ((m1, m2), (m2, m1)):
+            out[f"{tag}:transfer={a}{b}"] = np.linalg.norm(
+                prod["A"][(a, b)] @ psi - prod["B"][(b, a)] @ psi)
+        vecs = [psi, ops["A"][m1] @ psi, ops["A"][m2] @ psi, prod["A"][(m1, m2)] @ psi]
+        out[f"{tag}:orthogonality"] = max(abs(np.vdot(vecs[i], vecs[j]))
+                                          for i in range(4) for j in range(i + 1, 4))
+    return {k: float(v) for k, v in out.items()}
+
+
+def dense_d_collapse(exp):
+    psi = exp.state.amplitudes
+    return {f"{p}:{dl}": float(np.linalg.norm(_embed(
+                exp, p, exp.observable(p, dl)
+                - (exp.observable(p, m1) + exp.observable(p, m2)) / np.sqrt(2)) @ psi))
+            for m1, m2, dl in SUBTESTS[exp.kind] for p in PARTIES}
+
+
+def dense_anticommutators(exp):
+    """||P {M, N} P|| for each party and sub-test (M, N, D), P the party's Schmidt support."""
+    out = {}
+    for p in PARTIES:
+        proj = support_projector(exp.state, party_registers(exp, p))
+        for m1, m2, _ in SUBTESTS[exp.kind]:
+            m, n = exp.observable(p, m1), exp.observable(p, m2)
+            out[f"{p}:{m1}{m2}"] = float(np.linalg.norm(proj @ (m @ n + n @ m) @ proj, ord=2))
+    return out
+
+
+def register_layout(exp):
+    """The extracted register-level layout: dims, each party's register block and ancilla.
+
+    Party-major: A's registers, A's ancilla, B's registers, B's ancilla.
+    """
+    n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
+    dims = exp.party_dims["A"] + (2,) + exp.party_dims["B"] + (2,)
+    blocks = {"A": list(range(n_a)), "B": list(range(n_a + 1, n_a + 1 + n_b))}
+    return dims, blocks, {"A": n_a, "B": n_a + 1 + n_b}
+
+
+def register_vector(ext):
+    """The extracted state on the register-level layout, by an explicit reshape."""
+    dims = register_layout(ext.exp)[0]
+    return StateVector(dims, ext.state.amplitudes.reshape(dims))
+
+
+def dense_extract(exp):
+    """The ungated extraction with both circuits embedded on the register-level layout, its
+    states reshaped to the party layout (d_A, 2, d_B, 2)."""
+    n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
+    d_a, d_b = (math.prod(exp.party_dims[p]) for p in PARTIES)
+    dims, blocks, ancillas = register_layout(exp)
+    vec = np.kron(exp.state.amplitudes, [1, 0, 0, 0])
+    order = list(range(n_a)) + [n_a + n_b] + list(range(n_a, n_a + n_b)) + [n_a + n_b + 1]
+    vec = permute_subsystems_vector(vec, list(exp.state.dims) + [2, 2], order)
+    local_units = {p: party_circuit(exp, p) for p in PARTIES}
+    u_a, u_b = (embed_operator(local_units[p], dims, blocks[p] + [ancillas[p]]) for p in PARTIES)
+
+    def circuit(v):                    # matrix-vector products only
+        return StateVector((d_a, 2, d_b, 2), u_b @ (u_a @ v))
+
+    actions = {(p, lab): circuit(embed_operator(exp.observable(p, lab), dims, blocks[p]) @ vec)
+               for p in PARTIES for lab in ACTION_LABELS}
+    return Extraction(exp=exp, state=circuit(vec), actions=actions, local_units=local_units)
+
+
+def dense_state_fidelity(ext):
+    """{"ancillas": 1 - <Phi'| P |Phi'>}, P the EPR projector embedded on the two ancillas."""
+    dims, _, ancillas = register_layout(ext.exp)
+    phi = epr_pair().amplitudes
+    proj = embed_operator(np.outer(phi, phi.conj()), dims, [ancillas["A"], ancillas["B"]])
+    return {"ancillas": 1 - expectation(register_vector(ext), proj)}
+
+
+def dense_action_fidelities(ext):
+    ref = reference_observables(ext.exp.kind)
+    dims, _, ancillas = register_layout(ext.exp)
+    state = register_vector(ext).amplitudes
+    return {f"{lab}_{p}": 1 - float(abs(np.vdot(
+                ext.actions[(p, lab)].amplitudes,
+                embed_operator(ref[p][lab], dims, [ancillas[p]]) @ state)))
+            for p in PARTIES for lab in ACTION_LABELS}
+
+
+def dense_y_coefficient_check(ext):
+    """(populations, residuals) of the Y normal form, each sign operator embedded in full."""
+    exp = ext.exp
+    dims, registers, ancillas = register_layout(exp)
+    state = register_vector(ext)
+    populations, residuals = {}, {}
+    for party in PARTIES:
+        dims_local = list(exp.party_dims[party]) + [2]
+        anc_local = len(dims_local) - 1
+        u_local = ext.local_units[party]
+        pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
+                                          list(range(anc_local))) @ u_local.conj().T
+        side = registers[party] + [ancillas[party]]
+        proj = support_projector(state, side)
+        blocks = pauli_decompose(proj @ pushed @ proj, anc_local, dims_local)
+        scale = np.sqrt(round(np.trace(proj).real) / 2.0)
+        q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
+        sign = blocks["Y"] if party == "A" else -blocks["Y"]
+        residuals.update({f"{party}:{k}": float(np.linalg.norm(blocks[k])) / scale
+                          for k in ("I", "X", "Z")})
+        residuals[f"{party}:normal_form"] = max(
+            float(np.linalg.norm(sign - sign.conj().T)) / scale,
+            float(np.linalg.norm(sign @ sign - q)) / scale)
+        residuals[f"{party}:factorization"] = float(np.abs(proj - np.kron(q, np.eye(2))).max())
+        plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), dims, side)
+        populations[party] = float(np.real(np.vdot(state.amplitudes, plus @ state.amplitudes)))
+    residuals["population_mismatch"] = abs(populations["A"] - populations["B"])
+    return populations, residuals
+
+
+def dense_family_params(exp, populations, tol):
+    """(FamilyParams, flag checks): a flagged experiment's reduced flag state, read off its
+    amplitudes with both flags permuted to the front; else Alice's sign population."""
+    if exp.flag_registers is None:
+        p0 = populations["A"]
+        coherence = 0.0 if min(p0, 1.0 - p0) <= tol else None
+        return FamilyParams(p0, 1.0 - p0, coherence, "extracted_sign"), {}
+    flags = [exp.flag_registers[p] for p in PARTIES]
+    rest = [i for i in range(len(exp.state.dims)) if i not in flags]
+    m = permute_subsystems_vector(exp.state.amplitudes, exp.state.dims, flags + rest)
+    reduced = m.reshape(4, -1) @ m.reshape(4, -1).conj().T       # over |00>, |01>, |10>, |11>
+    p0, p1 = float(reduced[0, 0].real), float(reduced[3, 3].real)
+    checks = {"flag_leak": float(max(np.abs(reduced[[1, 2]]).max(),
+                                     np.abs(reduced[:, [1, 2]]).max())),
+              **{f"{p}:sign_population": abs(p0 - populations[p]) for p in PARTIES}}
+    return FamilyParams(p0, p1, float(abs(reduced[0, 3])), "flag_registers"), checks
+
+
+def dense_run_selftest(exp, tol=1e-9, stats_tol=1e-10, sampled_n=None, seed=None):
+    """The self-test of ``exp`` from the dense stages, judged by ``rejudge``.
+
+    It returns ``failures``, ``refused_stage``, ``residuals`` (each stage's map, in run
+    order), ``populations`` (each party's sign population, {} when no Y stage ran) and
+    ``family_params`` (the family estimate or None).  The experiment is purified once by
+    ``dense_purify``, the auxiliary register joining A.  The extraction gate is the
+    paper's sub-test 1: the exact deviations of the joints and marginals of (X, Z, D),
+    and the X/Z support anti-commutators of both parties.
+    """
+    dims, vec, flags = dense_purify(exp)
+    eye = np.eye(len(vec) // exp.state.dim)           # the auxiliary register, if any
+    n_b = len(exp.party_dims["B"])
+    observables = {"A": {l: np.kron(m, eye) for l, m in exp.observables["A"].items()},
+                   "B": exp.observables["B"]}
+    pure = Experiment(kind=exp.kind, state=StateVector(dims, vec), observables=observables,
+                      party_dims={"A": dims[:len(dims) - n_b], "B": exp.party_dims["B"]},
+                      flag_registers=flags)
+    exact, ref = dense_correlations(pure), dense_correlations(reference_experiment(exp.kind))
+
+    def deviations(table):
+        return {**{f"joint({a},{b})": abs(table.joints[(a, b)] - r)
+                   for (a, b), r in ref.joints.items()},
+                **{f"marginal({p},{l})": abs(table.marginals[(p, l)] - r)
+                   for (p, l), r in ref.marginals.items()}}
+
+    drawn = exact if sampled_n is None else sampled_correlations(exact, sampled_n, seed)
+    anti, exact_deviations = dense_anticommutators(pure), deviations(exact)
+    gate = ([f"joint({a},{b})" for a in "XZD" for b in "XZD"]
+            + [f"marginal({p},{lab})" for p in PARTIES for lab in "XZD"])
+    residuals = {"statistics": deviations(drawn),
+                 "state_equalities": dense_state_equalities(pure),
+                 "d_collapse": dense_d_collapse(pure),
+                 "anticommutator": anti,
+                 "extraction_refused": {**{name: exact_deviations[name] for name in gate},
+                                        "A:XZ": anti["A:XZ"], "B:XZ": anti["B:XZ"]}}
+    document = {"config": {"sampled": None if sampled_n is None else [f"n={sampled_n}"]},
+                "results": {"tol": tol, "stats_tol": stats_tol, "residuals": residuals}}
+    populations, params = {}, None
+    if rejudge(document)[1] is None:
+        ext = dense_extract(pure)
+        residuals["state_fidelity"] = dense_state_fidelity(ext)
+        residuals["action_fidelity"] = dense_action_fidelities(ext)
+        if exp.kind == "extended":
+            populations, residuals["y_coefficients"] = dense_y_coefficient_check(ext)
+            params, residuals["family_params"] = dense_family_params(pure, populations, tol)
+    failures, refused_stage = rejudge(document)
+    return {"failures": failures, "refused_stage": refused_stage, "residuals": residuals,
+            "populations": populations, "family_params": params}

@@ -54,22 +54,21 @@ from conjsim.selftest import (
     y_coefficient_check,
 )
 from conjsim.serialize import dumps, equivalence_report_to_dict
-from conjsim.states import DensityMatrix, Record, StateVector, epr_pair, replace
+from conjsim.states import DensityMatrix, StateVector, epr_pair, replace
 
 from dense_reference import (
     RUN_ORDER,
     ancillas_last,
     basis_state,
     dense_attach_junk,
+    dense_extract,
+    dense_joint_outcome_probs,
     dense_purify,
     dense_rotate,
+    dense_run_selftest,
     dense_stabilizer_and_split,
-    embed_operator,
-    expectation,
     party_circuit,
-    party_registers,
     per_round_sampled_correlations,
-    permute_subsystems_vector,
     rejudge,
     rotate_experiment,
     support_projector,
@@ -867,226 +866,39 @@ def test_each_stage_passes_at_its_bound_and_fails_above(case, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# dense reference pipeline: every full-space operator built explicitly
+# the dense oracle: dense_run_selftest against run_selftest
 
 
-def _embed(exp, party, m):
-    return embed_operator(m, exp.state.dims, party_registers(exp, party))
-
-
-def dense_correlations(exp, include_cross_pairs=False):
-    joints = {}
-    for la, lb in pair_schedule(exp.kind, include_cross_pairs):
-        op = _embed(exp, "A", exp.observable("A", la)) @ _embed(exp, "B", exp.observable("B", lb))
-        joints[(la, lb)] = expectation(exp.state, op)
-    marginals = {(p, lab): expectation(exp.state, _embed(exp, p, exp.observable(p, lab)))
-                 for p in PARTIES for lab in setting_labels(exp.kind)}
-    return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
-
-
-def dense_joint_outcome_probs(exp, la, lb):
-    rho = exp.state.density().matrix
-    eye = np.eye(exp.state.dim)
-    pa = _embed(exp, "A", exp.observable("A", la))
-    pb = _embed(exp, "B", exp.observable("B", lb))
-    return np.array([np.trace(rho @ (eye + sa * pa) @ (eye + sb * pb)).real / 4
-                     for sa in (1, -1) for sb in (1, -1)])
-
-
-def dense_state_equalities(exp):
-    exp = purify_experiment(exp)
-    psi = exp.state.amplitudes
-    ops = {p: {l: _embed(exp, p, exp.observable(p, l)) for l in setting_labels(exp.kind)}
-           for p in PARTIES}
-    out = {f"transfer={lab}": np.linalg.norm(ops["A"][lab] @ psi - ops["B"][lab] @ psi)
-           for lab in setting_labels(exp.kind)}
-    for m1, m2, dl in SUBTESTS[exp.kind]:
-        tag = m1 + m2 + dl
-        prod = {p: {(a, b): _embed(exp, p, exp.observable(p, a) @ exp.observable(p, b))
-                    for a, b in ((m1, m2), (m2, m1))} for p in PARTIES}
-        for a, b in ((m1, m2), (m2, m1)):
-            out[f"{tag}:transfer={a}{b}"] = np.linalg.norm(
-                prod["A"][(a, b)] @ psi - prod["B"][(b, a)] @ psi)
-        vecs = [psi, ops["A"][m1] @ psi, ops["A"][m2] @ psi, prod["A"][(m1, m2)] @ psi]
-        out[f"{tag}:orthogonality"] = max(abs(np.vdot(vecs[i], vecs[j]))
-                                          for i in range(4) for j in range(i + 1, 4))
-    return {k: float(v) for k, v in out.items()}
-
-
-def dense_d_collapse(exp):
-    exp = purify_experiment(exp)
-    psi = exp.state.amplitudes
-    return {f"{p}:{dl}": float(np.linalg.norm(_embed(
-                exp, p, exp.observable(p, dl)
-                - (exp.observable(p, m1) + exp.observable(p, m2)) / np.sqrt(2)) @ psi))
-            for m1, m2, dl in SUBTESTS[exp.kind] for p in PARTIES}
-
-
-def dense_anticommutator_residual(exp, party, pair):
-    exp = purify_experiment(exp)
-    m, n = exp.observable(party, pair[0]), exp.observable(party, pair[1])
-    proj = support_projector(exp.state, party_registers(exp, party))
-    return float(np.linalg.norm(proj @ (m @ n + n @ m) @ proj, ord=2))
-
-
-def register_layout(exp):
-    """The extracted register-level layout: dims, each party's register block and ancilla.
-
-    Party-major: A's registers, A's ancilla, B's registers, B's ancilla.
-    """
-    n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
-    dims = exp.party_dims["A"] + (2,) + exp.party_dims["B"] + (2,)
-    blocks = {"A": list(range(n_a)), "B": list(range(n_a + 1, n_a + 1 + n_b))}
-    return dims, blocks, {"A": n_a, "B": n_a + 1 + n_b}
-
-
-def party_layout(exp, vec):
-    """A register-level extracted vector on the party layout (d_A, 2, d_B, 2): a reshape."""
-    d_a, d_b = (int(np.prod(exp.party_dims[p])) for p in PARTIES)
-    return StateVector((d_a, 2, d_b, 2), vec.reshape(d_a, 2, d_b, 2))
-
-
-def register_vector(ext):
-    """The extracted state on the register-level layout, by an explicit reshape."""
-    dims = register_layout(ext.exp)[0]
-    return StateVector(dims, ext.state.amplitudes.reshape(dims))
-
-
-def dense_extract(exp):
-    """The ungated extraction with both circuits embedded on the register-level layout."""
-    exp = purify_experiment(exp)
-    n_a, n_b = len(exp.party_dims["A"]), len(exp.party_dims["B"])
-    dims, blocks, ancillas = register_layout(exp)
-    vec = np.kron(exp.state.amplitudes, [1, 0, 0, 0])
-    order = list(range(n_a)) + [n_a + n_b] + list(range(n_a, n_a + n_b)) + [n_a + n_b + 1]
-    vec = permute_subsystems_vector(vec, list(exp.state.dims) + [2, 2], order)
-    local_units = {p: party_circuit(exp, p) for p in PARTIES}
-    u = (embed_operator(local_units["B"], dims, blocks["B"] + [ancillas["B"]])
-         @ embed_operator(local_units["A"], dims, blocks["A"] + [ancillas["A"]]))
-    actions = {}
-    for party in PARTIES:
-        for lab in ACTION_LABELS:
-            m_emb = embed_operator(exp.observable(party, lab), dims, blocks[party])
-            actions[(party, lab)] = party_layout(exp, u @ m_emb @ vec)
-    return Extraction(exp=exp, state=party_layout(exp, u @ vec), actions=actions,
-                      local_units=local_units)
-
-
-def dense_partial_trace(state, keep):
-    dm = state.density()
-    keep = sorted(keep)
-    return DensityMatrix([dm.dims[k] for k in keep], op_partial_trace(dm.matrix, dm.dims, keep))
-
-
-def dense_action_fidelities(ext):
-    ref = reference_observables(ext.exp.kind)
-    dims, _, ancillas = register_layout(ext.exp)
-    state = register_vector(ext).amplitudes
-    return {f"{lab}_{p}": 1 - float(abs(np.vdot(
-                ext.actions[(p, lab)].amplitudes,
-                embed_operator(ref[p][lab], dims, [ancillas[p]]) @ state)))
-            for p in PARTIES for lab in ACTION_LABELS}
-
-
-def dense_y_coefficient_check(ext):
-    """:func:`y_coefficient_check` with each party's sign operator embedded in the full space."""
-    exp = ext.exp
-    dims, registers, ancillas = register_layout(exp)
-    state = register_vector(ext)
-    populations, residuals = {}, {}
-    for party in PARTIES:
-        dims_local = list(exp.party_dims[party]) + [2]
-        anc_local = len(dims_local) - 1
-        u_local = ext.local_units[party]
-        pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
-                                          list(range(anc_local))) @ u_local.conj().T
-        side = registers[party] + [ancillas[party]]
-        proj = support_projector(state, side)
-        blocks = pauli_decompose(proj @ pushed @ proj, anc_local, dims_local)
-        scale = np.sqrt(round(np.trace(proj).real) / 2.0)
-        q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
-        sign = blocks["Y"] if party == "A" else -blocks["Y"]
-        residuals.update({f"{party}:{k}": float(np.linalg.norm(blocks[k])) / scale
-                          for k in ("I", "X", "Z")})
-        residuals[f"{party}:normal_form"] = max(
-            float(np.linalg.norm(sign - sign.conj().T)) / scale,
-            float(np.linalg.norm(sign @ sign - q)) / scale)
-        residuals[f"{party}:factorization"] = float(np.abs(proj - np.kron(q, np.eye(2))).max())
-        plus = embed_operator(np.kron((q + sign) / 2.0, np.eye(2)), dims, side)
-        populations[party] = float(np.real(np.vdot(state.amplitudes, plus @ state.amplitudes)))
-    residuals["population_mismatch"] = abs(populations["A"] - populations["B"])
-    return populations, residuals
-
-
-def dense_anticommutators(exp):
-    """:func:`anticommutator_residual` in dense form, pair by pair."""
-    return {f"{p}:{m1}{m2}": dense_anticommutator_residual(exp, p, (m1, m2))
-            for p in PARTIES for m1, m2, _ in SUBTESTS[exp.kind]}
-
-
-DENSE_STAGES = {
-    "correlations": dense_correlations,
-    "check_state_equalities": dense_state_equalities,
-    "check_d_collapse": dense_d_collapse,
-    "anticommutator_residual": dense_anticommutators,
-    "extraction_isometry": dense_extract,
-    "partial_trace": dense_partial_trace,
-    "extraction_action_fidelities": dense_action_fidelities,
-    "y_coefficient_check": dense_y_coefficient_check,
-}
-
-
-def in_dense_form(monkeypatch, call, *args, **kwargs):
-    """``call(*args, **kwargs)`` with every stage that touches the full space in its dense form."""
-    with monkeypatch.context() as patch:
-        for name, fn in DENSE_STAGES.items():
-            patch.setattr(selftest, name, fn)
-        return call(*args, **kwargs)
-
-
-def dense_selftest(exp, monkeypatch, **kwargs):
-    """run_selftest with every stage that touches the full space in its dense form."""
-    return in_dense_form(monkeypatch, run_selftest, exp, **kwargs)
-
-
-def unjudged_numbers(exp, report):
-    """The stage numbers that no rule judges, which a report leaves out: for an extended run
-    past the gate, each party's sign population."""
-    if exp.kind != "extended" or report.refused_stage is not None:
-        return {}
-    populations, _ = selftest.y_coefficient_check(
-        selftest.extraction_isometry(purify_experiment(exp)))
-    return {f"populations.{party}": p0 for party, p0 in populations.items()}
-
-
-def report_numbers(value, path="report"):
-    """Every float in a report, keyed by its path."""
-    if isinstance(value, float):
-        return {path: value}
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, (tuple, list)):
-        items = enumerate(value)
-    elif isinstance(value, Record):
-        items = ((name, getattr(value, name)) for name in value._fields)
-    else:
-        return {}
-    out = {}
-    for key, item in items:
-        out.update(report_numbers(item, f"{path}.{key}"))
+def stage_numbers(residuals, populations, params):
+    """Every residual, sign population and family number, keyed by where it sits."""
+    out = {(stage, e): v for stage, entries in residuals.items() for e, v in entries.items()}
+    out.update({("populations", party): p0 for party, p0 in populations.items()})
+    if params is not None:
+        out.update({("family_params", name): getattr(params, name) for name in params._fields
+                    if isinstance(getattr(params, name), float)})
     return out
 
 
-def assert_same_report(fast, dense, exp, atol=1e-12):
-    """The reports of ``exp`` agree, and so do the stage numbers they leave out."""
-    assert (fast.passed, fast.failures, fast.refused_stage) == \
-        (dense.passed, dense.failures, dense.refused_stage)
-    got = {**report_numbers(fast), **unjudged_numbers(exp, fast)}
-    want = {**report_numbers(dense),
-            **in_dense_form(pytest.MonkeyPatch(), unjudged_numbers, exp, dense)}
+def assert_same_report(exp, atol=1e-12, **kwargs):
+    """run_selftest and dense_run_selftest agree on ``exp``: the verdict exactly, the stage and
+    entry names as ordered lists, the family estimate's source, and every residual, sign
+    population and family number within ``atol``.  Returns run_selftest's report."""
+    fast, dense = run_selftest(exp, **kwargs), dense_run_selftest(exp, **kwargs)
+    assert (list(fast.failures), fast.refused_stage) == (dense["failures"], dense["refused_stage"])
+    assert [(stage, list(entries)) for stage, entries in fast.residuals.items()] == \
+        [(stage, list(entries)) for stage, entries in dense["residuals"].items()]
+    family = [None if p is None else (p.source, p.coherence is None)
+              for p in (fast.family_params, dense["family_params"])]
+    assert family[0] == family[1]
+    # no rule judges the sign populations, so a report leaves them out
+    populations = {} if exp.kind != "extended" or fast.refused_stage else \
+        y_coefficient_check(extraction_isometry(exp))[0]
+    got = stage_numbers(fast.residuals, populations, fast.family_params)
+    want = stage_numbers(dense["residuals"], dense["populations"], dense["family_params"])
     assert got.keys() == want.keys()
     worst = max((abs(got[k] - want[k]), k) for k in got)
     assert worst[0] <= atol, worst
+    return fast
 
 
 def swapped(exp, party, la, lb):
@@ -1096,10 +908,12 @@ def swapped(exp, party, la, lb):
 
 
 def junk_ladder_experiment(dim, seed, junk_a=None):
-    """A passing family member padded with random junk on both sides to dimension ``dim``;
-    A's junk is the qubit state ``junk_a`` when one is given."""
+    """A passing experiment padded with random junk on both sides to dimension ``dim``: the
+    family member (0.3, 0.25 e^0.7i), purified to D = 32, from D = 64 on, the extended reference
+    below.  A's junk is the qubit state ``junk_a`` when one is given."""
     rng = np.random.default_rng(seed)
-    exp = purify_experiment(family_experiment(SimParams(0.3, 0.25 * np.exp(0.7j)), "extended"))
+    exp = reference_experiment("extended") if dim < 64 else \
+        purify_experiment(family_experiment(SimParams(0.3, 0.25 * np.exp(0.7j)), "extended"))
     junk = dim // exp.state.dim
     for party, jdim in (("A", 2), ("B", junk // 2)):
         v = rng.standard_normal(jdim) + 1j * rng.standard_normal(jdim)
@@ -1119,8 +933,8 @@ def x_as_z_outside_the_support(dim, seed):
     return with_observable(exp, "A", "X", x @ on + z @ (np.eye(len(on)) - on))
 
 
-@pytest.mark.parametrize("dim", [64, 256])
-def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
+@pytest.mark.parametrize("dim", [16, 64, 256])
+def test_local_kernel_matches_dense_pipeline(dim):
     rng = np.random.default_rng(dim)
     exp = junk_ladder_experiment(dim, seed=dim)
     rotated = rotate_experiment(exp, {
@@ -1129,8 +943,7 @@ def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
     cases = {"passing": exp, "rotated": rotated, "x_as_z_outside_the_support": outside,
              "swapped_A": swapped(exp, "A", "X", "Z"), "swapped_B": swapped(exp, "B", "Z", "D")}
     for name, case in cases.items():
-        fast = run_selftest(case)
-        assert_same_report(fast, dense_selftest(case, monkeypatch), case)
+        fast = assert_same_report(case)
         assert fast.passed == (not name.startswith("swapped")), name
     table = correlations(exp)
     for la, lb in pair_schedule("extended"):
@@ -1138,12 +951,10 @@ def test_local_kernel_matches_dense_pipeline(dim, monkeypatch):
                                    dense_joint_outcome_probs(exp, la, lb), atol=1e-12)
 
 
-def test_local_kernel_matches_dense_pipeline_mixed_and_sampled(monkeypatch):
-    exp = family_experiment(SimParams(0.4, 0.2), "extended")     # a density matrix
-    assert_same_report(run_selftest(exp), dense_selftest(exp, monkeypatch), exp)
-    junked = junk_ladder_experiment(64, seed=3)
-    assert_same_report(run_selftest(junked, sampled_n=2000, seed=8),
-                       dense_selftest(junked, monkeypatch, sampled_n=2000, seed=8), junked)
+def test_local_kernel_matches_dense_pipeline_mixed_and_sampled():
+    assert_same_report(family_experiment(SimParams(0.4, 0.2), "extended"))   # a density matrix
+    assert_same_report(reference_experiment("mayersyao"))
+    assert_same_report(junk_ladder_experiment(64, seed=3), sampled_n=2000, seed=8)
 
 
 @st.composite
@@ -1180,15 +991,9 @@ def test_party_layout_matches_register_layout_oracles(case):
     for got, want in [(ext.state, oracle.state)] + [
             (ext.actions[key], action) for key, action in oracle.actions.items()]:
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
-    fast = run_selftest(exp)
-    dense = dense_selftest(exp, pytest.MonkeyPatch())
-    assert_same_report(fast, dense, exp)
+    fast = assert_same_report(exp)
     assert fast.passed and fast.refused_stage is None
-    # the populations are report floats, so they already agree within 1e-12
-    flags = [equivalence_report_to_dict(r)["flag_populations"] for r in (fast, dense)]
-    assert [(f["source"], f["coherence"] is None) for f in flags] == \
-        [(flags[0]["source"], flags[0]["coherence"] is None)] * 2
-    assert flags[0]["population_0"] == pytest.approx(a, abs=1e-9)
+    assert fast.family_params.population_0 == pytest.approx(a, abs=1e-9)
 
 
 def rotated_setting(exp, party, label, angle, seed):
@@ -1286,11 +1091,29 @@ def test_failure_names_do_not_hang_on_rounding(monkeypatch):
 def test_failure_names_match_dense_oracle(case):
     exp, _ = case
     for party, la, lb in (("A", "X", "Z"), ("B", "X", "Z"), ("A", "Z", "D")):
-        bad = swapped(exp, party, la, lb)
-        fast, dense = run_selftest(bad), dense_selftest(bad, pytest.MonkeyPatch())
-        assert not fast.passed
-        assert named_entry(fast, "statistics") == named_entry(dense, "statistics")
-        assert_same_report(fast, dense, bad)
+        assert not assert_same_report(swapped(exp, party, la, lb)).passed
+
+
+def mayers_yao_part(exp):
+    """R(exp): an extended experiment's state, party dims and flags with only its X, Z and D
+    settings, as a Mayers-Yao experiment."""
+    return replace(exp, kind="mayersyao",
+                   observables={p: {lab: exp.observable(p, lab) for lab in "XZD"} for p in PARTIES})
+
+
+@given(rotated_junked_members(), st.booleans())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_the_extended_test_contains_the_mayers_yao_test(case, x_as_z):
+    """Every entry of the exact run of R(exp) equals the same-named entry of the run of exp,
+    and both give the same refused_stage; so a stage of R(exp) fails only where exp's does.
+    On some draws X_A is replaced by Z_A, which refuses extraction."""
+    exp = with_observable(case[0], "A", "X", case[0].observable("A", "Z")) if x_as_z else case[0]
+    full, part = run_selftest(exp), run_selftest(mayers_yao_part(exp))
+    assert part.refused_stage == full.refused_stage == ("extraction" if x_as_z else None)
+    for stage, entries in part.residuals.items():
+        assert entries.items() <= full.residuals[stage].items(), stage
+    assert {f.partition("[")[0] for f in part.failures} <= \
+        {f.partition("[")[0] for f in full.failures}
 
 
 @given(seeds)
@@ -1369,8 +1192,7 @@ def test_party_circuit_equals_dense_circuit():
 
 
 # --------------------------------------------------------------------------
-# slow references: a per-entry expectation loop and a self-contained
-# extraction gate that recomputes every value it reads
+# slow references: a per-entry expectation loop, and the dense oracle's extraction gate
 
 
 def expectation_loop_correlations(exp, include_cross_pairs=False):
@@ -1391,34 +1213,6 @@ def expectation_loop_correlations(exp, include_cross_pairs=False):
     marginals = {(p, lab): expect({p: exp.observable(p, lab)})
                  for p in PARTIES for lab in setting_labels(exp.kind)}
     return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
-
-
-def recomputing_extraction_gate(exp, tol, stats_tol):
-    """Statistics (sub-test 1 entries) and X/Z anti-commutation gate, each recomputed.
-
-    Every failing entry with its residual, in gate order and named as the report
-    keys it; empty when extraction may run.
-    """
-    exp = purify_experiment(exp)
-    table = expectation_loop_correlations(exp)
-    ref = expectation_loop_correlations(reference_experiment(exp.kind))
-    sub1 = SUBTESTS[exp.kind][0]
-    failing = {}
-    for la in sub1:
-        for lb in sub1:
-            dev = abs(table.joints[(la, lb)] - ref.joints[(la, lb)])
-            if dev > stats_tol:
-                failing[f"joint({la},{lb})"] = dev
-    for p in PARTIES:
-        for lab in sub1:
-            dev = abs(table.marginals[(p, lab)] - ref.marginals[(p, lab)])
-            if dev > stats_tol:
-                failing[f"marginal({p},{lab})"] = dev
-    for p in PARTIES:
-        support = dense_anticommutator_residual(exp, p, (sub1[0], sub1[1]))
-        if support > tol:
-            failing[f"{p}:{sub1[0]}{sub1[1]}"] = support
-    return failing
 
 
 def mixed_with_product(exp, weight):
@@ -1487,27 +1281,22 @@ def gate_cases():
 
 
 def test_extraction_gate_matches_recomputing_gate():
+    """The gate agrees with the dense oracle's, written out from sub-test 1, on cases that pass
+    it and cases refused by each kind of entry it reads."""
     branches = set()
     for name, exp, kwargs in gate_cases():
-        tol, stats_tol = 1e-9, kwargs.get("stats_tol", 1e-10)
-        failing = recomputing_extraction_gate(exp, tol, stats_tol)
-        first = next(iter(failing), "")
-        branches.add("anticommutator" if ":" in first else first.split("(")[0])
-        report = run_selftest(exp, **kwargs)
-        assert report.refused_stage == ("extraction" if failing else None), name
-        assert ("state_fidelity" not in report.residuals) == bool(failing), name
+        report = assert_same_report(exp, **kwargs)
+        gate = named_entry(report, "extraction_refused")
+        branches.add("anticommutator" if ":" in gate else gate.split("(")[0])
+        assert report.refused_stage == ("extraction" if gate else None), name
+        assert ("state_fidelity" not in report.residuals) == bool(gate), name
         assert isinstance(extraction_isometry(exp), Extraction), name
-        # one gate name: an entry the oracle fails by the largest residual, up to rounding
-        gate = [f for f in report.failures if f.startswith("extraction_refused[")]
-        worst = max(failing.values(), default=0.0)
-        assert gate in ([[f"extraction_refused[{key}]"] for key, v in failing.items()
-                         if v >= worst * (1 - 1e-9)] or [[]]), name
     assert branches == {"", "joint", "marginal", "anticommutator"}
 
 
 def test_sampled_statistics_failure_does_not_refuse_extraction(monkeypatch):
     exp = junk_ladder_experiment(64, seed=2)
-    assert recomputing_extraction_gate(exp, 1e-9, 1e-10) == {}
+    assert dense_run_selftest(exp)["failures"] == []
     monkeypatch.setattr(selftest, "NSIGMA", 0.01)
     report = run_selftest(exp, sampled_n=400, seed=9)
     assert named_entry(report, "statistics") != ""

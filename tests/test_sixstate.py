@@ -363,6 +363,17 @@ def test_source_state_mismatched_flags():
     assert diag[0, :, 1, :].sum() == pytest.approx(1.0)
 
 
+def test_flag_branches_refuse_a_cross_flag_population():
+    # both mismatched sources, and a family source with 1e-6 of one mixed in: a cross-flag
+    # population above tol (1e-9) but far below 1
+    family = source_state(Honest(SimParams(0.3, 0.25 * np.exp(0.7j)))).matrix
+    cross = source_state(MismatchedFlags(0, 1)).matrix
+    for rho in (source_state(MismatchedFlags(0, 1)), source_state(MismatchedFlags(1, 0)),
+                DensityMatrix(SOURCE_DIMS, (1 - 1e-6) * family + 1e-6 * cross)):
+        with pytest.raises(ValueError, match="cross-flag population"):
+            flag_branches(rho)
+
+
 def test_run_rounds_honest_reference_no_errors():
     t = run_rounds(Honest(SimParams(1.0, 0.0)), 1000, seed=1)
     report = sift(t)
