@@ -16,7 +16,9 @@ is tr(rho M) of a full-space operator, ``per_round_sampled_correlations`` draws
 every round of a sampled table, ``per_pair_complex_to_json`` and
 ``per_pair_complex_from_json`` write and read a complex array one [re, im] pair
 at a time, and ``dense_stabilizer_and_split`` computes the two state identities
-that ``check_state_equalities`` leaves out.
+that ``check_state_equalities`` leaves out.  ``per_trial_lifting_residuals`` is
+the property suite's eight algebraic items one trial at a time, every lift a
+``block_lift``.
 
 ``dense_run_selftest`` is the self-test written out from the dense stages
 ``dense_correlations``, ``dense_state_equalities``, ``dense_d_collapse``,
@@ -33,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from conjsim.family import SimParams
-from conjsim.linalg import HADAMARD, PAULIS, as_matrix, op_partial_trace, pauli_decompose
+from conjsim.linalg import (HADAMARD, PAULIS, as_matrix, op_partial_trace, pauli_decompose,
+                            random_complex_matrix, random_hermitian, random_psd, random_unitary)
 from conjsim.selftest import (ACTION_LABELS, PARTIES, SUBTESTS, CorrelationTable, Experiment,
                               Extraction, FamilyParams, reference_experiment,
                               reference_observables, sampled_correlations)
@@ -102,6 +105,68 @@ def dense_multiparty_sim_state(psi: StateVector, p: SimParams) -> DensityMatrix:
     order = [i for party in range(n_parties) for i in (party, n_parties + party)]
     dims = [2] * n_parties + list(psi.dims)
     return DensityMatrix([dims[o] for o in order], permute_subsystems_matrix(mat, dims, order))
+
+
+def block_lift(upper, lower):
+    """The block-diagonal matrix [[upper, 0], [0, lower]]."""
+    m = as_matrix(upper)
+    zero = np.zeros_like(m)
+    return np.block([[m, zero], [zero, lower]])
+
+
+def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, float]:
+    """The eight algebraic items of ``family.c_property_suite``, one trial at a time.
+
+    It draws what the suite draws, in its order, and lifts each matrix by itself; the
+    lift is ``block_lift``, so no code of the suite's lift is shared.
+    """
+    def c_of(m):
+        return block_lift(m, m.conj())
+
+    def both_ways(m, defect):
+        # preservation in both directions: the lifted defect is exactly sqrt(2) times
+        # the original (Frobenius), so this residual vanishes iff they agree.
+        return abs(defect(c_of(m)) - np.sqrt(2) * defect(m))
+
+    rng = np.random.default_rng(seed)
+    res = {k: [] for k in (
+        "multiplicative", "additive", "real_scalar", "eigenvector_lift",
+        "hermiticity", "unitarity", "psd", "trace_doubling")}
+
+    def bump(key, value):
+        res[key].append(value)
+
+    for _ in range(trials):
+        m = random_complex_matrix(dim, rng)
+        n = random_complex_matrix(dim, rng)
+        bump("multiplicative", np.abs(c_of(m @ n) - c_of(m) @ c_of(n)).max())
+        bump("additive", np.abs(c_of(m + n) - (c_of(m) + c_of(n))).max())
+        s = float(rng.standard_normal())
+        bump("real_scalar", np.abs(c_of(s * m) - s * c_of(m)).max())
+
+        evals, evecs = np.linalg.eig(m)
+        k = int(np.argmax(np.abs(evals)))
+        lam, vec = evals[k], evecs[:, k]
+        lifted0 = np.concatenate([vec, np.zeros_like(vec)])
+        lifted1 = np.concatenate([np.zeros_like(vec), vec.conj()])
+        bump("eigenvector_lift", np.linalg.norm(c_of(m) @ lifted0 - lam * lifted0))
+        bump("eigenvector_lift", np.linalg.norm(c_of(m) @ lifted1 - np.conj(lam) * lifted1))
+
+        herm = random_hermitian(dim, rng)
+        bump("hermiticity", both_ways(m, lambda x: np.linalg.norm(x - x.conj().T)))
+        bump("hermiticity", np.abs(c_of(herm) - c_of(herm).conj().T).max())
+
+        u = random_unitary(dim, rng)
+        bump("unitarity", both_ways(m, lambda x: np.linalg.norm(x @ x.conj().T - np.eye(len(x)))))
+        bump("unitarity", np.abs(c_of(u) @ c_of(u).conj().T - np.eye(2 * dim)).max())
+
+        psd = random_psd(dim, rng)
+        bump("psd", abs(np.linalg.eigvalsh(c_of(psd)).min() - np.linalg.eigvalsh(psd).min()))
+        bump("psd", abs(np.linalg.eigvalsh(c_of(herm)).min() - np.linalg.eigvalsh(herm).min()))
+
+        bump("trace_doubling", abs(np.trace(c_of(herm)) - 2 * np.trace(herm)))
+
+    return {k: float(np.max(v)) for k, v in res.items()}
 
 
 def basis_state(dims, index) -> StateVector:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import gc
 import hashlib
 import io
@@ -77,26 +78,72 @@ def test_props_fixture_failure(tmp_path):
     assert failing == ["fixture[fake_unitary:unitary]"]
 
 
-# SHA-256 of the --out bytes of props jobs shaped like the benchmark's small jobs, a config
-# run, and a config whose fixtures pass and fail; paths are relative, so the bytes are fixed.
+# The expected outputs of the pinned jobs are files under tests/golden, written by the code
+# before the property suite was batched.  A report is compared as parsed JSON, a CSV table row
+# by row: keys, strings, integers, bools and nulls exactly, floats within FLOAT_ATOL or
+# FLOAT_RTOL.  Residuals round differently on each BLAS kernel (by up to 1.6e-15 seen), so
+# bytes are not portable; the tolerance is about 100 times that.  Every job's input path is
+# relative, so the outputs do not depend on where the job runs.
+GOLDEN = Path(__file__).parent / "golden"
+FLOAT_ATOL, FLOAT_RTOL = 1e-13, 1e-12
+
+
+def mismatches(got, want, where="$"):
+    """Where a parsed output differs from the expected one, as a list of readable paths."""
+    if type(got) is not type(want):
+        return [f"{where}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for key in want for m in mismatches(got[key], want[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{where}: {len(got)} entries != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{where}[{i}]")]
+    if isinstance(want, float) and (got == want or np.isnan(got) and np.isnan(want)
+                                    or abs(got - want) <= max(FLOAT_ATOL, FLOAT_RTOL * abs(want))):
+        return []
+    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+def parsed_output(path):
+    """A JSON file as parsed JSON; a CSV table as rows of cells read as int, float or text."""
+    text = Path(path).read_text()
+    if Path(path).suffix == ".json":
+        return json.loads(text)
+
+    def cell(value):
+        for kind in (int, float):
+            with contextlib.suppress(ValueError):
+                return kind(value)
+        return value
+
+    return [[cell(value) for value in row] for row in csv.reader(io.StringIO(text))]
+
+
+def output_mismatches(path, expected):
+    """How the file at ``path`` differs from ``expected``: a golden file's name, or the SHA-256
+    of a QKD transcript, which holds no float and so keeps its bytes."""
+    if "." not in expected:
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        return [] if digest == expected else [f"sha256 {digest}"]
+    return mismatches(parsed_output(path), parsed_output(GOLDEN / expected))
+
+
+# props jobs shaped like the benchmark's small jobs, a config run, and a config whose fixtures
+# pass and fail: (argv, exit code, golden file)
 PROPS_REPORTS = [
-    (["props", "--dim", "2", "--trials", "20", "--seed", "11"], 0,
-     "71a6a5d9994af4b2b99e746c5678a40d381ccdd17cfafe9ac8922016f7cfc667"),
-    (["props", "--dim", "4", "--trials", "30", "--seed", "12"], 0,
-     "5f7bfba9534a464b574f167a49ceef1f59fe901d0d7fcd510b9eb86fae800c1d"),
-    (["props", "--dim", "6", "--trials", "30", "--seed", "13"], 0,
-     "3599c3ca22436b6bfba69e028a5cc9031bed11ff361e9bf24be14d1f17aeec4b"),
-    (["props", "--dim", "8", "--trials", "40", "--seed", "14"], 0,
-     "11ed5dab4ef92f18c0b651bb1e94eb514b5d68c6c45caaddfcddabacd4f9a8bd"),
-    (["--config", "config.json", "props"], 0,
-     "ffc4064ff46ebd2b48a2a9674727cb338c5e6ec42c20c966708b09d5c3c13593"),
-    (["--config", "fixtures.json", "props"], 1,
-     "4b5028cc41dc6e394599dbd4032537d3c5510a9c47362d6933bbdc45203db7d0"),
+    (["props", "--dim", "2", "--trials", "20", "--seed", "11"], 0, "props/dim2.json"),
+    (["props", "--dim", "4", "--trials", "30", "--seed", "12"], 0, "props/dim4.json"),
+    (["props", "--dim", "6", "--trials", "30", "--seed", "13"], 0, "props/dim6.json"),
+    (["props", "--dim", "8", "--trials", "40", "--seed", "14"], 0, "props/dim8.json"),
+    (["--config", "config.json", "props"], 0, "props/config.json"),
+    (["--config", "fixtures.json", "props"], 1, "props/fixtures.json"),
 ]
 
 
-def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def write_props_configs():
     Path("config.json").write_text(dumps({"dim": 5, "trials": 25, "seed": 3}))
     Path("fixtures.json").write_text(dumps({"trials": 5, "seed": 2, "fixtures": [
         {"label": "hadamard", "matrix": complex_to_json(HADAMARD),
@@ -106,37 +153,32 @@ def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
         {"label": "rotation", "matrix": complex_to_json(np.array([[0, -1], [1, 0]])),
          "claims": ["psd"]},
     ]}))
-    for argv, code, digest in PROPS_REPORTS:
-        assert run(argv + ["--out", "report.json"]) == code, argv
-        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
 
 
-# SHA-256 of the --out bytes of selftest jobs: four passing runs (exact, flagged, sampled,
-# and a rotated, junked member with no flags) and failing runs of every stage family.
+def test_props_reports_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_props_configs()
+    for argv, code, expected in pinned_jobs("props"):
+        assert run(argv) == code, argv
+        assert output_failures(expected) == {}, argv
+
+
+# selftest jobs: four passing runs (exact, flagged, sampled, and a rotated, junked member with
+# no flags) and failing runs of every stage family: (argv, exit code, golden file)
 SELFTEST_REPORTS = [
-    (["--experiment", "mayersyao.json", "--kind", "mayersyao"], 0,
-     "0b0961c0c53f3ea52448898d4a0b58e7e060dac241fc731f3e680ff2623e664b"),
-    (["--experiment", "member.json"], 0,
-     "dc62a6bfdeda6b8f4a461237556613fa1257c08001218d14fe569e991a84b066"),
+    (["--experiment", "mayersyao.json", "--kind", "mayersyao"], 0, "selftest/mayersyao.json"),
+    (["--experiment", "member.json"], 0, "selftest/member.json"),
     (["--experiment", "mayersyao.json", "--kind", "mayersyao",
-      "--sampled", "n=20000", "seed=7"], 0,
-     "fbd1f52b118e0aeeac49b306ee9af50ca3bb9236e4b4c612855c8b2440b6faab"),
-    (["--experiment", "rotated.json"], 0,
-     "c6c3dbde18a7d8605861007d4385b731c7f15f65af67529a1fab920f5f066910"),
-    (["--experiment", "d_is_x.json"], 1,
-     "6ea23eaa23953592b9bb3887ad7d48a805a0c900e1351c6d1ed52264a0d39f20"),
-    (["--experiment", "d_is_x.json", "--stats-tol", "2"], 1,
-     "e2b8be3af67251402d1b54ff8a84ebcdfff05a04e5b1eab50ba0ec85f4b4bbcc"),
-    (["--experiment", "y_is_z.json"], 1,
-     "fd29f2d957cca9a9f459b84ebdc267456b3e901bac40d862257975d96178befa"),
-    (["--experiment", "y_is_z.json", "--stats-tol", "2"], 1,
-     "be10276b11fa6022f2ba8a39728f83d52bd437c0277a09e6d8619af726cd3079"),
-    (["--experiment", "product.json"], 1,
-     "99998b07c8cf856ccd4e9e1b1a23555d836c37e49b5c824c16f0816017dafe2c"),
-    (["--experiment", "data_as_flags.json"], 1,
-     "3c3441f29d329d9c2238c1fc64140ddee8a65984a74f2d8480ed7977e6a2350e"),
+      "--sampled", "n=20000", "seed=7"], 0, "selftest/mayersyao_sampled.json"),
+    (["--experiment", "rotated.json"], 0, "selftest/rotated.json"),
+    (["--experiment", "d_is_x.json"], 1, "selftest/d_is_x.json"),
+    (["--experiment", "d_is_x.json", "--stats-tol", "2"], 1, "selftest/d_is_x_stats_tol.json"),
+    (["--experiment", "y_is_z.json"], 1, "selftest/y_is_z.json"),
+    (["--experiment", "y_is_z.json", "--stats-tol", "2"], 1, "selftest/y_is_z_stats_tol.json"),
+    (["--experiment", "product.json"], 1, "selftest/product.json"),
+    (["--experiment", "data_as_flags.json"], 1, "selftest/data_as_flags.json"),
     (["--experiment", "tilted.json", "--kind", "mayersyao", "--stats-tol", "2"], 1,
-     "569484b500c6006c49d8b968522697bed902ff9312b8c8042b5ea02b374f7e78"),
+     "selftest/tilted.json"),
 ]
 
 
@@ -163,54 +205,54 @@ def selftest_experiments():
     }
 
 
-def test_selftest_reports_keep_their_bytes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def write_selftest_experiments():
     for name, exp in selftest_experiments().items():
         Path(name).write_text(dumps(experiment_to_json(exp)))
-    for argv, code, digest in SELFTEST_REPORTS:
-        assert run(["selftest", *argv, "--out", "report.json"]) == code, argv
+
+
+def test_selftest_reports_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_selftest_experiments()
+    for argv, code, expected in pinned_jobs("selftest"):
+        assert run(argv) == code, argv
         report = read_json(Path("report.json"))         # its verdict follows from it alone
         assert rejudge(report) == (report["results"]["failures"],
                                    report["results"]["refused_stage"]), argv
         assert unjudged_names(report) == [], argv       # and each failure names its residual
-        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
+        assert output_failures(expected) == {}, argv
 
 
-# SHA-256 of the --out bytes of simulate jobs: an extended JSON table with the cross pairs
-# (a report without a seed, which simulate never draws) and a Mayers-Yao CSV table.
+# simulate jobs: an extended JSON table with the cross pairs (a report without a seed, which
+# simulate never draws) and a Mayers-Yao CSV table: (argv, golden file)
 SIMULATE_REPORTS = [
     (["--family", "a=0.3", "c=0.2", "--cross-pairs", "--out", "table.json"],
-     "f4c7f573153377a5416b4a3fa92a58450c1e1d787397cdcebe220c80e165035c"),
+     "simulate/extended_cross_pairs.json"),
     (["--kind", "mayersyao", "--family", "a=0.3", "c=0.2", "--format", "csv",
-      "--out", "table.csv"],
-     "0c29fbf426e65f36a52ee56009342f61ec960901f63709d02ac64fd479c52e7e"),
+      "--out", "table.csv"], "simulate/mayersyao.csv"),
 ]
 
 
 def test_simulate_reports_keep_their_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for argv, digest in SIMULATE_REPORTS:
-        assert run(["simulate", *argv]) == 0, argv
-        assert hashlib.sha256(Path(argv[-1]).read_bytes()).hexdigest() == digest, argv
+    for argv, code, expected in pinned_jobs("simulate"):
+        assert run(argv) == code, argv
+        assert output_failures(expected) == {}, argv
 
 
-# SHA-256 of the --out bytes of one qkd job per strategy, and of the transcripts two of them
-# write: a CSV one and a premeasured JSON one.  (argv, transcript, exit code, report digest,
-# transcript digest)
+# One qkd job per strategy; two of them write a transcript, a CSV one and a premeasured JSON
+# one, pinned by its SHA-256.  (argv, transcript, exit code, golden file, transcript digest)
 QKD_REPORTS = [
     (["--strategy", "honest", "a=0.3", "c=0.2", "--n", "20000", "--seed", "3"], None, 0,
-     "365d5372df5b71ec4f78834d768ad3f049e67203c532207ed3952a1e9407ded2", None),
+     "qkd/honest.json", None),
     (["--strategy", "conjugate", "--n", "3000", "--seed", "4"], "rounds.csv", 0,
-     "ad839627489788ef24f2103ab25c00ed7c2f4f8f3cd410f26022058a3095a858",
-     "bab5d497967b12698c49ff6d8bb86ffacb57433520b3e81dbc5dd41e4a6ac80c"),
+     "qkd/conjugate.json", "bab5d497967b12698c49ff6d8bb86ffacb57433520b3e81dbc5dd41e4a6ac80c"),
     (["--strategy", "zpremeasure", "a=0.5", "c=0.5", "--n", "3000", "--seed", "5"],
-     "rounds.json", 0, "8c8c82adac8962a6ba82f3e31be81afe36d06435dcea1f05723bacc9fab61fc4",
+     "rounds.json", 0, "qkd/zpremeasure.json",
      "6f1dc3c655d47b5041639fd0bc94b60364bd6ae3bebb61e0d29abf85bc35a2de"),
     (["--strategy", "mismatched", "0", "1", "--n", "3000", "--seed", "6"], None, 0,
-     "a4f52a10276696c551573fb18bc7ffcb35874b831699ae3ac5dae7a4b748232d", None),
+     "qkd/mismatched.json", None),
     (["--strategy", "custom", "custom.json", "--n", "10000", "--seed", "7", "--threshold",
-      "0.05"], None, 1, "f8edce40dedbf36a6a838bf27662ed0f128c695b4551c20cb1d8c0c6eeb5f447",
-     None),
+      "0.05"], None, 1, "qkd/custom.json", None),
 ]
 
 
@@ -221,16 +263,69 @@ def write_custom_source():
     Path("custom.json").write_text(dumps(state_to_json(replace(rho, matrix=noisy))))
 
 
+def pinned_jobs(command=None):
+    """The full argv, exit code and {file it writes: golden file or transcript digest} of each
+    pinned job of ``command``, or of every pinned job."""
+    jobs = [("props", argv + ["--out", "report.json"], code, {"report.json": golden})
+            for argv, code, golden in PROPS_REPORTS]
+    jobs += [("selftest", ["selftest", *argv, "--out", "report.json"], code,
+              {"report.json": golden}) for argv, code, golden in SELFTEST_REPORTS]
+    jobs += [("simulate", ["simulate", *argv], 0, {argv[-1]: golden})
+             for argv, golden in SIMULATE_REPORTS]
+    for argv, transcript, code, golden, transcript_digest in QKD_REPORTS:
+        written = ["--transcript-out", transcript] if transcript else []
+        expected = {"report.json": golden, transcript: transcript_digest}
+        expected.pop(None, None)                        # the job writes no transcript
+        jobs.append(("qkd", ["qkd", *argv, *written, "--out", "report.json"], code, expected))
+    return [job[1:] for job in jobs if command in (None, job[0])]
+
+
+def output_failures(expected, prefix=""):
+    """{file: its mismatches} for each file of ``expected`` that does not match, read with
+    ``prefix`` before its name."""
+    return {path: found for path, want in expected.items()
+            if (found := output_mismatches(prefix + path, want))}
+
+
 def test_qkd_reports_keep_their_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_custom_source()
-    for argv, transcript, code, digest, transcript_digest in QKD_REPORTS:
-        written = ["--transcript-out", transcript] if transcript else []
-        assert run(["qkd", *argv, *written, "--out", "report.json"]) == code, argv
-        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest, argv
-        if transcript:
-            assert (hashlib.sha256(Path(transcript).read_bytes()).hexdigest()
-                    == transcript_digest), argv
+    for argv, code, expected in pinned_jobs("qkd"):
+        assert run(argv) == code, argv
+        assert output_failures(expected) == {}, argv
+
+
+# Runs every pinned job through cli.main in one interpreter; job i's outputs are renamed with
+# the prefix "i.", and the exit codes are written to codes.json.
+PINNED_CHILD = """
+import json, os, sys
+from conjsim.cli import main
+codes = []
+for i, (argv, outputs) in enumerate(json.load(sys.stdin)):
+    codes.append(main(argv))
+    for name in outputs:
+        os.replace(name, f"{i}.{name}")
+with open("codes.json", "w") as f:
+    json.dump(codes, f)
+"""
+
+
+def test_pinned_outputs_hold_on_another_blas_kernel(tmp_path, monkeypatch):
+    # OpenBLAS picks its kernel per process; Prescott rounds products and eigensolvers
+    # differently from the AVX-512 kernels the golden files were written with.  Where numpy's
+    # BLAS is not OpenBLAS the variable does nothing and the test still holds.
+    monkeypatch.chdir(tmp_path)
+    write_props_configs()
+    write_selftest_experiments()
+    write_custom_source()
+    jobs = pinned_jobs()
+    proc = subprocess.run([sys.executable, "-c", PINNED_CHILD], capture_output=True, text=True,
+                          input=json.dumps([(argv, list(expected)) for argv, _, expected in jobs]),
+                          env=conjsim_env(OPENBLAS_CORETYPE="Prescott"), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(Path("codes.json").read_text()) == [code for _, code, _ in jobs]
+    for i, (argv, _, expected) in enumerate(jobs):
+        assert output_failures(expected, prefix=f"{i}.") == {}, argv
 
 
 def test_a_qkd_report_does_not_depend_on_writing_a_transcript(tmp_path, monkeypatch):

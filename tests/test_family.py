@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conjsim import family
@@ -35,9 +35,11 @@ from conjsim.states import StateVector, epr_pair, partial_trace
 
 from dense_reference import (
     basis_state,
+    block_lift,
     dense_multiparty_sim_state,
     embed_operator,
     expectation,
+    per_trial_lifting_residuals,
     permute_subsystems_matrix,
 )
 
@@ -164,12 +166,6 @@ def same_bits(got, want):
                     for part in (np.real, np.imag)))
 
 
-def block_lift(upper, lower):
-    m = as_matrix(upper)
-    zero = np.zeros_like(m)
-    return np.block([[m, zero], [zero, lower]])
-
-
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_flag_lifts_match_block_oracle(dim):
     rng = np.random.default_rng(dim)
@@ -180,8 +176,11 @@ def test_flag_lifts_match_block_oracle(dim):
     h = m + m.conj().T
     for herm in (h, h.real, np.zeros((dim, dim)), -np.eye(dim)):
         assert same_bits(sim_hamiltonian(herm), block_lift(herm, -as_matrix(herm).conj()))
-    with pytest.raises(ValueError, match="square"):
-        c_of(np.ones((dim, dim + 1)))
+    stack = np.stack([m, h, -m])                 # a stack lifts matrix by matrix
+    assert same_bits(c_of(stack[None]), np.stack([[block_lift(x, x.conj()) for x in stack]]))
+    for bad in (np.ones((dim, dim + 1)), np.ones((3, dim, dim + 1)), np.ones(dim)):
+        with pytest.raises(ValueError, match="square"):
+            c_of(bad)
 
 
 def test_c_property_suite_clean():
@@ -265,6 +264,36 @@ def test_c_property_suite_refuses_a_repeated_item_name():
     residuals, _ = c_property_suite(1, 2, seed=0, fixtures=[("?", np.eye(2), ["hermitian"]),
                                                             ("!", np.eye(2), ["hermitian"])])
     assert list(residuals)[10:] == ["fixture[?:hermitian]", "fixture[!:hermitian]"]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 200), st.integers(1, 8), seeds, st.booleans())
+@example(64, 3, 0, False)          # an exact multiple of the block
+@example(65, 8, 1, True)           # and one trial past it
+@example(129, 5, 2, False)
+def test_stacked_suite_matches_the_per_trial_reference(trials, dim, seed, stretch):
+    fixtures = [("stretch", np.diag([1.0, 2.0]), ["unitary", "psd"])] if stretch else []
+    residuals, bounds = c_property_suite(trials, dim, seed, fixtures=fixtures)
+    reference = per_trial_lifting_residuals(trials, dim, seed)
+    assert list(residuals)[:8] == list(reference)
+    for name, value in reference.items():
+        assert abs(residuals[name] - value) <= 1e-14, name
+    assert list(failing(residuals, bounds)) == list(failing({**residuals, **reference}, bounds))
+    assert ("fixture[stretch:unitary]" in failing(residuals, bounds)) == stretch
+
+
+def test_the_suite_lifts_at_most_64_trials_at_once(monkeypatch):
+    # at dim 8 a lifted stack of 64 trials is 0.26 MB: props --dim 8 --trials 3000 peaks at
+    # 40 MB, and at 75 MB with 1024 trials per block
+    stacks = []
+
+    def spy(m):
+        stacks.extend(np.shape(m)[:-2])
+        return c_of(m)
+
+    monkeypatch.setattr(family, "c_of", spy)
+    assert failing(*c_property_suite(200, 8, seed=0)) == {}
+    assert set(stacks) == {64, 8}          # three full blocks and the last 8 trials
 
 
 def test_sim_unitary_evolve_identity():
