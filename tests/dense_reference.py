@@ -9,7 +9,8 @@ is the extraction circuit made from them, ``flag_branches`` collapses the
 source's flags with two 16x16 projectors, and ``support_projector`` reads a
 party's support from the Schmidt decomposition across a register cut.
 ``rotate_experiment`` conjugates a pure experiment by local unitaries;
-``dense_rotate``, ``dense_attach_junk``, ``dense_purify`` and
+``dense_rotate``, ``dense_attach_junk``, ``dense_purify`` (its own
+eigendecomposition, in ``purify``'s conventions) and
 ``dense_multiparty_sim_state`` build the states of it and of the experiment
 builders with full-space products and subsystem permutations.  ``expectation``
 is tr(rho M) of a full-space operator, ``per_round_sampled_correlations`` draws
@@ -18,30 +19,46 @@ every round of a sampled table, ``per_pair_complex_to_json`` and
 at a time, and ``dense_stabilizer_and_split`` computes the two state identities
 that ``check_state_equalities`` leaves out.  ``per_trial_lifting_residuals`` is
 the property suite's eight algebraic items one trial at a time, every lift a
-``block_lift``.
+``block_lift``.  ``sixstate_devices`` are the 6-state devices, block_lift(P, P*)
+on (flag, data) with Bob's Y as -Y, ``dense_outcome_probs`` a source's outcome
+tables, and ``dense_cell_law`` the law of one round, by ``flag_branches`` when
+the flags are premeasured.
 
 ``dense_run_selftest`` is the self-test written out from the dense stages
-``dense_correlations``, ``dense_state_equalities``, ``dense_d_collapse``,
-``dense_anticommutators``, ``dense_extract``, ``dense_state_fidelity``,
-``dense_action_fidelities``, ``dense_y_coefficient_check`` and
-``dense_family_params``, with its own extraction gate; it calls no stage of
-``conjsim.selftest``.  ``rejudge`` re-derives a report's verdict from its
+``dense_correlations`` (cross pairs on request; a mixed state read as rho),
+``dense_state_equalities``, ``dense_d_collapse``, ``dense_anticommutators``,
+``dense_extract``, ``dense_state_fidelity``, ``dense_action_fidelities``,
+``dense_y_coefficient_check`` (Pauli blocks and Q by an explicit trace over
+the ancilla's basis vectors) and ``dense_family_params``, with its own
+extraction gate.  ``rejudge`` re-derives a report's verdict from its
 ``residuals`` alone, and judges ``dense_run_selftest``'s; ``unjudged_names``
-lists what a report names but does not hold.
+lists what a report names but does not hold.  No reference calls the code it
+checks: from ``conjsim`` this module imports only records, constants, the
+reference experiment and observables, the ``random_*`` generators and
+``sampled_correlations``, the documented draw (a test in test_package checks).
 """
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from conjsim.family import SimParams
-from conjsim.linalg import (HADAMARD, PAULIS, as_matrix, op_partial_trace, pauli_decompose,
-                            random_complex_matrix, random_hermitian, random_psd, random_unitary)
+from conjsim.linalg import (HADAMARD, PAULIS, random_complex_matrix, random_hermitian, random_psd,
+                            random_unitary)
 from conjsim.selftest import (ACTION_LABELS, PARTIES, SUBTESTS, CorrelationTable, Experiment,
                               Extraction, FamilyParams, reference_experiment,
                               reference_observables, sampled_correlations)
-from conjsim.sixstate import SOURCE_DIMS
-from conjsim.states import DensityMatrix, StateVector, epr_pair, purify, replace
+from conjsim.sixstate import BASES, CELLS, SOURCE_DIMS
+from conjsim.states import NORM_TOL, DensityMatrix, StateVector
+
+
+def as_matrix(m) -> np.ndarray:
+    """``m`` as a 2-d complex array."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of ndim {arr.ndim}")
+    return arr
 
 
 def _check_order(dims, size, order, what):
@@ -311,6 +328,44 @@ def flag_branches(rho, tol=1e-9):
     return branches
 
 
+def sixstate_devices():
+    """{(party, basis): its 6-state device block_lift(P, P*) on (flag, data)}; Bob's Y is -Y."""
+    paulis = {(p, b): -PAULIS[b] if (p, b) == ("B", "Y") else PAULIS[b]
+              for p in PARTIES for b in BASES}
+    return {key: block_lift(m, m.conj()) for key, m in paulis.items()}
+
+
+def dense_outcome_probs(rho):
+    """[basis_a, basis_b, k] joint-outcome table of a source from 16x16 projectors."""
+    blocks = {"A": [FLAG_A, FLAG_A + 1], "B": [FLAG_B, FLAG_B + 1]}     # (flag, data)
+    halves = {key: [(np.eye(16) + s * embed_operator(device, SOURCE_DIMS, blocks[key[0]])) / 2
+                    for s in (1, -1)] for key, device in sixstate_devices().items()}
+    out = np.zeros((3, 3, 4))
+    for (a, ba), (b, bb) in itertools.product(enumerate(BASES), repeat=2):
+        probs = np.clip([np.trace(rho.matrix @ (pa @ pb)).real
+                         for pa in halves[("A", ba)] for pb in halves[("B", bb)]], 0.0, None)
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        out[a, b] = probs / probs.sum()
+    return out
+
+
+def source_branches(rho, premeasured):
+    """[(weight, flag, state)]: ``flag_branches`` if Eve premeasures the flags, else rho at 0."""
+    if premeasured:
+        return [(p, flags[0], branch) for p, flags, branch in flag_branches(rho)]
+    return [(1.0, 0, rho)]
+
+
+def dense_cell_law(rho, premeasured):
+    """[flag, basis_a, basis_b, k] law of one round: branch weight x 1/9 x outcome table."""
+    branches = source_branches(rho, premeasured)
+    total = sum(weight for weight, _, _ in branches)
+    probs = np.zeros(CELLS)
+    for weight, flag, branch in branches:
+        probs[flag] = weight / total / 9 * dense_outcome_probs(branch)
+    return probs
+
+
 def rotate_experiment(exp, unitaries):
     """Conjugate a pure experiment's state and observables by local unitaries (one per party).
 
@@ -321,11 +376,11 @@ def rotate_experiment(exp, unitaries):
         raise ValueError("rotate_experiment expects a pure experiment")
     units = {p: as_matrix(unitaries[p]) for p in PARTIES}
     psi = exp.state.amplitudes.reshape(math.prod(exp.party_dims["A"]), -1)
-    psi = exp.act("B", units["B"], exp.act("A", units["A"], psi))
+    psi = (units["B"] @ (units["A"] @ psi).T).T
     obs = {p: {l: units[p] @ m @ units[p].conj().T for l, m in exp.observables[p].items()}
            for p in PARTIES}
-    return replace(exp, state=StateVector(exp.state.dims, psi), observables=obs,
-                   flag_registers=None)
+    return Experiment(kind=exp.kind, state=StateVector(exp.state.dims, psi), observables=obs,
+                      party_dims=exp.party_dims)
 
 
 def dense_rotate(exp, unitaries):
@@ -353,11 +408,20 @@ def dense_attach_junk(exp, party, junk):
 def dense_purify(exp):
     """(dims, vector, flags) of ``purify_experiment``: the auxiliary register moved to A's end.
 
-    A pure experiment's state is kept as it is."""
-    pure = exp.state if isinstance(exp.state, StateVector) else purify(exp.state)
+    A mixed state is sum_k sqrt(w_k) |v_k>|k> over its eigenvalues w_k > NORM_TOL, rescaled to
+    sum to 1 (|v_0> alone at rank 1); a pure experiment's state is kept as it is."""
+    if isinstance(exp.state, StateVector):
+        dims, vec = list(exp.state.dims), exp.state.amplitudes
+    else:
+        w, v = np.linalg.eigh(exp.state.matrix)
+        keep = w > NORM_TOL
+        weights = np.clip(w[keep], 0.0, None)
+        cols = v[:, keep] * np.sqrt(weights / weights.sum())
+        rank = cols.shape[1]
+        dims, vec = list(exp.state.dims) + ([rank] if rank > 1 else []), cols.reshape(-1)
     n, n_a = len(exp.state.dims), len(exp.party_dims["A"])
-    order = list(range(n_a)) + [n] + list(range(n_a, n)) if len(pure.dims) > n else list(range(n))
-    return _moved(list(pure.dims), pure.amplitudes, order, exp.flag_registers)
+    order = list(range(n_a)) + [n] + list(range(n_a, n)) if len(dims) > n else list(range(n))
+    return _moved(dims, vec, order, exp.flag_registers)
 
 
 def per_round_sampled_correlations(exact, n_per_pair: int, seed: int):
@@ -499,16 +563,18 @@ def _embed(exp, party, m):
     return embed_operator(m, exp.state.dims, party_registers(exp, party))
 
 
-def dense_correlations(exp):
-    """The exact table over the sub-tests' pairs, each entry tr(rho M) of embedded matrices."""
-    ops = {p: {lab: _embed(exp, p, exp.observable(p, lab)) for lab in _labels(exp.kind)}
-           for p in PARTIES}
-    pairs = dict.fromkeys((la, lb) for sub in SUBTESTS[exp.kind] for la in sub for lb in sub)
+def dense_correlations(exp, include_cross_pairs=False):
+    """The exact table over the sub-tests' pairs (every pair ``include_cross_pairs``), each
+    entry tr(rho M) of embedded matrices; a mixed state is read as rho, not purified."""
+    labels = _labels(exp.kind)
+    ops = {p: {lab: _embed(exp, p, exp.observable(p, lab)) for lab in labels} for p in PARTIES}
+    pairs = ([(la, lb) for la in labels for lb in labels] if include_cross_pairs else
+             dict.fromkeys((la, lb) for sub in SUBTESTS[exp.kind] for la in sub for lb in sub))
     return CorrelationTable(
         kind=exp.kind,
         joints={(la, lb): expectation(exp.state, ops["A"][la] @ ops["B"][lb]) for la, lb in pairs},
         marginals={(p, lab): expectation(exp.state, ops[p][lab])
-                   for p in PARTIES for lab in _labels(exp.kind)})
+                   for p in PARTIES for lab in labels})
 
 
 def dense_joint_outcome_probs(exp, la, lb):
@@ -598,7 +664,7 @@ def dense_extract(exp):
 def dense_state_fidelity(ext):
     """{"ancillas": 1 - <Phi'| P |Phi'>}, P the EPR projector embedded on the two ancillas."""
     dims, _, ancillas = register_layout(ext.exp)
-    phi = epr_pair().amplitudes
+    phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
     proj = embed_operator(np.outer(phi, phi.conj()), dims, [ancillas["A"], ancillas["B"]])
     return {"ancillas": 1 - expectation(register_vector(ext), proj)}
 
@@ -613,23 +679,30 @@ def dense_action_fidelities(ext):
             for p in PARTIES for lab in ACTION_LABELS}
 
 
+def _ancilla_trace(op, d):
+    """The trace over the ancilla of an operator on (d, 2): sum_i (I (x) <i|) op (I (x) |i>)."""
+    eye = np.eye(d)
+    return sum(np.kron(eye, e[None, :]) @ op @ np.kron(eye, e[:, None]) for e in np.eye(2))
+
+
 def dense_y_coefficient_check(ext):
-    """(populations, residuals) of the Y normal form, each sign operator embedded in full."""
+    """(populations, residuals) of the Y normal form, each sign operator embedded in full.  The
+    restricted Y is sum_P M_P (x) P_ancilla, so M_P = tr_ancilla((I (x) P) Y) / 2."""
     exp = ext.exp
     dims, registers, ancillas = register_layout(exp)
     state = register_vector(ext)
     populations, residuals = {}, {}
     for party in PARTIES:
-        dims_local = list(exp.party_dims[party]) + [2]
-        anc_local = len(dims_local) - 1
+        d = math.prod(exp.party_dims[party])
         u_local = ext.local_units[party]
-        pushed = u_local @ embed_operator(exp.observable(party, "Y"), dims_local,
-                                          list(range(anc_local))) @ u_local.conj().T
+        pushed = u_local @ np.kron(exp.observable(party, "Y"), np.eye(2)) @ u_local.conj().T
         side = registers[party] + [ancillas[party]]
         proj = support_projector(state, side)
-        blocks = pauli_decompose(proj @ pushed @ proj, anc_local, dims_local)
+        restricted = proj @ pushed @ proj
+        blocks = {name: _ancilla_trace(np.kron(np.eye(d), p) @ restricted, d) / 2.0
+                  for name, p in PAULIS.items()}
         scale = np.sqrt(round(np.trace(proj).real) / 2.0)
-        q = op_partial_trace(proj, dims_local, list(range(anc_local))) / 2.0
+        q = _ancilla_trace(proj, d) / 2.0
         sign = blocks["Y"] if party == "A" else -blocks["Y"]
         residuals.update({f"{party}:{k}": float(np.linalg.norm(blocks[k])) / scale
                           for k in ("I", "X", "Z")})

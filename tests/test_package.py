@@ -225,6 +225,35 @@ def test_serialize_takes_the_cell_labels_from_sixstate():
     assert "product" not in names and "CELL_LABELS" in names
 
 
+# the functions of conjsim that tests/dense_reference.py may call: inputs, not kernels
+DENSE_REFERENCE_INPUTS = {"reference_experiment", "reference_observables", "sampled_correlations",
+                          "random_complex_matrix", "random_hermitian", "random_psd",
+                          "random_unitary"}
+
+
+def test_the_dense_references_import_only_inputs():
+    """tests/dense_reference.py takes from conjsim only records (SimParams among them),
+    upper-case constants such as SOURCE_DIMS, and DENSE_REFERENCE_INPUTS: the reference
+    experiment and its observables, the random_* generators and sampled_correlations, the
+    documented draw.  So no reference borrows a kernel that it checks."""
+    root = Path(__file__).resolve().parents[1]
+    record = importlib.import_module("conjsim.states").Record
+    found = []
+    for node in ast.walk(ast.parse((root / "tests" / "dense_reference.py").read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "conjsim"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "conjsim":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name, None)
+                allowed = (inspect.isclass(obj) and issubclass(obj, record)
+                           or alias.name.isupper() and not callable(obj)
+                           or alias.name in DENSE_REFERENCE_INPUTS)
+                if not allowed:
+                    found.append(f"{node.module}.{alias.name}")
+    assert found == []
+
+
 def test_the_project_version_is_the_package_version():
     """pyproject.toml's [project] version and conjsim.__version__, which every report embeds,
     are one number."""

@@ -61,6 +61,7 @@ from dense_reference import (
     ancillas_last,
     basis_state,
     dense_attach_junk,
+    dense_correlations,
     dense_extract,
     dense_joint_outcome_probs,
     dense_purify,
@@ -1192,27 +1193,7 @@ def test_party_circuit_equals_dense_circuit():
 
 
 # --------------------------------------------------------------------------
-# slow references: a per-entry expectation loop, and the dense oracle's extraction gate
-
-
-def expectation_loop_correlations(exp, include_cross_pairs=False):
-    """Correlation table with two local applications per entry, each checked on its own."""
-    exp = purify_experiment(exp)
-    psi = exp.state.amplitudes.reshape(int(np.prod(exp.party_dims["A"])), -1)
-
-    def expect(ops):
-        phi = psi
-        for party, m in ops.items():
-            phi = exp.act(party, m, phi)
-        val = np.vdot(psi, phi)
-        assert abs(val.imag) <= 1e-10
-        return float(val.real)
-
-    joints = {(la, lb): expect({"A": exp.observable("A", la), "B": exp.observable("B", lb)})
-              for la, lb in pair_schedule(exp.kind, include_cross_pairs)}
-    marginals = {(p, lab): expect({p: exp.observable(p, lab)})
-                 for p in PARTIES for lab in setting_labels(exp.kind)}
-    return CorrelationTable(kind=exp.kind, joints=joints, marginals=marginals)
+# slow references: the dense correlation table, and the dense oracle's extraction gate
 
 
 def mixed_with_product(exp, weight):
@@ -1223,7 +1204,7 @@ def mixed_with_product(exp, weight):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_correlations_match_expectation_loop(seed):
+def test_correlations_match_dense_correlations(seed):
     rng = np.random.default_rng(seed)
     member = family_experiment(SimParams(0.3, 0.2 * np.exp(0.4j)), "extended")
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -1232,14 +1213,14 @@ def test_correlations_match_expectation_loop(seed):
         rotate_experiment(junked, {p: random_unitary(int(np.prod(junked.party_dims[p])), rng)
                                    for p in PARTIES}),
         junked,
-        member,                                              # mixed: purified first
+        member,                                              # mixed: read as rho
         mixed_with_product(reference_experiment("extended"), 0.2),
         rotate_experiment(reference_experiment("mayersyao"),
                           {p: random_unitary(2, rng) for p in PARTIES}),
     ]
     for exp in cases:
         for cross in (False, True):
-            got, want = correlations(exp, cross), expectation_loop_correlations(exp, cross)
+            got, want = correlations(exp, cross), dense_correlations(exp, cross)
             assert got.joints.keys() == want.joints.keys()
             assert list(got.marginals) == list(want.marginals)
             for key in want.joints:

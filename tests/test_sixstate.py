@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim import sixstate
-from conjsim.family import SimParams, c_of
-from conjsim.linalg import ATOL, PAULIS, Y, failing, random_psd
+from conjsim.family import SimParams
+from conjsim.linalg import ATOL, PAULIS, failing, random_psd
 from conjsim.selftest import family_experiment
 from conjsim.serialize import qber_report_to_dict, transcript_to_csv, transcript_to_json
 from conjsim.sixstate import (
@@ -35,7 +35,8 @@ from conjsim.sixstate import (
 )
 from conjsim.states import DensityMatrix, replace
 
-from dense_reference import embed_operator, flag_branches
+from dense_reference import (dense_cell_law, dense_outcome_probs, embed_operator, flag_branches,
+                             sixstate_devices, source_branches)
 
 
 def family_grid():
@@ -45,40 +46,6 @@ def family_grid():
         for c in {0.0, cmax, cmax * 1j}:
             grid.append(SimParams(a, c))
     return grid
-
-
-# --------------------------------------------------------------------------
-# dense reference: joint-outcome tables from full-space 16x16 projectors
-
-PARTY_BLOCKS = {"A": [0, 1], "B": [2, 3]}          # (flag, data) of each party
-
-
-def dense_measurement_ops():
-    """Flag-conditioned Pauli of each party and basis on the whole source; Bob's Y is -Y."""
-    ops = {}
-    for party, block in PARTY_BLOCKS.items():
-        for basis in BASES:
-            m = -PAULIS[basis] if (party, basis) == ("B", "Y") else PAULIS[basis]
-            ops[(party, basis)] = embed_operator(c_of(m), SOURCE_DIMS, block)
-    return ops
-
-
-def dense_outcome_probs(rho):
-    """[basis_a, basis_b, k] joint-outcome table of ``rho`` from 16x16 projectors."""
-    ops = dense_measurement_ops()
-    eye = np.eye(rho.dim)
-    out = np.zeros((3, 3, 4))
-    for (a, ba), (b, bb) in itertools.product(enumerate(BASES), repeat=2):
-        ma, mb = ops[("A", ba)], ops[("B", bb)]
-        probs = []
-        for sa in (1, -1):
-            for sb in (1, -1):
-                proj = ((eye + sa * ma) / 2) @ ((eye + sb * mb) / 2)
-                probs.append(float(np.trace(rho.matrix @ proj).real))
-        probs = np.clip(np.array(probs), 0.0, None)
-        assert abs(probs.sum() - 1.0) <= 1e-9
-        out[a, b] = probs / probs.sum()
-    return out
 
 
 def random_custom_state(seed, rank):
@@ -104,48 +71,24 @@ STRATEGIES = [
 ]
 
 
-def source_branches(strategy):
-    """[(weight, flag, state)]: the dense flag collapse under ZPremeasure, else the source."""
-    rho = source_state(strategy)
-    if isinstance(strategy, ZPremeasure):
-        return [(p, flags[0], branch) for p, flags, branch in flag_branches(rho)]
-    return [(1.0, 0, rho)]
-
-
-def exact_cell_probs(strategy):
-    """[flag, basis_a, basis_b, k] probability of one round, from the dense references."""
-    branches = source_branches(strategy)
-    total = sum(weight for weight, _, _ in branches)
-    probs = np.zeros(CELLS)
-    for weight, flag, rho in branches:
-        probs[flag] = weight / total / 9 * dense_outcome_probs(rho)
-    return probs
+def source(strategy):
+    """The strategy's source, and whether Eve premeasures its flags."""
+    return source_state(strategy), isinstance(strategy, ZPremeasure)
 
 
 def test_lifted_observables():
+    # the extended test's X, Y and Z devices of the reference member are the 6-state devices
     exp = family_experiment(SimParams(1.0), "extended")
-    np.testing.assert_allclose(exp.observable("A", "Y"), c_of(Y), atol=1e-14)
-    np.testing.assert_allclose(exp.observable("B", "Y"), c_of(-Y), atol=1e-14)
-    for (party, basis), op in dense_measurement_ops().items():
-        np.testing.assert_allclose(
-            embed_operator(exp.observable(party, basis), SOURCE_DIMS, PARTY_BLOCKS[party]),
-            op, atol=1e-14)
+    for (party, basis), device in sixstate_devices().items():
+        np.testing.assert_allclose(exp.observable(party, basis), device, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
 def test_outcome_tables_match_dense_reference(strategy):
-    for _, _, rho in source_branches(strategy):
+    for _, _, rho in source_branches(*source(strategy)):
         got, want = sixstate._outcome_probs(rho), dense_outcome_probs(rho)
         assert got.shape == want.shape == (3, 3, 4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("seed", [0, 5, 9])
-def test_run_rounds_identical_with_dense_tables(seed, monkeypatch):
-    fast = [run_rounds(s, 2000, seed) for s in STRATEGIES]
-    monkeypatch.setattr(sixstate, "_outcome_probs", dense_outcome_probs)
-    dense = [run_rounds(s, 2000, seed) for s in STRATEGIES]
-    assert fast == dense
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +119,7 @@ def reference_rounds(strategy, n, seed):
     """n rounds drawn one at a time from ``default_rng(seed)``: two uniform bases, the flag
     branch, then the joint outcome, each the searchsorted of one uniform in the dense
     cumulants (clamped to the last entry when rounding leaves them below 1)."""
-    branches = source_branches(strategy)
+    branches = source_branches(*source(strategy))
     weights = np.cumsum([weight for weight, _, _ in branches])
     tables = [np.cumsum(dense_outcome_probs(rho), axis=-1) for _, _, rho in branches]
     rng = np.random.default_rng(seed)
@@ -209,7 +152,7 @@ def documented_rounds(strategy, n, seed):
     """The documented draw on the dense references, a round at a time: the multinomial
     counts of the exact cell probabilities from ``default_rng(seed)``, each cell listed once
     per count in cell order, shuffled by ``default_rng([seed, 1])``, as columns."""
-    counts = np.random.default_rng(seed).multinomial(n, exact_cell_probs(strategy).ravel())
+    counts = np.random.default_rng(seed).multinomial(n, dense_cell_law(*source(strategy)).ravel())
     cells = []
     for cell, count in enumerate(counts):
         cells += [cell] * int(count)
@@ -281,7 +224,7 @@ def test_cell_frequencies_match_exact_probabilities(strategy):
     # probability <= 1e-12 must stay empty (chance <= 1e-8); every other cell must lie within
     # Bernstein's bound at delta = 1e-6.  Over the 16 strategies x 2 samplers x 72 cells the
     # union bound puts the false-reject rate of the whole test at most 2304 x 1e-6 = 0.23 %.
-    probs = exact_cell_probs(strategy)
+    probs = dense_cell_law(*source(strategy))
     fast = sum(run_rounds(strategy, 500, seed).counts for seed in range(20))
     slow = sum(cell_counts(reference_rounds(strategy, 100, seed)) for seed in range(20))
     for counts, n in ((fast, 10_000), (slow, 2_000)):
@@ -512,7 +455,7 @@ MEMBERS = [SimParams(0.5, 0.5), SimParams(0.3, 0.2 * np.exp(0.7j)), SimParams(0.
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe()["strategy"])
 def test_cell_law_matches_dense_reference(strategy):
-    np.testing.assert_allclose(sixstate._cell_law(strategy), exact_cell_probs(strategy),
+    np.testing.assert_allclose(sixstate._cell_law(strategy), dense_cell_law(*source(strategy)),
                                rtol=0, atol=1e-12)
 
 
