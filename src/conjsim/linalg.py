@@ -16,8 +16,7 @@ Conventions used across the package:
   operator acts as a party product: A's operator M as ``M Psi`` and B's as
   ``Psi M^T`` (``conjsim.selftest.Experiment.act``), and a product state of
   the parties' registers is built with ``np.kron`` on Psi.  No operator on
-  the full space is ever built: the routines here that take ``dims`` only
-  trace out or Pauli-split the subsystems of the operator they get.
+  the full space is ever built.
 """
 
 from __future__ import annotations
@@ -129,31 +128,6 @@ def is_binary_observable(m) -> bool:
     return is_hermitian(m) and is_unitary(m)
 
 
-def _check_dims(dims: Sequence[int], size: int, what: str) -> tuple[int, ...]:
-    dims = as_dims(dims, what)
-    if math.prod(dims) != size:
-        raise ValueError(f"{what}: dims {dims} do not match size {size}")
-    return dims
-
-
-def op_partial_trace(mat: np.ndarray, dims: Sequence[int],
-                     keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of an operator, keeping the listed subsystems (order preserved)."""
-    mat = as_matrix(mat)
-    dims = _check_dims(dims, mat.shape[0], "op_partial_trace")
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"invalid subsystem index in keep={keep}")
-    rest = [i for i in range(n) if i not in keep]
-    order = keep + rest
-    t = mat.reshape(dims + dims).transpose(order + [n + o for o in order])
-    d_k = math.prod(dims[i] for i in keep)
-    d_r = math.prod(dims[i] for i in rest)
-    t = t.reshape(d_k, d_r, d_k, d_r)
-    return np.einsum("arbr->ab", t)
-
-
 def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via spectral decomposition."""
     h = as_matrix(h)
@@ -161,26 +135,6 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("herm_expm requires a Hermitian matrix")
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def pauli_decompose(mat: np.ndarray, qubit: int,
-                    dims: Sequence[int]) -> dict[str, np.ndarray]:
-    """Split an operator as sum_P P_qubit (x) M_P over the single-qubit Paulis.
-
-    The blocks M_P act on the remaining subsystems (original order preserved) and
-    are recovered by the trace inner product on the qubit factor.
-    """
-    mat = as_matrix(mat)
-    dims = _check_dims(dims, mat.shape[0], "pauli_decompose")
-    if dims[qubit] != 2:
-        raise ValueError(f"subsystem {qubit} has dimension {dims[qubit]}, not a qubit")
-    n = len(dims)
-    rest = [i for i in range(n) if i != qubit]
-    order = [qubit] + rest
-    t = mat.reshape(dims + dims).transpose(order + [n + o for o in order])
-    d_r = math.prod(dims[i] for i in rest)
-    t = t.reshape(2, d_r, 2, d_r)
-    return {name: 0.5 * np.einsum("ac,cras->rs", p, t) for name, p in PAULIS.items()}
 
 
 def random_complex_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -49,8 +49,6 @@ from .linalg import (
     as_dims,
     as_matrix,
     is_binary_observable,
-    op_partial_trace,
-    pauli_decompose,
     worst_failing,
 )
 from .states import (
@@ -546,15 +544,16 @@ def _party_y_blocks(ext: Extraction, party: str) -> tuple[dict[str, float], floa
     """The party's ``y_coefficients`` entries and the weight p0 of its sign's +1."""
     exp = ext.exp
     u_local = ext.local_units[party]
-    layout = (u_local.shape[0] // 2, 2)            # the party's registers, then its ancilla
+    layout = (u_local.shape[0] // 2, 2) * 2        # (registers, ancilla) of rows, then of columns
     pushed = u_local @ np.kron(exp.observable(party, "Y"), np.eye(2)) @ u_local.conj().T
     psi = ext.state.amplitudes.reshape(2 * ext.state.dims[0], -1)
     proj = _support(psi, party)
-    restricted = proj @ pushed @ proj
-    blocks = pauli_decompose(restricted, 1, layout)
+    restricted = (proj @ pushed @ proj).reshape(layout)
+    # restricted = sum_P M_P (x) P on the ancilla, so M_P = tr_anc((I (x) P) restricted) / 2
+    blocks = {name: 0.5 * np.einsum("ac,rcsa->rs", p, restricted) for name, p in PAULIS.items()}
     rank = int(round(np.trace(proj).real))
     scale = np.sqrt(rank / 2.0)
-    q = op_partial_trace(proj, layout, [0]) / 2.0
+    q = np.einsum("rasa->rs", proj.reshape(layout)) / 2.0       # tr_anc(proj) / 2
     factorization = float(np.abs(proj - np.kron(q, np.eye(2))).max())
     sign = blocks["Y"] if party == "A" else -blocks["Y"]
     deviation = max(

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_dims, as_matrix, op_partial_trace
+from .linalg import as_dims, as_matrix
 
 NORM_TOL = 1e-12
 
@@ -162,19 +162,21 @@ def epr_pair() -> StateVector:
 def partial_trace(state: DensityMatrix | StateVector, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems (order preserved; repeated indices count once).
 
-    A pure state is reduced from its amplitudes: with M the amplitude tensor
-    reshaped to (kept, traced out), the result is M M^dagger.
+    With the subsystems reordered as (kept, traced out), a pure state's amplitudes
+    are a matrix M and the result is M M^dagger; a density matrix is a tensor
+    rho[a, r, b, s] and the result is sum_r rho[a, r, b, r].
     """
     n = len(state.dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"invalid subsystem index in keep={keep} for {n} subsystems")
+    order = keep + [i for i in range(n) if i not in keep]
+    d_keep = math.prod(state.dims[k] for k in keep)
     if isinstance(state, DensityMatrix):
-        reduced = op_partial_trace(state.matrix, state.dims, keep)
+        t = state.matrix.reshape(state.dims * 2).transpose(order + [n + o for o in order])
+        reduced = np.einsum("arbr->ab", t.reshape(d_keep, -1, d_keep, state.dim // d_keep))
     else:
-        rest = [i for i in range(n) if i not in keep]
-        m = state.amplitudes.reshape(state.dims).transpose(keep + rest)
-        m = m.reshape(math.prod(state.dims[k] for k in keep), -1)
+        m = state.amplitudes.reshape(state.dims).transpose(order).reshape(d_keep, -1)
         reduced = m @ m.conj().T
     return DensityMatrix([state.dims[k] for k in keep], reduced)
 

@@ -12,7 +12,8 @@ party's support from the Schmidt decomposition across a register cut.
 ``dense_rotate``, ``dense_attach_junk``, ``dense_purify`` (its own
 eigendecomposition, in ``purify``'s conventions) and
 ``dense_multiparty_sim_state`` build the states of it and of the experiment
-builders with full-space products and subsystem permutations.  ``expectation``
+builders with full-space products and subsystem permutations.  ``feasible_members``
+is the grid of family members the tests run.  ``expectation``
 is tr(rho M) of a full-space operator, ``per_round_sampled_correlations`` draws
 every round of a sampled table, ``per_pair_complex_to_json`` and
 ``per_pair_complex_from_json`` write and read a complex array one [re, im] pair
@@ -124,6 +125,19 @@ def dense_multiparty_sim_state(psi: StateVector, p: SimParams) -> DensityMatrix:
     return DensityMatrix([dims[o] for o in order], permute_subsystems_matrix(mat, dims, order))
 
 
+def feasible_members() -> list[SimParams]:
+    """Family members (a, c) with a in {0, 1/4, 1/2, 3/4, 1} and, for each a,
+    c in {0, +-c_max, i c_max, c_max e^{i pi/4} / 2, c_max e^{0.3i} / 2}, c_max = sqrt(a (1 - a));
+    at a = 0 and 1 these are one member."""
+    members = []
+    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+        cmax = np.sqrt(a * (1 - a))
+        for c in dict.fromkeys([0.0, cmax, -cmax, cmax * 1j, cmax * np.exp(1j * np.pi / 4) / 2,
+                                cmax * np.exp(0.3j) / 2]):
+            members.append(SimParams(a, c))
+    return members
+
+
 def block_lift(upper, lower):
     """The block-diagonal matrix [[upper, 0], [0, lower]]."""
     m = as_matrix(upper)
@@ -131,8 +145,9 @@ def block_lift(upper, lower):
     return np.block([[m, zero], [zero, lower]])
 
 
-def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, float]:
-    """The eight algebraic items of ``family.c_property_suite``, one trial at a time.
+def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, np.ndarray]:
+    """The eight algebraic items of ``family.c_property_suite``, one trial at a time: each
+    item's residual of every trial, the worst of that trial's entries.
 
     It draws what the suite draws, in its order, and lifts each matrix by itself; the
     lift is ``block_lift``, so no code of the suite's lift is shared.
@@ -146,14 +161,14 @@ def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, f
         return abs(defect(c_of(m)) - np.sqrt(2) * defect(m))
 
     rng = np.random.default_rng(seed)
-    res = {k: [] for k in (
+    res = {k: np.zeros(trials) for k in (
         "multiplicative", "additive", "real_scalar", "eigenvector_lift",
         "hermiticity", "unitarity", "psd", "trace_doubling")}
 
     def bump(key, value):
-        res[key].append(value)
+        res[key][trial] = np.maximum(res[key][trial], value)     # keeps a NaN
 
-    for _ in range(trials):
+    for trial in range(trials):
         m = random_complex_matrix(dim, rng)
         n = random_complex_matrix(dim, rng)
         bump("multiplicative", np.abs(c_of(m @ n) - c_of(m) @ c_of(n)).max())
@@ -183,7 +198,7 @@ def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, f
 
         bump("trace_doubling", abs(np.trace(c_of(herm)) - 2 * np.trace(herm)))
 
-    return {k: float(np.max(v)) for k, v in res.items()}
+    return res
 
 
 def basis_state(dims, index) -> StateVector:
@@ -256,16 +271,6 @@ def controlled_gate(op, dims, control, targets):
     p1 = np.diag([0.0, 1.0]).astype(complex)
     return (embed_operator(p0, dims, [control])
             + embed_operator(np.kron(p1, as_matrix(op)), dims, [control] + list(targets)))
-
-
-def pauli_recompose(blocks, qubit, dims):
-    """Inverse of ``linalg.pauli_decompose``: sum_P P_qubit (x) M_P."""
-    dims = tuple(int(d) for d in dims)
-    rest = [i for i in range(len(dims)) if i != qubit]
-    out = np.zeros((math.prod(dims), math.prod(dims)), dtype=complex)
-    for name, p in PAULIS.items():
-        out += embed_operator(np.kron(p, as_matrix(blocks[name])), dims, [qubit] + rest)
-    return out
 
 
 def party_circuit(exp, party):

@@ -40,20 +40,9 @@ from conjsim.sixstate import (
 )
 from conjsim.states import StateVector, epr_pair
 
-from dense_reference import ancillas_last, basis_state
+from dense_reference import ancillas_last, basis_state, feasible_members
 
 SQ2 = 1 / np.sqrt(2)
-
-
-def acceptance_grid():
-    """>= 12 feasible members covering a in {0, .25, .5, 1} and c extremes."""
-    grid = []
-    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-        cmax = np.sqrt(a * (1 - a))
-        for c in dict.fromkeys([0.0, cmax, cmax * 1j, cmax * np.exp(1j * np.pi / 4) / 2]):
-            grid.append(SimParams(a, c))
-    assert len(grid) >= 12
-    return grid
 
 
 def report(line):
@@ -95,7 +84,7 @@ def test_criterion_2_extended_reference_statistics():
 
 
 def test_criterion_3_family_indistinguishability():
-    grid = acceptance_grid()
+    grid = feasible_members()
     ref = correlations(reference_experiment("extended"))
     for p in grid:
         exp = family_experiment(p, "extended")
@@ -178,7 +167,7 @@ def test_criterion_7_real_simulation_equivalence():
 
 def test_criterion_8_qkd_invariants():
     n = 30_000
-    for p in acceptance_grid():
+    for p in feasible_members():
         rep = sift(run_rounds(Honest(p), n, seed=7))
         assert sum(rep.errors.values()) == 0, p
     mismatch = sift(run_rounds(MismatchedFlags(0, 1), n, seed=7))

@@ -39,6 +39,7 @@ from dense_reference import (
     dense_multiparty_sim_state,
     embed_operator,
     expectation,
+    feasible_members,
     per_trial_lifting_residuals,
     permute_subsystems_matrix,
 )
@@ -47,15 +48,6 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 PLUS = StateVector([2], np.array([1, 1]) / np.sqrt(2))
 IMAG = StateVector([2], np.array([1, 1j]) / np.sqrt(2))
-
-
-def feasible_grid():
-    grid = []
-    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-        cmax = np.sqrt(a * (1 - a))
-        for c in {0.0, cmax, -cmax, cmax * 1j, cmax * np.exp(1j * np.pi / 4) / 2}:
-            grid.append(SimParams(a, c))
-    return grid
 
 
 def test_sim_params_feasibility():
@@ -119,7 +111,7 @@ def test_sim_povm_identity():
 
 def test_sim_povm_x_basis_on_plus():
     povm = Povm([(np.eye(2) + X) / 2, (np.eye(2) - X) / 2])
-    for p in feasible_grid():
+    for p in feasible_members():
         probs = sim_povm(povm).probabilities(multiparty_sim_state(PLUS, p))
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
@@ -273,12 +265,30 @@ def test_c_property_suite_refuses_a_repeated_item_name():
 @example(129, 5, 2, False)
 def test_stacked_suite_matches_the_per_trial_reference(trials, dim, seed, stretch):
     fixtures = [("stretch", np.diag([1.0, 2.0]), ["unitary", "psd"])] if stretch else []
-    residuals, bounds = c_property_suite(trials, dim, seed, fixtures=fixtures)
+    blocks = []
+    lifting_block = family._lifting_block
+
+    def spy(count, *args):
+        block = lifting_block(count, *args)
+        blocks.append((count, block))
+        return block
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(family, "_lifting_block", spy)
+        residuals, bounds = c_property_suite(trials, dim, seed, fixtures=fixtures)
     reference = per_trial_lifting_residuals(trials, dim, seed)
-    assert list(residuals)[:8] == list(reference)
-    for name, value in reference.items():
+    # block k holds trials [64k, min(64k + 64, trials)), so the blocks hold every trial once
+    windows = [slice(start, min(start + 64, trials)) for start in range(0, trials, 64)]
+    assert [count for count, _ in blocks] == [w.stop - w.start for w in windows]
+    for window, (_, block) in zip(windows, blocks):
+        assert list(block) == list(reference)
+        for name, per_trial in reference.items():
+            assert abs(block[name] - per_trial[window].max()) <= 1e-14, (window, name)
+    worst = {name: float(per_trial.max()) for name, per_trial in reference.items()}
+    assert list(residuals)[:8] == list(worst)
+    for name, value in worst.items():
         assert abs(residuals[name] - value) <= 1e-14, name
-    assert list(failing(residuals, bounds)) == list(failing({**residuals, **reference}, bounds))
+    assert list(failing(residuals, bounds)) == list(failing({**residuals, **worst}, bounds))
     assert ("fixture[stretch:unitary]" in failing(residuals, bounds)) == stretch
 
 
@@ -458,7 +468,7 @@ def test_a_member_is_the_reference_conjugate_mix_once_its_flags_are_read(a, shar
 def test_multiparty_flags_agree_under_z():
     dims = [2, 2, 2, 2]
     zz_same = (embed_operator(Z, dims, [0]) @ embed_operator(Z, dims, [2]))
-    for p in feasible_grid():
+    for p in feasible_members():
         rho = multiparty_sim_state(epr_pair(), p)
         assert expectation(rho, zz_same) == pytest.approx(1.0, abs=1e-12)
 
@@ -478,7 +488,7 @@ def test_multiparty_lifted_y_correlation():
     dims = [2, 2, 2, 2]
     ya = embed_operator(c_of(Y), dims, [0, 1])
     yb = embed_operator(c_of(-Y), dims, [2, 3])
-    for p in feasible_grid():
+    for p in feasible_members():
         rho = multiparty_sim_state(epr_pair(), p)
         assert expectation(rho, ya @ yb) == pytest.approx(1.0, abs=1e-10)
 
@@ -490,7 +500,7 @@ def test_multiparty_statistics_preservation():
         ref_val = expectation(ref, np.kron(ma, mb))
         op = (embed_operator(c_of(ma), dims, [0, 1])
               @ embed_operator(c_of(mb), dims, [2, 3]))
-        for p in feasible_grid():
+        for p in feasible_members():
             rho = multiparty_sim_state(epr_pair(), p)
             assert expectation(rho, op) == pytest.approx(ref_val, abs=1e-10)
 
@@ -536,7 +546,7 @@ def test_to_real_simulation_refuses_members_without_a_leading_flag_qubit():
 
 def test_to_real_simulation_accepts_exactly_the_half_half_members():
     psi = StateVector([2], np.array([0.6, 0.8j]))
-    for p in feasible_grid():
+    for p in feasible_members():
         rho = multiparty_sim_state(psi, p)
         if p.a == 0.5 and abs(p.c) == pytest.approx(0.5):
             to_real_simulation(rho)

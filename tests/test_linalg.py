@@ -16,8 +16,6 @@ from conjsim.linalg import (
     is_hermitian,
     is_psd,
     is_unitary,
-    op_partial_trace,
-    pauli_decompose,
     psd_defect,
     random_complex_matrix,
     random_hermitian,
@@ -30,7 +28,6 @@ from dense_reference import (
     controlled_gate,
     embed_operator,
     kron_all,
-    pauli_recompose,
     permute_subsystems_matrix,
     permute_subsystems_vector,
 )
@@ -163,66 +160,6 @@ def test_permute_subsystems_matrix_roundtrip():
     p = permute_subsystems_matrix(m, [2, 3, 2], [1, 2, 0])
     back = permute_subsystems_matrix(p, [3, 2, 2], [2, 0, 1])
     np.testing.assert_allclose(back, m)
-
-
-def test_op_partial_trace_factors():
-    rng = np.random.default_rng(2)
-    a = random_complex_matrix(2, rng)
-    b = random_complex_matrix(3, rng)
-    np.testing.assert_allclose(op_partial_trace(np.kron(a, b), [2, 3], [0]),
-                               a * np.trace(b), atol=1e-12)
-    np.testing.assert_allclose(op_partial_trace(np.kron(a, b), [2, 3], [1]),
-                               b * np.trace(a), atol=1e-12)
-
-
-def test_pauli_decompose_single_qubit():
-    blocks = pauli_decompose(X, 0, [2])
-    np.testing.assert_allclose(blocks["X"], [[1.0]], atol=1e-14)
-    for name in ("I", "Y", "Z"):
-        np.testing.assert_allclose(blocks[name], [[0.0]], atol=1e-14)
-
-
-def test_pauli_decompose_linearity():
-    rng = np.random.default_rng(3)
-    a = random_complex_matrix(3, rng)
-    b = random_complex_matrix(3, rng)
-    m = np.kron(X, a) + np.kron(Z, b)
-    blocks = pauli_decompose(m, 0, [2, 3])
-    np.testing.assert_allclose(blocks["X"], a, atol=1e-12)
-    np.testing.assert_allclose(blocks["Z"], b, atol=1e-12)
-    np.testing.assert_allclose(blocks["I"], np.zeros((3, 3)), atol=1e-12)
-    np.testing.assert_allclose(blocks["Y"], np.zeros((3, 3)), atol=1e-12)
-
-
-def test_pauli_decompose_lifted_y():
-    # C(Y) = Z (x) Y: flag-qubit decomposition holds only the Z component,
-    # data-qubit decomposition holds Z as the Y component
-    from conjsim.family import c_of
-
-    lifted = c_of(Y)
-    at_flag = pauli_decompose(lifted, 0, [2, 2])
-    np.testing.assert_allclose(at_flag["I"], np.zeros((2, 2)), atol=1e-14)
-    np.testing.assert_allclose(at_flag["Z"], Y, atol=1e-14)
-    at_data = pauli_decompose(lifted, 1, [2, 2])
-    np.testing.assert_allclose(at_data["Y"], Z, atol=1e-14)
-    np.testing.assert_allclose(at_data["X"], np.zeros((2, 2)), atol=1e-14)
-
-
-@given(seeds, st.integers(min_value=0, max_value=2))
-@settings(max_examples=50, deadline=None)
-def test_pauli_decompose_reconstructs(seed, qubit):
-    rng = np.random.default_rng(seed)
-    dims = [2, 2, 3]
-    m = random_complex_matrix(12, rng)
-    blocks = pauli_decompose(m, qubit, dims) if dims[qubit] == 2 else None
-    if blocks is None:
-        return
-    np.testing.assert_allclose(pauli_recompose(blocks, qubit, dims), m, atol=1e-10)
-
-
-def test_pauli_decompose_rejects_non_qubit():
-    with pytest.raises(ValueError):
-        pauli_decompose(np.eye(6), 1, [2, 3])
 
 
 @given(seeds)

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjsim import linalg, selftest, states
+from conjsim import selftest
 from conjsim.family import SimParams
 from conjsim.linalg import (
     X,
     Y,
     Z,
     hermitian_defect,
-    op_partial_trace,
-    pauli_decompose,
     random_hermitian,
     random_unitary,
     unitary_defect,
@@ -68,6 +66,7 @@ from dense_reference import (
     dense_rotate,
     dense_run_selftest,
     dense_stabilizer_and_split,
+    feasible_members,
     party_circuit,
     per_round_sampled_correlations,
     rejudge,
@@ -88,15 +87,6 @@ def named_entry(report, stage):
 
 def ref_table(kind):
     return correlations(reference_experiment(kind))
-
-
-def family_grid():
-    grid = []
-    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-        cmax = np.sqrt(a * (1 - a))
-        for c in {0.0, cmax, cmax * 1j, cmax * np.exp(1j * 0.3) / 2}:
-            grid.append(SimParams(a, c))
-    return grid
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +263,7 @@ def test_check_against_reference_flags_corrupted_d():
 
 
 def test_check_against_reference_family_grid():
-    for p in family_grid():
+    for p in feasible_members():
         table = correlations(family_experiment(p, "extended"))
         deviations, bounds = check_against_reference(table, ref_table("extended"), tol=1e-10)
         assert worst_failing(deviations, bounds) == "", (p, max(deviations.values()))
@@ -686,7 +676,7 @@ def test_estimate_family_params_rejects_leaky_flags():
 
 
 def test_family_soundness_grid():
-    for p in family_grid():
+    for p in feasible_members():
         report = run_selftest(family_experiment(p, "extended"))
         assert report.passed, (p, report.failures)
         assert report.residuals["state_fidelity"]["ancillas"] <= 1e-9
@@ -1149,26 +1139,22 @@ def test_builders_match_dense_oracles(seed):
 def test_selftest_builds_no_full_space_operator(monkeypatch):
     exp = junk_ladder_experiment(256, seed=5)
     calls = []
+    original = selftest.partial_trace
 
-    def guarded(original):
-        signature = inspect.signature(original)
+    def guarded(state, keep):
+        # the self-test's one subsystem routine: it reduces state vectors from their
+        # amplitudes, so a density matrix or a full-size reduced state is a full-space operator
+        if isinstance(state, DensityMatrix):
+            raise AssertionError(f"partial_trace of a density matrix on {state.dims}")
+        reduced = original(state, keep)
+        if reduced.dim >= exp.state.dim:
+            raise AssertionError(f"partial_trace keeps the full space {reduced.dims}")
+        calls.append(reduced.dims)
+        return reduced
 
-        def wrapper(*args, **kwargs):
-            dims = signature.bind(*args, **kwargs).arguments["dims"]
-            if int(np.prod(dims)) >= exp.state.dim:
-                raise AssertionError(f"{original.__name__} on the full space {tuple(dims)}")
-            calls.append(original.__name__)
-            return original(*args, **kwargs)
-        return wrapper
-
-    # every linalg routine that takes an operator together with its dims
-    operator_routines = (linalg.op_partial_trace, linalg.pauli_decompose)
-    for original in operator_routines:
-        for module in (linalg, selftest, states):
-            if getattr(module, original.__name__, None) is original:
-                monkeypatch.setattr(module, original.__name__, guarded(original))
+    monkeypatch.setattr(selftest, "partial_trace", guarded)
     assert run_selftest(exp).passed
-    assert {"op_partial_trace", "pauli_decompose"} <= set(calls)
+    assert calls == [(2, 2), (2, 2)]                # the extracted ancillas, then the flags
     assert run_selftest(swapped(exp, "A", "X", "D")).refused_stage == "extraction"
 
 

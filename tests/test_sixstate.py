@@ -35,17 +35,8 @@ from conjsim.sixstate import (
 )
 from conjsim.states import DensityMatrix, replace
 
-from dense_reference import (dense_cell_law, dense_outcome_probs, embed_operator, flag_branches,
-                             sixstate_devices, source_branches)
-
-
-def family_grid():
-    grid = []
-    for a in (0.0, 0.25, 0.5, 1.0):
-        cmax = np.sqrt(a * (1 - a))
-        for c in {0.0, cmax, cmax * 1j}:
-            grid.append(SimParams(a, c))
-    return grid
+from dense_reference import (dense_cell_law, dense_outcome_probs, embed_operator, feasible_members,
+                             flag_branches, sixstate_devices, source_branches)
 
 
 def random_custom_state(seed, rank):
@@ -373,7 +364,7 @@ def test_mismatched_flags_store_python_ints():
 
 
 def test_honest_grid_all_bases_error_free():
-    for p in family_grid():
+    for p in feasible_members():
         t = run_rounds(Honest(p), 2000, seed=5)
         report = sift(t)
         assert sum(report.errors.values()) == 0, p
@@ -383,7 +374,7 @@ def test_honest_exact_distributions_match_reference():
     # analytic check, no sampling: every basis pair's joint outcome
     # distribution equals the dense (a=1, c=0) reference distribution
     ref = dense_outcome_probs(source_state(Honest(SimParams(1.0, 0.0))))
-    for p in family_grid():
+    for p in feasible_members():
         got = sixstate._outcome_probs(source_state(Honest(p)))
         np.testing.assert_allclose(got, ref, atol=1e-10)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsim.family import SimParams, multiparty_sim_state
-from conjsim.linalg import X, Y, Z, op_partial_trace
+from conjsim.linalg import X, Y, Z
 from conjsim.selftest import _support
 from conjsim.states import DensityMatrix, StateVector, epr_pair, partial_trace, purify
 
@@ -100,6 +100,7 @@ def test_partial_trace_of_product_factors():
     b = random_pure([3], rng).density()
     joint = DensityMatrix([2, 3], np.kron(a.matrix, b.matrix))
     np.testing.assert_allclose(partial_trace(joint, [0]).matrix, a.matrix, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(joint, [1]).matrix, b.matrix, atol=1e-12)
 
 
 def test_partial_trace_of_reference_branch_sim_state():
@@ -127,7 +128,7 @@ def test_partial_trace_of_pure_state_matches_density_route(seed):
     keep = [int(k) for k in rng.integers(0, n, size=int(rng.integers(0, n + 2)))]  # repeats too
     psi = random_pure(dims, rng)
     fast = partial_trace(psi, keep)
-    dense = op_partial_trace(psi.density().matrix, dims, keep)
+    dense = partial_trace(psi.density(), keep).matrix
     assert fast.dims == tuple(dims[k] for k in sorted(set(keep)))
     np.testing.assert_allclose(fast.matrix, dense, rtol=0, atol=1e-14)
 
