@@ -12,7 +12,9 @@ tree in turn, in the same work paths, with one BLAS thread.  Exit code,
 stdout, stderr and the bytes of the job's output files are compared.  The
 script prints the number of differing jobs and every one of them, and exits 1
 on any difference.  For each differing JSON report file it also says which of
-VERDICT_KEYS, read under ``results``, changed.
+VERDICT_KEYS, read under ``results``, changed; when none did, it gives the
+largest absolute change of a float leaf and whether any other leaf or any key
+set changed.
 """
 
 from __future__ import annotations
@@ -80,6 +82,31 @@ def verdict_changes(old: bytes | None, new: bytes | None) -> list[str] | None:
     return [key for key in VERDICT_KEYS if at(reports[0], key) != at(reports[1], key)]
 
 
+def float_drift(old: bytes, new: bytes) -> tuple[float, bool]:
+    """The largest absolute difference between float leaves at the same place in two JSON
+    documents, and whether anything else differs: a non-float leaf, a key set, a list length
+    or a leaf's type."""
+    worst, other = 0.0, False
+
+    def walk(a, b):
+        nonlocal worst, other
+        if isinstance(a, dict) and isinstance(b, dict):
+            other |= a.keys() != b.keys()
+            for key in a.keys() & b.keys():
+                walk(a[key], b[key])
+        elif isinstance(a, list) and isinstance(b, list):
+            other |= len(a) != len(b)
+            for x, y in zip(a, b):
+                walk(x, y)
+        elif type(a) is float and type(b) is float:       # reports write no NaN
+            worst = max(worst, abs(a - b))
+        else:
+            other |= type(a) is not type(b) or a != b
+
+    walk(json.loads(old), json.loads(new))
+    return worst, other
+
+
 def describe(name: str, fields: list[str], old: dict, new: dict) -> str:
     line = f"  {name}: {', '.join(fields)}"
     if name in old and name in new:
@@ -92,9 +119,12 @@ def describe(name: str, fields: list[str], old: dict, new: dict) -> str:
             if before.get(path) == after.get(path):
                 continue
             changes = verdict_changes(before.get(path), after.get(path))
-            if changes is not None:
-                line += f"; {path} " + (f"changed {', '.join(changes)}" if changes
-                                        else "kept its verdict keys")
+            if changes:
+                line += f"; {path} changed {', '.join(changes)}"
+            elif changes is not None:
+                worst, other = float_drift(before[path], after[path])
+                line += (f"; {path} kept its verdict keys, floats moved by at most {worst:.1e}, "
+                         + ("other leaves or keys changed" if other else "nothing else changed"))
     return line
 
 

@@ -6,19 +6,20 @@ such tests together (X/Z/D, X/Y/E, Y/Z/F) with Bob's Y carrying a -1 phase so
 that every same-setting pair is perfectly correlated; passing it certifies the
 experiment up to a member of the conjugation simulation family.
 
-The extraction circuit per party appends an ancilla |0>, then applies
-H(anc), controlled-Z_party, H(anc), controlled-X_party with the ancilla as
-control and the party's physical observables as the controlled blocks.  All
-support-restricted quantities follow the convention that claims hold only on
-the support of the state on the acting party's registers.
+The extraction per party is the swap circuit H(anc), controlled-Z_party,
+H(anc), controlled-X_party on an ancilla in |0>, the party's physical
+observables as the controlled blocks.  On that ancilla it is the isometry
+V v = (I+Z)v/2 (x) |0> + X(I-Z)v/2 (x) |1>.  All support-restricted
+quantities follow the convention that claims hold only on the support of
+the state on the acting party's registers.
 
 The self-test addresses parties, not registers.  A pure state is its
 amplitude matrix Psi, of shape (d_A, d_B) with d_p the product of party p's
 register dims, and an operator M acts as ``M Psi`` for party A and as
 ``Psi M^T`` for party B (:meth:`Experiment.act`).  A joint correlation is
-``vdot(A Psi, Psi B^T)``.  Extraction pads Psi with the two ancillas to Psi_0
-of shape (2 d_A, 2 d_B), each party laid out as (d_p, 2), and returns
-``U_A Psi_0 U_B^T``.  No operator on the full space is ever built.
+``vdot(A Psi, Psi B^T)``.  Extraction returns ``V_A Psi V_B^T`` of shape
+(2 d_A, 2 d_B), each party laid out as (d_p, 2).  No operator on the full
+space is ever built.
 
 The stages are public functions that :func:`run_selftest` calls in order:
 the (sampled) correlations against the reference, state equalities, D-collapse,
@@ -44,7 +45,6 @@ import numpy as np
 from . import MAX_COUNT
 from .linalg import (
     ATOL,
-    HADAMARD,
     PAULIS,
     as_dims,
     as_matrix,
@@ -167,7 +167,8 @@ class Experiment(Record):
         """``M Psi`` for party A, ``Psi M^T`` (as ``(M Psi^T)^T``) for party B, C-ordered.
 
         ``psi`` is an amplitude matrix with A's index as rows and B's as
-        columns: Psi (d_A, d_B) or the extracted Psi' (2 d_A, 2 d_B).
+        columns: Psi (d_A, d_B) or the extracted Psi' (2 d_A, 2 d_B).  ``m`` may
+        be a party's extraction isometry, taking Psi to its (d_p, 2) layout.
         """
         if party == "A":
             return m @ psi
@@ -459,58 +460,50 @@ def anticommutator_residual(exp: Experiment) -> dict[str, float]:
 
 
 class Extraction(Record):
-    """The applied extraction circuit and the states it produces.
+    """The extraction isometries and the states they produce.
 
     ``state`` is Phi(|psi'>) over the party layout (d_A, 2, d_B, 2): each
     party's registers as one index followed by its ancilla qubit, so its
     amplitude matrix Psi' has shape (2 d_A, 2 d_B).  ``actions[(party, label)]``
     is Phi(M'|psi'>) over the same layout, for ACTION_LABELS (X, Z, D) only,
-    and ``local_units[party]`` is the party's circuit on its (d_p, 2) layout.
-    The stages after extraction each read it and return their residual map.
+    and ``isometries[party]`` is the party's V, (2 d_p, d_p) with rows on its
+    (d_p, 2) layout.  The stages after extraction each read it and return
+    their residual map.
     """
 
     exp: Experiment                      # purified input experiment
     state: StateVector
     actions: dict[tuple[str, str], StateVector]
-    local_units: dict[str, np.ndarray]
+    isometries: dict[str, np.ndarray]
 
 
-def _party_circuit(exp: Experiment, party: str) -> np.ndarray:
-    """Swap-style circuit on (party registers + trailing ancilla qubit).
+def _swap_isometry(exp: Experiment, party: str) -> np.ndarray:
+    """The swap circuit on the party's ancilla in |0>: v -> (I+Z)v/2 (x) |0> + X(I-Z)v/2 (x) |1>.
 
-    In this party-major (d_p, 2) layout ``kron(I, H)`` is H on the ancilla and
-    ``kron(I, |0><0|) + kron(M, |1><1|)`` is M controlled by the ancilla.
+    Its rows are on the party-major (d_p, 2) layout, the ancilla last.
     """
-    eye = np.eye(math.prod(exp.party_dims[party]), dtype=complex)
-    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-
-    def ctl(label: str) -> np.ndarray:
-        return np.kron(eye, p0) + np.kron(exp.observable(party, label), p1)
-
-    had = np.kron(eye, HADAMARD)
-    return ctl("X") @ (had @ (ctl("Z") @ had))      # H, then C-Z, H, C-X
+    x, z = exp.observable(party, "X"), exp.observable(party, "Z")
+    eye = np.eye(len(z))
+    return np.stack([(eye + z) / 2, x @ (eye - z) / 2], axis=1).reshape(2 * len(z), -1)
 
 
 def extraction_isometry(exp: Experiment) -> Extraction:
-    """``U_A Phi U_B^T`` for Psi_0 and each action M Psi_0 of the purified experiment.
+    """``V_A Psi V_B^T`` and each action ``V_A (M Psi) V_B^T`` of the purified experiment.
 
     It certifies nothing by itself: :func:`run_selftest` gates it.
     """
     exp = purify_experiment(exp)
     psi = _psi(exp)
     d_a, d_b = psi.shape
-    # Psi_0 = |psi'> (x) |0>_ancA (x) |0>_ancB on the party layout (d_A, 2, d_B, 2)
-    psi0 = np.zeros((2 * d_a, 2 * d_b), dtype=complex)
-    psi0[::2, ::2] = psi
-    local_units = {p: _party_circuit(exp, p) for p in PARTIES}
+    isometries = {p: _swap_isometry(exp, p) for p in PARTIES}
 
-    def circuit(phi: np.ndarray) -> StateVector:
-        out = exp.act("B", local_units["B"], exp.act("A", local_units["A"], phi))
+    def extract(phi: np.ndarray) -> StateVector:
+        out = exp.act("B", isometries["B"], exp.act("A", isometries["A"], phi))
         return StateVector((d_a, 2, d_b, 2), out)
 
-    actions = {(p, lab): circuit(exp.act(p, np.kron(exp.observable(p, lab), np.eye(2)), psi0))
+    actions = {(p, lab): extract(exp.act(p, exp.observable(p, lab), psi))
                for p in PARTIES for lab in ACTION_LABELS}
-    return Extraction(exp=exp, state=circuit(psi0), actions=actions, local_units=local_units)
+    return Extraction(exp=exp, state=extract(psi), actions=actions, isometries=isometries)
 
 
 def extraction_state_fidelity(ext: Extraction) -> dict[str, float]:
@@ -528,7 +521,7 @@ def extraction_action_fidelities(ext: Extraction) -> dict[str, float]:
     psi = ext.state.amplitudes.reshape(2 * ext.state.dims[0], -1)
     out: dict[str, float] = {}
     for party in PARTIES:
-        eye = np.eye(ext.local_units[party].shape[0] // 2)
+        eye = np.eye(ext.isometries[party].shape[1])
         for lab in ACTION_LABELS:
             m_ref_state = ext.exp.act(party, np.kron(eye, ref[party][lab]), psi)
             val = np.vdot(ext.actions[(party, lab)].amplitudes, m_ref_state)
@@ -543,9 +536,10 @@ def extraction_action_fidelities(ext: Extraction) -> dict[str, float]:
 def _party_y_blocks(ext: Extraction, party: str) -> tuple[dict[str, float], float]:
     """The party's ``y_coefficients`` entries and the weight p0 of its sign's +1."""
     exp = ext.exp
-    u_local = ext.local_units[party]
-    layout = (u_local.shape[0] // 2, 2) * 2        # (registers, ancilla) of rows, then of columns
-    pushed = u_local @ np.kron(exp.observable(party, "Y"), np.eye(2)) @ u_local.conj().T
+    v = ext.isometries[party]
+    layout = (v.shape[1], 2) * 2                   # (registers, ancilla) of rows, then of columns
+    # U (Y (x) I) U^dag of the swap circuit U is V Y V^dag on range(V), which holds the support
+    pushed = v @ exp.observable(party, "Y") @ v.conj().T
     psi = ext.state.amplitudes.reshape(2 * ext.state.dims[0], -1)
     proj = _support(psi, party)
     restricted = (proj @ pushed @ proj).reshape(layout)
@@ -570,9 +564,9 @@ def _party_y_blocks(ext: Extraction, party: str) -> tuple[dict[str, float], floa
 def y_coefficient_check(ext: Extraction) -> tuple[dict[str, float], dict[str, float]]:
     """Each party's sign population p0, and the residuals of Y's normal form after extraction.
 
-    Y is pushed through each party's extraction circuit and restricted to the
-    support of the extracted state on the party's registers.  Its I, X, Z
-    blocks at the extracted qubit must vanish there (``P:I``, ``P:X``, ``P:Z``:
+    Y is pushed through each party's extraction isometry, as V Y V^dag, and
+    restricted to the support of the extracted state on the party's registers.
+    Its I, X, Z blocks at the extracted qubit must vanish there (``P:I``, ``P:X``, ``P:Z``:
     Frobenius norms over the square root of half the support rank, so that a
     full-weight block reads 1), the support must factor as Q (x) I
     (``P:factorization``), and the Y block must be a sign operator on Q
@@ -606,20 +600,19 @@ class FamilyParams(Record):
     source: str
 
 
-def estimate_family_params(exp: Experiment, populations: dict[str, float] | None = None,
+def estimate_family_params(exp: Experiment, populations: dict[str, float],
                            tol: float = 1e-9) -> tuple[FamilyParams, dict[str, float]]:
     """Populations (|alpha|^2, |beta|^2) and coherence magnitude of the member, and their checks.
 
     ``populations`` are the parties' extracted sign populations p0 that
     :func:`y_coefficient_check` returns.  Experiments that kept their flag
     registers report the reduced flag state directly, with the residuals
-    ``flag_leak`` (the reduced flag state outside {|00>, |11>}) and, given
-    populations, ``P:sign_population`` (|p0 - party P's extracted sign p0|) for
-    each party.  Otherwise the populations come from Alice's extracted Y sign
-    operator, in the required ``populations``, which is basis free and, in a
-    passing y_coefficients stage, within ``tol`` of Bob's; there is nothing
-    further to check, and the coherence is only determined when one branch is
-    empty (its population at most ``tol``).
+    ``flag_leak`` (the reduced flag state outside {|00>, |11>}) and
+    ``P:sign_population`` (|p0 - party P's extracted sign p0|) for each party.
+    Otherwise the populations come from Alice's extracted Y sign operator,
+    which is basis free and, in a passing y_coefficients stage, within ``tol``
+    of Bob's; there is nothing further to check, and the coherence is only
+    determined when one branch is empty (its population at most ``tol``).
     """
     if exp.flag_registers is not None:
         reduced = partial_trace(exp.state, [exp.flag_registers["A"],
@@ -628,14 +621,9 @@ def estimate_family_params(exp: Experiment, populations: dict[str, float] | None
                    np.abs(reduced[:, 1]).max(), np.abs(reduced[:, 2]).max())
         p0 = float(reduced[0, 0].real)
         p1 = float(reduced[3, 3].real)
-        residuals = {"flag_leak": float(leak)}
-        if populations is not None:
-            residuals.update({f"{party}:sign_population": abs(p0 - pop)
-                              for party, pop in populations.items()})
+        residuals = {"flag_leak": float(leak), **{f"{party}:sign_population": abs(p0 - pop)
+                                                  for party, pop in populations.items()}}
         return FamilyParams(p0, p1, float(abs(reduced[0, 3])), "flag_registers"), residuals
-    if populations is None:
-        raise ValueError("without flag registers, pass the sign populations of a gated "
-                         "extraction's y_coefficient_check")
     p0 = populations["A"]
     p1 = 1.0 - p0
     return FamilyParams(p0, p1, 0.0 if min(p0, p1) <= tol else None, "extracted_sign"), {}

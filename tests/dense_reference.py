@@ -5,7 +5,8 @@ amplitude matrix Psi (d_A, d_B) as ``M Psi`` or ``Psi M^T``.  These routines
 build the same objects independently, on register index lists:
 ``party_registers`` lists a party's registers, ``embed_operator`` and
 ``controlled_gate`` embed a matrix by permuting subsystems, ``party_circuit``
-is the extraction circuit made from them, ``flag_branches`` collapses the
+is the extraction circuit made from them (the reference of the extraction
+isometry, its ancilla-0 columns), ``flag_branches`` collapses the
 source's flags with two 16x16 projectors, and ``support_projector`` reads a
 party's support from the Schmidt decomposition across a register cut.
 ``rotate_experiment`` conjugates a pure experiment by local unitaries;
@@ -145,9 +146,11 @@ def block_lift(upper, lower):
     return np.block([[m, zero], [zero, lower]])
 
 
-def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, np.ndarray]:
+def per_trial_lifting_residuals(trials: int, dim: int, seed: int
+                                ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """The eight algebraic items of ``family.c_property_suite``, one trial at a time: each
-    item's residual of every trial, the worst of that trial's entries.
+    item's residual of every trial, the worst of that trial's entries, and the matrices
+    M, N, H, U and P drawn, stacked over the trials.
 
     It draws what the suite draws, in its order, and lifts each matrix by itself; the
     lift is ``block_lift``, so no code of the suite's lift is shared.
@@ -164,6 +167,7 @@ def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, n
     res = {k: np.zeros(trials) for k in (
         "multiplicative", "additive", "real_scalar", "eigenvector_lift",
         "hermiticity", "unitarity", "psd", "trace_doubling")}
+    draws = {k: np.zeros((trials, dim, dim), dtype=complex) for k in "MNHUP"}
 
     def bump(key, value):
         res[key][trial] = np.maximum(res[key][trial], value)     # keeps a NaN
@@ -197,8 +201,10 @@ def per_trial_lifting_residuals(trials: int, dim: int, seed: int) -> dict[str, n
         bump("psd", abs(np.linalg.eigvalsh(c_of(herm)).min() - np.linalg.eigvalsh(herm).min()))
 
         bump("trace_doubling", abs(np.trace(c_of(herm)) - 2 * np.trace(herm)))
+        for key, drawn in zip("MNHUP", (m, n, herm, u, psd)):
+            draws[key][trial] = drawn
 
-    return res
+    return res, draws
 
 
 def basis_state(dims, index) -> StateVector:
@@ -655,15 +661,16 @@ def dense_extract(exp):
     vec = np.kron(exp.state.amplitudes, [1, 0, 0, 0])
     order = list(range(n_a)) + [n_a + n_b] + list(range(n_a, n_a + n_b)) + [n_a + n_b + 1]
     vec = permute_subsystems_vector(vec, list(exp.state.dims) + [2, 2], order)
-    local_units = {p: party_circuit(exp, p) for p in PARTIES}
-    u_a, u_b = (embed_operator(local_units[p], dims, blocks[p] + [ancillas[p]]) for p in PARTIES)
+    circuits = {p: party_circuit(exp, p) for p in PARTIES}
+    u_a, u_b = (embed_operator(circuits[p], dims, blocks[p] + [ancillas[p]]) for p in PARTIES)
 
     def circuit(v):                    # matrix-vector products only
         return StateVector((d_a, 2, d_b, 2), u_b @ (u_a @ v))
 
     actions = {(p, lab): circuit(embed_operator(exp.observable(p, lab), dims, blocks[p]) @ vec)
                for p in PARTIES for lab in ACTION_LABELS}
-    return Extraction(exp=exp, state=circuit(vec), actions=actions, local_units=local_units)
+    return Extraction(exp=exp, state=circuit(vec), actions=actions,
+                      isometries={p: circuits[p][:, ::2] for p in PARTIES})
 
 
 def dense_state_fidelity(ext):
@@ -699,7 +706,7 @@ def dense_y_coefficient_check(ext):
     populations, residuals = {}, {}
     for party in PARTIES:
         d = math.prod(exp.party_dims[party])
-        u_local = ext.local_units[party]
+        u_local = party_circuit(exp, party)
         pushed = u_local @ np.kron(exp.observable(party, "Y"), np.eye(2)) @ u_local.conj().T
         side = registers[party] + [ancillas[party]]
         proj = support_projector(state, side)

@@ -269,18 +269,29 @@ def test_stacked_suite_matches_the_per_trial_reference(trials, dim, seed, stretc
     lifting_block = family._lifting_block
 
     def spy(count, *args):
-        block = lifting_block(count, *args)
-        blocks.append((count, block))
+        lifted = []
+
+        def lift(m):
+            lifted.append(m)
+            return c_of(m)
+
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(family, "c_of", lift)
+            block = lifting_block(count, *args)
+        blocks.append((count, block, lifted))
         return block
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(family, "_lifting_block", spy)
         residuals, bounds = c_property_suite(trials, dim, seed, fixtures=fixtures)
-    reference = per_trial_lifting_residuals(trials, dim, seed)
-    # block k holds trials [64k, min(64k + 64, trials)), so the blocks hold every trial once
+    reference, draws = per_trial_lifting_residuals(trials, dim, seed)
+    # block k holds trials [64k, min(64k + 64, trials)), so the blocks hold every trial once,
+    # and it lifts the very matrices the reference drew for them
     windows = [slice(start, min(start + 64, trials)) for start in range(0, trials, 64)]
-    assert [count for count, _ in blocks] == [w.stop - w.start for w in windows]
-    for window, (_, block) in zip(windows, blocks):
+    assert [count for count, _, _ in blocks] == [w.stop - w.start for w in windows]
+    for window, (_, block, lifted) in zip(windows, blocks):
+        for key, drawn in draws.items():
+            assert any(np.array_equal(stack, drawn[window]) for stack in lifted), (window, key)
         assert list(block) == list(reference)
         for name, per_trial in reference.items():
             assert abs(block[name] - per_trial[window].max()) <= 1e-14, (window, name)

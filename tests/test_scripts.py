@@ -72,11 +72,24 @@ def test_workload_parity_names_the_differing_jobs():
     def job(outputs):
         return {"exit": 0, "stdout": b"", "stderr": b"", "outputs": outputs}
 
-    runs = {f"j{i}": job(before) for i in range(8)}
-    changed = {**runs, **{f"j{i}": job(same) for i in range(1, 7)}, "j7": job(moved)}
+    # a report that kept its verdict keys says how far its floats moved and whether
+    # anything else did
+    drifted = {**before, "r.json": report(**kept, residuals={"a": 1.0 + 2 ** -50})}
+    assert script.float_drift(before["r.json"], drifted["r.json"]) == (2 ** -50, False)
+    assert script.float_drift(before["r.json"], same["r.json"]) == (0.0, True)
+    assert script.float_drift(b'{"a": [1.0, 2]}', b'{"a": [1.5, 3]}') == (0.5, True)
+    assert script.float_drift(b'{"a": [1.0]}', b'{"a": [1.0, 1.0]}') == (0.0, True)
+    assert script.float_drift(b'{"a": 1.0}', b'{"a": null}') == (0.0, True)
+
+    runs = {f"j{i}": job(before) for i in range(9)}
+    changed = {**runs, **{f"j{i}": job(same) for i in range(1, 7)}, "j7": job(moved),
+               "j8": job(drifted)}
     diffs = script.differences(runs, changed)
-    assert diffs == [(f"j{i}", ["outputs"]) for i in range(1, 8)]
+    assert diffs == [(f"j{i}", ["outputs"]) for i in range(1, 9)]
     assert script.summary(23, runs, changed, diffs).splitlines() == [
-        "seed 23: 8 jobs, 7 differ",
-        *(f"  j{i}: outputs; r.json kept its verdict keys" for i in range(1, 7)),
-        "  j7: outputs; r.json changed verdict, failures, flag_populations.population_0"]
+        "seed 23: 9 jobs, 8 differ",
+        *(f"  j{i}: outputs; r.json kept its verdict keys, floats moved by at most 0.0e+00, "
+          "other leaves or keys changed" for i in range(1, 7)),
+        "  j7: outputs; r.json changed verdict, failures, flag_populations.population_0",
+        "  j8: outputs; r.json kept its verdict keys, floats moved by at most 8.9e-16, "
+        "nothing else changed"]

@@ -69,6 +69,8 @@ from dense_reference import (
     feasible_members,
     party_circuit,
     per_round_sampled_correlations,
+    register_layout,
+    register_vector,
     rejudge,
     rotate_experiment,
     support_projector,
@@ -608,8 +610,11 @@ def test_estimate_family_params_examples():
         (SimParams(0.25, 0.0), (0.25, 0.75, 0.0)),
     ]:
         exp = family_experiment(p, "extended")
-        got, residuals = estimate_family_params(exp)
-        assert residuals == {"flag_leak": pytest.approx(0.0, abs=1e-12)}
+        populations, _ = y_coefficient_check(extraction_isometry(exp))
+        got, residuals = estimate_family_params(exp, populations)
+        assert residuals == {"flag_leak": pytest.approx(0.0, abs=1e-12),
+                             "A:sign_population": pytest.approx(0.0, abs=1e-12),
+                             "B:sign_population": pytest.approx(0.0, abs=1e-12)}
         assert got.population_0 == pytest.approx(want[0], abs=1e-9)
         assert got.population_1 == pytest.approx(want[1], abs=1e-9)
         assert got.coherence == pytest.approx(want[2], abs=1e-9)
@@ -617,8 +622,6 @@ def test_estimate_family_params_examples():
 
 def test_estimate_family_params_without_flags_uses_sign_operator():
     exp = reference_experiment("extended")
-    with pytest.raises(ValueError, match="sign populations"):
-        estimate_family_params(exp)              # no populations from an ungated extraction
     got, residuals = estimate_family_params(
         exp, populations=y_coefficient_check(extraction_isometry(exp))[0])
     assert got.source == "extracted_sign" and residuals == {}
@@ -667,8 +670,11 @@ def test_estimate_family_params_rejects_leaky_flags():
     bad_state = StateVector([2, 2, 2, 2], vec)
     exp = family_experiment(SimParams(0.5, 0.5), "extended")
     exp = replace(exp, state=bad_state)
-    _, residuals = estimate_family_params(exp)
-    assert residuals == {"flag_leak": pytest.approx(0.5)}
+    # the flags read p0 = 1/2; each party's extracted sign reads p0 = 1/4
+    populations, _ = y_coefficient_check(extraction_isometry(exp))
+    _, residuals = estimate_family_params(exp, populations)
+    assert residuals == {"flag_leak": pytest.approx(0.5), "A:sign_population": pytest.approx(0.25),
+                         "B:sign_population": pytest.approx(0.25)}
 
 
 # --------------------------------------------------------------------------
@@ -1171,11 +1177,19 @@ def circuit_cases():
             "swapped_B": swapped(pure, "B", "Z", "D")}
 
 
-def test_party_circuit_equals_dense_circuit():
+def test_swap_isometry_is_the_dense_circuit_on_a_zero_ancilla():
+    """V is the circuit's ancilla-0 columns, and on the support P of the extracted state
+    P U (Y (x) I) U^dag P = P V Y V^dag P."""
     for name, exp in circuit_cases().items():
+        state = register_vector(extraction_isometry(exp))
+        _, registers, ancillas = register_layout(exp)
         for party in PARTIES:
-            assert np.array_equal(selftest._party_circuit(exp, party),
-                                  party_circuit(exp, party)), (name, party)
+            u, v = party_circuit(exp, party), selftest._swap_isometry(exp, party)
+            assert np.abs(v - u[:, ::2]).max() <= 1e-14, (name, party)
+            proj = support_projector(state, registers[party] + [ancillas[party]])
+            y = exp.observable(party, "Y")
+            pushed = u @ np.kron(y, np.eye(2)) @ u.conj().T
+            assert np.abs(proj @ (pushed - v @ y @ v.conj().T) @ proj).max() <= 1e-14, (name, party)
 
 
 # --------------------------------------------------------------------------
