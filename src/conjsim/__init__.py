@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "sixstate": (
         "Conjugate", "CustomState", "Honest", "MismatchedFlags", "QberReport", "Transcript",
-        "ZPremeasure", "eve_flip_correction", "run_rounds", "sift", "zpremeasure_analysis",
+        "ZPremeasure", "run_rounds", "sift",
     ),
     "states": (
         "DensityMatrix", "StateVector", "epr_pair", "partial_trace",

@@ -21,16 +21,15 @@ unequal flags.
 
 All counts come from one ``default_rng(seed).multinomial(n, p)`` over the 72
 cells, with p = ``_cell_law(strategy)`` = flag weight x 1/9 x the pair's
-outcome distribution, the one law that the sampler and the exact
-premeasurement check read, so a transcript is a pure function of (strategy,
-n, seed) and costs the same at any n.  A cell of p <= CELL_TOL is empty:
+outcome distribution, so a transcript is a pure function of (strategy, n,
+seed) and costs the same at any n.  A cell of p <= CELL_TOL is empty:
 rounding leaves about 1e-16 in cells that are 0, and each nonzero cell draws
 uniforms.  Rounds exist only when a transcript is written
 (:meth:`Transcript.cells`): each cell index repeated by its count, shuffled
 once by ``default_rng([seed, 1])``.  An i.i.d. sequence is uniform over the
 orderings of its counts, so the written rounds keep the per-round law
 exactly, and the report does not depend on whether they are written.  The abort
-verdict and the exact premeasurement check are judged by ``linalg.failing``.
+verdict is judged by ``linalg.failing``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from . import MAX_COUNT
 from .family import SimParams, multiparty_sim_state
 from .linalg import as_int, failing
 from .selftest import correlations, family_experiment, with_state
-from .states import DensityMatrix, Record, StateVector, epr_pair, replace
+from .states import DensityMatrix, Record, StateVector, epr_pair
 
 BASES = ("X", "Y", "Z")
 SOURCE_DIMS = (2, 2, 2, 2)            # flag_A, data_A, flag_B, data_B
@@ -265,33 +264,3 @@ def sift(t: Transcript, abort_threshold: float = 0.0) -> QberReport:
     """Keep same-basis rounds and count them and their errors per basis."""
     sifted, errors = ({b: int(c) for b, c in zip(BASES, col)} for col in _same_basis(t.counts))
     return QberReport(sifted, errors, t.n, abort_threshold, t.premeasured)
-
-
-def eve_flip_correction(report: QberReport, known_flags: tuple[int, int]) -> QberReport:
-    """Undo Eve's Y-outcome flips in her reckoning of the error counts.
-
-    A conjugated party's Y outcome is flipped; when exactly one side is
-    flagged every sifted Y round toggles between error and agreement, and when
-    both or neither are flagged nothing changes.
-    """
-    fa, fb = known_flags
-    if fa == fb:
-        return report
-    return replace(report, errors={**report.errors, "Y": report.sifted["Y"] - report.errors["Y"]})
-
-
-def zpremeasure_analysis(p: SimParams) -> dict[str, float]:
-    """Compare the ZPremeasure(p) cell law, flags summed out, with the Honest(p) law exactly.
-
-    The premeasured law is the reference law with weight a plus the conjugate law with
-    weight 1 - a, so this checks that c drops out and that the family keeps the statistics
-    of the reference.  The residual map: ``cells``, the largest |difference| over the 36
-    cells, and each basis's |QBER difference| as ``rate:<basis>``; each must hold against
-    ``linalg.ATOL``.
-    """
-    premeasured = _cell_law(ZPremeasure(p)).sum(axis=0, keepdims=True)
-    honest = _cell_law(Honest(p))[:1]
-    (kept_z, wrong_z), (kept_h, wrong_h) = _same_basis(premeasured), _same_basis(honest)
-    rates = np.abs(wrong_z / kept_z - wrong_h / kept_h)
-    return {"cells": float(np.abs(premeasured - honest).max()),
-            **{f"rate:{b}": float(d) for b, d in zip(BASES, rates)}}

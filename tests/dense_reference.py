@@ -13,7 +13,9 @@ party's support from the Schmidt decomposition across a register cut.
 ``dense_rotate``, ``dense_attach_junk``, ``dense_purify`` (its own
 eigendecomposition, in ``purify``'s conventions) and
 ``dense_multiparty_sim_state`` build the states of it and of the experiment
-builders with full-space products and subsystem permutations.  ``feasible_members``
+builders with full-space products and subsystem permutations.
+``conjugate_experiment`` (K) complex-conjugates an experiment, and
+``flip_flags`` (F) applies X to both its flag registers.  ``feasible_members``
 is the grid of family members the tests run.  ``expectation``
 is tr(rho M) of a full-space operator, ``per_round_sampled_correlations`` draws
 every round of a sampled table, ``per_pair_complex_to_json`` and
@@ -392,6 +394,32 @@ def rotate_experiment(exp, unitaries):
            for p in PARTIES}
     return Experiment(kind=exp.kind, state=StateVector(exp.state.dims, psi), observables=obs,
                       party_dims=exp.party_dims)
+
+
+def conjugate_experiment(exp):
+    """K(exp): every amplitude and every observable complex-conjugated; dims and flags kept."""
+    state = (StateVector(exp.state.dims, exp.state.amplitudes.conj())
+             if isinstance(exp.state, StateVector)
+             else DensityMatrix(exp.state.dims, exp.state.matrix.conj()))
+    obs = {p: {l: m.conj() for l, m in exp.observables[p].items()} for p in PARTIES}
+    return Experiment(kind=exp.kind, state=state, observables=obs, party_dims=exp.party_dims,
+                      flag_registers=exp.flag_registers)
+
+
+def flip_flags(exp):
+    """F(exp): X on both flag registers, applied to the state and to each party's observables."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    flags, n_a = exp.flag_registers, len(exp.party_dims["A"])
+    both = embed_operator(np.kron(x, x), exp.state.dims, [flags["A"], flags["B"]])
+    state = (StateVector(exp.state.dims, both @ exp.state.amplitudes)
+             if isinstance(exp.state, StateVector)
+             else DensityMatrix(exp.state.dims, both @ exp.state.matrix @ both))
+    obs = {}
+    for p, first in (("A", 0), ("B", n_a)):
+        local = embed_operator(x, exp.party_dims[p], [flags[p] - first])
+        obs[p] = {l: local @ m @ local for l, m in exp.observables[p].items()}
+    return Experiment(kind=exp.kind, state=state, observables=obs, party_dims=exp.party_dims,
+                      flag_registers=flags)
 
 
 def dense_rotate(exp, unitaries):

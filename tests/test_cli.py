@@ -37,7 +37,6 @@ from conjsim.sixstate import MismatchedFlags, source_state
 from conjsim.states import StateVector, replace
 
 from dense_reference import rejudge, rotate_experiment, unjudged_names
-from test_scripts import load_script
 
 
 def run(args):
@@ -398,24 +397,6 @@ def qkd_verdict(basis):
     return verdict
 
 
-def premeasurement_verdict(entry):
-    """Whether the QKD experiment script finds premeasurement within tolerance with ``entry``
-    of the premeasurement map put to ``value``."""
-    def verdict(monkeypatch, value):
-        script = load_script("qkd_strategies_experiment")
-        analysis = script.zpremeasure_analysis
-        monkeypatch.setattr(script, "N", 60)
-        monkeypatch.setattr(script, "zpremeasure_analysis",
-                            lambda p: {**analysis(p), entry: value})
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            script.main()
-        last = out.getvalue().splitlines()[-1]
-        assert last.endswith(("within tolerance: True", "within tolerance: False"))
-        return last.endswith("True")
-    return verdict
-
-
 # (bound, whether the job holds with the entry at a value)
 JOB_BOUNDARY_CASES = {
     "props:hamiltonian_identity": (HAMILTONIAN_BOUND, props_verdict(
@@ -429,8 +410,6 @@ JOB_BOUNDARY_CASES = {
         "fixture[one:hermitian]",
         lambda mp, v: mp.setitem(linalg.DEFECTS, "hermitian", lambda m: v))),
     **{f"qkd:rate:{b}": (0.25, qkd_verdict(b)) for b in ("X", "Y", "Z")},
-    **{f"premeasurement:{entry}": (ATOL, premeasurement_verdict(entry))
-       for entry in ("cells", "rate:Y")},
 }
 
 

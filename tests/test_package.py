@@ -17,18 +17,18 @@ EXPORTS = [
     "SimParams", "StateVector", "Transcript", "ZPremeasure",
     "anticommutator_residual", "c_of", "c_property_suite", "check_against_reference",
     "check_d_collapse", "check_state_equalities", "correlations", "epr_pair",
-    "estimate_family_params", "eve_flip_correction", "extraction_isometry",
+    "estimate_family_params", "extraction_isometry",
     "family", "family_experiment", "linalg", "multiparty_sim_state", "partial_trace",
     "reference_experiment", "run_rounds", "run_selftest", "sampled_correlations",
     "selftest", "sift", "sim_hamiltonian", "sim_kraus", "sim_povm", "sim_unitary_evolve",
-    "sixstate", "states", "to_real_simulation", "y_coefficient_check", "zpremeasure_analysis",
+    "sixstate", "states", "to_real_simulation", "y_coefficient_check",
 ]
 SUBMODULES = ["family", "linalg", "selftest", "sixstate", "states"]
 
 
 def test_all_keeps_its_names_and_order():
     assert conjsim.__all__ == EXPORTS
-    assert len(EXPORTS) == 46
+    assert len(EXPORTS) == 44
 
 
 def test_star_import_binds_every_export_to_its_defining_object():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -26,7 +27,15 @@ def test_qkd_strategies_experiment_runs(monkeypatch, capsys):
     script.main()
     out = capsys.readouterr().out
     assert out.startswith("n = 600 rounds per strategy")
-    assert "after correction" in out and "within tolerance" in out
+    # cells of probability 0 are never drawn, so both adversary facts hold exactly at any n
+    rows = out.splitlines()[2:10]
+    # at threshold 0 a consistent verdict means no error in any basis
+    assert [row.endswith("-> protocol-consistent") for row in rows] == [True] * 6 + [False, True]
+    premeasured, pinned = out.splitlines()[-2:]
+    assert premeasured == "Eve premeasures the flags (a=0.5 c=0.5): errors X=0 Y=0 Z=0"
+    counts = re.fullmatch(r"Eve pins the flags \(0,1\): errors/sifted X=0/(\d+) Y=(\d+)/(\d+) "
+                          r"Z=0/(\d+); flipping her Y bits leaves 0 Y errors", pinned)
+    assert counts and counts[2] == counts[3] and all(int(c) > 0 for c in counts.groups())
 
 
 

@@ -58,6 +58,7 @@ from dense_reference import (
     RUN_ORDER,
     ancillas_last,
     basis_state,
+    conjugate_experiment,
     dense_attach_junk,
     dense_correlations,
     dense_extract,
@@ -67,6 +68,7 @@ from dense_reference import (
     dense_run_selftest,
     dense_stabilizer_and_split,
     feasible_members,
+    flip_flags,
     party_circuit,
     per_round_sampled_correlations,
     register_layout,
@@ -1111,6 +1113,72 @@ def test_the_extended_test_contains_the_mayers_yao_test(case, x_as_z):
         assert entries.items() <= full.residuals[stage].items(), stage
     assert {f.partition("[")[0] for f in part.failures} <= \
         {f.partition("[")[0] for f in full.failures}
+
+
+# complex conjugation K and the flag flip F (McKague-Mosca-Gisin, arXiv 0810.1923): no
+# experiment tells an experiment from its conjugate, so the self-test certifies a member only up
+# to K, and the flags carry the convention that tells the two apart
+
+@given(st.integers(0, 2**20), st.floats(0.0, 1.0), st.floats(-np.pi, np.pi))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_conjugation_and_a_flag_flip_map_a_member_to_its_mirror(k, share, phase):
+    """K∘F(member(a, c)) is member(1 - a, c) bit for bit, state and every observable.  a is
+    dyadic, so that 1 - (1 - a) is a and the flag-1 weights agree exactly."""
+    a = k / 2**20
+    p = SimParams(a, share * np.sqrt(a * (1 - a)) * np.exp(1j * phase))
+    for kind in SUBTESTS:
+        mirrored = conjugate_experiment(flip_flags(family_experiment(p, kind)))
+        want = family_experiment(SimParams(1 - a, p.c), kind)
+        assert np.array_equal(mirrored.state.matrix, want.state.matrix), (p, kind)
+        assert mirrored.flag_registers == want.flag_registers
+        for party in PARTIES:
+            for label, m in want.observables[party].items():
+                assert np.array_equal(mirrored.observable(party, label), m), (party, label)
+
+
+def assert_mirrored_report(exp, mirrored):
+    """``mirrored`` has ``exp``'s failures and refused_stage and every residual entry within
+    1e-14; the estimate's populations swap."""
+    report, mirror = run_selftest(exp), run_selftest(mirrored)
+    assert (mirror.failures, mirror.refused_stage) == (report.failures, report.refused_stage)
+    assert list(mirror.residuals) == list(report.residuals)
+    for stage, entries in report.residuals.items():
+        assert list(mirror.residuals[stage]) == list(entries), stage
+        for name, value in entries.items():
+            assert abs(mirror.residuals[stage][name] - value) <= 1e-14, (stage, name)
+    if report.family_params is not None:
+        assert abs(mirror.family_params.population_0 - report.family_params.population_1) <= 1e-14
+        assert abs(mirror.family_params.population_1 - report.family_params.population_0) <= 1e-14
+    return report
+
+
+@given(rotated_junked_members(), st.sampled_from(PARTIES),
+       st.sampled_from(setting_labels("extended")), st.floats(1e-6, 1e-1), seeds, st.booleans())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_the_selftest_treats_an_experiment_and_its_conjugate_alike(case, party, label, angle,
+                                                                   seed, rotate):
+    """Without flag registers K changes no verdict and no residual, and the extracted sign
+    population p0 becomes 1 - p0.  On some draws one setting is rotated, so that stages fail."""
+    exp = rotated_setting(case[0], party, label, angle, seed) if rotate else case[0]
+    report = assert_mirrored_report(exp, conjugate_experiment(exp))
+    assert report.passed != rotate
+
+
+@given(st.floats(0.0, 1.0).filter(lambda a: abs(a - 0.5) > 1e-3), st.floats(0.0, 1.0),
+       st.floats(-np.pi, np.pi), st.integers(1, 4))
+@settings(max_examples=5, deadline=None, derandomize=True)
+def test_a_flagged_member_passes_conjugated_only_with_its_flags_flipped(a, share, phase, junk):
+    """K∘F of a member, junk on A, keeps its report and swaps the flag populations.  K alone
+    fails only family_params: the flags still read a while the extracted sign reads 1 - a."""
+    exp = family_experiment(SimParams(a, share * np.sqrt(a * (1 - a)) * np.exp(1j * phase)))
+    exp = attach_junk(purify_experiment(exp), "A", StateVector([junk], np.eye(junk)[-1]))
+    assert assert_mirrored_report(exp, conjugate_experiment(flip_flags(exp))).passed
+    alone = run_selftest(conjugate_experiment(exp))
+    assert alone.refused_stage is None
+    assert {name.partition("[")[0] for name in alone.failures} == {"family_params"}
+    for party in PARTIES:
+        assert alone.residuals["family_params"][f"{party}:sign_population"] == \
+            pytest.approx(abs(1 - 2 * a), abs=1e-12)
 
 
 @given(seeds)
